@@ -1,7 +1,6 @@
 """Pseudo-arcs in PG(hk-1, q), their quadric systems, and additive MDS codes."""
 
-from .gf import (FieldElement, FieldMismatchError, FieldTower, GF, Poly,
-                 poly_derivative, poly_eval, tower)
+from .gf import FieldElement, FieldMismatchError, FieldTower, GF, Poly, tower
 from .linalg import SingularMatrixError
 from .nrc import (INFINITY, NrcPoint, OrbitReps, frobenius_orbit_reps,
                   is_imaginary, mobius, nrc_points, orbit_rep_count,
@@ -14,7 +13,7 @@ from .pseudoarc import (ArcVerdict, PseudoArc, SmallFieldWarning, Tag,
                         build_desarguesian_arc, build_imaginary_arc,
                         contained_in_spread, extend_with_osculating,
                         is_pseudo_arc, thas_bound)
-from .quadrics import (IntersectionVerdict, QuadraticForm, eval_form,
+from .quadrics import (IntersectionVerdict, QuadraticForm,
                        is_complete_intersection, monomial_pairs,
                        nrc_quadric_system, trace_reduce, vanishing_space)
 from .codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
@@ -24,8 +23,7 @@ from .codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
 from .pg54 import fixture_code, fixture_lines, fixture_matrix, verify_fixture
 
 __all__ = [
-    "FieldElement", "FieldMismatchError", "FieldTower", "GF", "Poly",
-    "poly_derivative", "poly_eval", "tower",
+    "FieldElement", "FieldMismatchError", "FieldTower", "GF", "Poly", "tower",
     "SingularMatrixError",
     "INFINITY", "NrcPoint", "OrbitReps", "frobenius_orbit_reps",
     "is_imaginary", "mobius", "nrc_points", "orbit_rep_count",
@@ -37,7 +35,7 @@ __all__ = [
     "ArcVerdict", "PseudoArc", "SmallFieldWarning", "Tag",
     "build_desarguesian_arc", "build_imaginary_arc", "contained_in_spread",
     "extend_with_osculating", "is_pseudo_arc", "thas_bound",
-    "IntersectionVerdict", "QuadraticForm", "eval_form",
+    "IntersectionVerdict", "QuadraticForm",
     "is_complete_intersection", "monomial_pairs", "nrc_quadric_system",
     "trace_reduce", "vanishing_space",
     "ERASED", "AdditiveCode", "CoordSpec", "DecodeError",

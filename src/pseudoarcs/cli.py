@@ -3,12 +3,11 @@
 Exit status convention: 0 means verified or constructed, 1 means a
 property was refuted (a witness is printed), 2 means a usage or input
 error.  All primary output is deterministic for a fixed command line;
-the thread setting and warnings go to stderr only.
+warnings go to stderr only.
 """
 
 import argparse
 import math
-import os
 import sys
 import warnings
 
@@ -384,31 +383,11 @@ def cmd_import(args):
     return 0
 
 
-def _resolve_threads(args):
-    """Thread count from the flag or PSEUDOARCS_THREADS.  It may change
-    wall time only, so it is echoed to stderr, never to stdout."""
-    if args.threads is not None:
-        n = args.threads
-    else:
-        raw = os.environ.get("PSEUDOARCS_THREADS")
-        if raw is None:
-            return None
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ValueError("PSEUDOARCS_THREADS must be an integer, got %r" % raw)
-    _check_positive(n, "thread count")
-    return n
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pseudoarcs",
         description="Exact constructions and checks for pseudo-arcs from "
                     "imaginary curve points, and the additive codes they carry.")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker hint, wall time only (default: "
-                             "PSEUDOARCS_THREADS or 1)")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("construct-arc", help="build the imaginary-point family")
@@ -508,9 +487,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _resolve_threads(args)
-        if threads is not None:
-            print("threads: %d (wall time only)" % threads, file=sys.stderr)
         return args.func(args)
     except jsonio.FormatError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,13 +1,16 @@
 """Additive codes over the extension field, F_q-linear with q^(hk)
 codewords.
 
-Messages are polynomials over F_q of degree below hk.  A coordinate is
-one of three kinds: evaluation at a generator of the extension field,
-a derivative bundle at a rational parameter t (all h derivative values
-folded against the conjugates of a normal element), or the analogous
-bundle of leading coefficients for the parameter at infinity.  Folding
-generator columns into rank-h subspaces recovers the matching
-pseudo-arc, which is how distance facts become geometry and back.
+Messages are polynomials over F_q of degree below hk, and every codeword
+is the combination of the generator rows by the message coefficients.
+A coordinate kind records how its generator column was built:
+evaluation at a generator of the extension field, a derivative bundle
+at a rational parameter t (all h derivative values folded against the
+conjugates of a normal element), the analogous bundle of leading
+coefficients for the parameter at infinity, or an external column
+unfolded from a given subspace.  Folding generator columns into rank-h
+subspaces recovers the matching pseudo-arc, which is how distance facts
+become geometry and back.
 """
 
 import itertools
@@ -16,7 +19,7 @@ from typing import List, Optional, Sequence, Union
 
 from .gf import FieldElement, FieldTower, Poly
 from .linalg import SingularMatrixError, rank, solve
-from .nrc import is_imaginary, osc_basis
+from .nrc import is_imaginary, osc_basis, osc_basis_infty
 from .projgeo import Spread, Subspace, span
 from .pseudoarc import ArcVerdict, contained_in_spread, is_pseudo_arc
 
@@ -40,11 +43,14 @@ class DecodeError(Exception):
     pass
 
 
+COORD_KINDS = ("alpha", "deriv", "infty", "external")
+
+
 @dataclass(frozen=True)
 class CoordSpec:
     """What one code coordinate computes from the message polynomial."""
 
-    kind: str  # "alpha" | "deriv" | "infty" | "external"
+    kind: str  # one of COORD_KINDS
     param: Optional[FieldElement] = None
 
     def __repr__(self):
@@ -71,6 +77,9 @@ class AdditiveCode:
             raise ValueError("length must exceed the design parameter k")
         if len(eval_spec) != n:
             raise ValueError("one coordinate descriptor per column")
+        for spec in eval_spec:
+            if spec.kind not in COORD_KINDS:
+                raise ValueError("unknown coordinate kind %r" % spec.kind)
         expanded = []
         for row in gen:
             flat = []
@@ -138,15 +147,32 @@ def evaluation_code(tow: FieldTower, alphas: Sequence[FieldElement],
     return AdditiveCode(tow, k_msg, gen, spec)
 
 
+def _unfold(tow: FieldTower, rows: Sequence[Sequence[FieldElement]]
+            ) -> List[FieldElement]:
+    """One code column from h base-level rows: entry r is
+    sum_i rows[i][r] * omega^(q^i).  Inverse of the per-column step of
+    fold_columns up to the choice of basis."""
+    omega = tow.normal_element()
+    omega_pows = [tow.frobenius(omega, i) for i in range(tow.h)]
+    col = []
+    for r in range(len(rows[0])):
+        acc = tow.top.zero
+        for row, w in zip(rows, omega_pows):
+            if row[r]:
+                acc = acc + tow.lift(row[r]) * w
+        col.append(acc)
+    return col
+
+
 def extend_with_derivatives(code: AdditiveCode, ts: Sequence[FieldElement],
                             include_infty: bool = False) -> AdditiveCode:
     """Append derivative-bundle columns at the given rational
     parameters, and optionally the bundle at infinity.
 
-    The column at t is the transpose of the order-(h-1) derivative rows
-    folded against (omega, omega^q, ...): entry r is
-    sum_i A_t[i][r] * omega^(q^i).  The infinity column pairs the last
-    h coefficient slots with the conjugates in ascending order.
+    The column at t unfolds the order-(h-1) derivative rows against
+    (omega, omega^q, ...).  The infinity column unfolds the infinity
+    rows in reverse, pairing the last h coefficient slots with the
+    conjugates in ascending order.
     """
     tow = code.tow
     h, hk = tow.h, tow.h * code.k_msg
@@ -155,30 +181,15 @@ def extend_with_derivatives(code: AdditiveCode, ts: Sequence[FieldElement],
     ts = list(ts)
     if len(set(t.val for t in ts)) != len(ts):
         raise ValueError("repeated derivative parameter")
-    omega_pows = [tow.frobenius(code.omega, i) for i in range(h)]
     new_cols = []
     new_spec = []
     for t in ts:
         if t.field is not tow.base:
             raise ValueError("derivative parameters live in the base field")
-        rows = osc_basis(t, h - 1, hk)
-        col = []
-        for r in range(hk):
-            acc = tow.top.zero
-            for i in range(h):
-                if rows[i][r]:
-                    acc = acc + tow.lift(rows[i][r]) * omega_pows[i]
-            col.append(acc)
-        new_cols.append(col)
+        new_cols.append(_unfold(tow, osc_basis(t, h - 1, hk)))
         new_spec.append(CoordSpec("deriv", t))
     if include_infty:
-        col = []
-        for r in range(hk):
-            if r >= hk - h:
-                col.append(omega_pows[r - (hk - h)])
-            else:
-                col.append(tow.top.zero)
-        new_cols.append(col)
+        new_cols.append(_unfold(tow, osc_basis_infty(tow.base, h - 1, hk)[::-1]))
         new_spec.append(CoordSpec("infty"))
     gen = [list(row) + [c[r] for c in new_cols]
            for r, row in enumerate(code.gen)]
@@ -187,33 +198,24 @@ def extend_with_derivatives(code: AdditiveCode, ts: Sequence[FieldElement],
 
 def code_from_subspaces(tow: FieldTower, subspaces: Sequence[Subspace],
                         k_msg: int) -> AdditiveCode:
-    """One column per rank-h subspace, folding its basis rows against
-    the conjugates of the normal element.  Inverse of fold_columns up
-    to the choice of basis within each subspace."""
-    h = tow.h
-    omega_pows = [tow.frobenius(tow.normal_element(), i) for i in range(h)]
+    """One column per rank-h subspace, unfolding its basis rows.
+    Inverse of fold_columns up to the choice of basis within each
+    subspace."""
     gen_cols = []
     for s in subspaces:
-        if s.field is not tow.base or s.rank != h:
+        if s.field is not tow.base or s.rank != tow.h:
             raise ValueError("need base-level subspaces of rank h")
-        col = []
-        for r in range(s.ambient_dim):
-            acc = tow.top.zero
-            for i in range(h):
-                if s.rows[i][r]:
-                    acc = acc + tow.lift(s.rows[i][r]) * omega_pows[i]
-            col.append(acc)
-        gen_cols.append(col)
-    n = len(gen_cols)
-    hk = h * k_msg
-    gen = [[gen_cols[j][r] for j in range(n)] for r in range(hk)]
-    spec = [CoordSpec("external")] * n
+        gen_cols.append(_unfold(tow, s.rows))
+    hk = tow.h * k_msg
+    gen = [[col[r] for col in gen_cols] for r in range(hk)]
+    spec = [CoordSpec("external")] * len(gen_cols)
     return AdditiveCode(tow, k_msg, gen, spec)
 
 
 def encode(message: Union[Poly, Sequence[FieldElement]],
            code: AdditiveCode) -> List[FieldElement]:
-    """Evaluate a message polynomial coordinate by coordinate.
+    """Codeword of a message polynomial: the combination of the
+    generator rows by its coefficients.
 
     Accepts the polynomial or its base-field coefficient vector (low
     degree first, length up to hk).
@@ -228,35 +230,7 @@ def encode(message: Union[Poly, Sequence[FieldElement]],
         raise ValueError("message coefficients must lie in the base field")
     if f.degree >= hk:
         raise ValueError("message degree %d too large" % f.degree)
-    coeffs = [f.coefficient(i) for i in range(hk)]
-    omega_pows = [tow.frobenius(code.omega, i) for i in range(tow.h)]
-    word = []
-    for j, spec in enumerate(code.eval_spec):
-        if spec.kind == "alpha":
-            word.append(f.evaluate(spec.param, tow))
-        elif spec.kind == "deriv":
-            acc = tow.top.zero
-            for i in range(tow.h):
-                val = f.derivative(i).evaluate(spec.param)
-                if val:
-                    acc = acc + tow.lift(val) * omega_pows[i]
-            word.append(acc)
-        elif spec.kind == "infty":
-            acc = tow.top.zero
-            for i in range(tow.h):
-                c = coeffs[hk - tow.h + i]
-                if c:
-                    acc = acc + tow.lift(c) * omega_pows[i]
-            word.append(acc)
-        elif spec.kind == "external":
-            acc = tow.top.zero
-            for c, row in zip(coeffs, code.gen):
-                if c:
-                    acc = acc + tow.lift(c) * row[j]
-            word.append(acc)
-        else:
-            raise ValueError("unknown coordinate kind %r" % spec.kind)
-    return word
+    return code.combine([f.coefficient(i) for i in range(hk)])
 
 
 def min_distance(code: AdditiveCode, max_words: int = 2 ** 20) -> int:
@@ -343,13 +317,12 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
         coeffs = solve(matrix, rhs)
     except SingularMatrixError:
         raise DecodeError("selected coordinates do not determine the message")
-    message = Poly(tow.base, coeffs)
-    reencoded = encode(message, code)
+    reencoded = code.combine(coeffs)
     for j in survivors:
         if reencoded[j] != received[j]:
             raise DecodeError("re-encoding mismatch at coordinate %d: "
                               "word has errors, not just erasures" % j)
-    return message
+    return Poly(tow.base, coeffs)
 
 
 def linear_equivalence_test(code: AdditiveCode, spread: Spread) -> ArcVerdict:

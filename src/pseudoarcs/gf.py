@@ -341,7 +341,7 @@ class GF:
     # -- element helpers ----------------------------------------------------
 
     def __call__(self, v):
-        if not isinstance(v, int):
+        if isinstance(v, bool) or not isinstance(v, int):
             raise TypeError("element value must be an int encoding")
         if not 0 <= v < self.order:
             raise ValueError("encoding %d out of range for %r" % (v, self))
@@ -496,9 +496,6 @@ class FieldTower:
         if b is None:
             raise ValueError("element %r is not in the embedded base field" % x)
         return FieldElement(self.base, b)
-
-    def in_embedded_base(self, x):
-        return x.val in self._unembed
 
     # -- Galois structure ---------------------------------------------------
 
@@ -707,11 +704,3 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%r, %s)" % (self.field, [c.val for c in self.coeffs])
-
-
-def poly_eval(f, x, tow=None):
-    return f.evaluate(x, tow)
-
-
-def poly_derivative(f, order=1):
-    return f.derivative(order)

@@ -47,17 +47,6 @@ def mat_vec(a, v):
     return out
 
 
-def vec_mat(v, a):
-    # v * A with v a row vector.
-    out = []
-    for j in range(len(a[0])):
-        acc = v[0] * a[0][j]
-        for i in range(1, len(a)):
-            acc = acc + v[i] * a[i][j]
-        out.append(acc)
-    return out
-
-
 def rref(rows):
     """Reduced row echelon form.
 

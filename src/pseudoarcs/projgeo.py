@@ -259,11 +259,8 @@ class Spread:
 
     def elements(self):
         """All (q^(hk) - 1)/(q^h - 1) spread elements."""
-        top = self.tow.top
-        for lead in range(self.k):
-            for tail in itertools.product(top.elements(), repeat=self.k - lead - 1):
-                coords = [top.zero] * lead + [top.one] + list(tail)
-                yield self.element_through(coords)
+        for pt in ambient_space(self.tow.top, self.k).points():
+            yield self.element_through(list(pt))
 
 
 def canonical_spread(tow: FieldTower, k: int) -> Spread:

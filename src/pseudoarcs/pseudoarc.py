@@ -235,11 +235,10 @@ def build_desarguesian_arc(points: Sequence[Sequence[FieldElement]],
             coords.append(spread.point_coordinates(pt))
         except Exception:
             raise ValueError("point does not lie in the director space")
-    if len(coords) >= k:
-        for subset in itertools.combinations(range(len(coords)), k):
-            if not det([coords[i] for i in subset]):
-                raise ValueError("points are not an arc in the director space: "
-                                 "subset %s is degenerate" % (subset,))
+    verdict = is_pseudo_arc([Subspace(tow.top, k, [c]) for c in coords], k)
+    if not verdict:
+        raise ValueError("points are not an arc in the director space: "
+                         "subset %s is degenerate" % (verdict.witness,))
     elements = [spread.element_through(c) for c in coords]
     tags = [Tag("external")] * len(elements)
     return PseudoArc(tow, k, elements, tags)

@@ -88,10 +88,6 @@ class QuadraticForm:
         return "QuadraticForm(%s)" % (" + ".join(terms) if terms else "0")
 
 
-def eval_form(form: QuadraticForm, vec: Sequence[FieldElement]) -> FieldElement:
-    return form.evaluate(vec)
-
-
 def vanishing_space(subspaces: Sequence[Subspace], field: Optional[GF] = None,
                     ambient_dim: Optional[int] = None) -> List[QuadraticForm]:
     """Basis of the space of forms vanishing on every point of every

@@ -180,6 +180,32 @@ def test_import_rejects_repeated_element(capsys, tmp_path):
     assert "repeated element" in err
 
 
+def test_json_true_is_not_a_field_element(capsys, tmp_path):
+    arc_path = write_arc(capsys, tmp_path)
+    doc = json.loads(arc_path.read_text())
+    doc["elements"][0] = [[True if v == 1 else v for v in row]
+                          for row in doc["elements"][0]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert "true" in bad.read_text()
+    code, _, err = run(capsys, "verify-arc", str(bad), "--k", "2")
+    assert code == 2 and "int encoding" in err
+
+
+def test_unknown_coordinate_kind_fails_on_load(capsys, tmp_path):
+    code_path = write_code(capsys, tmp_path)
+    doc = json.loads(code_path.read_text())
+    doc["eval_spec"][-1] = {"kind": "bogus", "param": None}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "import", str(bad))
+    assert code == 2 and "unknown coordinate kind 'bogus'" in err
+    msg = tmp_path / "msg.txt"
+    msg.write_text("1\n2\n")
+    code, _, err = run(capsys, "code", "encode", str(bad), str(msg))
+    assert code == 2 and "unknown coordinate kind 'bogus'" in err
+
+
 def test_rerun_is_byte_identical(capsys):
     first = run(capsys, "construct-arc", "--h", "2", "--k", "2", "--q", "7")
     second = run(capsys, "construct-arc", "--h", "2", "--k", "2", "--q", "7")
@@ -328,14 +354,3 @@ def test_unknown_command_is_usage_error(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
 
-
-def test_threads_echo_on_stderr_only(capsys, monkeypatch):
-    plain = run(capsys, "lambda", "--h", "2", "--q", "5")
-    monkeypatch.setenv("PSEUDOARCS_THREADS", "4")
-    threaded = run(capsys, "lambda", "--h", "2", "--q", "5")
-    assert threaded[1] == plain[1]
-    assert "threads: 4 (wall time only)" in threaded[2]
-
-    monkeypatch.setenv("PSEUDOARCS_THREADS", "zero")
-    code, _, err = run(capsys, "lambda", "--h", "2", "--q", "5")
-    assert code == 2 and "PSEUDOARCS_THREADS" in err

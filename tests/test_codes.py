@@ -1,7 +1,8 @@
 """Additive code tests.
 
-The central oracle: coordinate-wise encoding must agree with the
-F_q-row-combination of the generator matrix, for every coordinate kind.
+The central oracle: encoding, a combination of the generator rows, must
+agree with evaluating the message polynomial coordinate by coordinate,
+for every coordinate kind.
 Distance facts are cross-checked between exhaustive enumeration and the
 geometric route through column folding.
 """
@@ -33,6 +34,42 @@ def random_message(tow, k, rng):
                            for _ in range(tow.h * k)])
 
 
+def reference_word(f, code, subspaces=None):
+    """The evaluation-code definition, one coordinate at a time: f(alpha)
+    at alpha, sum_i f^(i)(t) omega^(q^i) at t, the top h coefficients
+    folded against the conjugates at infinity.  External column j pairs
+    the message with the basis rows of subspaces[j] and folds."""
+    tow = code.tow
+    h, hk = tow.h, tow.h * code.k_msg
+    coeffs = [f.coefficient(i) for i in range(hk)]
+    omega_pows = [tow.frobenius(code.omega, i) for i in range(h)]
+
+    def fold(vals):
+        acc = tow.top.zero
+        for v, w in zip(vals, omega_pows):
+            acc = acc + tow.lift(v) * w
+        return acc
+
+    def pair(row):
+        acc = tow.base.zero
+        for c, x in zip(coeffs, row):
+            acc = acc + c * x
+        return acc
+
+    word = []
+    for j, spec in enumerate(code.eval_spec):
+        if spec.kind == "alpha":
+            word.append(f.evaluate(spec.param, tow))
+        elif spec.kind == "deriv":
+            word.append(fold([f.derivative(i).evaluate(spec.param)
+                              for i in range(h)]))
+        elif spec.kind == "infty":
+            word.append(fold(coeffs[hk - h:]))
+        else:
+            word.append(fold([pair(row) for row in subspaces[j].rows]))
+    return word
+
+
 def test_evaluation_code_shape():
     code = full_code(5, 1, 2, 2)
     assert (code.n, code.k_msg, code.size) == (10, 2, 625)
@@ -57,16 +94,25 @@ def test_evaluation_code_rejects_bad_points():
         evaluation_code(tow, reps[:2], 2)  # n = k
 
 
-def test_encode_matches_row_combination():
+def test_encode_matches_evaluation_oracle():
+    # h = 2 and h = 3, odd p and p = 2; derivative and infinity columns
+    # need p >= h, so (p, h) = (2, 3) has evaluation and external ones only
     rng = Random(17)
-    code = extend_with_derivatives(full_code(5, 1, 2, 2),
-                                   list(tower(5, 1, 2).base.elements()),
-                                   include_infty=True)
-    tow = code.tow
-    for _ in range(30):
-        f = random_message(tow, 2, rng)
-        coeffs = [f.coefficient(i) for i in range(4)]
-        assert encode(f, code) == code.combine(coeffs)
+    for p, e, h, k in [(5, 1, 2, 2), (2, 3, 2, 2), (5, 1, 3, 2), (2, 2, 3, 2)]:
+        code = full_code(p, e, h, k)
+        tow = code.tow
+        if p >= h:
+            code = extend_with_derivatives(code, list(tow.base.elements()),
+                                           include_infty=True)
+        folded = fold_columns(code)
+        external = code_from_subspaces(tow, folded, k)
+        kinds = {s.kind for s in code.eval_spec + external.eval_spec}
+        assert kinds == ({"alpha", "deriv", "infty", "external"} if p >= h
+                         else {"alpha", "external"})
+        for _ in range(10):
+            f = random_message(tow, k, rng)
+            assert encode(f, code) == reference_word(f, code)
+            assert encode(f, external) == reference_word(f, external, folded)
 
 
 def test_encode_constant_and_zero():
@@ -242,8 +288,7 @@ def test_code_from_subspaces_folds_back():
     assert all(s.kind == "external" for s in code.eval_spec)
     rng = Random(2)
     f = random_message(tower(2, 2, 2), 3, rng)
-    coeffs = [f.coefficient(i) for i in range(6)]
-    assert encode(f, code) == code.combine(coeffs)
+    assert encode(f, code) == reference_word(f, code, list(arc.elements))
     assert erasure_decode(encode(f, code), code) == f
 
 
@@ -254,6 +299,14 @@ def test_generator_row_independence_enforced():
     gen[3] = [x + y for x, y in zip(gen[0], gen[1])]
     with pytest.raises(ValueError):
         AdditiveCode(tow, 2, gen, list(code.eval_spec))
+
+
+def test_unknown_coordinate_kind_rejected():
+    code = full_code(5, 1, 2, 2)
+    spec = list(code.eval_spec)
+    spec[0] = CoordSpec("bogus")
+    with pytest.raises(ValueError, match="unknown coordinate kind 'bogus'"):
+        AdditiveCode(code.tow, 2, code.gen, spec)
 
 
 def test_erased_sentinel_and_specs():

@@ -121,6 +121,16 @@ def test_level_mismatch_raises():
         t.base(2) * t.top(2)
 
 
+def test_encoding_must_be_a_plain_int():
+    f = GF.get(5, 1)
+    assert f(1).val == 1
+    for bad in (True, False, 1.0, "1"):
+        with pytest.raises(TypeError):
+            f(bad)
+    with pytest.raises(ValueError):
+        f(5)
+
+
 def test_inverse_of_zero():
     f = GF.get(5, 1)
     with pytest.raises(ZeroDivisionError):

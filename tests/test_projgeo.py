@@ -196,6 +196,19 @@ def test_canonical_spread_partitions_space():
         assert len(covered) == (t.q ** n - 1) // (t.q - 1)
 
 
+def test_spread_elements_follow_director_point_order():
+    # director points with leading coordinate 1, free tail after it,
+    # leading position ascending
+    for s in (canonical_spread(tower(5, 1, 2), 2), block_spread(tower(2, 1, 2), 3)):
+        top = s.tow.top
+        expect = []
+        for lead in range(s.k):
+            for tail in itertools.product(top.elements(), repeat=s.k - lead - 1):
+                expect.append(s.element_through([top.zero] * lead + [top.one]
+                                                + list(tail)))
+        assert list(s.elements()) == expect
+
+
 def test_spread_frame_validation():
     t = tower(5, 1, 2)
     top = t.top

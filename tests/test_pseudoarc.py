@@ -206,8 +206,14 @@ def test_desarguesian_arc_rejects_bad_points():
         build_desarguesian_arc([outside], spread)
     p = spread.embed_point([top(1), top(0)])
     p_scaled = [top(2) * x for x in p]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"subset \(0, 1\) is degenerate"):
         build_desarguesian_arc([p, p_scaled], spread)
+    # k = 3: points 0, 1 and 3 are collinear, the first such triple
+    spread3 = canonical_spread(tow, 3)
+    coords = [[top(1), top(0), top(0)], [top(0), top(1), top(0)],
+              [top(0), top(0), top(1)], [top(1), top(1), top(0)]]
+    with pytest.raises(ValueError, match=r"subset \(0, 1, 3\) is degenerate"):
+        build_desarguesian_arc([spread3.embed_point(c) for c in coords], spread3)
 
 
 def test_imaginary_arc_avoids_canonical_spread():

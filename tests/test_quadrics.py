@@ -12,7 +12,7 @@ import pytest
 from pseudoarcs.gf import GF, tower
 from pseudoarcs.nrc import nrc_points
 from pseudoarcs.projgeo import ambient_space, span
-from pseudoarcs.quadrics import (QuadraticForm, eval_form,
+from pseudoarcs.quadrics import (QuadraticForm,
                                  is_complete_intersection, monomial_pairs,
                                  nrc_quadric_system, trace_reduce,
                                  vanishing_space)
@@ -34,7 +34,7 @@ def test_conic_form_evaluation():
         assert not conic.evaluate([f5(1), t, t * t])
     assert not conic.evaluate([f5(0), f5(0), f5(1)])
     assert conic.evaluate([f5(0), f5(1), f5(0)])
-    assert eval_form(conic, [f5(1), f5(2), f5(3)]) == f5(4)  # 3 - 4 mod 5
+    assert conic.evaluate([f5(1), f5(2), f5(3)]) == f5(4)  # 3 - 4 mod 5
 
 
 def test_form_algebra_matches_direct_sum():
