@@ -1,6 +1,7 @@
 """Pseudo-arcs in PG(hk-1, q), their quadric systems, and additive MDS codes."""
 
-from .gf import FieldElement, FieldMismatchError, FieldTower, GF, Poly, tower
+from .gf import (FieldElement, FieldMismatchError, FieldTower, GF,
+                 InvariantError, Poly, tower)
 from .linalg import SingularMatrixError
 from .nrc import (INFINITY, NrcPoint, OrbitReps, frobenius_orbit_reps,
                   is_imaginary, mobius, nrc_points, orbit_rep_count,
@@ -23,7 +24,8 @@ from .codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
 from .pg54 import fixture_code, fixture_lines, fixture_matrix, verify_fixture
 
 __all__ = [
-    "FieldElement", "FieldMismatchError", "FieldTower", "GF", "Poly", "tower",
+    "FieldElement", "FieldMismatchError", "FieldTower", "GF", "InvariantError",
+    "Poly", "tower",
     "SingularMatrixError",
     "INFINITY", "NrcPoint", "OrbitReps", "frobenius_orbit_reps",
     "is_imaginary", "mobius", "nrc_points", "orbit_rep_count",

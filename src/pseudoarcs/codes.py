@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
-from .gf import FieldElement, FieldTower, Poly
+from .gf import FieldElement, FieldTower, InvariantError, Poly
 from .linalg import SingularMatrixError, rank, solve
 from .nrc import is_imaginary, osc_basis, osc_basis_infty
 from .projgeo import Spread, Subspace, span
@@ -282,8 +282,8 @@ def is_mds(code: AdditiveCode, max_words: int = 2 ** 20) -> bool:
     geometric = bool(is_pseudo_arc(folded, code.k_msg))
     if code.size <= max_words:
         d = min_distance(code, max_words)
-        assert geometric == (d == code.n - code.k_msg + 1), \
-            "geometric and metric verdicts disagree"
+        if geometric != (d == code.n - code.k_msg + 1):
+            raise InvariantError("geometric and metric verdicts disagree")
     return geometric
 
 

@@ -25,6 +25,12 @@ class FieldMismatchError(ValueError):
     """Raised when elements of different fields or levels are mixed."""
 
 
+class InvariantError(AssertionError):
+    """Raised when a mathematical invariant the code relies on fails, such
+    as the Thas bound or a rationalization rank: a fault in the program,
+    never a verdict.  Unlike an assert, the check survives ``python -O``."""
+
+
 # ---------------------------------------------------------------------------
 # small number theory
 
@@ -161,10 +167,14 @@ def smallest_irreducible(p, n):
     """Lex-smallest monic irreducible of degree n over F_p.
 
     Coefficient tuples (c_0, ..., c_{n-1}) are compared low degree first.
+    For n >= 2 a candidate with c_0 = 0 is divisible by x, so it is
+    skipped without the Rabin test.
     """
     import itertools
 
     for tail in itertools.product(range(p), repeat=n):
+        if n >= 2 and tail[0] == 0:
+            continue
         f = list(tail) + [1]
         if is_irreducible(f, p):
             return tuple(f)
@@ -197,6 +207,7 @@ class GF:
             self._build_mul_tables()
         if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
             self._build_add_table()
+        self.sub_scaled, self.scaled = self._row_ops()
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
 
@@ -257,7 +268,8 @@ class GF:
             exp[i] = v
             log[v] = i
             v = self._raw_mul(v, gen)
-        self._exp = exp
+        # doubled, so a sum of two logs indexes it without reduction
+        self._exp = exp + exp
         self._log = log
 
     def _find_primitive(self):
@@ -286,6 +298,44 @@ class GF:
                    for b in range(order)]
             table.append(row)
         self._add_table = table
+
+    def _row_ops(self):
+        """Int row operations for linalg: ``sub_scaled(v, c, b)`` is
+        v - c*b and ``scaled(c, b)`` is c*b, for rows v, b of encodings
+        and a nonzero scalar c.  They branch like add/sub/mul, but once
+        per row instead of once per entry."""
+        p, exp, log, add = self.p, self._exp, self._log, self._add_table
+        if self.m == 1:
+            def sub_scaled(v, c, b):
+                return [(x - c * y) % p for x, y in zip(v, b)]
+
+            def scaled(c, b):
+                return [c * y % p for y in b]
+        elif exp is not None and (p == 2 or add is not None):
+            g = self._gorder
+            if p == 2:
+                def sub_scaled(v, c, b):
+                    lc = log[c]
+                    return [x ^ exp[lc + log[y]] if y else x
+                            for x, y in zip(v, b)]
+            else:
+                def sub_scaled(v, c, b):
+                    lc = (log[c] + g // 2) % g  # log(-c): -1 is exp[g/2]
+                    return [add[x][exp[lc + log[y]]] if y else x
+                            for x, y in zip(v, b)]
+
+            def scaled(c, b):
+                lc = log[c]
+                return [exp[lc + log[y]] if y else 0 for y in b]
+        else:
+            sub, mul = self.sub, self.mul
+
+            def sub_scaled(v, c, b):
+                return [sub(x, mul(c, y)) for x, y in zip(v, b)]
+
+            def scaled(c, b):
+                return [mul(c, y) for y in b]
+        return sub_scaled, scaled
 
     def add(self, a, b):
         if self.p == 2:

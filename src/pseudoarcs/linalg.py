@@ -1,13 +1,18 @@
-"""Dense exact linear algebra over finite-field elements.
+"""Dense exact linear algebra over a finite field.
 
-Matrices are plain lists of lists.  Entries only need +, -, *, unary -,
-``inverse()``, truthiness (nonzero test) and a ``field`` attribute exposing
-``zero`` and ``one``, so this module stays independent of the field
-implementation.  Everything is deterministic: pivots are chosen topmost
-first, never by magnitude.
+Matrices are plain lists of lists of FieldElement, all from one field.
+The eliminations (rref, rank, det and everything built on them) run on
+integer encodings: the matrix is unwrapped to int rows once, reduced
+with the row operations its GF hands out (``sub_scaled`` and
+``scaled``), and the result is wrapped again.  ``insert_row`` is the one
+elimination step; callers that keep int rows, such as the k-subset
+verifier, use it directly.  Everything is deterministic: pivots are
+chosen topmost first, never by magnitude.
 """
 
 from __future__ import annotations
+
+from . import gf
 
 
 class SingularMatrixError(ValueError):
@@ -47,6 +52,54 @@ def mat_vec(a, v):
     return out
 
 
+def _unwrap(rows):
+    """The field of a matrix with at least one entry, and its int rows."""
+    fld = rows[0][0].field
+    if any(x.field is not fld for r in rows for x in r):
+        raise gf.FieldMismatchError("matrix entries from different fields")
+    return fld, [[x.val for x in r] for r in rows]
+
+
+def reduce_row(field, basis, row):
+    """An int row minus its combination of an echelon basis.
+
+    ``basis`` is a list of (pivot, row) pairs, each row with 1 at its
+    pivot and 0 at the pivots of the rows before it, so one pass in order
+    clears every pivot column.  Rows are never modified in place.
+    """
+    sub = field.sub_scaled
+    for pc, b in basis:
+        c = row[pc]
+        if c:
+            row = sub(row, c, b)
+    return row
+
+
+def insert_row(field, basis, row):
+    """Reduce an int row against an echelon basis and append the rest.
+
+    A nonzero remainder is scaled to leading entry 1 and appended to
+    ``basis``, its first nonzero column the pivot.  Returns the
+    remainder's leading entry, or 0 when ``row`` lies in the span
+    (``basis`` is then unchanged).
+    """
+    row = reduce_row(field, basis, row)
+    for pc, c in enumerate(row):
+        if c:
+            if c != 1:
+                row = field.scaled(field.inv(c), row)
+            basis.append((pc, row))
+            return c
+    return 0
+
+
+def _echelon(fld, mat):
+    basis = []
+    for r in mat:
+        insert_row(fld, basis, r)
+    return basis
+
+
 def rref(rows):
     """Reduced row echelon form.
 
@@ -54,38 +107,29 @@ def rref(rows):
     canonical basis of the row space: leading entries are 1, pivot columns
     are cleared above and below, zero rows are dropped.
     """
-    mat = [list(r) for r in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        prow = mat[r]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat[:r], pivots
+    if not rows or not rows[0]:
+        return [], []
+    fld, mat = _unwrap(rows)
+    basis = _echelon(fld, mat)
+    # a row has 0 at the pivots of the rows before it; clear the others,
+    # latest first, so each row used is already clean
+    sub = fld.sub_scaled
+    for i in range(len(basis) - 1, 0, -1):
+        pc, b = basis[i]
+        for j in range(i):
+            pj, r = basis[j]
+            if r[pc]:
+                basis[j] = (pj, sub(r, r[pc], b))
+    basis.sort(key=lambda entry: entry[0])
+    fe = gf.FieldElement
+    return ([[fe(fld, v) for v in r] for _, r in basis],
+            [pc for pc, _ in basis])
 
 
 def rank(rows):
-    if not rows:
+    if not rows or not rows[0]:
         return 0
-    return len(rref(rows)[0])
+    return len(_echelon(*_unwrap(rows)))
 
 
 def nullspace(rows, ncols=None, field=None):
@@ -121,30 +165,20 @@ def det(rows):
         raise ValueError("determinant of an empty matrix")
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    field = rows[0][0].field
-    mat = [list(r) for r in rows]
-    result = field.one
-    negate = False
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return field.zero
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
-            negate = not negate
-        pivot = mat[c][c]
-        result = result * pivot
-        inv = pivot.inverse()
-        prow = mat[c]
-        for i in range(c + 1, n):
-            if mat[i][c]:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], prow)]
-    return -result if negate else result
+    fld, mat = _unwrap(rows)
+    # each step only adds multiples of earlier rows and scales the new one
+    # by 1/lead, so det = (product of leads) * det(final), and the final
+    # rows form a unitriangular matrix up to the pivot permutation
+    basis = []
+    result = 1
+    for r in mat:
+        lead = insert_row(fld, basis, r)
+        if not lead:
+            return fld.zero
+        result = fld.mul(result, lead)
+    pivots = [pc for pc, _ in basis]
+    odd = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:]) % 2
+    return gf.FieldElement(fld, fld.neg(result) if odd else result)
 
 
 def solve(a, b):

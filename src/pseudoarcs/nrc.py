@@ -11,7 +11,7 @@ Frobenius orbits of maximal size.
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .gf import FieldElement, FieldTower, GF, prime_factors
+from .gf import FieldElement, FieldTower, GF, InvariantError, prime_factors
 
 
 class _Infinity:
@@ -147,7 +147,8 @@ def orbit_rep_count(q: int, h: int) -> int:
     for d in range(1, h + 1):
         if h % d == 0:
             total += mobius(h // d) * q ** d
-    assert total % h == 0
+    if total % h:
+        raise InvariantError("Moebius sum %d not divisible by h = %d" % (total, h))
     return total // h
 
 
@@ -200,5 +201,7 @@ def frobenius_orbit_reps(tow: FieldTower) -> OrbitReps:
             seen.add(z.val)
         if len(orbit) == h:
             reps.append(x)
-    assert len(reps) == orbit_rep_count(tow.q, h)
+    if len(reps) != orbit_rep_count(tow.q, h):
+        raise InvariantError("%d orbit representatives, the Moebius count is %d"
+                             % (len(reps), orbit_rep_count(tow.q, h)))
     return OrbitReps(tow, tuple(reps))

@@ -12,7 +12,7 @@ membership test.
 import itertools
 from typing import Iterable, List, Optional, Sequence
 
-from .gf import FieldElement, FieldTower, GF
+from .gf import FieldElement, FieldTower, GF, InvariantError
 from .linalg import (SingularMatrixError, identity, inverse, mat_mul,
                      nullspace, rank, rref, solve_rect, transpose)
 
@@ -124,7 +124,8 @@ def intersect(u: Subspace, w: Subspace) -> Subspace:
                 vec[i] = vec[i] + c * row[i]
         vecs.append(vec)
     result = Subspace(u.field, u.ambient_dim, vecs)
-    assert result.rank == u.rank + w.rank - join(u, w).rank
+    if result.rank != u.rank + w.rank - join(u, w).rank:
+        raise InvariantError("intersection rank breaks the dimension formula")
     return result
 
 
@@ -185,7 +186,9 @@ def rationalize(w: Subspace, tow: FieldTower) -> Subspace:
             scale = tow.frobenius(omega, i)
             vecs.append([tow.rel_trace(scale * x) for x in row])
     result = Subspace(tow.base, w.ambient_dim, vecs)
-    assert result.rank == w.rank
+    if result.rank != w.rank:
+        raise InvariantError("rational rank %d differs from rank %d"
+                             % (result.rank, w.rank))
     return result
 
 

@@ -8,14 +8,13 @@ extends by the order-(h-1) osculating spaces at the rational curve
 points.  Verification is exhaustive over k-subsets.
 """
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from random import Random
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .gf import FieldElement, FieldTower
-from .linalg import det
+from .gf import FieldElement, FieldTower, InvariantError
+from .linalg import insert_row, reduce_row
 from .nrc import (frobenius_orbit_reps, osc_basis, osc_basis_infty, veronese)
 from .projgeo import (Spread, Subspace, conjugate_span, rationalize, span,
                       spread_membership)
@@ -166,13 +165,19 @@ def extend_with_osculating(arc: PseudoArc) -> PseudoArc:
 def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int,
                   sample: Optional[int] = None, seed: int = 0) -> ArcVerdict:
     """Exhaustively test that every k of the elements span the whole
-    space, by stacking their bases and checking nonsingularity.
+    space.
 
-    Subsets are visited in lexicographic index order and the first
-    failure is the witness.  With `sample`, that many pseudo-random
-    subsets are tested instead (never used by the verification suites).
-    A true verdict on more than the size bound is impossible and
-    asserted against.
+    A depth-first walk visits the k-subsets in lexicographic index order
+    on int rows.  Each level reduces the rows of every later element
+    modulo the span of its prefix once, so a subset costs only one
+    reduction of its last element's rows and their rank test.  When
+    an element meets the span of the prefix before it, every subset
+    starting with that prefix is degenerate; the first of them, the
+    prefix completed by the next indices, is the witness: the
+    lexicographically first failure.  With `sample`, that many
+    pseudo-random subsets are tested instead (never used by the
+    verification suites).  A true verdict on more than the size bound is
+    impossible and raises InvariantError.
     """
     if isinstance(elements, PseudoArc):
         elements = list(elements.elements)
@@ -186,23 +191,51 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int,
     for el in elements:
         if el.rank != h or el.ambient_dim != n or el.field is not fld:
             raise ValueError("elements of mixed shape")
-    if len(elements) < k:
+    size = len(elements)
+    if size < k:
         return ArcVerdict(True)
-    if sample is None:
-        subsets = itertools.combinations(range(len(elements)), k)
-    else:
+    rows = [[[x.val for x in r] for r in el.rows] for el in elements]
+
+    def extend(basis, el_rows):
+        """Insert one element's rows; False when they meet the span."""
+        return all(insert_row(fld, basis, r) for r in el_rows)
+
+    if sample is not None:
         rng = Random(seed)
-        subsets = (tuple(sorted(rng.sample(range(len(elements)), k)))
-                   for _ in range(sample))
-    for subset in subsets:
-        stacked = []
-        for i in subset:
-            stacked.extend([list(r) for r in elements[i].rows])
-        if not det(stacked):
-            return ArcVerdict(False, tuple(subset))
-    if sample is None:
-        q = fld.order
-        assert len(elements) <= thas_bound(h, k, q), "size bound violated"
+        for _ in range(sample):
+            subset = tuple(sorted(rng.sample(range(size), k)))
+            basis = []
+            if not all(extend(basis, rows[i]) for i in subset):
+                return ArcVerdict(False, subset)
+        return ArcVerdict(True)
+
+    prefix = []
+
+    def first_failure(start, cands):
+        """The first failing subset that extends the prefix, or None;
+        cands[j] holds element j's rows reduced modulo the prefix span."""
+        depth = len(prefix)
+        for i in range(start, size - k + depth + 1):
+            basis = []
+            if not extend(basis, cands[i]):
+                return tuple(prefix) + tuple(range(i, i + k - depth))
+            if depth + 1 < k:
+                reduced = {j: [reduce_row(fld, basis, r) for r in cands[j]]
+                           for j in range(i + 1, size)}
+                prefix.append(i)
+                witness = first_failure(i + 1, reduced)
+                prefix.pop()
+                if witness:
+                    return witness
+        return None
+
+    witness = first_failure(0, rows)
+    if witness:
+        return ArcVerdict(False, witness)
+    bound = thas_bound(h, k, fld.order)
+    if size > bound:
+        raise InvariantError("%d elements verified, above the size bound %d"
+                             % (size, bound))
     return ArcVerdict(True)
 
 

@@ -12,7 +12,7 @@ complete-intersection certificate.
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .gf import FieldElement, FieldTower, GF
+from .gf import FieldElement, FieldTower, GF, InvariantError
 from .linalg import det, nullspace, rref
 from .projgeo import Subspace, ambient_space
 
@@ -135,7 +135,9 @@ def nrc_quadric_system(field: GF, k: int) -> List[QuadraticForm]:
             lo, hi = min(i, j - 2), max(i, j - 2)
             entries[(lo, hi)] = entries.get((lo, hi), field.zero) - field.one
             forms.append(QuadraticForm.from_pairs(field, k, entries))
-    assert len(forms) == (k - 1) * (k - 2) // 2
+    if len(forms) != (k - 1) * (k - 2) // 2:
+        raise InvariantError("%d forms in the standard system, expected %d"
+                             % (len(forms), (k - 1) * (k - 2) // 2))
     return forms
 
 

@@ -57,6 +57,23 @@ def test_smallest_irreducibles_are_pinned():
     assert smallest_irreducible(5, 2) == (1, 1, 1)
 
 
+def unskipped_smallest_irreducible(p, n):
+    """Reference: the first candidate passing the Rabin test, with no
+    candidate skipped."""
+    import itertools
+    for tail in itertools.product(range(p), repeat=n):
+        if is_irreducible(list(tail) + [1], p):
+            return tuple(tail) + (1,)
+
+
+def test_smallest_irreducible_matches_unskipped_scan():
+    grid = ([(2, n) for n in range(1, 11)] + [(3, n) for n in range(1, 6)]
+            + [(5, n) for n in range(1, 4)] + [(7, n) for n in range(1, 4)]
+            + [(11, 2), (13, 2)])
+    for p, n in grid:
+        assert smallest_irreducible(p, n) == unskipped_smallest_irreducible(p, n)
+
+
 def test_irreducible_search_matches_brute_force_factor_count():
     # number of monic irreducibles of degree n over F_p via Moebius/Gauss
     for p, n, expected in [(2, 4, 3), (2, 6, 9), (3, 3, 8), (5, 2, 10)]:

@@ -12,6 +12,8 @@ from pseudoarcs.linalg import (SingularMatrixError, det, identity, inverse,
 
 F5 = GF.get(5, 1)
 F4 = GF.get(2, 2)
+F9 = GF.get(3, 2)   # odd extension: addition table
+F8 = GF.get(2, 3)
 
 
 def rand_matrix(fld, m, n, rng):
@@ -30,14 +32,6 @@ def brute_rank(rows, fld):
             for s in span:
                 new.add(tuple((fld(v) + x).val for v, x in zip(s, scaled)))
         span = new
-        while True:
-            grown = set(span)
-            for a in span:
-                for b in span:
-                    grown.add(tuple((fld(x) + fld(y)).val for x, y in zip(a, b)))
-            if grown == span:
-                break
-            span = grown
     n = len(span)
     r = 0
     while fld.order ** r < n:
@@ -65,9 +59,26 @@ def test_rref_drops_zero_rows():
     assert len(red) == 1 and pivots == [0]
 
 
+def expansion_det(a, fld):
+    """Determinant as the signed sum over permutations."""
+    n = len(a)
+    total = fld.zero
+    for perm in itertools.permutations(range(n)):
+        sgn = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sgn = -sgn
+        term = fld.one if sgn == 1 else -fld.one
+        for i in range(n):
+            term = term * a[i][perm[i]]
+        total = total + term
+    return total
+
+
 def test_rank_matches_brute_force():
     rng = random.Random(11)
-    for fld in (F5, F4):
+    for fld in (F5, F4, F9, F8):
         for m, n in [(2, 3), (3, 3), (3, 2), (4, 4)]:
             for _ in range(8):
                 a = rand_matrix(fld, m, n, rng)
@@ -76,22 +87,33 @@ def test_rank_matches_brute_force():
 
 def test_det_by_permutation_expansion():
     rng = random.Random(3)
-    for fld in (F5, F4):
+    for fld in (F5, F4, F9, F8):
         for n in (1, 2, 3, 4):
             for _ in range(10):
                 a = rand_matrix(fld, n, n, rng)
-                expect = fld.zero
-                for perm in itertools.permutations(range(n)):
-                    sgn = 1
-                    for i in range(n):
-                        for j in range(i + 1, n):
-                            if perm[i] > perm[j]:
-                                sgn = -sgn
-                    term = fld.one if sgn == 1 else -fld.one
-                    for i in range(n):
-                        term = term * a[i][perm[i]]
-                    expect = expect + term
-                assert det(a) == expect
+                assert det(a) == expansion_det(a, fld)
+
+
+def test_fields_without_tables():
+    # orders above the exp/log table limit take the plain int methods;
+    # rank is the largest order of a nonvanishing minor
+    rng = random.Random(29)
+    for fld in (GF.get(2, 17), GF.get(3, 11)):
+        for m, n in [(2, 2), (3, 3), (2, 4), (3, 4)]:
+            for _ in range(4):
+                a = rand_matrix(fld, m, n, rng)
+                if rng.random() < 0.5:
+                    a[-1] = [fld(3) * x for x in a[0]]
+                if m == n:
+                    assert det(a) == expansion_det(a, fld)
+                expect = 0
+                for r in range(1, m + 1):
+                    for rs in itertools.combinations(range(m), r):
+                        for cs in itertools.combinations(range(n), r):
+                            minor = [[a[i][j] for j in cs] for i in rs]
+                            if expansion_det(minor, fld):
+                                expect = r
+                assert rank(a) == expect
 
 
 def test_det_multiplicative():
@@ -104,7 +126,7 @@ def test_det_multiplicative():
 
 def test_nullspace_against_exhaustive_kernel():
     rng = random.Random(17)
-    for fld in (F5, F4):
+    for fld in (F5, F4, F9, F8):
         for m, n in [(2, 4), (3, 3), (4, 2)]:
             for _ in range(6):
                 a = rand_matrix(fld, m, n, rng)

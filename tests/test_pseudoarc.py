@@ -6,17 +6,19 @@ contain the defining curve points, and spread containment is compared
 against per-element membership.
 """
 
+import itertools
 import warnings
 from random import Random
 
 import pytest
 
-from pseudoarcs.gf import tower
+from pseudoarcs import pseudoarc
+from pseudoarcs.gf import GF, InvariantError, tower
 from pseudoarcs.linalg import det, rank
 from pseudoarcs.nrc import frobenius_orbit_reps, orbit_rep_count, veronese
-from pseudoarcs.projgeo import (apply_projectivity, canonical_spread,
-                                intersect, lift_subspace, span,
-                                spread_membership)
+from pseudoarcs.projgeo import (Subspace, apply_projectivity,
+                                canonical_spread, intersect, lift_subspace,
+                                span, spread_membership)
 from pseudoarcs.pseudoarc import (ArcVerdict, PseudoArc, SmallFieldWarning,
                                   Tag, build_desarguesian_arc,
                                   build_imaginary_arc,
@@ -30,6 +32,127 @@ def stacked_rank(elements, subset):
     for i in subset:
         rows.extend([list(r) for r in elements[i].rows])
     return rank(rows)
+
+
+def reference_det(rows):
+    """Gaussian elimination on FieldElement entries, column by column."""
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    result = mat[0][0].field.one
+    for c in range(n):
+        pr = next((i for i in range(c, n) if mat[i][c]), None)
+        if pr is None:
+            return mat[0][0].field.zero
+        if pr != c:
+            mat[c], mat[pr] = mat[pr], mat[c]
+            result = -result
+        pivot = mat[c][c]
+        result = result * pivot
+        inv = pivot.inverse()
+        for i in range(c + 1, n):
+            if mat[i][c]:
+                f = mat[i][c] * inv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return result
+
+
+def reference_verdict(elements, k):
+    """Every k-subset in lexicographic order, one determinant each."""
+    for subset in itertools.combinations(range(len(elements)), k):
+        stacked = []
+        for i in subset:
+            stacked.extend([list(r) for r in elements[i].rows])
+        if not reference_det(stacked):
+            return ArcVerdict(False, subset)
+    return ArcVerdict(True)
+
+
+def random_subspace(fld, rank_, n, rng):
+    while True:
+        rows = [[fld(rng.randrange(fld.order)) for _ in range(n)]
+                for _ in range(rank_)]
+        sub = Subspace(fld, n, rows)
+        if sub.rank == rank_:
+            return sub
+
+
+def random_family(fld, h, k, rng):
+    """A few random rank-h subspaces of F^(hk); sometimes an element is
+    planted to meet an earlier one, often inside the first k."""
+    n = h * k
+    els = [random_subspace(fld, h, n, rng) for _ in range(rng.randint(k, k + 3))]
+    if rng.random() < 0.6:
+        j = rng.randrange(1, len(els))
+        i = rng.randrange(j)
+        shared = list(els[i].rows[rng.randrange(h)])
+        rest = random_subspace(fld, h, n, rng).rows[1:]
+        planted = Subspace(fld, n, [shared] + [list(r) for r in rest])
+        if planted.rank == h:
+            els[j] = planted
+    return els
+
+
+def test_verifier_matches_reference_on_random_families():
+    rng = Random(2024)
+    outcomes = set()
+    for fld in (GF.get(5, 1), GF.get(2, 2), GF.get(3, 2)):
+        for h in (1, 2, 3):
+            for k in (2, 3, 4):
+                for _ in range(6):
+                    els = random_family(fld, h, k, rng)
+                    expect = reference_verdict(els, k)
+                    assert is_pseudo_arc(els, k) == expect
+                    if expect.ok:
+                        outcomes.add("pass")
+                    elif stacked_rank(els, expect.witness[:-1]) < h * (k - 1):
+                        outcomes.add("prefix")
+                    else:
+                        outcomes.add("leaf")
+    assert outcomes == {"pass", "prefix", "leaf"}
+
+
+def test_verifier_matches_reference_on_planted_arcs():
+    rng = Random(7)
+    with pytest.warns(SmallFieldWarning):
+        arcs = [(build_imaginary_arc(tower(2, 2, 2), 3), 3),
+                (build_imaginary_arc(tower(3, 1, 2), 2), 2)]
+    arcs += [(extend_with_osculating(build_imaginary_arc(tower(5, 1, 2), 2)), 2),
+             (build_imaginary_arc(tower(3, 2, 2), 2), 2),
+             (build_imaginary_arc(tower(7, 1, 1), 3), 3),
+             (build_imaginary_arc(tower(5, 1, 1), 4), 4)]
+    for arc, k in arcs:
+        els = list(arc.elements)
+        assert is_pseudo_arc(els, k) == reference_verdict(els, k)
+        for _ in range(4):
+            i, j = sorted(rng.sample(range(len(els)), 2))
+            bad = list(els)
+            bad[j] = bad[i]
+            verdict = is_pseudo_arc(bad, k)
+            assert not verdict.ok
+            assert verdict == reference_verdict(bad, k)
+
+
+def test_verifier_matches_reference_on_top_level_points():
+    # rank-1 elements over the top field, as build_desarguesian_arc makes
+    rng = Random(5)
+    for fld in (GF.get(5, 2), GF.get(2, 4)):
+        for k in (2, 3, 4):
+            for _ in range(5):
+                pts = [[fld(rng.randrange(fld.order)) for _ in range(k)]
+                       for _ in range(k + 3)]
+                if rng.random() < 0.5:
+                    a, b = rng.sample(range(len(pts) - 1), 2)
+                    c = fld(rng.randrange(1, fld.order))
+                    pts[-1] = [x + c * y for x, y in zip(pts[a], pts[b])]
+                els = [Subspace(fld, k, [p]) for p in pts if any(p)]
+                assert is_pseudo_arc(els, k) == reference_verdict(els, k)
+
+
+def test_thas_bound_violation_is_an_invariant_error(monkeypatch):
+    arc = build_imaginary_arc(tower(5, 1, 2), 2)
+    monkeypatch.setattr(pseudoarc, "thas_bound", lambda h, k, q: len(arc) - 1)
+    with pytest.raises(InvariantError):
+        is_pseudo_arc(arc, 2)
 
 
 def test_imaginary_arc_sizes_and_tags():
