@@ -13,8 +13,8 @@ subspaces recovers the matching pseudo-arc, which is how distance facts
 become geometry and back.
 """
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Union
 
 from .gf import FieldElement, FieldTower, InvariantError, Poly
@@ -46,7 +46,7 @@ class DecodeError(Exception):
 COORD_KINDS = ("alpha", "deriv", "infty", "external")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoordSpec:
     """What one code coordinate computes from the message polynomial."""
 
@@ -61,7 +61,11 @@ class CoordSpec:
 
 class AdditiveCode:
     """F_q-linear code of length n over F_{q^h}, given by an hk x n
-    generator matrix whose F_q-row-combinations are the codewords."""
+    generator matrix whose F_q-row-combinations are the codewords.
+
+    The rows are kept as int encodings, the form the row kernel works
+    on; ``gen`` wraps them as field elements on first use.
+    """
 
     def __init__(self, tow: FieldTower, k_msg: int,
                  gen: Sequence[Sequence[FieldElement]],
@@ -91,9 +95,15 @@ class AdditiveCode:
         self.tow = tow
         self.k_msg = k_msg
         self.n = n
-        self.gen = tuple(tuple(row) for row in gen)
+        self._rows = tuple([x.val for x in row] for row in gen)
         self.eval_spec = tuple(eval_spec)
         self.omega = tow.normal_element()
+
+    @cached_property
+    def gen(self):
+        top = self.tow.top
+        return tuple(tuple(FieldElement(top, v) for v in row)
+                     for row in self._rows)
 
     @property
     def h(self) -> int:
@@ -117,14 +127,12 @@ class AdditiveCode:
         message = list(message)
         if len(message) != hk:
             raise ValueError("message must have hk coefficients")
-        out = [self.tow.top.zero] * self.n
-        for c, row in zip(message, self.gen):
-            if not c:
-                continue
-            lc = self.tow.lift(c)
-            for j in range(self.n):
-                out[j] = out[j] + lc * row[j]
-        return out
+        top = self.tow.top
+        out = [0] * self.n
+        for c, row in zip(message, self._rows):
+            if c:
+                out = top.sub_scaled(out, (-self.tow.lift(c)).val, row)
+        return [FieldElement(top, v) for v in out]
 
 
 def evaluation_code(tow: FieldTower, alphas: Sequence[FieldElement],
@@ -234,23 +242,49 @@ def encode(message: Union[Poly, Sequence[FieldElement]],
 
 
 def min_distance(code: AdditiveCode, max_words: int = 2 ** 20) -> int:
-    """Minimum nonzero Hamming weight by exhausting the message space
-    (additivity makes this the minimum distance)."""
+    """Minimum nonzero Hamming weight over the message space (additivity
+    makes this the minimum distance).
+
+    lift(c) * word has the weight of word for every nonzero c in F_q, so
+    one message per scalar class is enough: the one whose first nonzero
+    coefficient is 1.  The free tail after each lead position is walked
+    in modular q-ary Gray order (Knuth, TAOCP 4A, 7.2.1.1): step t adds 1
+    to tail digit v_q(t), so the next word is the previous one plus
+    lift(delta) * row, a single int row update.  The budget counts all
+    q^(hk) messages.
+    """
     if code.size > max_words:
         raise ValueError("code has %d words, over the budget %d; "
                          "use the geometric route" % (code.size, max_words))
     tow = code.tow
-    hk = tow.h * code.k_msg
-    base_elems = list(tow.base.elements())
-    best = code.n + 1
-    for message in itertools.product(base_elems, repeat=hk):
-        if not any(message):
-            continue
-        word = code.combine(list(message))
-        weight = sum(1 for x in word if x)
-        if weight < best:
-            best = weight
+    q, n, top, rows = tow.q, code.n, tow.top, code._rows
+    sub = top.sub_scaled
+    # -lift(x_(a+1) - x_a) for the digit order x_a = base(a), wrapping at q
+    steps = [(-tow.lift(tow.base((a + 1) % q) - tow.base(a))).val
+             for a in range(q)]
+    best = n
+    for lead, word in enumerate(rows):
+        tail = rows[lead + 1:]
+        digits = [0] * len(tail)
+        best = min(best, n - word.count(0))
+        for t in range(1, q ** len(tail)):
+            j = 0
+            while t % q == 0:
+                t //= q
+                j += 1
+            a = digits[j]
+            digits[j] = (a + 1) % q
+            word = sub(word, steps[a], tail[j])
+            best = min(best, n - word.count(0))
     return best
+
+
+def _column_coords(code: AdditiveCode, j: int) -> List[tuple]:
+    """Normal-basis coordinates of the entries of generator column j,
+    one h-tuple of base elements per row."""
+    tow = code.tow
+    return [tow.normal_coords(FieldElement(tow.top, row[j]))
+            for row in code._rows]
 
 
 def fold_columns(code: AdditiveCode) -> List[Subspace]:
@@ -260,17 +294,9 @@ def fold_columns(code: AdditiveCode) -> List[Subspace]:
     Column entries x expand as x = sum_i c_i omega^(q^i); the vectors
     of i-th coordinates, one per conjugate, span the subspace.
     """
-    tow = code.tow
-    h = tow.h
-    out = []
-    for j in range(code.n):
-        rows = [[None] * (h * code.k_msg) for _ in range(h)]
-        for r in range(h * code.k_msg):
-            coords = tow.normal_coords(code.gen[r][j])
-            for i in range(h):
-                rows[i][r] = coords[i]
-        out.append(span(rows, field=tow.base))
-    return out
+    return [span([list(c) for c in zip(*_column_coords(code, j))],
+                 field=code.tow.base)
+            for j in range(code.n)]
 
 
 def is_mds(code: AdditiveCode, max_words: int = 2 ** 20) -> bool:
@@ -309,7 +335,7 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
     rhs = []
     for j in selected:
         target = tow.normal_coords(received[j])
-        col_coords = [tow.normal_coords(code.gen[r][j]) for r in range(hk)]
+        col_coords = _column_coords(code, j)
         for i in range(h):
             matrix.append([col_coords[r][i] for r in range(hk)])
             rhs.append(target[i])

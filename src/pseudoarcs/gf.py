@@ -606,20 +606,21 @@ class FieldTower:
         """Coordinates of a top element in the normal basis, as base elements.
 
         Returns (c_0, ..., c_{h-1}) with x = sum lift(c_i) * omega^(q^i).
+        The F_p digits of x go through the int solver rows and are reduced
+        mod p once per coordinate.
         """
         if x.field is not self.top:
             raise FieldMismatchError("normal_coords expects a top-level element")
-        inv = self._coord_solver()
-        fp = GF.get(self.p, 1)
-        digs = [FieldElement(fp, d) for d in self.top.digits(x.val)]
-        y = linalg.mat_vec(inv, digs)
-        out = []
-        for m in range(self.h):
-            chunk = [y[m * self.e + a].val for a in range(self.e)]
-            out.append(FieldElement(self.base, self.base.encode(chunk)))
-        return tuple(out)
+        p, e, base = self.p, self.e, self.base
+        digs = self.top.digits(x.val)
+        y = [sum(a * d for a, d in zip(row, digs)) % p
+             for row in self._coord_solver()]
+        return tuple(FieldElement(base, base.encode(y[m * e:(m + 1) * e]))
+                     for m in range(self.h))
 
     def _coord_solver(self):
+        """Int rows over F_p mapping the digits of a top element to its
+        normal-basis coordinates, e digits per base coordinate."""
         if self._coord_matrix_inv is not None:
             return self._coord_matrix_inv
         fp = GF.get(self.p, 1)
@@ -632,7 +633,8 @@ class FieldTower:
                 z = self.lift(g_a) * basis[m]
                 cols.append([FieldElement(fp, d) for d in self.top.digits(z.val)])
         mat = [[cols[j][i] for j in range(len(cols))] for i in range(self.e * self.h)]
-        self._coord_matrix_inv = linalg.inverse(mat)
+        self._coord_matrix_inv = [[v.val for v in row]
+                                  for row in linalg.inverse(mat)]
         return self._coord_matrix_inv
 
     def dual_basis(self, basis):

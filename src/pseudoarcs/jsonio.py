@@ -35,9 +35,19 @@ def field_header(tow: FieldTower) -> dict:
 
 
 def tower_from_header(header: dict) -> FieldTower:
+    """The tower a field header names.  p, e and h must be plain JSON
+    integers: ``true`` or ``2.0`` is refused, not read as 1 or 2."""
+    if not isinstance(header, dict):
+        raise FormatError("bad field header: expected an object")
+    for key in ("p", "e", "h"):
+        if key not in header:
+            raise FormatError("bad field header: missing %r" % key)
+        if type(header[key]) is not int:
+            raise FormatError("bad field header: %r must be an integer, found %r"
+                              % (key, header[key]))
     try:
         tow = tower(header["p"], header["e"], header["h"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise FormatError("bad field header: %s" % exc)
     if (list(tow.base.modulus) != header.get("base_modulus")
             or list(tow.top.modulus) != header.get("top_modulus")):

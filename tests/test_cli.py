@@ -192,6 +192,18 @@ def test_json_true_is_not_a_field_element(capsys, tmp_path):
     assert code == 2 and "int encoding" in err
 
 
+def test_non_integer_header_field_is_input_error(capsys, tmp_path):
+    arc_path = write_arc(capsys, tmp_path)
+    for key, bad in [("e", True), ("h", 2.0)]:
+        doc = json.loads(arc_path.read_text())
+        doc["field"][key] = bad
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "import", str(bad_path))
+        assert code == 2 and out == ""
+        assert "'%s' must be an integer" % key in err
+
+
 def test_unknown_coordinate_kind_fails_on_load(capsys, tmp_path):
     code_path = write_code(capsys, tmp_path)
     doc = json.loads(code_path.read_text())

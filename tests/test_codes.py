@@ -70,6 +70,46 @@ def reference_word(f, code, subspaces=None):
     return word
 
 
+def reference_combine(code, message):
+    """The generator rows combined entry by entry on FieldElements."""
+    tow = code.tow
+    word = [tow.top.zero] * code.n
+    for c, row in zip(message, code.gen):
+        if c:
+            lc = tow.lift(c)
+            word = [w + lc * x for w, x in zip(word, row)]
+    return word
+
+
+def reference_min_distance(code):
+    """Least nonzero weight over all q^(hk) messages, one by one."""
+    tow = code.tow
+    best = code.n + 1
+    for message in itertools.product(list(tow.base.elements()),
+                                     repeat=tow.h * code.k_msg):
+        if any(message):
+            best = min(best, sum(1 for x in reference_combine(code, message) if x))
+    return best
+
+
+def random_code(tow, k, n, rng):
+    while True:
+        gen = [[tow.top(rng.randrange(tow.top.order)) for _ in range(n)]
+               for _ in range(tow.h * k)]
+        try:
+            return AdditiveCode(tow, k, gen, [CoordSpec("external")] * n)
+        except ValueError:
+            continue  # rows dependent over the base field
+
+
+def with_column(code, j, scale):
+    """The code with column j appended again, times lift(scale)."""
+    c = code.tow.lift(scale)
+    gen = [list(row) + [c * row[j]] for row in code.gen]
+    return AdditiveCode(code.tow, code.k_msg, gen,
+                        list(code.eval_spec) + [CoordSpec("external")])
+
+
 def test_evaluation_code_shape():
     code = full_code(5, 1, 2, 2)
     assert (code.n, code.k_msg, code.size) == (10, 2, 625)
@@ -168,6 +208,86 @@ def test_min_distance_meets_singleton():
     assert min_distance(code) == 9 == code.n - code.k_msg + 1
     with pytest.raises(ValueError):
         min_distance(code, max_words=100)
+
+
+def test_min_distance_matches_reference():
+    # p = 2, odd p, q = 9 and h = 3; random codes, and MDS codes with a
+    # column repeated or repeated times a base scalar (d = n - k there)
+    rng = Random(7)
+    for (p, e, h), ks, n in [((2, 1, 2), (1, 2, 3), 6), ((2, 2, 2), (1, 2), 6),
+                             ((3, 1, 2), (1, 2), 5), ((3, 2, 2), (1, 2), 4),
+                             ((2, 1, 3), (1, 2), 5), ((3, 1, 3), (1,), 4)]:
+        tow = tower(p, e, h)
+        for k in ks:
+            for _ in range(3):
+                code = random_code(tow, k, n, rng)
+                scale = tow.base(rng.randrange(1, tow.q))
+                for c in (code, with_column(code, 0, tow.base.one),
+                          with_column(code, n - 1, scale)):
+                    assert min_distance(c) == reference_min_distance(c)
+                    message = [tow.base(rng.randrange(tow.q))
+                               for _ in range(h * k)]
+                    assert c.combine(message) == reference_combine(c, message)
+    for (p, e, h, k) in [(2, 2, 2, 2), (3, 1, 2, 2), (3, 2, 2, 2), (3, 1, 3, 2)]:
+        tow = tower(p, e, h)
+        code = evaluation_code(tow, list(frobenius_orbit_reps(tow))[:6], k)
+        for scale in (tow.base.one, tow.base(tow.q - 1)):
+            planted = with_column(code, 1, scale)
+            d = min_distance(planted)
+            assert d == reference_min_distance(planted) == planted.n - k
+            with pytest.raises(ValueError, match="over the budget"):
+                min_distance(planted, max_words=planted.size - 1)
+
+
+def plant_weight_one(tow, k, n, rng):
+    """A random code and a random message whose codeword is zero outside
+    one coordinate, so that the code has distance 1."""
+    hk = tow.h * k
+    while True:
+        message = [tow.base(rng.randrange(tow.q)) for _ in range(hk)]
+        if not message[-1]:
+            continue
+        gen = [[tow.top(rng.randrange(tow.top.order)) for _ in range(n)]
+               for _ in range(hk - 1)]
+        last = [tow.top.zero] * n
+        last[rng.randrange(n)] = tow.top(rng.randrange(1, tow.top.order))
+        for c, row in zip(message, gen):
+            last = [a - tow.lift(c) * x for a, x in zip(last, row)]
+        inv = tow.lift(message[-1]).inverse()
+        gen.append([a * inv for a in last])
+        try:
+            code = AdditiveCode(tow, k, gen, [CoordSpec("external")] * n)
+        except ValueError:
+            continue  # rows dependent over the base field
+        return code, message
+
+
+def test_min_distance_finds_a_planted_weight_one_word():
+    # a weight-1 word planted at a random message: a walk that skips part
+    # of a tail is likely to miss it
+    rng = Random(11)
+    for (p, e, h), k, n in [((2, 2, 2), 2, 8), ((3, 2, 2), 2, 8),
+                            ((5, 1, 2), 2, 8), ((2, 1, 3), 2, 10),
+                            ((3, 1, 3), 2, 10)]:
+        tow = tower(p, e, h)
+        for _ in range(6):
+            code, message = plant_weight_one(tow, k, n, rng)
+            assert sum(1 for x in code.combine(message) if x) == 1
+            assert min_distance(code) == 1
+
+
+def test_is_mds_at_larger_sizes():
+    # 117,649 and 262,144 messages: is_mds runs its metric cross-check
+    for p, e in [(7, 1), (2, 3)]:
+        tow = tower(p, e, 2)
+        code = extend_with_derivatives(full_code(p, e, 2, 3),
+                                       list(tow.base.elements()), True)
+        assert code.size == tow.q ** 6 <= 2 ** 20
+        assert is_mds(code)
+        assert min_distance(code) == code.n - 2
+    planted = with_column(code, 0, tow.base.one)
+    assert not is_mds(planted)
+    assert min_distance(planted) == planted.n - 3
 
 
 def test_is_mds_constructions():

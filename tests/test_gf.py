@@ -273,7 +273,7 @@ def test_normal_element_smallest_and_valid():
 
 
 def test_normal_coords_roundtrip():
-    for (p, e, h) in [(2, 2, 2), (5, 1, 2), (2, 1, 3)]:
+    for (p, e, h) in [(2, 2, 2), (5, 1, 2), (2, 1, 3), (3, 2, 2), (3, 1, 3)]:
         t = tower(p, e, h)
         basis = t.normal_basis()
         for x in t.top.elements():

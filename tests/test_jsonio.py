@@ -45,6 +45,21 @@ def test_header_rejects_garbage():
         jsonio.tower_from_header({"p": 6, "e": 1, "h": 2})
 
 
+def test_header_fields_must_be_plain_integers():
+    good = jsonio.field_header(tower(5, 1, 2))
+    for key, bad in [("e", True), ("h", 2.0), ("p", "5"), ("p", None),
+                     ("e", False)]:
+        header = dict(good, **{key: bad})
+        with pytest.raises(jsonio.FormatError, match="'%s' must be an integer" % key):
+            jsonio.tower_from_header(header)
+    for key in ("p", "e", "h"):
+        header = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(jsonio.FormatError, match="missing '%s'" % key):
+            jsonio.tower_from_header(header)
+    with pytest.raises(jsonio.FormatError, match="expected an object"):
+        jsonio.tower_from_header([5, 1, 2])
+
+
 def test_arc_roundtrip():
     arc = small_arc()
     doc = arc.tow, jsonio.arc_to_dict(arc)
