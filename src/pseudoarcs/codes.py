@@ -257,8 +257,7 @@ def min_distance(code: AdditiveCode, max_words: int = 2 ** 20) -> int:
         raise ValueError("code has %d words, over the budget %d; "
                          "use the geometric route" % (code.size, max_words))
     tow = code.tow
-    q, n, top, rows = tow.q, code.n, tow.top, code._rows
-    sub = top.sub_scaled
+    q, n, rows, sub = tow.q, code.n, code._rows, tow.top.sub_scaled
     # -lift(x_(a+1) - x_a) for the digit order x_a = base(a), wrapping at q
     steps = [(-tow.lift(tow.base((a + 1) % q) - tow.base(a))).val
              for a in range(q)]
