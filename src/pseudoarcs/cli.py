@@ -2,8 +2,8 @@
 
 Exit status convention: 0 means verified or constructed, 1 means a
 property was refuted (a witness is printed), 2 means a usage or input
-error.  All primary output is deterministic for a fixed command line;
-warnings go to stderr only.
+error, 3 means an internal error of the program.  All primary output is
+deterministic for a fixed command line; warnings go to stderr only.
 """
 
 import argparse
@@ -299,7 +299,7 @@ def cmd_code_distance(args):
     code = jsonio.code_from_dict(_read_doc(args.code))
     d = min_distance(code, max_words=args.max_words)
     singleton = code.n - code.k_msg + 1
-    mds = is_mds(code, max_words=args.max_words)
+    mds = is_mds(code, distance=d)
     if args.json:
         sys.stdout.write(jsonio.dumps(
             {"schema_version": jsonio.SCHEMA_VERSION, "command": "code distance",
@@ -494,6 +494,12 @@ def main(argv=None):
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # an InvariantError or any other fault of the program: never a
+        # verdict, so neither 1 (refuted) nor a traceback
+        print("internal error: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return 3
 
 
 def run():

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Union
 
-from .gf import FieldElement, FieldTower, InvariantError, Poly
-from .linalg import SingularMatrixError, rank, solve
+from .gf import FieldElement, FieldMismatchError, FieldTower, InvariantError, Poly
+from .linalg import SingularMatrixError, insert_row, solve
 from .nrc import is_imaginary, osc_basis, osc_basis_infty
 from .projgeo import Spread, Subspace, span
 from .pseudoarc import ArcVerdict, contained_in_spread, is_pseudo_arc
@@ -84,18 +84,20 @@ class AdditiveCode:
         for spec in eval_spec:
             if spec.kind not in COORD_KINDS:
                 raise ValueError("unknown coordinate kind %r" % spec.kind)
-        expanded = []
-        for row in gen:
-            flat = []
-            for x in row:
-                flat.extend(tow.normal_coords(x))
-            expanded.append(flat)
-        if rank(expanded) != hk:
-            raise ValueError("generator rows are dependent over the base field")
+        top = tow.top
+        if any(x.field is not top for row in gen for x in row):
+            raise FieldMismatchError("generator entries must lie in the top field")
+        self._rows = tuple([x.val for x in row] for row in gen)
+        # rank over the base field: each row expanded to its normal-basis
+        # coordinates, h base encodings per entry
+        basis = []
+        for row in self._rows:
+            flat = [c for v in row for c in tow.normal_ints(v)]
+            if not insert_row(tow.base, basis, flat):
+                raise ValueError("generator rows are dependent over the base field")
         self.tow = tow
         self.k_msg = k_msg
         self.n = n
-        self._rows = tuple([x.val for x in row] for row in gen)
         self.eval_spec = tuple(eval_spec)
         self.omega = tow.normal_element()
 
@@ -298,17 +300,20 @@ def fold_columns(code: AdditiveCode) -> List[Subspace]:
             for j in range(code.n)]
 
 
-def is_mds(code: AdditiveCode, max_words: int = 2 ** 20) -> bool:
+def is_mds(code: AdditiveCode, max_words: int = 2 ** 20,
+           distance: Optional[int] = None) -> bool:
     """Whether the code attains the Singleton bound, decided through
-    the geometry: its folded columns must form a pseudo-arc.  When the
-    message space fits the enumeration budget the distance is computed
-    too and the two answers are required to agree."""
+    the geometry: its folded columns must form a pseudo-arc.  The verdict
+    is cross-checked against the minimum distance, which must then meet
+    the bound exactly when the code is MDS: the ``distance`` a caller has
+    enumerated already, or else the one computed here when the message
+    space fits the enumeration budget."""
     folded = fold_columns(code)
     geometric = bool(is_pseudo_arc(folded, code.k_msg))
-    if code.size <= max_words:
-        d = min_distance(code, max_words)
-        if geometric != (d == code.n - code.k_msg + 1):
-            raise InvariantError("geometric and metric verdicts disagree")
+    if distance is None and code.size <= max_words:
+        distance = min_distance(code, max_words)
+    if distance is not None and geometric != (distance == code.n - code.k_msg + 1):
+        raise InvariantError("geometric and metric verdicts disagree")
     return geometric
 
 

@@ -208,6 +208,7 @@ class GF:
         if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
             self._build_add_table()
         self.sub_scaled, self.scaled = self._row_ops()
+        self.form_value = self._form_op()
         self.zero = FieldElement(self, 0)
         self.one = FieldElement(self, 1)
 
@@ -336,6 +337,42 @@ class GF:
             def scaled(c, b):
                 return [mul(c, y) for y in b]
         return sub_scaled, scaled
+
+    def _form_op(self):
+        """Int quadratic form evaluation: ``form_value(terms, v)`` is the
+        sum of c*v[i]*v[j] over the terms (c, i, j), each c nonzero, for
+        a vector v of encodings.  It branches like ``_row_ops``."""
+        p, exp, log, add = self.p, self._exp, self._log, self._add_table
+        if self.m == 1:
+            def form_value(terms, v):
+                return sum(c * v[i] * v[j] for c, i, j in terms) % p
+        elif exp is not None and (p == 2 or add is not None):
+            g = self._gorder
+            if p == 2:
+                def form_value(terms, v):
+                    acc = 0
+                    for c, i, j in terms:
+                        x, y = v[i], v[j]
+                        if x and y:
+                            acc ^= exp[(log[c] + log[x] + log[y]) % g]
+                    return acc
+            else:
+                def form_value(terms, v):
+                    acc = 0
+                    for c, i, j in terms:
+                        x, y = v[i], v[j]
+                        if x and y:
+                            acc = add[acc][exp[(log[c] + log[x] + log[y]) % g]]
+                    return acc
+        else:
+            fadd, mul = self.add, self.mul
+
+            def form_value(terms, v):
+                acc = 0
+                for c, i, j in terms:
+                    acc = fadd(acc, mul(c, mul(v[i], v[j])))
+                return acc
+        return form_value
 
     def add(self, a, b):
         if self.p == 2:
@@ -492,7 +529,7 @@ class FieldTower:
         self._embed_table = self._build_embed_table()
         self._unembed = {t: b for b, t in enumerate(self._embed_table)}
         self._omega = None
-        self._coord_matrix_inv = None
+        self._coord_lookup = None
 
     @classmethod
     def get(cls, p, e, h):
@@ -606,36 +643,63 @@ class FieldTower:
         """Coordinates of a top element in the normal basis, as base elements.
 
         Returns (c_0, ..., c_{h-1}) with x = sum lift(c_i) * omega^(q^i).
-        The F_p digits of x go through the int solver rows and are reduced
-        mod p once per coordinate.
         """
         if x.field is not self.top:
             raise FieldMismatchError("normal_coords expects a top-level element")
-        p, e, base = self.p, self.e, self.base
-        digs = self.top.digits(x.val)
-        y = [sum(a * d for a, d in zip(row, digs)) % p
-             for row in self._coord_solver()]
-        return tuple(FieldElement(base, base.encode(y[m * e:(m + 1) * e]))
-                     for m in range(self.h))
+        base = self.base
+        return tuple(FieldElement(base, c) for c in self.normal_ints(x.val))
 
-    def _coord_solver(self):
-        """Int rows over F_p mapping the digits of a top element to its
-        normal-basis coordinates, e digits per base coordinate."""
-        if self._coord_matrix_inv is not None:
-            return self._coord_matrix_inv
-        fp = GF.get(self.p, 1)
+    def normal_ints(self, v):
+        """:meth:`normal_coords` on encodings: the base encodings of the
+        normal-basis coordinates of the top element encoded by v.
+
+        The coordinates are F_p-linear in the base-p digits of v, so v is
+        read in chunks of digits, each chunk looks up the coordinates it
+        contributes, and the contributions are added in the base field.
+        """
+        add = self.base.add
+        coords = None
+        for table in self._coord_tables():
+            v, u = divmod(v, len(table))
+            part = table[u]
+            coords = part if coords is None else tuple(map(add, coords, part))
+        return coords
+
+    def _coord_tables(self):
+        """The chunk tables of :meth:`normal_ints`, built on first use.
+        Table j maps a chunk value u at digit offset o_j to the coordinates
+        of the top element u * p^o_j.  A chunk spans as many base-p digits
+        as fit in 256 values."""
+        if self._coord_lookup is not None:
+            return self._coord_lookup
+        p, e, h = self.p, self.e, self.h
+        fp = GF.get(p, 1)
         basis = self.normal_basis()
         cols = []
-        for m in range(self.h):
-            for a in range(self.e):
+        for m in range(h):
+            for a in range(e):
                 g_a = FieldElement(self.base, self.base.encode(
-                    tuple(1 if i == a else 0 for i in range(self.e))))
+                    tuple(1 if i == a else 0 for i in range(e))))
                 z = self.lift(g_a) * basis[m]
                 cols.append([FieldElement(fp, d) for d in self.top.digits(z.val)])
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(self.e * self.h)]
-        self._coord_matrix_inv = [[v.val for v in row]
-                                  for row in linalg.inverse(mat)]
-        return self._coord_matrix_inv
+        mat = [[cols[j][i] for j in range(len(cols))] for i in range(e * h)]
+        # int rows over F_p from the digits of x to its coordinates, e
+        # digits per base coordinate
+        solver = [[v.val for v in row] for row in linalg.inverse(mat)]
+        width = 1
+        while p ** (width + 1) <= 256:
+            width += 1
+        tables = []
+        for offset in range(0, e * h, width):
+            table = []
+            for u in range(p ** min(width, e * h - offset)):
+                digs = self.top.digits(u * p ** offset)
+                y = [sum(a * d for a, d in zip(row, digs)) % p for row in solver]
+                table.append(tuple(self.base.encode(y[m * e:(m + 1) * e])
+                                   for m in range(h)))
+            tables.append(table)
+        self._coord_lookup = tables
+        return tables
 
     def dual_basis(self, basis):
         """Trace-dual of an F_q-basis of the top field."""

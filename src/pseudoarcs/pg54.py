@@ -235,7 +235,7 @@ def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, st
 
     code = fixture_code(tow)
     d = min_distance(code)
-    code_ok = (code.n, code.size, d) == (11, 4096, 9) and is_mds(code)
+    code_ok = (code.n, code.size, d) == (11, 4096, 9) and is_mds(code, distance=d)
     checks.append(("code-parameters", code_ok,
                    "(n, size, d) = (%d, %d, %d), distance enumerated over "
                    "all %d words" % (code.n, code.size, d, code.size)))

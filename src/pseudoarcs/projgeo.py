@@ -71,19 +71,31 @@ class Subspace:
         """One representative per projective point, normalized so the
         first nonzero coordinate is 1.  (q^rank - 1)/(q - 1) points."""
         fld = self.field
-        for lead in range(self.rank):
-            # combinations with coefficient 1 on row `lead` and free
-            # coefficients after it: each point counted exactly once
-            for tail in itertools.product(fld.elements(), repeat=self.rank - lead - 1):
-                vec = list(self.rows[lead])
-                for c, row in zip(tail, self.rows[lead + 1:]):
+        for key in self._int_points():
+            yield tuple(FieldElement(fld, v) for v in key)
+
+    def _int_points(self):
+        """The points as int tuples of encodings, in the order of
+        :meth:`points`: lead row ascending, then the coefficients of the
+        rows after it in ``itertools.product`` order of encodings.
+
+        Coefficient 1 on the lead row and free coefficients after it
+        count each point once.  The rows are in reduced echelon form, so
+        every such combination has its first nonzero coordinate at the
+        lead row's pivot, and that coordinate is 1: the vectors come out
+        normalized.
+        """
+        fld = self.field
+        sub, neg = fld.sub_scaled, fld.neg
+        rows = [[x.val for x in r] for r in self.rows]
+        for lead, first in enumerate(rows):
+            rest = rows[lead + 1:]
+            for tail in itertools.product(range(fld.order), repeat=len(rest)):
+                vec = first
+                for c, row in zip(tail, rest):
                     if c:
-                        for i in range(self.ambient_dim):
-                            vec[i] = vec[i] + c * row[i]
-                # normalize leading coordinate to 1
-                first = next(x for x in vec if x)
-                inv = first.inverse()
-                yield tuple(inv * x for x in vec)
+                        vec = sub(vec, neg(c), row)
+                yield tuple(vec)
 
 
 def span(points: Iterable[Sequence[FieldElement]], field: Optional[GF] = None) -> Subspace:

@@ -9,12 +9,13 @@ top-level form into base-level forms, and an exhaustive
 complete-intersection certificate.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .gf import FieldElement, FieldTower, GF, InvariantError
+from .gf import FieldElement, FieldMismatchError, FieldTower, GF, InvariantError
 from .linalg import det, nullspace, rref
-from .projgeo import Subspace, ambient_space
+from .projgeo import Subspace
 
 
 def monomial_pairs(n: int) -> List[Tuple[int, int]]:
@@ -27,7 +28,7 @@ class QuadraticForm:
     """A homogeneous quadratic form sum of c_ij x_i x_j over a fixed
     field."""
 
-    __slots__ = ("field", "n", "coeffs")
+    __slots__ = ("field", "n", "coeffs", "terms")
 
     def __init__(self, field: GF, n: int, coeffs: Sequence[FieldElement]):
         coeffs = tuple(coeffs)
@@ -36,6 +37,9 @@ class QuadraticForm:
         self.field = field
         self.n = n
         self.coeffs = coeffs
+        # the nonzero terms (c, i, j) as ints, the input of field.form_value
+        self.terms = tuple((c.val, i, j)
+                           for c, (i, j) in zip(coeffs, monomial_pairs(n)) if c)
 
     @classmethod
     def zero(cls, field: GF, n: int) -> "QuadraticForm":
@@ -53,11 +57,10 @@ class QuadraticForm:
     def evaluate(self, vec: Sequence[FieldElement]) -> FieldElement:
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
-        acc = self.field.zero
-        for c, (i, j) in zip(self.coeffs, monomial_pairs(self.n)):
-            if c:
-                acc = acc + c * vec[i] * vec[j]
-        return acc
+        fld = self.field
+        if any(x.field is not fld for x in vec):
+            raise FieldMismatchError("vector entries not in %r" % fld)
+        return FieldElement(fld, fld.form_value(self.terms, [x.val for x in vec]))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -217,7 +220,12 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
     """Certify that the common zero set of the forms is exactly the
     union of the subspaces' points, by exhausting the ambient space.
 
-    Guarded by a point-count budget (override via max_points).
+    Every point of PG(n-1, q) is visited once, as an int tuple, so the
+    cost is (q^n - 1)/(q - 1) points; the count is guarded by a budget
+    (override via max_points).  ``missed`` is the first configuration
+    point, in sorted encoding order, where some form does not vanish;
+    ``extra`` is the first common zero outside the configuration in the
+    order of ``ambient_space(field, n).points()``.
     """
     subspaces = list(subspaces)
     forms = list(forms)
@@ -229,18 +237,34 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
     if total > max_points:
         raise ValueError("ambient space has %d points, over the budget %d"
                          % (total, max_points))
+    for pos, s in enumerate(subspaces):
+        if s.field is not field:
+            raise ValueError("subspace %d is over %r, subspace 0 over %r"
+                             % (pos, s.field, field))
+        if s.ambient_dim != n:
+            raise ValueError("subspace %d has ambient dimension %d, subspace 0 %d"
+                             % (pos, s.ambient_dim, n))
+    for pos, form in enumerate(forms):
+        if form.field is not field:
+            raise ValueError("form %d is over %r, the subspaces over %r"
+                             % (pos, form.field, field))
+        if form.n != n:
+            raise ValueError("form %d has %d variables, the ambient dimension is %d"
+                             % (pos, form.n, n))
+    value = field.form_value
+    form_terms = [form.terms for form in forms]
     covered = set()
     for s in subspaces:
-        for pt in s.points():
-            covered.add(tuple(x.val for x in pt))
+        covered.update(s._int_points())
     for key in sorted(covered):
-        vec = [field(v) for v in key]
-        for form in forms:
-            if form.evaluate(vec):
-                return IntersectionVerdict(False, missed=key)
-    for pt in ambient_space(field, n).points():
-        if all(not form.evaluate(list(pt)) for form in forms):
-            key = tuple(x.val for x in pt)
-            if key not in covered:
+        if any(value(terms, key) for terms in form_terms):
+            return IntersectionVerdict(False, missed=key)
+    # the normalized vectors (0, ..., 0, 1, tail) in points() order
+    for lead in range(n):
+        head = (0,) * lead + (1,)
+        for tail in itertools.product(range(field.order), repeat=n - lead - 1):
+            key = head + tail
+            if key not in covered and not any(value(terms, key)
+                                              for terms in form_terms):
                 return IntersectionVerdict(False, extra=key)
     return IntersectionVerdict(True)

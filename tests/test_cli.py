@@ -1,17 +1,18 @@
 """Command line tests, driving main() in process.
 
 Conventions under test: exit 0 for verified/constructed, 1 for a
-refutation with a printed witness, 2 for usage or input trouble, and
-byte-identical stdout across reruns of one configuration.
+refutation with a printed witness, 2 for usage or input trouble, 3 for
+an internal error, and byte-identical stdout across reruns of one
+configuration.
 """
 
 import json
 
 import pytest
 
-from pseudoarcs import jsonio
+from pseudoarcs import cli, codes, jsonio
 from pseudoarcs.cli import main
-from pseudoarcs.gf import tower
+from pseudoarcs.gf import InvariantError, tower
 from pseudoarcs.nrc import frobenius_orbit_reps, nrc_points
 from pseudoarcs.projgeo import Subspace
 from pseudoarcs.quadrics import nrc_quadric_system
@@ -294,6 +295,22 @@ def test_code_distance_output(capsys, tmp_path):
     assert code == 2
 
 
+def test_code_distance_enumerates_the_code_once(capsys, tmp_path, monkeypatch):
+    code_path = write_code(capsys, tmp_path)
+    calls = []
+    enumerate_words = codes.min_distance
+
+    def counted(code, max_words=2 ** 20):
+        calls.append(max_words)
+        return enumerate_words(code, max_words)
+
+    monkeypatch.setattr(cli, "min_distance", counted)
+    monkeypatch.setattr(codes, "min_distance", counted)
+    code, out, _ = run(capsys, "code", "distance", str(code_path))
+    assert code == 0 and out.splitlines()[-1] == "mds: true"
+    assert len(calls) == 1
+
+
 def test_code_fold_feeds_verify_arc(capsys, tmp_path):
     code_path = write_code(capsys, tmp_path, extend=True)
     folded = tmp_path / "folded.json"
@@ -354,6 +371,29 @@ def test_quadrics_certify_ci_refutes_empty_system(capsys, tmp_path):
     assert code == 1
     report = json.loads(out)
     assert report["ok"] is False and report["extra"] is not None
+
+
+def test_quadrics_certify_ci_forms_over_another_field(capsys, tmp_path):
+    conic, _ = conic_files(tmp_path)
+    f7 = tower(7, 1, 1)
+    forms = tmp_path / "forms7.json"
+    forms.write_text(jsonio.dumps(
+        jsonio.forms_to_dict(nrc_quadric_system(f7.base, 3), f7)))
+    code, out, err = run(capsys, "quadrics", "certify-ci", str(conic), str(forms))
+    assert code == 2 and out == ""
+    assert err == "error: form 0 is over GF(7), the subspaces over GF(5)\n"
+
+
+def test_internal_error_is_not_a_refutation(capsys, tmp_path, monkeypatch):
+    conic, forms = conic_files(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise InvariantError("rank 2 differs from rank 3")
+
+    monkeypatch.setattr(cli, "is_complete_intersection", broken)
+    code, out, err = run(capsys, "quadrics", "certify-ci", str(conic), str(forms))
+    assert code == 3 and out == ""
+    assert err == "internal error: InvariantError: rank 2 differs from rank 3\n"
 
 
 def test_missing_file_is_input_error(capsys):

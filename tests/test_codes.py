@@ -12,12 +12,13 @@ from random import Random
 
 import pytest
 
+from pseudoarcs import codes
 from pseudoarcs.codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
                               code_from_subspaces, encode, erasure_decode,
                               evaluation_code, extend_with_derivatives,
                               fold_columns, is_mds, linear_equivalence_test,
                               min_distance)
-from pseudoarcs.gf import Poly, tower
+from pseudoarcs.gf import FieldMismatchError, InvariantError, Poly, tower
 from pseudoarcs.nrc import frobenius_orbit_reps, osc_basis, osc_basis_infty
 from pseudoarcs.projgeo import canonical_spread, span
 from pseudoarcs.pseudoarc import (SmallFieldWarning, build_imaginary_arc,
@@ -296,6 +297,35 @@ def test_is_mds_constructions():
     ext = extend_with_derivatives(code, list(code.tow.base.elements()), True)
     assert is_mds(ext)
     assert min_distance(ext) == 15
+
+
+def test_generator_rank_is_taken_over_the_base_field():
+    tow = tower(5, 1, 2)
+    code = full_code(5, 1, 2, 2)
+    rows = [list(r) for r in code.gen]
+    omega = tow.normal_element()
+    # omega * row 0 is independent of row 0 over F_5, lift(3) * row 0 is not
+    independent = rows[:3] + [[omega * x for x in rows[0]]]
+    AdditiveCode(tow, 2, independent, code.eval_spec)
+    dependent = rows[:3] + [[tow.lift(tow.base(3)) * x for x in rows[0]]]
+    with pytest.raises(ValueError,
+                       match="generator rows are dependent over the base field"):
+        AdditiveCode(tow, 2, dependent, code.eval_spec)
+    with pytest.raises(FieldMismatchError):
+        AdditiveCode(tow, 2, rows[:3] + [[tow.base.one] * code.n], code.eval_spec)
+
+
+def test_is_mds_takes_a_given_distance(monkeypatch):
+    code = full_code(5, 1, 2, 2)
+    d = min_distance(code)
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the code was enumerated again")
+
+    monkeypatch.setattr(codes, "min_distance", no_enumeration)
+    assert is_mds(code, distance=d)
+    with pytest.raises(InvariantError):
+        is_mds(code, distance=d - 1)
 
 
 def test_is_mds_repeated_column_fails():

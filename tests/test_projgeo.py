@@ -65,6 +65,35 @@ def test_contains_matches_point_enumeration():
         assert s.contains(vec) == (normalized in pts)
 
 
+def reference_points(s):
+    """The point walk in FieldElement arithmetic: coefficient 1 on a
+    lead row, free coefficients on the rows after it in product order,
+    each vector scaled so its first nonzero coordinate is 1."""
+    fld = s.field
+    for lead in range(s.rank):
+        for tail in itertools.product(fld.elements(), repeat=s.rank - lead - 1):
+            vec = list(s.rows[lead])
+            for c, row in zip(tail, s.rows[lead + 1:]):
+                vec = [x + c * y for x, y in zip(vec, row)]
+            inv = next(x for x in vec if x).inverse()
+            yield tuple(inv * x for x in vec)
+
+
+def test_points_match_reference_walk_in_order():
+    rng = random.Random(53)
+    for p, m in [(7, 1), (11, 1), (2, 2), (2, 3), (3, 2)]:
+        fld = GF.get(p, m)
+        for nrows in range(4):
+            for _ in range(3):
+                s = rand_subspace(fld, 5, nrows, rng)
+                got = list(s.points())
+                assert got == list(reference_points(s))
+                assert len(got) == (fld.order ** s.rank - 1) // (fld.order - 1)
+    big = GF.get(2, 17)  # above the table limits
+    s = rand_subspace(big, 3, 1, rng)
+    assert s.rank == 1 and list(s.points()) == list(reference_points(s))
+
+
 def test_intersect_identities():
     rng = random.Random(47)
     u = rand_subspace(F5, 4, 2, rng)

@@ -3,16 +3,19 @@
 The vanishing-space computation is cross-checked by brute-force
 evaluation, and the trace composition is verified pointwise against
 its defining formula on random vectors, in odd and even characteristic.
+The int complete-intersection check is compared with a FieldElement
+reference on seeded random inputs.
 """
 
+import itertools
 from random import Random
 
 import pytest
 
-from pseudoarcs.gf import GF, tower
+from pseudoarcs.gf import GF, FieldMismatchError, tower
 from pseudoarcs.nrc import nrc_points
-from pseudoarcs.projgeo import ambient_space, span
-from pseudoarcs.quadrics import (QuadraticForm,
+from pseudoarcs.projgeo import Subspace, span
+from pseudoarcs.quadrics import (IntersectionVerdict, QuadraticForm,
                                  is_complete_intersection, monomial_pairs,
                                  nrc_quadric_system, trace_reduce,
                                  vanishing_space)
@@ -20,6 +23,44 @@ from pseudoarcs.quadrics import (QuadraticForm,
 
 def point_spans(field, pts):
     return [span([list(p.coords)]) for p in pts]
+
+
+def reference_evaluate(form, vec):
+    """A form's value in FieldElement arithmetic, monomial by monomial."""
+    acc = form.field.zero
+    for c, (i, j) in zip(form.coeffs, monomial_pairs(form.n)):
+        if c:
+            acc = acc + c * vec[i] * vec[j]
+    return acc
+
+
+def reference_ambient(field, n):
+    """The normalized vectors (0, ..., 0, 1, tail) of PG(n-1, q), lead
+    ascending, tails in product order of the field's elements."""
+    for lead in range(n):
+        for tail in itertools.product(field.elements(), repeat=n - lead - 1):
+            yield [field.zero] * lead + [field.one] + list(tail)
+
+
+def reference_certify(subspaces, forms):
+    """The complete-intersection check in FieldElement arithmetic: the
+    configuration is the set of ambient points some subspace contains,
+    ``missed`` the first of them, sorted, where a form does not vanish,
+    ``extra`` the first common zero outside it in ambient order."""
+    field, n = subspaces[0].field, subspaces[0].ambient_dim
+    ambient = list(reference_ambient(field, n))
+    covered = {tuple(x.val for x in v) for v in ambient
+               if any(s.contains(v) for s in subspaces)}
+    for key in sorted(covered):
+        vec = [field(v) for v in key]
+        if any(reference_evaluate(form, vec) for form in forms):
+            return IntersectionVerdict(False, missed=key)
+    for vec in ambient:
+        key = tuple(x.val for x in vec)
+        if key not in covered and not any(reference_evaluate(form, vec)
+                                          for form in forms):
+            return IntersectionVerdict(False, extra=key)
+    return IntersectionVerdict(True)
 
 
 def test_monomial_pairs_layout():
@@ -38,21 +79,26 @@ def test_conic_form_evaluation():
 
 
 def test_form_algebra_matches_direct_sum():
-    f7 = GF.get(7, 1)
+    # prime field, p = 2 and odd tables, odd without an addition table,
+    # and a field above the table limits
     rng = Random(3)
     pairs = monomial_pairs(4)
-    for _ in range(20):
-        c1 = [f7(rng.randrange(7)) for _ in pairs]
-        c2 = [f7(rng.randrange(7)) for _ in pairs]
-        q1 = QuadraticForm(f7, 4, c1)
-        q2 = QuadraticForm(f7, 4, c2)
-        s = f7(rng.randrange(1, 7))
-        v = [f7(rng.randrange(7)) for _ in range(4)]
-        direct = sum((c * v[i] * v[j] for c, (i, j) in zip(c1, pairs)), f7.zero)
-        assert q1.evaluate(v) == direct
-        assert (q1 + q2).evaluate(v) == q1.evaluate(v) + q2.evaluate(v)
-        assert q1.scale(s).evaluate(v) == s * q1.evaluate(v)
-    assert QuadraticForm.zero(f7, 4).is_zero()
+    for p, m in [(7, 1), (2, 2), (3, 2), (3, 7), (2, 17)]:
+        fld = GF.get(p, m)
+        for _ in range(20):
+            c1 = [fld(rng.randrange(fld.order)) for _ in pairs]
+            c2 = [fld(rng.randrange(fld.order)) for _ in pairs]
+            q1 = QuadraticForm(fld, 4, c1)
+            q2 = QuadraticForm(fld, 4, c2)
+            s = fld(rng.randrange(1, fld.order))
+            v = [fld(rng.randrange(fld.order)) for _ in range(4)]
+            direct = sum((c * v[i] * v[j] for c, (i, j) in zip(c1, pairs)), fld.zero)
+            assert q1.evaluate(v) == direct
+            assert (q1 + q2).evaluate(v) == q1.evaluate(v) + q2.evaluate(v)
+            assert q1.scale(s).evaluate(v) == s * q1.evaluate(v)
+        assert QuadraticForm.zero(fld, 4).is_zero()
+        with pytest.raises(FieldMismatchError):
+            q1.evaluate([GF.get(5, 1).one] * 4)
 
 
 def test_vanishing_space_of_empty_input_is_everything():
@@ -184,6 +230,81 @@ def test_complete_intersection_detects_extra_and_missed():
     off_curve = span([[f5(0), f5(1), f5(0)]])
     verdict2 = is_complete_intersection(pts + [off_curve], nrc_quadric_system(f5, 3))
     assert not verdict2.ok and verdict2.missed == (0, 1, 0)
+
+
+def test_complete_intersection_checks_shapes_up_front():
+    f5, f7 = GF.get(5, 1), GF.get(7, 1)
+    pts = point_spans(f5, nrc_points(f5, 3))
+    forms = nrc_quadric_system(f5, 3)
+    cases = [
+        (pts, nrc_quadric_system(f7, 3), "form 0 is over GF(7), the subspaces over GF(5)"),
+        (pts, forms + [QuadraticForm.zero(f5, 4)],
+         "form 1 has 4 variables, the ambient dimension is 3"),
+        (pts + [span([[f5(1), f5(0), f5(0), f5(0)]])], forms,
+         "subspace 6 has ambient dimension 4, subspace 0 3"),
+        (pts + [span([[f7(1), f7(0), f7(0)]])], forms,
+         "subspace 6 is over GF(7), subspace 0 over GF(5)"),
+    ]
+    for subspaces, system, message in cases:
+        with pytest.raises(ValueError) as exc:
+            is_complete_intersection(subspaces, system)
+        assert str(exc.value) == message
+
+
+def random_family(field, n, rng):
+    """One to four random subspaces of rank 1 or 2 in PG(n-1, q)."""
+    family = []
+    while len(family) < rng.randint(1, 4):
+        rows = [[field(rng.randrange(field.order)) for _ in range(n)]
+                for _ in range(rng.randint(1, 2))]
+        if any(any(r) for r in rows):
+            family.append(Subspace(field, n, rows))
+    return family
+
+
+def random_system(field, n, family, rng):
+    """Random combinations of the forms through the family, sometimes
+    with one random form added."""
+    through = vanishing_space(family)
+    forms = []
+    for _ in range(rng.randint(1, 3)):
+        form = QuadraticForm.zero(field, n)
+        for f in through:
+            form = form + f.scale(field(rng.randrange(field.order)))
+        forms.append(form)
+    if rng.random() < 0.3:
+        forms.append(QuadraticForm(field, n, [field(rng.randrange(field.order))
+                                              for _ in monomial_pairs(n)]))
+    return forms
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (11, 1), (2, 2), (2, 3), (3, 2)])
+def test_complete_intersection_matches_reference(p, m):
+    field = GF.get(p, m)
+    rng = Random(100 * p + m)
+    inputs = []
+    for n in (3, 3, 3, 4):
+        family = random_family(field, n, rng)
+        inputs.append((family, random_system(field, n, family, rng)))
+    for k in (3, 4):
+        curve = point_spans(field, nrc_points(field, k))
+        system = nrc_quadric_system(field, k)
+        inputs.append((curve, system))
+        while True:
+            off = [field(rng.randrange(field.order)) for _ in range(k)]
+            planted = span([off]) if any(off) else None
+            if planted is not None and planted not in curve:
+                break
+        inputs.append((curve + [planted], system))
+        drop = rng.randrange(len(system))
+        inputs.append((curve, system[:drop] + system[drop + 1:]))
+    kinds = set()
+    for subspaces, forms in inputs:
+        verdict = is_complete_intersection(subspaces, forms)
+        assert verdict == reference_certify(subspaces, forms)
+        kinds.add("ok" if verdict.ok else
+                  "missed" if verdict.missed is not None else "extra")
+    assert kinds == {"ok", "missed", "extra"}
 
 
 def test_complete_intersection_budget():
