@@ -107,15 +107,12 @@ def cmd_construct_arc(args):
 def cmd_verify_arc(args):
     doc = _read_doc(args.file)
     tow, elements = _elements_from_doc(doc)
-    _check_positive(args.sample, "sample budget")
-    verdict = is_pseudo_arc(elements, args.k, sample=args.sample, seed=args.seed)
+    verdict = is_pseudo_arc(elements, args.k)
     n = elements[0].ambient_dim if elements else tow.h * args.k
     order = elements[0].field.order if elements else tow.q
     report = {"schema_version": jsonio.SCHEMA_VERSION, "command": "verify-arc",
-              "elements": len(elements), "k": args.k, "ok": verdict.ok}
-    if args.sample is not None:
-        report["sample"] = args.sample
-        report["seed"] = args.seed
+              "elements": len(elements), "k": args.k, "ok": verdict.ok,
+              "subsets_walked": verdict.walked, "orbits": verdict.orbits}
     if not verdict.ok:
         report["witness"] = list(verdict.witness)
     if args.json:
@@ -124,12 +121,9 @@ def cmd_verify_arc(args):
     if verdict.ok:
         print("verified: %d elements, every %d of them span PG(%d, %d)"
               % (len(elements), args.k, n - 1, order))
-        if args.sample is not None:
-            print("sample: %d subsets, seed: %d" % (args.sample, args.seed))
         if args.witness:
-            checked = (args.sample if args.sample is not None
-                       else math.comb(len(elements), args.k))
-            print("certificate: %d subsets stacked to rank %d" % (checked, n))
+            print("certificate: %d subsets certified to rank %d, %d of them walked"
+                  % (math.comb(len(elements), args.k), n, verdict.walked))
         return 0
     ws = verdict.witness
     stacked = []
@@ -402,9 +396,6 @@ def build_parser():
     p = sub.add_parser("verify-arc", help="check the spanning property of a family")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--sample", type=int, default=None,
-                   help="test this many random subsets instead of all")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witness", action="store_true",
                    help="print certificates on success as well")
     p.add_argument("--json", action="store_true")

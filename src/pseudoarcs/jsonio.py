@@ -79,20 +79,6 @@ def _rows_from_ints(field, rows) -> List[List]:
     return [[field(v) for v in row] for row in rows]
 
 
-def subspace_to_dict(s: Subspace, tow: FieldTower) -> dict:
-    return {
-        "level": _level_name(tow, s.field),
-        "ambient_dim": s.ambient_dim,
-        "rows": _rows_to_ints(s.rows),
-    }
-
-
-def subspace_from_dict(d: dict, tow: FieldTower) -> Subspace:
-    field = _level_field(tow, d["level"])
-    rows = _rows_from_ints(field, d["rows"])
-    return Subspace(field, d["ambient_dim"], rows)
-
-
 def _tag_to_dict(tag: Tag) -> dict:
     return {"kind": tag.kind, "param": None if tag.param is None else tag.param.val}
 

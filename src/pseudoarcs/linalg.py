@@ -6,7 +6,7 @@ integer encodings: the matrix is unwrapped to int rows once, reduced
 with the row operations its GF hands out (``sub_scaled`` and
 ``scaled``), and the result is wrapped again.  ``insert_row`` is the one
 elimination step; callers that keep int rows, such as the k-subset
-verifier, use it directly.  Everything is deterministic: pivots are
+verifier, use it and ``rref_ints`` directly.  Everything is deterministic: pivots are
 chosen topmost first, never by magnitude.
 """
 
@@ -100,20 +100,17 @@ def _echelon(fld, mat):
     return basis
 
 
-def rref(rows):
-    """Reduced row echelon form.
+def rref_ints(field, mat):
+    """Reduced row echelon form of int rows over ``field``.
 
-    Returns (reduced nonzero rows, pivot column list).  The result is the
-    canonical basis of the row space: leading entries are 1, pivot columns
-    are cleared above and below, zero rows are dropped.
+    Returns (reduced nonzero rows, pivot column list): the canonical basis
+    of the row space, leading entries 1, pivot columns cleared above and
+    below, zero rows dropped.
     """
-    if not rows or not rows[0]:
-        return [], []
-    fld, mat = _unwrap(rows)
-    basis = _echelon(fld, mat)
+    basis = _echelon(field, mat)
     # a row has 0 at the pivots of the rows before it; clear the others,
     # latest first, so each row used is already clean
-    sub = fld.sub_scaled
+    sub = field.sub_scaled
     for i in range(len(basis) - 1, 0, -1):
         pc, b = basis[i]
         for j in range(i):
@@ -121,9 +118,18 @@ def rref(rows):
             if r[pc]:
                 basis[j] = (pj, sub(r, r[pc], b))
     basis.sort(key=lambda entry: entry[0])
+    return [r for _, r in basis], [pc for pc, _ in basis]
+
+
+def rref(rows):
+    """Reduced row echelon form of a FieldElement matrix: ``rref_ints``
+    on its encodings, wrapped again."""
+    if not rows or not rows[0]:
+        return [], []
+    fld, mat = _unwrap(rows)
+    red, pivots = rref_ints(fld, mat)
     fe = gf.FieldElement
-    return ([[fe(fld, v) for v in r] for _, r in basis],
-            [pc for pc, _ in basis])
+    return [[fe(fld, v) for v in r] for r in red], pivots
 
 
 def rank(rows):

@@ -37,10 +37,6 @@ class Subspace:
     def rank(self) -> int:
         return len(self.rows)
 
-    @property
-    def proj_dim(self) -> int:
-        return len(self.rows) - 1
-
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field is other.field
                 and self.ambient_dim == other.ambient_dim
@@ -63,9 +59,6 @@ class Subspace:
                 for i in range(self.ambient_dim):
                     v[i] = v[i] - c * row[i]
         return not any(v)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
 
     def points(self):
         """One representative per projective point, normalized so the

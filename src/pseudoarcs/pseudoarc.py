@@ -5,17 +5,19 @@ The main construction takes one element per Frobenius orbit of
 generators of the extension field: the rational point set of the span
 of the conjugates of the curve point with that parameter.  The family
 extends by the order-(h-1) osculating spaces at the rational curve
-points.  Verification is exhaustive over k-subsets.
+points.  Verification is exhaustive over k-subsets, walked through one
+representative per orbit of the curve's projectivities that permute the
+family.
 """
 
 import warnings
-from dataclasses import dataclass
-from random import Random
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .gf import FieldElement, FieldTower, InvariantError
-from .linalg import insert_row, reduce_row
-from .nrc import (frobenius_orbit_reps, osc_basis, osc_basis_infty, veronese)
+from .linalg import insert_row, reduce_row, rref_ints
+from .nrc import (curve_projectivity, frobenius_orbit_reps, osc_basis,
+                  osc_basis_infty, veronese)
 from .projgeo import (Spread, Subspace, conjugate_span, rationalize, span,
                       spread_membership)
 
@@ -43,10 +45,15 @@ class Tag:
 @dataclass(frozen=True)
 class ArcVerdict:
     """Outcome of a verification: truth value plus, on failure, the
-    lexicographically first offending index subset."""
+    lexicographically first offending index subset.  ``walked`` and
+    ``orbits`` count the k-subsets tested and the orbits they were
+    chosen through; they describe the work, not the verdict, and take
+    no part in equality."""
 
     ok: bool
     witness: Optional[Tuple[int, ...]] = None
+    walked: int = field(default=0, compare=False)
+    orbits: int = field(default=0, compare=False)
 
     def __bool__(self):
         return self.ok
@@ -162,8 +169,59 @@ def extend_with_osculating(arc: PseudoArc) -> PseudoArc:
                      list(arc.tags) + tags)
 
 
-def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int,
-                  sample: Optional[int] = None, seed: int = 0) -> ArcVerdict:
+def _orbit_order(fld, rows) -> Tuple[List[int], int]:
+    """An element order that puts one representative per orbit of the
+    curve's projectivities first, and the number of representatives.
+
+    The generators t -> t + 1, t -> xi*t and t -> 1/t are not trusted: a
+    generator counts only when the canonical image of every element is an
+    element again and the images form a permutation.  Orbits are the
+    classes of the accepted permutations; each is represented by its
+    smallest index.  A family with a repeated element, or with no
+    accepted generator, keeps its own order with every element its own
+    representative.
+    """
+    size = len(rows)
+    index = {}
+    for i, el in enumerate(rows):
+        index.setdefault(tuple(map(tuple, el)), i)
+    if len(index) < size:
+        return list(range(size)), size
+    n = len(rows[0][0])
+    sub, neg = fld.sub_scaled, fld.neg
+    xi = fld.primitive_element().val
+    root = list(range(size))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for a, b, c, d in ((1, 1, 0, 1), (xi, 0, 0, 1), (0, 1, 1, 0)):
+        mat = curve_projectivity(fld, a, b, c, d, n)
+        perm = []
+        for el in rows:
+            image = []
+            for v in el:
+                w = [0] * n
+                for x, m in zip(v, mat):
+                    if x:
+                        w = sub(w, neg(x), m)
+                image.append(w)
+            j = index.get(tuple(map(tuple, rref_ints(fld, image)[0])))
+            if j is None:
+                break
+            perm.append(j)
+        if len(perm) < size or len(set(perm)) < size:
+            continue
+        for i, j in enumerate(perm):
+            ri, rj = find(i), find(j)
+            root[max(ri, rj)] = min(ri, rj)
+    reps = [i for i in range(size) if find(i) == i]
+    return reps + [i for i in range(size) if find(i) != i], len(reps)
+
+
+def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> ArcVerdict:
     """Exhaustively test that every k of the elements span the whole
     space.
 
@@ -174,10 +232,17 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int,
     an element meets the span of the prefix before it, every subset
     starting with that prefix is degenerate; the first of them, the
     prefix completed by the next indices, is the witness: the
-    lexicographically first failure.  With `sample`, that many
-    pseudo-random subsets are tested instead (never used by the
-    verification suites).  A true verdict on more than the size bound is
-    impossible and raises InvariantError.
+    lexicographically first failure.
+
+    The curve's projectivities that map the family onto itself (see
+    ``_orbit_order``) map spanning k-subsets to spanning k-subsets, so
+    every k-subset is the image of one through an orbit representative.
+    The walk moves the representatives first and stops its top level
+    after them.  When that reduced walk meets a failure, the full walk
+    in the original order runs again and supplies the witness.  The
+    verdict counts the k-subsets walked (both walks on such a
+    refutation) and the orbits.  A true verdict on more than the size
+    bound is impossible and raises InvariantError.
     """
     if isinstance(elements, PseudoArc):
         elements = list(elements.elements)
@@ -193,50 +258,51 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int,
             raise ValueError("elements of mixed shape")
     size = len(elements)
     if size < k:
-        return ArcVerdict(True)
+        return ArcVerdict(True, orbits=size)
     rows = [[[x.val for x in r] for r in el.rows] for el in elements]
+    prefix = []
+    walked = 0
 
     def extend(basis, el_rows):
         """Insert one element's rows; False when they meet the span."""
         return all(insert_row(fld, basis, r) for r in el_rows)
 
-    if sample is not None:
-        rng = Random(seed)
-        for _ in range(sample):
-            subset = tuple(sorted(rng.sample(range(size), k)))
-            basis = []
-            if not all(extend(basis, rows[i]) for i in subset):
-                return ArcVerdict(False, subset)
-        return ArcVerdict(True)
-
-    prefix = []
-
-    def first_failure(start, cands):
+    def first_failure(start, stop, cands):
         """The first failing subset that extends the prefix, or None;
-        cands[j] holds element j's rows reduced modulo the prefix span."""
+        cands[j] holds element j's rows reduced modulo the prefix span,
+        and the prefix's next index stays below stop."""
+        nonlocal walked
         depth = len(prefix)
-        for i in range(start, size - k + depth + 1):
+        for i in range(start, min(stop, size - k + depth + 1)):
             basis = []
             if not extend(basis, cands[i]):
+                walked += 1
                 return tuple(prefix) + tuple(range(i, i + k - depth))
             if depth + 1 < k:
                 reduced = {j: [reduce_row(fld, basis, r) for r in cands[j]]
                            for j in range(i + 1, size)}
                 prefix.append(i)
-                witness = first_failure(i + 1, reduced)
+                witness = first_failure(i + 1, size, reduced)
                 prefix.pop()
                 if witness:
                     return witness
+            else:
+                walked += 1
         return None
 
-    witness = first_failure(0, rows)
+    order, orbits = _orbit_order(fld, rows)
+    witness = first_failure(0, orbits, [rows[i] for i in order])
+    if witness and orbits < size:
+        witness = first_failure(0, size, rows)
+        if not witness:
+            raise InvariantError("the reduced walk failed, the full walk did not")
     if witness:
-        return ArcVerdict(False, witness)
+        return ArcVerdict(False, witness, walked, orbits)
     bound = thas_bound(h, k, fld.order)
     if size > bound:
         raise InvariantError("%d elements verified, above the size bound %d"
                              % (size, bound))
-    return ArcVerdict(True)
+    return ArcVerdict(True, None, walked, orbits)
 
 
 def contained_in_spread(arc: Union[PseudoArc, Sequence[Subspace]],

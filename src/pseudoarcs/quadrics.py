@@ -62,9 +62,6 @@ class QuadraticForm:
             raise FieldMismatchError("vector entries not in %r" % fld)
         return FieldElement(fld, fld.form_value(self.terms, [x.val for x in vec]))
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
         if self.field is not other.field or self.n != other.n:
             raise ValueError("forms over different spaces")

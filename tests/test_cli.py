@@ -79,7 +79,21 @@ def test_verify_arc_witness_certificate(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2",
                        "--witness")
     assert code == 0
-    assert "certificate: 45 subsets stacked to rank 4" in out
+    # one orbit: the 9 pairs through element 0 certify all 45
+    assert "certificate: 45 subsets certified to rank 4, 9 of them walked" in out
+
+
+def test_verify_arc_json_counts_the_walk(capsys, tmp_path):
+    arc_path = write_arc(capsys, tmp_path, extend=True)
+    code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2")
+    assert code == 0
+    assert out == "verified: 16 elements, every 2 of them span PG(3, 5)\n"
+    code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2", "--json")
+    assert code == 0
+    report = json.loads(out)
+    # imaginary and osculating orbits: the pairs through elements 0 and 10
+    assert report["orbits"] == 2
+    assert report["subsets_walked"] == 15 + 14
 
 
 def test_verify_arc_duplicate_element_pair_witness(capsys, tmp_path):
@@ -98,26 +112,8 @@ def test_verify_arc_duplicate_element_pair_witness(capsys, tmp_path):
     assert code == 1
     report = json.loads(out)
     assert report["ok"] is False and report["witness"] == [0, 10]
-
-
-def test_verify_arc_sampled_mode_records_seed(capsys, tmp_path):
-    arc_path = write_arc(capsys, tmp_path)
-    code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2",
-                       "--sample", "12", "--seed", "3")
-    assert code == 0
-    assert "sample: 12 subsets, seed: 3" in out
-    code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2",
-                       "--sample", "12", "--seed", "3", "--json")
-    report = json.loads(out)
-    assert report["sample"] == 12 and report["seed"] == 3
-
-
-def test_verify_arc_budget_must_be_positive(capsys, tmp_path):
-    arc_path = write_arc(capsys, tmp_path)
-    code, _, err = run(capsys, "verify-arc", str(arc_path), "--k", "2",
-                       "--sample", "0")
-    assert code == 2
-    assert "positive" in err
+    # a repeated element: no reduction, the full walk up to the witness
+    assert report["orbits"] == 11 and report["subsets_walked"] == 10
 
 
 def test_verify_example_passes(capsys):

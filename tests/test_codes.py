@@ -19,7 +19,8 @@ from pseudoarcs.codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
                               fold_columns, is_mds, linear_equivalence_test,
                               min_distance)
 from pseudoarcs.gf import FieldMismatchError, InvariantError, Poly, tower
-from pseudoarcs.nrc import frobenius_orbit_reps, osc_basis, osc_basis_infty
+from pseudoarcs.nrc import (frobenius_orbit_reps, orbit_rep_count, osc_basis,
+                            osc_basis_infty)
 from pseudoarcs.projgeo import canonical_spread, span
 from pseudoarcs.pseudoarc import (SmallFieldWarning, build_imaginary_arc,
                                   extend_with_osculating)
@@ -395,6 +396,88 @@ def test_erasure_decode_all_max_patterns():
             word = encode(f, code)
             received = [x if j in keep else ERASED for j, x in enumerate(word)]
             assert erasure_decode(received, code) == f
+
+
+def reference_solve(matrix, rhs):
+    """Gauss-Jordan elimination on FieldElements, column by column; None
+    when the square matrix is singular."""
+    n = len(matrix)
+    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if aug[i][c]), None)
+        if pr is None:
+            return None
+        aug[c], aug[pr] = aug[pr], aug[c]
+        inv = aug[c][c].inverse()
+        aug[c] = [x * inv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n] for row in aug]
+
+
+def reference_decode(received, code):
+    """erasure_decode spelled out on FieldElements: normal-basis
+    coordinates through the trace-dual basis, the first k_msg survivors'
+    equations solved by ``reference_solve``, the solution re-encoded by
+    ``reference_combine``.  Returns the message polynomial, or the
+    DecodeError reason."""
+    tow = code.tow
+    h, hk = tow.h, tow.h * code.k_msg
+    dual = tow.dual_basis(tow.normal_basis())
+
+    def coords(x):
+        return [tow.rel_trace(x * d) for d in dual]
+
+    survivors = [j for j, x in enumerate(received) if x is not ERASED]
+    if len(survivors) < code.k_msg:
+        return "unerased"
+    matrix, rhs = [], []
+    for j in survivors[:code.k_msg]:
+        col = [coords(row[j]) for row in code.gen]
+        target = coords(received[j])
+        for i in range(h):
+            matrix.append([col[r][i] for r in range(hk)])
+            rhs.append(target[i])
+    message = reference_solve(matrix, rhs)
+    if message is None:
+        return "determine"
+    word = reference_combine(code, message)
+    if any(word[j] != received[j] for j in survivors):
+        return "mismatch"
+    return Poly(tow.base, message)
+
+
+def test_erasure_decode_matches_reference_solve():
+    rng = Random(53)
+    for p, e, h, k in [(2, 1, 2, 2), (2, 2, 2, 2), (5, 1, 2, 2),
+                       (3, 2, 2, 2), (3, 1, 3, 2), (2, 1, 3, 3)]:
+        tow = tower(p, e, h)
+        outcomes = set()
+        codes_ = [random_code(tow, k, k + 4, rng) for _ in range(3)]
+        if orbit_rep_count(tow.q, h) > k:
+            codes_.append(full_code(p, e, h, k))
+        for code in codes_:
+            for _ in range(12):
+                f = random_message(tow, k, rng)
+                word = encode(f, code)
+                kept = rng.randint(k - 1, code.n)
+                survivors = set(rng.sample(range(code.n), kept))
+                received = [x if j in survivors else ERASED
+                            for j, x in enumerate(word)]
+                if survivors and rng.random() < 0.3:
+                    j = rng.choice(sorted(survivors))
+                    received[j] = received[j] + tow.top(rng.randrange(1, tow.top.order))
+                expect = reference_decode(received, code)
+                if isinstance(expect, str):
+                    with pytest.raises(DecodeError, match=expect):
+                        erasure_decode(received, code)
+                    outcomes.add(expect)
+                else:
+                    assert erasure_decode(received, code) == expect
+                    outcomes.add("decoded")
+        assert outcomes == {"decoded", "unerased", "determine", "mismatch"}, (p, e, h)
 
 
 def test_erasure_decode_zero_word():

@@ -15,7 +15,7 @@ from pseudoarcs.codes import (ERASED, encode, erasure_decode,
                               evaluation_code, extend_with_derivatives)
 from pseudoarcs.gf import Poly, tower
 from pseudoarcs.nrc import frobenius_orbit_reps
-from pseudoarcs.projgeo import Subspace, conjugate_span, rationalize
+from pseudoarcs.projgeo import Subspace, conjugate_span
 from pseudoarcs.pseudoarc import build_imaginary_arc, extend_with_osculating
 from pseudoarcs.quadrics import QuadraticForm, nrc_quadric_system, vanishing_space
 
@@ -189,11 +189,3 @@ def test_dumps_deterministic_and_sorted():
     keys = list(json.loads(text).keys())
     assert keys == sorted(keys)
 
-
-def test_subspace_dict_matches_contract():
-    tow = tower(5, 1, 2)
-    sub = rationalize(conjugate_span([tow.top.one, tow.top(5)], tow), tow)
-    d = jsonio.subspace_to_dict(sub, tow)
-    assert set(d) == {"level", "ambient_dim", "rows"}
-    assert all(isinstance(v, int) for row in d["rows"] for v in row)
-    assert jsonio.subspace_from_dict(d, tow) == sub

@@ -7,6 +7,7 @@ against per-element membership.
 """
 
 import itertools
+import math
 import warnings
 from random import Random
 
@@ -15,8 +16,10 @@ import pytest
 from pseudoarcs import pseudoarc
 from pseudoarcs.gf import GF, InvariantError, tower
 from pseudoarcs.linalg import det, rank
-from pseudoarcs.nrc import frobenius_orbit_reps, orbit_rep_count, veronese
-from pseudoarcs.projgeo import (Subspace, apply_projectivity,
+from pseudoarcs.nrc import (INFINITY, curve_projectivity,
+                            frobenius_orbit_reps, nrc_points,
+                            orbit_rep_count, veronese)
+from pseudoarcs.projgeo import (Subspace, ambient_space, apply_projectivity,
                                 canonical_spread, intersect, lift_subspace,
                                 span, spread_membership)
 from pseudoarcs.pseudoarc import (ArcVerdict, PseudoArc, SmallFieldWarning,
@@ -65,6 +68,81 @@ def reference_verdict(elements, k):
         if not reference_det(stacked):
             return ArcVerdict(False, subset)
     return ArcVerdict(True)
+
+
+def curve_generators(fld):
+    """(a, b, c, d) of t -> t + 1, t -> xi*t and t -> 1/t."""
+    xi = fld.primitive_element().val
+    return [(1, 1, 0, 1), (xi, 0, 0, 1), (0, 1, 1, 0)]
+
+
+def reference_orbits(elements):
+    """The curve generators that map the family onto itself, and its
+    number of orbits under them, on FieldElements: each generator is
+    applied with apply_projectivity and the images are compared with the
+    elements as subspaces.  A family with a repeated element gets no
+    generator."""
+    size = len(elements)
+    if len(set(elements)) < size:
+        return [], size
+    fld, n = elements[0].field, elements[0].ambient_dim
+    position = {el: i for i, el in enumerate(elements)}
+    label = list(range(size))
+    accepted = []
+    for gen in curve_generators(fld):
+        m = curve_projectivity(fld, *gen, n)
+        # apply_projectivity acts on columns, the curve map on rows
+        columns = [[fld(m[j][i]) for j in range(n)] for i in range(n)]
+        images = [apply_projectivity(columns, el) for el in elements]
+        if set(images) != set(elements):
+            continue
+        accepted.append(gen)
+        for i, img in enumerate(images):
+            a, b = label[i], label[position[img]]
+            label = [min(a, b) if x in (a, b) else x for x in label]
+    return accepted, len(set(label))
+
+
+def lex_position(witness, size):
+    """1-based position of a k-subset among all k-subsets in
+    lexicographic order."""
+    subsets = itertools.combinations(range(size), len(witness))
+    return next(i for i, s in enumerate(subsets, 1) if s == witness)
+
+
+def assert_orbit_walk(els, k, path):
+    """The verdict equals the reference, and the counters show the path:
+    "reduced" (orbits fewer than elements, only the subsets through a
+    representative walked), "full" (every element its own orbit, the
+    walk up to the witness or to the end) or "rerun" (the reduced walk
+    failed, the full walk supplied the witness)."""
+    verdict = is_pseudo_arc(els, k)
+    assert verdict == reference_verdict(els, k)
+    size = len(els)
+    _, orbits = reference_orbits(els)
+    assert verdict.orbits == orbits
+    if path == "reduced":
+        assert verdict.ok and orbits < size
+        assert verdict.walked == math.comb(size, k) - math.comb(size - orbits, k)
+    elif path == "full":
+        assert orbits == size
+        assert verdict.walked == (math.comb(size, k) if verdict.ok
+                                  else lex_position(verdict.witness, size))
+    else:
+        assert not verdict.ok and orbits < size
+        assert verdict.walked > lex_position(verdict.witness, size)
+    return verdict
+
+
+def curve_families(p, e, h, k):
+    """The imaginary family and, when p >= h, its extension."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallFieldWarning)
+        arc = build_imaginary_arc(tower(p, e, h), k)
+    families = [list(arc.elements)]
+    if p >= h:
+        families.append(list(extend_with_osculating(arc).elements))
+    return families
 
 
 def random_subspace(fld, rank_, n, rng):
@@ -262,15 +340,110 @@ def test_projectivity_invariance():
     assert is_pseudo_arc(moved, 2).ok
 
 
-def test_sample_mode_is_deterministic():
-    arc = build_imaginary_arc(tower(5, 1, 2), 2)
-    e0 = arc.elements[0]
-    bad = [e0, e0]
-    v1 = is_pseudo_arc(bad, 2, sample=5, seed=1)
-    v2 = is_pseudo_arc(bad, 2, sample=5, seed=1)
-    assert (not v1.ok) and v1.witness == (0, 1)
-    assert v1 == v2
-    assert is_pseudo_arc(arc, 2, sample=20, seed=7).ok
+ORBIT_CASES = [(5, 1, 2, 3), (2, 2, 2, 3), (3, 2, 2, 2), (3, 1, 3, 2),
+               (2, 2, 2, 4)]
+
+
+def test_orbit_walk_on_curve_families():
+    for case in ORBIT_CASES:
+        for els in curve_families(*case):
+            assert_orbit_walk(els, case[3], "reduced")
+    # k = 4 over GF(8): the imaginary family alone, 20,475 reference subsets
+    (els,) = curve_families(2, 3, 2, 4)[:1]
+    assert assert_orbit_walk(els, 4, "reduced").orbits == 1
+
+
+def test_orbit_walk_accepts_no_generator_on_moved_families():
+    rng = Random(19)
+    for case in ORBIT_CASES:
+        for els in curve_families(*case):
+            fld, n = els[0].field, els[0].ambient_dim
+            while True:
+                m = [[fld(rng.randrange(fld.order)) for _ in range(n)]
+                     for _ in range(n)]
+                if det(m):
+                    break
+            moved = [apply_projectivity(m, el) for el in els]
+            assert reference_orbits(moved)[0] == []
+            assert_orbit_walk(moved, case[3], "full")
+
+
+def test_orbit_walk_with_one_element_dropped():
+    rng = Random(23)
+    for case in ORBIT_CASES:
+        for els in curve_families(*case):
+            drop = rng.randrange(len(els))
+            rest = els[:drop] + els[drop + 1:]
+            accepted, orbits = reference_orbits(rest)
+            verdict = assert_orbit_walk(
+                rest, case[3], "reduced" if orbits < len(rest) else "full")
+            assert verdict.ok
+
+
+def test_orbit_walk_drops_the_generator_that_leaves_the_family():
+    # h = 1: the affine conic points; t -> 1/t sends 0 to infinity
+    arc = build_imaginary_arc(tower(5, 1, 1), 3)
+    els = list(arc.elements)
+    accepted, orbits = reference_orbits(els)
+    assert accepted == curve_generators(GF.get(5, 1))[:2] and orbits == 1
+    assert assert_orbit_walk(els, 3, "reduced").walked == 6
+
+
+def test_orbit_walk_refutation_is_rerun_in_full():
+    # every point of PG(2, q): three orbits under the conic's group, and
+    # collinear triples in every one of them
+    for q in (3, 5):
+        fld = GF.get(q, 1)
+        points = [Subspace(fld, 3, [list(pt)])
+                  for pt in ambient_space(fld, 3).points()]
+        assert reference_orbits(points)[1] == 3
+        assert_orbit_walk(points, 3, "rerun")
+    # the chords through conjugate curve points, then the real secants:
+    # two secants through one curve point meet, every chord is disjoint
+    # from everything, so only a walk through the secants' representative
+    # finds a failure
+    tow = tower(5, 1, 2)
+    chords = list(build_imaginary_arc(tow, 2).elements)
+    curve = [list(pt.coords) for pt in nrc_points(tow.base, 4)]
+    secants = [span([a, b]) for a, b in itertools.combinations(curve, 2)]
+    verdict = assert_orbit_walk(chords + secants, 2, "rerun")
+    assert verdict.witness == (10, 11) and verdict.orbits == 2
+
+
+def test_orbit_walk_on_planted_duplicates():
+    rng = Random(29)
+    for case in ORBIT_CASES:
+        for els in curve_families(*case):
+            for _ in range(2):
+                i, j = sorted(rng.sample(range(len(els)), 2))
+                bad = list(els)
+                bad[j] = bad[i]
+                assert_orbit_walk(bad, case[3], "full")
+
+
+def test_curve_projectivities_are_invertible_and_move_the_curve():
+    for fld in (GF.get(2, 1), GF.get(5, 1), GF.get(2, 2), GF.get(2, 3),
+                GF.get(3, 2)):
+        for length in range(2, 9):
+            for a, b, c, d in curve_generators(fld):
+                m = curve_projectivity(fld, a, b, c, d, length)
+                assert det([[fld(x) for x in row] for row in m])
+                # the curve point of (u : t) goes to that of
+                # (cu + dt : au + bt) ... in the chart (u, t) = (1, t)
+                # that is (ct + d : at + b)
+                a_, b_, c_, d_ = (fld(x) for x in (a, b, c, d))
+                for pt in nrc_points(fld, length):
+                    u, t = ((fld.one, pt.param) if pt.param is not INFINITY
+                            else (fld.zero, fld.one))
+                    u2, t2 = c_ * t + d_ * u, a_ * t + b_ * u
+                    target = (veronese(fld, 1, t2 / u2, length) if u2
+                              else veronese(fld, 0, 1, length))
+                    image = [sum((x * fld(row[i]) for x, row in
+                                  zip(pt.coords, m)), fld.zero)
+                             for i in range(length)]
+                    assert span([image]) == span([list(target.coords)])
+    with pytest.raises(ValueError):
+        curve_projectivity(GF.get(5, 1), 1, 2, 2, 4, 3)
 
 
 def test_thas_bound_values():

@@ -96,7 +96,8 @@ def test_form_algebra_matches_direct_sum():
             assert q1.evaluate(v) == direct
             assert (q1 + q2).evaluate(v) == q1.evaluate(v) + q2.evaluate(v)
             assert q1.scale(s).evaluate(v) == s * q1.evaluate(v)
-        assert QuadraticForm.zero(fld, 4).is_zero()
+        zero = QuadraticForm.zero(fld, 4)
+        assert zero.terms == () and not any(zero.coeffs)
         with pytest.raises(FieldMismatchError):
             q1.evaluate([GF.get(5, 1).one] * 4)
 
