@@ -429,8 +429,7 @@ def test_curve_projectivities_are_invertible_and_move_the_curve():
                 m = curve_projectivity(fld, a, b, c, d, length)
                 assert det([[fld(x) for x in row] for row in m])
                 # the curve point of (u : t) goes to that of
-                # (cu + dt : au + bt) ... in the chart (u, t) = (1, t)
-                # that is (ct + d : at + b)
+                # (ct + du : at + bu)
                 a_, b_, c_, d_ = (fld(x) for x in (a, b, c, d))
                 for pt in nrc_points(fld, length):
                     u, t = ((fld.one, pt.param) if pt.param is not INFINITY
