@@ -6,8 +6,8 @@ integer encodings: the matrix is unwrapped to int rows once, reduced
 with the row operations its GF hands out (``sub_scaled`` and
 ``scaled``), and the result is wrapped again.  ``insert_row`` is the one
 elimination step; callers that keep int rows, such as the k-subset
-verifier, use it and ``rref_ints`` directly.  Everything is deterministic: pivots are
-chosen topmost first, never by magnitude.
+verifier, use it and ``rref_ints`` directly.  Everything is
+deterministic: pivots are chosen topmost first, never by magnitude.
 """
 
 from __future__ import annotations
