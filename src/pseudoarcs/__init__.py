@@ -7,9 +7,9 @@ from .nrc import (INFINITY, NrcPoint, OrbitReps, frobenius_orbit_reps,
                   is_imaginary, mobius, nrc_points, orbit_rep_count,
                   osc_basis, osc_basis_infty, veronese)
 from .projgeo import (Spread, Subspace, ambient_space, apply_projectivity,
-                      block_spread, canonical_spread, conjugate_span,
-                      frobenius_subspace, intersect, join, lift_subspace,
-                      rationalize, span, spread_membership)
+                      block_spread, canonical_spread, field_reduction,
+                      intersect, join, lift_subspace, span,
+                      spread_membership)
 from .pseudoarc import (ArcVerdict, PseudoArc, SmallFieldWarning, Tag,
                         build_desarguesian_arc, build_imaginary_arc,
                         contained_in_spread, extend_with_osculating,
@@ -20,7 +20,7 @@ from .quadrics import (IntersectionVerdict, QuadraticForm,
 from .codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
                     code_from_subspaces, encode, erasure_decode,
                     evaluation_code, extend_with_derivatives, fold_columns,
-                    is_mds, linear_equivalence_test, min_distance)
+                    is_mds, min_distance)
 from .pg54 import fixture_code, fixture_lines, fixture_matrix, verify_fixture
 
 __all__ = [
@@ -31,9 +31,8 @@ __all__ = [
     "is_imaginary", "mobius", "nrc_points", "orbit_rep_count",
     "osc_basis", "osc_basis_infty", "veronese",
     "Spread", "Subspace", "ambient_space", "apply_projectivity",
-    "block_spread", "canonical_spread", "conjugate_span",
-    "frobenius_subspace", "intersect", "join", "lift_subspace",
-    "rationalize", "span", "spread_membership",
+    "block_spread", "canonical_spread", "field_reduction", "intersect",
+    "join", "lift_subspace", "span", "spread_membership",
     "ArcVerdict", "PseudoArc", "SmallFieldWarning", "Tag",
     "build_desarguesian_arc", "build_imaginary_arc", "contained_in_spread",
     "extend_with_osculating", "is_pseudo_arc", "thas_bound",
@@ -42,7 +41,6 @@ __all__ = [
     "trace_reduce", "vanishing_space",
     "ERASED", "AdditiveCode", "CoordSpec", "DecodeError",
     "code_from_subspaces", "encode", "erasure_decode", "evaluation_code",
-    "extend_with_derivatives", "fold_columns", "is_mds",
-    "linear_equivalence_test", "min_distance",
+    "extend_with_derivatives", "fold_columns", "is_mds", "min_distance",
     "fixture_code", "fixture_lines", "fixture_matrix", "verify_fixture",
 ]

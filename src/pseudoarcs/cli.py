@@ -19,7 +19,7 @@ from .gf import Poly, factor_prime_power, tower
 from .linalg import rank
 from .nrc import frobenius_orbit_reps, nrc_points, orbit_rep_count
 from .pg54 import verify_fixture
-from .projgeo import Subspace, intersect
+from .projgeo import intersect
 from .pseudoarc import build_imaginary_arc, extend_with_osculating, is_pseudo_arc
 from .quadrics import is_complete_intersection, vanishing_space
 
@@ -62,23 +62,15 @@ def _read_lines(path):
 
 
 def _elements_from_doc(doc):
-    """Subspace family from an arc or subspaces document.
-
-    Arc elements are rebuilt directly from the rows, deliberately not
-    through the arc constructor: verification must be able to look at
-    degenerate input (say, a repeated element) and refute it with a
-    witness instead of refusing to load it.
-    """
+    """Subspace family from an arc or subspaces document.  Arc elements
+    are read without the arc constructor, so that verification can
+    refute degenerate input with a witness."""
     kind = jsonio.document_kind(doc)
     if kind == "arc":
-        tow = jsonio.tower_from_header(doc["field"])
-        n = tow.h * doc["k"]
-        elements = [Subspace(tow.base, n, [[tow.base(v) for v in row] for row in rows])
-                    for rows in doc["elements"]]
+        tow, _, elements = jsonio.arc_elements_from_dict(doc)
         return tow, elements
     if kind == "subspaces":
-        tow = jsonio.tower_from_header(doc["field"])
-        return tow, jsonio.subspaces_from_dict(doc)
+        return jsonio.document_tower(doc, kind), jsonio.subspaces_from_dict(doc)
     raise jsonio.FormatError("expected an arc or subspaces document, found %r" % kind)
 
 
@@ -321,13 +313,14 @@ def _reexport(doc):
     if kind == "arc":
         return jsonio.arc_to_dict(jsonio.arc_from_dict(doc))
     if kind == "subspaces":
-        tow = jsonio.tower_from_header(doc["field"])
-        return jsonio.subspaces_to_dict(jsonio.subspaces_from_dict(doc), tow)
+        elements = jsonio.subspaces_from_dict(doc)
+        return jsonio.subspaces_to_dict(elements, jsonio.document_tower(doc, kind))
     if kind == "code":
         return jsonio.code_to_dict(jsonio.code_from_dict(doc))
     if kind == "forms":
-        tow = jsonio.tower_from_header(doc["field"])
-        return jsonio.forms_to_dict(jsonio.forms_from_dict(doc), tow,
+        forms = jsonio.forms_from_dict(doc)
+        # forms_from_dict has checked the level and n
+        return jsonio.forms_to_dict(forms, jsonio.document_tower(doc, kind),
                                     level=doc["level"], n=doc["n"])
     raise jsonio.FormatError("cannot re-export a %r document" % kind)
 
@@ -360,9 +353,10 @@ def cmd_import(args):
         forms = jsonio.forms_from_dict(doc)
         summary = "forms: %d forms in %d variables" % (len(forms), doc["n"])
     elif kind == "lambda":
-        tow = jsonio.tower_from_header(doc["field"])
+        tow = jsonio.document_tower(doc, kind)
         reps = frobenius_orbit_reps(tow)
-        if [r.val for r in reps] != doc["reps"]:
+        if [r.val for r in reps] != jsonio.required(doc, "reps", list,
+                                                    "lambda document"):
             raise jsonio.FormatError("representative list is not the canonical one")
         summary = ("lambda: %d representatives for h=%d q=%d"
                    % (len(reps), tow.h, tow.q))
@@ -479,10 +473,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except jsonio.FormatError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except (ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, OSError) as exc:
+        # jsonio.FormatError is a ValueError; a KeyError or TypeError is
+        # a fault of the program, not of its input
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:

@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence, Union
 from .gf import FieldElement, FieldMismatchError, FieldTower, InvariantError, Poly
 from .linalg import SingularMatrixError, insert_row, solve
 from .nrc import is_imaginary, osc_basis, osc_basis_infty
-from .projgeo import Spread, Subspace, span
-from .pseudoarc import ArcVerdict, contained_in_spread, is_pseudo_arc
+from .projgeo import Subspace, field_reduction
+from .pseudoarc import is_pseudo_arc
 
 
 class _Erased:
@@ -289,15 +289,14 @@ def _column_coords(code: AdditiveCode, j: int) -> List[tuple]:
 
 
 def fold_columns(code: AdditiveCode) -> List[Subspace]:
-    """The rank-h base-level subspace spanned by each column's
-    normal-basis coordinate rows, order preserved.
+    """The field reduction of each generator column, order preserved:
+    the rank-h base-level subspace spanned by the column's normal-basis
+    coordinate rows.
 
     Column entries x expand as x = sum_i c_i omega^(q^i); the vectors
     of i-th coordinates, one per conjugate, span the subspace.
     """
-    return [span([list(c) for c in zip(*_column_coords(code, j))],
-                 field=code.tow.base)
-            for j in range(code.n)]
+    return [field_reduction(code.tow, col) for col in zip(*code.gen)]
 
 
 def is_mds(code: AdditiveCode, max_words: int = 2 ** 20,
@@ -354,9 +353,3 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
                               "word has errors, not just erasures" % j)
     return Poly(tow.base, coeffs)
 
-
-def linear_equivalence_test(code: AdditiveCode, spread: Spread) -> ArcVerdict:
-    """Whether the folded columns all lie in the given spread: a true
-    verdict certifies equivalence to a base-field-linear code realized
-    inside that spread, a false one carries the witness column index."""
-    return contained_in_spread(fold_columns(code), spread)

@@ -27,8 +27,9 @@ class FieldMismatchError(ValueError):
 
 class InvariantError(AssertionError):
     """Raised when a mathematical invariant the code relies on fails, such
-    as the Thas bound or a rationalization rank: a fault in the program,
-    never a verdict.  Unlike an assert, the check survives ``python -O``."""
+    as the Thas bound or the rank of a field reduction: a fault in the
+    program, never a verdict.  Unlike an assert, the check survives
+    ``python -O``."""
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +179,7 @@ def smallest_irreducible(p, n):
         f = list(tail) + [1]
         if is_irreducible(f, p):
             return tuple(f)
-    raise AssertionError("no irreducible of degree %d over F_%d" % (n, p))
+    raise InvariantError("no irreducible of degree %d over F_%d" % (n, p))
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +554,7 @@ class FieldTower:
                 acc = top.add(top.mul(acc, v), c % self.p)
             if acc == 0:
                 return FieldElement(top, v)
-        raise AssertionError("base modulus has no root in the top field")
+        raise InvariantError("base modulus has no root in the top field")
 
     def _build_embed_table(self):
         top = self.top
@@ -603,7 +604,7 @@ class FieldTower:
             acc = acc + x ** (self.q ** i)
         b = self._unembed.get(acc.val)
         if b is None:
-            raise AssertionError("trace value escaped the base subfield")
+            raise InvariantError("trace value escaped the base subfield")
         return FieldElement(self.base, b)
 
     def in_proper_subfield(self, x):
@@ -632,7 +633,7 @@ class FieldTower:
             if linalg.det(mat):
                 self._omega = w
                 return w
-        raise AssertionError("no normal element found")
+        raise InvariantError("no normal element found")
 
     def normal_basis(self):
         """(omega, omega^q, ..., omega^(q^(h-1))) for the canonical omega."""

@@ -9,7 +9,7 @@ sorted keys, two-space indent, trailing newline.
 """
 
 import json
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 from .codes import AdditiveCode, CoordSpec
 from .gf import FieldTower, tower
@@ -22,6 +22,25 @@ SCHEMA_VERSION = 1
 
 class FormatError(ValueError):
     """Malformed or incompatible document."""
+
+
+_JSON_TYPES = {int: "an integer", list: "a list", str: "a string",
+               dict: "an object"}
+
+
+def required(d: dict, key: str, typ: type, where: str):
+    """``d[key]``, which must be present with the JSON type ``typ``:
+    int (never a bool), list, str or dict.  Otherwise a FormatError
+    names the key, as in "arc document: missing 'k'"."""
+    if not isinstance(d, dict):
+        raise FormatError("%s: expected an object" % where)
+    if key not in d:
+        raise FormatError("%s: missing %r" % (where, key))
+    value = d[key]
+    if type(value) is not typ:
+        raise FormatError("%s: %r must be %s, found %r"
+                          % (where, key, _JSON_TYPES[typ], value))
+    return value
 
 
 def field_header(tow: FieldTower) -> dict:
@@ -37,14 +56,8 @@ def field_header(tow: FieldTower) -> dict:
 def tower_from_header(header: dict) -> FieldTower:
     """The tower a field header names.  p, e and h must be plain JSON
     integers: ``true`` or ``2.0`` is refused, not read as 1 or 2."""
-    if not isinstance(header, dict):
-        raise FormatError("bad field header: expected an object")
     for key in ("p", "e", "h"):
-        if key not in header:
-            raise FormatError("bad field header: missing %r" % key)
-        if type(header[key]) is not int:
-            raise FormatError("bad field header: %r must be an integer, found %r"
-                              % (key, header[key]))
+        required(header, key, int, "bad field header")
     try:
         tow = tower(header["p"], header["e"], header["h"])
     except ValueError as exc:
@@ -53,6 +66,11 @@ def tower_from_header(header: dict) -> FieldTower:
             or list(tow.top.modulus) != header.get("top_modulus")):
         raise FormatError("field moduli do not match the canonical choice")
     return tow
+
+
+def document_tower(d: dict, kind: str) -> FieldTower:
+    """The tower named by the field header of a ``kind`` document."""
+    return tower_from_header(required(d, "field", dict, "%s document" % kind))
 
 
 def _level_field(tow: FieldTower, level: str):
@@ -75,8 +93,14 @@ def _rows_to_ints(rows) -> List[List[int]]:
     return [[x.val for x in row] for row in rows]
 
 
-def _rows_from_ints(field, rows) -> List[List]:
-    return [[field(v) for v in row] for row in rows]
+def _rows_from_ints(field, rows, where: str, key: str) -> List[List]:
+    """Rows of int encodings as elements of ``field``.  The TypeError of
+    an entry that is not an int encoding, or of a row that is not a
+    list, becomes a FormatError naming the key."""
+    try:
+        return [[field(v) for v in row] for row in rows]
+    except TypeError as exc:
+        raise FormatError("%s: bad %r: %s" % (where, key, exc)) from None
 
 
 def _tag_to_dict(tag: Tag) -> dict:
@@ -95,21 +119,33 @@ def arc_to_dict(arc: PseudoArc) -> dict:
 
 
 def _tag_from_dict(d: dict, tow: FieldTower) -> Tag:
-    param = d.get("param")
-    if param is None:
-        return Tag(d["kind"])
-    field = tow.top if d["kind"] == "imaginary" else tow.base
-    return Tag(d["kind"], field(param))
+    where = "arc document tag"
+    kind = required(d, "kind", str, where)
+    if d.get("param") is None:
+        return Tag(kind)
+    field = tow.top if kind == "imaginary" else tow.base
+    return Tag(kind, field(required(d, "param", int, where)))
+
+
+def arc_elements_from_dict(d: dict) -> Tuple[FieldTower, int, List[Subspace]]:
+    """The tower, k and elements of an arc document, read without the
+    arc constructor's checks: verification must be able to look at
+    degenerate input (say, a repeated element) and refute it with a
+    witness instead of refusing to load it."""
+    where = "arc document"
+    _check_envelope(d, "arc")
+    tow = document_tower(d, "arc")
+    k = required(d, "k", int, where)
+    elements = [Subspace(tow.base, tow.h * k,
+                         _rows_from_ints(tow.base, rows, where, "elements"))
+                for rows in required(d, "elements", list, where)]
+    return tow, k, elements
 
 
 def arc_from_dict(d: dict) -> PseudoArc:
-    _check_envelope(d, "arc")
-    tow = tower_from_header(d["field"])
-    k = d["k"]
-    n = tow.h * k
-    elements = [Subspace(tow.base, n, _rows_from_ints(tow.base, rows))
-                for rows in d["elements"]]
-    tags = [_tag_from_dict(t, tow) for t in d["tags"]]
+    tow, k, elements = arc_elements_from_dict(d)
+    tags = [_tag_from_dict(t, tow)
+            for t in required(d, "tags", list, "arc document")]
     return PseudoArc(tow, k, elements, tags)
 
 
@@ -133,12 +169,13 @@ def subspaces_to_dict(elements: Sequence[Subspace], tow: FieldTower) -> dict:
 
 
 def subspaces_from_dict(d: dict) -> List[Subspace]:
+    where = "subspaces document"
     _check_envelope(d, "subspaces")
-    tow = tower_from_header(d["field"])
-    field = _level_field(tow, d["level"])
-    n = d["ambient_dim"]
-    return [Subspace(field, n, _rows_from_ints(field, rows))
-            for rows in d["elements"]]
+    tow = document_tower(d, "subspaces")
+    field = _level_field(tow, required(d, "level", str, where))
+    n = required(d, "ambient_dim", int, where)
+    return [Subspace(field, n, _rows_from_ints(field, rows, where, "elements"))
+            for rows in required(d, "elements", list, where)]
 
 
 def _spec_to_dict(spec: CoordSpec) -> dict:
@@ -159,22 +196,24 @@ def code_to_dict(code: AdditiveCode) -> dict:
 
 
 def code_from_dict(d: dict) -> AdditiveCode:
+    where = "code document"
     _check_envelope(d, "code")
-    tow = tower_from_header(d["field"])
-    if d["omega"] != tow.normal_element().val:
+    tow = document_tower(d, "code")
+    if required(d, "omega", int, where) != tow.normal_element().val:
         raise FormatError("serialized omega disagrees with the canonical "
                           "normal element; decode semantics would differ")
-    gen = _rows_from_ints(tow.top, d["gen"])
+    gen = _rows_from_ints(tow.top, required(d, "gen", list, where), where, "gen")
     spec = []
-    for s in d["eval_spec"]:
-        param = s.get("param")
-        if param is None:
-            spec.append(CoordSpec(s["kind"]))
+    entry = "code document eval_spec entry"
+    for s in required(d, "eval_spec", list, where):
+        kind = required(s, "kind", str, entry)
+        if s.get("param") is None:
+            spec.append(CoordSpec(kind))
         else:
-            field = tow.top if s["kind"] == "alpha" else tow.base
-            spec.append(CoordSpec(s["kind"], field(param)))
-    code = AdditiveCode(tow, d["k"], gen, spec)
-    if code.n != d["n"]:
+            field = tow.top if kind == "alpha" else tow.base
+            spec.append(CoordSpec(kind, field(required(s, "param", int, entry))))
+    code = AdditiveCode(tow, required(d, "k", int, where), gen, spec)
+    if code.n != required(d, "n", int, where):
         raise FormatError("length field disagrees with the generator matrix")
     return code
 
@@ -205,12 +244,13 @@ def forms_to_dict(forms: Sequence[QuadraticForm], tow: FieldTower,
 
 
 def forms_from_dict(d: dict) -> List[QuadraticForm]:
+    where = "forms document"
     _check_envelope(d, "forms")
-    tow = tower_from_header(d["field"])
-    field = _level_field(tow, d["level"])
-    n = d["n"]
-    return [QuadraticForm(field, n, [field(v) for v in coeffs])
-            for coeffs in d["forms"]]
+    tow = document_tower(d, "forms")
+    field = _level_field(tow, required(d, "level", str, where))
+    n = required(d, "n", int, where)
+    rows = _rows_from_ints(field, required(d, "forms", list, where), where, "forms")
+    return [QuadraticForm(field, n, coeffs) for coeffs in rows]
 
 
 def _check_envelope(d: dict, expected_kind: str):

@@ -2,11 +2,11 @@
 fixture.
 
 The same family is presented three ways and cross-checked: as explicit
-spanning pairs over F_4, as rational parts of conjugate spans and
-tangent lines of a rational normal curve sitting in the quadratic
-extension, and as the image of the standard imaginary-point
-construction under an explicit projectivity.  The associated additive
-code has parameters (11, 4^6, 9) over F_16.
+spanning pairs over F_4, as field reductions of points (the rational
+parts of their conjugate spans) and tangent lines of a rational normal
+curve sitting in the quadratic extension, and as the image of the
+standard imaginary-point construction under an explicit projectivity.
+The associated additive code has parameters (11, 4^6, 9) over F_16.
 
 Entry encoding: line and matrix entries are exponents of the cube root
 of unity e (None for the zero entry); point entries are exponents of
@@ -19,11 +19,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from .codes import (AdditiveCode, ERASED, code_from_subspaces, encode,
                     erasure_decode, is_mds, min_distance)
-from .gf import FieldElement, FieldTower, Poly, tower
+from .gf import FieldElement, FieldTower, InvariantError, Poly, tower
 from .linalg import inverse, mat_vec
 from .nrc import nrc_points, osc_basis, osc_basis_infty
-from .projgeo import (Subspace, apply_projectivity, conjugate_span, intersect,
-                      rationalize, span)
+from .projgeo import (Subspace, apply_projectivity, field_reduction, intersect,
+                      span)
 from .pseudoarc import SmallFieldWarning, build_imaginary_arc, is_pseudo_arc, \
     extend_with_osculating
 
@@ -82,7 +82,7 @@ def w_element(tow: FieldTower) -> FieldElement:
     for x in tow.top.elements():
         if not f.evaluate(x):
             return x
-    raise AssertionError("no root of the defining polynomial")
+    raise InvariantError("no root of the defining polynomial")
 
 
 def e_element(tow: FieldTower) -> FieldElement:
@@ -121,7 +121,7 @@ def fixture_lines(tow: FieldTower) -> List[Subspace]:
     out = []
     for pair, point in zip(_LINES, points):
         if pair is None:
-            out.append(rationalize(conjugate_span(point, tow), tow))
+            out.append(field_reduction(tow, point))
         else:
             out.append(span([_base_vector(tow, row) for row in pair]))
     return out
@@ -199,12 +199,8 @@ def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, st
                    "projectivity maps the 17 points onto the standard curve"))
 
     points = fixture_points(tow)
-    derived_ok = True
-    for i in range(5, 11):
-        derived = rationalize(conjugate_span(points[i], tow), tow)
-        if derived != lines[i]:
-            derived_ok = False
-            break
+    derived_ok = all(field_reduction(tow, points[i]) == lines[i]
+                     for i in range(5, 11))
     checks.append(("conjugate-span-lines", derived_ok,
                    "lines 6..11 are the rational parts of their points' conjugate spans"))
 

@@ -4,17 +4,19 @@ A Subspace is the row space of a full-rank matrix in reduced row-echelon
 form, so two subspaces are equal exactly when their representations are.
 Subspaces live at one of the two levels of a tower: over the base field
 F_q, or over the extension F_{q^h}.  The module provides spans,
-intersections, Frobenius conjugates, rationalization down to the
-canonical subgeometry, projectivities, and Desarguesian spreads with a
-membership test.
+intersections, field reduction of a top-level vector down to the
+canonical subgeometry (the normal-basis coordinate rows of its entries
+span the rational points of its conjugate span), projectivities, and
+Desarguesian spreads with a membership test.
 """
 
 import itertools
 from typing import Iterable, List, Optional, Sequence
 
-from .gf import FieldElement, FieldTower, GF, InvariantError
+from .gf import FieldElement, FieldMismatchError, FieldTower, GF, InvariantError
 from .linalg import (SingularMatrixError, identity, inverse, mat_mul,
-                     nullspace, rank, rref, solve_rect, transpose)
+                     nullspace, rank, rref, rref_ints, solve_rect,
+                     transpose)
 
 
 class Subspace:
@@ -32,6 +34,17 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.rows = tuple(tuple(r) for r in red)
         self.pivots = tuple(pivots)
+
+    @classmethod
+    def _from_rref(cls, field: GF, ambient_dim: int, red, pivots) -> "Subspace":
+        """The subspace of int rows already in reduced echelon form, as
+        ``rref_ints`` returns them: wrapped, not reduced again."""
+        w = cls.__new__(cls)
+        w.field = field
+        w.ambient_dim = ambient_dim
+        w.rows = tuple(tuple(FieldElement(field, v) for v in r) for r in red)
+        w.pivots = tuple(pivots)
+        return w
 
     @property
     def rank(self) -> int:
@@ -145,22 +158,6 @@ def conjugate_rows(tow: FieldTower, vec: Sequence[FieldElement]) -> List[List[Fi
     return [[tow.frobenius(x, i) for x in vec] for i in range(tow.h)]
 
 
-def conjugate_span(point: Sequence[FieldElement], tow: FieldTower) -> Subspace:
-    """Span of a top-level point together with all its Frobenius
-    conjugates.  Rank h exactly when the point's coordinate ratios
-    generate the top field."""
-    pt = list(point)
-    if not any(pt):
-        raise ValueError("zero vector has no conjugate span")
-    return Subspace(tow.top, len(pt), conjugate_rows(tow, pt))
-
-
-def frobenius_subspace(w: Subspace, tow: FieldTower) -> Subspace:
-    """Entrywise Frobenius image of a top-level subspace."""
-    return Subspace(w.field, w.ambient_dim,
-                    [[tow.frobenius(x, 1 % tow.h) for x in r] for r in w.rows])
-
-
 def lift_subspace(w: Subspace, tow: FieldTower) -> Subspace:
     """View a base-level subspace over the top field (same rows,
     entries embedded)."""
@@ -170,31 +167,24 @@ def lift_subspace(w: Subspace, tow: FieldTower) -> Subspace:
                     [[tow.lift(x) for x in r] for r in w.rows])
 
 
-def rationalize(w: Subspace, tow: FieldTower) -> Subspace:
-    """The base-level subspace of rational points of a Frobenius-
-    invariant top-level subspace.
+def field_reduction(tow: FieldTower, vec: Sequence[FieldElement]) -> Subspace:
+    """The base-level subspace of the rational points of the span of a
+    top-level vector v and its Frobenius conjugates.
 
-    For each basis vector v and each conjugate omega^(q^i) of a normal
-    element, the entrywise relative trace of omega^(q^i) * v is a
-    rational vector of the subspace; together these span the full
-    rational point set, and the base-level rank equals the top-level
-    rank.
+    Row i holds the i-th normal-basis coordinates of the entries of v.
+    A rational vector of that span is Tr(mu * v) for some mu, and
+    Tr(mu * v) = sum_i Tr(mu * omega^(q^i)) * (row i), where the
+    coefficients run over all of F_q^h as mu runs over the top field:
+    the rows span exactly the rational points (field reduction), and
+    the rank is that of the conjugate span.
     """
-    if w.field is not tow.top:
-        raise ValueError("expected a top-level subspace")
-    if frobenius_subspace(w, tow) != w:
-        raise ValueError("subspace is not Frobenius-invariant")
-    omega = tow.normal_element()
-    vecs = []
-    for row in w.rows:
-        for i in range(tow.h):
-            scale = tow.frobenius(omega, i)
-            vecs.append([tow.rel_trace(scale * x) for x in row])
-    result = Subspace(tow.base, w.ambient_dim, vecs)
-    if result.rank != w.rank:
-        raise InvariantError("rational rank %d differs from rank %d"
-                             % (result.rank, w.rank))
-    return result
+    top = tow.top
+    if any(x.field is not top for x in vec):
+        raise FieldMismatchError("field reduction expects a top-level vector")
+    base = tow.base
+    coords = [tow.normal_ints(x.val) for x in vec]
+    red, pivots = rref_ints(base, [list(row) for row in zip(*coords)])
+    return Subspace._from_rref(base, len(coords), red, pivots)
 
 
 def apply_projectivity(matrix: Sequence[Sequence[FieldElement]], w: Subspace) -> Subspace:
@@ -215,8 +205,8 @@ class Spread:
     director frame: k ordered top-level rows whose span, together with
     all its Frobenius conjugates, fills the whole space.
 
-    Every spread element is the rational point set of the conjugate
-    span of a point of the director space.
+    Every spread element is the field reduction of a point of the
+    director space: the rational point set of its conjugate span.
     """
 
     def __init__(self, tow: FieldTower, k: int, frame: Sequence[Sequence[FieldElement]]):
@@ -263,7 +253,11 @@ class Spread:
     def element_through(self, coords: Sequence[FieldElement]) -> Subspace:
         """The spread element determined by a director point, given by
         its frame coordinates."""
-        return rationalize(conjugate_span(self.embed_point(coords), self.tow), self.tow)
+        element = field_reduction(self.tow, self.embed_point(coords))
+        if element.rank != self.h:
+            raise InvariantError("spread element of rank %d, expected %d"
+                                 % (element.rank, self.h))
+        return element
 
     def elements(self):
         """All (q^(hk) - 1)/(q^h - 1) spread elements."""

@@ -2,8 +2,9 @@
 any k of which span the whole space.
 
 The main construction takes one element per Frobenius orbit of
-generators of the extension field: the rational point set of the span
-of the conjugates of the curve point with that parameter.  The family
+generators of the extension field: the field reduction of the curve
+point with that parameter, the rational point set of the span of its
+conjugates.  The family
 extends by the order-(h-1) osculating spaces at the rational curve
 points.  Verification is exhaustive over k-subsets, walked through one
 representative per orbit of the curve's projectivities that permute the
@@ -18,7 +19,7 @@ from .gf import FieldElement, FieldTower, InvariantError
 from .linalg import insert_row, reduce_row, rref_ints
 from .nrc import (curve_projectivity, frobenius_orbit_reps, osc_basis,
                   osc_basis_infty, veronese)
-from .projgeo import (Spread, Subspace, conjugate_span, rationalize, span,
+from .projgeo import (Spread, Subspace, field_reduction, span,
                       spread_membership)
 
 
@@ -90,10 +91,6 @@ class PseudoArc:
     def q(self) -> int:
         return self.tow.q
 
-    @property
-    def params(self) -> Tuple[int, int, int]:
-        return (self.h, self.k, self.q)
-
     def __len__(self):
         return len(self.elements)
 
@@ -119,8 +116,9 @@ def _warn_small_field(tow: FieldTower, k: int):
 
 
 def build_imaginary_arc(tow: FieldTower, k: int) -> PseudoArc:
-    """One element per orbit representative alpha: the rational points
-    of the conjugate span of (1, alpha, ..., alpha^(hk-1)).
+    """One element per orbit representative alpha: the field reduction
+    of (1, alpha, ..., alpha^(hk-1)), the rational points of its
+    conjugate span.
 
     Λ-order (representatives ascending) fixes the element order.  For
     h = 1 the orbit representatives are all of F_q and the elements are
@@ -134,8 +132,11 @@ def build_imaginary_arc(tow: FieldTower, k: int) -> PseudoArc:
     elements = []
     tags = []
     for alpha in reps:
-        point = veronese(tow.top, 1, alpha, n)
-        elements.append(rationalize(conjugate_span(point.coords, tow), tow))
+        element = field_reduction(tow, veronese(tow.top, 1, alpha, n).coords)
+        if element.rank != tow.h:
+            raise InvariantError("element of rank %d at alpha = %d, expected %d"
+                                 % (element.rank, alpha.val, tow.h))
+        elements.append(element)
         tags.append(Tag("imaginary", alpha))
     return PseudoArc(tow, k, elements, tags)
 

@@ -16,15 +16,15 @@ import pytest
 
 from pseudoarcs.codes import (ERASED, encode, erasure_decode,
                               evaluation_code, extend_with_derivatives,
-                              fold_columns, is_mds, linear_equivalence_test,
-                              min_distance)
+                              fold_columns, is_mds, min_distance)
 from pseudoarcs.gf import Poly, factor_prime_power, tower
 from pseudoarcs.linalg import rank
 from pseudoarcs.nrc import frobenius_orbit_reps, nrc_points, orbit_rep_count
 from pseudoarcs.pg54 import verify_fixture
 from pseudoarcs.projgeo import Subspace, block_spread, canonical_spread, spread_membership
-from pseudoarcs.pseudoarc import (build_imaginary_arc, extend_with_osculating,
-                                  is_pseudo_arc, thas_bound)
+from pseudoarcs.pseudoarc import (build_imaginary_arc, contained_in_spread,
+                                  extend_with_osculating, is_pseudo_arc,
+                                  thas_bound)
 from pseudoarcs.quadrics import (QuadraticForm, is_complete_intersection,
                                  nrc_quadric_system, trace_reduce,
                                  vanishing_space)
@@ -202,6 +202,6 @@ def test_criterion_11_not_contained_in_the_canonical_spread():
     spread = canonical_spread(tow, 2)
     for el in arc.elements:
         assert not spread_membership(el, spread)
-    verdict = linear_equivalence_test(full_code(2, 2, 5), spread)
+    verdict = contained_in_spread(fold_columns(full_code(2, 2, 5)), spread)
     assert not verdict.ok
     assert verdict.witness == (0,)

@@ -10,11 +10,11 @@ import json
 
 import pytest
 
-from pseudoarcs import cli, codes, jsonio
+from pseudoarcs import cli, codes, jsonio, pseudoarc
 from pseudoarcs.cli import main
 from pseudoarcs.gf import InvariantError, tower
 from pseudoarcs.nrc import frobenius_orbit_reps, nrc_points
-from pseudoarcs.projgeo import Subspace
+from pseudoarcs.projgeo import Subspace, field_reduction
 from pseudoarcs.quadrics import nrc_quadric_system
 
 
@@ -199,6 +199,49 @@ def test_non_integer_header_field_is_input_error(capsys, tmp_path):
         code, out, err = run(capsys, "import", str(bad_path))
         assert code == 2 and out == ""
         assert "'%s' must be an integer" % key in err
+
+
+def write_doc(capsys, tmp_path, kind):
+    """A document of each kind, written by the command that makes it."""
+    if kind == "arc":
+        return write_arc(capsys, tmp_path)
+    if kind == "code":
+        return write_code(capsys, tmp_path)
+    path = tmp_path / ("%s.json" % kind)
+    if kind == "subspaces":
+        argv = ["code", "fold", str(write_code(capsys, tmp_path))]
+    elif kind == "forms":
+        argv = ["quadrics", "through", str(write_arc(capsys, tmp_path))]
+    else:
+        argv = ["lambda", "--h", "2", "--q", "5"]
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    return path
+
+
+@pytest.mark.parametrize("kind, missing, mistyped, value", [
+    ("arc", "k", "elements", "rows"),
+    ("subspaces", "ambient_dim", "level", 0),
+    ("code", "omega", "gen", {}),
+    ("forms", "n", "forms", 5),
+    ("lambda", "reps", "reps", "5 6 7"),
+])
+def test_missing_or_mistyped_key_is_named(capsys, tmp_path, kind, missing,
+                                          mistyped, value):
+    path = write_doc(capsys, tmp_path, kind)
+    doc = json.loads(path.read_text())
+    del doc[missing]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: %s document: missing '%s'\n" % (kind, missing)
+
+    doc = json.loads(path.read_text())
+    doc[mistyped] = value
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s document: '%s' must be " % (kind, mistyped))
 
 
 def test_unknown_coordinate_kind_fails_on_load(capsys, tmp_path):
@@ -390,6 +433,31 @@ def test_internal_error_is_not_a_refutation(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "quadrics", "certify-ci", str(conic), str(forms))
     assert code == 3 and out == ""
     assert err == "internal error: InvariantError: rank 2 differs from rank 3\n"
+
+
+def test_key_error_in_a_command_is_internal(capsys, tmp_path, monkeypatch):
+    arc_path = write_arc(capsys, tmp_path)
+
+    def broken(*args, **kwargs):
+        raise KeyError("walk")
+
+    monkeypatch.setattr(cli, "is_pseudo_arc", broken)
+    code, out, err = run(capsys, "verify-arc", str(arc_path), "--k", "2")
+    assert code == 3 and out == ""
+    assert err == "internal error: KeyError: 'walk'\n"
+
+
+def test_rank_deficient_element_is_internal(capsys, monkeypatch):
+    def truncated(tow, vec):
+        el = field_reduction(tow, vec)
+        return Subspace(el.field, el.ambient_dim, el.rows[:-1])
+
+    monkeypatch.setattr(pseudoarc, "field_reduction", truncated)
+    code, out, err = run(capsys, "construct-arc", "--h", "2", "--k", "2",
+                         "--q", "5")
+    assert code == 3 and out == ""
+    assert err == ("internal error: InvariantError: element of rank 1 at "
+                   "alpha = 5, expected 2\n")
 
 
 def test_missing_file_is_input_error(capsys):

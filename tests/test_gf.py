@@ -1,10 +1,13 @@
 """Field tower arithmetic: axioms vs an independent polynomial oracle,
 Galois structure, normal elements, polynomial calculus."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
+import pseudoarcs
 from pseudoarcs.gf import (FieldMismatchError, GF, Poly, is_irreducible,
                            prime_factors, smallest_irreducible, tower)
 
@@ -330,3 +333,18 @@ def test_poly_eval_lifted():
     assert f.evaluate(x, t) == direct
     with pytest.raises(FieldMismatchError):
         f.evaluate(x)  # no tower given
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements; an invariant of the program is
+    # an explicit InvariantError
+    package = pathlib.Path(pseudoarcs.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            assert not isinstance(node, ast.Assert), (path.name, node.lineno)
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                assert not (isinstance(exc, ast.Name) and exc.id == "AssertionError"), \
+                    (path.name, node.lineno)

@@ -15,7 +15,7 @@ from pseudoarcs.codes import (ERASED, encode, erasure_decode,
                               evaluation_code, extend_with_derivatives)
 from pseudoarcs.gf import Poly, tower
 from pseudoarcs.nrc import frobenius_orbit_reps
-from pseudoarcs.projgeo import Subspace, conjugate_span
+from pseudoarcs.projgeo import Subspace, conjugate_rows
 from pseudoarcs.pseudoarc import build_imaginary_arc, extend_with_osculating
 from pseudoarcs.quadrics import QuadraticForm, nrc_quadric_system, vanishing_space
 
@@ -92,7 +92,8 @@ def test_subspaces_roundtrip_both_levels():
     assert doc["level"] == "base" and doc["ambient_dim"] == 4
     assert jsonio.subspaces_from_dict(doc) == list(arc.elements)
 
-    tops = [conjugate_span([tow.top.one, tow.top(a)], tow) for a in (5, 7, 11)]
+    tops = [Subspace(tow.top, 2, conjugate_rows(tow, [tow.top.one, tow.top(a)]))
+            for a in (5, 7, 11)]
     doc = jsonio.subspaces_to_dict(tops, tow)
     assert doc["level"] == "top"
     assert jsonio.subspaces_from_dict(doc) == tops

@@ -15,7 +15,7 @@ from pseudoarcs.pg54 import (conjugate_points, e_element, fixture_code,
                              fixture_lines, fixture_matrix, fixture_points,
                              fixture_tower, verify_fixture, w_element)
 from pseudoarcs.pg54 import _top_vector
-from pseudoarcs.projgeo import conjugate_span, rationalize
+from pseudoarcs.projgeo import field_reduction
 from pseudoarcs.linalg import det
 
 # companion conjugate rows as w-exponents; the row published for the
@@ -68,8 +68,8 @@ def test_eighth_line_repair():
     tow = fixture_tower()
     lines = fixture_lines(tow)
     pts = fixture_points(tow)
-    derived_8 = rationalize(conjugate_span(pts[7], tow), tow)
-    derived_10 = rationalize(conjugate_span(pts[9], tow), tow)
+    derived_8 = field_reduction(tow, pts[7])
+    derived_10 = field_reduction(tow, pts[9])
     assert lines[7] == derived_8
     assert lines[9] == derived_10
     assert derived_8 != derived_10

@@ -1,16 +1,18 @@
-"""Subspace arithmetic, rationalization, and spreads, with brute-force
-oracles for the rational-point and block-coordinate structure."""
+"""Subspace arithmetic, field reduction, and spreads, with brute-force
+oracles for the rational-point and block-coordinate structure and the
+FieldElement conjugate-span-and-trace route as the reference for field
+reduction."""
 
 import itertools
 import random
 
 import pytest
 
-from pseudoarcs.gf import GF, tower
-from pseudoarcs.linalg import SingularMatrixError, det, identity
+from pseudoarcs.gf import GF, FieldMismatchError, tower
+from pseudoarcs.linalg import SingularMatrixError, det, identity, mat_vec
 from pseudoarcs.projgeo import (Spread, Subspace, ambient_space, block_spread,
-                                canonical_spread, conjugate_span, intersect,
-                                join, lift_subspace, rationalize, span,
+                                canonical_spread, conjugate_rows,
+                                field_reduction, intersect, join, span,
                                 apply_projectivity, spread_membership)
 
 F5 = GF.get(5, 1)
@@ -119,14 +121,65 @@ def test_modular_law_random_pairs():
                 assert u.contains(row) and w.contains(row)
 
 
+def conjugate_span(tow, vec):
+    """Span of a top-level vector and its Frobenius conjugates."""
+    return Subspace(tow.top, len(vec), conjugate_rows(tow, vec))
+
+
+def reference_reduction(tow, vec):
+    """Field reduction on FieldElements: the conjugate span, checked to
+    be Frobenius-invariant, then for each of its basis rows and each
+    conjugate omega^(q^i) of the normal element the entrywise relative
+    trace of omega^(q^i) times the row, reduced at the base level."""
+    w = conjugate_span(tow, vec)
+    frob = Subspace(tow.top, w.ambient_dim,
+                    [[tow.frobenius(x, 1 % tow.h) for x in r] for r in w.rows])
+    assert frob == w
+    omega = tow.normal_element()
+    traces = [[tow.rel_trace(tow.frobenius(omega, i) * x) for x in row]
+              for row in w.rows for i in range(tow.h)]
+    rational = Subspace(tow.base, w.ambient_dim, traces)
+    assert rational.rank == w.rank
+    return rational
+
+
 def test_conjugate_span_ranks():
     t = tower(2, 2, 2)
     rational = [t.lift(a) for a in [t.base(1), t.base(2), t.base(3), t.base(1)]]
-    assert conjugate_span(rational, t).rank == 1
+    assert conjugate_span(t, rational).rank == 1
+    assert field_reduction(t, rational).rank == 1
     g = t.top.generator()
-    assert conjugate_span([t.top.one, g, g ** 2, g ** 3], t).rank == 2
-    with pytest.raises(ValueError):
-        conjugate_span([t.top.zero] * 4, t)
+    curve_point = [t.top.one, g, g ** 2, g ** 3]
+    assert conjugate_span(t, curve_point).rank == 2
+    assert field_reduction(t, curve_point).rank == 2
+    assert field_reduction(t, [t.top.zero] * 4).rank == 0
+
+
+def test_field_reduction_matches_reference():
+    # random vectors, and vectors whose coordinate ratios lie in F_q or
+    # a proper subfield, where the rank drops below h
+    rng = random.Random(67)
+    for p, e, h in [(2, 1, 2), (2, 2, 2), (3, 1, 2), (5, 1, 2), (3, 2, 2),
+                    (2, 1, 3), (3, 1, 3), (2, 2, 3), (2, 1, 4)]:
+        t = tower(p, e, h)
+        top = t.top
+        subfields = {d: [x for x in top.elements() if x ** (t.q ** d) == x]
+                     for d in range(1, h) if h % d == 0}
+        low_rank = 0
+        for n in range(1, 7):
+            cases = [[top(rng.randrange(top.order)) for _ in range(n)]
+                     for _ in range(4)]
+            for d, sub in subfields.items():
+                scale = top(rng.randrange(1, top.order))
+                cases.append([scale * rng.choice(sub) for _ in range(n)])
+            for vec in cases:
+                if not any(vec):
+                    continue
+                got = field_reduction(t, vec)
+                assert got.field is t.base and got.ambient_dim == n
+                assert got == reference_reduction(t, vec), (t, vec)
+                low_rank += n > 1 and got.rank < h
+        assert low_rank >= 5
 
 
 def brute_rational_points(w, tow):
@@ -153,42 +206,33 @@ def test_rationalize_against_brute_force():
     g = t.top.generator()
     for point in ([t.top.one, g, g ** 2, g ** 3],
                   [t.top.one, g ** 7, g ** 3, g ** 11],
-                  [g, g ** 2, t.top.one, g ** 9]):
-        w = conjugate_span(point, t)
-        if w.rank != 2:
-            continue
-        rat = rationalize(w, t)
-        assert rat.rank == 2
-        got = set(tuple(x.val for x in p) for p in rat.points())
-        assert got == brute_rational_points(w, t)
+                  [g, g ** 2, t.top.one, g ** 9],
+                  [g ** 5, g ** 10, t.top.one, t.top.zero]):
+        got = field_reduction(t, point)
+        points = set(tuple(x.val for x in p) for p in got.points())
+        assert points == brute_rational_points(conjugate_span(t, point), t)
 
 
 def test_rationalize_rational_line_and_errors():
     t = tower(5, 1, 2)
     v = [t.top(3), t.top(1), t.top(4), t.top(0)]
-    w = span([v])
-    rat = rationalize(w, t)
+    rat = field_reduction(t, v)
     assert rat.rank == 1
     assert [x.val for x in rat.rows[0]] == [1, 2, 3, 0]  # normalized form of v
-    g = t.top.generator()
-    crooked = span([[t.top.one, g, g ** 2, g ** 3]])
-    with pytest.raises(ValueError):
-        rationalize(crooked, t)
-    base_level = span([[t.base(1), t.base(0), t.base(0), t.base(0)]])
-    with pytest.raises(ValueError):
-        rationalize(base_level, t)
+    with pytest.raises(FieldMismatchError):
+        field_reduction(t, [t.base(1), t.base(0), t.base(0), t.base(0)])
 
 
 def test_rationalize_commutes_with_rational_projectivities():
     t = tower(2, 2, 2)
     rng = random.Random(59)
     g = t.top.generator()
-    w = conjugate_span([t.top.one, g, g ** 2, g ** 3], t)
+    v = [t.top.one, g, g ** 2, g ** 3]
     for _ in range(5):
         m_base = rand_invertible(t.base, 4, rng)
         m_top = [[t.lift(x) for x in row] for row in m_base]
-        lhs = rationalize(apply_projectivity(m_top, w), t)
-        rhs = apply_projectivity(m_base, rationalize(w, t))
+        lhs = field_reduction(t, mat_vec(m_top, v))
+        rhs = apply_projectivity(m_base, field_reduction(t, v))
         assert lhs == rhs
 
 

@@ -8,20 +8,23 @@ against per-element membership.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from random import Random
 
 import pytest
 
-from pseudoarcs import pseudoarc
+from pseudoarcs import projgeo, pseudoarc
 from pseudoarcs.gf import GF, InvariantError, tower
 from pseudoarcs.linalg import det, rank
 from pseudoarcs.nrc import (INFINITY, curve_projectivity,
                             frobenius_orbit_reps, nrc_points,
                             orbit_rep_count, veronese)
 from pseudoarcs.projgeo import (Subspace, ambient_space, apply_projectivity,
-                                canonical_spread, intersect, lift_subspace,
-                                span, spread_membership)
+                                canonical_spread, field_reduction, intersect,
+                                lift_subspace, span, spread_membership)
 from pseudoarcs.pseudoarc import (ArcVerdict, PseudoArc, SmallFieldWarning,
                                   Tag, build_desarguesian_arc,
                                   build_imaginary_arc,
@@ -231,6 +234,36 @@ def test_thas_bound_violation_is_an_invariant_error(monkeypatch):
     monkeypatch.setattr(pseudoarc, "thas_bound", lambda h, k, q: len(arc) - 1)
     with pytest.raises(InvariantError):
         is_pseudo_arc(arc, 2)
+
+
+def truncated_reduction(tow, vec):
+    """field_reduction with its last row dropped: a rank-deficient
+    element."""
+    el = field_reduction(tow, vec)
+    return Subspace(el.field, el.ambient_dim, el.rows[:-1])
+
+
+def test_rank_deficient_element_is_an_invariant_error(monkeypatch):
+    tow = tower(5, 1, 2)
+    monkeypatch.setattr(pseudoarc, "field_reduction", truncated_reduction)
+    with pytest.raises(InvariantError, match="element of rank 1 at alpha"):
+        build_imaginary_arc(tow, 2)
+    monkeypatch.setattr(projgeo, "field_reduction", truncated_reduction)
+    with pytest.raises(InvariantError, match="spread element of rank 1"):
+        canonical_spread(tow, 2).element_through([tow.top.one, tow.top.zero])
+    # the check is a raise, not an assert: it holds under python -O
+    script = (
+        "from pseudoarcs import InvariantError, pseudoarc, span, tower\n"
+        "pseudoarc.field_reduction = lambda tow, vec: span([[tow.base.one] * len(vec)])\n"
+        "try:\n"
+        "    pseudoarc.build_imaginary_arc(tower(5, 1, 2), 2)\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(pseudoarc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "element of rank 1 at alpha = 5, expected 2\n"
 
 
 def test_imaginary_arc_sizes_and_tags():
