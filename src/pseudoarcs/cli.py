@@ -62,9 +62,7 @@ def _read_lines(path):
 
 
 def _elements_from_doc(doc):
-    """Subspace family from an arc or subspaces document.  Arc elements
-    are read without the arc constructor, so that verification can
-    refute degenerate input with a witness."""
+    """Subspace family from an arc or subspaces document."""
     kind = jsonio.document_kind(doc)
     if kind == "arc":
         tow, _, elements = jsonio.arc_elements_from_dict(doc)

@@ -162,12 +162,11 @@ def _unfold(tow: FieldTower, rows: Sequence[Sequence[FieldElement]]
     """One code column from h base-level rows: entry r is
     sum_i rows[i][r] * omega^(q^i).  Inverse of the per-column step of
     fold_columns up to the choice of basis."""
-    omega = tow.normal_element()
-    omega_pows = [tow.frobenius(omega, i) for i in range(tow.h)]
+    basis = tow.normal_basis()
     col = []
     for r in range(len(rows[0])):
         acc = tow.top.zero
-        for row, w in zip(rows, omega_pows):
+        for row, w in zip(rows, basis):
             if row[r]:
                 acc = acc + tow.lift(row[r]) * w
         col.append(acc)
@@ -280,14 +279,6 @@ def min_distance(code: AdditiveCode, max_words: int = 2 ** 20) -> int:
     return best
 
 
-def _column_coords(code: AdditiveCode, j: int) -> List[tuple]:
-    """Normal-basis coordinates of the entries of generator column j,
-    one h-tuple of base elements per row."""
-    tow = code.tow
-    return [tow.normal_coords(FieldElement(tow.top, row[j]))
-            for row in code._rows]
-
-
 def fold_columns(code: AdditiveCode) -> List[Subspace]:
     """The field reduction of each generator column, order preserved:
     the rank-h base-level subspace spanned by the column's normal-basis
@@ -325,7 +316,6 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
     every surviving coordinate.
     """
     tow = code.tow
-    h, hk = tow.h, tow.h * code.k_msg
     received = list(received)
     if len(received) != code.n:
         raise DecodeError("word length %d, expected %d" % (len(received), code.n))
@@ -337,11 +327,9 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
     matrix = []
     rhs = []
     for j in selected:
-        target = tow.normal_coords(received[j])
-        col_coords = _column_coords(code, j)
-        for i in range(h):
-            matrix.append([col_coords[r][i] for r in range(hk)])
-            rhs.append(target[i])
+        coords = zip(*(tow.normal_ints(row[j]) for row in code._rows))
+        matrix.extend([FieldElement(tow.base, c) for c in r] for r in coords)
+        rhs.extend(tow.normal_coords(received[j]))
     try:
         coeffs = solve(matrix, rhs)
     except SingularMatrixError:

@@ -27,9 +27,8 @@ class FieldMismatchError(ValueError):
 
 class InvariantError(AssertionError):
     """Raised when a mathematical invariant the code relies on fails, such
-    as the Thas bound or the rank of a field reduction: a fault in the
-    program, never a verdict.  Unlike an assert, the check survives
-    ``python -O``."""
+    as the Thas bound or a field reduction's rank: a fault in the program,
+    never a verdict.  Unlike an assert, the check survives ``python -O``."""
 
 
 # ---------------------------------------------------------------------------

@@ -254,13 +254,9 @@ def forms_from_dict(d: dict) -> List[QuadraticForm]:
 
 
 def _check_envelope(d: dict, expected_kind: str):
-    if not isinstance(d, dict):
-        raise FormatError("document is not a JSON object")
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise FormatError("unsupported schema version %r" % d.get("schema_version"))
-    if d.get("kind") != expected_kind:
-        raise FormatError("expected a %r document, found %r"
-                          % (expected_kind, d.get("kind")))
+    kind = document_kind(d)
+    if kind != expected_kind:
+        raise FormatError("expected a %r document, found %r" % (expected_kind, kind))
 
 
 def document_kind(d: dict) -> str:

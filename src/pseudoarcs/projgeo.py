@@ -35,17 +35,6 @@ class Subspace:
         self.rows = tuple(tuple(r) for r in red)
         self.pivots = tuple(pivots)
 
-    @classmethod
-    def _from_rref(cls, field: GF, ambient_dim: int, red, pivots) -> "Subspace":
-        """The subspace of int rows already in reduced echelon form, as
-        ``rref_ints`` returns them: wrapped, not reduced again."""
-        w = cls.__new__(cls)
-        w.field = field
-        w.ambient_dim = ambient_dim
-        w.rows = tuple(tuple(FieldElement(field, v) for v in r) for r in red)
-        w.pivots = tuple(pivots)
-        return w
-
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -184,7 +173,11 @@ def field_reduction(tow: FieldTower, vec: Sequence[FieldElement]) -> Subspace:
     base = tow.base
     coords = [tow.normal_ints(x.val) for x in vec]
     red, pivots = rref_ints(base, [list(row) for row in zip(*coords)])
-    return Subspace._from_rref(base, len(coords), red, pivots)
+    # the rows are reduced already: wrap them, do not reduce them again
+    w = Subspace(base, len(coords), [])
+    w.rows = tuple(tuple(FieldElement(base, v) for v in r) for r in red)
+    w.pivots = tuple(pivots)
+    return w
 
 
 def apply_projectivity(matrix: Sequence[Sequence[FieldElement]], w: Subspace) -> Subspace:
