@@ -4,11 +4,10 @@ any k of which span the whole space.
 The main construction takes one element per Frobenius orbit of
 generators of the extension field: the field reduction of the curve
 point with that parameter, the rational point set of the span of its
-conjugates.  The family
-extends by the order-(h-1) osculating spaces at the rational curve
-points.  Verification is exhaustive over k-subsets, walked through one
-representative per orbit of the curve's projectivities that permute the
-family.
+conjugates.  The family extends by the order-(h-1) osculating spaces at
+the rational curve points.  Verification is exhaustive over k-subsets,
+walked through one representative per orbit of the curve's
+projectivities that permute the family.
 """
 
 import warnings
