@@ -6,7 +6,8 @@ integer encodings: the matrix is unwrapped to int rows once, reduced
 with the row operations its GF hands out (``sub_scaled`` and
 ``scaled``), and the result is wrapped again.  ``insert_row`` is the one
 elimination step; callers that keep int rows, such as the k-subset
-verifier, use it and ``rref_ints`` directly.  Everything is
+verifier and the quadric conditions, use it, ``rref_ints`` and
+``nullspace_ints`` directly.  Everything is
 deterministic: pivots are chosen topmost first, never by magnitude.
 """
 
@@ -138,31 +139,40 @@ def rank(rows):
     return len(_echelon(*_unwrap(rows)))
 
 
-def nullspace(rows, ncols=None, field=None):
-    """Canonical basis of the right kernel {x : rows * x = 0}.
-
-    For an empty row list, ``ncols`` and ``field`` must be given; the result
-    is then the standard basis.
-    """
-    if rows:
-        ncols = len(rows[0])
-        field = rows[0][0].field
-    if ncols is None or field is None:
-        raise ValueError("nullspace of an empty matrix needs ncols and field")
-    if not rows:
-        return identity(field, ncols)
-    red, pivots = rref(rows)
+def nullspace_ints(field, mat, ncols):
+    """Basis of the right kernel of int rows with ``ncols`` columns: one
+    vector per free column, 1 there, 0 at the other free columns.  No
+    rows give the standard basis."""
+    red, pivots = rref_ints(field, mat)
     pivot_set = set(pivots)
+    neg = field.neg
     basis = []
     for fc in range(ncols):
         if fc in pivot_set:
             continue
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in zip(red, pivots):
+            v[pc] = neg(r[fc])
         basis.append(v)
     return basis
+
+
+def nullspace(rows, ncols=None, field=None):
+    """Canonical basis of the right kernel {x : rows * x = 0}:
+    ``nullspace_ints`` on the encodings, wrapped again.
+
+    For an empty row list, ``ncols`` and ``field`` must be given; the result
+    is then the standard basis.
+    """
+    mat = []
+    if rows:
+        ncols = len(rows[0])
+        field, mat = _unwrap(rows)
+    if ncols is None or field is None:
+        raise ValueError("nullspace of an empty matrix needs ncols and field")
+    fe = gf.FieldElement
+    return [[fe(field, v) for v in r] for r in nullspace_ints(field, mat, ncols)]
 
 
 def det(rows):

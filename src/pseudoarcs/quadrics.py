@@ -9,12 +9,12 @@ top-level form into base-level forms, and an exhaustive
 complete-intersection certificate.
 """
 
+import dataclasses
 import itertools
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, GF, InvariantError
-from .linalg import det, nullspace, rref
+from .linalg import det, nullspace_ints, rref_ints
 from .projgeo import Subspace
 
 
@@ -93,10 +93,14 @@ def vanishing_space(subspaces: Sequence[Subspace], field: Optional[GF] = None,
     """Basis of the space of forms vanishing on every point of every
     given subspace.
 
-    One linear condition per projective point (scalar multiples add
-    nothing since Q(cv) = c^2 Q(v)); the basis is the canonical reduced
-    one.  An empty input needs explicit field and dimension and yields
-    the full space.
+    Q vanishes on the row space of r_1..r_h exactly when Q(r_a) = 0 for
+    every a and the polar form B(r_a, r_b) = Q(r_a + r_b) - Q(r_a) -
+    Q(r_b) vanishes for every a < b, since Q(sum l_a r_a) = sum l_a^2
+    Q(r_a) + sum_(a<b) l_a l_b B(r_a, r_b) in every characteristic.  So
+    each subspace of rank h gives h(h+1)/2 linear conditions, built on
+    the int encodings of its reduced rows; the basis is the canonical
+    reduced one.  An empty input needs explicit field and dimension and
+    yields the full space.
     """
     subspaces = list(subspaces)
     if subspaces:
@@ -108,18 +112,22 @@ def vanishing_space(subspaces: Sequence[Subspace], field: Optional[GF] = None,
     elif field is None or ambient_dim is None:
         raise ValueError("empty input needs field and ambient_dim")
     pairs = monomial_pairs(ambient_dim)
-    seen = set()
+    add, mul = field.add, field.mul
     conditions = []
     for s in subspaces:
-        for pt in s.points():
-            key = tuple(x.val for x in pt)
-            if key in seen:
-                continue
-            seen.add(key)
-            conditions.append([pt[i] * pt[j] for (i, j) in pairs])
-    kernel = nullspace(conditions, ncols=len(pairs), field=field)
-    basis, _ = rref(kernel) if kernel else ([], [])
-    return [QuadraticForm(field, ambient_dim, row) for row in basis]
+        rows = [[x.val for x in r] for r in s.rows]
+        for a, r in enumerate(rows):
+            conditions.append([mul(r[i], r[j]) for i, j in pairs])
+            # B(r, w) has coefficient r_i w_j + r_j w_i at x_i x_j: 2 r_i w_i
+            # on the diagonal, which is 0 in characteristic 2
+            for w in rows[a + 1:]:
+                conditions.append([add(mul(r[i], w[j]), mul(r[j], w[i]))
+                                   for i, j in pairs])
+    kernel = nullspace_ints(field, conditions, len(pairs))
+    basis, _ = rref_ints(field, kernel)
+    fe = FieldElement
+    return [QuadraticForm(field, ambient_dim, [fe(field, v) for v in row])
+            for row in basis]
 
 
 def nrc_quadric_system(field: GF, k: int) -> List[QuadraticForm]:
@@ -197,15 +205,18 @@ def trace_reduce(form: QuadraticForm, tow: FieldTower,
     return QuadraticForm.from_pairs(base, n, entries)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class IntersectionVerdict:
     """Outcome of a complete-intersection check.  `extra` is a point of
     the common zero set outside the configuration; `missed` is a
-    configuration point where some form does not vanish."""
+    configuration point where some form does not vanish.  `scanned`
+    counts the ambient points walked, up to and including `extra`: all
+    of them when certified, 0 when a configuration point is missed."""
 
     ok: bool
     extra: Optional[Tuple[int, ...]] = None
     missed: Optional[Tuple[int, ...]] = None
+    scanned: int = dataclasses.field(default=0, compare=False)
 
     def __bool__(self):
         return self.ok
@@ -217,12 +228,17 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
     """Certify that the common zero set of the forms is exactly the
     union of the subspaces' points, by exhausting the ambient space.
 
-    Every point of PG(n-1, q) is visited once, as an int tuple, so the
-    cost is (q^n - 1)/(q - 1) points; the count is guarded by a budget
-    (override via max_points).  ``missed`` is the first configuration
-    point, in sorted encoding order, where some form does not vanish;
-    ``extra`` is the first common zero outside the configuration in the
-    order of ``ambient_space(field, n).points()``.
+    The ambient space has (q^n - 1)/(q - 1) points, a count guarded by a
+    budget (override via max_points).  It is walked line by line: the
+    points (0, ..., 0, 1, mid, t) for t in F_q lie on the line through
+    x = (0, ..., 0, 1, mid, 0) in direction e = (0, ..., 0, 1), where the
+    first form takes the values Q(x) + B(x, e) t + Q(e) t^2, computed
+    for every t at once as two int row operations.  Only its zeros are
+    checked against the configuration and the other forms; the point
+    (0, ..., 0, 1) is checked on its own.  ``missed`` is the first
+    configuration point, in sorted encoding order, where some form does
+    not vanish; ``extra`` is the first common zero outside the
+    configuration in the order of ``ambient_space(field, n).points()``.
     """
     subspaces = list(subspaces)
     forms = list(forms)
@@ -230,7 +246,8 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
         raise ValueError("no subspaces given")
     field = subspaces[0].field
     n = subspaces[0].ambient_dim
-    total = (field.order ** n - 1) // (field.order - 1)
+    q = field.order
+    total = (q ** n - 1) // (q - 1)
     if total > max_points:
         raise ValueError("ambient space has %d points, over the budget %d"
                          % (total, max_points))
@@ -248,7 +265,7 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
         if form.n != n:
             raise ValueError("form %d has %d variables, the ambient dimension is %d"
                              % (pos, form.n, n))
-    value = field.form_value
+    value, sub, neg = field.form_value, field.sub_scaled, field.neg
     form_terms = [form.terms for form in forms]
     covered = set()
     for s in subspaces:
@@ -256,12 +273,34 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
     for key in sorted(covered):
         if any(value(terms, key) for terms in form_terms):
             return IntersectionVerdict(False, missed=key)
-    # the normalized vectors (0, ..., 0, 1, tail) in points() order
-    for lead in range(n):
+    ts = list(range(q))
+    squares = [field.mul(t, t) for t in ts]
+    last = (0,) * (n - 1) + (1,)
+    # with no forms the first is the empty sum, zero at every t
+    first, rest = form_terms[0] if form_terms else (), form_terms[1:]
+    c = value(first, last)  # Q(e)
+    scanned = 0
+    for lead in range(n - 1):
         head = (0,) * lead + (1,)
-        for tail in itertools.product(range(field.order), repeat=n - lead - 1):
-            key = head + tail
-            if key not in covered and not any(value(terms, key)
-                                              for terms in form_terms):
-                return IntersectionVerdict(False, extra=key)
-    return IntersectionVerdict(True)
+        for mid in itertools.product(ts, repeat=n - lead - 2):
+            base = head + mid
+            # Q(x + t e) = a + b t + c t^2 at every t
+            a = value(first, base + (0,))
+            b = field.sub(field.sub(value(first, base + (1,)), a), c)
+            vals = [a] * q
+            if b:
+                vals = sub(vals, neg(b), ts)
+            if c:
+                vals = sub(vals, neg(c), squares)
+            zeros = [t for t, v in enumerate(vals) if not v]
+            for t in zeros:
+                key = base + (t,)
+                if key not in covered and not any(value(terms, key)
+                                                  for terms in rest):
+                    return IntersectionVerdict(False, extra=key,
+                                               scanned=scanned + t + 1)
+            scanned += q
+    if last not in covered and not any(value(terms, last)
+                                       for terms in form_terms):
+        return IntersectionVerdict(False, extra=last, scanned=total)
+    return IntersectionVerdict(True, scanned=total)

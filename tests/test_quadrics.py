@@ -1,20 +1,26 @@
 """Quadratic form tests.
 
 The vanishing-space computation is cross-checked by brute-force
-evaluation, and the trace composition is verified pointwise against
-its defining formula on random vectors, in odd and even characteristic.
-The int complete-intersection check is compared with a FieldElement
-reference on seeded random inputs.
+evaluation and against a FieldElement reference with one condition per
+projective point, and the trace composition is verified pointwise
+against its defining formula on random vectors, in odd and even
+characteristic.  The line-by-line complete-intersection check is
+compared with a FieldElement point-by-point reference on seeded random
+inputs and on planted witnesses.
 """
 
 import itertools
+import warnings
 from random import Random
 
 import pytest
 
 from pseudoarcs.gf import GF, FieldMismatchError, tower
+from pseudoarcs.linalg import nullspace, rref
 from pseudoarcs.nrc import nrc_points
 from pseudoarcs.projgeo import Subspace, span
+from pseudoarcs.pseudoarc import (SmallFieldWarning, build_imaginary_arc,
+                                  extend_with_osculating)
 from pseudoarcs.quadrics import (IntersectionVerdict, QuadraticForm,
                                  is_complete_intersection, monomial_pairs,
                                  nrc_quadric_system, trace_reduce,
@@ -46,7 +52,8 @@ def reference_certify(subspaces, forms):
     """The complete-intersection check in FieldElement arithmetic: the
     configuration is the set of ambient points some subspace contains,
     ``missed`` the first of them, sorted, where a form does not vanish,
-    ``extra`` the first common zero outside it in ambient order."""
+    ``extra`` the first common zero outside it in ambient order, and
+    ``scanned`` the ambient points up to and including ``extra``."""
     field, n = subspaces[0].field, subspaces[0].ambient_dim
     ambient = list(reference_ambient(field, n))
     covered = {tuple(x.val for x in v) for v in ambient
@@ -55,12 +62,35 @@ def reference_certify(subspaces, forms):
         vec = [field(v) for v in key]
         if any(reference_evaluate(form, vec) for form in forms):
             return IntersectionVerdict(False, missed=key)
-    for vec in ambient:
+    for pos, vec in enumerate(ambient):
         key = tuple(x.val for x in vec)
         if key not in covered and not any(reference_evaluate(form, vec)
                                           for form in forms):
-            return IntersectionVerdict(False, extra=key)
-    return IntersectionVerdict(True)
+            return IntersectionVerdict(False, extra=key, scanned=pos + 1)
+    return IntersectionVerdict(True, scanned=len(ambient))
+
+
+def reference_vanishing_space(subspaces, field=None, ambient_dim=None):
+    """The forms vanishing on a family in FieldElement arithmetic: one
+    condition row per projective point of every subspace, repeated
+    points once, and the canonical reduced basis of the kernel."""
+    subspaces = list(subspaces)
+    if subspaces:
+        field = subspaces[0].field
+        ambient_dim = subspaces[0].ambient_dim
+    pairs = monomial_pairs(ambient_dim)
+    seen = set()
+    conditions = []
+    for s in subspaces:
+        for pt in s.points():
+            key = tuple(x.val for x in pt)
+            if key in seen:
+                continue
+            seen.add(key)
+            conditions.append([pt[i] * pt[j] for (i, j) in pairs])
+    kernel = nullspace(conditions, ncols=len(pairs), field=field)
+    basis, _ = rref(kernel) if kernel else ([], [])
+    return [QuadraticForm(field, ambient_dim, row) for row in basis]
 
 
 def test_monomial_pairs_layout():
@@ -252,15 +282,33 @@ def test_complete_intersection_checks_shapes_up_front():
         assert str(exc.value) == message
 
 
-def random_family(field, n, rng):
-    """One to four random subspaces of rank 1 or 2 in PG(n-1, q)."""
+def random_family(field, n, rng, ranks=(1, 2)):
+    """One to four random subspaces in PG(n-1, q), each spanned by a
+    number of random rows drawn from the range ``ranks``.  The zero
+    subspace comes out only when that range starts at 0."""
     family = []
     while len(family) < rng.randint(1, 4):
         rows = [[field(rng.randrange(field.order)) for _ in range(n)]
-                for _ in range(rng.randint(1, 2))]
-        if any(any(r) for r in rows):
+                for _ in range(rng.randint(*ranks))]
+        if ranks[0] == 0 or any(any(r) for r in rows):
             family.append(Subspace(field, n, rows))
     return family
+
+
+def point_system(field, key):
+    """Squares of the linear forms x_j - key_j x_l, j != l, where l is the
+    position of the leading 1 of the normalized point ``key``: their
+    only common zero is that point."""
+    n = len(key)
+    lead = key.index(1)
+    forms = []
+    for j in range(n):
+        if j != lead:
+            c = field(key[j])
+            forms.append(QuadraticForm.from_pairs(field, n, {
+                (j, j): field.one, (min(j, lead), max(j, lead)): -(c + c),
+                (lead, lead): c * c}))
+    return forms
 
 
 def random_system(field, n, family, rng):
@@ -279,15 +327,54 @@ def random_system(field, n, family, rng):
     return forms
 
 
-@pytest.mark.parametrize("p, m", [(7, 1), (11, 1), (2, 2), (2, 3), (3, 2)])
+def edge_inputs(field, rng):
+    """Certificate inputs at the corners of the line walk: no forms, a
+    first form that vanishes on whole lines, witnesses at t = 0, at
+    t = q - 1 and at (0, ..., 0, 1), and ambient dimensions 1 and 2."""
+    q = field.order
+    conic = point_spans(field, nrc_points(field, 3))
+    system = nrc_quadric_system(field, 3)
+    x0x1 = QuadraticForm.from_pairs(field, 3, {(0, 1): 1})
+    inputs = [
+        (conic, []),
+        (conic, [QuadraticForm.zero(field, 3)] + system),
+        (conic[1:], system),                  # extra (1, 0, 0), at t = 0
+        (conic[:-1], system),                 # extra (0, 0, 1)
+        ([conic[0], conic[-1]], [x0x1] + system),
+        ([conic[-1]], [x0x1] + system),
+    ]
+    for key in [(1, 0, 0), (1, rng.randrange(q), q - 1), (0, 1, q - 1),
+                (0, 0, 1)]:
+        planted = point_system(field, key)
+        inputs.append(([Subspace(field, 3, [])], planted))
+        inputs.append(([span([[field(v) for v in key]])], planted))
+    x0 = QuadraticForm.from_pairs(field, 1, {(0, 0): 1})
+    inputs += [
+        ([Subspace(field, 1, [])], []),
+        ([Subspace(field, 1, [[field.one]])], []),
+        ([Subspace(field, 1, [])], [x0]),
+        (point_spans(field, nrc_points(field, 2)), []),
+        ([Subspace(field, 2, [])], point_system(field, (1, q - 1))),
+        ([span([[field.one, field.zero]])],
+         [QuadraticForm.from_pairs(field, 2, {(0, 1): 1})]),
+    ]
+    family = random_family(field, 2, rng)
+    inputs.append((family, random_system(field, 2, family, rng)))
+    return inputs
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (11, 1), (2, 2), (2, 3), (3, 2),
+                                  (5, 2)])
 def test_complete_intersection_matches_reference(p, m):
     field = GF.get(p, m)
     rng = Random(100 * p + m)
     inputs = []
-    for n in (3, 3, 3, 4):
+    # the reference walks PG(3, q) point by point: too slow for q = 25
+    top = 4 if field.order < 16 else 3
+    for n in (3, 3, 3, top):
         family = random_family(field, n, rng)
         inputs.append((family, random_system(field, n, family, rng)))
-    for k in (3, 4):
+    for k in range(3, top + 1):
         curve = point_spans(field, nrc_points(field, k))
         system = nrc_quadric_system(field, k)
         inputs.append((curve, system))
@@ -299,10 +386,13 @@ def test_complete_intersection_matches_reference(p, m):
         inputs.append((curve + [planted], system))
         drop = rng.randrange(len(system))
         inputs.append((curve, system[:drop] + system[drop + 1:]))
+    inputs += edge_inputs(field, rng)
     kinds = set()
     for subspaces, forms in inputs:
         verdict = is_complete_intersection(subspaces, forms)
-        assert verdict == reference_certify(subspaces, forms)
+        reference = reference_certify(subspaces, forms)
+        assert verdict == reference
+        assert verdict.scanned == reference.scanned
         kinds.add("ok" if verdict.ok else
                   "missed" if verdict.missed is not None else "extra")
     assert kinds == {"ok", "missed", "extra"}
@@ -326,3 +416,63 @@ def test_vanishing_space_dimension_oracle():
         v = list(p.coords)
         conditions.append([v[i] * v[j] for (i, j) in monomial_pairs(3)])
     assert len(forms) == 6 - rank(conditions)
+
+
+ARC_PARAMS = [(2, 1, 2, 2), (2, 2, 2, 2), (3, 1, 2, 2), (5, 1, 2, 2),
+              (7, 1, 2, 2), (2, 1, 3, 2), (3, 1, 3, 2), (3, 1, 2, 3)]
+
+
+def imaginary_arc(p, e, h, k):
+    """The imaginary arc, without the warning for q below hk + 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallFieldWarning)
+        return build_imaginary_arc(tower(p, e, h), k)
+
+
+@pytest.mark.parametrize("p, e, h, k", ARC_PARAMS)
+def test_vanishing_space_of_arcs_matches_reference(p, e, h, k):
+    arc = imaginary_arc(p, e, h, k)
+    families = [arc.elements]
+    if p >= h:  # the osculating spaces need characteristic at least h
+        families.append(extend_with_osculating(arc).elements)
+    for family in families:
+        assert vanishing_space(family) == reference_vanishing_space(family)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3),
+                                  (3, 2), (5, 2)])
+def test_vanishing_space_of_random_families_matches_reference(p, m):
+    field = GF.get(p, m)
+    rng = Random(10 * p + m)
+    for n in range(1, 6):
+        for _ in range(3):
+            family = random_family(field, n, rng, ranks=(0, min(3, n)))
+            assert vanishing_space(family) == reference_vanishing_space(family)
+    assert (vanishing_space([], field=field, ambient_dim=3)
+            == reference_vanishing_space([], field=field, ambient_dim=3))
+
+
+def test_vanishing_space_of_top_level_subspaces_matches_reference():
+    for p, e, h in [(2, 2, 2), (3, 1, 2), (5, 1, 2)]:
+        top = tower(p, e, h).top
+        curve = nrc_points(top, 4)
+        coords = [list(pt.coords) for pt in curve]
+        lines = [span(coords[i:i + 2]) for i in range(0, len(coords) - 1, 3)]
+        for family in (point_spans(top, curve), lines):
+            assert vanishing_space(family) == reference_vanishing_space(family)
+
+
+def test_vanishing_space_walks_no_points(monkeypatch):
+    families = [
+        extend_with_osculating(imaginary_arc(5, 1, 2, 2)).elements,
+        imaginary_arc(3, 1, 3, 2).elements,
+    ]
+    expected = [reference_vanishing_space(family) for family in families]
+
+    def refuse(self):
+        raise AssertionError("the points of a subspace were walked")
+
+    monkeypatch.setattr(Subspace, "_int_points", refuse)
+    monkeypatch.setattr(Subspace, "points", refuse)
+    for family, forms in zip(families, expected):
+        assert vanishing_space(family) == forms
