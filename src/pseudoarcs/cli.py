@@ -191,13 +191,27 @@ def cmd_quadrics_through(args):
 def cmd_quadrics_certify(args):
     _check_positive(args.max_points, "point budget")
     tow, elements = _elements_from_doc(_read_doc(args.file))
-    forms = jsonio.forms_from_dict(_read_doc(args.forms))
+    if not elements:
+        raise jsonio.FormatError("no subspaces in %s" % args.file)
+    forms_doc = _read_doc(args.forms)
+    # the document names its space even when it holds no forms
+    field, n = jsonio.forms_space(forms_doc)
+    if n != elements[0].ambient_dim:
+        raise jsonio.FormatError(
+            "forms document: n = %d, the subspaces have ambient dimension %d"
+            % (n, elements[0].ambient_dim))
+    if field is not elements[0].field:
+        raise jsonio.FormatError(
+            "forms document: level %r is %r, the subspaces are over %r"
+            % (forms_doc["level"], field, elements[0].field))
+    forms = jsonio.forms_from_dict(forms_doc)
     verdict = is_complete_intersection(elements, forms, max_points=args.max_points)
     if args.json:
         report = {"schema_version": jsonio.SCHEMA_VERSION,
                   "command": "quadrics certify-ci", "ok": verdict.ok,
                   "extra": None if verdict.extra is None else list(verdict.extra),
-                  "missed": None if verdict.missed is None else list(verdict.missed)}
+                  "missed": None if verdict.missed is None else list(verdict.missed),
+                  "points_scanned": verdict.scanned}
         sys.stdout.write(jsonio.dumps(report))
         return 0 if verdict.ok else 1
     if verdict.ok:

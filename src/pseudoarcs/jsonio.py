@@ -12,7 +12,7 @@ import json
 from typing import List, Sequence, Tuple, Union
 
 from .codes import AdditiveCode, CoordSpec
-from .gf import FieldTower, tower
+from .gf import FieldTower, GF, tower
 from .projgeo import Subspace
 from .pseudoarc import PseudoArc, Tag
 from .quadrics import QuadraticForm
@@ -103,6 +103,22 @@ def _rows_from_ints(field, rows, where: str, key: str) -> List[List]:
         raise FormatError("%s: bad %r: %s" % (where, key, exc)) from None
 
 
+def _subspaces_from_ints(field, n: int, elements, where: str,
+                         dim: str) -> List[Subspace]:
+    """Subspaces of PG(n-1) from lists of int rows.  A row of another
+    length is refused, naming its element and ``dim``, the key that
+    fixes n."""
+    family = []
+    for pos, rows in enumerate(elements):
+        rows = _rows_from_ints(field, rows, where, "elements")
+        for row in rows:
+            if len(row) != n:
+                raise FormatError("%s: element %d has a row of length %d, "
+                                  "%s is %d" % (where, pos, len(row), dim, n))
+        family.append(Subspace(field, n, rows))
+    return family
+
+
 def _tag_to_dict(tag: Tag) -> dict:
     return {"kind": tag.kind, "param": None if tag.param is None else tag.param.val}
 
@@ -136,9 +152,9 @@ def arc_elements_from_dict(d: dict) -> Tuple[FieldTower, int, List[Subspace]]:
     _check_envelope(d, "arc")
     tow = document_tower(d, "arc")
     k = required(d, "k", int, where)
-    elements = [Subspace(tow.base, tow.h * k,
-                         _rows_from_ints(tow.base, rows, where, "elements"))
-                for rows in required(d, "elements", list, where)]
+    elements = _subspaces_from_ints(tow.base, tow.h * k,
+                                    required(d, "elements", list, where),
+                                    where, "h*k")
     return tow, k, elements
 
 
@@ -174,8 +190,8 @@ def subspaces_from_dict(d: dict) -> List[Subspace]:
     tow = document_tower(d, "subspaces")
     field = _level_field(tow, required(d, "level", str, where))
     n = required(d, "ambient_dim", int, where)
-    return [Subspace(field, n, _rows_from_ints(field, rows, where, "elements"))
-            for rows in required(d, "elements", list, where)]
+    return _subspaces_from_ints(field, n, required(d, "elements", list, where),
+                                where, "ambient_dim")
 
 
 def _spec_to_dict(spec: CoordSpec) -> dict:
@@ -243,13 +259,29 @@ def forms_to_dict(forms: Sequence[QuadraticForm], tow: FieldTower,
     }
 
 
-def forms_from_dict(d: dict) -> List[QuadraticForm]:
+def forms_space(d: dict) -> Tuple[GF, int]:
+    """The field its level names and the variable count n >= 1 of a
+    forms document: the space its forms live in, fixed even when it
+    holds none."""
     where = "forms document"
     _check_envelope(d, "forms")
     tow = document_tower(d, "forms")
     field = _level_field(tow, required(d, "level", str, where))
     n = required(d, "n", int, where)
+    if n < 1:
+        raise FormatError("%s: 'n' must be positive, found %d" % (where, n))
+    return field, n
+
+
+def forms_from_dict(d: dict) -> List[QuadraticForm]:
+    where = "forms document"
+    field, n = forms_space(d)
+    size = n * (n + 1) // 2
     rows = _rows_from_ints(field, required(d, "forms", list, where), where, "forms")
+    for pos, coeffs in enumerate(rows):
+        if len(coeffs) != size:
+            raise FormatError("%s: form %d has %d coefficients, n = %d needs %d"
+                              % (where, pos, len(coeffs), n, size))
     return [QuadraticForm(field, n, coeffs) for coeffs in rows]
 
 

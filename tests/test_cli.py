@@ -420,7 +420,80 @@ def test_quadrics_certify_ci_forms_over_another_field(capsys, tmp_path):
         jsonio.forms_to_dict(nrc_quadric_system(f7.base, 3), f7)))
     code, out, err = run(capsys, "quadrics", "certify-ci", str(conic), str(forms))
     assert code == 2 and out == ""
-    assert err == "error: form 0 is over GF(7), the subspaces over GF(5)\n"
+    assert err == ("error: forms document: level 'base' is GF(7), the "
+                   "subspaces are over GF(5)\n")
+
+
+def test_quadrics_certify_ci_checks_the_space_of_an_empty_system(capsys, tmp_path):
+    # with no forms to compare, the document's n and level still name
+    # the space: a mismatch is an input error, not an extra zero
+    conic, _ = conic_files(tmp_path)
+    path = tmp_path / "forms.json"
+    cases = [
+        (tower(5, 1, 1), "base", 0, [], "'n' must be positive, found 0"),
+        (tower(5, 1, 1), "base", -1, [[]], "'n' must be positive, found -1"),
+        (tower(5, 1, 1), "base", 4, [],
+         "n = 4, the subspaces have ambient dimension 3"),
+        (tower(5, 1, 2), "top", 3, [],
+         "level 'top' is GF(5^2), the subspaces are over GF(5)"),
+    ]
+    for tow, level, n, forms, message in cases:
+        path.write_text(jsonio.dumps({
+            "schema_version": jsonio.SCHEMA_VERSION, "kind": "forms",
+            "field": jsonio.field_header(tow), "level": level, "n": n,
+            "forms": forms}))
+        code, out, err = run(capsys, "quadrics", "certify-ci", str(conic),
+                             str(path))
+        assert code == 2 and out == ""
+        assert err == "error: forms document: %s\n" % message
+
+
+def test_quadrics_certify_ci_json_counts_points_scanned(capsys, tmp_path):
+    conic, forms = conic_files(tmp_path)
+    code, out, _ = run(capsys, "quadrics", "certify-ci", str(conic), str(forms),
+                       "--json")
+    assert code == 0 and json.loads(out)["points_scanned"] == 31  # PG(2, 5)
+    empty = tmp_path / "empty.json"
+    empty.write_text(jsonio.dumps(
+        jsonio.forms_to_dict([], tower(5, 1, 1), level="base", n=3)))
+    code, out, _ = run(capsys, "quadrics", "certify-ci", str(conic), str(empty),
+                       "--json")
+    report = json.loads(out)
+    assert code == 1 and report["extra"] == [1, 0, 1]
+    assert report["points_scanned"] == 2  # (1, 0, 0) is on the conic
+
+
+def test_short_row_in_a_subspaces_document_is_named(capsys, tmp_path):
+    conic, _ = conic_files(tmp_path)
+    doc = json.loads(conic.read_text())
+    doc["elements"][1] = [[1, 1, 1, 0]]
+    conic.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(conic))
+    assert code == 2 and out == ""
+    assert err == ("error: subspaces document: element 1 has a row of "
+                   "length 4, ambient_dim is 3\n")
+
+
+def test_short_row_in_an_arc_document_is_named(capsys, tmp_path):
+    arc_path = write_arc(capsys, tmp_path)
+    doc = json.loads(arc_path.read_text())
+    doc["elements"][2][1] = doc["elements"][2][1][:3]
+    arc_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-arc", str(arc_path), "--k", "2")
+    assert code == 2 and out == ""
+    assert err == ("error: arc document: element 2 has a row of length 3, "
+                   "h*k is 4\n")
+
+
+def test_wrong_coefficient_count_in_a_forms_document_is_named(capsys, tmp_path):
+    _, forms = conic_files(tmp_path)
+    doc = json.loads(forms.read_text())
+    doc["forms"].append([1, 0, 2])
+    forms.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(forms))
+    assert code == 2 and out == ""
+    assert err == ("error: forms document: form 1 has 3 coefficients, "
+                   "n = 3 needs 6\n")
 
 
 def test_internal_error_is_not_a_refutation(capsys, tmp_path, monkeypatch):
