@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import List, Optional, Sequence, Union
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, InvariantError, Poly
-from .linalg import SingularMatrixError, insert_row, solve
+from .linalg import insert_row, rref_ints
 from .nrc import is_imaginary, osc_basis, osc_basis_infty
 from .projgeo import Subspace, field_reduction
 from .pseudoarc import is_pseudo_arc
@@ -103,9 +103,8 @@ class AdditiveCode:
 
     @cached_property
     def gen(self):
-        top = self.tow.top
-        return tuple(tuple(FieldElement(top, v) for v in row)
-                     for row in self._rows)
+        element = self.tow.top.element
+        return tuple(tuple(map(element, row)) for row in self._rows)
 
     @property
     def h(self) -> int:
@@ -134,7 +133,7 @@ class AdditiveCode:
         for c, row in zip(message, self._rows):
             if c:
                 out = top.sub_scaled(out, (-self.tow.lift(c)).val, row)
-        return [FieldElement(top, v) for v in out]
+        return top.wrap(out)
 
 
 def evaluation_code(tow: FieldTower, alphas: Sequence[FieldElement],
@@ -310,12 +309,17 @@ def is_mds(code: AdditiveCode, max_words: int = 2 ** 20,
 def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
     """Recover the message polynomial from a word with ERASED marks.
 
-    The first k_msg surviving coordinates each contribute h base-field
-    equations (one per normal-basis coordinate); the stacked hk x hk
-    system is solved and the result re-encoded and checked against
-    every surviving coordinate.
+    Each surviving coordinate contributes h base-field equations, one
+    per normal-basis coordinate.  They are taken survivor by survivor
+    in coordinate order, and one is kept only when it raises the rank,
+    until hk are kept; their unique solution is re-encoded and checked
+    against every surviving coordinate.  The word is refused when all
+    the survivors together have rank below hk.  For an MDS code the
+    first k_msg survivors always give the hk equations.
     """
     tow = code.tow
+    base, top = tow.base, tow.top
+    hk = tow.h * code.k_msg
     received = list(received)
     if len(received) != code.n:
         raise DecodeError("word length %d, expected %d" % (len(received), code.n))
@@ -323,21 +327,26 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
     if len(survivors) < code.k_msg:
         raise DecodeError("only %d unerased coordinates, need %d"
                           % (len(survivors), code.k_msg))
-    selected = survivors[:code.k_msg]
-    matrix = []
-    rhs = []
-    for j in selected:
+    # int rows (equation | right-hand side) in echelon form; a row whose
+    # equation part lies in the span reduces to pivot hk or vanishes
+    basis = []
+    for j in survivors:
+        if len(basis) == hk:
+            break
+        x = received[j]
+        if x.field is not top:
+            raise FieldMismatchError("received symbol %d is not in the top field" % j)
         coords = zip(*(tow.normal_ints(row[j]) for row in code._rows))
-        matrix.extend([FieldElement(tow.base, c) for c in r] for r in coords)
-        rhs.extend(tow.normal_coords(received[j]))
-    try:
-        coeffs = solve(matrix, rhs)
-    except SingularMatrixError:
-        raise DecodeError("selected coordinates do not determine the message")
+        for r, b in zip(coords, tow.normal_ints(x.val)):
+            if insert_row(base, basis, [*r, b]) and basis[-1][0] == hk:
+                basis.pop()
+    if len(basis) < hk:
+        raise DecodeError("surviving coordinates do not determine the message")
+    red, _ = rref_ints(base, [r for _, r in basis])
+    coeffs = base.wrap(r[hk] for r in red)
     reencoded = code.combine(coeffs)
     for j in survivors:
         if reencoded[j] != received[j]:
             raise DecodeError("re-encoding mismatch at coordinate %d: "
                               "word has errors, not just erasures" % j)
-    return Poly(tow.base, coeffs)
-
+    return Poly(base, coeffs)

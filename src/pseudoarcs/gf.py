@@ -15,9 +15,11 @@ the smallest-encoded root of the base modulus inside the top field.
 
 from __future__ import annotations
 
+import functools
+
 from . import linalg
 
-_TABLE_LIMIT = 1 << 16      # exp/log tables up to this field order
+_TABLE_LIMIT = 1 << 16      # exp/log and element tables up to this field order
 _ADD_TABLE_LIMIT = 512      # full addition tables (odd p) up to this order
 
 
@@ -190,6 +192,12 @@ class GF:
     Do not construct directly; use :meth:`get` so that equal parameters
     always yield the identical object (element identity checks and caches
     rely on interning).
+
+    Up to order ``_TABLE_LIMIT`` the field also builds each of its
+    FieldElements once, in a tuple indexed by encoding: ``element(v)`` is
+    then a lookup, and every wrap of an encoding in the package goes
+    through it or through ``wrap``.  Above the limit ``element`` is the
+    constructor.
     """
 
     _cache = {}
@@ -199,18 +207,23 @@ class GF:
         self.m = m
         self.order = p ** m
         self.modulus = smallest_irreducible(p, m)
+        self._modulus_int = self.encode(self.modulus)
         self._gorder = self.order - 1
         self._exp = None
         self._log = None
         self._add_table = None
         if self.order <= _TABLE_LIMIT:
             self._build_mul_tables()
+            self.element = tuple(FieldElement(self, v)
+                                 for v in range(self.order)).__getitem__
+        else:
+            self.element = functools.partial(FieldElement, self)
         if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
             self._build_add_table()
         self.sub_scaled, self.scaled = self._row_ops()
         self.form_value = self._form_op()
-        self.zero = FieldElement(self, 0)
-        self.one = FieldElement(self, 1)
+        self.zero = self.element(0)
+        self.one = self.element(1)
 
     @classmethod
     def get(cls, p, m):
@@ -247,6 +260,19 @@ class GF:
     def _raw_mul(self, a, b):
         if self.m == 1:
             return (a * b) % self.p
+        if self.p == 2:
+            # carry-less: digits are bits, so shift a and XOR it in for
+            # each set bit of b, reducing by the modulus as degree m appears
+            m, mod = self.m, self._modulus_int
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a >> m:
+                    a ^= mod
+            return r
         prod = _pmul(list(self.digits(a)), list(self.digits(b)), self.p)
         red = _pmod(prod, list(self.modulus), self.p)
         return self.encode(red + [0] * (self.m - len(red)))
@@ -286,7 +312,7 @@ class GF:
         """Smallest-encoded generator of the multiplicative group."""
         if not hasattr(self, "_primitive"):
             self._find_primitive()
-        return FieldElement(self, self._primitive)
+        return self.element(self._primitive)
 
     def _build_add_table(self):
         p, order = self.p, self.order
@@ -432,15 +458,19 @@ class GF:
             raise TypeError("element value must be an int encoding")
         if not 0 <= v < self.order:
             raise ValueError("encoding %d out of range for %r" % (v, self))
-        return FieldElement(self, v)
+        return self.element(v)
+
+    def wrap(self, ints):
+        """The elements of an iterable of encodings, as a list; unlike
+        calling the field, no check of type or range."""
+        return list(map(self.element, ints))
 
     def elements(self):
-        for v in range(self.order):
-            yield FieldElement(self, v)
+        return map(self.element, range(self.order))
 
     def generator(self):
         """The canonical generator: the class of x (encoding p) for m > 1."""
-        return FieldElement(self, self.p if self.m > 1 else 0)
+        return self.element(self.p if self.m > 1 else 0)
 
 
 class FieldElement:
@@ -461,29 +491,35 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field.add(self.val, other.val))
+        f = self.field
+        return f.element(f.add(self.val, other.val))
 
     def __sub__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field.sub(self.val, other.val))
+        f = self.field
+        return f.element(f.sub(self.val, other.val))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.val))
+        f = self.field
+        return f.element(f.neg(self.val))
 
     def __mul__(self, other):
         self._check(other)
-        return FieldElement(self.field, self.field.mul(self.val, other.val))
+        f = self.field
+        return f.element(f.mul(self.val, other.val))
 
     def __truediv__(self, other):
         self._check(other)
-        return FieldElement(self.field,
-                            self.field.mul(self.val, self.field.inv(other.val)))
+        f = self.field
+        return f.element(f.mul(self.val, f.inv(other.val)))
 
     def __pow__(self, n):
-        return FieldElement(self.field, self.field.pow(self.val, n))
+        f = self.field
+        return f.element(f.pow(self.val, n))
 
     def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.val))
+        f = self.field
+        return f.element(f.inv(self.val))
 
     def __bool__(self):
         return self.val != 0
@@ -552,7 +588,7 @@ class FieldTower:
             for c in reversed(mod):
                 acc = top.add(top.mul(acc, v), c % self.p)
             if acc == 0:
-                return FieldElement(top, v)
+                return top.element(v)
         raise InvariantError("base modulus has no root in the top field")
 
     def _build_embed_table(self):
@@ -573,7 +609,7 @@ class FieldTower:
         """Embed a base element into the top field."""
         if x.field is not self.base:
             raise FieldMismatchError("lift expects a base-level element")
-        return FieldElement(self.top, self._embed_table[x.val])
+        return self.top.element(self._embed_table[x.val])
 
     def to_base(self, x):
         """Inverse of lift; raises when x is outside the embedded base field."""
@@ -582,7 +618,7 @@ class FieldTower:
         b = self._unembed.get(x.val)
         if b is None:
             raise ValueError("element %r is not in the embedded base field" % x)
-        return FieldElement(self.base, b)
+        return self.base.element(b)
 
     # -- Galois structure ---------------------------------------------------
 
@@ -604,7 +640,7 @@ class FieldTower:
         b = self._unembed.get(acc.val)
         if b is None:
             raise InvariantError("trace value escaped the base subfield")
-        return FieldElement(self.base, b)
+        return self.base.element(b)
 
     def in_proper_subfield(self, x):
         """True iff x lies in GF(q^d) for some proper divisor d of h."""
@@ -626,7 +662,7 @@ class FieldTower:
             return self._omega
         h, q, top = self.h, self.q, self.top
         for v in range(1, top.order):
-            w = FieldElement(top, v)
+            w = top.element(v)
             conj = [w ** (q ** i) for i in range(h)]
             mat = [[conj[(i + j) % h] for j in range(h)] for i in range(h)]
             if linalg.det(mat):
@@ -646,8 +682,7 @@ class FieldTower:
         """
         if x.field is not self.top:
             raise FieldMismatchError("normal_coords expects a top-level element")
-        base = self.base
-        return tuple(FieldElement(base, c) for c in self.normal_ints(x.val))
+        return tuple(map(self.base.element, self.normal_ints(x.val)))
 
     def normal_ints(self, v):
         """:meth:`normal_coords` on encodings: the base encodings of the
@@ -678,10 +713,10 @@ class FieldTower:
         cols = []
         for m in range(h):
             for a in range(e):
-                g_a = FieldElement(self.base, self.base.encode(
+                g_a = self.base.element(self.base.encode(
                     tuple(1 if i == a else 0 for i in range(e))))
                 z = self.lift(g_a) * basis[m]
-                cols.append([FieldElement(fp, d) for d in self.top.digits(z.val)])
+                cols.append(fp.wrap(self.top.digits(z.val)))
         mat = [[cols[j][i] for j in range(len(cols))] for i in range(e * h)]
         # int rows over F_p from the digits of x to its coordinates, e
         # digits per base coordinate

@@ -129,8 +129,7 @@ def rref(rows):
         return [], []
     fld, mat = _unwrap(rows)
     red, pivots = rref_ints(fld, mat)
-    fe = gf.FieldElement
-    return [[fe(fld, v) for v in r] for r in red], pivots
+    return [fld.wrap(r) for r in red], pivots
 
 
 def rank(rows):
@@ -171,8 +170,7 @@ def nullspace(rows, ncols=None, field=None):
         field, mat = _unwrap(rows)
     if ncols is None or field is None:
         raise ValueError("nullspace of an empty matrix needs ncols and field")
-    fe = gf.FieldElement
-    return [[fe(field, v) for v in r] for r in nullspace_ints(field, mat, ncols)]
+    return [field.wrap(r) for r in nullspace_ints(field, mat, ncols)]
 
 
 def det(rows):
@@ -194,7 +192,7 @@ def det(rows):
         result = fld.mul(result, lead)
     pivots = [pc for pc, _ in basis]
     odd = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:]) % 2
-    return gf.FieldElement(fld, fld.neg(result) if odd else result)
+    return fld.element(fld.neg(result) if odd else result)
 
 
 def solve(a, b):

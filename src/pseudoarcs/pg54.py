@@ -90,41 +90,56 @@ def e_element(tow: FieldTower) -> FieldElement:
     return w_element(tow) ** 5
 
 
-def _top_vector(tow: FieldTower, exps: Sequence[Optional[int]]) -> List[FieldElement]:
-    w = w_element(tow)
+def _top_vector(tow: FieldTower, exps: Sequence[Optional[int]],
+                w: FieldElement) -> List[FieldElement]:
     return [tow.top.zero if a is None else w ** a for a in exps]
 
 
-def _base_vector(tow: FieldTower, exps: Sequence[Optional[int]]) -> List[FieldElement]:
-    e = e_element(tow)
+def _base_vector(tow: FieldTower, exps: Sequence[Optional[int]],
+                 e: FieldElement) -> List[FieldElement]:
     return [tow.base.zero if a is None else tow.to_base(e ** a) for a in exps]
 
 
-def fixture_points(tow: FieldTower) -> List[List[FieldElement]]:
-    """The eleven defining curve points, top level; the first five are
-    rational, the last six imaginary."""
-    return [_top_vector(tow, exps) for exps in _POINTS]
+def _points(tow: FieldTower, w: FieldElement) -> List[List[FieldElement]]:
+    return [_top_vector(tow, exps, w) for exps in _POINTS]
 
 
-def conjugate_points(tow: FieldTower) -> List[List[FieldElement]]:
-    """Entrywise Frobenius images of the eleven points."""
-    return [[tow.frobenius(x, 1) for x in pt] for pt in fixture_points(tow)]
+def _conjugates(tow: FieldTower, points: Sequence[Sequence[FieldElement]]
+                ) -> List[List[FieldElement]]:
+    return [[tow.frobenius(x, 1) for x in pt] for pt in points]
 
 
-def fixture_matrix(tow: FieldTower) -> List[List[FieldElement]]:
-    return [_base_vector(tow, row) for row in _MATRIX]
-
-
-def fixture_lines(tow: FieldTower) -> List[Subspace]:
-    """The eleven lines of PG(5, 4), in order."""
-    points = fixture_points(tow)
+def _lines(tow: FieldTower, points: Sequence[Sequence[FieldElement]],
+           e: FieldElement) -> List[Subspace]:
     out = []
     for pair, point in zip(_LINES, points):
         if pair is None:
             out.append(field_reduction(tow, point))
         else:
-            out.append(span([_base_vector(tow, row) for row in pair]))
+            out.append(span([_base_vector(tow, row, e) for row in pair]))
     return out
+
+
+def fixture_points(tow: FieldTower) -> List[List[FieldElement]]:
+    """The eleven defining curve points, top level; the first five are
+    rational, the last six imaginary."""
+    return _points(tow, w_element(tow))
+
+
+def conjugate_points(tow: FieldTower) -> List[List[FieldElement]]:
+    """Entrywise Frobenius images of the eleven points."""
+    return _conjugates(tow, fixture_points(tow))
+
+
+def fixture_matrix(tow: FieldTower) -> List[List[FieldElement]]:
+    e = e_element(tow)
+    return [_base_vector(tow, row, e) for row in _MATRIX]
+
+
+def fixture_lines(tow: FieldTower) -> List[Subspace]:
+    """The eleven lines of PG(5, 4), in order."""
+    w = w_element(tow)
+    return _lines(tow, _points(tow, w), w ** 5)
 
 
 def fixture_code(tow: FieldTower) -> AdditiveCode:
@@ -166,8 +181,10 @@ def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, st
     if tow is None:
         tow = fixture_tower()
     checks: List[Tuple[str, bool, str]] = []
+    # w, e, the points and the lines are built once and shared by the checks
     w = w_element(tow)
-    e = e_element(tow)
+    e = w ** 5
+    points = _points(tow, w)
 
     ok = (w ** 4 == w + tow.top.one and e == w ** 5
           and e * e == e + tow.top.one)
@@ -176,7 +193,7 @@ def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, st
     checks.append(("defining-constants", ok,
                    "w^4 = w + 1, multiplicative order %d, e = w^5" % order))
 
-    lines = fixture_lines(tow)
+    lines = _lines(tow, points, e)
     distinct = len(set(lines)) == 11
     disjoint = all(intersect(lines[i], lines[j]).rank == 0
                    for i in range(11) for j in range(i + 1, 11))
@@ -188,17 +205,16 @@ def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, st
                    "every 3 of the 11 lines span PG(5, 4)"
                    if verdict else "failing triple %s" % (verdict.witness,)))
 
-    matrix = fixture_matrix(tow)
+    matrix = [_base_vector(tow, row, e) for row in _MATRIX]
     matrix_top = [[tow.lift(x) for x in row] for row in matrix]
     images = set()
-    all_points = fixture_points(tow) + conjugate_points(tow)[5:]
+    all_points = points + _conjugates(tow, points[5:])
     for pt in all_points:
         images.add(_normalized(mat_vec(matrix_top, pt)))
     curve = {_normalized(list(p.coords)) for p in nrc_points(tow.top, 6)}
     checks.append(("curve-bijection", images == curve and len(all_points) == 17,
                    "projectivity maps the 17 points onto the standard curve"))
 
-    points = fixture_points(tow)
     derived_ok = all(field_reduction(tow, points[i]) == lines[i]
                      for i in range(5, 11))
     checks.append(("conjugate-span-lines", derived_ok,
@@ -229,7 +245,7 @@ def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, st
                    "the family is the standard 11-element construction, "
                    "transported by the projectivity"))
 
-    code = fixture_code(tow)
+    code = code_from_subspaces(tow, lines, 3)
     d = min_distance(code)
     code_ok = (code.n, code.size, d) == (11, 4096, 9) and is_mds(code, distance=d)
     checks.append(("code-parameters", code_ok,

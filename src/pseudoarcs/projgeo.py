@@ -65,9 +65,9 @@ class Subspace:
     def points(self):
         """One representative per projective point, normalized so the
         first nonzero coordinate is 1.  (q^rank - 1)/(q - 1) points."""
-        fld = self.field
+        element = self.field.element
         for key in self._int_points():
-            yield tuple(FieldElement(fld, v) for v in key)
+            yield tuple(map(element, key))
 
     def _int_points(self):
         """The points as int tuples of encodings, in the order of
@@ -175,7 +175,7 @@ def field_reduction(tow: FieldTower, vec: Sequence[FieldElement]) -> Subspace:
     red, pivots = rref_ints(base, [list(row) for row in zip(*coords)])
     # the rows are reduced already: wrap them, do not reduce them again
     w = Subspace(base, len(coords), [])
-    w.rows = tuple(tuple(FieldElement(base, v) for v in r) for r in red)
+    w.rows = tuple(tuple(map(base.element, r)) for r in red)
     w.pivots = tuple(pivots)
     return w
 

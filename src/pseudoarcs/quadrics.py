@@ -60,7 +60,7 @@ class QuadraticForm:
         fld = self.field
         if any(x.field is not fld for x in vec):
             raise FieldMismatchError("vector entries not in %r" % fld)
-        return FieldElement(fld, fld.form_value(self.terms, [x.val for x in vec]))
+        return fld.element(fld.form_value(self.terms, [x.val for x in vec]))
 
     def __add__(self, other: "QuadraticForm") -> "QuadraticForm":
         if self.field is not other.field or self.n != other.n:
@@ -125,9 +125,7 @@ def vanishing_space(subspaces: Sequence[Subspace], field: Optional[GF] = None,
                                    for i, j in pairs])
     kernel = nullspace_ints(field, conditions, len(pairs))
     basis, _ = rref_ints(field, kernel)
-    fe = FieldElement
-    return [QuadraticForm(field, ambient_dim, [fe(field, v) for v in row])
-            for row in basis]
+    return [QuadraticForm(field, ambient_dim, field.wrap(row)) for row in basis]
 
 
 def nrc_quadric_system(field: GF, k: int) -> List[QuadraticForm]:

@@ -398,30 +398,34 @@ def test_erasure_decode_all_max_patterns():
 
 
 def reference_solve(matrix, rhs):
-    """Gauss-Jordan elimination on FieldElements, column by column; None
-    when the square matrix is singular."""
-    n = len(matrix)
+    """Gauss-Jordan elimination on FieldElements, column by column, of
+    an m x n system with m >= n: the unique solution, "determine" when
+    the columns are dependent, or "mismatch" when the system is
+    inconsistent."""
+    m, n = len(matrix), len(matrix[0])
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     for c in range(n):
-        pr = next((i for i in range(c, n) if aug[i][c]), None)
+        pr = next((i for i in range(c, m) if aug[i][c]), None)
         if pr is None:
-            return None
+            return "determine"
         aug[c], aug[pr] = aug[pr], aug[c]
         inv = aug[c][c].inverse()
         aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
+        for i in range(m):
             if i != c and aug[i][c]:
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n] for row in aug]
+    if any(row[n] for row in aug[n:]):
+        return "mismatch"
+    return [row[n] for row in aug[:n]]
 
 
 def reference_decode(received, code):
     """erasure_decode spelled out on FieldElements: normal-basis
-    coordinates through the trace-dual basis, the first k_msg survivors'
-    equations solved by ``reference_solve``, the solution re-encoded by
-    ``reference_combine``.  Returns the message polynomial, or the
-    DecodeError reason."""
+    coordinates through the trace-dual basis, the equations of every
+    survivor solved together by ``reference_solve``, the solution
+    re-encoded by ``reference_combine``.  Returns the message
+    polynomial, or the DecodeError reason."""
     tow = code.tow
     h, hk = tow.h, tow.h * code.k_msg
     dual = tow.dual_basis(tow.normal_basis())
@@ -433,18 +437,17 @@ def reference_decode(received, code):
     if len(survivors) < code.k_msg:
         return "unerased"
     matrix, rhs = [], []
-    for j in survivors[:code.k_msg]:
+    for j in survivors:
         col = [coords(row[j]) for row in code.gen]
         target = coords(received[j])
         for i in range(h):
             matrix.append([col[r][i] for r in range(hk)])
             rhs.append(target[i])
     message = reference_solve(matrix, rhs)
-    if message is None:
-        return "determine"
+    if isinstance(message, str):
+        return message
     word = reference_combine(code, message)
-    if any(word[j] != received[j] for j in survivors):
-        return "mismatch"
+    assert all(word[j] == received[j] for j in survivors)
     return Poly(tow.base, message)
 
 
@@ -476,7 +479,50 @@ def test_erasure_decode_matches_reference_solve():
                 else:
                     assert erasure_decode(received, code) == expect
                     outcomes.add("decoded")
+        # a repeated column among k survivors leaves the rank short
+        code = with_column(codes_[0], 0, tow.base.one)
+        keep = {0, code.n - 1, *range(1, k - 1)}
+        word = encode(random_message(tow, k, rng), code)
+        received = [x if j in keep else ERASED for j, x in enumerate(word)]
+        assert reference_decode(received, code) == "determine"
+        with pytest.raises(DecodeError, match="determine"):
+            erasure_decode(received, code)
+        outcomes.add("determine")
         assert outcomes == {"decoded", "unerased", "determine", "mismatch"}, (p, e, h)
+
+
+def copy_column(code, src, dst):
+    """The code with column dst replaced by a copy of column src."""
+    gen = [list(row) for row in code.gen]
+    for row in gen:
+        row[dst] = row[src]
+    return AdditiveCode(code.tow, code.k_msg, gen, code.eval_spec)
+
+
+def test_erasure_decode_reads_past_a_repeated_column():
+    # the first k survivors are equal columns, rank h; the third
+    # survivor brings the rank to hk and determines the message
+    code = copy_column(full_code(5, 1, 2, 2), 0, 1)
+    tow = code.tow
+    rng = Random(17)
+    for _ in range(5):
+        f = random_message(tow, 2, rng)
+        word = encode(f, code)
+        received = [x if j in (0, 1, 5) else ERASED for j, x in enumerate(word)]
+        assert erasure_decode(received, code) == f
+        assert reference_decode(received, code) == f
+        # coordinate 1 repeats coordinate 0: a change there is caught
+        received[1] = received[1] + tow.top.one
+        with pytest.raises(DecodeError, match="mismatch at coordinate 1"):
+            erasure_decode(received, code)
+
+
+def test_erasure_decode_refuses_when_survivors_fall_short_of_rank():
+    code = copy_column(full_code(5, 1, 2, 2), 0, 1)
+    word = encode(random_message(code.tow, 2, Random(19)), code)
+    received = [x if j in (0, 1) else ERASED for j, x in enumerate(word)]
+    with pytest.raises(DecodeError, match="do not determine the message"):
+        erasure_decode(received, code)
 
 
 def test_erasure_decode_zero_word():

@@ -2,14 +2,17 @@
 Galois structure, normal elements, polynomial calculus."""
 
 import ast
+import itertools
 import pathlib
 import random
 
 import pytest
 
 import pseudoarcs
-from pseudoarcs.gf import (FieldMismatchError, GF, Poly, is_irreducible,
-                           prime_factors, smallest_irreducible, tower)
+from pseudoarcs import gf
+from pseudoarcs.gf import (FieldElement, FieldMismatchError, GF, Poly,
+                           is_irreducible, prime_factors, smallest_irreducible,
+                           tower)
 
 
 # --- oracle: naive polynomial arithmetic mod the field's own modulus --------
@@ -103,6 +106,86 @@ def test_arithmetic_against_polynomial_oracle():
             for b in range(f.order):
                 assert f.mul(a, b) == oracle_mul(a, b, p, mod)
                 assert f.add(a, b) == oracle_add(a, b, p, m)
+
+
+def test_carry_less_products_match_polynomial_oracle():
+    # p = 2: every table entry comes from the shift-and-XOR product
+    rng = random.Random(8)
+    for m in range(1, 9):
+        f = GF.get(2, m)
+        mod = f.modulus
+        n = f.order - 1
+        prim = f.primitive_element().val
+        for i in range(n):
+            assert f._exp[i] == f._exp[i + n]
+            assert f._exp[i + 1] == oracle_mul(f._exp[i], prim, 2, mod), (m, i)
+            assert f._log[f._exp[i]] == i
+        assert sorted(f._exp[:n]) == list(range(1, f.order))
+        pairs = (itertools.product(range(f.order), repeat=2) if m <= 5 else
+                 [(rng.randrange(f.order), rng.randrange(f.order))
+                  for _ in range(500)])
+        for a, b in pairs:
+            assert f._raw_mul(a, b) == oracle_mul(a, b, 2, mod), (m, a, b)
+
+
+INTERNED_FIELDS = [(5, 1), (2, 4), (3, 4), (2, 12)]
+
+
+def sample_encodings(f, rng, count=300):
+    return [0, 1, f.order - 1] + [rng.randrange(f.order) for _ in range(count)]
+
+
+def test_interned_elements_are_the_table_entries():
+    rng = random.Random(12)
+    for p, m in INTERNED_FIELDS:
+        f = GF.get(p, m)
+        vs = sample_encodings(f, rng)
+        for v in vs:
+            x = f.element(v)
+            assert x == FieldElement(f, v) and hash(x) == hash(FieldElement(f, v))
+            assert x.field is f and x.val == v
+            assert f(v) is x
+        for x, v in zip(f.wrap(vs), vs):
+            assert x is f.element(v)
+        assert [x.val for x in f.elements()] == list(range(f.order))
+        assert all(x is f.element(x.val) for x in f.elements())
+        assert f.zero is f.element(0) and f.one is f.element(1)
+
+
+def test_interned_arithmetic_matches_direct_wrappers():
+    rng = random.Random(13)
+    for p, m in INTERNED_FIELDS:
+        f = GF.get(p, m)
+        for _ in range(300):
+            a, b = f(rng.randrange(f.order)), f(rng.randrange(1, f.order))
+            x, y = a.val, b.val
+            expected = [(a + b, FieldElement(f, f.add(x, y))),
+                        (a - b, FieldElement(f, f.sub(x, y))),
+                        (-a, FieldElement(f, f.neg(x))),
+                        (a * b, FieldElement(f, f.mul(x, y))),
+                        (a / b, FieldElement(f, f.mul(x, f.inv(y)))),
+                        (b.inverse(), FieldElement(f, f.inv(y))),
+                        (a ** 5, FieldElement(f, f.pow(x, 5)))]
+            for got, want in expected:
+                assert got == want and got is f.element(want.val)
+
+
+def test_field_above_the_table_limit():
+    f = GF.get(2, 17)
+    assert f.order > gf._TABLE_LIMIT and f._exp is None
+    rng = random.Random(14)
+    for v in sample_encodings(f, rng, 50):
+        x = f.element(v)
+        assert type(x) is FieldElement and x.field is f and x.val == v
+        assert x == FieldElement(f, v) and hash(x) == hash(FieldElement(f, v))
+        assert f(v) == x
+    vs = sample_encodings(f, rng, 20)
+    assert [x.val for x in f.wrap(vs)] == vs
+    for _ in range(20):
+        a, b = f(rng.randrange(f.order)), f(rng.randrange(1, f.order))
+        assert (a * b).val == oracle_mul(a.val, b.val, 2, f.modulus)
+        assert (a * b) / b == a and (a + b) - b == a and a + a == f.zero
+        assert b * b.inverse() == f.one
 
 
 def test_field_axioms_small_fields():

@@ -51,17 +51,19 @@ def test_full_battery():
 def test_printed_conjugates_match_derivation():
     tow = fixture_tower()
     conjs = conjugate_points(tow)
+    w = w_element(tow)
     for i, exps in _PRINTED_CONJUGATES.items():
-        assert _top_vector(tow, exps) == conjs[i - 1], "point %d" % i
+        assert _top_vector(tow, exps, w) == conjs[i - 1], "point %d" % i
 
 
 def test_sixth_point_repair():
     tow = fixture_tower()
     pts = fixture_points(tow)
+    w = w_element(tow)
     # the published conjugate slot holds the point itself; the true
     # conjugate has exponent 9
-    assert pts[5] == _top_vector(tow, (None, None, 0, 6, None, None))
-    assert conjugate_points(tow)[5] == _top_vector(tow, (None, None, 0, 9, None, None))
+    assert pts[5] == _top_vector(tow, (None, None, 0, 6, None, None), w)
+    assert conjugate_points(tow)[5] == _top_vector(tow, (None, None, 0, 9, None, None), w)
 
 
 def test_eighth_line_repair():
