@@ -124,16 +124,19 @@ class AdditiveCode:
 
     def combine(self, message: Sequence[FieldElement]) -> List[FieldElement]:
         """Codeword as the F_q-combination of the generator rows."""
-        hk = self.h * self.k_msg
+        return self.tow.top.wrap(self._word(message))
+
+    def _word(self, message: Sequence[FieldElement]) -> List[int]:
+        """:meth:`combine` as top-field encodings."""
         message = list(message)
-        if len(message) != hk:
+        if len(message) != self.h * self.k_msg:
             raise ValueError("message must have hk coefficients")
         top = self.tow.top
         out = [0] * self.n
         for c, row in zip(message, self._rows):
             if c:
                 out = top.sub_scaled(out, (-self.tow.lift(c)).val, row)
-        return top.wrap(out)
+        return out
 
 
 def evaluation_code(tow: FieldTower, alphas: Sequence[FieldElement],
@@ -250,22 +253,27 @@ def min_distance(code: AdditiveCode, max_words: int = 2 ** 20) -> int:
     coefficient is 1.  The free tail after each lead position is walked
     in modular q-ary Gray order (Knuth, TAOCP 4A, 7.2.1.1): step t adds 1
     to tail digit v_q(t), so the next word is the previous one plus
-    lift(delta) * row, a single int row update.  The budget counts all
-    q^(hk) messages.
+    lift(delta) * row.  Each word is one int in the top field's packed
+    layout (``GF.word_ops``), and the q products lift(delta) * row of
+    every row are packed before the walk, so a step is one packed add
+    and a weight one bit count.  The budget counts all q^(hk) messages.
     """
     if code.size > max_words:
         raise ValueError("code has %d words, over the budget %d; "
                          "use the geometric route" % (code.size, max_words))
     tow = code.tow
-    q, n, rows, sub = tow.q, code.n, code._rows, tow.top.sub_scaled
-    # -lift(x_(a+1) - x_a) for the digit order x_a = base(a), wrapping at q
-    steps = [(-tow.lift(tow.base((a + 1) % q) - tow.base(a))).val
-             for a in range(q)]
-    best = n
-    for lead, word in enumerate(rows):
-        tail = rows[lead + 1:]
+    q, top = tow.q, tow.top
+    pack, add, weight = top.word_ops(code.n)
+    # lift(x_(a+1) - x_a) for the digit order x_a = base(a), wrapping at q
+    deltas = [tow.lift(tow.base((a + 1) % q) - tow.base(a)).val
+              for a in range(q)]
+    steps = [[pack(top.scaled(c, row)) for c in deltas] for row in code._rows]
+    best = code.n
+    for lead, row in enumerate(code._rows):
+        tail = steps[lead + 1:]
         digits = [0] * len(tail)
-        best = min(best, n - word.count(0))
+        word = pack(row)
+        best = min(best, weight(word))
         for t in range(1, q ** len(tail)):
             j = 0
             while t % q == 0:
@@ -273,8 +281,10 @@ def min_distance(code: AdditiveCode, max_words: int = 2 ** 20) -> int:
                 j += 1
             a = digits[j]
             digits[j] = (a + 1) % q
-            word = sub(word, steps[a], tail[j])
-            best = min(best, n - word.count(0))
+            word = add(word, tail[j][a])
+            w = weight(word)
+            if w < best:
+                best = w
     return best
 
 
@@ -315,7 +325,9 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
     until hk are kept; their unique solution is re-encoded and checked
     against every surviving coordinate.  The word is refused when all
     the survivors together have rank below hk.  For an MDS code the
-    first k_msg survivors always give the hk equations.
+    first k_msg survivors always give the hk equations.  A survivor
+    outside the top field raises FieldMismatchError before any equation
+    is read, wherever it stands.
     """
     tow = code.tow
     base, top = tow.base, tow.top
@@ -327,26 +339,26 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
     if len(survivors) < code.k_msg:
         raise DecodeError("only %d unerased coordinates, need %d"
                           % (len(survivors), code.k_msg))
+    for j in survivors:
+        if received[j].field is not top:
+            raise FieldMismatchError("received symbol %d is not in the top field" % j)
     # int rows (equation | right-hand side) in echelon form; a row whose
     # equation part lies in the span reduces to pivot hk or vanishes
     basis = []
     for j in survivors:
         if len(basis) == hk:
             break
-        x = received[j]
-        if x.field is not top:
-            raise FieldMismatchError("received symbol %d is not in the top field" % j)
         coords = zip(*(tow.normal_ints(row[j]) for row in code._rows))
-        for r, b in zip(coords, tow.normal_ints(x.val)):
+        for r, b in zip(coords, tow.normal_ints(received[j].val)):
             if insert_row(base, basis, [*r, b]) and basis[-1][0] == hk:
                 basis.pop()
     if len(basis) < hk:
         raise DecodeError("surviving coordinates do not determine the message")
     red, _ = rref_ints(base, [r for _, r in basis])
     coeffs = base.wrap(r[hk] for r in red)
-    reencoded = code.combine(coeffs)
+    reencoded = code._word(coeffs)
     for j in survivors:
-        if reencoded[j] != received[j]:
+        if reencoded[j] != received[j].val:
             raise DecodeError("re-encoding mismatch at coordinate %d: "
                               "word has errors, not just erasures" % j)
     return Poly(base, coeffs)

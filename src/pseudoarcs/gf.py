@@ -16,6 +16,7 @@ the smallest-encoded root of the base modulus inside the top field.
 from __future__ import annotations
 
 import functools
+import operator
 
 from . import linalg
 
@@ -400,6 +401,60 @@ class GF:
                 return acc
         return form_value
 
+    def word_ops(self, n):
+        """Packed words of length n: ``pack(ints)`` holds a row of n
+        encodings as one int, ``add(w, s)`` is the entry-wise field sum
+        of two packed words and ``weight(w)`` counts the nonzero entries.
+
+        Entry j takes the W-bit slot starting at bit j*W.  For p = 2 it
+        holds the m bits of the encoding, so the sum is XOR; for odd p,
+        the m base-p digits, b = (2p-1).bit_length() bits each, so a
+        digit-wise sum fits before one SWAR step takes p off each digit
+        that reached p.  Either way one zero guard bit tops the slot:
+        every entry is below 2^(W-1), so adding 2^(W-1)-1 to each slot
+        sets its top bit exactly when the entry is nonzero, and carries
+        into no other slot.
+        """
+        p, m = self.p, self.m
+        b = 1 if p == 2 else (2 * p - 1).bit_length()
+        width = m * b + 1
+        ones = sum(1 << (j * width) for j in range(n))
+        low = (1 << (width - 1)) - 1
+        fill, top = low * ones, (low + 1) * ones
+
+        def weight(w):
+            return ((w + fill) & top).bit_count()
+
+        if p == 2:
+            def pack(ints):
+                w = 0
+                for v in reversed(ints):
+                    w = w << width | v
+                return w
+
+            return pack, operator.xor, weight
+
+        digit_ones = ones * sum(1 << (i * b) for i in range(m))
+        bias = ((1 << (b - 1)) - p) * digit_ones
+        shift = b - 1
+
+        # spread[v]: the digits of v, b bits apart
+        spread = list(range(p))
+        for v in range(p, self.order):
+            spread.append(spread[v // p] << b | v % p)
+
+        def pack(ints):
+            w = 0
+            for v in reversed(ints):
+                w = w << width | spread[v]
+            return w
+
+        def add(w, s):
+            s += w
+            return s - (((s + bias) >> shift) & digit_ones) * p
+
+        return pack, add, weight
+
     def add(self, a, b):
         if self.p == 2:
             return a ^ b
@@ -416,6 +471,9 @@ class GF:
             return a
         if self.m == 1:
             return (-a) % self.p
+        if self._exp is not None:
+            # -1 is exp[g/2], the one element of order 2
+            return self._exp[self._log[a] + self._gorder // 2] if a else 0
         p = self.p
         return self.encode(tuple((-x) % p for x in self.digits(a)))
 

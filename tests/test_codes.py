@@ -211,20 +211,39 @@ def test_min_distance_meets_singleton():
         min_distance(code, max_words=100)
 
 
+def with_constant_column(code, v):
+    """The code with a column appended whose entries all encode v."""
+    x = code.tow.top(v)
+    gen = [list(row) + [x] for row in code.gen]
+    return AdditiveCode(code.tow, code.k_msg, gen,
+                        list(code.eval_spec) + [CoordSpec("external")])
+
+
 def test_min_distance_matches_reference():
-    # p = 2, odd p, q = 9 and h = 3; random codes, and MDS codes with a
-    # column repeated or repeated times a base scalar (d = n - k there)
+    # p in 2, 3, 5, 7, 11 (packed digit widths 1, 3, 4, 4, 5), q = 4, 9
+    # and 25, h = 1 (a prime top field for e = 1), 2 and 3; random codes,
+    # and MDS codes with a column repeated or repeated times a base scalar
+    # (d = n - k there), an all-zero column, or a column whose entries
+    # have every digit p - 1
     rng = Random(7)
     for (p, e, h), ks, n in [((2, 1, 2), (1, 2, 3), 6), ((2, 2, 2), (1, 2), 6),
                              ((3, 1, 2), (1, 2), 5), ((3, 2, 2), (1, 2), 4),
-                             ((2, 1, 3), (1, 2), 5), ((3, 1, 3), (1,), 4)]:
+                             ((2, 1, 3), (1, 2), 5), ((3, 1, 3), (1,), 4),
+                             ((5, 1, 2), (1, 2), 4), ((7, 1, 2), (1,), 4),
+                             ((11, 1, 2), (1,), 4), ((2, 1, 1), (1, 2, 3), 5),
+                             ((3, 1, 1), (2, 3), 5), ((11, 1, 1), (2,), 4),
+                             ((2, 2, 1), (2, 3), 5), ((5, 2, 1), (1, 2), 4)]:
         tow = tower(p, e, h)
         for k in ks:
-            for _ in range(3):
+            for i in range(3):
                 code = random_code(tow, k, n, rng)
                 scale = tow.base(rng.randrange(1, tow.q))
-                for c in (code, with_column(code, 0, tow.base.one),
-                          with_column(code, n - 1, scale)):
+                codes = [code, with_column(code, 0, tow.base.one),
+                         with_column(code, n - 1, scale)]
+                if i == 0:
+                    codes += [with_constant_column(code, 0),
+                              with_constant_column(code, tow.top.order - 1)]
+                for c in codes:
                     assert min_distance(c) == reference_min_distance(c)
                     message = [tow.base(rng.randrange(tow.q))
                                for _ in range(h * k)]
@@ -240,9 +259,9 @@ def test_min_distance_matches_reference():
                 min_distance(planted, max_words=planted.size - 1)
 
 
-def plant_weight_one(tow, k, n, rng):
+def plant_weight_one(tow, k, n, rng, at):
     """A random code and a random message whose codeword is zero outside
-    one coordinate, so that the code has distance 1."""
+    coordinate at, so that the code has distance 1."""
     hk = tow.h * k
     while True:
         message = [tow.base(rng.randrange(tow.q)) for _ in range(hk)]
@@ -251,7 +270,7 @@ def plant_weight_one(tow, k, n, rng):
         gen = [[tow.top(rng.randrange(tow.top.order)) for _ in range(n)]
                for _ in range(hk - 1)]
         last = [tow.top.zero] * n
-        last[rng.randrange(n)] = tow.top(rng.randrange(1, tow.top.order))
+        last[at] = tow.top(rng.randrange(1, tow.top.order))
         for c, row in zip(message, gen):
             last = [a - tow.lift(c) * x for a, x in zip(last, row)]
         inv = tow.lift(message[-1]).inverse()
@@ -265,16 +284,29 @@ def plant_weight_one(tow, k, n, rng):
 
 def test_min_distance_finds_a_planted_weight_one_word():
     # a weight-1 word planted at a random message: a walk that skips part
-    # of a tail is likely to miss it
+    # of a tail is likely to miss it; coordinates 0 and n - 1 are the
+    # lowest and highest slots of a packed word
     rng = Random(11)
     for (p, e, h), k, n in [((2, 2, 2), 2, 8), ((3, 2, 2), 2, 8),
                             ((5, 1, 2), 2, 8), ((2, 1, 3), 2, 10),
                             ((3, 1, 3), 2, 10)]:
         tow = tower(p, e, h)
-        for _ in range(6):
-            code, message = plant_weight_one(tow, k, n, rng)
-            assert sum(1 for x in code.combine(message) if x) == 1
+        for at in [0, n - 1] + [rng.randrange(n) for _ in range(4)]:
+            code, message = plant_weight_one(tow, k, n, rng, at)
+            word = code.combine(message)
+            assert [j for j, x in enumerate(word) if x] == [at]
             assert min_distance(code) == 1
+
+
+def test_min_distance_builds_no_rows(monkeypatch):
+    # the walk adds packed words; it makes no int row update
+    def no_rows(*args):
+        raise AssertionError("min_distance updated an int row")
+
+    for p, e in [(2, 2), (3, 2), (7, 1)]:
+        code = full_code(p, e, 2, 2)
+        monkeypatch.setattr(code.tow.top, "sub_scaled", no_rows)
+        assert min_distance(code) == code.n - 1
 
 
 def test_is_mds_at_larger_sizes():
@@ -545,6 +577,14 @@ def test_erasure_decode_errors():
     corrupted[7] = corrupted[7] + tow.top.one
     with pytest.raises(DecodeError):
         erasure_decode(corrupted, code)
+    # a symbol from another field is refused wherever it stands, also
+    # past the survivors whose equations determine the message
+    alien = tower(7, 1, 2).top(1)
+    for j in (0, code.n - 1):
+        wrong = list(word)
+        wrong[j] = alien
+        with pytest.raises(FieldMismatchError, match="symbol %d " % j):
+            erasure_decode(wrong, code)
 
 
 def test_linear_equivalence_verdicts():

@@ -188,6 +188,45 @@ def test_field_above_the_table_limit():
         assert b * b.inverse() == f.one
 
 
+def oracle_neg(a, p, m):
+    return oracle_encode([(-x) % p for x in oracle_digits(a, p, m)], p)
+
+
+def test_neg_and_sub_match_digit_reference():
+    # odd p extension fields: every element up to GF(81), sampled
+    # elements above the table limit, where the digit path stays
+    rng = random.Random(15)
+    for p, m in [(3, 2), (5, 2), (3, 3), (3, 4), (257, 2)]:
+        f = GF.get(p, m)
+        assert (f._exp is None) == (f.order > gf._TABLE_LIMIT)
+        vs = (range(f.order) if f.order <= 81 else
+              sample_encodings(f, rng, 100))
+        for a in vs:
+            assert f.neg(a) == oracle_neg(a, p, m), (p, m, a)
+            for b in vs:
+                assert f.sub(a, b) == oracle_add(a, oracle_neg(b, p, m), p, m)
+
+
+def test_packed_words_match_entry_arithmetic():
+    # every digit width (b = 1, 3, 4, 4, 5), prime and extension fields;
+    # rows hold zeros and entries with every digit p - 1 at both ends
+    rng = random.Random(16)
+    for p, m in [(2, 1), (2, 4), (3, 1), (3, 4), (5, 2), (7, 2), (11, 2),
+                 (13, 1)]:
+        f = GF.get(p, m)
+        for n in (1, 2, 7):
+            pack, add, weight = f.word_ops(n)
+            rows = [[0] * n, [f.order - 1] * n]
+            rows += [[rng.choice((0, f.order - 1, rng.randrange(f.order)))
+                      for _ in range(n)] for _ in range(40)]
+            for x in rows:
+                assert weight(pack(x)) == sum(1 for v in x if v)
+                for y in rng.sample(rows, 5):
+                    s = [f.add(a, b) for a, b in zip(x, y)]
+                    assert add(pack(x), pack(y)) == pack(s), (p, m, x, y)
+                    assert weight(add(pack(x), pack(y))) == sum(1 for v in s if v)
+
+
 def test_field_axioms_small_fields():
     for p, m in [(2, 2), (3, 2), (5, 1), (7, 1), (2, 4)]:
         f = GF.get(p, m)
