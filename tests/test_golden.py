@@ -1,15 +1,22 @@
-"""Golden outputs: the sha256 of the primary output of eight commands.
+"""Golden outputs: the sha256 of the primary output of fourteen
+commands.
 
 The digests were taken from the program before field elements were
-interned, and those of the q = 8 code before codewords were packed, so
-a change meant only to make the program faster that alters a single
-byte of these outputs fails here.  A change that alters output on
-purpose updates the digest and says why.
+interned, those of the q = 8 code before codewords were packed, and
+those of the second test before subspaces kept int rows, so a change
+meant only to make the program faster that alters a single byte of
+these outputs fails here.  A change that alters output on purpose
+updates the digest and says why.
 """
 
 import hashlib
+import json
 
+from pseudoarcs import jsonio
 from pseudoarcs.cli import main
+from pseudoarcs.gf import tower
+from pseudoarcs.nrc import nrc_points
+from pseudoarcs.projgeo import Subspace
 
 GOLDEN = {
     "construct-arc":
@@ -28,14 +35,32 @@ GOLDEN = {
         "eea053630519e31b1a3cc67436f1fa7fae0539fb3fcfc1a61cedf96b5f3085b6",
     "quadrics-through":
         "0f9bf1e73580a1fcdeddc4c1b7342ee7a9ca8bcb3e7e5c8d9b66554e371b4c44",
+    "verify-arc-repeated":
+        "4b8636d1f9e98120aa1ad13d0e53cfe666b01cea9e73e922ec850424d27cd43e",
+    "construct-arc-q9":
+        "b3d4dd4228fdffb609952f467e3eb74467930a1c5a238f4db2236dd1df0b0244",
+    "verify-arc-q9":
+        "2a14bb8f2069cab4d017bf6527bfd0891a6080dfd9dc94738f06291f2847e78f",
+    "construct-arc-h3":
+        "9a951467704510bf0863e796975a376c49190fd06d5d2829918ec2503b2ba166",
+    "verify-arc-h3":
+        "438e1574e354e346b2f8eb9b42aa2b695c21d64cf5fee2eb7b27262661282e35",
+    "certify-ci-curve":
+        "3496411872f51b76a1d16c26608f6fb87e80b6912423700c786c767d443446e0",
 }
 
 
-def _stdout(capsys, *argv):
+def _stdout(capsys, *argv, status=0):
     code = main(list(argv))
     out = capsys.readouterr().out
-    assert code == 0, out
+    assert code == status, out
     return out
+
+
+def _check(out):
+    digests = {name: hashlib.sha256(text.encode()).hexdigest()
+               for name, text in out.items()}
+    assert digests == {name: GOLDEN[name] for name in out}
 
 
 def test_primary_outputs_match_golden_digests(capsys, tmp_path):
@@ -65,6 +90,38 @@ def test_primary_outputs_match_golden_digests(capsys, tmp_path):
     out["verify-example"] = _stdout(capsys, "verify-example", "--json")
     out["quadrics-through"] = _stdout(capsys, "quadrics", "through",
                                       str(arc_path), "--json")
-    digests = {name: hashlib.sha256(text.encode()).hexdigest()
-               for name, text in out.items()}
-    assert digests == GOLDEN
+    _check(out)
+
+
+def test_refutation_and_larger_fields_match_golden_digests(capsys, tmp_path):
+    out = {}
+    # text-mode refutation of a repeated element: the path that prints the
+    # rank of the witness and the common points of the pair
+    doc = json.loads(_stdout(capsys, "construct-arc", "--h", "2", "--k", "2",
+                             "--q", "7", "--extend"))
+    doc["elements"].insert(1, doc["elements"][0])
+    doc["tags"].insert(1, doc["tags"][0])
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(jsonio.dumps(doc))
+    out["verify-arc-repeated"] = _stdout(capsys, "verify-arc", str(repeated),
+                                         "--k", "2", status=1)
+    # q = 9: odd p over a degree-2 base field; h = 3 at q = 7
+    for name, h, q in (("q9", "2", "9"), ("h3", "3", "7")):
+        arc = _stdout(capsys, "construct-arc", "--h", h, "--k", "2", "--q", q,
+                      "--extend")
+        out["construct-arc-" + name] = arc
+        path = tmp_path / ("arc-%s.json" % name)
+        path.write_text(arc)
+        out["verify-arc-" + name] = _stdout(capsys, "verify-arc", str(path),
+                                            "--k", "2", "--json")
+    # the twisted cubic of PG(3, 7) against the forms through it
+    tow = tower(7, 1, 1)
+    curve = tmp_path / "curve.json"
+    curve.write_text(jsonio.dumps(jsonio.subspaces_to_dict(
+        [Subspace(tow.base, 4, [list(p.coords)]) for p in nrc_points(tow.base, 4)],
+        tow)))
+    forms = tmp_path / "forms.json"
+    forms.write_text(_stdout(capsys, "quadrics", "through", str(curve), "--json"))
+    out["certify-ci-curve"] = _stdout(capsys, "quadrics", "certify-ci",
+                                      str(curve), str(forms), "--json")
+    _check(out)
