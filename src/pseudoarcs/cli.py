@@ -16,7 +16,7 @@ from .codes import (DecodeError, ERASED, encode, erasure_decode,
                     evaluation_code, extend_with_derivatives, fold_columns,
                     is_mds, min_distance)
 from .gf import Poly, factor_prime_power, tower
-from .linalg import rank
+from .linalg import rank_ints
 from .nrc import frobenius_orbit_reps, nrc_points, orbit_rep_count
 from .pg54 import verify_fixture
 from .projgeo import intersect
@@ -116,15 +116,13 @@ def cmd_verify_arc(args):
                   % (math.comb(len(elements), args.k), n, verdict.walked))
         return 0
     ws = verdict.witness
-    stacked = []
-    for i in ws:
-        stacked.extend(elements[i].rows)
+    stacked = [r for i in ws for r in elements[i].int_rows]
     print("refuted: elements %s span only rank %d of %d"
-          % (list(ws), rank(stacked), n))
+          % (list(ws), rank_ints(elements[0].field, stacked), n))
     if len(ws) == 2:
         meet = intersect(elements[ws[0]], elements[ws[1]])
-        for row in meet.rows:
-            print("common point: %s" % " ".join(str(x.val) for x in row))
+        for row in meet.int_rows:
+            print("common point: %s" % " ".join(map(str, row)))
     return 1
 
 

@@ -93,14 +93,23 @@ def _rows_to_ints(rows) -> List[List[int]]:
     return [[x.val for x in row] for row in rows]
 
 
-def _rows_from_ints(field, rows, where: str, key: str) -> List[List]:
-    """Rows of int encodings as elements of ``field``.  The TypeError of
-    an entry that is not an int encoding, or of a row that is not a
-    list, becomes a FormatError naming the key."""
+def _int_rows(field, rows, where: str, key: str) -> List[List[int]]:
+    """Rows of int encodings of ``field``, each entry checked as calling
+    the field checks it, but not wrapped.  The TypeError of an entry
+    that is not an int encoding, or of a row that is not a list, becomes
+    a FormatError naming the key."""
+    order = field.order
+    out = []
     try:
-        return [[field(v) for v in row] for row in rows]
+        for row in rows:
+            row = list(row)
+            for v in row:
+                if type(v) is not int or not 0 <= v < order:
+                    field(v)
+            out.append(row)
     except TypeError as exc:
         raise FormatError("%s: bad %r: %s" % (where, key, exc)) from None
+    return out
 
 
 def _subspaces_from_ints(field, n: int, elements, where: str,
@@ -110,12 +119,12 @@ def _subspaces_from_ints(field, n: int, elements, where: str,
     fixes n."""
     family = []
     for pos, rows in enumerate(elements):
-        rows = _rows_from_ints(field, rows, where, "elements")
+        rows = _int_rows(field, rows, where, "elements")
         for row in rows:
             if len(row) != n:
                 raise FormatError("%s: element %d has a row of length %d, "
                                   "%s is %d" % (where, pos, len(row), dim, n))
-        family.append(Subspace(field, n, rows))
+        family.append(Subspace.from_ints(field, n, rows))
     return family
 
 
@@ -130,7 +139,7 @@ def arc_to_dict(arc: PseudoArc) -> dict:
         "field": field_header(arc.tow),
         "k": arc.k,
         "tags": [_tag_to_dict(t) for t in arc.tags],
-        "elements": [_rows_to_ints(el.rows) for el in arc.elements],
+        "elements": [[list(r) for r in el.int_rows] for el in arc.elements],
     }
 
 
@@ -180,7 +189,7 @@ def subspaces_to_dict(elements: Sequence[Subspace], tow: FieldTower) -> dict:
         "field": field_header(tow),
         "level": level,
         "ambient_dim": n,
-        "elements": [_rows_to_ints(el.rows) for el in elements],
+        "elements": [[list(r) for r in el.int_rows] for el in elements],
     }
 
 
@@ -218,7 +227,8 @@ def code_from_dict(d: dict) -> AdditiveCode:
     if required(d, "omega", int, where) != tow.normal_element().val:
         raise FormatError("serialized omega disagrees with the canonical "
                           "normal element; decode semantics would differ")
-    gen = _rows_from_ints(tow.top, required(d, "gen", list, where), where, "gen")
+    gen = [tow.top.wrap(r) for r in
+           _int_rows(tow.top, required(d, "gen", list, where), where, "gen")]
     spec = []
     entry = "code document eval_spec entry"
     for s in required(d, "eval_spec", list, where):
@@ -277,12 +287,12 @@ def forms_from_dict(d: dict) -> List[QuadraticForm]:
     where = "forms document"
     field, n = forms_space(d)
     size = n * (n + 1) // 2
-    rows = _rows_from_ints(field, required(d, "forms", list, where), where, "forms")
+    rows = _int_rows(field, required(d, "forms", list, where), where, "forms")
     for pos, coeffs in enumerate(rows):
         if len(coeffs) != size:
             raise FormatError("%s: form %d has %d coefficients, n = %d needs %d"
                               % (where, pos, len(coeffs), n, size))
-    return [QuadraticForm(field, n, coeffs) for coeffs in rows]
+    return [QuadraticForm(field, n, field.wrap(coeffs)) for coeffs in rows]
 
 
 def _check_envelope(d: dict, expected_kind: str):

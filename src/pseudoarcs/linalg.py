@@ -5,10 +5,10 @@ The eliminations (rref, rank, det and everything built on them) run on
 integer encodings: the matrix is unwrapped to int rows once, reduced
 with the row operations its GF hands out (``sub_scaled`` and
 ``scaled``), and the result is wrapped again.  ``insert_row`` is the one
-elimination step; callers that keep int rows, such as the k-subset
-verifier and the quadric conditions, use it, ``rref_ints`` and
-``nullspace_ints`` directly.  Everything is
-deterministic: pivots are chosen topmost first, never by magnitude.
+elimination step; callers that keep int rows, such as subspaces, the
+k-subset verifier and the quadric conditions, use it and the ``_ints``
+functions directly.  Everything is deterministic: pivots are chosen
+topmost first, never by magnitude.
 """
 
 from __future__ import annotations
@@ -132,10 +132,25 @@ def rref(rows):
     return [fld.wrap(r) for r in red], pivots
 
 
+def rank_ints(field, mat):
+    return len(_echelon(field, mat))
+
+
 def rank(rows):
     if not rows or not rows[0]:
         return 0
-    return len(_echelon(*_unwrap(rows)))
+    return rank_ints(*_unwrap(rows))
+
+
+def vec_mat_ints(field, v, mat):
+    """The int row ``v`` times the int matrix ``mat``: the combination of
+    the rows of ``mat`` by the entries of ``v``."""
+    sub, neg = field.sub_scaled, field.neg
+    w = [0] * len(mat[0])
+    for x, row in zip(v, mat):
+        if x:
+            w = sub(w, neg(x), row)
+    return w
 
 
 def nullspace_ints(field, mat, ncols):
@@ -223,6 +238,9 @@ def solve_rect(a, b):
 
 def inverse(a):
     n = len(a)
+    if n == 0 or any(len(r) != n for r in a):
+        raise ValueError("inverse needs a nonempty square matrix, got %d x %d"
+                         % (n, next((len(r) for r in a if len(r) != n), n)))
     field = a[0][0].field
     aug = [list(row) + ident_row for row, ident_row in zip(a, identity(field, n))]
     red, pivots = rref(aug)

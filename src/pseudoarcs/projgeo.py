@@ -14,39 +14,68 @@ import itertools
 from typing import Iterable, List, Optional, Sequence
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, GF, InvariantError
-from .linalg import (SingularMatrixError, identity, inverse, mat_mul,
-                     nullspace, rank, rref, rref_ints, solve_rect,
-                     transpose)
+from .linalg import (SingularMatrixError, identity, nullspace_ints, rank,
+                     rank_ints, reduce_row, rref_ints, solve_rect, transpose,
+                     vec_mat_ints)
 
 
 class Subspace:
     """Row space of a matrix over a fixed field, held in canonical
-    reduced row-echelon form.  May have rank 0 (the empty subspace)."""
+    reduced row-echelon form.  May have rank 0 (the empty subspace).
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    The reduced rows are kept as int encodings, with their pivots and
+    hash; ``rows`` wraps them as field elements on first use.
+    """
+
+    __slots__ = ("field", "ambient_dim", "int_rows", "pivots", "_hash", "_rows")
 
     def __init__(self, field: GF, ambient_dim: int, rows: Sequence[Sequence[FieldElement]]):
-        red, pivots = rref(list(rows)) if rows else ([], [])
-        for r in red:
+        mat = []
+        for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("row length does not match ambient dimension")
+            if any(x.field is not field for x in r):
+                raise FieldMismatchError("subspace rows must have entries in %r" % field)
+            mat.append([x.val for x in r])
+        self._reduce(field, ambient_dim, mat)
+
+    @classmethod
+    def from_ints(cls, field: GF, ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
+        """The row space of int rows, each of ``ambient_dim`` encodings
+        of ``field``; neither is checked.  The rows are reduced here, so
+        no caller can hand in a basis that is not canonical."""
+        self = cls.__new__(cls)
+        self._reduce(field, ambient_dim, rows)
+        return self
+
+    def _reduce(self, field, ambient_dim, mat):
+        red, pivots = rref_ints(field, mat)
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows = tuple(tuple(r) for r in red)
+        self.int_rows = tuple(map(tuple, red))
         self.pivots = tuple(pivots)
+        self._hash = hash((field.p, field.m, ambient_dim, self.int_rows))
+        self._rows = None
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            element = self.field.element
+            self._rows = tuple(tuple(map(element, r)) for r in self.int_rows)
+        return self._rows
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.field is other.field
+        return (isinstance(other, Subspace) and self._hash == other._hash
+                and self.field is other.field
                 and self.ambient_dim == other.ambient_dim
-                and self.rows == other.rows)
+                and self.int_rows == other.int_rows)
 
     def __hash__(self):
-        return hash((self.field.p, self.field.m, self.ambient_dim,
-                     tuple(tuple(x.val for x in r) for r in self.rows)))
+        return self._hash
 
     def __repr__(self):
         return "Subspace(rank %d in dim %d over GF(%d))" % (
@@ -54,13 +83,12 @@ class Subspace:
 
     def contains(self, vec: Sequence[FieldElement]) -> bool:
         """Membership of a vector in the row space."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for i in range(self.ambient_dim):
-                    v[i] = v[i] - c * row[i]
-        return not any(v)
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        if any(x.field is not self.field for x in vec):
+            raise FieldMismatchError("vector entries must lie in %r" % self.field)
+        return not any(reduce_row(self.field, zip(self.pivots, self.int_rows),
+                                  [x.val for x in vec]))
 
     def points(self):
         """One representative per projective point, normalized so the
@@ -82,7 +110,7 @@ class Subspace:
         """
         fld = self.field
         sub, neg = fld.sub_scaled, fld.neg
-        rows = [[x.val for x in r] for r in self.rows]
+        rows = self.int_rows
         for lead, first in enumerate(rows):
             rest = rows[lead + 1:]
             for tail in itertools.product(range(fld.order), repeat=len(rest)):
@@ -112,25 +140,22 @@ def ambient_space(field: GF, n: int) -> Subspace:
 def join(u: Subspace, w: Subspace) -> Subspace:
     """Smallest subspace containing both."""
     _check_compatible(u, w)
-    return Subspace(u.field, u.ambient_dim, list(u.rows) + list(w.rows))
+    return Subspace.from_ints(u.field, u.ambient_dim, u.int_rows + w.int_rows)
 
 
 def intersect(u: Subspace, w: Subspace) -> Subspace:
     """Intersection, via the nullspace of the stacked bases: a kernel
     vector (a | b) with a*U = b*W names a common element."""
     _check_compatible(u, w)
+    fld = u.field
     if u.rank == 0 or w.rank == 0:
-        return Subspace(u.field, u.ambient_dim, [])
-    stacked = [list(r) for r in u.rows] + [[-x for x in r] for r in w.rows]
-    kernel = nullspace(transpose(stacked), field=u.field)
-    vecs = []
-    for kv in kernel:
-        vec = [u.field.zero] * u.ambient_dim
-        for c, row in zip(kv[:u.rank], u.rows):
-            for i in range(u.ambient_dim):
-                vec[i] = vec[i] + c * row[i]
-        vecs.append(vec)
-    result = Subspace(u.field, u.ambient_dim, vecs)
+        return Subspace.from_ints(fld, u.ambient_dim, [])
+    neg = fld.neg
+    stacked = list(u.int_rows) + [[neg(x) for x in r] for r in w.int_rows]
+    kernel = nullspace_ints(fld, transpose(stacked), len(stacked))
+    result = Subspace.from_ints(fld, u.ambient_dim,
+                                [vec_mat_ints(fld, kv[:u.rank], u.int_rows)
+                                 for kv in kernel])
     if result.rank != u.rank + w.rank - join(u, w).rank:
         raise InvariantError("intersection rank breaks the dimension formula")
     return result
@@ -170,27 +195,26 @@ def field_reduction(tow: FieldTower, vec: Sequence[FieldElement]) -> Subspace:
     top = tow.top
     if any(x.field is not top for x in vec):
         raise FieldMismatchError("field reduction expects a top-level vector")
-    base = tow.base
     coords = [tow.normal_ints(x.val) for x in vec]
-    red, pivots = rref_ints(base, [list(row) for row in zip(*coords)])
-    # the rows are reduced already: wrap them, do not reduce them again
-    w = Subspace(base, len(coords), [])
-    w.rows = tuple(tuple(map(base.element, r)) for r in red)
-    w.pivots = tuple(pivots)
-    return w
+    return Subspace.from_ints(tow.base, len(coords), list(zip(*coords)))
 
 
 def apply_projectivity(matrix: Sequence[Sequence[FieldElement]], w: Subspace) -> Subspace:
     """Image of a subspace under the projectivity of an invertible
-    matrix acting on column vectors from the left."""
-    try:
-        inverse([list(r) for r in matrix])
-    except SingularMatrixError:
+    matrix acting on column vectors from the left: each basis row r
+    goes to r * M^T."""
+    fld, n = w.field, w.ambient_dim
+    if len(matrix) != n or any(len(r) != n for r in matrix):
+        raise ValueError("projectivity of a space of dimension %d needs a %d x %d "
+                         "matrix, got %d x %d"
+                         % (n, n, n, len(matrix),
+                            next((len(r) for r in matrix if len(r) != n), n)))
+    if any(x.field is not fld for r in matrix for x in r):
+        raise FieldMismatchError("projectivity matrix entries must lie in %r" % fld)
+    mt = [[x.val for x in col] for col in zip(*matrix)]
+    if rank_ints(fld, mt) != n:
         raise SingularMatrixError("projectivity matrix is singular")
-    mt = transpose([list(r) for r in matrix])
-    if not w.rows:
-        return w
-    return Subspace(w.field, w.ambient_dim, mat_mul([list(r) for r in w.rows], mt))
+    return Subspace.from_ints(fld, n, [vec_mat_ints(fld, r, mt) for r in w.int_rows])
 
 
 class Spread:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .gf import FieldElement, FieldTower, InvariantError
-from .linalg import insert_row, reduce_row, rref_ints
+from .linalg import insert_row, reduce_row, rref_ints, vec_mat_ints
 from .nrc import (curve_projectivity, frobenius_orbit_reps, osc_basis,
                   osc_basis_infty, veronese)
 from .projgeo import (Spread, Subspace, field_reduction, span,
@@ -172,6 +172,8 @@ def extend_with_osculating(arc: PseudoArc) -> PseudoArc:
 def _orbit_order(fld, rows) -> Tuple[List[int], int]:
     """An element order that puts one representative per orbit of the
     curve's projectivities first, and the number of representatives.
+    ``rows`` holds the elements' ``int_rows``, which also key the lookup
+    of an image.
 
     The generators t -> t + 1, t -> xi*t and t -> 1/t are not trusted: a
     generator counts only when the canonical image of every element is an
@@ -184,11 +186,10 @@ def _orbit_order(fld, rows) -> Tuple[List[int], int]:
     size = len(rows)
     index = {}
     for i, el in enumerate(rows):
-        index.setdefault(tuple(map(tuple, el)), i)
+        index.setdefault(el, i)
     if len(index) < size:
         return list(range(size)), size
     n = len(rows[0][0])
-    sub, neg = fld.sub_scaled, fld.neg
     xi = fld.primitive_element().val
     root = list(range(size))
 
@@ -201,13 +202,7 @@ def _orbit_order(fld, rows) -> Tuple[List[int], int]:
         mat = curve_projectivity(fld, a, b, c, d, n)
         perm = []
         for el in rows:
-            image = []
-            for v in el:
-                w = [0] * n
-                for x, m in zip(v, mat):
-                    if x:
-                        w = sub(w, neg(x), m)
-                image.append(w)
+            image = [vec_mat_ints(fld, v, mat) for v in el]
             j = index.get(tuple(map(tuple, rref_ints(fld, image)[0])))
             if j is None:
                 break
@@ -259,7 +254,7 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     size = len(elements)
     if size < k:
         return ArcVerdict(True, orbits=size)
-    rows = [[[x.val for x in r] for r in el.rows] for el in elements]
+    rows = [el.int_rows for el in elements]
     prefix = []
     walked = 0
 

@@ -115,7 +115,7 @@ def vanishing_space(subspaces: Sequence[Subspace], field: Optional[GF] = None,
     add, mul = field.add, field.mul
     conditions = []
     for s in subspaces:
-        rows = [[x.val for x in r] for r in s.rows]
+        rows = s.int_rows
         for a, r in enumerate(rows):
             conditions.append([mul(r[i], r[j]) for i, j in pairs])
             # B(r, w) has coefficient r_i w_j + r_j w_i at x_i x_j: 2 r_i w_i

@@ -164,6 +164,14 @@ def test_solve_and_inverse():
         done += 1
 
 
+def test_inverse_refuses_non_square_matrices():
+    for a, got in (([[F5(1), F5(0), F5(0)], [F5(0), F5(1), F5(0)]], "2 x 3"),
+                   ([[F5(1), F5(0)], [F5(0), F5(1)], [F5(0), F5(0)]], "3 x 2"),
+                   ([], "0 x 0")):
+        with pytest.raises(ValueError, match="square matrix, got %s" % got):
+            inverse(a)
+
+
 def test_solve_rect_tall_system():
     # overdetermined but consistent: 4 equations, 2 unknowns, rank 2
     a = [[F5(1), F5(0)], [F5(0), F5(1)], [F5(1), F5(1)], [F5(2), F5(3)]]

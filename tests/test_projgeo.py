@@ -9,7 +9,8 @@ import random
 import pytest
 
 from pseudoarcs.gf import GF, FieldMismatchError, tower
-from pseudoarcs.linalg import SingularMatrixError, det, identity, mat_vec
+from pseudoarcs.linalg import (SingularMatrixError, det, identity, mat_mul,
+                               mat_vec, transpose)
 from pseudoarcs.projgeo import (Spread, Subspace, ambient_space, block_spread,
                                 canonical_spread, conjugate_rows,
                                 field_reduction, intersect, join, span,
@@ -356,3 +357,114 @@ def test_spread_point_coordinates_roundtrip():
         pt = s.embed_point(y)
         back = s.point_coordinates(pt)
         assert back == list(y)
+
+
+# -- int rows against FieldElement references --------------------------------
+
+DIFF_FIELDS = (GF.get(7, 1), GF.get(2, 3), GF.get(3, 2))
+
+
+def reference_rref(rows):
+    """Gauss-Jordan on FieldElements, topmost pivot first: the canonical
+    reduced rows and their pivot columns."""
+    rows = [list(r) for r in rows]
+    out, pivots = [], []
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        inv = pivot[col].inverse()
+        pivot = [inv * x for x in pivot]
+        rows = [[x - r[col] * y for x, y in zip(r, pivot)] for r in rows]
+        out = [[x - r[col] * y for x, y in zip(r, pivot)] for r in out]
+        out.append(pivot)
+        pivots.append(col)
+    return out, pivots
+
+
+def rand_rows(fld, ambient, nrows, rng):
+    """Random rows with planted dependencies: zero rows and sums of
+    multiples of earlier rows."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append([fld.zero] * ambient)
+        elif kind == 1 and rows:
+            a, b = rng.choice(rows), rng.choice(rows)
+            c = fld(rng.randrange(fld.order))
+            rows.append([x + c * y for x, y in zip(a, b)])
+        else:
+            rows.append([fld(rng.randrange(fld.order)) for _ in range(ambient)])
+    return rows
+
+
+def test_int_and_element_constructors_agree():
+    rng = random.Random(71)
+    for fld in DIFF_FIELDS:
+        for _ in range(40):
+            ambient = rng.randrange(1, 7)
+            rows = rand_rows(fld, ambient, rng.randrange(0, 6), rng)
+            s = Subspace(fld, ambient, rows)
+            t = Subspace.from_ints(fld, ambient, [[x.val for x in r] for r in rows])
+            assert s == t and hash(s) == hash(t)
+            assert s.rows == t.rows and s.pivots == t.pivots
+            assert s.int_rows == tuple(tuple(x.val for x in r) for r in s.rows)
+            red, pivots = reference_rref(rows)
+            assert [list(r) for r in s.rows] == red
+            assert list(s.pivots) == pivots
+            assert all(x.field is fld for r in s.rows for x in r)
+
+
+def test_subspace_refuses_entries_from_another_field():
+    f5, f7 = GF.get(5, 1), GF.get(7, 1)
+    with pytest.raises(FieldMismatchError):
+        Subspace(f7, 2, [[f5(1), f5(3)]])
+    with pytest.raises(FieldMismatchError):
+        Subspace(f7, 2, [[f7(1), f7(3)], [f7(0), f5(1)]])
+    with pytest.raises(ValueError):
+        Subspace(f7, 3, [[f7(1), f7(3)]])
+    line = Subspace(f7, 2, [[f7(1), f7(3)]])
+    with pytest.raises(FieldMismatchError):
+        line.contains([f5(1), f5(3)])
+
+
+def test_field_reduction_is_the_span_of_normal_coordinate_rows():
+    rng = random.Random(73)
+    for p, e, h in [(7, 1, 2), (2, 3, 2), (3, 2, 2), (7, 1, 3)]:
+        t = tower(p, e, h)
+        top = t.top
+        for _ in range(25):
+            n = rng.randrange(1, 7)
+            vec = [top(rng.randrange(top.order)) for _ in range(n)]
+            if rng.randrange(3) == 0:
+                # entries in the embedded base field: rank 1
+                vec = [t.lift(t.base(rng.randrange(t.q))) for _ in range(n)]
+            coords = [t.normal_coords(x) for x in vec]
+            rows = [[c[i] for c in coords] for i in range(h)]
+            assert field_reduction(t, vec) == Subspace(t.base, n, rows)
+
+
+def test_apply_projectivity_matches_element_product():
+    rng = random.Random(79)
+    for fld in DIFF_FIELDS:
+        for _ in range(20):
+            n = rng.randrange(1, 6)
+            s = Subspace(fld, n, rand_rows(fld, n, rng.randrange(0, n + 1), rng))
+            m = rand_invertible(fld, n, rng)
+            got = apply_projectivity(m, s)
+            image = mat_mul([list(r) for r in s.rows], transpose(m))
+            assert got == Subspace(fld, n, image)
+
+
+def test_apply_projectivity_refuses_wrong_shapes():
+    f7 = GF.get(7, 1)
+    line = Subspace(f7, 2, [[f7(1), f7(3)]])
+    for m, got in (([[f7(1), f7(0), f7(0)], [f7(0), f7(1), f7(0)]], "2 x 3"),
+                   ([[f7(1), f7(0)], [f7(0), f7(1)], [f7(0), f7(0)]], "3 x 2"),
+                   ([[f7(1), f7(0)], [f7(0)]], "2 x 1")):
+        with pytest.raises(ValueError, match="needs a 2 x 2 matrix, got %s" % got):
+            apply_projectivity(m, line)
+    with pytest.raises(FieldMismatchError):
+        apply_projectivity(identity(GF.get(5, 1), 2), line)
