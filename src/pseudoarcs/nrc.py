@@ -9,6 +9,7 @@ extension-field elements, and canonical representatives of the
 Frobenius orbits of maximal size.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -76,14 +77,6 @@ def nrc_points(field: GF, length: int) -> List[NrcPoint]:
     return pts
 
 
-def _falling(field: GF, i: int, r: int) -> FieldElement:
-    """i * (i-1) * ... * (i-r+1) as a field element."""
-    acc = field.one
-    for step in range(r):
-        acc = acc * field((i - step) % field.p)
-    return acc
-
-
 def osc_basis(t: FieldElement, order: int, length: int) -> List[List[FieldElement]]:
     """Derivative rows of the curve at affine parameter t.
 
@@ -91,18 +84,24 @@ def osc_basis(t: FieldElement, order: int, length: int) -> List[List[FieldElemen
     entry (r, i) = i*(i-1)*...*(i-r+1) * t^(i-r).  Rows 0..order span the
     order-th osculating space; this needs characteristic > order.
     """
-    field = t.field
+    return [t.field.wrap(row) for row in osc_ints(t.field, t.val, order, length)]
+
+
+def osc_ints(field: GF, t: int, order: int, length: int) -> List[List[int]]:
+    """:func:`osc_basis` on encodings, at the parameter encoded by t."""
     if field.p <= order:
         raise ValueError("characteristic %d too small for order %d" % (field.p, order))
     if length - 1 <= order:
         raise ValueError("order must be below the curve degree")
+    mul, p = field.mul, field.p
     rows = []
     for r in range(order + 1):
-        row = [field.zero] * length
-        tpow = field.one
+        row = [0] * length
+        tpow = 1
         for i in range(r, length):
-            row[i] = _falling(field, i, r) * tpow
-            tpow = tpow * t
+            # i*(i-1)*...*(i-r+1) lies in the prime field, encoded as itself
+            row[i] = mul(math.perm(i, r) % p, tpow)
+            tpow = mul(tpow, t)
         rows.append(row)
     return rows
 

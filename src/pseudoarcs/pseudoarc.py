@@ -16,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .gf import FieldElement, FieldTower, InvariantError
 from .linalg import insert_row, reduce_row, rref_ints, vec_mat_ints
-from .nrc import (curve_projectivity, frobenius_orbit_reps, osc_basis,
-                  osc_basis_infty, veronese)
+from .nrc import (curve_projectivity, frobenius_orbit_reps, osc_basis_infty,
+                  osc_ints, veronese)
 from .projgeo import (Spread, Subspace, field_reduction, span,
                       spread_membership)
 
@@ -146,9 +146,8 @@ def build_osculating_family(tow: FieldTower, k: int) -> List[Subspace]:
     if tow.p < tow.h:
         raise ValueError("characteristic %d below h = %d" % (tow.p, tow.h))
     n = tow.h * k
-    out = []
-    for t in tow.base.elements():
-        out.append(span(osc_basis(t, tow.h - 1, n)))
+    out = [Subspace.from_ints(tow.base, n, osc_ints(tow.base, t, tow.h - 1, n))
+           for t in range(tow.q)]
     out.append(span(osc_basis_infty(tow.base, tow.h - 1, n)))
     return out
 

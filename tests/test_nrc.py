@@ -57,18 +57,21 @@ def test_osc_basis_at_zero_and_formula():
 
 def test_osc_basis_rows_follow_derivative_rule():
     # column i of row r is the polynomial i(i-1)...(i-r+1) x^(i-r);
-    # the next row must be its formal derivative
-    f7 = GF.get(7, 1)
-    for t in (f7(0), f7(2), f7(6)):
-        for order in (1, 2, 3):
-            rows = osc_basis(t, order, 6)
-            for r in range(order):
-                for i in range(6):
-                    coeffs = [f7(0)] * 6
-                    coeffs[i] = f7(1)
-                    col_poly = Poly(f7, coeffs).derivative(r)
-                    assert col_poly.evaluate(t) == rows[r][i]
-                    assert col_poly.derivative().evaluate(t) == rows[r + 1][i]
+    # the next row must be its formal derivative; over extension fields
+    # the falling factorials are prime-field elements
+    for fld, vals, orders in ((GF.get(7, 1), (0, 2, 6), (1, 2, 3)),
+                              (GF.get(3, 2), (0, 4, 8), (1, 2)),
+                              (GF.get(2, 3), (0, 3, 7), (1,))):
+        for t in map(fld, vals):
+            for order in orders:
+                rows = osc_basis(t, order, 6)
+                for r in range(order):
+                    for i in range(6):
+                        coeffs = [fld.zero] * 6
+                        coeffs[i] = fld.one
+                        col_poly = Poly(fld, coeffs).derivative(r)
+                        assert col_poly.evaluate(t) == rows[r][i]
+                        assert col_poly.derivative().evaluate(t) == rows[r + 1][i]
 
 
 def test_osc_basis_rank_exhaustive():
