@@ -27,7 +27,7 @@ __all__ = [
     "FieldElement", "FieldMismatchError", "FieldTower", "GF", "InvariantError",
     "Poly", "tower",
     "SingularMatrixError",
-    "INFINITY", "NrcPoint", "OrbitReps", "frobenius_orbit_reps",
+    "INFINITY", "frobenius_orbit_reps",
     "is_imaginary", "mobius", "nrc_points", "orbit_rep_count",
     "osc_basis", "osc_basis_infty", "veronese",
     "Spread", "Subspace", "ambient_space", "apply_projectivity",
@@ -37,7 +37,7 @@ __all__ = [
     "build_desarguesian_arc", "build_imaginary_arc", "contained_in_spread",
     "extend_with_osculating", "is_pseudo_arc", "thas_bound",
     "IntersectionVerdict", "QuadraticForm",
-    "is_complete_intersection", "monomial_pairs", "nrc_quadric_system",
+    "is_complete_intersection", "nrc_quadric_system",
     "trace_reduce", "vanishing_space",
     "ERASED", "AdditiveCode", "CoordSpec", "DecodeError",
     "code_from_subspaces", "encode", "erasure_decode", "evaluation_code",

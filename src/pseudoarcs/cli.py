@@ -265,10 +265,15 @@ def cmd_code_decode(args):
             word.append(ERASED)
         else:
             try:
-                word.append(top(int(ln)))
+                v = int(ln)
             except ValueError:
                 raise jsonio.FormatError(
                     "word file: one integer or E per line, got %r" % ln)
+            if not 0 <= v < top.order:
+                raise jsonio.FormatError(
+                    "word file: line %r is out of range, GF(%d) encodings are "
+                    "0..%d" % (ln, top.order, top.order - 1))
+            word.append(top.element(v))
     try:
         f = erasure_decode(word, code)
     except DecodeError as exc:

@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Union
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, InvariantError, Poly
 from .linalg import insert_row, rref_ints
-from .nrc import is_imaginary, osc_basis, osc_basis_infty
-from .projgeo import Subspace, field_reduction
+from .nrc import INFINITY, is_imaginary, osc_ints
+from .projgeo import Subspace, field_reduction_ints
 from .pseudoarc import is_pseudo_arc
 
 
@@ -63,19 +63,35 @@ class AdditiveCode:
     """F_q-linear code of length n over F_{q^h}, given by an hk x n
     generator matrix whose F_q-row-combinations are the codewords.
 
-    The rows are kept as int encodings, the form the row kernel works
-    on; ``gen`` wraps them as field elements on first use.
+    The rows are kept as ``int_rows`` of top encodings, the form the row
+    kernel works on; ``gen`` wraps them as field elements on first use.
     """
 
     def __init__(self, tow: FieldTower, k_msg: int,
                  gen: Sequence[Sequence[FieldElement]],
                  eval_spec: Sequence[CoordSpec]):
         gen = [list(row) for row in gen]
-        hk = tow.h * k_msg
-        if len(gen) != hk:
+        if any(x.field is not tow.top for row in gen for x in row):
+            raise FieldMismatchError("generator entries must lie in the top field")
+        self._init(tow, k_msg, [[x.val for x in row] for row in gen], eval_spec)
+
+    @classmethod
+    def from_ints(cls, tow: FieldTower, k_msg: int,
+                  int_rows: Sequence[Sequence[int]],
+                  eval_spec: Sequence[CoordSpec]) -> "AdditiveCode":
+        """The code of int rows of top-field encodings, which are not
+        range checked; shape, kinds and rank are checked as for the
+        constructor."""
+        self = cls.__new__(cls)
+        self._init(tow, k_msg, int_rows, eval_spec)
+        return self
+
+    def _init(self, tow, k_msg, rows, eval_spec):
+        rows = tuple(map(tuple, rows))
+        if len(rows) != tow.h * k_msg:
             raise ValueError("generator must have hk rows")
-        n = len(gen[0])
-        if any(len(row) != n for row in gen):
+        n = len(rows[0])
+        if any(len(row) != n for row in rows):
             raise ValueError("ragged generator matrix")
         if n <= k_msg:
             raise ValueError("length must exceed the design parameter k")
@@ -84,27 +100,24 @@ class AdditiveCode:
         for spec in eval_spec:
             if spec.kind not in COORD_KINDS:
                 raise ValueError("unknown coordinate kind %r" % spec.kind)
-        top = tow.top
-        if any(x.field is not top for row in gen for x in row):
-            raise FieldMismatchError("generator entries must lie in the top field")
-        self._rows = tuple([x.val for x in row] for row in gen)
         # rank over the base field: each row expanded to its normal-basis
         # coordinates, h base encodings per entry
         basis = []
-        for row in self._rows:
+        for row in rows:
             flat = [c for v in row for c in tow.normal_ints(v)]
             if not insert_row(tow.base, basis, flat):
                 raise ValueError("generator rows are dependent over the base field")
         self.tow = tow
         self.k_msg = k_msg
         self.n = n
+        self.int_rows = rows
         self.eval_spec = tuple(eval_spec)
         self.omega = tow.normal_element()
 
     @cached_property
     def gen(self):
         element = self.tow.top.element
-        return tuple(tuple(map(element, row)) for row in self._rows)
+        return tuple(tuple(map(element, row)) for row in self.int_rows)
 
     @property
     def h(self) -> int:
@@ -133,7 +146,7 @@ class AdditiveCode:
             raise ValueError("message must have hk coefficients")
         top = self.tow.top
         out = [0] * self.n
-        for c, row in zip(message, self._rows):
+        for c, row in zip(message, self.int_rows):
             if c:
                 out = top.sub_scaled(out, (-self.tow.lift(c)).val, row)
         return out
@@ -149,29 +162,25 @@ def evaluation_code(tow: FieldTower, alphas: Sequence[FieldElement],
     for a in alphas:
         if not is_imaginary(a, tow):
             raise ValueError("evaluation point %d does not generate the extension" % a.val)
-    hk = tow.h * k_msg
-    gen = []
-    power = [tow.top.one for _ in alphas]
-    for _ in range(hk):
-        gen.append(list(power))
-        power = [p * a for p, a in zip(power, alphas)]
+    top = tow.top
+    vals = [a.val for a in alphas]
+    rows = []
+    power = [1] * len(vals)
+    for _ in range(tow.h * k_msg):
+        rows.append(power)
+        power = list(map(top.mul, power, vals))
     spec = [CoordSpec("alpha", a) for a in alphas]
-    return AdditiveCode(tow, k_msg, gen, spec)
+    return AdditiveCode.from_ints(tow, k_msg, rows, spec)
 
 
-def _unfold(tow: FieldTower, rows: Sequence[Sequence[FieldElement]]
-            ) -> List[FieldElement]:
-    """One code column from h base-level rows: entry r is
-    sum_i rows[i][r] * omega^(q^i).  Inverse of the per-column step of
-    fold_columns up to the choice of basis."""
-    basis = tow.normal_basis()
-    col = []
-    for r in range(len(rows[0])):
-        acc = tow.top.zero
-        for row, w in zip(rows, basis):
-            if row[r]:
-                acc = acc + tow.lift(row[r]) * w
-        col.append(acc)
+def _unfold(tow: FieldTower, rows: Sequence[Sequence[int]]) -> List[int]:
+    """One code column from h base-level int rows: entry r is
+    sum_i rows[i][r] * omega^(q^i), on top-field encodings.  Inverse of
+    the per-column step of fold_columns up to the choice of basis."""
+    top, embed = tow.top, tow.embed_table
+    col = [0] * len(rows[0])
+    for row, w in zip(rows, tow.normal_basis()):
+        col = top.sub_scaled(col, top.neg(w.val), [embed[x] for x in row])
     return col
 
 
@@ -197,14 +206,15 @@ def extend_with_derivatives(code: AdditiveCode, ts: Sequence[FieldElement],
     for t in ts:
         if t.field is not tow.base:
             raise ValueError("derivative parameters live in the base field")
-        new_cols.append(_unfold(tow, osc_basis(t, h - 1, hk)))
+        new_cols.append(_unfold(tow, osc_ints(tow.base, t.val, h - 1, hk)))
         new_spec.append(CoordSpec("deriv", t))
     if include_infty:
-        new_cols.append(_unfold(tow, osc_basis_infty(tow.base, h - 1, hk)[::-1]))
+        new_cols.append(_unfold(tow, osc_ints(tow.base, INFINITY, h - 1, hk)[::-1]))
         new_spec.append(CoordSpec("infty"))
-    gen = [list(row) + [c[r] for c in new_cols]
-           for r, row in enumerate(code.gen)]
-    return AdditiveCode(tow, code.k_msg, gen, list(code.eval_spec) + new_spec)
+    rows = [row + tuple(c[r] for c in new_cols)
+            for r, row in enumerate(code.int_rows)]
+    return AdditiveCode.from_ints(tow, code.k_msg, rows,
+                                  list(code.eval_spec) + new_spec)
 
 
 def code_from_subspaces(tow: FieldTower, subspaces: Sequence[Subspace],
@@ -216,11 +226,10 @@ def code_from_subspaces(tow: FieldTower, subspaces: Sequence[Subspace],
     for s in subspaces:
         if s.field is not tow.base or s.rank != tow.h:
             raise ValueError("need base-level subspaces of rank h")
-        gen_cols.append(_unfold(tow, s.rows))
-    hk = tow.h * k_msg
-    gen = [[col[r] for col in gen_cols] for r in range(hk)]
+        gen_cols.append(_unfold(tow, s.int_rows))
+    rows = [[col[r] for col in gen_cols] for r in range(tow.h * k_msg)]
     spec = [CoordSpec("external")] * len(gen_cols)
-    return AdditiveCode(tow, k_msg, gen, spec)
+    return AdditiveCode.from_ints(tow, k_msg, rows, spec)
 
 
 def encode(message: Union[Poly, Sequence[FieldElement]],
@@ -267,9 +276,9 @@ def min_distance(code: AdditiveCode, max_words: int = 2 ** 20) -> int:
     # lift(x_(a+1) - x_a) for the digit order x_a = base(a), wrapping at q
     deltas = [tow.lift(tow.base((a + 1) % q) - tow.base(a)).val
               for a in range(q)]
-    steps = [[pack(top.scaled(c, row)) for c in deltas] for row in code._rows]
+    steps = [[pack(top.scaled(c, row)) for c in deltas] for row in code.int_rows]
     best = code.n
-    for lead, row in enumerate(code._rows):
+    for lead, row in enumerate(code.int_rows):
         tail = steps[lead + 1:]
         digits = [0] * len(tail)
         word = pack(row)
@@ -296,7 +305,7 @@ def fold_columns(code: AdditiveCode) -> List[Subspace]:
     Column entries x expand as x = sum_i c_i omega^(q^i); the vectors
     of i-th coordinates, one per conjugate, span the subspace.
     """
-    return [field_reduction(code.tow, col) for col in zip(*code.gen)]
+    return [field_reduction_ints(code.tow, col) for col in zip(*code.int_rows)]
 
 
 def is_mds(code: AdditiveCode, max_words: int = 2 ** 20,
@@ -348,7 +357,7 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
     for j in survivors:
         if len(basis) == hk:
             break
-        coords = zip(*(tow.normal_ints(row[j]) for row in code._rows))
+        coords = zip(*(tow.normal_ints(row[j]) for row in code.int_rows))
         for r, b in zip(coords, tow.normal_ints(received[j].val)):
             if insert_row(base, basis, [*r, b]) and basis[-1][0] == hk:
                 basis.pop()

@@ -603,7 +603,8 @@ class FieldTower:
     ``base`` and ``top`` are interned GF objects; ``embedding_image`` is the
     image of the canonical base generator inside the top field (the
     smallest-encoded root of the base modulus there), which pins down the
-    embedding completely.
+    embedding completely.  ``embed_table[b]`` is the top encoding of the
+    base element encoded by b.
     """
 
     _cache = {}
@@ -620,8 +621,8 @@ class FieldTower:
         self.base = GF.get(p, e)
         self.top = self.base if h == 1 else GF.get(p, e * h)
         self.embedding_image = self._find_embedding_image()
-        self._embed_table = self._build_embed_table()
-        self._unembed = {t: b for b, t in enumerate(self._embed_table)}
+        self.embed_table = self._build_embed_table()
+        self._unembed = {t: b for b, t in enumerate(self.embed_table)}
         self._omega = None
         self._coord_lookup = None
 
@@ -667,7 +668,7 @@ class FieldTower:
         """Embed a base element into the top field."""
         if x.field is not self.base:
             raise FieldMismatchError("lift expects a base-level element")
-        return self.top.element(self._embed_table[x.val])
+        return self.top.element(self.embed_table[x.val])
 
     def to_base(self, x):
         """Inverse of lift; raises when x is outside the embedded base field."""

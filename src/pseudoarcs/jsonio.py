@@ -89,10 +89,6 @@ def _level_name(tow: FieldTower, field) -> str:
     raise FormatError("field does not belong to the tower")
 
 
-def _rows_to_ints(rows) -> List[List[int]]:
-    return [[x.val for x in row] for row in rows]
-
-
 def _int_rows(field, rows, where: str, key: str) -> List[List[int]]:
     """Rows of int encodings of ``field``, each entry checked as calling
     the field checks it, but not wrapped.  The TypeError of an entry
@@ -215,7 +211,7 @@ def code_to_dict(code: AdditiveCode) -> dict:
         "k": code.k_msg,
         "n": code.n,
         "omega": code.omega.val,
-        "gen": _rows_to_ints(code.gen),
+        "gen": [list(r) for r in code.int_rows],
         "eval_spec": [_spec_to_dict(s) for s in code.eval_spec],
     }
 
@@ -227,8 +223,7 @@ def code_from_dict(d: dict) -> AdditiveCode:
     if required(d, "omega", int, where) != tow.normal_element().val:
         raise FormatError("serialized omega disagrees with the canonical "
                           "normal element; decode semantics would differ")
-    gen = [tow.top.wrap(r) for r in
-           _int_rows(tow.top, required(d, "gen", list, where), where, "gen")]
+    rows = _int_rows(tow.top, required(d, "gen", list, where), where, "gen")
     spec = []
     entry = "code document eval_spec entry"
     for s in required(d, "eval_spec", list, where):
@@ -238,7 +233,7 @@ def code_from_dict(d: dict) -> AdditiveCode:
         else:
             field = tow.top if kind == "alpha" else tow.base
             spec.append(CoordSpec(kind, field(required(s, "param", int, entry))))
-    code = AdditiveCode(tow, required(d, "k", int, where), gen, spec)
+    code = AdditiveCode.from_ints(tow, required(d, "k", int, where), rows, spec)
     if code.n != required(d, "n", int, where):
         raise FormatError("length field disagrees with the generator matrix")
     return code

@@ -211,17 +211,8 @@ def det(rows):
 
 
 def solve(a, b):
-    """Solve a*x = b for square nonsingular a."""
-    n = len(a)
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [red[i][n] for i in range(n)]
-
-
-def solve_rect(a, b):
-    """Solve a*x = b for a an m x n matrix of full column rank n.
+    """Solve a*x = b for a an m x n matrix of full column rank n, square
+    and nonsingular when m = n.
 
     Raises SingularMatrixError when the columns are dependent or the system
     is inconsistent.

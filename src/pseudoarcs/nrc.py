@@ -87,12 +87,17 @@ def osc_basis(t: FieldElement, order: int, length: int) -> List[List[FieldElemen
     return [t.field.wrap(row) for row in osc_ints(t.field, t.val, order, length)]
 
 
-def osc_ints(field: GF, t: int, order: int, length: int) -> List[List[int]]:
-    """:func:`osc_basis` on encodings, at the parameter encoded by t."""
+def osc_ints(field: GF, t, order: int, length: int) -> List[List[int]]:
+    """:func:`osc_basis` on encodings, at the parameter encoded by t, or
+    at the point at infinity for t = INFINITY, where row r is the unit
+    vector with a 1 in column length-1-r."""
     if field.p <= order:
         raise ValueError("characteristic %d too small for order %d" % (field.p, order))
     if length - 1 <= order:
         raise ValueError("order must be below the curve degree")
+    if t is INFINITY:
+        return [[int(i == length - 1 - r) for i in range(length)]
+                for r in range(order + 1)]
     mul, p = field.mul, field.p
     rows = []
     for r in range(order + 1):
@@ -107,18 +112,8 @@ def osc_ints(field: GF, t: int, order: int, length: int) -> List[List[int]]:
 
 
 def osc_basis_infty(field: GF, order: int, length: int) -> List[List[FieldElement]]:
-    """Derivative rows at the point at infinity: row r is the unit
-    vector with a 1 in column length-1-r."""
-    if field.p <= order:
-        raise ValueError("characteristic %d too small for order %d" % (field.p, order))
-    if length - 1 <= order:
-        raise ValueError("order must be below the curve degree")
-    rows = []
-    for r in range(order + 1):
-        row = [field.zero] * length
-        row[length - 1 - r] = field.one
-        rows.append(row)
-    return rows
+    """Derivative rows at the point at infinity (see :func:`osc_ints`)."""
+    return [field.wrap(row) for row in osc_ints(field, INFINITY, order, length)]
 
 
 def curve_projectivity(field: GF, a: int, b: int, c: int, d: int,

@@ -20,8 +20,8 @@ from typing import List, Optional, Sequence, Tuple
 from .codes import (AdditiveCode, ERASED, code_from_subspaces, encode,
                     erasure_decode, fold_columns, min_distance)
 from .gf import FieldElement, FieldTower, InvariantError, Poly, tower
-from .linalg import inverse, mat_vec, rank_ints
-from .nrc import nrc_points, osc_basis, osc_basis_infty
+from .linalg import rank_ints, vec_mat_ints
+from .nrc import INFINITY, nrc_points, osc_ints
 from .projgeo import Subspace, apply_projectivity, field_reduction, span
 from .pseudoarc import SmallFieldWarning, build_imaginary_arc, is_pseudo_arc, \
     extend_with_osculating
@@ -146,29 +146,12 @@ def fixture_code(tow: FieldTower) -> AdditiveCode:
     return code_from_subspaces(tow, fixture_lines(tow), 3)
 
 
-def _normalized(vec: Sequence[FieldElement]) -> Tuple[int, ...]:
-    lead = next((x for x in vec if x), None)
-    if lead is None:
-        raise ValueError("zero vector has no projective class")
-    inv = lead.inverse()
-    return tuple((inv * x).val for x in vec)
-
-
-def _curve_parameter(tow: FieldTower, vec: Sequence[FieldElement]):
-    """The parameter t with vec ~ (1, t, ..., t^5), or None at
-    infinity; raises if vec is not on the standard curve."""
-    if vec[0]:
-        inv = vec[0].inverse()
-        t = inv * vec[1]
-        power = tow.top.one
-        for x in vec:
-            if inv * x != power:
-                raise ValueError("point is not on the standard curve")
-            power = power * t
-        return t
-    if any(vec[:-1]) or not vec[-1]:
-        raise ValueError("point is not on the standard curve")
-    return None
+def _tangent(tow: FieldTower, point: Sequence[int]) -> Subspace:
+    """The tangent line of the standard curve at a rational point of it,
+    given normalized on top encodings: the parameter is the second entry,
+    or infinity when the first is 0."""
+    t = tow.embed_table.index(point[1]) if point[0] else INFINITY
+    return Subspace.from_ints(tow.base, 6, osc_ints(tow.base, t, 1, 6))
 
 
 def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, str]]:
@@ -205,14 +188,20 @@ def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, st
                    "every 3 of the 11 lines span PG(5, 4)"
                    if verdict else "failing triple %s" % (verdict.witness,)))
 
+    # forward images of the 17 points on encodings, each scaled to a
+    # first nonzero entry 1; a projectivity is a bijection on subspaces,
+    # so the lines map forward too
+    top = tow.top
     matrix = [_base_vector(tow, row, e) for row in _MATRIX]
-    matrix_top = [[tow.lift(x) for x in row] for row in matrix]
-    images = set()
+    lifted_t = [[tow.embed_table[x.val] for x in col] for col in zip(*matrix)]
+    images = []
     all_points = points + _conjugates(tow, points[5:])
     for pt in all_points:
-        images.add(_normalized(mat_vec(matrix_top, pt)))
-    curve = {_normalized(list(p.coords)) for p in nrc_points(tow.top, 6)}
-    checks.append(("curve-bijection", images == curve and len(all_points) == 17,
+        img = vec_mat_ints(top, [x.val for x in pt], lifted_t)
+        lead = next((x for x in img if x), 1)
+        images.append(tuple(top.scaled(top.inv(lead), img)))
+    curve = {tuple(x.val for x in p.coords) for p in nrc_points(top, 6)}
+    checks.append(("curve-bijection", set(images) == curve and len(all_points) == 17,
                    "projectivity maps the 17 points onto the standard curve"))
 
     derived_ok = all(field_reduction(tow, points[i]) == lines[i]
@@ -220,18 +209,9 @@ def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, st
     checks.append(("conjugate-span-lines", derived_ok,
                    "lines 6..11 are the rational parts of their points' conjugate spans"))
 
-    inv_base = inverse(matrix)
-    tangent_ok = True
-    for i in range(5):
-        t = _curve_parameter(tow, mat_vec(matrix_top, points[i]))
-        if t is None:
-            rows = osc_basis_infty(tow.base, 1, 6)
-        else:
-            rows = osc_basis(tow.to_base(t), 1, 6)
-        pulled = apply_projectivity(inv_base, span(rows))
-        if pulled != lines[i]:
-            tangent_ok = False
-            break
+    mapped = [apply_projectivity(matrix, line) for line in lines]
+    tangent_ok = all(images[i] in curve and mapped[i] == _tangent(tow, images[i])
+                     for i in range(5))
     checks.append(("tangent-lines", tangent_ok,
                    "lines 1..5 are the pulled-back curve tangents at their points"))
 
@@ -240,8 +220,7 @@ def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, st
         # exhaustive checks above stand in for the guarantee
         warnings.simplefilter("ignore", SmallFieldWarning)
         standard = extend_with_osculating(build_imaginary_arc(tow, 3))
-    mapped = {apply_projectivity(inv_base, el) for el in standard.elements}
-    checks.append(("standard-construction", mapped == set(lines),
+    checks.append(("standard-construction", set(mapped) == set(standard.elements),
                    "the family is the standard 11-element construction, "
                    "transported by the projectivity"))
 

@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, GF, InvariantError
 from .linalg import (SingularMatrixError, identity, nullspace_ints, rank,
-                     rank_ints, reduce_row, rref_ints, solve_rect, transpose,
+                     rank_ints, reduce_row, rref_ints, solve, transpose,
                      vec_mat_ints)
 
 
@@ -195,7 +195,12 @@ def field_reduction(tow: FieldTower, vec: Sequence[FieldElement]) -> Subspace:
     top = tow.top
     if any(x.field is not top for x in vec):
         raise FieldMismatchError("field reduction expects a top-level vector")
-    coords = [tow.normal_ints(x.val) for x in vec]
+    return field_reduction_ints(tow, [x.val for x in vec])
+
+
+def field_reduction_ints(tow: FieldTower, vals: Sequence[int]) -> Subspace:
+    """:func:`field_reduction` of a vector of top-field encodings."""
+    coords = [tow.normal_ints(v) for v in vals]
     return Subspace.from_ints(tow.base, len(coords), list(zip(*coords)))
 
 
@@ -265,7 +270,7 @@ class Spread:
     def point_coordinates(self, point: Sequence[FieldElement]) -> List[FieldElement]:
         """Frame coordinates of an ambient point lying in the director
         space (inverse of embed_point up to scalars)."""
-        return solve_rect(transpose([list(r) for r in self.frame]), list(point))
+        return solve(transpose([list(r) for r in self.frame]), list(point))
 
     def element_through(self, coords: Sequence[FieldElement]) -> Subspace:
         """The spread element determined by a director point, given by

@@ -16,10 +16,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .gf import FieldElement, FieldTower, InvariantError
 from .linalg import insert_row, reduce_row, rref_ints, vec_mat_ints
-from .nrc import (curve_projectivity, frobenius_orbit_reps, osc_basis_infty,
-                  osc_ints, veronese)
-from .projgeo import (Spread, Subspace, field_reduction, span,
-                      spread_membership)
+from .nrc import (INFINITY, curve_projectivity, frobenius_orbit_reps, osc_ints,
+                  veronese)
+from .projgeo import Spread, Subspace, field_reduction, spread_membership
 
 
 class SmallFieldWarning(UserWarning):
@@ -28,12 +27,15 @@ class SmallFieldWarning(UserWarning):
     directly."""
 
 
+TAG_KINDS = ("imaginary", "osculating", "osculating-infty", "external")
+
+
 @dataclass(frozen=True)
 class Tag:
     """Provenance of one arc element: which coordinate of the matching
     code it will become."""
 
-    kind: str  # "imaginary" | "osculating" | "osculating-infty" | "external"
+    kind: str  # one of TAG_KINDS
     param: Optional[FieldElement] = None
 
     def __repr__(self):
@@ -68,6 +70,9 @@ class PseudoArc:
         tags = list(tags)
         if len(elements) != len(tags):
             raise ValueError("one tag per element required")
+        for tag in tags:
+            if tag.kind not in TAG_KINDS:
+                raise ValueError("unknown tag kind %r" % tag.kind)
         h = tow.h
         n = h * k
         for el in elements:
@@ -146,10 +151,8 @@ def build_osculating_family(tow: FieldTower, k: int) -> List[Subspace]:
     if tow.p < tow.h:
         raise ValueError("characteristic %d below h = %d" % (tow.p, tow.h))
     n = tow.h * k
-    out = [Subspace.from_ints(tow.base, n, osc_ints(tow.base, t, tow.h - 1, n))
-           for t in range(tow.q)]
-    out.append(span(osc_basis_infty(tow.base, tow.h - 1, n)))
-    return out
+    return [Subspace.from_ints(tow.base, n, osc_ints(tow.base, t, tow.h - 1, n))
+            for t in [*range(tow.q), INFINITY]]
 
 
 def extend_with_osculating(arc: PseudoArc) -> PseudoArc:

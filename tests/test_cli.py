@@ -177,6 +177,18 @@ def test_import_rejects_repeated_element(capsys, tmp_path):
     assert "repeated element" in err
 
 
+def test_unknown_tag_kind_is_refused(capsys, tmp_path):
+    arc_path = write_arc(capsys, tmp_path)
+    doc = json.loads(arc_path.read_text())
+    doc["tags"][0] = {"kind": "bogus", "param": 1}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("import", "export"):
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert "unknown tag kind 'bogus'" in err
+
+
 def test_json_true_is_not_a_field_element(capsys, tmp_path):
     arc_path = write_arc(capsys, tmp_path)
     doc = json.loads(arc_path.read_text())
@@ -313,6 +325,16 @@ def test_code_decode_bad_line(capsys, tmp_path):
     word.write_text("x\n" * 10)
     code, _, err = run(capsys, "code", "decode", str(code_path), str(word))
     assert code == 2 and "one integer or E" in err
+
+
+def test_code_decode_names_an_out_of_range_line(capsys, tmp_path):
+    code_path = write_code(capsys, tmp_path)
+    word = tmp_path / "word.txt"
+    word.write_text("E\n" * 9 + "99\n")
+    code, _, err = run(capsys, "code", "decode", str(code_path), str(word))
+    assert code == 2
+    assert "'99' is out of range" in err and "GF(25) encodings are 0..24" in err
+    assert "one integer or E" not in err
 
 
 def test_code_encode_rejects_long_message(capsys, tmp_path):

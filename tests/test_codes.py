@@ -8,6 +8,7 @@ geometric route through column folding.
 """
 
 import itertools
+import warnings
 from random import Random
 
 import pytest
@@ -617,6 +618,37 @@ def test_generator_row_independence_enforced():
     gen[3] = [x + y for x, y in zip(gen[0], gen[1])]
     with pytest.raises(ValueError):
         AdditiveCode(tow, 2, gen, list(code.eval_spec))
+
+
+@pytest.mark.parametrize("p,e,h", [(2, 1, 2), (2, 2, 2), (3, 2, 2), (7, 1, 3)])
+def test_from_ints_agrees_with_the_field_element_constructor(p, e, h):
+    tow = tower(p, e, h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallFieldWarning)
+        arc = extend_with_osculating(build_imaginary_arc(tow, 2))
+    code = code_from_subspaces(tow, list(arc.elements), 2)
+    spec = list(code.eval_spec)
+    a = AdditiveCode(tow, 2, code.gen, spec)
+    b = AdditiveCode.from_ints(tow, 2, code.int_rows, spec)
+    assert a.int_rows == b.int_rows == code.int_rows
+    assert a.gen == b.gen == code.gen
+    assert (a.n, a.eval_spec) == (b.n, b.eval_spec) == (code.n, code.eval_spec)
+
+    top = tow.top
+    dependent = [list(r) for r in code.int_rows]
+    dependent[-1] = list(map(top.add, dependent[0], dependent[1]))
+    ragged = [list(r) for r in code.int_rows]
+    ragged[1].pop()
+    for rows, message in ((dependent, "dependent over the base field"),
+                          (ragged, "ragged generator matrix")):
+        with pytest.raises(ValueError, match=message):
+            AdditiveCode.from_ints(tow, 2, rows, spec)
+        with pytest.raises(ValueError, match=message):
+            AdditiveCode(tow, 2, [top.wrap(r) for r in rows], spec)
+    # only the constructor takes field elements, and it refuses base ones
+    with pytest.raises(FieldMismatchError, match="top field"):
+        AdditiveCode(tow, 2, [tow.base.wrap([0] * code.n)] + list(code.gen[1:]),
+                     spec)
 
 
 def test_unknown_coordinate_kind_rejected():

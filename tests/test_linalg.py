@@ -8,7 +8,7 @@ import pytest
 from pseudoarcs.gf import GF, tower
 from pseudoarcs.linalg import (SingularMatrixError, det, identity, inverse,
                                mat_mul, mat_vec, nullspace, rank, rref, solve,
-                               solve_rect, transpose)
+                               transpose)
 
 F5 = GF.get(5, 1)
 F4 = GF.get(2, 2)
@@ -177,9 +177,9 @@ def test_solve_rect_tall_system():
     a = [[F5(1), F5(0)], [F5(0), F5(1)], [F5(1), F5(1)], [F5(2), F5(3)]]
     x_true = [F5(3), F5(4)]
     b = mat_vec(a, x_true)
-    assert solve_rect(a, b) == x_true
+    assert solve(a, b) == x_true
     with pytest.raises(SingularMatrixError):
-        solve_rect([[F5(1), F5(2)], [F5(2), F5(4)]], [F5(1), F5(2)])
+        solve([[F5(1), F5(2)], [F5(2), F5(4)]], [F5(1), F5(2)])
 
 
 def test_transpose_and_products():

@@ -8,7 +8,7 @@ from pseudoarcs.gf import GF, Poly, tower
 from pseudoarcs.linalg import det, rank
 from pseudoarcs.nrc import (INFINITY, frobenius_orbit_reps, is_imaginary,
                             mobius, nrc_points, orbit_rep_count, osc_basis,
-                            osc_basis_infty, veronese)
+                            osc_basis_infty, osc_ints, veronese)
 from pseudoarcs.projgeo import conjugate_rows
 
 
@@ -86,10 +86,12 @@ def test_osc_basis_rank_exhaustive():
 def test_osc_basis_infty_pattern():
     f5 = GF.get(5, 1)
     rows = osc_basis_infty(f5, 1, 6)
-    assert [[x.val for x in r] for r in rows] == [
+    expected = [
         [0, 0, 0, 0, 0, 1],
         [0, 0, 0, 0, 1, 0],
     ]
+    assert [[x.val for x in r] for r in rows] == expected
+    assert osc_ints(f5, INFINITY, 1, 6) == expected
     assert rank(rows) == 2
 
 

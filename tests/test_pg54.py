@@ -9,6 +9,8 @@ form.
 
 import pytest
 
+from pseudoarcs import pg54
+from pseudoarcs.cli import main
 from pseudoarcs.codes import fold_columns
 from pseudoarcs.gf import tower
 from pseudoarcs.pg54 import (conjugate_points, e_element, fixture_code,
@@ -80,6 +82,20 @@ def test_eighth_line_repair():
 def test_matrix_is_invertible():
     tow = fixture_tower()
     assert det(fixture_matrix(tow))
+
+
+def test_wrong_projectivity_fails_the_checks_it_feeds(monkeypatch, capsys):
+    # the fixture matrix with its first two rows swapped: still invertible,
+    # but no longer carrying the curve onto the standard one
+    rows = list(pg54._MATRIX)
+    rows[0], rows[1] = rows[1], rows[0]
+    monkeypatch.setattr(pg54, "_MATRIX", tuple(rows))
+    assert det(fixture_matrix(fixture_tower()))
+    failing = [name for name, ok, _ in verify_fixture() if not ok]
+    assert failing == ["curve-bijection", "tangent-lines", "standard-construction"]
+    assert main(["verify-example"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "fixture refuted: first failing check is 'curve-bijection'"
 
 
 def test_code_columns_fold_to_the_lines():

@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import pseudoarcs
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pseudoarcs"
 
 
@@ -17,3 +19,9 @@ def test_library_has_no_assert_statements():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_all_names_are_defined_and_listed_once():
+    names = pseudoarcs.__all__
+    assert sorted(n for n in set(names) if names.count(n) > 1) == []
+    assert [n for n in names if not hasattr(pseudoarcs, n)] == []
