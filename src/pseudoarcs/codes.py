@@ -222,12 +222,16 @@ def code_from_subspaces(tow: FieldTower, subspaces: Sequence[Subspace],
     """One column per rank-h subspace, unfolding its basis rows.
     Inverse of fold_columns up to the choice of basis within each
     subspace."""
+    n = tow.h * k_msg
     gen_cols = []
-    for s in subspaces:
+    for i, s in enumerate(subspaces):
         if s.field is not tow.base or s.rank != tow.h:
             raise ValueError("need base-level subspaces of rank h")
+        if s.ambient_dim != n:
+            raise ValueError("subspace %d has ambient dimension %d, h*k_msg is %d"
+                             % (i, s.ambient_dim, n))
         gen_cols.append(_unfold(tow, s.int_rows))
-    rows = [[col[r] for col in gen_cols] for r in range(tow.h * k_msg)]
+    rows = [[col[r] for col in gen_cols] for r in range(n)]
     spec = [CoordSpec("external")] * len(gen_cols)
     return AdditiveCode.from_ints(tow, k_msg, rows, spec)
 

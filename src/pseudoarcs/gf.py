@@ -221,7 +221,7 @@ class GF:
             self.element = functools.partial(FieldElement, self)
         if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
             self._build_add_table()
-        self.sub_scaled, self.scaled = self._row_ops()
+        self.sub_scaled, self.scaled, self.added = self._row_ops()
         self.form_value = self._form_op()
         self.zero = self.element(0)
         self.one = self.element(1)
@@ -329,10 +329,24 @@ class GF:
 
     def _row_ops(self):
         """Int row operations for linalg: ``sub_scaled(v, c, b)`` is
-        v - c*b and ``scaled(c, b)`` is c*b, for rows v, b of encodings
-        and a nonzero scalar c.  They branch like add/sub/mul, but once
-        per row instead of once per entry."""
+        v - c*b, ``scaled(c, b)`` is c*b and ``added(v, b)`` is v + b,
+        for rows v, b of encodings and a nonzero scalar c.  They branch
+        like add/sub/mul, but once per row instead of once per entry."""
         p, exp, log, add = self.p, self._exp, self._log, self._add_table
+        if p == 2:
+            def added(v, b):
+                return [x ^ y for x, y in zip(v, b)]
+        elif self.m == 1:
+            def added(v, b):
+                return [(x + y) % p for x, y in zip(v, b)]
+        elif add is not None:
+            def added(v, b):
+                return [add[x][y] for x, y in zip(v, b)]
+        else:
+            fadd = self.add
+
+            def added(v, b):
+                return [fadd(x, y) for x, y in zip(v, b)]
         if self.m == 1:
             def sub_scaled(v, c, b):
                 return [(x - c * y) % p for x, y in zip(v, b)]
@@ -363,7 +377,7 @@ class GF:
 
             def scaled(c, b):
                 return [mul(c, y) for y in b]
-        return sub_scaled, scaled
+        return sub_scaled, scaled, added
 
     def _form_op(self):
         """Int quadratic form evaluation: ``form_value(terms, v)`` is the

@@ -215,8 +215,11 @@ def solve(a, b):
     and nonsingular when m = n.
 
     Raises SingularMatrixError when the columns are dependent or the system
-    is inconsistent.
+    is inconsistent, and ValueError when b has not one entry per row.
     """
+    if len(b) != len(a):
+        raise ValueError("right-hand side has %d entries, the matrix %d rows"
+                         % (len(b), len(a)))
     n = len(a[0])
     aug = [list(row) + [bi] for row, bi in zip(a, b)]
     red, pivots = rref(aug)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .gf import FieldElement, FieldTower, InvariantError
-from .linalg import insert_row, reduce_row, rref_ints, vec_mat_ints
+from .linalg import (SingularMatrixError, insert_row, reduce_row, rref_ints,
+                     vec_mat_ints)
 from .nrc import (INFINITY, curve_projectivity, frobenius_orbit_reps, osc_ints,
                   veronese)
 from .projgeo import Spread, Subspace, field_reduction, spread_membership
@@ -171,6 +172,47 @@ def extend_with_osculating(arc: PseudoArc) -> PseudoArc:
                      list(arc.tags) + tags)
 
 
+def _row_map(fld, mat):
+    """The map from a subspace's reduced int rows to the reduced rows of
+    its image under v -> v*M, as the tuple of tuples that keys an element.
+
+    A diagonal M keeps reduced rows reduced once each is scaled back to 1
+    at its pivot c, so row r goes to r_j * M[j][j] / M[c][c] with no
+    elimination.  The reversal (t -> 1/t) reverses each row; any other M
+    sums multiples c*M_j of its rows, each computed on first use.  Both
+    reduce the images."""
+    n = len(mat)
+    if all(mat[i][j] == 0 for i in range(n) for j in range(n) if i != j):
+        mul, inv = fld.mul, fld.inv
+        ratios = [[mul(mat[j][j], inv(mat[c][c])) for j in range(n)]
+                  for c in range(n)]
+
+        def image(rows):
+            return tuple(tuple([mul(x, y) for x, y in zip(r, ratios[r.index(1)])])
+                         for r in rows)
+    elif all(mat[i][j] == (1 if i + j == n - 1 else 0)
+             for i in range(n) for j in range(n)):
+        def image(rows):
+            return tuple(map(tuple, rref_ints(fld, [r[::-1] for r in rows])[0]))
+    else:
+        added, scaled = fld.added, fld.scaled
+        multiples = [{} for _ in range(n)]
+
+        def image(rows):
+            out = []
+            for r in rows:
+                w = None
+                for j, c in enumerate(r):
+                    if c:
+                        m = multiples[j].get(c)
+                        if m is None:
+                            m = multiples[j][c] = scaled(c, mat[j])
+                        w = m if w is None else added(w, m)
+                out.append(w)
+            return tuple(map(tuple, rref_ints(fld, out)[0]))
+    return image
+
+
 def _orbit_order(fld, rows) -> Tuple[List[int], int]:
     """An element order that puts one representative per orbit of the
     curve's projectivities first, and the number of representatives.
@@ -179,9 +221,11 @@ def _orbit_order(fld, rows) -> Tuple[List[int], int]:
 
     The generators t -> t + 1, t -> xi*t and t -> 1/t are not trusted: a
     generator counts only when the canonical image of every element is an
-    element again and the images form a permutation.  Orbits are the
-    classes of the accepted permutations; each is represented by its
-    smallest index.  A family with a repeated element, or with no
+    element again and the images form a permutation.  When M*M is scalar
+    the generator is an involution on subspaces, and the image i -> j
+    found for one element gives j -> i without a second lookup.  Orbits
+    are the classes of the accepted permutations; each is represented by
+    its smallest index.  A family with a repeated element, or with no
     accepted generator, keeps its own order with every element its own
     representative.
     """
@@ -202,14 +246,20 @@ def _orbit_order(fld, rows) -> Tuple[List[int], int]:
 
     for a, b, c, d in ((1, 1, 0, 1), (xi, 0, 0, 1), (0, 1, 1, 0)):
         mat = curve_projectivity(fld, a, b, c, d, n)
-        perm = []
-        for el in rows:
-            image = [vec_mat_ints(fld, v, mat) for v in el]
-            j = index.get(tuple(map(tuple, rref_ints(fld, image)[0])))
-            if j is None:
-                break
-            perm.append(j)
-        if len(perm) < size or len(set(perm)) < size:
+        image = _row_map(fld, mat)
+        square = [vec_mat_ints(fld, r, mat) for r in mat]
+        paired = all(x == (square[0][0] if i == j else 0)
+                     for i, row in enumerate(square) for j, x in enumerate(row))
+        perm = [None] * size
+        for i, el in enumerate(rows):
+            if perm[i] is None:
+                j = index.get(image(el))
+                if j is None:
+                    break
+                perm[i] = j
+                if paired:
+                    perm[j] = i
+        if None in perm or len(set(perm)) < size:
             continue
         for i, j in enumerate(perm):
             ri, rj = find(i), find(j)
@@ -225,7 +275,8 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     A depth-first walk visits the k-subsets in lexicographic index order
     on int rows.  Each level reduces the rows of every later element
     modulo the span of its prefix once, so a subset costs only one
-    reduction of its last element's rows and their rank test.  When
+    reduction of its last element's rows and their rank test, which
+    leaves the final row unscaled.  When
     an element meets the span of the prefix before it, every subset
     starting with that prefix is degenerate; the first of them, the
     prefix completed by the next indices, is the witness: the
@@ -260,9 +311,12 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     prefix = []
     walked = 0
 
-    def extend(basis, el_rows):
-        """Insert one element's rows; False when they meet the span."""
-        return all(insert_row(fld, basis, r) for r in el_rows)
+    def independent(el_rows):
+        """True when one element's rows, reduced modulo the prefix span,
+        are independent; the final row is tested, never scaled."""
+        basis = []
+        return (all(insert_row(fld, basis, r) for r in el_rows[:-1])
+                and any(reduce_row(fld, basis, el_rows[-1])))
 
     def first_failure(start, stop, cands):
         """The first failing subset that extends the prefix, or None;
@@ -271,20 +325,22 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
         nonlocal walked
         depth = len(prefix)
         for i in range(start, min(stop, size - k + depth + 1)):
+            if depth + 1 == k:
+                walked += 1
+                if not independent(cands[i]):
+                    return tuple(prefix) + (i,)
+                continue
             basis = []
-            if not extend(basis, cands[i]):
+            if not all(insert_row(fld, basis, r) for r in cands[i]):
                 walked += 1
                 return tuple(prefix) + tuple(range(i, i + k - depth))
-            if depth + 1 < k:
-                reduced = {j: [reduce_row(fld, basis, r) for r in cands[j]]
-                           for j in range(i + 1, size)}
-                prefix.append(i)
-                witness = first_failure(i + 1, size, reduced)
-                prefix.pop()
-                if witness:
-                    return witness
-            else:
-                walked += 1
+            reduced = {j: [reduce_row(fld, basis, r) for r in cands[j]]
+                       for j in range(i + 1, size)}
+            prefix.append(i)
+            witness = first_failure(i + 1, size, reduced)
+            prefix.pop()
+            if witness:
+                return witness
         return None
 
     order, orbits = _orbit_order(fld, rows)
@@ -325,12 +381,21 @@ def build_desarguesian_arc(points: Sequence[Sequence[FieldElement]],
     """
     tow = spread.tow
     k = spread.k
+    n = tow.h * k
     coords = []
-    for pt in points:
+    for i, pt in enumerate(points):
+        pt = list(pt)
+        if len(pt) != n:
+            raise ValueError("point %d has %d coordinates, PG(%d, %d) needs %d"
+                             % (i, len(pt), n - 1, tow.q, n))
+        if any(x.field is not tow.top for x in pt):
+            raise ValueError("point %d has coordinates outside %r" % (i, tow.top))
+        if not any(pt):
+            raise ValueError("point %d is the zero vector" % i)
         try:
             coords.append(spread.point_coordinates(pt))
-        except Exception:
-            raise ValueError("point does not lie in the director space")
+        except SingularMatrixError:
+            raise ValueError("point %d does not lie in the director space" % i) from None
     verdict = is_pseudo_arc([Subspace(tow.top, k, [c]) for c in coords], k)
     if not verdict:
         raise ValueError("points are not an arc in the director space: "

@@ -611,6 +611,19 @@ def test_code_from_subspaces_folds_back():
     assert erasure_decode(encode(f, code), code) == f
 
 
+def test_code_from_subspaces_refuses_another_ambient_dimension():
+    # the extended (5,1,2) arc for k = 3 lives in PG(5, 5): k_msg = 2
+    # would fold the code into PG(3, 5), and k_msg = 4 ran out of rows
+    tow = tower(5, 1, 2)
+    with pytest.warns(SmallFieldWarning):
+        arc = extend_with_osculating(build_imaginary_arc(tow, 3))
+    assert len(arc) == 16
+    for k_msg, need in ((2, 4), (4, 8)):
+        with pytest.raises(ValueError, match="subspace 0 has ambient dimension 6, "
+                                             "h\\*k_msg is %d" % need):
+            code_from_subspaces(tow, list(arc.elements), k_msg)
+
+
 def test_generator_row_independence_enforced():
     tow = tower(5, 1, 2)
     code = full_code(5, 1, 2, 2)

@@ -182,6 +182,14 @@ def test_solve_rect_tall_system():
         solve([[F5(1), F5(2)], [F5(2), F5(4)]], [F5(1), F5(2)])
 
 
+def test_solve_refuses_a_right_hand_side_of_another_length():
+    a = [[F5(1), F5(0)], [F5(0), F5(1)], [F5(1), F5(1)]]
+    for b, got in (([F5(1), F5(2)], 2), ([F5(1), F5(2), F5(3), F5(0)], 4)):
+        with pytest.raises(ValueError, match="right-hand side has %d entries, "
+                                             "the matrix 3 rows" % got):
+            solve(a, b)
+
+
 def test_transpose_and_products():
     a = [[F5(1), F5(2), F5(3)], [F5(4), F5(0), F5(1)]]
     at = transpose(a)

@@ -334,6 +334,18 @@ def test_block_spread_matches_block_coordinates():
             assert got == expect
 
 
+def test_point_coordinates_refuses_a_point_of_another_length():
+    t = tower(5, 1, 2)
+    s = canonical_spread(t, 2)
+    pt = [t.top(v) for v in (1, 5, 7, 9)]
+    assert [x.val for x in s.point_coordinates(pt)] == [1, 5]
+    # cut to 3 entries or padded to 5, the point once read as (1, 5)
+    for bad in (pt[:3], pt + [t.top.zero]):
+        with pytest.raises(ValueError, match="right-hand side has %d entries, "
+                                             "the matrix 4 rows" % len(bad)):
+            s.point_coordinates(bad)
+
+
 def test_spread_membership():
     t = tower(5, 1, 2)
     s = canonical_spread(t, 2)

@@ -18,7 +18,7 @@ import pytest
 
 from pseudoarcs import projgeo, pseudoarc
 from pseudoarcs.gf import GF, InvariantError, tower
-from pseudoarcs.linalg import det, rank
+from pseudoarcs.linalg import det, rank, rref_ints, vec_mat_ints
 from pseudoarcs.nrc import (INFINITY, curve_projectivity,
                             frobenius_orbit_reps, nrc_points,
                             orbit_rep_count, veronese)
@@ -454,6 +454,85 @@ def test_orbit_walk_on_planted_duplicates():
                 assert_orbit_walk(bad, case[3], "full")
 
 
+# the orbit cases plus a prime field with h = 3, GF(8) and GF(16)
+ROW_MAP_CASES = ORBIT_CASES + [(7, 1, 3, 2), (2, 3, 2, 2), (2, 4, 2, 2)]
+
+
+def reference_image(fld, mat, rows):
+    """The reduced rows of a subspace's image under v -> v*M, from the
+    plain product and a full reduction."""
+    return tuple(map(tuple, rref_ints(fld, [vec_mat_ints(fld, v, mat) for v in rows])[0]))
+
+
+def test_row_maps_match_the_reference_image():
+    rng = Random(31)
+    for case in ROW_MAP_CASES:
+        for els in curve_families(*case):
+            fld, n = els[0].field, els[0].ambient_dim
+            while True:
+                m = [[fld(rng.randrange(fld.order)) for _ in range(n)]
+                     for _ in range(n)]
+                if det(m):
+                    break
+            moved = [apply_projectivity(m, el) for el in els]
+            drop = rng.randrange(len(els))
+            rest = els[:drop] + els[drop + 1:]
+            for family in (els, moved, rest):
+                rows = [el.int_rows for el in family]
+                for gen in curve_generators(fld):
+                    mat = curve_projectivity(fld, *gen, n)
+                    image = pseudoarc._row_map(fld, mat)
+                    assert [image(r) for r in rows] == [
+                        reference_image(fld, mat, r) for r in rows]
+                assert pseudoarc._orbit_order(fld, rows)[1] == reference_orbits(family)[1]
+
+
+def test_only_involutions_are_paired(monkeypatch):
+    # every generator is accepted on these families; a paired generator
+    # images fewer elements than the family has, an unpaired one all
+    calls = {}
+    row_map = pseudoarc._row_map
+
+    def counting(fld, mat):
+        image = row_map(fld, mat)
+        key = tuple(map(tuple, mat))
+        calls[key] = 0
+
+        def counted(rows):
+            calls[key] += 1
+            return image(rows)
+        return counted
+
+    monkeypatch.setattr(pseudoarc, "_row_map", counting)
+    for case in ROW_MAP_CASES:
+        for els in curve_families(*case):
+            fld, n = els[0].field, els[0].ambient_dim
+            calls.clear()
+            pseudoarc._orbit_order(fld, [el.int_rows for el in els])
+            shift, scale, reverse = (tuple(map(tuple, curve_projectivity(fld, *gen, n)))
+                                     for gen in curve_generators(fld))
+            # t -> t + 1 is an involution exactly when p = 2, t -> xi*t
+            # exactly when xi^2 = 1, and t -> 1/t always
+            xi = fld.primitive_element().val
+            assert (calls[shift] < len(els)) == (fld.p == 2)
+            assert (calls[scale] < len(els)) == (fld.mul(xi, xi) == 1)
+            assert calls[reverse] < len(els)
+
+
+def test_last_level_rank_test_on_duplicates_at_the_last_index():
+    # the last index is reached only at the last level of the walk, so
+    # the unscaled final-row test is what finds these; the h = 1 conic
+    # points have that final row alone
+    families = [(list(build_imaginary_arc(tower(7, 1, 1), 3).elements), 3)]
+    for case in ORBIT_CASES:
+        families += [(els, case[3]) for els in curve_families(*case)]
+    for els, k in families:
+        for i in (0, len(els) // 2, len(els) - 2):
+            bad = els[:-1] + [els[i]]
+            verdict = assert_orbit_walk(bad, k, "full")
+            assert verdict.witness[-1] == len(els) - 1 and i in verdict.witness
+
+
 def test_curve_projectivities_are_invertible_and_move_the_curve():
     for fld in (GF.get(2, 1), GF.get(5, 1), GF.get(2, 2), GF.get(2, 3),
                 GF.get(3, 2)):
@@ -530,9 +609,15 @@ def test_desarguesian_arc_rejects_bad_points():
     spread = canonical_spread(tow, 2)
     top = tow.top
     outside = [top(1), top(0), top(0), top(0)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="point 0 does not lie in the director space"):
         build_desarguesian_arc([outside], spread)
     p = spread.embed_point([top(1), top(0)])
+    with pytest.raises(ValueError, match=r"point 1 has 3 coordinates, PG\(3, 5\) needs 4"):
+        build_desarguesian_arc([p, p[:3]], spread)
+    with pytest.raises(ValueError, match=r"point 0 has coordinates outside GF\(5\^2\)"):
+        build_desarguesian_arc([[tow.base(1)] * 4], spread)
+    with pytest.raises(ValueError, match="point 1 is the zero vector"):
+        build_desarguesian_arc([p, [top.zero] * 4], spread)
     p_scaled = [top(2) * x for x in p]
     with pytest.raises(ValueError, match=r"subset \(0, 1\) is degenerate"):
         build_desarguesian_arc([p, p_scaled], spread)
