@@ -3,9 +3,9 @@
 from .gf import (FieldElement, FieldMismatchError, FieldTower, GF,
                  InvariantError, Poly, tower)
 from .linalg import SingularMatrixError
-from .nrc import (INFINITY, NrcPoint, OrbitReps, frobenius_orbit_reps,
-                  is_imaginary, mobius, nrc_points, orbit_rep_count,
-                  osc_basis, osc_basis_infty, veronese)
+from .nrc import (INFINITY, frobenius_orbit_reps, is_imaginary, mobius,
+                  nrc_points, orbit_rep_count, osc_basis, osc_basis_infty,
+                  veronese)
 from .projgeo import (Spread, Subspace, ambient_space, apply_projectivity,
                       block_spread, canonical_spread, field_reduction,
                       intersect, join, lift_subspace, span,
@@ -15,8 +15,8 @@ from .pseudoarc import (ArcVerdict, PseudoArc, SmallFieldWarning, Tag,
                         contained_in_spread, extend_with_osculating,
                         is_pseudo_arc, thas_bound)
 from .quadrics import (IntersectionVerdict, QuadraticForm,
-                       is_complete_intersection, monomial_pairs,
-                       nrc_quadric_system, trace_reduce, vanishing_space)
+                       is_complete_intersection, nrc_quadric_system,
+                       trace_reduce, vanishing_space)
 from .codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
                     code_from_subspaces, encode, erasure_decode,
                     evaluation_code, extend_with_derivatives, fold_columns,

@@ -12,7 +12,7 @@ import sys
 import warnings
 
 from . import jsonio
-from .codes import (DecodeError, ERASED, encode, erasure_decode,
+from .codes import (DecodeError, ERASED, WORD_BUDGET, encode, erasure_decode,
                     evaluation_code, extend_with_derivatives, fold_columns,
                     is_mds, min_distance)
 from .gf import Poly, factor_prime_power, tower
@@ -462,7 +462,7 @@ def build_parser():
     p2.set_defaults(func=cmd_code_decode)
     p2 = csub.add_parser("distance", help="exhaustive minimum distance")
     p2.add_argument("code")
-    p2.add_argument("--max-words", type=int, default=2 ** 20)
+    p2.add_argument("--max-words", type=int, default=WORD_BUDGET)
     p2.add_argument("--json", action="store_true")
     p2.set_defaults(func=cmd_code_distance)
     p2 = csub.add_parser("fold", help="column subspaces of a code")

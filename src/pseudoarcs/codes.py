@@ -45,6 +45,9 @@ class DecodeError(Exception):
 
 COORD_KINDS = ("alpha", "deriv", "infty", "external")
 
+# the most messages min_distance enumerates unless told otherwise
+WORD_BUDGET = 2 ** 20
+
 
 @dataclass(frozen=True, slots=True)
 class CoordSpec:
@@ -257,7 +260,7 @@ def encode(message: Union[Poly, Sequence[FieldElement]],
     return code.combine([f.coefficient(i) for i in range(hk)])
 
 
-def min_distance(code: AdditiveCode, max_words: int = 2 ** 20) -> int:
+def min_distance(code: AdditiveCode, max_words: int = WORD_BUDGET) -> int:
     """Minimum nonzero Hamming weight over the message space (additivity
     makes this the minimum distance).
 
@@ -312,18 +315,17 @@ def fold_columns(code: AdditiveCode) -> List[Subspace]:
     return [field_reduction_ints(code.tow, col) for col in zip(*code.int_rows)]
 
 
-def is_mds(code: AdditiveCode, max_words: int = 2 ** 20,
-           distance: Optional[int] = None) -> bool:
+def is_mds(code: AdditiveCode, distance: Optional[int] = None) -> bool:
     """Whether the code attains the Singleton bound, decided through
     the geometry: its folded columns must form a pseudo-arc.  The verdict
     is cross-checked against the minimum distance, which must then meet
     the bound exactly when the code is MDS: the ``distance`` a caller has
     enumerated already, or else the one computed here when the message
-    space fits the enumeration budget."""
+    space fits ``WORD_BUDGET``."""
     folded = fold_columns(code)
     geometric = bool(is_pseudo_arc(folded, code.k_msg))
-    if distance is None and code.size <= max_words:
-        distance = min_distance(code, max_words)
+    if distance is None and code.size <= WORD_BUDGET:
+        distance = min_distance(code)
     if distance is not None and geometric != (distance == code.n - code.k_msg + 1):
         raise InvariantError("geometric and metric verdicts disagree")
     return geometric

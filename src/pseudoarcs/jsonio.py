@@ -124,8 +124,19 @@ def _subspaces_from_ints(field, n: int, elements, where: str,
     return family
 
 
-def _tag_to_dict(tag: Tag) -> dict:
-    return {"kind": tag.kind, "param": None if tag.param is None else tag.param.val}
+def _provenance_to_dict(prov: Union[Tag, CoordSpec]) -> dict:
+    return {"kind": prov.kind, "param": None if prov.param is None else prov.param.val}
+
+
+def _provenance_from_dict(d: dict, tow: FieldTower, cls, top_kind: str,
+                          where: str):
+    """A Tag or CoordSpec (``cls``); the parameter of kind ``top_kind``
+    is a top element, any other a base element."""
+    kind = required(d, "kind", str, where)
+    if d.get("param") is None:
+        return cls(kind)
+    field = tow.top if kind == top_kind else tow.base
+    return cls(kind, field(required(d, "param", int, where)))
 
 
 def arc_to_dict(arc: PseudoArc) -> dict:
@@ -134,18 +145,9 @@ def arc_to_dict(arc: PseudoArc) -> dict:
         "kind": "arc",
         "field": field_header(arc.tow),
         "k": arc.k,
-        "tags": [_tag_to_dict(t) for t in arc.tags],
+        "tags": [_provenance_to_dict(t) for t in arc.tags],
         "elements": [[list(r) for r in el.int_rows] for el in arc.elements],
     }
-
-
-def _tag_from_dict(d: dict, tow: FieldTower) -> Tag:
-    where = "arc document tag"
-    kind = required(d, "kind", str, where)
-    if d.get("param") is None:
-        return Tag(kind)
-    field = tow.top if kind == "imaginary" else tow.base
-    return Tag(kind, field(required(d, "param", int, where)))
 
 
 def arc_elements_from_dict(d: dict) -> Tuple[FieldTower, int, List[Subspace]]:
@@ -165,7 +167,7 @@ def arc_elements_from_dict(d: dict) -> Tuple[FieldTower, int, List[Subspace]]:
 
 def arc_from_dict(d: dict) -> PseudoArc:
     tow, k, elements = arc_elements_from_dict(d)
-    tags = [_tag_from_dict(t, tow)
+    tags = [_provenance_from_dict(t, tow, Tag, "imaginary", "arc document tag")
             for t in required(d, "tags", list, "arc document")]
     return PseudoArc(tow, k, elements, tags)
 
@@ -199,10 +201,6 @@ def subspaces_from_dict(d: dict) -> List[Subspace]:
                                 where, "ambient_dim")
 
 
-def _spec_to_dict(spec: CoordSpec) -> dict:
-    return {"kind": spec.kind, "param": None if spec.param is None else spec.param.val}
-
-
 def code_to_dict(code: AdditiveCode) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -212,7 +210,7 @@ def code_to_dict(code: AdditiveCode) -> dict:
         "n": code.n,
         "omega": code.omega.val,
         "gen": [list(r) for r in code.int_rows],
-        "eval_spec": [_spec_to_dict(s) for s in code.eval_spec],
+        "eval_spec": [_provenance_to_dict(s) for s in code.eval_spec],
     }
 
 
@@ -224,15 +222,9 @@ def code_from_dict(d: dict) -> AdditiveCode:
         raise FormatError("serialized omega disagrees with the canonical "
                           "normal element; decode semantics would differ")
     rows = _int_rows(tow.top, required(d, "gen", list, where), where, "gen")
-    spec = []
-    entry = "code document eval_spec entry"
-    for s in required(d, "eval_spec", list, where):
-        kind = required(s, "kind", str, entry)
-        if s.get("param") is None:
-            spec.append(CoordSpec(kind))
-        else:
-            field = tow.top if kind == "alpha" else tow.base
-            spec.append(CoordSpec(kind, field(required(s, "param", int, entry))))
+    spec = [_provenance_from_dict(s, tow, CoordSpec, "alpha",
+                                  "code document eval_spec entry")
+            for s in required(d, "eval_spec", list, where)]
     code = AdditiveCode.from_ints(tow, required(d, "k", int, where), rows, spec)
     if code.n != required(d, "n", int, where):
         raise FormatError("length field disagrees with the generator matrix")
@@ -241,15 +233,19 @@ def code_from_dict(d: dict) -> AdditiveCode:
 
 def forms_to_dict(forms: Sequence[QuadraticForm], tow: FieldTower,
                   level: str = None, n: int = None) -> dict:
-    """The level and variable count are read off the first form; for an
-    empty family (a trivial vanishing space) both must be passed."""
+    """The level and variable count are read off the first form, and a
+    level or n passed as well must agree with them; for an empty family
+    (a trivial vanishing space) both must be passed."""
     forms = list(forms)
     if not forms:
         if level is None or n is None:
             raise FormatError("empty form family needs explicit level and n")
     else:
-        n = forms[0].n
-        level = _level_name(tow, forms[0].field)
+        given = (level, n)
+        level, n = _level_name(tow, forms[0].field), forms[0].n
+        if given[0] not in (None, level) or given[1] not in (None, n):
+            raise FormatError("level %r and n = %r given, the forms are at "
+                              "level %r with n = %d" % (given + (level, n)))
         for f in forms:
             if f.field is not forms[0].field or f.n != n:
                 raise FormatError("forms live in different spaces")

@@ -11,7 +11,7 @@ Frobenius orbits of maximal size.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .gf import FieldElement, FieldTower, GF, InvariantError, prime_factors
 
@@ -179,40 +179,11 @@ def orbit_rep_count(q: int, h: int) -> int:
     return total // h
 
 
-@dataclass(frozen=True)
-class OrbitReps:
-    """Canonical representatives of the size-h Frobenius orbits.
-
-    Each representative is the minimum integer encoding within its
-    orbit; the list is sorted ascending.  These parametrize both the
-    arc elements and the code coordinates, so the order is fixed.
-    """
-
-    tow: FieldTower
-    reps: Tuple[FieldElement, ...]
-
-    @property
-    def h(self) -> int:
-        return self.tow.h
-
-    @property
-    def q(self) -> int:
-        return self.tow.q
-
-    def __len__(self):
-        return len(self.reps)
-
-    def __iter__(self):
-        return iter(self.reps)
-
-    def __getitem__(self, i):
-        return self.reps[i]
-
-
-def frobenius_orbit_reps(tow: FieldTower) -> OrbitReps:
+def frobenius_orbit_reps(tow: FieldTower) -> Tuple[FieldElement, ...]:
     """Smallest-encoding representatives of the orbits of x -> x^q that
-    have full size h, sorted ascending.  The count always matches
-    orbit_rep_count(q, h)."""
+    have full size h, sorted ascending.  These parametrize both the arc
+    elements and the code coordinates, so the order is fixed.  The
+    count always matches orbit_rep_count(q, h)."""
     h = tow.h
     seen = set()
     reps = []
@@ -231,4 +202,4 @@ def frobenius_orbit_reps(tow: FieldTower) -> OrbitReps:
     if len(reps) != orbit_rep_count(tow.q, h):
         raise InvariantError("%d orbit representatives, the Moebius count is %d"
                              % (len(reps), orbit_rep_count(tow.q, h)))
-    return OrbitReps(tow, tuple(reps))
+    return tuple(reps)

@@ -154,14 +154,13 @@ def _tangent(tow: FieldTower, point: Sequence[int]) -> Subspace:
     return Subspace.from_ints(tow.base, 6, osc_ints(tow.base, t, 1, 6))
 
 
-def verify_fixture(tow: Optional[FieldTower] = None) -> List[Tuple[str, bool, str]]:
+def verify_fixture() -> List[Tuple[str, bool, str]]:
     """Run every cross-check; returns (name, ok, detail) triples.
 
     All checks are exhaustive and deterministic; the whole battery is
     the backing of the `verify-example` command.
     """
-    if tow is None:
-        tow = fixture_tower()
+    tow = fixture_tower()
     checks: List[Tuple[str, bool, str]] = []
     # w, e, the points and the lines are built once and shared by the checks
     w = w_element(tow)

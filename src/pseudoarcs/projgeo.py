@@ -11,7 +11,7 @@ Desarguesian spreads with a membership test.
 """
 
 import itertools
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, GF, InvariantError
 from .linalg import (SingularMatrixError, identity, nullspace_ints, rank,
@@ -121,7 +121,7 @@ class Subspace:
                 yield tuple(vec)
 
 
-def span(points: Iterable[Sequence[FieldElement]], field: Optional[GF] = None) -> Subspace:
+def span(points: Iterable[Sequence[FieldElement]]) -> Subspace:
     """Subspace spanned by the given coordinate vectors."""
     pts = [list(p) for p in points]
     if not pts:
@@ -129,8 +129,7 @@ def span(points: Iterable[Sequence[FieldElement]], field: Optional[GF] = None) -
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise ValueError("vectors of mixed lengths")
-    fld = field if field is not None else pts[0][0].field
-    return Subspace(fld, n, pts)
+    return Subspace(pts[0][0].field, n, pts)
 
 
 def ambient_space(field: GF, n: int) -> Subspace:
@@ -307,15 +306,13 @@ def canonical_spread(tow: FieldTower, k: int) -> Spread:
     return Spread(tow, k, frame)
 
 
-def block_spread(tow: FieldTower, k: int, basis: Optional[Sequence[FieldElement]] = None) -> Spread:
+def block_spread(tow: FieldTower, k: int) -> Spread:
     """The spread matching the consecutive-block identification of
-    F_q^(hk) with F_{q^h}^k through a chosen basis (default: the normal
-    basis).  Frame row i carries the trace-dual basis on block i, which
-    makes element_through(y) equal to the set of vectors whose block
+    F_q^(hk) with F_{q^h}^k through the normal basis.  Frame row i
+    carries the trace-dual basis on block i, which makes
+    element_through(y) equal to the set of vectors whose block
     coordinates are proportional to y."""
-    if basis is None:
-        basis = tow.normal_basis()
-    dual = tow.dual_basis(list(basis))
+    dual = tow.dual_basis(list(tow.normal_basis()))
     top = tow.top
     n = tow.h * k
     frame = []
@@ -329,10 +326,15 @@ def block_spread(tow: FieldTower, k: int, basis: Optional[Sequence[FieldElement]
 
 def spread_membership(w: Subspace, spread: Spread) -> bool:
     """True iff the base-level subspace is an element of the spread:
-    its top-level extension must meet the director space."""
-    if w.field is not spread.tow.base:
+    its top-level extension must meet the director space.  The h lifted
+    rows are independent, and so are the k director rows, so the two
+    spaces meet exactly when the stack of both has rank below h + k."""
+    tow = spread.tow
+    if w.field is not tow.base:
         raise ValueError("expected a base-level subspace")
     if w.rank != spread.h:
         raise ValueError("element of a spread must have rank h")
-    lifted = lift_subspace(w, spread.tow)
-    return intersect(lifted, spread.director).rank > 0
+    embed = tow.embed_table
+    lifted = [[embed[x] for x in r] for r in w.int_rows]
+    return (rank_ints(tow.top, lifted + list(spread.director.int_rows))
+            < spread.h + spread.k)

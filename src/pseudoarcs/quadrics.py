@@ -34,6 +34,8 @@ class QuadraticForm:
         coeffs = tuple(coeffs)
         if len(coeffs) != n * (n + 1) // 2:
             raise ValueError("expected %d coefficients" % (n * (n + 1) // 2))
+        if any(c.field is not field for c in coeffs):
+            raise FieldMismatchError("form coefficients must lie in %r" % field)
         self.field = field
         self.n = n
         self.coeffs = coeffs
@@ -50,8 +52,11 @@ class QuadraticForm:
         """Build from {(i, j): coefficient} with i <= j."""
         coeffs = [field.zero] * (n * (n + 1) // 2)
         index = {pair: pos for pos, pair in enumerate(monomial_pairs(n))}
-        for (i, j), c in entries.items():
-            coeffs[index[(i, j)]] = c if isinstance(c, FieldElement) else field(c)
+        for pair, c in entries.items():
+            if pair not in index:
+                raise ValueError("%r is not a monomial (i, j) with 0 <= i <= j < %d"
+                                 % (pair, n))
+            coeffs[index[pair]] = c if isinstance(c, FieldElement) else field(c)
         return cls(field, n, coeffs)
 
     def evaluate(self, vec: Sequence[FieldElement]) -> FieldElement:
@@ -147,31 +152,17 @@ def nrc_quadric_system(field: GF, k: int) -> List[QuadraticForm]:
     return forms
 
 
-def _block_combine(tow: FieldTower, basis: Sequence[FieldElement],
-                   vec: Sequence[FieldElement], k: int) -> List[FieldElement]:
-    """Read a base-level vector of length hk as k top-level entries
-    through the given basis of the extension."""
-    h = tow.h
-    out = []
-    for b in range(k):
-        acc = tow.top.zero
-        for s in range(h):
-            x = vec[b * h + s]
-            if x:
-                acc = acc + tow.lift(x) * basis[s]
-        out.append(acc)
-    return out
-
-
 def trace_reduce(form: QuadraticForm, tow: FieldTower,
                  basis: Sequence[FieldElement], alpha: FieldElement) -> QuadraticForm:
     """The base-level form v -> rel_trace(alpha * Q(v-as-blocks)).
 
     Blocks of h base coordinates are combined through the given basis
-    of the extension field; running alpha over a basis yields the full
-    reduced system of a top-level form.  Coefficients are recovered by
-    evaluation at unit vectors and their pairwise sums, which is valid
-    in every characteristic.
+    of the extension field, x_b = sum_s v_(bh+s) beta_s; running alpha
+    over a basis yields the full reduced system of a top-level form.
+    The trace is F_q-linear, so the coefficient of v_i v_j, for
+    i = bh+s <= j = b'h+s', is Tr(alpha c_bb' beta_s beta_s'), doubled
+    when b = b' and s < s', where both orders of the pair give the same
+    monomial; in characteristic 2 that term is 0.
     """
     basis = list(basis)
     h = tow.h
@@ -180,27 +171,13 @@ def trace_reduce(form: QuadraticForm, tow: FieldTower,
     if len(basis) != h or not det(
             [[tow.rel_trace(a * b) for b in basis] for a in basis]):
         raise ValueError("not a basis of the extension")
-    k = form.n
-    n = h * k
-    base = tow.base
-
-    def reduced(vec):
-        return tow.rel_trace(alpha * form.evaluate(_block_combine(tow, basis, vec, k)))
-
-    units = []
-    for i in range(n):
-        e = [base.zero] * n
-        e[i] = base.one
-        units.append(e)
-    singles = [reduced(units[i]) for i in range(n)]
-    entries = {}
-    for i in range(n):
-        entries[(i, i)] = singles[i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = [a + b for a, b in zip(units[i], units[j])]
-            entries[(i, j)] = reduced(pair) - singles[i] - singles[j]
-    return QuadraticForm.from_pairs(base, n, entries)
+    top_coeffs = dict(zip(monomial_pairs(form.n), form.coeffs))
+    coeffs = []
+    for i, j in monomial_pairs(h * form.n):
+        (b, s), (b2, s2) = divmod(i, h), divmod(j, h)
+        c = tow.rel_trace(alpha * top_coeffs[(b, b2)] * basis[s] * basis[s2])
+        coeffs.append(c + c if b == b2 and s < s2 else c)
+    return QuadraticForm(tow.base, h * form.n, coeffs)
 
 
 @dataclasses.dataclass(frozen=True)

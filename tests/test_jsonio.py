@@ -161,6 +161,19 @@ def test_empty_forms_need_explicit_shape():
     assert jsonio.forms_from_dict(doc) == []
 
 
+def test_forms_refuse_a_level_or_n_they_do_not_have():
+    tow = tower(5, 1, 2)
+    rng = Random(3)
+    forms = [QuadraticForm(tow.base, 3, [tow.base(rng.randrange(5)) for _ in range(6)])
+             for _ in range(3)]
+    with pytest.raises(jsonio.FormatError, match="'top'.*'base'"):
+        jsonio.forms_to_dict(forms, tow, level="top", n=3)
+    with pytest.raises(jsonio.FormatError, match="n = 7 given.*n = 3"):
+        jsonio.forms_to_dict(forms, tow, level="base", n=7)
+    assert (jsonio.forms_to_dict(forms, tow, level="base", n=3)
+            == jsonio.forms_to_dict(forms, tow))
+
+
 def test_empty_forms_matches_vanishing_space_output():
     arc = small_arc()
     forms = vanishing_space(arc.elements)

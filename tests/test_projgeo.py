@@ -13,8 +13,9 @@ from pseudoarcs.linalg import (SingularMatrixError, det, identity, mat_mul,
                                mat_vec, transpose)
 from pseudoarcs.projgeo import (Spread, Subspace, ambient_space, block_spread,
                                 canonical_spread, conjugate_rows,
-                                field_reduction, intersect, join, span,
-                                apply_projectivity, spread_membership)
+                                field_reduction, intersect, join,
+                                lift_subspace, span, apply_projectivity,
+                                spread_membership)
 
 F5 = GF.get(5, 1)
 
@@ -358,6 +359,24 @@ def test_spread_membership():
     assert not spread_membership(line, s)
     with pytest.raises(ValueError):
         spread_membership(span([[F5(1), F5(0), F5(0), F5(0)]]), s)
+
+
+def test_spread_membership_matches_intersection():
+    # the one-rank test against the lifted subspace meeting the director
+    rng = random.Random(17)
+    for (p, e, h, k) in [(5, 1, 2, 2), (2, 2, 2, 2), (3, 1, 3, 2), (2, 1, 2, 3)]:
+        t = tower(p, e, h)
+        for s in (canonical_spread(t, k), block_spread(t, k)):
+            members = list(s.elements())
+            candidates = list(members)
+            while len(candidates) < 2 * len(members):
+                w = rand_subspace(t.base, h * k, h, rng)
+                if w.rank == h:
+                    candidates.append(w)
+            verdicts = [spread_membership(w, s) for w in candidates]
+            assert verdicts == [intersect(lift_subspace(w, t), s.director).rank > 0
+                                for w in candidates]
+            assert any(verdicts) and not all(verdicts)
 
 
 def test_spread_point_coordinates_roundtrip():

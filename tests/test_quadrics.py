@@ -2,14 +2,17 @@
 
 The vanishing-space computation is cross-checked by brute-force
 evaluation and against a FieldElement reference with one condition per
-projective point, and the trace composition is verified pointwise
-against its defining formula on random vectors, in odd and even
-characteristic.  The line-by-line complete-intersection check is
-compared with a FieldElement point-by-point reference on seeded random
-inputs and on planted witnesses.
+projective point.  The trace composition is verified pointwise
+against its defining formula on random vectors, and coefficient by
+coefficient against a reference that reads the coefficients off the
+form's values, in odd and even characteristic.  The line-by-line
+complete-intersection check is compared with a FieldElement
+point-by-point reference on seeded random inputs and on planted
+witnesses.
 """
 
 import itertools
+import re
 import warnings
 from random import Random
 
@@ -193,43 +196,95 @@ def test_small_field_gap_k5_q7():
         assert not extra.evaluate(list(p.coords))
 
 
-def test_trace_reduce_matches_definition_odd_char():
-    tow = tower(5, 1, 2)
+def traced_value(form, tow, basis, alpha, vec):
+    """rel_trace(alpha * Q(x)) for the block vector x of a base-level
+    vector, x_b = sum_s vec[bh + s] * basis[s]: the definition of the
+    reduced form."""
+    h = tow.h
+    blocks = []
+    for b in range(form.n):
+        acc = tow.top.zero
+        for s in range(h):
+            acc = acc + tow.lift(vec[h * b + s]) * basis[s]
+        blocks.append(acc)
+    return tow.rel_trace(alpha * form.evaluate(blocks))
+
+
+def check_trace_reduce(tow, form, rng):
+    """trace_reduce, for every alpha of the normal basis, against its
+    definition at 25 random vectors and, coefficient by coefficient,
+    against the reference below."""
     basis = tow.normal_basis()
-    top = tow.top
-    form = QuadraticForm.from_pairs(top, 3, {(0, 2): 1, (1, 1): top.order - 1, (0, 1): 7})
-    rng = Random(9)
+    n = tow.h * form.n
     for alpha in basis:
         reduced = trace_reduce(form, tow, basis, alpha)
-        assert reduced.field is tow.base and reduced.n == 6
+        assert reduced.field is tow.base and reduced.n == n
+        assert reduced == reference_trace_reduce(form, tow, basis, alpha)
         for _ in range(25):
-            vec = [tow.base(rng.randrange(5)) for _ in range(6)]
-            blocks = []
-            for b in range(3):
-                acc = top.zero
-                for s in range(2):
-                    acc = acc + tow.lift(vec[2 * b + s]) * basis[s]
-                blocks.append(acc)
-            assert reduced.evaluate(vec) == tow.rel_trace(alpha * form.evaluate(blocks))
+            vec = [tow.base(rng.randrange(tow.q)) for _ in range(n)]
+            assert reduced.evaluate(vec) == traced_value(form, tow, basis, alpha, vec)
+
+
+def reference_trace_reduce(form, tow, basis, alpha):
+    """The reduced form recovered from its values: Q(e_i) on the
+    diagonal and Q(e_i + e_j) - Q(e_i) - Q(e_j) off it, in every
+    characteristic."""
+    n, base = tow.h * form.n, tow.base
+    units = [[base.one if i == j else base.zero for j in range(n)]
+             for i in range(n)]
+    singles = [traced_value(form, tow, basis, alpha, u) for u in units]
+    entries = {}
+    for i, j in monomial_pairs(n):
+        if i == j:
+            entries[(i, j)] = singles[i]
+        else:
+            pair = [a + b for a, b in zip(units[i], units[j])]
+            entries[(i, j)] = (traced_value(form, tow, basis, alpha, pair)
+                               - singles[i] - singles[j])
+    return QuadraticForm.from_pairs(base, n, entries)
+
+
+def random_form(field, n, rng):
+    """A form in n variables with every coefficient nonzero."""
+    return QuadraticForm(field, n, [field(rng.randrange(1, field.order))
+                                    for _ in monomial_pairs(n)])
+
+
+def test_trace_reduce_matches_definition_odd_char():
+    tow = tower(5, 1, 2)
+    top = tow.top
+    form = QuadraticForm.from_pairs(top, 3, {(0, 2): 1, (1, 1): top.order - 1, (0, 1): 7})
+    check_trace_reduce(tow, form, Random(9))
+    # k = 3 forms with every term, over h = 3 and over a larger base
+    rng = Random(11)
+    for tow in (tower(3, 1, 3), tower(7, 1, 2)):
+        check_trace_reduce(tow, random_form(tow.top, 3, rng), rng)
 
 
 def test_trace_reduce_matches_definition_even_char():
     tow = tower(2, 2, 2)
-    basis = tow.normal_basis()
     top = tow.top
     form = QuadraticForm.from_pairs(top, 2, {(0, 0): 3, (0, 1): 1, (1, 1): 9})
-    rng = Random(4)
-    for alpha in basis:
-        reduced = trace_reduce(form, tow, basis, alpha)
-        for _ in range(25):
-            vec = [tow.base(rng.randrange(4)) for _ in range(4)]
-            blocks = []
-            for b in range(2):
-                acc = top.zero
-                for s in range(2):
-                    acc = acc + tow.lift(vec[2 * b + s]) * basis[s]
-                blocks.append(acc)
-            assert reduced.evaluate(vec) == tow.rel_trace(alpha * form.evaluate(blocks))
+    check_trace_reduce(tow, form, Random(4))
+    rng = Random(12)
+    tow = tower(2, 1, 3)
+    check_trace_reduce(tow, random_form(tow.top, 3, rng), rng)
+
+
+def test_form_refuses_coefficients_of_another_field():
+    # GF(7)'s 6 is not GF(5)'s 1
+    f5, f7 = GF.get(5, 1), GF.get(7, 1)
+    with pytest.raises(FieldMismatchError):
+        QuadraticForm(f5, 1, [f7(6)])
+    with pytest.raises(FieldMismatchError):
+        QuadraticForm.from_pairs(f5, 2, {(0, 1): f7(6)})
+
+
+def test_from_pairs_names_a_pair_that_is_no_monomial():
+    f5 = GF.get(5, 1)
+    for pair in [(1, 0), (0, 2), (-1, 0)]:
+        with pytest.raises(ValueError, match=re.escape(repr(pair))):
+            QuadraticForm.from_pairs(f5, 2, {pair: 1})
 
 
 def test_trace_reduce_rejects_non_basis():

@@ -42,3 +42,36 @@ def test_except_exception_only_in_cli_main():
                     if "Exception" in names:
                         found.append((path.name, func.name))
     assert sorted(set(found)) == [("cli.py", "main")]
+
+
+def _imported_names(tree):
+    """(name, line) of every name an import statement binds; a
+    ``__future__`` import binds none."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                found.append((name, node.lineno))
+    return found
+
+
+def test_modules_use_every_name_they_import():
+    # __init__ imports to re-export; the next test covers it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for name, line in _imported_names(tree) if name not in used]
+    assert found == []
+
+
+def test_init_imports_only_listed_names():
+    path = SRC / "__init__.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(name for name, _ in _imported_names(tree)
+                  if name not in pseudoarcs.__all__) == []
