@@ -21,7 +21,7 @@ from .nrc import frobenius_orbit_reps, nrc_points, orbit_rep_count
 from .pg54 import verify_fixture
 from .projgeo import intersect
 from .pseudoarc import build_imaginary_arc, extend_with_osculating, is_pseudo_arc
-from .quadrics import is_complete_intersection, vanishing_space
+from .quadrics import POINT_BUDGET, is_complete_intersection, vanishing_space
 
 
 def _tower_for(q, h):
@@ -434,7 +434,7 @@ def build_parser():
                          help="certify a family as the exact zero set of forms")
     p2.add_argument("file")
     p2.add_argument("forms")
-    p2.add_argument("--max-points", type=int, default=10 ** 6)
+    p2.add_argument("--max-points", type=int, default=POINT_BUDGET)
     p2.add_argument("--json", action="store_true")
     p2.set_defaults(func=cmd_quadrics_certify)
 

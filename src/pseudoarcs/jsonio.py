@@ -43,6 +43,14 @@ def required(d: dict, key: str, typ: type, where: str):
     return value
 
 
+def _required_positive(d: dict, key: str, where: str) -> int:
+    """``required(d, key, int, where)``, refused unless at least 1."""
+    value = required(d, key, int, where)
+    if value < 1:
+        raise FormatError("%s: %r must be positive, found %d" % (where, key, value))
+    return value
+
+
 def field_header(tow: FieldTower) -> dict:
     return {
         "p": tow.p,
@@ -158,7 +166,7 @@ def arc_elements_from_dict(d: dict) -> Tuple[FieldTower, int, List[Subspace]]:
     where = "arc document"
     _check_envelope(d, "arc")
     tow = document_tower(d, "arc")
-    k = required(d, "k", int, where)
+    k = _required_positive(d, "k", where)
     elements = _subspaces_from_ints(tow.base, tow.h * k,
                                     required(d, "elements", list, where),
                                     where, "h*k")
@@ -196,7 +204,7 @@ def subspaces_from_dict(d: dict) -> List[Subspace]:
     _check_envelope(d, "subspaces")
     tow = document_tower(d, "subspaces")
     field = _level_field(tow, required(d, "level", str, where))
-    n = required(d, "ambient_dim", int, where)
+    n = _required_positive(d, "ambient_dim", where)
     return _subspaces_from_ints(field, n, required(d, "elements", list, where),
                                 where, "ambient_dim")
 
@@ -268,10 +276,7 @@ def forms_space(d: dict) -> Tuple[GF, int]:
     _check_envelope(d, "forms")
     tow = document_tower(d, "forms")
     field = _level_field(tow, required(d, "level", str, where))
-    n = required(d, "n", int, where)
-    if n < 1:
-        raise FormatError("%s: 'n' must be positive, found %d" % (where, n))
-    return field, n
+    return field, _required_positive(d, "n", where)
 
 
 def forms_from_dict(d: dict) -> List[QuadraticForm]:

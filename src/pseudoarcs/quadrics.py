@@ -10,6 +10,7 @@ complete-intersection certificate.
 """
 
 import dataclasses
+import functools
 import itertools
 from typing import List, Optional, Sequence, Tuple
 
@@ -18,10 +19,23 @@ from .linalg import det, nullspace_ints, rref_ints
 from .projgeo import Subspace
 
 
+# the most ambient points is_complete_intersection walks unless told otherwise
+POINT_BUDGET = 10 ** 6
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(n: int):
+    """The pairs of ``monomial_pairs(n)`` as a tuple, and the dict from
+    each pair to its position; built once per n and shared, so callers
+    only read them."""
+    pairs = tuple((i, j) for i in range(n) for j in range(i, n))
+    return pairs, {pair: pos for pos, pair in enumerate(pairs)}
+
+
 def monomial_pairs(n: int) -> List[Tuple[int, int]]:
     """Index pairs (i, j), i <= j, in row-major order; the coefficient
     layout of every form in n variables."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
+    return list(_layout(n)[0])
 
 
 class QuadraticForm:
@@ -41,7 +55,7 @@ class QuadraticForm:
         self.coeffs = coeffs
         # the nonzero terms (c, i, j) as ints, the input of field.form_value
         self.terms = tuple((c.val, i, j)
-                           for c, (i, j) in zip(coeffs, monomial_pairs(n)) if c)
+                           for c, (i, j) in zip(coeffs, _layout(n)[0]) if c)
 
     @classmethod
     def zero(cls, field: GF, n: int) -> "QuadraticForm":
@@ -51,7 +65,7 @@ class QuadraticForm:
     def from_pairs(cls, field: GF, n: int, entries) -> "QuadraticForm":
         """Build from {(i, j): coefficient} with i <= j."""
         coeffs = [field.zero] * (n * (n + 1) // 2)
-        index = {pair: pos for pos, pair in enumerate(monomial_pairs(n))}
+        index = _layout(n)[1]
         for pair, c in entries.items():
             if pair not in index:
                 raise ValueError("%r is not a monomial (i, j) with 0 <= i <= j < %d"
@@ -86,7 +100,7 @@ class QuadraticForm:
 
     def __repr__(self):
         terms = []
-        for c, (i, j) in zip(self.coeffs, monomial_pairs(self.n)):
+        for c, (i, j) in zip(self.coeffs, _layout(self.n)[0]):
             if c:
                 mono = "x%d^2" % i if i == j else "x%d*x%d" % (i, j)
                 terms.append("%d*%s" % (c.val, mono))
@@ -116,7 +130,7 @@ def vanishing_space(subspaces: Sequence[Subspace], field: Optional[GF] = None,
                 raise ValueError("subspaces in different spaces")
     elif field is None or ambient_dim is None:
         raise ValueError("empty input needs field and ambient_dim")
-    pairs = monomial_pairs(ambient_dim)
+    pairs = _layout(ambient_dim)[0]
     add, mul = field.add, field.mul
     conditions = []
     for s in subspaces:
@@ -171,9 +185,9 @@ def trace_reduce(form: QuadraticForm, tow: FieldTower,
     if len(basis) != h or not det(
             [[tow.rel_trace(a * b) for b in basis] for a in basis]):
         raise ValueError("not a basis of the extension")
-    top_coeffs = dict(zip(monomial_pairs(form.n), form.coeffs))
+    top_coeffs = dict(zip(_layout(form.n)[0], form.coeffs))
     coeffs = []
-    for i, j in monomial_pairs(h * form.n):
+    for i, j in _layout(h * form.n)[0]:
         (b, s), (b2, s2) = divmod(i, h), divmod(j, h)
         c = tow.rel_trace(alpha * top_coeffs[(b, b2)] * basis[s] * basis[s2])
         coeffs.append(c + c if b == b2 and s < s2 else c)
@@ -199,21 +213,28 @@ class IntersectionVerdict:
 
 def is_complete_intersection(subspaces: Sequence[Subspace],
                              forms: Sequence[QuadraticForm],
-                             max_points: int = 10 ** 6) -> IntersectionVerdict:
+                             max_points: int = POINT_BUDGET) -> IntersectionVerdict:
     """Certify that the common zero set of the forms is exactly the
     union of the subspaces' points, by exhausting the ambient space.
 
     The ambient space has (q^n - 1)/(q - 1) points, a count guarded by a
-    budget (override via max_points).  It is walked line by line: the
-    points (0, ..., 0, 1, mid, t) for t in F_q lie on the line through
-    x = (0, ..., 0, 1, mid, 0) in direction e = (0, ..., 0, 1), where the
-    first form takes the values Q(x) + B(x, e) t + Q(e) t^2, computed
-    for every t at once as two int row operations.  Only its zeros are
-    checked against the configuration and the other forms; the point
-    (0, ..., 0, 1) is checked on its own.  ``missed`` is the first
-    configuration point, in sorted encoding order, where some form does
-    not vanish; ``extra`` is the first common zero outside the
-    configuration in the order of ``ambient_space(field, n).points()``.
+    budget (override via max_points).  It is walked plane by plane: the
+    points (0, ..., 0, 1, pre, s, t) are P + s u + t e for the prefix
+    P = (0, ..., 0, 1, pre, 0, 0), u = e_(n-2) and e = e_(n-1), where the
+    first form takes the values a_s + b_s t + Q(e) t^2 with
+    a_s = Q(P) + s B(P, u) + s^2 Q(u) and b_s = B(P, e) + s B(u, e).  A
+    plane costs three evaluations, Q(P), Q(P + u) and Q(P + e), and int
+    row operations for a_s and b_s at every s; the zeros t on each line
+    come from a dict of the roots of a + b t + Q(e) t^2, filled on first
+    use of (a, b).  The line (0, ..., 0, 1, t) is walked alone, and the
+    point (0, ..., 0, 1) is checked on its own.  Only the first form's
+    zeros are checked against the configuration and the other forms; on
+    a line holding more than two of them, each other form is restricted
+    to the line in the same way, with roots memoized per form.
+    ``missed`` is the first configuration point, in sorted encoding
+    order, where some form does not vanish; ``extra`` is the first
+    common zero outside the configuration in the order of
+    ``ambient_space(field, n).points()``.
     """
     subspaces = list(subspaces)
     forms = list(forms)
@@ -240,7 +261,7 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
         if form.n != n:
             raise ValueError("form %d has %d variables, the ambient dimension is %d"
                              % (pos, form.n, n))
-    value, sub, neg = field.form_value, field.sub_scaled, field.neg
+    value, sub, neg, fsub = field.form_value, field.sub_scaled, field.neg, field.sub
     form_terms = [form.terms for form in forms]
     covered = set()
     for s in subspaces:
@@ -251,31 +272,91 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
     ts = list(range(q))
     squares = [field.mul(t, t) for t in ts]
     last = (0,) * (n - 1) + (1,)
-    # with no forms the first is the empty sum, zero at every t
+    # with no forms the first is the empty sum, zero at every point
     first, rest = form_terms[0] if form_terms else (), form_terms[1:]
+
+    def line_roots(a, b, c):
+        """The t in F_q with a + b t + c t^2 = 0, ascending."""
+        vals = [a] * q
+        if b:
+            vals = sub(vals, neg(b), ts)
+        if c:
+            vals = sub(vals, neg(c), squares)
+        return [t for t, v in enumerate(vals) if not v]
+
     c = value(first, last)  # Q(e)
+    roots = {}  # (a, b) -> line_roots(a, b, c)
+    # the other forms with their Q(e) and their own roots, as sets
+    rest_lines = [(terms, value(terms, last), {}) for terms in rest]
+
+    def extra_on(line, zeros, before):
+        """The verdict at the first point line + (t,), t in zeros, that
+        is a common zero outside the configuration, or None.
+
+        Past two zeros, as on a line where the first form vanishes, the
+        other forms are restricted to the line too: two evaluations and
+        a roots lookup each, instead of one evaluation per zero."""
+        check = rest
+        if len(zeros) > 2:
+            x0, x1 = line + (0,), line + (1,)
+            for terms, cf, table in rest_lines:
+                a = value(terms, x0)
+                b = fsub(fsub(value(terms, x1), a), cf)
+                on_line = table.get((a, b))
+                if on_line is None:
+                    on_line = table[a, b] = frozenset(line_roots(a, b, cf))
+                zeros = [t for t in zeros if t in on_line]
+                if not zeros:
+                    return None
+            check = ()
+        for t in zeros:
+            key = line + (t,)
+            if key in covered:
+                continue
+            for terms in check:
+                if value(terms, key):
+                    break
+            else:
+                return IntersectionVerdict(False, extra=key,
+                                           scanned=before + t + 1)
+        return None
+
     scanned = 0
-    for lead in range(n - 1):
+    if n > 2:
+        u = (0,) * (n - 2) + (1, 0)
+        qu = value(first, u)
+        bue = fsub(fsub(value(first, u[:-1] + (1,)), qu), c)  # B(u, e)
+    for lead in range(n - 2):
         head = (0,) * lead + (1,)
-        for mid in itertools.product(ts, repeat=n - lead - 2):
-            base = head + mid
-            # Q(x + t e) = a + b t + c t^2 at every t
-            a = value(first, base + (0,))
-            b = field.sub(field.sub(value(first, base + (1,)), a), c)
-            vals = [a] * q
-            if b:
-                vals = sub(vals, neg(b), ts)
-            if c:
-                vals = sub(vals, neg(c), squares)
-            zeros = [t for t, v in enumerate(vals) if not v]
-            for t in zeros:
-                key = base + (t,)
-                if key not in covered and not any(value(terms, key)
-                                                  for terms in rest):
-                    return IntersectionVerdict(False, extra=key,
-                                               scanned=scanned + t + 1)
-            scanned += q
-    if last not in covered and not any(value(terms, last)
-                                       for terms in form_terms):
+        for mid in itertools.product(ts, repeat=n - lead - 3):
+            pre = head + mid
+            a = value(first, pre + (0, 0))  # Q(P)
+            bu = fsub(fsub(value(first, pre + (1, 0)), a), qu)  # B(P, u)
+            be = fsub(fsub(value(first, pre + (0, 1)), a), c)  # B(P, e)
+            avals, bvals = [a] * q, [be] * q
+            if bu:
+                avals = sub(avals, neg(bu), ts)
+            if qu:
+                avals = sub(avals, neg(qu), squares)
+            if bue:
+                bvals = sub(bvals, neg(bue), ts)
+            for s, key in enumerate(zip(avals, bvals)):
+                zeros = roots.get(key)
+                if zeros is None:
+                    zeros = roots[key] = line_roots(*key, c)
+                if zeros:
+                    verdict = extra_on(pre + (s,), zeros, scanned + s * q)
+                    if verdict is not None:
+                        return verdict
+            scanned += q * q
+    if n > 1:
+        line = (0,) * (n - 2) + (1,)
+        a = value(first, line + (0,))
+        b = fsub(fsub(value(first, line + (1,)), a), c)
+        verdict = extra_on(line, line_roots(a, b, c), scanned)
+        if verdict is not None:
+            return verdict
+    if last not in covered and not c and not any(value(terms, last)
+                                                 for terms in rest):
         return IntersectionVerdict(False, extra=last, scanned=total)
     return IntersectionVerdict(True, scanned=total)

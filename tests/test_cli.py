@@ -402,6 +402,30 @@ def conic_files(tmp_path):
     return conic, forms
 
 
+@pytest.mark.parametrize("kind, key", [("arc", "k"), ("subspaces", "ambient_dim")])
+@pytest.mark.parametrize("size, elements", [(0, []), (-1, [[]])])
+def test_non_positive_sizes_are_refused(capsys, tmp_path, kind, key, size,
+                                        elements):
+    # a family in a space of dimension below 1 has no point to carry;
+    # read, it used to give forms documents with n = 0, -1 or -2
+    doc = {"schema_version": jsonio.SCHEMA_VERSION, "kind": kind,
+           "field": jsonio.field_header(tower(5, 1, 2)), key: size,
+           "elements": elements}
+    doc.update({"tags": []} if kind == "arc" else {"level": "base"})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    forms = tmp_path / "forms.json"
+    commands = [["import", str(path)],
+                ["quadrics", "through", str(path), "--out", str(forms)]]
+    if kind == "arc":
+        commands.append(["verify-arc", str(path), "--k", "2"])
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and not forms.exists()
+        assert err == "error: %s document: '%s' must be positive, found %d\n" % (
+            kind, key, size)
+
+
 def test_quadrics_through_finds_the_conic(capsys, tmp_path):
     conic, _ = conic_files(tmp_path)
     code, out, _ = run(capsys, "quadrics", "through", str(conic))

@@ -5,7 +5,7 @@ evaluation and against a FieldElement reference with one condition per
 projective point.  The trace composition is verified pointwise
 against its defining formula on random vectors, and coefficient by
 coefficient against a reference that reads the coefficients off the
-form's values, in odd and even characteristic.  The line-by-line
+form's values, in odd and even characteristic.  The plane-by-plane
 complete-intersection check is compared with a FieldElement
 point-by-point reference on seeded random inputs and on planted
 witnesses.
@@ -383,9 +383,10 @@ def random_system(field, n, family, rng):
 
 
 def edge_inputs(field, rng):
-    """Certificate inputs at the corners of the line walk: no forms, a
-    first form that vanishes on whole lines, witnesses at t = 0, at
-    t = q - 1 and at (0, ..., 0, 1), and ambient dimensions 1 and 2."""
+    """Certificate inputs at the corners of the walk: no forms, a first
+    form that vanishes on whole lines, witnesses at t = 0, at t = q - 1
+    and at (0, ..., 0, 1), ambient dimensions 1 and 2, and the
+    ``plane_inputs`` of PG(3, q) and PG(4, q) on small fields."""
     q = field.order
     conic = point_spans(field, nrc_points(field, 3))
     system = nrc_quadric_system(field, 3)
@@ -415,11 +416,93 @@ def edge_inputs(field, rng):
     ]
     family = random_family(field, 2, rng)
     inputs.append((family, random_system(field, 2, family, rng)))
+    # keep the point-by-point reference quick
+    for n in (4, 5):
+        if field.order ** (n - 2) <= 81:
+            inputs += plane_inputs(field, n, rng)
+    return inputs
+
+
+def plane_inputs(field, n, rng):
+    """Certificate inputs at the corners of the plane walk in PG(n-1, q),
+    n >= 4, whose planes are P + s u + t e with u = e_(n-2), e = e_(n-1).
+
+    Single witnesses are planted at s = 0, at s = q - 1, in the first
+    plane of every lead, on the line (0, ..., 0, 1, t) and at
+    (0, ..., 0, 1), each as an extra point and as a covered one.  The
+    first form in front of the planted system vanishes at the witness;
+    across the plane witnesses it has Q(u) = Q(e) = 0, B(u, e) = 0,
+    Q(e) = 0 alone, random coefficients, or is zero.  Systems whose
+    common zeros fill the line through a witness and e, behind a first
+    form zero on whole lines, put an extra point at t = 1 after a
+    covered one at t = 0, or cover the whole line; their second form
+    takes the same value at t = 0 on every line and different slopes."""
+    q = field.order
+    u, e = n - 2, n - 1
+
+    def normalized(lead, tail):
+        return tuple([0] * lead + [1] + list(tail))
+
+    def rand():
+        return rng.randrange(q)
+
+    keys = [normalized(0, [rand() for _ in range(n - 3)] + [0, rand()]),
+            normalized(0, [rand() for _ in range(n - 3)] + [q - 1, rand()]),
+            normalized(0, [rand() for _ in range(n - 3)] + [q - 1, q - 1])]
+    keys += [normalized(lead, [0] * (n - lead - 3) + [rand(), rand()])
+             for lead in range(n - 2)]
+    keys += [normalized(u, [0]), normalized(u, [q - 1]), normalized(u, [rand()]),
+             normalized(e, [])]
+
+    def product(key, j, k):
+        """L_j L_k for the linear forms L_j = x_j - key_j x_lead, j and k
+        not the lead: zero at key."""
+        lead = key.index(1)
+        entries = {}
+        for a, x in ((j, field.one), (lead, -field(key[j]))):
+            for b, y in ((k, field.one), (lead, -field(key[k]))):
+                pair = (min(a, b), max(a, b))
+                entries[pair] = entries.get(pair, field.zero) + x * y
+        return QuadraticForm.from_pairs(field, n, entries)
+
+    def first_forms(key):
+        lead = key.index(1)
+        others = [j for j in range(n) if j != lead]
+        forms = []
+        if lead < u:
+            forms += [product(key, u, e),                               # Q(u) = Q(e) = 0
+                      product(key, u, u) + product(key, e, e),          # B(u, e) = 0
+                      product(key, u, u) + product(key, others[0], e)]  # Q(e) = 0
+        combo = QuadraticForm.zero(field, n)
+        for a, j in enumerate(others):
+            for k in others[a:]:
+                combo = combo + product(key, j, k).scale(field(rand()))
+        return forms + [combo, QuadraticForm.zero(field, n)]
+
+    inputs = []
+    for pos, key in enumerate(keys):
+        firsts = first_forms(key)
+        planted = [firsts[pos % len(firsts)]] + point_system(field, key)
+        point = [field(v) for v in key]
+        inputs.append(([Subspace(field, n, [])], planted))
+        inputs.append(([span([point])], planted))
+        lead = key.index(1)
+        if lead < e:
+            # L_j x_e and all but the last planted form vanish on the
+            # line through key and e
+            j = 1 if lead == 0 else 0
+            line = [QuadraticForm.from_pairs(field, n, {
+                (j, e): field.one, (lead, e): -field(key[j])})]
+            line += point_system(field, key)[:-1]
+            start = point[:-1] + [field.zero]
+            inputs.append(([span([start])], [QuadraticForm.zero(field, n)] + line))
+            inputs.append(([span([point, [field.zero] * e + [field.one]])],
+                           line[:1] + line))
     return inputs
 
 
 @pytest.mark.parametrize("p, m", [(7, 1), (11, 1), (2, 2), (2, 3), (3, 2),
-                                  (5, 2)])
+                                  (5, 2), (2, 1), (3, 1)])
 def test_complete_intersection_matches_reference(p, m):
     field = GF.get(p, m)
     rng = Random(100 * p + m)
@@ -531,3 +614,34 @@ def test_vanishing_space_walks_no_points(monkeypatch):
     monkeypatch.setattr(Subspace, "points", refuse)
     for family, forms in zip(families, expected):
         assert vanishing_space(family) == forms
+
+
+@pytest.mark.parametrize("p, m, k", [(7, 1, 4), (5, 1, 5), (2, 2, 5)])
+def test_complete_intersection_evaluates_the_first_form_per_plane(monkeypatch,
+                                                                  p, m, k):
+    # Q(P), Q(P + u) and Q(P + e) for each of the (q^(n-2) - 1)/(q - 1)
+    # planes; Q(e), Q(u) and Q(u + e) once, two values on the line
+    # (0, ..., 0, 1, t), and one per configuration point in the search
+    # for a missed point
+    field = GF.get(p, m)
+    q = field.order
+    curve = point_spans(field, nrc_points(field, k))
+    system = nrc_quadric_system(field, k)
+    # a first form with Q(u) != 0, zero at one point of most lines
+    mixed = [system[0] + system[-1]] + system
+    for forms in (system, mixed):
+        first = forms[0].terms
+        calls = []
+        value = field.form_value
+
+        def counted(terms, vec):
+            if terms is first:
+                calls.append(vec)
+            return value(terms, vec)
+
+        monkeypatch.setattr(field, "form_value", counted)
+        verdict = is_complete_intersection(curve, forms)
+        monkeypatch.undo()
+        assert verdict.ok and verdict.scanned == (q ** k - 1) // (q - 1)
+        planes = (q ** (k - 2) - 1) // (q - 1)
+        assert len(calls) <= 3 * planes + 5 + len(curve)
