@@ -316,15 +316,14 @@ class GF:
         return self.element(self._primitive)
 
     def _build_add_table(self):
-        p, order = self.p, self.order
-        digs = [self.digits(v) for v in range(order)]
-        enc = self.encode
-        table = []
-        for a in range(order):
-            da = digs[a]
-            row = [enc(tuple((x + y) % p for x, y in zip(da, digs[b])))
-                   for b in range(order)]
-            table.append(row)
+        # addition is digit-wise: row a0 + p*a' on j + 1 digits is row a'
+        # on j digits shifted up a digit, the low digit cycled by row a0
+        p = self.p
+        low = [[(a + b) % p for b in range(p)] for a in range(p)]
+        table = low
+        for _ in range(self.m - 1):
+            table = [[x + p * y for y in hi for x in lo]
+                     for hi in table for lo in low]
         self._add_table = table
 
     def _row_ops(self):
@@ -781,30 +780,28 @@ class FieldTower:
         if self._coord_lookup is not None:
             return self._coord_lookup
         p, e, h = self.p, self.e, self.h
-        fp = GF.get(p, 1)
-        basis = self.normal_basis()
-        cols = []
-        for m in range(h):
-            for a in range(e):
-                g_a = self.base.element(self.base.encode(
-                    tuple(1 if i == a else 0 for i in range(e))))
-                z = self.lift(g_a) * basis[m]
-                cols.append(fp.wrap(self.top.digits(z.val)))
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(e * h)]
-        # int rows over F_p from the digits of x to its coordinates, e
-        # digits per base coordinate
-        solver = [[v.val for v in row] for row in linalg.inverse(mat)]
+        top, fp = self.top, GF.get(p, 1)
+        # column (m, a): the digits of omega_m times the base monomial p^a
+        cols = [fp.wrap(top.digits(top.mul(self.embed_table[p ** a], w.val)))
+                for w in self.normal_basis() for a in range(e)]
+        # column i of the inverse: the coordinates of the top element p^i
+        inv = linalg.inverse(list(zip(*cols)))
+        unit = [tuple(self.base.encode([x.val for x in col[m * e:(m + 1) * e]])
+                      for m in range(h))
+                for col in zip(*inv)]
+        add = self.base.add
         width = 1
         while p ** (width + 1) <= 256:
             width += 1
         tables = []
         for offset in range(0, e * h, width):
-            table = []
-            for u in range(p ** min(width, e * h - offset)):
-                digs = self.top.digits(u * p ** offset)
-                y = [sum(a * d for a, d in zip(row, digs)) % p for row in solver]
-                table.append(tuple(self.base.encode(y[m * e:(m + 1) * e])
-                                   for m in range(h)))
+            # entry u + d*p^i is entry u + (d-1)*p^i plus the coordinates
+            # of p^(offset+i)
+            table = [(0,) * h]
+            for c in unit[offset:offset + width]:
+                size = len(table)
+                for _ in range(p - 1):
+                    table += [tuple(map(add, t, c)) for t in table[-size:]]
             tables.append(table)
         self._coord_lookup = tables
         return tables

@@ -9,6 +9,7 @@ sorted keys, two-space indent, trailing newline.
 """
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import List, Sequence, Tuple, Union
 
 from .codes import AdditiveCode, CoordSpec
@@ -306,7 +307,48 @@ def document_kind(d: dict) -> str:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True)`` and a newline, byte
+    for byte, for objects made of dicts with str keys, lists, tuples,
+    strs, ints, booleans and None; any other type is a TypeError.  The
+    stdlib takes its pure-Python encoder whenever an indent is set; this
+    writer joins a list of ints in one call instead of one per entry."""
+    return _encode(obj, "\n") + "\n"
+
+
+_ONLY_INT = frozenset((int,))
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as JSON, its inner lines starting with ``newline``
+    (a newline and the indent of ``value``) plus two spaces."""
+    t = type(value)
+    if t is int:
+        return repr(value)
+    if t is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    inner = newline + "  "
+    if t is list or t is tuple:
+        if not value:
+            return "[]"
+        if _ONLY_INT.issuperset(map(type, value)):
+            items = map(repr, value)
+        else:
+            items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if t is dict:
+        if not value:
+            return "{}"
+        for key in value:
+            if type(key) is not str:
+                raise TypeError("JSON object keys must be str, found %r" % (key,))
+        items = [encode_basestring_ascii(key) + ": " + _encode(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError("cannot write %s as JSON" % t.__name__)
 
 
 def loads(text: Union[str, bytes]) -> dict:

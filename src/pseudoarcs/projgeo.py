@@ -30,6 +30,8 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "int_rows", "pivots", "_hash", "_rows")
 
     def __init__(self, field: GF, ambient_dim: int, rows: Sequence[Sequence[FieldElement]]):
+        if ambient_dim < 1:
+            raise ValueError("ambient_dim must be at least 1, found %d" % ambient_dim)
         mat = []
         for r in rows:
             if len(r) != ambient_dim:

@@ -45,6 +45,8 @@ class QuadraticForm:
     __slots__ = ("field", "n", "coeffs", "terms")
 
     def __init__(self, field: GF, n: int, coeffs: Sequence[FieldElement]):
+        if n < 1:
+            raise ValueError("n must be at least 1, found %d" % n)
         coeffs = tuple(coeffs)
         if len(coeffs) != n * (n + 1) // 2:
             raise ValueError("expected %d coefficients" % (n * (n + 1) // 2))

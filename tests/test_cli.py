@@ -579,6 +579,66 @@ def test_rank_deficient_element_is_internal(capsys, monkeypatch):
                    "alpha = 5, expected 2\n")
 
 
+def test_json_writer_matches_the_stdlib_on_every_document(capsys, tmp_path,
+                                                          monkeypatch):
+    written = []
+    dumps = jsonio.dumps
+
+    def recorded(obj):
+        text = dumps(obj)
+        written.append((obj, text))
+        return text
+
+    monkeypatch.setattr(jsonio, "dumps", recorded)
+    arc = write_arc(capsys, tmp_path)
+    (tmp_path / "ext").mkdir()
+    ext = write_arc(capsys, tmp_path / "ext", extend=True)
+    doc = json.loads(arc.read_text())
+    doc["elements"][1] = doc["elements"][0]
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps(doc))
+    code_path = write_code(capsys, tmp_path, extend=True)
+    msg = tmp_path / "msg.txt"
+    msg.write_text("1\n2\n0\n3\n")
+    word, lines = tmp_path / "word.json", tmp_path / "word.txt"
+    run(capsys, "code", "encode", str(code_path), str(msg), "--out", str(lines))
+    kept = lines.read_text().splitlines()
+    lines.write_text("".join("E\n" if i < 4 else v + "\n"
+                             for i, v in enumerate(kept)))
+    erased = tmp_path / "erased.txt"
+    erased.write_text("E\n" * (len(kept) - 1) + "0\n")
+    conic, forms = conic_files(tmp_path)
+    empty = tmp_path / "empty.json"
+    empty.write_text(dumps(jsonio.forms_to_dict([], tower(5, 1, 1), level="base",
+                                                n=3)))
+    fold, through = tmp_path / "fold.json", tmp_path / "through.json"
+    commands = [
+        ["verify-arc", str(arc), "--k", "2", "--json"],
+        ["verify-arc", str(planted), "--k", "2", "--json"],
+        ["verify-example", "--json"],
+        ["lambda", "--h", "2", "--q", "5", "--json"],
+        ["quadrics", "through", str(conic), "--json"],
+        ["quadrics", "through", str(ext), "--out", str(through)],
+        ["quadrics", "certify-ci", str(conic), str(forms), "--json"],
+        ["quadrics", "certify-ci", str(conic), str(empty), "--json"],
+        ["code", "encode", str(code_path), str(msg), "--json", "--out", str(word)],
+        ["code", "decode", str(code_path), str(lines), "--json"],
+        ["code", "decode", str(code_path), str(erased), "--json"],
+        ["code", "distance", str(code_path), "--json"],
+        ["code", "fold", str(code_path), "--out", str(fold)],
+        ["export", str(code_path)],
+        ["import", str(fold), "--json"],
+    ]
+    for argv in commands:
+        assert run(capsys, *argv)[0] in (0, 1), argv
+    kinds = {obj.get("command", obj.get("kind")) for obj, _ in written}
+    assert kinds == {"arc", "verify-arc", "verify-example", "lambda", "forms",
+                     "quadrics certify-ci", "code", "word", "message",
+                     "code decode", "code distance", "subspaces", "import"}
+    for obj, text in written:
+        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "verify-arc", "no-such-file.json", "--k", "2")
     assert code == 2 and "cannot read" in err

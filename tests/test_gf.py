@@ -108,6 +108,61 @@ def test_arithmetic_against_polynomial_oracle():
                 assert f.add(a, b) == oracle_add(a, b, p, m)
 
 
+def test_add_tables_match_digit_oracle():
+    # every odd p^m, m > 1, with a table: every row up to order 125,
+    # seeded sampled rows above
+    rng = random.Random(17)
+    fields = [(p, m) for p in (3, 5, 7, 11, 13, 17, 19, 23) for m in range(2, 6)
+              if p ** m <= gf._ADD_TABLE_LIMIT]
+    assert len(fields) == 12
+    for p, m in fields:
+        f = GF.get(p, m)
+        table = f._add_table
+        assert len(table) == f.order and {len(row) for row in table} == {f.order}
+        rows = (range(f.order) if f.order <= 125 else
+                [0, 1, p, f.order - 1] + rng.sample(range(f.order), 12))
+        for a in rows:
+            assert table[a] == [oracle_add(a, b, p, m) for b in range(f.order)], \
+                (p, m, a)
+    assert GF.get(23, 2)._add_table is None  # 529 is above the limit
+
+
+def test_field_set_up_builds_no_table_entry_by_digits(monkeypatch):
+    # the addition table comes from digit blocks, not one digit tuple and
+    # encode per entry; the exp/log build, which multiplies once per
+    # element through _raw_mul, is the one per-element construction left
+    calls = []
+    encode, digits, build_mul = GF.encode, GF.digits, GF._build_mul_tables
+    in_mul_tables = []
+
+    def counted_encode(self, digs):
+        calls.append("encode")
+        return encode(self, digs)
+
+    def counted_digits(self, v):
+        calls.append("digits")
+        return digits(self, v)
+
+    def counted_build_mul(self):
+        before = len(calls)
+        build_mul(self)
+        in_mul_tables.append(len(calls) - before)
+
+    monkeypatch.setattr(GF, "encode", counted_encode)
+    monkeypatch.setattr(GF, "digits", counted_digits)
+    monkeypatch.setattr(GF, "_build_mul_tables", counted_build_mul)
+    f = GF(7, 3)  # fresh, not the interned field
+    assert f._add_table is not None and len(in_mul_tables) == 1
+    assert len(calls) - in_mul_tables[0] < f.order
+    assert in_mul_tables[0] < 5 * f.order
+
+    # a fresh tower's coordinate tables: a few calls per digit, none per entry
+    t = gf.FieldTower(7, 1, 3)
+    del calls[:]
+    tables = t._coord_tables()
+    assert len(calls) < sum(map(len, tables))
+
+
 def test_carry_less_products_match_polynomial_oracle():
     # p = 2: every table entry comes from the shift-and-XOR product
     rng = random.Random(8)
@@ -409,6 +464,43 @@ def test_normal_coords_roundtrip():
             for c, b in zip(coords, basis):
                 acc = acc + t.lift(c) * b
             assert acc == x
+
+
+# the towers the four bench grids build: arcs, distance, roundtrip, quadrics
+BENCH_TOWERS = [(7, 1, 2), (3, 2, 2), (11, 1, 2), (13, 1, 2), (2, 4, 2),
+                (2, 3, 2), (7, 1, 3), (5, 1, 2), (2, 2, 2), (2, 5, 2),
+                (2, 6, 2), (2, 3, 3), (7, 1, 1), (11, 1, 1), (13, 1, 1),
+                (5, 2, 1)]
+
+
+def solve_in_normal_basis(t):
+    """Top encoding -> base encodings of its normal-basis coordinates, by
+    running over every combination of the basis."""
+    basis = t.normal_basis()
+    coords = {}
+    for c in itertools.product(range(t.q), repeat=t.h):
+        acc = t.top.zero
+        for v, b in zip(c, basis):
+            acc = acc + t.lift(t.base(v)) * b
+        coords[acc.val] = c
+    assert len(coords) == t.top.order
+    return coords
+
+
+def test_coord_tables_match_normal_basis_solve():
+    for pe in BENCH_TOWERS:
+        t = tower(*pe)
+        coords = solve_in_normal_basis(t)
+        # table j maps a chunk value u to the coordinates of u * p^o_j
+        shift = 1
+        for table in t._coord_tables():
+            assert len(table) <= 256 and shift * len(table) <= t.top.order
+            for u, entry in enumerate(table):
+                assert entry == coords[u * shift], (pe, shift, u)
+            shift *= len(table)
+        assert shift == t.top.order
+        for v in range(t.top.order):
+            assert t.normal_ints(v) == coords[v], (pe, v)
 
 
 def test_primitive_element_is_primitive():

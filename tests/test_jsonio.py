@@ -13,7 +13,7 @@ import pytest
 from pseudoarcs import jsonio
 from pseudoarcs.codes import (ERASED, encode, erasure_decode,
                               evaluation_code, extend_with_derivatives)
-from pseudoarcs.gf import Poly, tower
+from pseudoarcs.gf import GF, FieldElement, Poly, tower
 from pseudoarcs.nrc import frobenius_orbit_reps
 from pseudoarcs.projgeo import Subspace, conjugate_rows
 from pseudoarcs.pseudoarc import build_imaginary_arc, extend_with_osculating
@@ -193,6 +193,28 @@ def test_envelope_rejections():
         jsonio.document_kind([1, 2, 3])
     with pytest.raises(jsonio.FormatError):
         jsonio.loads("{not json")
+
+
+def stdlib_dumps(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_matches_the_stdlib_on_edge_values():
+    values = [{}, [], (), [[]], [{}], {"a": []}, {"a": {}},
+              {"b": [[], {}, [[], [{}]]], "a": {"c": {}}},
+              "", "plain", "h\u00e9llo \u2603 \U0001f600", "quote \" slash \\ tab \t\n\x00",
+              {"\u00fc": "\u00e9", "a b": 1, "": 2, "Z": 3},
+              True, False, None, [True, False, None], [1, True], [0, -1, 10 ** 30],
+              (1, 2), [(1, 2), [3]], {"k": (None, "x", [False])}, 0, -7]
+    for value in values:
+        assert jsonio.dumps(value) == stdlib_dumps(value), value
+
+
+def test_dumps_refuses_what_it_does_not_write():
+    for value in [1.5, [1, 2.0], {1: "a"}, {"a": {(1, 2): 3}}, {"a": b"x"},
+                  {1, 2}, object(), [FieldElement(GF.get(5, 1), 1)]]:
+        with pytest.raises(TypeError):
+            jsonio.dumps(value)
 
 
 def test_dumps_deterministic_and_sorted():

@@ -499,3 +499,14 @@ def test_apply_projectivity_refuses_wrong_shapes():
             apply_projectivity(m, line)
     with pytest.raises(FieldMismatchError):
         apply_projectivity(identity(GF.get(5, 1), 2), line)
+
+
+def test_subspace_refuses_an_ambient_dimension_below_one():
+    # PG(-1) holds no point; such a subspace used to build, and
+    # certify-ci then reported a point of length 1 as an extra zero
+    f5 = GF.get(5, 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="ambient_dim must be at least 1, "
+                                             "found %d" % n):
+            Subspace(f5, n, [])
+    assert Subspace(f5, 1, [[f5.one]]).rank == 1

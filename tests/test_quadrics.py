@@ -645,3 +645,13 @@ def test_complete_intersection_evaluates_the_first_form_per_plane(monkeypatch,
         assert verdict.ok and verdict.scanned == (q ** k - 1) // (q - 1)
         planes = (q ** (k - 2) - 1) // (q - 1)
         assert len(calls) <= 3 * planes + 5 + len(curve)
+
+
+def test_form_refuses_fewer_than_one_variable():
+    f5 = GF.get(5, 1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1, found %d" % n):
+            QuadraticForm(f5, n, [])
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            QuadraticForm.zero(f5, n)
+    assert QuadraticForm(f5, 1, [f5.one]).evaluate([f5(2)]) == f5(4)
