@@ -103,13 +103,17 @@ class AdditiveCode:
         for spec in eval_spec:
             if spec.kind not in COORD_KINDS:
                 raise ValueError("unknown coordinate kind %r" % spec.kind)
-        # rank over the base field: each row expanded to its normal-basis
-        # coordinates, h base encodings per entry
+        # rank over the base field, by columns: each top column gives h
+        # base columns of length hk, its rows' normal-basis coordinates,
+        # and the rank is full as soon as hk of them are independent
         basis = []
-        for row in rows:
-            flat = [c for v in row for c in tow.normal_ints(v)]
-            if not insert_row(tow.base, basis, flat):
-                raise ValueError("generator rows are dependent over the base field")
+        for j in range(n):
+            for col in zip(*[tow.normal_ints(row[j]) for row in rows]):
+                insert_row(tow.base, basis, col)
+            if len(basis) == len(rows):
+                break
+        else:
+            raise ValueError("generator rows are dependent over the base field")
         self.tow = tow
         self.k_msg = k_msg
         self.n = n

@@ -5,13 +5,14 @@ The main construction takes one element per Frobenius orbit of
 generators of the extension field: the field reduction of the curve
 point with that parameter, the rational point set of the span of its
 conjugates.  The family extends by the order-(h-1) osculating spaces at
-the rational curve points.  Verification is exhaustive over k-subsets,
-walked through one representative per orbit of the curve's
-projectivities that permute the family.
+the rational curve points.  Verification is exhaustive over k-subsets:
+the curve's projectivities that permute the family generate a group,
+and a walk along its stabilizer chain tests one k-tuple per orbit.
 """
 
 import warnings
 from dataclasses import dataclass, field
+from random import Random
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .gf import FieldElement, FieldTower, InvariantError
@@ -48,10 +49,10 @@ class Tag:
 @dataclass(frozen=True)
 class ArcVerdict:
     """Outcome of a verification: truth value plus, on failure, the
-    lexicographically first offending index subset.  ``walked`` and
-    ``orbits`` count the k-subsets tested and the orbits they were
-    chosen through; they describe the work, not the verdict, and take
-    no part in equality."""
+    lexicographically first offending index subset.  ``walked`` counts
+    the k-tuples tested and ``orbits`` the orbits of the curve's group on
+    the elements; they describe the work, not the verdict, and take no
+    part in equality."""
 
     ok: bool
     witness: Optional[Tuple[int, ...]] = None
@@ -213,37 +214,28 @@ def _row_map(fld, mat):
     return image
 
 
-def _orbit_order(fld, rows) -> Tuple[List[int], int]:
-    """An element order that puts one representative per orbit of the
-    curve's projectivities first, and the number of representatives.
-    ``rows`` holds the elements' ``int_rows``, which also key the lookup
-    of an image.
+def _curve_permutations(fld, rows) -> List[List[int]]:
+    """The permutations of the element indices that the curve's
+    projectivities induce.  ``rows`` holds the elements' ``int_rows``,
+    which also key the lookup of an image.
 
     The generators t -> t + 1, t -> xi*t and t -> 1/t are not trusted: a
     generator counts only when the canonical image of every element is an
-    element again and the images form a permutation.  When M*M is scalar
-    the generator is an involution on subspaces, and the image i -> j
-    found for one element gives j -> i without a second lookup.  Orbits
-    are the classes of the accepted permutations; each is represented by
-    its smallest index.  A family with a repeated element, or with no
-    accepted generator, keeps its own order with every element its own
-    representative.
+    element again and the images form a permutation other than the
+    identity.  When M*M is scalar the generator is an involution on
+    subspaces, and the image i -> j found for one element gives j -> i
+    without a second lookup.  A family with a repeated element gets no
+    permutation.
     """
     size = len(rows)
     index = {}
     for i, el in enumerate(rows):
         index.setdefault(el, i)
     if len(index) < size:
-        return list(range(size)), size
+        return []
     n = len(rows[0][0])
     xi = fld.primitive_element().val
-    root = list(range(size))
-
-    def find(i):
-        while root[i] != i:
-            i = root[i]
-        return i
-
+    perms = []
     for a, b, c, d in ((1, 1, 0, 1), (xi, 0, 0, 1), (0, 1, 1, 0)):
         mat = curve_projectivity(fld, a, b, c, d, n)
         image = _row_map(fld, mat)
@@ -259,39 +251,139 @@ def _orbit_order(fld, rows) -> Tuple[List[int], int]:
                 perm[i] = j
                 if paired:
                     perm[j] = i
-        if None in perm or len(set(perm)) < size:
+        if None not in perm and len(set(perm)) == size and perm != list(range(size)):
+            perms.append(perm)
+    return perms
+
+
+def _orbits(gens, points):
+    """The orbits of the group generated by ``gens`` on ``points``, an
+    ascending list that is a union of orbits.  Each orbit is a list headed
+    by its smallest point, and the orbits come in the order of their
+    heads.  The Schreier vector maps every point off a head to the index
+    of the generator that first reached it."""
+    if not gens:
+        return [[x] for x in points], {}
+    vec = {}
+    orbits = []
+    for x in points:
+        if x in vec:
             continue
-        for i, j in enumerate(perm):
-            ri, rj = find(i), find(j)
-            root[max(ri, rj)] = min(ri, rj)
-    reps = [i for i in range(size) if find(i) == i]
-    return reps + [i for i in range(size) if find(i) != i], len(reps)
+        vec[x] = None
+        orbit = [x]
+        for y in orbit:
+            for t, s in enumerate(gens):
+                z = s[y]
+                if z not in vec:
+                    vec[z] = t
+                    orbit.append(z)
+        orbits.append(orbit)
+    return orbits, vec
+
+
+# the steps of the random walk whose sifted images generate a point
+# stabilizer, and the generators per step
+STABILIZER_WORDS = 6
+WORD_LENGTH = 8
+
+
+def _stabilizer(gens, b, vec, rng):
+    """Generators of a subgroup of the stabilizer of b, the head of its
+    orbit under ``gens`` with Schreier vector ``vec``.  One random walk
+    through the group, ``WORD_LENGTH`` generators a step, is sifted after
+    each step: followed by the inverse of the Schreier-tree word that
+    carries b to the walk's image of b.  Identities and repeats are
+    dropped."""
+    inverses = [sorted(range(len(s)), key=s.__getitem__) for s in gens]
+    identity = list(range(len(gens[0])))
+    letters = iter(rng.choices(gens, k=STABILIZER_WORDS * WORD_LENGTH))
+    out = []
+    w = identity
+    for _ in range(STABILIZER_WORDS):
+        for _ in range(WORD_LENGTH):
+            w = list(map(next(letters).__getitem__, w))
+        g, x = w, w[b]
+        while x != b:
+            inv = inverses[vec[x]]
+            g = list(map(inv.__getitem__, g))
+            x = inv[x]
+        if g != identity and g not in out:
+            out.append(g)
+    return out
+
+
+def _chain_walk(k, gens, points, split, step, rng):
+    """Walk one k-tuple of ``points`` per orbit, under the group that
+    ``gens`` generate, and return the first failing k-subset found, or
+    None.  ``split`` is ``_orbits(gens, points)``.
+
+    A node holds a prefix P, generators of a subgroup H of the pointwise
+    stabilizer of P, and its candidates: a union A of H-orbits, ascending.
+    It extends P by the head b of each H-orbit B on A in turn, and the
+    child's candidates are the points of A after b outside the orbits
+    before B.  Any k-subset through P with its other points in A is then
+    carried by H to a tuple the walk reaches (Sims 1970; Seress,
+    "Permutation Group Algorithms", 2003, ch. 4).  The child's generators
+    are ``_stabilizer``'s; they may generate less than the stabilizer of
+    b, which splits orbits and costs walking, never soundness.  With no
+    generators every orbit is one point, and the walk visits the
+    k-subsets in lexicographic order.
+
+    ``step(prefix, b, rest)`` tests b against the prefix, and prepares
+    the child on ``rest`` when the tuple is not yet complete.  When it
+    fails, every k-subset through the prefix and b fails; the witness is
+    the first of them, the prefix completed by the next candidates.
+    """
+    def walk(prefix, gens, points, split):
+        need = k - len(prefix) - 1
+        orbits, vec = split
+        done = set()
+        for pos, orbit in enumerate(orbits):
+            b = orbit[0]
+            rest = []
+            if need:
+                rest = ([x for x in points if x > b and x not in done] if gens
+                        else points[pos + 1:])
+                if len(rest) < need:
+                    break
+            if not step(prefix, b, rest):
+                return prefix + (b,) + tuple(rest[:need])
+            if need:
+                done.update(orbit)
+                sub = _stabilizer(gens, b, vec, rng) if len(orbit) > 1 else gens
+                witness = walk(prefix + (b,), sub, rest, _orbits(sub, rest))
+                if witness:
+                    return witness
+        return None
+
+    return walk((), gens, points, split)
 
 
 def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> ArcVerdict:
     """Exhaustively test that every k of the elements span the whole
     space.
 
-    A depth-first walk visits the k-subsets in lexicographic index order
-    on int rows.  Each level reduces the rows of every later element
-    modulo the span of its prefix once, so a subset costs only one
-    reduction of its last element's rows and their rank test, which
-    leaves the final row unscaled.  When
-    an element meets the span of the prefix before it, every subset
-    starting with that prefix is degenerate; the first of them, the
-    prefix completed by the next indices, is the witness: the
-    lexicographically first failure.
-
     The curve's projectivities that map the family onto itself (see
-    ``_orbit_order``) map spanning k-subsets to spanning k-subsets, so
-    every k-subset is the image of one through an orbit representative.
-    The walk moves the representatives first and stops its top level
-    after them.  When that reduced walk meets a failure, the full walk
-    in the original order runs again and supplies the witness.  The
-    verdict counts the k-subsets walked (both walks on such a
-    refutation) and the orbits.  A true verdict on more than the size
-    bound is impossible and raises InvariantError.
+    ``_curve_permutations``) map spanning k-subsets to spanning k-subsets,
+    so ``_chain_walk`` tests one k-tuple per orbit of the group G they
+    generate, at every depth one element per orbit of the stabilizer of
+    the prefix.  Each level of the walk reduces the rows of its
+    candidates modulo the span of its prefix once, so a tuple costs only
+    one reduction of its last element's rows and their rank test, which
+    leaves the final row unscaled.  When an element meets the span of the
+    prefix before it, every subset through that prefix is degenerate.
+
+    The stabilizers' generators are random words sifted into them, drawn
+    from a generator seeded once per call, so the walk and its counts are
+    deterministic.  When the walk under G meets a failure, the walk with
+    no generators, over the k-subsets in lexicographic order, runs again
+    and supplies the lexicographically first witness.  The verdict counts
+    the k-tuples tested (both walks on such a refutation) and the
+    G-orbits on the elements.  A true verdict on more than the size bound
+    is impossible and raises InvariantError.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if isinstance(elements, PseudoArc):
         elements = list(elements.elements)
     else:
@@ -299,63 +391,60 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     if not elements:
         return ArcVerdict(True)
     h = elements[0].rank
-    n = h * k
+    dim = elements[0].ambient_dim
     fld = elements[0].field
     for el in elements:
-        if el.rank != h or el.ambient_dim != n or el.field is not fld:
+        if el.rank != h or el.ambient_dim != dim or el.field is not fld:
             raise ValueError("elements of mixed shape")
+    if dim != h * k:
+        raise ValueError("elements of rank %d have ambient dimension %d, "
+                         "k = %d needs hk = %d" % (h, dim, k, h * k))
     size = len(elements)
     if size < k:
         return ArcVerdict(True, orbits=size)
     rows = [el.int_rows for el in elements]
-    prefix = []
+    # per depth: the candidates' rows modulo the span of the prefix
+    # without its last element, and that element's reduced rows
+    levels = [(rows, [])] * k
     walked = 0
 
-    def independent(el_rows):
-        """True when one element's rows, reduced modulo the prefix span,
-        are independent; the final row is tested, never scaled."""
-        basis = []
-        return (all(insert_row(fld, basis, r) for r in el_rows[:-1])
-                and any(reduce_row(fld, basis, el_rows[-1])))
-
-    def first_failure(start, stop, cands):
-        """The first failing subset that extends the prefix, or None;
-        cands[j] holds element j's rows reduced modulo the prefix span,
-        and the prefix's next index stays below stop."""
+    def step(prefix, b, rest):
         nonlocal walked
         depth = len(prefix)
-        for i in range(start, min(stop, size - k + depth + 1)):
-            if depth + 1 == k:
-                walked += 1
-                if not independent(cands[i]):
-                    return tuple(prefix) + (i,)
-                continue
-            basis = []
-            if not all(insert_row(fld, basis, r) for r in cands[i]):
-                walked += 1
-                return tuple(prefix) + tuple(range(i, i + k - depth))
-            reduced = {j: [reduce_row(fld, basis, r) for r in cands[j]]
-                       for j in range(i + 1, size)}
-            prefix.append(i)
-            witness = first_failure(i + 1, size, reduced)
-            prefix.pop()
-            if witness:
-                return witness
-        return None
+        cands, basis = levels[depth]
+        if depth + 1 == k:
+            walked += 1
+            basis = list(basis)
+            el_rows = cands[b]
+            return (all(insert_row(fld, basis, r) for r in el_rows[:-1])
+                    and any(reduce_row(fld, basis, el_rows[-1])))
+        echelon = []
+        if not all(insert_row(fld, echelon, r) for r in cands[b]):
+            walked += 1
+            return False
+        if depth + 2 == k:
+            levels[depth + 1] = cands, echelon
+        else:
+            levels[depth + 1] = {j: [reduce_row(fld, echelon, r) for r in cands[j]]
+                                 for j in rest}, []
+        return True
 
-    order, orbits = _orbit_order(fld, rows)
-    witness = first_failure(0, orbits, [rows[i] for i in order])
-    if witness and orbits < size:
-        witness = first_failure(0, size, rows)
+    gens = _curve_permutations(fld, rows)
+    everything = list(range(size))
+    top = _orbits(gens, everything)
+    witness = _chain_walk(k, gens, everything, top, step, Random(0))
+    if witness and gens:
+        witness = _chain_walk(k, [], everything, _orbits([], everything), step, None)
         if not witness:
-            raise InvariantError("the reduced walk failed, the full walk did not")
+            raise InvariantError("the walk under the curve group failed, "
+                                 "the plain walk did not")
     if witness:
-        return ArcVerdict(False, witness, walked, orbits)
+        return ArcVerdict(False, witness, walked, len(top[0]))
     bound = thas_bound(h, k, fld.order)
     if size > bound:
         raise InvariantError("%d elements verified, above the size bound %d"
                              % (size, bound))
-    return ArcVerdict(True, None, walked, orbits)
+    return ArcVerdict(True, None, walked, len(top[0]))
 
 
 def contained_in_spread(arc: Union[PseudoArc, Sequence[Subspace]],

@@ -7,6 +7,9 @@ configuration.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -79,8 +82,9 @@ def test_verify_arc_witness_certificate(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2",
                        "--witness")
     assert code == 0
-    # one orbit: the 9 pairs through element 0 certify all 45
-    assert "certificate: 45 subsets certified to rank 4, 9 of them walked" in out
+    # one orbit: the pairs through element 0, one per orbit of its
+    # stabilizer on the other 9, certify all 45
+    assert "certificate: 45 subsets certified to rank 4, 2 of them walked" in out
 
 
 def test_verify_arc_json_counts_the_walk(capsys, tmp_path):
@@ -91,9 +95,39 @@ def test_verify_arc_json_counts_the_walk(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2", "--json")
     assert code == 0
     report = json.loads(out)
-    # imaginary and osculating orbits: the pairs through elements 0 and 10
+    # imaginary and osculating orbits: one pair through element 0 per
+    # orbit of its stabilizer (two imaginary, one osculating), and one
+    # through element 10
     assert report["orbits"] == 2
-    assert report["subsets_walked"] == 15 + 14
+    assert report["subsets_walked"] == 3 + 1
+
+
+def test_verify_arc_json_is_independent_of_the_hash_seed(capsys, tmp_path):
+    # the walk draws its stabilizer generators from a seeded generator of
+    # its own; two interpreters with different string hashing agree
+    arc_path = write_arc(capsys, tmp_path, k=3, q=7, extend=True)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    script = "import sys; from pseudoarcs.cli import main; sys.exit(main(sys.argv[1:]))"
+    outs = [subprocess.run([sys.executable, "-c", script, "verify-arc", str(arc_path),
+                            "--k", "3", "--json"],
+                           env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                           capture_output=True, check=True).stdout
+            for seed in ("1", "2")]
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    assert (report["ok"], report["orbits"], report["subsets_walked"]) == (True, 2, 35)
+
+
+def test_verify_arc_names_a_k_that_does_not_fit(capsys, tmp_path):
+    arc_path = write_arc(capsys, tmp_path)
+    for k in ("0", "-1"):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, "verify-arc", str(arc_path), "--k", k, *extra)
+            assert (code, out, err) == (2, "", "error: k must be at least 1\n")
+    code, out, err = run(capsys, "verify-arc", str(arc_path), "--k", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: elements of rank 2 have ambient dimension 4, "
+                   "k = 3 needs hk = 6\n")
 
 
 def test_verify_arc_duplicate_element_pair_witness(capsys, tmp_path):

@@ -19,6 +19,7 @@ from pseudoarcs.codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
                               evaluation_code, extend_with_derivatives,
                               fold_columns, is_mds, min_distance)
 from pseudoarcs.gf import FieldMismatchError, InvariantError, Poly, tower
+from pseudoarcs.linalg import rank
 from pseudoarcs.nrc import (frobenius_orbit_reps, orbit_rep_count, osc_basis,
                             osc_basis_infty)
 from pseudoarcs.projgeo import canonical_spread, span
@@ -346,6 +347,47 @@ def test_generator_rank_is_taken_over_the_base_field():
         AdditiveCode(tow, 2, dependent, code.eval_spec)
     with pytest.raises(FieldMismatchError):
         AdditiveCode(tow, 2, rows[:3] + [[tow.base.one] * code.n], code.eval_spec)
+
+
+def full_row_rank(tow, rows):
+    """The rank over the base field of int rows with every entry
+    expanded to its normal-basis coordinates."""
+    return rank([[c for v in row for c in tow.normal_coords(tow.top.element(v))]
+                 for row in rows])
+
+
+def test_generator_rank_by_columns_matches_full_row_expansion():
+    # random generators, often of full rank, and dependent ones: a row
+    # replaced by a base-field combination of the others, or all but a
+    # few columns zero
+    rng = Random(41)
+    outcomes = set()
+    for p, e, h, k in ((5, 1, 2, 2), (2, 2, 2, 2), (3, 1, 3, 2), (2, 1, 3, 2),
+                       (3, 2, 2, 3)):
+        tow = tower(p, e, h)
+        top, hk = tow.top, h * k
+        for trial in range(12):
+            n = rng.randint(k + 1, k + 5)
+            rows = [[rng.randrange(top.order) for _ in range(n)] for _ in range(hk)]
+            if trial % 3 == 1:
+                row = [0] * n
+                for r in rows[:-1]:
+                    c = tow.lift(tow.base(rng.randrange(tow.q))).val
+                    row = list(map(top.add, row, [top.mul(c, x) for x in r]))
+                rows[-1] = row
+            elif trial % 3 == 2:
+                keep = rng.randrange(1, n)
+                rows = [[x if j < keep else 0 for j, x in enumerate(r)] for r in rows]
+            spec = [CoordSpec("external")] * n
+            if full_row_rank(tow, rows) == hk:
+                outcomes.add("full")
+                assert AdditiveCode.from_ints(tow, k, rows, spec).int_rows == tuple(
+                    map(tuple, rows))
+            else:
+                outcomes.add("dependent")
+                with pytest.raises(ValueError, match="dependent over the base field"):
+                    AdditiveCode.from_ints(tow, k, rows, spec)
+    assert outcomes == {"full", "dependent"}
 
 
 def test_is_mds_takes_a_given_distance(monkeypatch):

@@ -22,7 +22,7 @@ GOLDEN = {
     "construct-arc":
         "f6c268936020f7a3e1778e3b3a6c8421390c7be6f3c553f11f1fb528ace92e1f",
     "verify-arc":
-        "19fbd39a96e4e196f29f36fcde62e925ff9526fcb9479c41f0405f59d9827dc0",
+        "56246cf00c1a6507cc282522c39d78ea82a6f9a6648e33af92600d9a7fb2e739",
     "code-gen":
         "f32411c976281a955c8fc6539628f9ad70f1b18ceed08d09e852938dc4e7b5a1",
     "code-distance":
@@ -40,11 +40,11 @@ GOLDEN = {
     "construct-arc-q9":
         "b3d4dd4228fdffb609952f467e3eb74467930a1c5a238f4db2236dd1df0b0244",
     "verify-arc-q9":
-        "2a14bb8f2069cab4d017bf6527bfd0891a6080dfd9dc94738f06291f2847e78f",
+        "f46c2cf177b599067624d280b27b7aab728a6005990ef5e99f317a1920a3ca35",
     "construct-arc-h3":
         "9a951467704510bf0863e796975a376c49190fd06d5d2829918ec2503b2ba166",
     "verify-arc-h3":
-        "438e1574e354e346b2f8eb9b42aa2b695c21d64cf5fee2eb7b27262661282e35",
+        "63cb047b1defdd1012ff9cba53abe1bfbfa0fca2c32d2aa77dfe35997d382894",
     "certify-ci-curve":
         "3496411872f51b76a1d16c26608f6fb87e80b6912423700c786c767d443446e0",
 }

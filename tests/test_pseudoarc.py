@@ -79,31 +79,68 @@ def curve_generators(fld):
     return [(1, 1, 0, 1), (xi, 0, 0, 1), (0, 1, 1, 0)]
 
 
-def reference_orbits(elements):
-    """The curve generators that map the family onto itself, and its
-    number of orbits under them, on FieldElements: each generator is
-    applied with apply_projectivity and the images are compared with the
-    elements as subspaces.  A family with a repeated element gets no
-    generator."""
+def reference_permutations(elements):
+    """The curve generators that map the family onto itself, with the
+    permutations of the indices they induce, on FieldElements: each
+    generator is applied with apply_projectivity and the images are
+    compared with the elements as subspaces.  A family with a repeated
+    element gets no generator."""
     size = len(elements)
     if len(set(elements)) < size:
-        return [], size
+        return []
     fld, n = elements[0].field, elements[0].ambient_dim
     position = {el: i for i, el in enumerate(elements)}
-    label = list(range(size))
     accepted = []
     for gen in curve_generators(fld):
         m = curve_projectivity(fld, *gen, n)
         # apply_projectivity acts on columns, the curve map on rows
         columns = [[fld(m[j][i]) for j in range(n)] for i in range(n)]
         images = [apply_projectivity(columns, el) for el in elements]
-        if set(images) != set(elements):
-            continue
-        accepted.append(gen)
-        for i, img in enumerate(images):
-            a, b = label[i], label[position[img]]
+        if set(images) == set(elements):
+            accepted.append((gen, [position[img] for img in images]))
+    return accepted
+
+
+def reference_orbits(elements):
+    """The accepted curve generators and the family's number of orbits
+    under them."""
+    accepted = reference_permutations(elements)
+    label = list(range(len(elements)))
+    for _, perm in accepted:
+        for i, j in enumerate(perm):
+            a, b = label[i], label[j]
             label = [min(a, b) if x in (a, b) else x for x in label]
-    return accepted, len(set(label))
+    return [gen for gen, _ in accepted], len(set(label))
+
+
+def closed_group(perms, size):
+    """Every product of the permutations, the identity included."""
+    group = {tuple(range(size))}
+    frontier = list(group)
+    while frontier:
+        frontier = [g for g in {tuple(s[x] for x in f) for f in frontier for s in perms}
+                    if g not in group]
+        group.update(frontier)
+    return group
+
+
+def walked_tuples(els, k):
+    """The verdict on els and every k-tuple its walks tested, recorded
+    through the step of the chain walk."""
+    tested = []
+    chain_walk = pseudoarc._chain_walk
+
+    def recording(k_, gens, points, split, step, rng):
+        def record(prefix, b, rest):
+            if len(prefix) + 1 == k_:
+                tested.append(prefix + (b,))
+            return step(prefix, b, rest)
+        return chain_walk(k_, gens, points, split, record, rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pseudoarc, "_chain_walk", recording)
+        verdict = is_pseudo_arc(els, k)
+    return verdict, tested
 
 
 def lex_position(witness, size):
@@ -115,10 +152,11 @@ def lex_position(witness, size):
 
 def assert_orbit_walk(els, k, path):
     """The verdict equals the reference, and the counters show the path:
-    "reduced" (orbits fewer than elements, only the subsets through a
-    representative walked), "full" (every element its own orbit, the
-    walk up to the witness or to the end) or "rerun" (the reduced walk
-    failed, the full walk supplied the witness)."""
+    "reduced" (orbits fewer than elements, fewer tuples walked than the
+    subsets through an orbit representative), "full" (every element its
+    own orbit, the walk up to the witness or to the end) or "rerun" (the
+    walk under the curve group failed, the plain walk supplied the
+    witness)."""
     verdict = is_pseudo_arc(els, k)
     assert verdict == reference_verdict(els, k)
     size = len(els)
@@ -126,7 +164,7 @@ def assert_orbit_walk(els, k, path):
     assert verdict.orbits == orbits
     if path == "reduced":
         assert verdict.ok and orbits < size
-        assert verdict.walked == math.comb(size, k) - math.comb(size - orbits, k)
+        assert verdict.walked <= math.comb(size, k) - math.comb(size - orbits, k)
     elif path == "full":
         assert orbits == size
         assert verdict.walked == (math.comb(size, k) if verdict.ok
@@ -357,8 +395,12 @@ def test_is_pseudo_arc_rejects_mixed_shapes():
     tow = tower(5, 1, 2)
     arc = build_imaginary_arc(tow, 2)
     line = span([[tow.base(1), tow.base(0), tow.base(0), tow.base(0)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="elements of mixed shape"):
         is_pseudo_arc([arc.elements[0], line], 2)
+    with pytest.raises(ValueError, match="ambient dimension 4, k = 1 needs hk = 2"):
+        is_pseudo_arc(arc, 1)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        is_pseudo_arc([], 0)
 
 
 def test_projectivity_invariance():
@@ -377,13 +419,54 @@ ORBIT_CASES = [(5, 1, 2, 3), (2, 2, 2, 3), (3, 2, 2, 2), (3, 1, 3, 2),
                (2, 2, 2, 4)]
 
 
+# tuples walked on the imaginary family and on its extension
+ORBIT_WALKED = {(5, 1, 2, 3): [6, 15], (2, 2, 2, 3): [2, 8], (3, 2, 2, 2): [4, 6],
+                (3, 1, 3, 2): [3, 6], (2, 2, 2, 4): [4, 26]}
+
+
 def test_orbit_walk_on_curve_families():
     for case in ORBIT_CASES:
-        for els in curve_families(*case):
-            assert_orbit_walk(els, case[3], "reduced")
+        assert [assert_orbit_walk(els, case[3], "reduced").walked
+                for els in curve_families(*case)] == ORBIT_WALKED[case]
     # k = 4 over GF(8): the imaginary family alone, 20,475 reference subsets
     (els,) = curve_families(2, 3, 2, 4)[:1]
-    assert assert_orbit_walk(els, 4, "reduced").orbits == 1
+    verdict = assert_orbit_walk(els, 4, "reduced")
+    assert (verdict.orbits, verdict.walked) == (1, 257)
+
+
+def test_orbit_walk_on_large_extended_families():
+    # the tuples walked, against the orbits of PGL(2, q) on ordered
+    # k-tuples counted by enumerating the group: 371, 774 and 1,714
+    for case, walked, tuple_orbits in (((13, 1, 2, 3), 181, 371),
+                                       ((17, 1, 2, 3), 381, 774),
+                                       ((7, 1, 2, 4), 309, 1714)):
+        els = curve_families(*case)[1]
+        verdict = is_pseudo_arc(els, case[3])
+        assert verdict.ok and verdict.orbits == 2
+        assert verdict.walked == walked <= 2 * tuple_orbits
+
+
+def test_orbit_walk_covers_every_subset():
+    # the accepted permutations closed into the whole group carry the
+    # walked tuples onto every k-subset; every stabilizer generator the
+    # walk draws fixes its point and lies in the group
+    families = [(els, case[3]) for case in ((7, 1, 2, 3), (5, 1, 2, 3), (3, 1, 3, 2))
+                for els in curve_families(*case)]
+    for els, k in families:
+        size = len(els)
+        perms = [perm for _, perm in reference_permutations(els)]
+        assert perms == pseudoarc._curve_permutations(els[0].field,
+                                                      [el.int_rows for el in els])
+        group = closed_group(perms, size)
+        verdict, tested = walked_tuples(els, k)
+        assert verdict.ok and len(tested) == verdict.walked < math.comb(size, k)
+        covered = {frozenset(g[x] for x in t) for t in tested for g in group}
+        assert covered == set(map(frozenset, itertools.combinations(range(size), k)))
+        orbits, vec = pseudoarc._orbits(perms, list(range(size)))
+        rng = Random(3)
+        for b, *_ in orbits:
+            for gen in pseudoarc._stabilizer(perms, b, vec, rng):
+                assert gen[b] == b and tuple(gen) in group
 
 
 def test_orbit_walk_accepts_no_generator_on_moved_families():
@@ -484,7 +567,9 @@ def test_row_maps_match_the_reference_image():
                     image = pseudoarc._row_map(fld, mat)
                     assert [image(r) for r in rows] == [
                         reference_image(fld, mat, r) for r in rows]
-                assert pseudoarc._orbit_order(fld, rows)[1] == reference_orbits(family)[1]
+                perms = pseudoarc._curve_permutations(fld, rows)
+                orbits, _ = pseudoarc._orbits(perms, list(range(len(rows))))
+                assert len(orbits) == reference_orbits(family)[1]
 
 
 def test_only_involutions_are_paired(monkeypatch):
@@ -508,7 +593,7 @@ def test_only_involutions_are_paired(monkeypatch):
         for els in curve_families(*case):
             fld, n = els[0].field, els[0].ambient_dim
             calls.clear()
-            pseudoarc._orbit_order(fld, [el.int_rows for el in els])
+            pseudoarc._curve_permutations(fld, [el.int_rows for el in els])
             shift, scale, reverse = (tuple(map(tuple, curve_projectivity(fld, *gen, n)))
                                      for gen in curve_generators(fld))
             # t -> t + 1 is an involution exactly when p = 2, t -> xi*t

@@ -75,3 +75,23 @@ def test_init_imports_only_listed_names():
     tree = ast.parse(path.read_text(), filename=str(path))
     assert sorted(name for name, _ in _imported_names(tree)
                   if name not in pseudoarcs.__all__) == []
+
+
+def test_randomness_is_seeded_and_local():
+    # a verdict and its work counts must not depend on process-wide random
+    # state: no module-level random functions, only Random instances
+    # built with a seed
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += ["%s:%d import %s" % (path.name, node.lineno, a.name)
+                          for a in node.names if a.name == "random"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "random":
+                found += ["%s:%d %s" % (path.name, node.lineno, a.name)
+                          for a in node.names if a.name != "Random"]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "Random" and not node.args):
+                found.append("%s:%d unseeded Random()" % (path.name, node.lineno))
+    assert found == []
