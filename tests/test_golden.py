@@ -1,9 +1,11 @@
-"""Golden outputs: the sha256 of the primary output of fourteen
+"""Golden outputs: the sha256 of the primary output of sixteen
 commands.
 
 The digests were taken from the program before field elements were
 interned, those of the q = 8 code before codewords were packed, and
-those of the second test before subspaces kept int rows, so a change
+those of the second test before subspaces kept int rows, and those of
+the two non-empty ``quadrics through`` answers before the conditions
+were inserted element by element, so a change
 meant only to make the program faster that alters a single byte of
 these outputs fails here.  A change that alters output on purpose
 updates the digest and says why.
@@ -47,6 +49,10 @@ GOLDEN = {
         "63cb047b1defdd1012ff9cba53abe1bfbfa0fca2c32d2aa77dfe35997d382894",
     "certify-ci-curve":
         "3496411872f51b76a1d16c26608f6fb87e80b6912423700c786c767d443446e0",
+    "quadrics-through-curve":
+        "ab3166e16b2e0d6150bca94b947c2499f6dad0a1ef9115d46484b6527fb39228",
+    "quadrics-through-k3q4":
+        "f5a7a6967bd6f6714bf415b8a2bee95dec66a2c046ce4442abfc65e88bfdef14",
 }
 
 
@@ -121,7 +127,16 @@ def test_refutation_and_larger_fields_match_golden_digests(capsys, tmp_path):
         [Subspace(tow.base, 4, [list(p.coords)]) for p in nrc_points(tow.base, 4)],
         tow)))
     forms = tmp_path / "forms.json"
-    forms.write_text(_stdout(capsys, "quadrics", "through", str(curve), "--json"))
+    out["quadrics-through-curve"] = _stdout(capsys, "quadrics", "through",
+                                            str(curve), "--json")
+    forms.write_text(out["quadrics-through-curve"])
     out["certify-ci-curve"] = _stdout(capsys, "quadrics", "certify-ci",
                                       str(curve), str(forms), "--json")
+    # the imaginary (2,3,4) arc lies on 4 independent quadrics, so the
+    # conditions never reach full rank
+    arc = tmp_path / "arc-k3q4.json"
+    arc.write_text(_stdout(capsys, "construct-arc", "--h", "2", "--k", "3",
+                           "--q", "4"))
+    out["quadrics-through-k3q4"] = _stdout(capsys, "quadrics", "through",
+                                           str(arc), "--json")
     _check(out)
