@@ -179,9 +179,12 @@ def _row_map(fld, mat):
 
     A diagonal M keeps reduced rows reduced once each is scaled back to 1
     at its pivot c, so row r goes to r_j * M[j][j] / M[c][c] with no
-    elimination.  The reversal (t -> 1/t) reverses each row; any other M
-    sums multiples c*M_j of its rows, each computed on first use.  Both
-    reduce the images."""
+    elimination.  The reversal (t -> 1/t) reverses each row and reduces
+    the images.  Any other M sums multiples c*M_j of its rows, each
+    computed on first use.  An upper unitriangular M, as of t -> t + 1,
+    keeps each row's pivot and leading 1, so only the entries at the
+    other pivots are cleared, latest row first; the images under any
+    other M are fully reduced."""
     n = len(mat)
     if all(mat[i][j] == 0 for i in range(n) for j in range(n) if i != j):
         mul, inv = fld.mul, fld.inv
@@ -198,6 +201,8 @@ def _row_map(fld, mat):
     else:
         added, scaled = fld.added, fld.scaled
         multiples = [{} for _ in range(n)]
+        unitriangular = all(mat[i][j] == (1 if i == j else 0)
+                            for i in range(n) for j in range(i + 1))
 
         def image(rows):
             out = []
@@ -210,7 +215,12 @@ def _row_map(fld, mat):
                             m = multiples[j][c] = scaled(c, mat[j])
                         w = m if w is None else added(w, m)
                 out.append(w)
-            return tuple(map(tuple, rref_ints(fld, out)[0]))
+            if not unitriangular:
+                return tuple(map(tuple, rref_ints(fld, out)[0]))
+            cleared = []
+            for r, w in zip(reversed(rows), reversed(out)):
+                cleared.append((r.index(1), reduce_row(fld, cleared, w)))
+            return tuple(tuple(w) for _, w in reversed(cleared))
     return image
 
 

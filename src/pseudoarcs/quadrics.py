@@ -15,7 +15,7 @@ import itertools
 from typing import List, Optional, Sequence, Tuple
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, GF, InvariantError
-from .linalg import det, nullspace_ints, rref_ints
+from .linalg import det, insert_row, nullspace_ints, rref_ints
 from .projgeo import Subspace
 
 
@@ -109,6 +109,22 @@ class QuadraticForm:
         return "QuadraticForm(%s)" % (" + ".join(terms) if terms else "0")
 
 
+def _conditions(field: GF, pairs, rows) -> List[List[int]]:
+    """The h(h+1)/2 linear conditions on a form's coefficients, in the
+    layout ``pairs``, for vanishing on the row space of the h int
+    ``rows``: Q(r_a) = 0 for every a and B(r_a, r_b) = 0 for a < b."""
+    add, mul = field.add, field.mul
+    out = []
+    for a, r in enumerate(rows):
+        out.append([mul(r[i], r[j]) for i, j in pairs])
+        # B(r, w) has coefficient r_i w_j + r_j w_i at x_i x_j: 2 r_i w_i
+        # on the diagonal, which is 0 in characteristic 2
+        for w in rows[a + 1:]:
+            out.append([add(mul(r[i], w[j]), mul(r[j], w[i]))
+                        for i, j in pairs])
+    return out
+
+
 def vanishing_space(subspaces: Sequence[Subspace], field: Optional[GF] = None,
                     ambient_dim: Optional[int] = None) -> List[QuadraticForm]:
     """Basis of the space of forms vanishing on every point of every
@@ -119,9 +135,15 @@ def vanishing_space(subspaces: Sequence[Subspace], field: Optional[GF] = None,
     Q(r_b) vanishes for every a < b, since Q(sum l_a r_a) = sum l_a^2
     Q(r_a) + sum_(a<b) l_a l_b B(r_a, r_b) in every characteristic.  So
     each subspace of rank h gives h(h+1)/2 linear conditions, built on
-    the int encodings of its reduced rows; the basis is the canonical
-    reduced one.  An empty input needs explicit field and dimension and
-    yields the full space.
+    the int encodings of its reduced rows.  Every subspace's field and
+    ambient dimension n are checked first; the conditions are then
+    inserted into one echelon basis element by element.  Once that basis
+    has rank C(n+1, 2), the number of coefficients, no nonzero form
+    vanishes: that rank is the no-quadric certificate, the answer is
+    ``[]``, and the later elements are only shape-checked.  Otherwise
+    the basis returned is the canonical reduced one of the kernel, which
+    depends only on the row space of the conditions.  An empty input
+    needs explicit field and dimension and yields the full space.
     """
     subspaces = list(subspaces)
     if subspaces:
@@ -133,20 +155,15 @@ def vanishing_space(subspaces: Sequence[Subspace], field: Optional[GF] = None,
     elif field is None or ambient_dim is None:
         raise ValueError("empty input needs field and ambient_dim")
     pairs = _layout(ambient_dim)[0]
-    add, mul = field.add, field.mul
-    conditions = []
+    basis = []
     for s in subspaces:
-        rows = s.int_rows
-        for a, r in enumerate(rows):
-            conditions.append([mul(r[i], r[j]) for i, j in pairs])
-            # B(r, w) has coefficient r_i w_j + r_j w_i at x_i x_j: 2 r_i w_i
-            # on the diagonal, which is 0 in characteristic 2
-            for w in rows[a + 1:]:
-                conditions.append([add(mul(r[i], w[j]), mul(r[j], w[i]))
-                                   for i, j in pairs])
-    kernel = nullspace_ints(field, conditions, len(pairs))
-    basis, _ = rref_ints(field, kernel)
-    return [QuadraticForm(field, ambient_dim, field.wrap(row)) for row in basis]
+        for row in _conditions(field, pairs, s.int_rows):
+            insert_row(field, basis, row)
+        if len(basis) == len(pairs):
+            return []
+    kernel = nullspace_ints(field, [row for _, row in basis], len(pairs))
+    return [QuadraticForm(field, ambient_dim, field.wrap(row))
+            for row in rref_ints(field, kernel)[0]]
 
 
 def nrc_quadric_system(field: GF, k: int) -> List[QuadraticForm]:

@@ -1,15 +1,18 @@
 """Acceptance gate.
 
 One test per numbered criterion; run with -v to get one pass/fail line
-each.  Criterion 6 carries a companion expected-failure documenting the
-known small-field gap at (k, q) = (5, 7), where the vanishing dimension
-is 7 rather than binom(4, 2) = 6; the other five pairs are asserted
-hard.  Runtime budgets are design expectations and are not asserted,
-to keep the gate robust on slow machines.
+each.  Criterion 5 carries a companion asserting the vanishing
+dimensions measured over fields too small for "no quadric".  Criterion
+6 carries a companion expected-failure documenting the known
+small-field gap at (k, q) = (5, 7), where the vanishing dimension is 7
+rather than binom(4, 2) = 6; the other five pairs are asserted hard.
+Runtime budgets are design expectations and are not asserted, to keep
+the gate robust on slow machines.
 """
 
 import itertools
 import math
+import warnings
 from random import Random
 
 import pytest
@@ -22,9 +25,9 @@ from pseudoarcs.linalg import rank
 from pseudoarcs.nrc import frobenius_orbit_reps, nrc_points, orbit_rep_count
 from pseudoarcs.pg54 import verify_fixture
 from pseudoarcs.projgeo import Subspace, block_spread, canonical_spread, spread_membership
-from pseudoarcs.pseudoarc import (build_imaginary_arc, contained_in_spread,
-                                  extend_with_osculating, is_pseudo_arc,
-                                  thas_bound)
+from pseudoarcs.pseudoarc import (SmallFieldWarning, build_imaginary_arc,
+                                  contained_in_spread, extend_with_osculating,
+                                  is_pseudo_arc, thas_bound)
 from pseudoarcs.quadrics import (QuadraticForm, is_complete_intersection,
                                  nrc_quadric_system, trace_reduce,
                                  vanishing_space)
@@ -114,6 +117,25 @@ def test_criterion_05_no_quadric_through_the_built_arcs():
     for h, k, q in [(2, 2, 5), (2, 2, 7)]:
         arc = build_imaginary_arc(tower_for(q, h), k)
         assert vanishing_space(arc.elements) == [], (h, k, q)
+
+
+# the vanishing dimension below the grid of criterion 5, as measured: the
+# imaginary arc (h, k, q) lies on quadrics for small q; 0 is "no quadric"
+NO_QUADRIC_THRESHOLDS = {(2, 2, 3): 1, (2, 3, 4): 4, (2, 4, 5): 11,
+                         (3, 2, 2): 9, (2, 2, 4): 0, (2, 3, 5): 0,
+                         (3, 2, 3): 0}
+
+
+def test_criterion_05_quadrics_through_arcs_over_small_fields():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SmallFieldWarning)
+        arcs = {key: build_imaginary_arc(tower_for(key[2], key[0]), key[1])
+                for key in NO_QUADRIC_THRESHOLDS}
+    for key, dim in NO_QUADRIC_THRESHOLDS.items():
+        assert len(vanishing_space(arcs[key].elements)) == dim, key
+    # the osculating spaces of (2, 4, 5) cut the 11 forms down to 5
+    extended = extend_with_osculating(arcs[2, 4, 5])
+    assert len(vanishing_space(extended.elements)) == 5
 
 
 def test_criterion_06_nrc_vanishing_dimension_and_system_span():

@@ -572,6 +572,40 @@ def test_row_maps_match_the_reference_image():
                 assert len(orbits) == reference_orbits(family)[1]
 
 
+# the families of the benchmark's arcs grid, (h, k, q) in (2,2,7..16),
+# (2,3,7|8) and (3,2,7), as (p, e, h, k)
+ARCS_GRID_CASES = [(7, 1, 2, 2), (3, 2, 2, 2), (11, 1, 2, 2), (13, 1, 2, 2),
+                   (2, 4, 2, 2), (7, 1, 2, 3), (2, 3, 2, 3), (7, 1, 3, 2)]
+
+
+def test_shift_map_matches_the_full_reduction():
+    # t -> t + 1 is upper unitriangular, so its images keep their pivots
+    # and only the other pivot columns are cleared; a random nonsingular
+    # matrix takes the path that reduces its images fully
+    for case in ARCS_GRID_CASES:
+        for els in curve_families(*case):
+            fld, n = els[0].field, els[0].ambient_dim
+            mat = curve_projectivity(fld, 1, 1, 0, 1, n)
+            image = pseudoarc._row_map(fld, mat)
+            for el in els:
+                assert image(el.int_rows) == reference_image(fld, mat, el.int_rows)
+    rng = Random(37)
+    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1)]:
+        fld = GF.get(p, m)
+        for n in range(1, 7):
+            while True:
+                other = [[rng.randrange(fld.order) for _ in range(n)]
+                         for _ in range(n)]
+                if det([fld.wrap(r) for r in other]):
+                    break
+            for mat in (curve_projectivity(fld, 1, 1, 0, 1, n), other):
+                image = pseudoarc._row_map(fld, mat)
+                for rank_ in range(n + 1):
+                    for _ in range(3):
+                        rows = random_subspace(fld, rank_, n, rng).int_rows
+                        assert image(rows) == reference_image(fld, mat, rows)
+
+
 def test_only_involutions_are_paired(monkeypatch):
     # every generator is accepted on these families; a paired generator
     # images fewer elements than the family has, an unpaired one all

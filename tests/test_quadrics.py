@@ -18,6 +18,7 @@ from random import Random
 
 import pytest
 
+from pseudoarcs import quadrics
 from pseudoarcs.gf import GF, FieldMismatchError, tower
 from pseudoarcs.linalg import nullspace, rref
 from pseudoarcs.nrc import nrc_points
@@ -598,6 +599,73 @@ def test_vanishing_space_of_top_level_subspaces_matches_reference():
         lines = [span(coords[i:i + 2]) for i in range(0, len(coords) - 1, 3)]
         for family in (point_spans(top, curve), lines):
             assert vanishing_space(family) == reference_vanishing_space(family)
+
+
+def count_elements_read(monkeypatch):
+    """A list that receives the int rows of each subspace whose
+    conditions ``vanishing_space`` builds."""
+    read = []
+    conditions = quadrics._conditions
+
+    def counted(field, pairs, rows):
+        read.append(rows)
+        return conditions(field, pairs, rows)
+
+    monkeypatch.setattr(quadrics, "_conditions", counted)
+    return read
+
+
+def exit_families():
+    """(name, family, elements read, dimension): the rank of the
+    conditions fills after 4 elements, only at the last element, or
+    never."""
+    arc7 = imaginary_arc(7, 1, 2, 2)
+    arc247 = imaginary_arc(7, 1, 2, 4)
+    arc234 = imaginary_arc(2, 2, 2, 3)
+    out = [("(2,2,7)", arc7.elements, 4, 0),
+           ("(2,2,7) extended", extend_with_osculating(arc7).elements, 4, 0),
+           ("(2,4,7)", arc247.elements, 21, 0),
+           ("(2,4,7) but its last element", arc247.elements[:-1], 20, 1),
+           ("(2,3,4)", arc234.elements, 6, 4)]
+    for p, m, k in [(2, 2, 3), (7, 1, 4), (11, 1, 5)]:
+        field = GF.get(p, m)
+        out.append(("curve (%d, %d)" % (k, field.order),
+                    point_spans(field, nrc_points(field, k)), field.order + 1,
+                    (k - 1) * (k - 2) // 2))
+    return out
+
+
+def test_vanishing_space_stops_at_full_rank(monkeypatch):
+    cases = [(name, family, reads, dim, reference_vanishing_space(family))
+             for name, family, reads, dim in exit_families()]
+    read = count_elements_read(monkeypatch)
+    for name, family, reads, dim, expected in cases:
+        read.clear()
+        forms = vanishing_space(family)
+        assert (len(read), len(forms)) == (reads, dim), name
+        assert forms == expected, name
+
+
+def test_vanishing_space_reads_4_of_137_elements(monkeypatch):
+    family = extend_with_osculating(imaginary_arc(2, 4, 2, 2)).elements
+    assert len(family) == 137
+    read = count_elements_read(monkeypatch)
+    assert vanishing_space(family) == []
+    assert read == [el.int_rows for el in family[:4]]
+
+
+def test_vanishing_space_checks_elements_past_the_exit(monkeypatch):
+    family = extend_with_osculating(imaginary_arc(7, 1, 2, 2)).elements
+    field = family[0].field
+    other = GF.get(5, 1)
+    read = count_elements_read(monkeypatch)
+    assert vanishing_space(family) == [] and len(read) == 4
+    for bad in (Subspace(other, 4, [[other.one] + [other.zero] * 3]),
+                Subspace(field, 5, [[field.one] + [field.zero] * 4])):
+        read.clear()
+        with pytest.raises(ValueError, match="different spaces"):
+            vanishing_space(list(family) + [bad])
+        assert not read
 
 
 def test_vanishing_space_walks_no_points(monkeypatch):
