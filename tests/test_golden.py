@@ -1,11 +1,12 @@
-"""Golden outputs: the sha256 of the primary output of sixteen
+"""Golden outputs: the sha256 of the primary output of twenty
 commands.
 
 The digests were taken from the program before field elements were
 interned, those of the q = 8 code before codewords were packed, and
 those of the second test before subspaces kept int rows, and those of
 the two non-empty ``quadrics through`` answers before the conditions
-were inserted element by element, so a change
+were inserted element by element, and those of the last test before
+imaginary elements were read off minimal polynomials, so a change
 meant only to make the program faster that alters a single byte of
 these outputs fails here.  A change that alters output on purpose
 updates the digest and says why.
@@ -53,6 +54,14 @@ GOLDEN = {
         "ab3166e16b2e0d6150bca94b947c2499f6dad0a1ef9115d46484b6527fb39228",
     "quadrics-through-k3q4":
         "f5a7a6967bd6f6714bf415b8a2bee95dec66a2c046ce4442abfc65e88bfdef14",
+    "construct-arc-k3q8":
+        "9e665d83d84538de4290569dd5de678832d0b7e77399c03e6b9088f455c7f701",
+    "construct-arc-q16":
+        "e1354e0e3c98c03fe30e92d2c785afa3b9500d1bda27c8726512f71d27e1baea",
+    "construct-arc-h4":
+        "8cb1d0bdb80942c837a06ca16606bc6d488343ad3b1ea435702cbd5361a126ac",
+    "construct-arc-h5q2":
+        "3c819a3ba5a14359282dd3e93fc36dce97835c5f38c0301c530477e29932cfa9",
 }
 
 
@@ -139,4 +148,16 @@ def test_refutation_and_larger_fields_match_golden_digests(capsys, tmp_path):
                            "--q", "4"))
     out["quadrics-through-k3q4"] = _stdout(capsys, "quadrics", "through",
                                            str(arc), "--json")
+    _check(out)
+
+
+def test_construct_arc_over_more_towers_matches_golden_digests(capsys):
+    # p = 2 with e = 3 and k = 3, e = 4, h = 4, and h = 5 above p
+    out = {}
+    for name, h, k, q, extend in (("k3q8", "2", "3", "8", ["--extend"]),
+                                  ("q16", "2", "2", "16", ["--extend"]),
+                                  ("h4", "4", "2", "5", ["--extend"]),
+                                  ("h5q2", "5", "2", "2", [])):
+        out["construct-arc-" + name] = _stdout(
+            capsys, "construct-arc", "--h", h, "--k", k, "--q", q, *extend)
     _check(out)
