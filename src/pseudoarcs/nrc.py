@@ -183,23 +183,26 @@ def frobenius_orbit_reps(tow: FieldTower) -> Tuple[FieldElement, ...]:
     """Smallest-encoding representatives of the orbits of x -> x^q that
     have full size h, sorted ascending.  These parametrize both the arc
     elements and the code coordinates, so the order is fixed.  The
-    count always matches orbit_rep_count(q, h)."""
-    h = tow.h
-    seen = set()
+    count always matches orbit_rep_count(q, h).
+
+    The walk runs on encodings: ascending, each encoding not yet seen
+    starts an orbit, followed by ``top.pow(y, q)`` until it closes."""
+    h, q, top = tow.h, tow.q, tow.top
+    frob = top.pow
+    seen = bytearray(top.order)
     reps = []
-    for x in tow.top.elements():
-        if x.val in seen:
+    for v in range(top.order):
+        if seen[v]:
             continue
-        orbit = [x]
-        y = tow.frobenius(x, 1 % h) if h > 1 else x
-        while y != x:
-            orbit.append(y)
-            y = tow.frobenius(y, 1)
-        for z in orbit:
-            seen.add(z.val)
-        if len(orbit) == h:
-            reps.append(x)
-    if len(reps) != orbit_rep_count(tow.q, h):
+        seen[v] = size = 1
+        y = frob(v, q)
+        while y != v:
+            seen[y] = 1
+            size += 1
+            y = frob(y, q)
+        if size == h:
+            reps.append(v)
+    if len(reps) != orbit_rep_count(q, h):
         raise InvariantError("%d orbit representatives, the Moebius count is %d"
-                             % (len(reps), orbit_rep_count(tow.q, h)))
-    return tuple(reps)
+                             % (len(reps), orbit_rep_count(q, h)))
+    return tuple(top.wrap(reps))

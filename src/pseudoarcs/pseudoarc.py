@@ -4,8 +4,9 @@ any k of which span the whole space.
 The main construction takes one element per Frobenius orbit of
 generators of the extension field: the field reduction of the curve
 point with that parameter, the rational point set of the span of its
-conjugates.  The family extends by the order-(h-1) osculating spaces at
-the rational curve points.  Verification is exhaustive over k-subsets:
+conjugates, read off the minimal polynomial of the parameter.  The
+family extends by the order-(h-1) osculating spaces at the rational
+curve points.  Verification is exhaustive over k-subsets:
 the curve's projectivities that permute the family generate a group,
 and a walk along its stabilizer chain tests one k-tuple per orbit.
 """
@@ -18,9 +19,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .gf import FieldElement, FieldTower, InvariantError
 from .linalg import (SingularMatrixError, insert_row, reduce_row, rref_ints,
                      vec_mat_ints)
-from .nrc import (INFINITY, curve_projectivity, frobenius_orbit_reps, osc_ints,
-                  veronese)
-from .projgeo import Spread, Subspace, field_reduction, spread_membership
+from .nrc import INFINITY, curve_projectivity, frobenius_orbit_reps, osc_ints
+from .projgeo import Spread, Subspace, spread_membership
 
 
 class SmallFieldWarning(UserWarning):
@@ -124,7 +124,7 @@ def _warn_small_field(tow: FieldTower, k: int):
 def build_imaginary_arc(tow: FieldTower, k: int) -> PseudoArc:
     """One element per orbit representative alpha: the field reduction
     of (1, alpha, ..., alpha^(hk-1)), the rational points of its
-    conjugate span.
+    conjugate span, read off the minimal polynomial of alpha.
 
     Λ-order (representatives ascending) fixes the element order.  For
     h = 1 the orbit representatives are all of F_q and the elements are
@@ -134,17 +134,51 @@ def build_imaginary_arc(tow: FieldTower, k: int) -> PseudoArc:
         raise ValueError("k must be at least 2")
     _warn_small_field(tow, k)
     n = tow.h * k
-    reps = frobenius_orbit_reps(tow)
+    unembed = {t: b for b, t in enumerate(tow.embed_table)}
     elements = []
     tags = []
-    for alpha in reps:
-        element = field_reduction(tow, veronese(tow.top, 1, alpha, n).coords)
-        if element.rank != tow.h:
-            raise InvariantError("element of rank %d at alpha = %d, expected %d"
-                                 % (element.rank, alpha.val, tow.h))
-        elements.append(element)
+    for alpha in frobenius_orbit_reps(tow):
+        rows = _imaginary_rows(tow, alpha.val, n, unembed)
+        elements.append(Subspace.from_ints(tow.base, n, rows))
         tags.append(Tag("imaginary", alpha))
     return PseudoArc(tow, k, elements, tags)
+
+
+def _imaginary_rows(tow, v, n, unembed):
+    """The reduced rows of the field reduction of (1, a, ..., a^(n-1)),
+    a the top element encoded by v: column j holds the base encodings of
+    the coefficients of x^j mod m = prod_(i<h) (x - a^(q^i)).
+
+    The field reduction is {(Tr(mu a^j))_j}; for mu_i in the trace-dual
+    basis of (1, a, ..., a^(h-1)) and a^j = sum_i c_ij a^i, Tr(mu_i a^j)
+    is c_ij.  The rank, h, is checked as the number of distinct conjugates
+    of a, and each coefficient of m must lie in the base field."""
+    top, h, q = tow.top, tow.h, tow.q
+    conj = [v]
+    for _ in range(h - 1):
+        conj.append(top.pow(conj[-1], q))
+    if len(set(conj)) != h:
+        raise InvariantError("element of rank %d at alpha = %d, expected %d"
+                             % (len(set(conj)), v, h))
+    poly = [1]  # coefficients, lowest first; times x - c is x*poly - c*poly
+    for c in conj:
+        shifted = [0] + poly
+        poly = top.sub_scaled(shifted, c, poly + [0]) if c else shifted
+    low = [unembed.get(a) for a in poly[:h]]
+    if None in low:
+        raise InvariantError("minimal polynomial at alpha = %d has a coefficient "
+                             "outside the base field" % v)
+    # x * col, with x^h replaced by -(low . (1, x, ..., x^(h-1)))
+    sub_scaled = tow.base.sub_scaled
+    col = [1] + [0] * (h - 1)
+    cols = [col]
+    for _ in range(n - 1):
+        lead = col[-1]
+        col = [0] + col[:-1]
+        if lead:
+            col = sub_scaled(col, lead, low)
+        cols.append(col)
+    return list(zip(*cols))
 
 
 def build_osculating_family(tow: FieldTower, k: int) -> List[Subspace]:

@@ -17,7 +17,7 @@ from pseudoarcs import cli, codes, jsonio, pseudoarc
 from pseudoarcs.cli import main
 from pseudoarcs.gf import InvariantError, tower
 from pseudoarcs.nrc import frobenius_orbit_reps, nrc_points
-from pseudoarcs.projgeo import Subspace, field_reduction
+from pseudoarcs.projgeo import Subspace
 from pseudoarcs.quadrics import nrc_quadric_system
 
 
@@ -601,16 +601,14 @@ def test_key_error_in_a_command_is_internal(capsys, tmp_path, monkeypatch):
 
 
 def test_rank_deficient_element_is_internal(capsys, monkeypatch):
-    def truncated(tow, vec):
-        el = field_reduction(tow, vec)
-        return Subspace(el.field, el.ambient_dim, el.rows[:-1])
-
-    monkeypatch.setattr(pseudoarc, "field_reduction", truncated)
+    # a base-field parameter has degree 1: its element has rank 1
+    monkeypatch.setattr(pseudoarc, "frobenius_orbit_reps",
+                        lambda tow: (tow.top(2),))
     code, out, err = run(capsys, "construct-arc", "--h", "2", "--k", "2",
                          "--q", "5")
     assert code == 3 and out == ""
     assert err == ("internal error: InvariantError: element of rank 1 at "
-                   "alpha = 5, expected 2\n")
+                   "alpha = 2, expected 2\n")
 
 
 def test_json_writer_matches_the_stdlib_on_every_document(capsys, tmp_path,

@@ -177,6 +177,19 @@ def test_frobenius_orbit_reps_properties():
             assert is_imaginary(r, t)
 
 
+def test_frobenius_orbit_reps_match_element_orbits():
+    """The walk on encodings against the orbits of FieldElement powers."""
+    for (p, e, h) in [(2, 1, 1), (3, 2, 1), (2, 2, 2), (5, 1, 2), (3, 2, 2),
+                      (2, 1, 3), (3, 1, 3), (2, 2, 3), (2, 1, 4), (3, 1, 4),
+                      (2, 2, 4)]:
+        t = tower(p, e, h)
+        orbits = {frozenset(x ** (t.q ** i) for i in range(h))
+                  for x in t.top.elements()}
+        expected = sorted((min(o, key=lambda x: x.val) for o in orbits
+                           if len(o) == h), key=lambda x: x.val)
+        assert frobenius_orbit_reps(t) == tuple(expected), (p, e, h)
+
+
 def test_orbit_reps_trivial_extension():
     t = tower(7, 1, 1)
     reps = frobenius_orbit_reps(t)

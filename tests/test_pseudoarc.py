@@ -17,7 +17,7 @@ from random import Random
 import pytest
 
 from pseudoarcs import projgeo, pseudoarc
-from pseudoarcs.gf import GF, InvariantError, tower
+from pseudoarcs.gf import GF, FieldTower, InvariantError, tower
 from pseudoarcs.linalg import det, rank, rref_ints, vec_mat_ints
 from pseudoarcs.nrc import (INFINITY, curve_projectivity,
                             frobenius_orbit_reps, nrc_points,
@@ -283,7 +283,9 @@ def truncated_reduction(tow, vec):
 
 def test_rank_deficient_element_is_an_invariant_error(monkeypatch):
     tow = tower(5, 1, 2)
-    monkeypatch.setattr(pseudoarc, "field_reduction", truncated_reduction)
+    # a base-field parameter has degree 1: its element has rank 1
+    monkeypatch.setattr(pseudoarc, "frobenius_orbit_reps",
+                        lambda tow: (tow.top(2),))
     with pytest.raises(InvariantError, match="element of rank 1 at alpha"):
         build_imaginary_arc(tow, 2)
     monkeypatch.setattr(projgeo, "field_reduction", truncated_reduction)
@@ -291,8 +293,8 @@ def test_rank_deficient_element_is_an_invariant_error(monkeypatch):
         canonical_spread(tow, 2).element_through([tow.top.one, tow.top.zero])
     # the check is a raise, not an assert: it holds under python -O
     script = (
-        "from pseudoarcs import InvariantError, pseudoarc, span, tower\n"
-        "pseudoarc.field_reduction = lambda tow, vec: span([[tow.base.one] * len(vec)])\n"
+        "from pseudoarcs import InvariantError, pseudoarc, tower\n"
+        "pseudoarc.frobenius_orbit_reps = lambda tow: (tow.top(2),)\n"
         "try:\n"
         "    pseudoarc.build_imaginary_arc(tower(5, 1, 2), 2)\n"
         "except InvariantError as exc:\n"
@@ -301,7 +303,67 @@ def test_rank_deficient_element_is_an_invariant_error(monkeypatch):
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out == "element of rank 1 at alpha = 5, expected 2\n"
+    assert out == "element of rank 1 at alpha = 2, expected 2\n"
+
+
+def test_parameter_of_degree_below_h_is_an_invariant_error(monkeypatch):
+    # GF(4) in GF(16) and GF(9) in GF(81): degree 2 below h = 4
+    for p in (2, 3):
+        tow = tower(p, 1, 4)
+        top = tow.top
+        v = next(v for v in range(top.order)
+                 if top.pow(v, p * p) == v and top.pow(v, p) != v)
+        monkeypatch.setattr(pseudoarc, "frobenius_orbit_reps",
+                            lambda tow: (tow.top(v),))
+        with pytest.raises(InvariantError) as exc, pytest.warns(SmallFieldWarning):
+            build_imaginary_arc(tow, 2)
+        assert str(exc.value) == "element of rank 2 at alpha = %d, expected 4" % v
+
+
+def test_minimal_polynomial_outside_the_base_field_is_an_invariant_error(
+        monkeypatch):
+    tow = tower(5, 1, 2)
+    # a wrong embedding: base b to the top element b*x, outside GF(5)
+    monkeypatch.setattr(tow, "embed_table", [5 * b for b in range(5)])
+    with pytest.raises(InvariantError, match="outside the base field"):
+        build_imaginary_arc(tow, 2)
+
+
+# (p, e, h) with h from 1 to 5: p = 2 with e up to 4, odd p with e = 1, 2
+CLOSED_FORM_TOWERS = [
+    (2, 1, 1), (2, 4, 1), (3, 1, 1), (3, 2, 1), (7, 1, 1),
+    (2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 4, 2), (3, 1, 2), (3, 2, 2),
+    (5, 1, 2), (5, 2, 2),
+    (2, 1, 3), (2, 2, 3), (2, 3, 3), (3, 1, 3), (3, 2, 3), (5, 1, 3),
+    (2, 1, 4), (2, 2, 4), (3, 1, 4), (5, 1, 4),
+    (2, 1, 5), (2, 2, 5), (3, 1, 5),
+]
+
+
+def test_imaginary_elements_match_the_field_reduction():
+    """Each element read off the minimal polynomial equals the field
+    reduction of its curve point, the definition."""
+    for (p, e, h), k in itertools.product(CLOSED_FORM_TOWERS, (2, 3, 4)):
+        tow = tower(p, e, h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SmallFieldWarning)
+            arc = build_imaginary_arc(tow, k)
+        assert len(arc) == orbit_rep_count(tow.q, h)
+        for el, tag in zip(arc.elements, arc.tags):
+            ref = field_reduction(tow, veronese(tow.top, 1, tag.param, h * k).coords)
+            assert el == ref, (p, e, h, k, tag.param.val)
+            assert el.pivots == tuple(range(h))
+
+
+def test_imaginary_arc_needs_no_normal_coordinates(monkeypatch):
+    def refused(self, v):
+        raise RuntimeError("normal_ints called")
+
+    expected = {pe: build_imaginary_arc(tower(*pe), 2).elements
+                for pe in ((3, 2, 2), (7, 1, 3))}
+    monkeypatch.setattr(FieldTower, "normal_ints", refused)
+    for pe, elements in expected.items():
+        assert build_imaginary_arc(tower(*pe), 2).elements == elements
 
 
 def test_imaginary_arc_sizes_and_tags():
