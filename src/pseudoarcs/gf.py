@@ -221,7 +221,8 @@ class GF:
             self.element = functools.partial(FieldElement, self)
         if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
             self._build_add_table()
-        self.sub_scaled, self.scaled, self.added = self._row_ops()
+        (self.sub_scaled, self.scaled, self.added,
+         self.sub_product) = self._row_ops()
         self.form_value = self._form_op()
         self.zero = self.element(0)
         self.one = self.element(1)
@@ -327,10 +328,12 @@ class GF:
         self._add_table = table
 
     def _row_ops(self):
-        """Int row operations for linalg: ``sub_scaled(v, c, b)`` is
-        v - c*b, ``scaled(c, b)`` is c*b and ``added(v, b)`` is v + b,
-        for rows v, b of encodings and a nonzero scalar c.  They branch
-        like add/sub/mul, but once per row instead of once per entry."""
+        """Int row operations for linalg and pseudoarc:
+        ``sub_scaled(v, c, b)`` is v - c*b, ``scaled(c, b)`` is c*b and
+        ``added(v, b)`` is v + b, for rows v, b of encodings and a nonzero
+        scalar c, and ``sub_product(v, a, b)`` is v - a*b entry by entry,
+        for rows v, a, b.  They branch like add/sub/mul, but once per row
+        instead of once per entry."""
         p, exp, log, add = self.p, self._exp, self._log, self._add_table
         if p == 2:
             def added(v, b):
@@ -352,6 +355,9 @@ class GF:
 
             def scaled(c, b):
                 return [c * y % p for y in b]
+
+            def sub_product(v, a, b):
+                return [(x - y * z) % p for x, y, z in zip(v, a, b)]
         elif exp is not None and (p == 2 or add is not None):
             g = self._gorder
             if p == 2:
@@ -359,11 +365,22 @@ class GF:
                     lc = log[c]
                     return [x ^ exp[lc + log[y]] if y else x
                             for x, y in zip(v, b)]
+
+                def sub_product(v, a, b):
+                    return [x ^ exp[log[y] + log[z]] if y and z else x
+                            for x, y, z in zip(v, a, b)]
             else:
                 def sub_scaled(v, c, b):
                     lc = (log[c] + g // 2) % g  # log(-c): -1 is exp[g/2]
                     return [add[x][exp[lc + log[y]]] if y else x
                             for x, y in zip(v, b)]
+
+                # nexp[i] is -exp[i], the doubled table shifted by g/2
+                nexp = exp[g // 2:] + exp[:g // 2]
+
+                def sub_product(v, a, b):
+                    return [add[x][nexp[log[y] + log[z]]] if y and z else x
+                            for x, y, z in zip(v, a, b)]
 
             def scaled(c, b):
                 lc = log[c]
@@ -376,7 +393,10 @@ class GF:
 
             def scaled(c, b):
                 return [mul(c, y) for y in b]
-        return sub_scaled, scaled, added
+
+            def sub_product(v, a, b):
+                return [sub(x, mul(y, z)) for x, y, z in zip(v, a, b)]
+        return sub_scaled, scaled, added, sub_product
 
     def _form_op(self):
         """Int quadratic form evaluation: ``form_value(terms, v)`` is the

@@ -9,10 +9,15 @@ family extends by the order-(h-1) osculating spaces at the rational
 curve points.  Verification is exhaustive over k-subsets:
 the curve's projectivities that permute the family generate a group,
 and a walk along its stabilizer chain tests one k-tuple per orbit.
+
+The construction and the upper triangular projectivities work on the
+whole family at once: one int list per matrix entry holds that entry
+for every element, and the field's row ops update it for all of them.
 """
 
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter, methodcaller
 from random import Random
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -124,7 +129,8 @@ def _warn_small_field(tow: FieldTower, k: int):
 def build_imaginary_arc(tow: FieldTower, k: int) -> PseudoArc:
     """One element per orbit representative alpha: the field reduction
     of (1, alpha, ..., alpha^(hk-1)), the rational points of its
-    conjugate span, read off the minimal polynomial of alpha.
+    conjugate span, read off the minimal polynomial of alpha.  The rows
+    of all elements are computed together (see ``_imaginary_rows``).
 
     Λ-order (representatives ascending) fixes the element order.  For
     h = 1 the orbit representatives are all of F_q and the elements are
@@ -134,51 +140,63 @@ def build_imaginary_arc(tow: FieldTower, k: int) -> PseudoArc:
         raise ValueError("k must be at least 2")
     _warn_small_field(tow, k)
     n = tow.h * k
-    unembed = {t: b for b, t in enumerate(tow.embed_table)}
-    elements = []
-    tags = []
-    for alpha in frobenius_orbit_reps(tow):
-        rows = _imaginary_rows(tow, alpha.val, n, unembed)
-        elements.append(Subspace.from_ints(tow.base, n, rows))
-        tags.append(Tag("imaginary", alpha))
-    return PseudoArc(tow, k, elements, tags)
+    reps = frobenius_orbit_reps(tow)
+    elements = [Subspace.from_ints(tow.base, n, rows)
+                for rows in _imaginary_rows(tow, [alpha.val for alpha in reps], n)]
+    return PseudoArc(tow, k, elements, [Tag("imaginary", alpha) for alpha in reps])
 
 
-def _imaginary_rows(tow, v, n, unembed):
+def _imaginary_rows(tow, alphas, n):
     """The reduced rows of the field reduction of (1, a, ..., a^(n-1)),
-    a the top element encoded by v: column j holds the base encodings of
-    the coefficients of x^j mod m = prod_(i<h) (x - a^(q^i)).
+    for every top element a of ``alphas`` (encodings): column j of a's
+    rows holds the base encodings of the coefficients of x^j mod
+    m = prod_(i<h) (x - a^(q^i)).
 
     The field reduction is {(Tr(mu a^j))_j}; for mu_i in the trace-dual
     basis of (1, a, ..., a^(h-1)) and a^j = sum_i c_ij a^i, Tr(mu_i a^j)
     is c_ij.  The rank, h, is checked as the number of distinct conjugates
-    of a, and each coefficient of m must lie in the base field."""
-    top, h, q = tow.top, tow.h, tow.q
-    conj = [v]
+    of a, and each coefficient of m must lie in the base field.
+
+    The work runs over the whole family at once: every list below holds
+    one entry, conjugate or coefficient, for each a, and one row op
+    ``sub_product`` (v - a*b entry by entry) updates it for all of them.
+    """
+    top, base, h, q = tow.top, tow.base, tow.h, tow.q
+    size = len(alphas)
+    zeros, ones = [0] * size, [1] * size
+    conj = [list(alphas)]
     for _ in range(h - 1):
-        conj.append(top.pow(conj[-1], q))
-    if len(set(conj)) != h:
+        conj.append([top.pow(a, q) for a in conj[-1]])
+    ranks = list(map(len, map(set, zip(*conj))))
+    if ranks.count(h) != size:
+        i = next(i for i, r in enumerate(ranks) if r != h)
         raise InvariantError("element of rank %d at alpha = %d, expected %d"
-                             % (len(set(conj)), v, h))
-    poly = [1]  # coefficients, lowest first; times x - c is x*poly - c*poly
+                             % (ranks[i], alphas[i], h))
+    # the coefficients of m, lowest first; times x - c is x*poly - c*poly
+    poly = [ones]
     for c in conj:
-        shifted = [0] + poly
-        poly = top.sub_scaled(shifted, c, poly + [0]) if c else shifted
-    low = [unembed.get(a) for a in poly[:h]]
-    if None in low:
+        poly = ([top.sub_product(zeros, c, poly[0])]
+                + [top.sub_product(u, c, w) for u, w in zip(poly, poly[1:])]
+                + [ones])
+    unembed = {t: b for b, t in enumerate(tow.embed_table)}
+    low = [list(map(unembed.get, coeffs)) for coeffs in poly[:h]]
+    outside = [coeffs.index(None) for coeffs in low if None in coeffs]
+    if outside:
         raise InvariantError("minimal polynomial at alpha = %d has a coefficient "
-                             "outside the base field" % v)
+                             "outside the base field" % alphas[min(outside)])
     # x * col, with x^h replaced by -(low . (1, x, ..., x^(h-1)))
-    sub_scaled = tow.base.sub_scaled
-    col = [1] + [0] * (h - 1)
+    sub_product = base.sub_product
+    col = [ones] + [zeros] * (h - 1)
     cols = [col]
     for _ in range(n - 1):
         lead = col[-1]
-        col = [0] + col[:-1]
-        if lead:
-            col = sub_scaled(col, lead, low)
+        if any(lead):
+            col = ([sub_product(zeros, lead, low[0])]
+                   + [sub_product(u, lead, w) for u, w in zip(col, low[1:])])
+        else:
+            col = [zeros] + col[:-1]
         cols.append(col)
-    return list(zip(*cols))
+    return list(zip(*[zip(*[c[r] for c in cols]) for r in range(h)]))
 
 
 def build_osculating_family(tow: FieldTower, k: int) -> List[Subspace]:
@@ -211,32 +229,17 @@ def _row_map(fld, mat):
     """The map from a subspace's reduced int rows to the reduced rows of
     its image under v -> v*M, as the tuple of tuples that keys an element.
 
-    A diagonal M keeps reduced rows reduced once each is scaled back to 1
-    at its pivot c, so row r goes to r_j * M[j][j] / M[c][c] with no
-    elimination.  The reversal (t -> 1/t) reverses each row and reduces
-    the images.  Any other M sums multiples c*M_j of its rows, each
-    computed on first use.  An upper unitriangular M, as of t -> t + 1,
-    keeps each row's pivot and leading 1, so only the entries at the
-    other pivots are cleared, latest row first; the images under any
-    other M are fully reduced."""
+    The reversal (t -> 1/t) reverses each row.  Any other M sums
+    multiples c*M_j of its rows, each computed on first use.  Either way
+    the image is then fully reduced."""
     n = len(mat)
-    if all(mat[i][j] == 0 for i in range(n) for j in range(n) if i != j):
-        mul, inv = fld.mul, fld.inv
-        ratios = [[mul(mat[j][j], inv(mat[c][c])) for j in range(n)]
-                  for c in range(n)]
-
-        def image(rows):
-            return tuple(tuple([mul(x, y) for x, y in zip(r, ratios[r.index(1)])])
-                         for r in rows)
-    elif all(mat[i][j] == (1 if i + j == n - 1 else 0)
-             for i in range(n) for j in range(n)):
+    if all(mat[i][j] == (1 if i + j == n - 1 else 0)
+           for i in range(n) for j in range(n)):
         def image(rows):
             return tuple(map(tuple, rref_ints(fld, [r[::-1] for r in rows])[0]))
     else:
         added, scaled = fld.added, fld.scaled
         multiples = [{} for _ in range(n)]
-        unitriangular = all(mat[i][j] == (1 if i == j else 0)
-                            for i in range(n) for j in range(i + 1))
 
         def image(rows):
             out = []
@@ -249,13 +252,99 @@ def _row_map(fld, mat):
                             m = multiples[j][c] = scaled(c, mat[j])
                         w = m if w is None else added(w, m)
                 out.append(w)
-            if not unitriangular:
-                return tuple(map(tuple, rref_ints(fld, out)[0]))
-            cleared = []
-            for r, w in zip(reversed(rows), reversed(out)):
-                cleared.append((r.index(1), reduce_row(fld, cleared, w)))
-            return tuple(tuple(w) for _, w in reversed(cleared))
+            return tuple(map(tuple, rref_ints(fld, out)[0]))
     return image
+
+
+def _upper_triangular(mat):
+    """Whether every entry below the diagonal is 0."""
+    return all(mat[i][j] == 0 for i in range(len(mat)) for j in range(i))
+
+
+def _images(fld, mat, rows, groups=None) -> list:
+    """The images under v -> v*M of subspaces given by their reduced int
+    rows, in the form ``_row_map`` returns, in order.
+
+    An upper triangular M, as of t -> t + 1 and t -> xi*t, keeps each
+    row's pivot, so the subspaces that share a pivot pattern are imaged
+    together, one column pass each (``_column_pass``).  ``groups`` is
+    ``_pivot_groups(rows)``, computed here when not given.  Any other M
+    images the subspaces one by one through ``_row_map``."""
+    if not _upper_triangular(mat):
+        return list(map(_row_map(fld, mat), rows))
+    if groups is None:
+        groups = _pivot_groups(rows)
+    out = [None] * len(rows)
+    for pivots, members in groups.items():
+        images = _column_pass(fld, mat, pivots, [rows[i] for i in members])
+        for i, image in zip(members, images):
+            out[i] = image
+    return out
+
+
+def _pivot_groups(rows):
+    """The indices of the subspaces, given by their reduced int rows, by
+    pivot pattern: the column of each row's leading 1."""
+    groups = {}
+    pivot = methodcaller("index", 1)
+    for i, el in enumerate(rows):
+        groups.setdefault(tuple(map(pivot, el)), []).append(i)
+    return groups
+
+
+def _column_pass(fld, mat, pivots, group):
+    """The images under an upper triangular M of the subspaces in
+    ``group``, whose reduced int rows all have the pivot columns
+    ``pivots``, computed entry by entry: each list below holds one entry
+    of every subspace.
+
+    Row r, with pivot c, goes to r*M / M[c][c], which is 0 before c and
+    1 at c.  Its entry in a later column j sums x_i * M[i][j] / M[c][c]
+    over the columns i of r that may be nonzero: c and the non-pivot
+    columns up to j.  The images then only need their entries at the
+    later pivots cleared, latest row first, each by one ``sub_product``
+    per non-pivot column."""
+    size = len(group)
+    if not pivots:
+        return [()] * size
+    n = len(mat)
+    mul, inv, neg = fld.mul, fld.inv, fld.neg
+    scaled, sub_scaled, sub_product = fld.scaled, fld.sub_scaled, fld.sub_product
+    zeros, ones = [0] * size, [1] * size
+    free = [j for j in range(n) if j not in pivots]
+    # entries[r][j]: entry j of row r
+    entries = [list(zip(*rows)) for rows in zip(*group)]
+    images = []
+    for r, c in enumerate(pivots):
+        s = inv(mat[c][c])
+        image = {}
+        for j in range(c + 1, n):
+            coef = mul(mat[c][j], s)
+            acc = [coef] * size if coef else None
+            for i in free:
+                if c < i <= j:
+                    coef = mul(mat[i][j], s)
+                    if coef:
+                        x = entries[r][i]
+                        if acc is None:
+                            acc = x if coef == 1 else scaled(coef, x)
+                        else:
+                            acc = sub_scaled(acc, neg(coef), x)
+            image[j] = zeros if acc is None else acc
+        images.append(image)
+    for a in range(len(pivots) - 2, -1, -1):
+        for b in range(a + 1, len(pivots)):
+            x = images[a][pivots[b]]
+            if any(x):
+                for j in free:
+                    if j > pivots[b]:
+                        images[a][j] = sub_product(images[a][j], x, images[b][j])
+    out = []
+    for r, c in enumerate(pivots):
+        columns = [ones if j == c else images[r][j] if j > c and j in free
+                   else zeros for j in range(n)]
+        out.append(zip(*columns))
+    return list(zip(*out))
 
 
 def _curve_permutations(fld, rows) -> List[List[int]]:
@@ -266,10 +355,13 @@ def _curve_permutations(fld, rows) -> List[List[int]]:
     The generators t -> t + 1, t -> xi*t and t -> 1/t are not trusted: a
     generator counts only when the canonical image of every element is an
     element again and the images form a permutation other than the
-    identity.  When M*M is scalar the generator is an involution on
-    subspaces, and the image i -> j found for one element gives j -> i
-    without a second lookup.  A family with a repeated element gets no
-    permutation.
+    identity.  Element 0 is imaged first, alone, so a generator that
+    moves the family off itself costs one image.  The upper triangular
+    generators, t -> t + 1 and t -> xi*t, then image every element in one
+    pass of ``_images``.  When M*M is scalar, as for t -> 1/t, the
+    generator is an involution on subspaces, and the image i -> j found
+    for one element gives j -> i without a second lookup.  A family with
+    a repeated element gets no permutation.
     """
     size = len(rows)
     index = {}
@@ -279,22 +371,34 @@ def _curve_permutations(fld, rows) -> List[List[int]]:
         return []
     n = len(rows[0][0])
     xi = fld.primitive_element().val
+    groups = None
     perms = []
     for a, b, c, d in ((1, 1, 0, 1), (xi, 0, 0, 1), (0, 1, 1, 0)):
         mat = curve_projectivity(fld, a, b, c, d, n)
         image = _row_map(fld, mat)
-        square = [vec_mat_ints(fld, r, mat) for r in mat]
-        paired = all(x == (square[0][0] if i == j else 0)
-                     for i, row in enumerate(square) for j, x in enumerate(row))
-        perm = [None] * size
-        for i, el in enumerate(rows):
-            if perm[i] is None:
-                j = index.get(image(el))
-                if j is None:
-                    break
-                perm[i] = j
-                if paired:
-                    perm[j] = i
+        first = index.get(image(rows[0]))
+        if first is None:
+            continue
+        if _upper_triangular(mat):
+            if groups is None:
+                groups = _pivot_groups(rows)
+            perm = list(map(index.get, _images(fld, mat, rows, groups)))
+        else:
+            square = [vec_mat_ints(fld, r, mat) for r in mat]
+            paired = all(x == (square[0][0] if i == j else 0)
+                         for i, row in enumerate(square) for j, x in enumerate(row))
+            perm = [None] * size
+            perm[0] = first
+            if paired:
+                perm[first] = 0
+            for i, el in enumerate(rows):
+                if perm[i] is None:
+                    j = index.get(image(el))
+                    if j is None:
+                        break
+                    perm[i] = j
+                    if paired:
+                        perm[j] = i
         if None not in perm and len(set(perm)) == size and perm != list(range(size)):
             perms.append(perm)
     return perms
@@ -337,19 +441,21 @@ def _stabilizer(gens, b, vec, rng):
     through the group, ``WORD_LENGTH`` generators a step, is sifted after
     each step: followed by the inverse of the Schreier-tree word that
     carries b to the walk's image of b.  Identities and repeats are
-    dropped."""
+    dropped.  A product s*t, s first, is the gather ``itemgetter(*s)(t)``,
+    a tuple; ``gens`` has at least two points, so it is never a bare
+    item."""
     inverses = [sorted(range(len(s)), key=s.__getitem__) for s in gens]
-    identity = list(range(len(gens[0])))
+    identity = tuple(range(len(gens[0])))
     letters = iter(rng.choices(gens, k=STABILIZER_WORDS * WORD_LENGTH))
     out = []
     w = identity
     for _ in range(STABILIZER_WORDS):
         for _ in range(WORD_LENGTH):
-            w = list(map(next(letters).__getitem__, w))
+            w = itemgetter(*w)(next(letters))
         g, x = w, w[b]
         while x != b:
             inv = inverses[vec[x]]
-            g = list(map(inv.__getitem__, g))
+            g = itemgetter(*g)(inv)
             x = inv[x]
         if g != identity and g not in out:
             out.append(g)

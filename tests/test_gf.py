@@ -262,6 +262,25 @@ def test_neg_and_sub_match_digit_reference():
                 assert f.sub(a, b) == oracle_add(a, oracle_neg(b, p, m), p, m)
 
 
+def test_sub_product_matches_entry_arithmetic():
+    # one field per branch of the row ops: a prime field, GF(16) on its
+    # tables, GF(9) on its addition table, GF(625) above the addition
+    # table limit, GF(2^17) and GF(257^2) above the table limit
+    rng = random.Random(18)
+    branches = {(7, 1): (True, False), (2, 4): (True, False),
+                (3, 2): (True, True), (5, 4): (True, False),
+                (2, 17): (False, False), (257, 2): (False, False)}
+    for (p, m), (tables, add_table) in branches.items():
+        f = GF.get(p, m)
+        assert (f._exp is not None, f._add_table is not None) == (tables, add_table)
+        vs = sample_encodings(f, rng, 20)
+        for n in (1, 2, 7):
+            for _ in range(30):
+                v, a, b = ([rng.choice(vs) for _ in range(n)] for _ in range(3))
+                assert f.sub_product(v, a, b) == [
+                    f.sub(x, f.mul(y, z)) for x, y, z in zip(v, a, b)], (p, m)
+
+
 def test_packed_words_match_entry_arithmetic():
     # every digit width (b = 1, 3, 4, 4, 5), prime and extension fields;
     # rows hold zeros and entries with every digit p - 1 at both ends

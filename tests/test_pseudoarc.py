@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from random import Random
 
 import pytest
@@ -21,7 +22,7 @@ from pseudoarcs.gf import GF, FieldTower, InvariantError, tower
 from pseudoarcs.linalg import det, rank, rref_ints, vec_mat_ints
 from pseudoarcs.nrc import (INFINITY, curve_projectivity,
                             frobenius_orbit_reps, nrc_points,
-                            orbit_rep_count, veronese)
+                            orbit_rep_count, osc_ints, veronese)
 from pseudoarcs.projgeo import (Subspace, ambient_space, apply_projectivity,
                                 canonical_spread, field_reduction, intersect,
                                 lift_subspace, span, spread_membership)
@@ -626,8 +627,7 @@ def test_row_maps_match_the_reference_image():
                 rows = [el.int_rows for el in family]
                 for gen in curve_generators(fld):
                     mat = curve_projectivity(fld, *gen, n)
-                    image = pseudoarc._row_map(fld, mat)
-                    assert [image(r) for r in rows] == [
+                    assert pseudoarc._images(fld, mat, rows) == [
                         reference_image(fld, mat, r) for r in rows]
                 perms = pseudoarc._curve_permutations(fld, rows)
                 orbits, _ = pseudoarc._orbits(perms, list(range(len(rows))))
@@ -648,9 +648,9 @@ def test_shift_map_matches_the_full_reduction():
         for els in curve_families(*case):
             fld, n = els[0].field, els[0].ambient_dim
             mat = curve_projectivity(fld, 1, 1, 0, 1, n)
-            image = pseudoarc._row_map(fld, mat)
-            for el in els:
-                assert image(el.int_rows) == reference_image(fld, mat, el.int_rows)
+            rows = [el.int_rows for el in els]
+            assert pseudoarc._images(fld, mat, rows) == [
+                reference_image(fld, mat, r) for r in rows]
     rng = Random(37)
     for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1)]:
         fld = GF.get(p, m)
@@ -661,43 +661,158 @@ def test_shift_map_matches_the_full_reduction():
                 if det([fld.wrap(r) for r in other]):
                     break
             for mat in (curve_projectivity(fld, 1, 1, 0, 1, n), other):
-                image = pseudoarc._row_map(fld, mat)
                 for rank_ in range(n + 1):
                     for _ in range(3):
                         rows = random_subspace(fld, rank_, n, rng).int_rows
-                        assert image(rows) == reference_image(fld, mat, rows)
+                        assert pseudoarc._images(fld, mat, [rows]) == [
+                            reference_image(fld, mat, rows)]
 
 
-def test_only_involutions_are_paired(monkeypatch):
-    # every generator is accepted on these families; a paired generator
-    # images fewer elements than the family has, an unpaired one all
-    calls = {}
-    row_map = pseudoarc._row_map
+def random_reduced_rows(fld, pivots, n, rng):
+    """The reduced int rows of a random subspace with the given pivot
+    columns: 1 at its pivot, 0 at the other pivots and before its own,
+    random entries elsewhere."""
+    return tuple(tuple(1 if j == c else
+                       rng.randrange(fld.order) if j > c and j not in pivots else 0
+                       for j in range(n))
+                 for c in pivots)
 
-    def counting(fld, mat):
+
+def test_triangular_images_on_every_pivot_pattern():
+    # random upper triangular matrices with no 1 on the diagonal (but
+    # over GF(2), which has no other unit), beside the shift and scale
+    # maps, on families that mix every pivot pattern of every rank, in
+    # random order
+    rng = Random(43)
+    for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1)]:
+        fld = GF.get(p, m)
+        xi = fld.primitive_element().val
+        for n in range(1, 7):
+            rows = [random_reduced_rows(fld, pivots, n, rng)
+                    for rank_ in range(n + 1)
+                    for pivots in itertools.combinations(range(n), rank_)
+                    for _ in range(2)]
+            rng.shuffle(rows)
+            diagonal = range(2, fld.order) if fld.order > 2 else [1]
+            upper = [[rng.choice(diagonal) if i == j else
+                      rng.randrange(fld.order) if i < j else 0
+                      for j in range(n)] for i in range(n)]
+            for mat in (upper, curve_projectivity(fld, 1, 1, 0, 1, n),
+                        curve_projectivity(fld, xi, 0, 0, 1, n)):
+                assert pseudoarc._upper_triangular(mat)
+                assert pseudoarc._images(fld, mat, rows) == [
+                    reference_image(fld, mat, r) for r in rows], (p, m, n)
+
+
+def count_images(monkeypatch):
+    """Counters, by generator matrix, of the elements imaged one by one
+    (through ``_row_map``) and of the bulk passes (``_images``)."""
+    singles, passes = Counter(), Counter()
+    row_map, images = pseudoarc._row_map, pseudoarc._images
+
+    def counting_row_map(fld, mat):
         image = row_map(fld, mat)
         key = tuple(map(tuple, mat))
-        calls[key] = 0
 
         def counted(rows):
-            calls[key] += 1
+            singles[key] += 1
             return image(rows)
         return counted
 
-    monkeypatch.setattr(pseudoarc, "_row_map", counting)
+    def counting_images(fld, mat, rows, groups=None):
+        passes[tuple(map(tuple, mat))] += 1
+        return images(fld, mat, rows, groups)
+
+    monkeypatch.setattr(pseudoarc, "_row_map", counting_row_map)
+    monkeypatch.setattr(pseudoarc, "_images", counting_images)
+    return singles, passes
+
+
+def test_only_involutions_are_paired(monkeypatch):
+    # every generator is accepted on these families; t -> 1/t, always an
+    # involution, images fewer elements one by one than the family has,
+    # while the triangular maps image element 0 alone and then every
+    # element in one bulk pass
+    singles, passes = count_images(monkeypatch)
     for case in ROW_MAP_CASES:
         for els in curve_families(*case):
             fld, n = els[0].field, els[0].ambient_dim
-            calls.clear()
-            pseudoarc._curve_permutations(fld, [el.int_rows for el in els])
+            singles.clear()
+            passes.clear()
+            perms = pseudoarc._curve_permutations(fld, [el.int_rows for el in els])
+            assert len(perms) == 3
             shift, scale, reverse = (tuple(map(tuple, curve_projectivity(fld, *gen, n)))
                                      for gen in curve_generators(fld))
-            # t -> t + 1 is an involution exactly when p = 2, t -> xi*t
-            # exactly when xi^2 = 1, and t -> 1/t always
-            xi = fld.primitive_element().val
-            assert (calls[shift] < len(els)) == (fld.p == 2)
-            assert (calls[scale] < len(els)) == (fld.mul(xi, xi) == 1)
-            assert calls[reverse] < len(els)
+            assert singles[shift] == singles[scale] == 1
+            assert passes[shift] == passes[scale] == 1
+            assert passes[reverse] == 0 and singles[reverse] < len(els)
+
+
+def test_a_generator_that_moves_the_family_costs_one_image(monkeypatch):
+    # element 0 is imaged first, alone: on a moved family each generator
+    # is refused after that one image, with no bulk pass
+    singles, passes = count_images(monkeypatch)
+    rng = Random(41)
+    for case in ((13, 1, 2, 2), (2, 4, 2, 2), (7, 1, 2, 3)):
+        for els in curve_families(*case):
+            fld, n = els[0].field, els[0].ambient_dim
+            while True:
+                m = [[fld(rng.randrange(fld.order)) for _ in range(n)]
+                     for _ in range(n)]
+                if det(m):
+                    break
+            moved = [apply_projectivity(m, el) for el in els]
+            singles.clear()
+            passes.clear()
+            assert pseudoarc._curve_permutations(fld, [el.int_rows for el in moved]) == []
+            assert sorted(singles.values()) == [1, 1, 1] and not passes
+
+
+def list_map_stabilizer(gens, b, vec, rng):
+    """``_stabilizer`` as it composed permutations with list(map(...)),
+    the reference its generators must match, in order."""
+    inverses = [sorted(range(len(s)), key=s.__getitem__) for s in gens]
+    identity = list(range(len(gens[0])))
+    words, length = pseudoarc.STABILIZER_WORDS, pseudoarc.WORD_LENGTH
+    letters = iter(rng.choices(gens, k=words * length))
+    out = []
+    w = identity
+    for _ in range(words):
+        for _ in range(length):
+            w = list(map(next(letters).__getitem__, w))
+        g, x = w, w[b]
+        while x != b:
+            inv = inverses[vec[x]]
+            g = list(map(inv.__getitem__, g))
+            x = inv[x]
+        if g != identity and g not in out:
+            out.append(g)
+    return out
+
+
+def test_stabilizer_matches_the_list_map_version():
+    # the arcs grid families and their extensions, and the smallest
+    # family with an accepted generator: two conic points that t -> 1/t
+    # swaps; at every orbit head, and again one level down
+    families = [els for case in ARCS_GRID_CASES for els in curve_families(*case)]
+    fld = GF.get(5, 1)
+    families.append([Subspace(fld, 3, [fld.wrap(r) for r in osc_ints(fld, t, 0, 3)])
+                     for t in (0, INFINITY)])
+    compared = 0
+    for els in families:
+        top = pseudoarc._curve_permutations(els[0].field, [el.int_rows for el in els])
+        levels = [(top, list(range(len(els))))]
+        for gens, points in levels:
+            orbits, vec = pseudoarc._orbits(gens, points)
+            for b, *others in orbits:
+                if not others:
+                    continue
+                sub = pseudoarc._stabilizer(gens, b, vec, Random(b))
+                assert [list(g) for g in sub] == list_map_stabilizer(gens, b, vec, Random(b))
+                compared += len(sub)
+                if sub and len(levels) < 3:
+                    levels.append((sub, [x for x in points if x != b]))
+    assert top == [[1, 0]] and compared > 100
 
 
 def test_last_level_rank_test_on_duplicates_at_the_last_index():

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import pseudoarcs
 
@@ -94,4 +95,35 @@ def test_randomness_is_seeded_and_local():
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "Random" and not node.args):
                 found.append("%s:%d unseeded Random()" % (path.name, node.lineno))
+    assert found == []
+
+
+def _foreign_imports(tree):
+    """(module, line) of every import of a module that is neither in the
+    standard library nor the package itself; relative imports are the
+    package's own."""
+    allowed = set(sys.stdlib_module_names) | {"pseudoarcs"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(m, node.lineno) for m in modules if m.split(".")[0] not in allowed]
+    return found
+
+
+def test_library_imports_only_the_standard_library():
+    # the package has no runtime dependencies; a kernel that reaches for
+    # numpy or another third-party module must not slip in
+    assert _foreign_imports(ast.parse(
+        "from __future__ import annotations\nimport numpy as np\n"
+        "from numpy.linalg import det\nimport os.path\nfrom . import gf\n"
+        "from pseudoarcs.gf import GF\n")) == [("numpy", 2), ("numpy.linalg", 3)]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d %s" % (path.name, line, m) for m, line in _foreign_imports(tree)]
     assert found == []
