@@ -15,8 +15,8 @@ from .pseudoarc import (ArcVerdict, PseudoArc, SmallFieldWarning, Tag,
                         contained_in_spread, extend_with_osculating,
                         is_pseudo_arc, thas_bound)
 from .quadrics import (IntersectionVerdict, QuadraticForm,
-                       is_complete_intersection, nrc_quadric_system,
-                       trace_reduce, vanishing_space)
+                       is_complete_intersection, monomial_pairs,
+                       nrc_quadric_system, trace_reduce, vanishing_space)
 from .codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
                     code_from_subspaces, encode, erasure_decode,
                     evaluation_code, extend_with_derivatives, fold_columns,
@@ -37,7 +37,7 @@ __all__ = [
     "build_desarguesian_arc", "build_imaginary_arc", "contained_in_spread",
     "extend_with_osculating", "is_pseudo_arc", "thas_bound",
     "IntersectionVerdict", "QuadraticForm",
-    "is_complete_intersection", "nrc_quadric_system",
+    "is_complete_intersection", "monomial_pairs", "nrc_quadric_system",
     "trace_reduce", "vanishing_space",
     "ERASED", "AdditiveCode", "CoordSpec", "DecodeError",
     "code_from_subspaces", "encode", "erasure_decode", "evaluation_code",

@@ -147,6 +147,8 @@ def cmd_verify_example(args):
 
 
 def cmd_lambda(args):
+    if args.k < 2:
+        raise ValueError("k must be at least 2")
     tow = _tower_for(args.q, args.h)
     reps = frobenius_orbit_reps(tow)
     expected = orbit_rep_count(args.q, args.h)

@@ -748,16 +748,16 @@ class FieldTower:
 
         Independence of omega, omega^q, ..., omega^(q^(h-1)) over GF(q) is
         tested through the h x h matrix of conjugates [omega^(q^(i+j mod h))],
-        nonsingular exactly in the normal case.
+        of rank h exactly in the normal case.
         """
         if self._omega is not None:
             return self._omega
         h, q, top = self.h, self.q, self.top
         for v in range(1, top.order):
             w = top.element(v)
-            conj = [w ** (q ** i) for i in range(h)]
+            conj = [(w ** (q ** i)).val for i in range(h)]
             mat = [[conj[(i + j) % h] for j in range(h)] for i in range(h)]
-            if linalg.det(mat):
+            if linalg.rank_ints(top, mat) == h:
                 self._omega = w
                 return w
         raise InvariantError("no normal element found")
@@ -802,12 +802,11 @@ class FieldTower:
         p, e, h = self.p, self.e, self.h
         top, fp = self.top, GF.get(p, 1)
         # column (m, a): the digits of omega_m times the base monomial p^a
-        cols = [fp.wrap(top.digits(top.mul(self.embed_table[p ** a], w.val)))
+        cols = [top.digits(top.mul(self.embed_table[p ** a], w.val))
                 for w in self.normal_basis() for a in range(e)]
         # column i of the inverse: the coordinates of the top element p^i
-        inv = linalg.inverse(list(zip(*cols)))
-        unit = [tuple(self.base.encode([x.val for x in col[m * e:(m + 1) * e]])
-                      for m in range(h))
+        inv = linalg.inverse_ints(fp, list(zip(*cols)))
+        unit = [tuple(self.base.encode(col[m * e:(m + 1) * e]) for m in range(h))
                 for col in zip(*inv)]
         add = self.base.add
         width = 1
@@ -831,10 +830,10 @@ class FieldTower:
         h = self.h
         if len(basis) != h:
             raise ValueError("basis must have %d elements" % h)
-        gram = [[self.rel_trace(basis[i] * basis[j]) for j in range(h)]
+        gram = [[self.rel_trace(basis[i] * basis[j]).val for j in range(h)]
                 for i in range(h)]
         try:
-            ginv = linalg.inverse(gram)
+            ginv = [self.base.wrap(r) for r in linalg.inverse_ints(self.base, gram)]
         except linalg.SingularMatrixError:
             raise ValueError("elements are not an F_q-basis") from None
         dual = []

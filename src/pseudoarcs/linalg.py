@@ -1,14 +1,14 @@
-"""Dense exact linear algebra over a finite field.
+"""Dense exact linear algebra over a finite field, on int rows.
 
-Matrices are plain lists of lists of FieldElement, all from one field.
-The eliminations (rref, rank, det and everything built on them) run on
-integer encodings: the matrix is unwrapped to int rows once, reduced
-with the row operations its GF hands out (``sub_scaled`` and
-``scaled``), and the result is wrapped again.  ``insert_row`` is the one
-elimination step; callers that keep int rows, such as subspaces, the
-k-subset verifier and the quadric conditions, use it and the ``_ints``
-functions directly.  Everything is deterministic: pivots are chosen
-topmost first, never by magnitude.
+A matrix is a list of rows of integer encodings of one GF, and every
+routine takes that field first.  The rows are reduced with the row
+operations the field hands out (``sub_scaled`` and ``scaled``);
+``insert_row`` is the one elimination step, and ``rref_ints``,
+``rank_ints``, ``nullspace_ints`` and ``inverse_ints`` are built on it.
+``det``, ``rref`` and ``solve`` are the FieldElement entry points: they
+unwrap the matrix to int rows once and wrap the result again.
+Everything is deterministic: pivots are chosen topmost first, never by
+magnitude.
 """
 
 from __future__ import annotations
@@ -18,39 +18,6 @@ from . import gf
 
 class SingularMatrixError(ValueError):
     """Raised when a linear system has no unique solution."""
-
-
-def identity(field, n):
-    z, o = field.zero, field.one
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
-def mat_mul(a, b):
-    bt = transpose(b)
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = row[0] * col[0]
-            for x, y in zip(row[1:], col[1:]):
-                acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            acc = acc + x * y
-        out.append(acc)
-    return out
 
 
 def _unwrap(rows):
@@ -136,12 +103,6 @@ def rank_ints(field, mat):
     return len(_echelon(field, mat))
 
 
-def rank(rows):
-    if not rows or not rows[0]:
-        return 0
-    return rank_ints(*_unwrap(rows))
-
-
 def vec_mat_ints(field, v, mat):
     """The int row ``v`` times the int matrix ``mat``: the combination of
     the rows of ``mat`` by the entries of ``v``."""
@@ -172,20 +133,18 @@ def nullspace_ints(field, mat, ncols):
     return basis
 
 
-def nullspace(rows, ncols=None, field=None):
-    """Canonical basis of the right kernel {x : rows * x = 0}:
-    ``nullspace_ints`` on the encodings, wrapped again.
-
-    For an empty row list, ``ncols`` and ``field`` must be given; the result
-    is then the standard basis.
-    """
-    mat = []
-    if rows:
-        ncols = len(rows[0])
-        field, mat = _unwrap(rows)
-    if ncols is None or field is None:
-        raise ValueError("nullspace of an empty matrix needs ncols and field")
-    return [field.wrap(r) for r in nullspace_ints(field, mat, ncols)]
+def inverse_ints(field, mat):
+    """Inverse of a square int matrix: the right half of ``rref_ints``
+    on (M | I).  Raises SingularMatrixError when M is singular."""
+    n = len(mat)
+    if n == 0 or any(len(r) != n for r in mat):
+        raise ValueError("inverse needs a nonempty square matrix, got %d x %d"
+                         % (n, next((len(r) for r in mat if len(r) != n), n)))
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(mat)]
+    red, pivots = rref_ints(field, aug)
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 def det(rows):
@@ -228,16 +187,3 @@ def solve(a, b):
     if pivots != list(range(n)):
         raise SingularMatrixError("columns are linearly dependent")
     return [red[i][n] for i in range(n)]
-
-
-def inverse(a):
-    n = len(a)
-    if n == 0 or any(len(r) != n for r in a):
-        raise ValueError("inverse needs a nonempty square matrix, got %d x %d"
-                         % (n, next((len(r) for r in a if len(r) != n), n)))
-    field = a[0][0].field
-    aug = [list(row) + ident_row for row, ident_row in zip(a, identity(field, n))]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in red]

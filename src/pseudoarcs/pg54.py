@@ -125,11 +125,6 @@ def fixture_points(tow: FieldTower) -> List[List[FieldElement]]:
     return _points(tow, w_element(tow))
 
 
-def conjugate_points(tow: FieldTower) -> List[List[FieldElement]]:
-    """Entrywise Frobenius images of the eleven points."""
-    return _conjugates(tow, fixture_points(tow))
-
-
 def fixture_matrix(tow: FieldTower) -> List[List[FieldElement]]:
     e = e_element(tow)
     return [_base_vector(tow, row, e) for row in _MATRIX]
@@ -137,8 +132,7 @@ def fixture_matrix(tow: FieldTower) -> List[List[FieldElement]]:
 
 def fixture_lines(tow: FieldTower) -> List[Subspace]:
     """The eleven lines of PG(5, 4), in order."""
-    w = w_element(tow)
-    return _lines(tow, _points(tow, w), w ** 5)
+    return _lines(tow, fixture_points(tow), e_element(tow))
 
 
 def fixture_code(tow: FieldTower) -> AdditiveCode:

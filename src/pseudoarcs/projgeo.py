@@ -14,9 +14,8 @@ import itertools
 from typing import Iterable, List, Sequence
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, GF, InvariantError
-from .linalg import (SingularMatrixError, identity, nullspace_ints, rank,
-                     rank_ints, reduce_row, rref_ints, solve, transpose,
-                     vec_mat_ints)
+from .linalg import (SingularMatrixError, nullspace_ints, rank_ints, reduce_row,
+                     rref_ints, solve, vec_mat_ints)
 
 
 class Subspace:
@@ -135,7 +134,8 @@ def span(points: Iterable[Sequence[FieldElement]]) -> Subspace:
 
 
 def ambient_space(field: GF, n: int) -> Subspace:
-    return Subspace(field, n, identity(field, n))
+    return Subspace(field, n, [field.wrap(int(i == j) for j in range(n))
+                               for i in range(n)])
 
 
 def join(u: Subspace, w: Subspace) -> Subspace:
@@ -153,7 +153,7 @@ def intersect(u: Subspace, w: Subspace) -> Subspace:
         return Subspace.from_ints(fld, u.ambient_dim, [])
     neg = fld.neg
     stacked = list(u.int_rows) + [[neg(x) for x in r] for r in w.int_rows]
-    kernel = nullspace_ints(fld, transpose(stacked), len(stacked))
+    kernel = nullspace_ints(fld, list(zip(*stacked)), len(stacked))
     result = Subspace.from_ints(fld, u.ambient_dim,
                                 [vec_mat_ints(fld, kv[:u.rank], u.int_rows)
                                  for kv in kernel])
@@ -242,10 +242,8 @@ class Spread:
         director = Subspace(tow.top, n, frame)
         if director.rank != k:
             raise ValueError("frame rows are dependent")
-        stacked = []
-        for row in frame:
-            stacked.extend(conjugate_rows(tow, row))
-        if rank(stacked) != n:
+        stacked = [[x.val for x in r] for row in frame for r in conjugate_rows(tow, row)]
+        if rank_ints(tow.top, stacked) != n:
             raise ValueError("director and its conjugates do not span the space")
         self.tow = tow
         self.h = tow.h
@@ -271,7 +269,7 @@ class Spread:
     def point_coordinates(self, point: Sequence[FieldElement]) -> List[FieldElement]:
         """Frame coordinates of an ambient point lying in the director
         space (inverse of embed_point up to scalars)."""
-        return solve(transpose([list(r) for r in self.frame]), list(point))
+        return solve([list(col) for col in zip(*self.frame)], list(point))
 
     def element_through(self, coords: Sequence[FieldElement]) -> Subspace:
         """The spread element determined by a director point, given by

@@ -15,7 +15,7 @@ import itertools
 from typing import List, Optional, Sequence, Tuple
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, GF, InvariantError
-from .linalg import det, insert_row, nullspace_ints, rref_ints
+from .linalg import insert_row, nullspace_ints, rank_ints, rref_ints
 from .projgeo import Subspace
 
 
@@ -201,8 +201,8 @@ def trace_reduce(form: QuadraticForm, tow: FieldTower,
     h = tow.h
     if form.field is not tow.top:
         raise ValueError("expected a top-level form")
-    if len(basis) != h or not det(
-            [[tow.rel_trace(a * b) for b in basis] for a in basis]):
+    if len(basis) != h or rank_ints(
+            tow.base, [[tow.rel_trace(a * b).val for b in basis] for a in basis]) != h:
         raise ValueError("not a basis of the extension")
     top_coeffs = dict(zip(_layout(form.n)[0], form.coeffs))
     coeffs = []

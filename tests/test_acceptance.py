@@ -21,7 +21,7 @@ from pseudoarcs.codes import (ERASED, encode, erasure_decode,
                               evaluation_code, extend_with_derivatives,
                               fold_columns, is_mds, min_distance)
 from pseudoarcs.gf import Poly, factor_prime_power, tower
-from pseudoarcs.linalg import rank
+from pseudoarcs.linalg import rank_ints
 from pseudoarcs.nrc import frobenius_orbit_reps, nrc_points, orbit_rep_count
 from pseudoarcs.pg54 import verify_fixture
 from pseudoarcs.projgeo import Subspace, block_spread, canonical_spread, spread_membership
@@ -146,9 +146,10 @@ def test_criterion_06_nrc_vanishing_dimension_and_system_span():
         assert len(basis) == expected, (k, q)
         system = nrc_quadric_system(field, k)
         assert len(system) == expected
-        stacked = [list(f.coeffs) for f in basis]
-        assert rank(stacked) == expected
-        assert rank(stacked + [list(f.coeffs) for f in system]) == expected
+        stacked = [[c.val for c in f.coeffs] for f in basis]
+        assert rank_ints(field, stacked) == expected
+        assert rank_ints(field, stacked + [[c.val for c in f.coeffs]
+                                           for f in system]) == expected
 
 
 def test_criterion_06_small_field_gap_at_k5_q7():
@@ -163,8 +164,8 @@ def test_criterion_06_small_field_gap_at_k5_q7():
     extra = QuadraticForm.from_pairs(field, 5, {(3, 4): 1, (0, 1): 6})
     assert all(not extra.evaluate(list(p.coords)) for p in pts)
     system = nrc_quadric_system(field, 5)
-    assert rank([list(f.coeffs) for f in system] +
-                [list(extra.coeffs)]) == len(system) + 1
+    assert rank_ints(field, [[c.val for c in f.coeffs]
+                             for f in system + [extra]]) == len(system) + 1
     pytest.xfail("dimension at (k, q) = (5, 7) is 7, not binom(4,2) = 6; "
                  "q = 7 < 2k - 1 is below the agreement threshold")
 

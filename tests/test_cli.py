@@ -70,6 +70,14 @@ def test_lambda_json_document(capsys):
                                  for p in nrc_points(tow.top, 4)]
 
 
+@pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+def test_lambda_refuses_a_k_below_2(capsys, mode):
+    # text mode used to ignore --k, JSON mode to fail on the curve length
+    for k in ("1", "0", "-1"):
+        code, out, err = run(capsys, "lambda", "--h", "2", "--q", "7", "--k", k, *mode)
+        assert (code, out, err) == (2, "", "error: k must be at least 2\n")
+
+
 def test_construct_and_verify_roundtrip(capsys, tmp_path):
     arc_path = write_arc(capsys, tmp_path)
     code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2")

@@ -19,7 +19,7 @@ from pseudoarcs.codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
                               evaluation_code, extend_with_derivatives,
                               fold_columns, is_mds, min_distance)
 from pseudoarcs.gf import FieldMismatchError, InvariantError, Poly, tower
-from pseudoarcs.linalg import rank
+from pseudoarcs.linalg import rank_ints
 from pseudoarcs.nrc import (frobenius_orbit_reps, orbit_rep_count, osc_basis,
                             osc_basis_infty)
 from pseudoarcs.projgeo import canonical_spread, span
@@ -352,8 +352,8 @@ def test_generator_rank_is_taken_over_the_base_field():
 def full_row_rank(tow, rows):
     """The rank over the base field of int rows with every entry
     expanded to its normal-basis coordinates."""
-    return rank([[c for v in row for c in tow.normal_coords(tow.top.element(v))]
-                 for row in rows])
+    return rank_ints(tow.base, [[c for v in row for c in tow.normal_ints(v)]
+                                for row in rows])
 
 
 def test_generator_rank_by_columns_matches_full_row_expansion():

@@ -471,6 +471,17 @@ def test_normal_element_smallest_and_valid():
             assert dep, "smaller normal element exists"
 
 
+def test_dual_basis_is_trace_dual_and_refuses_a_dependent_list():
+    t = tower(5, 1, 2)
+    top, w = t.top, t.normal_element()
+    basis = t.normal_basis()
+    dual = t.dual_basis(basis)
+    assert [[t.rel_trace(b * d).val for d in dual] for b in basis] == [[1, 0], [0, 1]]
+    for dependent in ([w, w], [top(1), top(3)]):
+        with pytest.raises(ValueError, match="^elements are not an F_q-basis$"):
+            t.dual_basis(dependent)
+
+
 def test_normal_coords_roundtrip():
     # (2, 3, 3) and (3, 3, 2) read their encodings in two chunks
     for (p, e, h) in [(2, 2, 2), (5, 1, 2), (2, 1, 3), (3, 2, 2), (3, 1, 3),

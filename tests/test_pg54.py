@@ -13,9 +13,9 @@ from pseudoarcs import pg54
 from pseudoarcs.cli import main
 from pseudoarcs.codes import fold_columns
 from pseudoarcs.gf import tower
-from pseudoarcs.pg54 import (conjugate_points, e_element, fixture_code,
-                             fixture_lines, fixture_matrix, fixture_points,
-                             fixture_tower, verify_fixture, w_element)
+from pseudoarcs.pg54 import (e_element, fixture_code, fixture_lines,
+                             fixture_matrix, fixture_points, fixture_tower,
+                             verify_fixture, w_element)
 from pseudoarcs.pg54 import _top_vector
 from pseudoarcs.projgeo import field_reduction
 from pseudoarcs.linalg import det
@@ -30,6 +30,11 @@ _PRINTED_CONJUGATES = {
     10: (0, 14, 14, 7, 4, 6),
     11: (0, 4, 8, 9, 12, 6),
 }
+
+
+def conjugate_points(tow):
+    """Entrywise Frobenius images of the eleven points."""
+    return [[tow.frobenius(x, 1) for x in pt] for pt in fixture_points(tow)]
 
 
 def test_defining_constants():

@@ -3,17 +3,20 @@ oracles for the rational-point and block-coordinate structure and the
 FieldElement conjugate-span-and-trace route as the reference for field
 reduction."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
 
 from pseudoarcs.gf import GF, FieldMismatchError, tower
-from pseudoarcs.linalg import (SingularMatrixError, det, identity, mat_mul,
-                               mat_vec, transpose)
+from pseudoarcs.linalg import (SingularMatrixError, det, inverse_ints,
+                               vec_mat_ints)
 from pseudoarcs.projgeo import (Spread, Subspace, ambient_space, block_spread,
                                 canonical_spread, conjugate_rows,
-                                field_reduction, intersect, join,
+                                field_reduction, field_reduction_ints,
+                                intersect, join,
                                 lift_subspace, span, apply_projectivity,
                                 spread_membership)
 
@@ -24,6 +27,16 @@ def rand_subspace(fld, ambient, nrows, rng):
     rows = [[fld(rng.randrange(fld.order)) for _ in range(ambient)]
             for _ in range(nrows)]
     return Subspace(fld, ambient, rows)
+
+
+def identity(fld, n):
+    return [fld.wrap(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def columns(m):
+    """The encodings of the columns of a FieldElement matrix: its
+    transpose as int rows."""
+    return [[x.val for x in col] for col in zip(*m)]
 
 
 def rand_invertible(fld, n, rng):
@@ -233,7 +246,8 @@ def test_rationalize_commutes_with_rational_projectivities():
     for _ in range(5):
         m_base = rand_invertible(t.base, 4, rng)
         m_top = [[t.lift(x) for x in row] for row in m_base]
-        lhs = field_reduction(t, mat_vec(m_top, v))
+        lhs = field_reduction_ints(t, vec_mat_ints(t.top, [x.val for x in v],
+                                                   columns(m_top)))
         rhs = apply_projectivity(m_base, field_reduction(t, v))
         assert lhs == rhs
 
@@ -243,8 +257,8 @@ def test_apply_projectivity_basics():
     s = rand_subspace(F5, 4, 2, rng)
     assert apply_projectivity(identity(F5, 4), s) == s
     m = rand_invertible(F5, 4, rng)
-    from pseudoarcs.linalg import inverse
-    assert apply_projectivity(inverse(m), apply_projectivity(m, s)) == s
+    m_inv = [F5.wrap(r) for r in inverse_ints(F5, [[x.val for x in r] for r in m])]
+    assert apply_projectivity(m_inv, apply_projectivity(m, s)) == s
     singular = [[F5(1), F5(2), F5(0), F5(0)]] * 4
     with pytest.raises(SingularMatrixError):
         apply_projectivity(singular, s)
@@ -485,7 +499,9 @@ def test_apply_projectivity_matches_element_product():
             s = Subspace(fld, n, rand_rows(fld, n, rng.randrange(0, n + 1), rng))
             m = rand_invertible(fld, n, rng)
             got = apply_projectivity(m, s)
-            image = mat_mul([list(r) for r in s.rows], transpose(m))
+            # r * M^T, entry by entry on elements
+            image = [[functools.reduce(operator.add, map(operator.mul, r, row))
+                      for row in m] for r in s.rows]
             assert got == Subspace(fld, n, image)
 
 
@@ -509,4 +525,7 @@ def test_subspace_refuses_an_ambient_dimension_below_one():
         with pytest.raises(ValueError, match="ambient_dim must be at least 1, "
                                              "found %d" % n):
             Subspace(f5, n, [])
+        with pytest.raises(ValueError, match="ambient_dim must be at least 1, "
+                                             "found %d" % n):
+            ambient_space(f5, n)
     assert Subspace(f5, 1, [[f5.one]]).rank == 1

@@ -19,7 +19,7 @@ import pytest
 
 from pseudoarcs import projgeo, pseudoarc
 from pseudoarcs.gf import GF, FieldTower, InvariantError, tower
-from pseudoarcs.linalg import det, rank, rref_ints, vec_mat_ints
+from pseudoarcs.linalg import det, rank_ints, rref_ints, vec_mat_ints
 from pseudoarcs.nrc import (INFINITY, curve_projectivity,
                             frobenius_orbit_reps, nrc_points,
                             orbit_rep_count, osc_ints, veronese)
@@ -37,8 +37,8 @@ from pseudoarcs.pseudoarc import (ArcVerdict, PseudoArc, SmallFieldWarning,
 def stacked_rank(elements, subset):
     rows = []
     for i in subset:
-        rows.extend([list(r) for r in elements[i].rows])
-    return rank(rows)
+        rows.extend([x.val for x in r] for r in elements[i].rows)
+    return rank_ints(elements[subset[0]].field, rows)
 
 
 def reference_det(rows):

@@ -20,7 +20,7 @@ import pytest
 
 from pseudoarcs import quadrics
 from pseudoarcs.gf import GF, FieldMismatchError, tower
-from pseudoarcs.linalg import nullspace, rref
+from pseudoarcs.linalg import nullspace_ints, rank_ints, rref_ints
 from pseudoarcs.nrc import nrc_points
 from pseudoarcs.projgeo import Subspace, span
 from pseudoarcs.pseudoarc import (SmallFieldWarning, build_imaginary_arc,
@@ -91,10 +91,9 @@ def reference_vanishing_space(subspaces, field=None, ambient_dim=None):
             if key in seen:
                 continue
             seen.add(key)
-            conditions.append([pt[i] * pt[j] for (i, j) in pairs])
-    kernel = nullspace(conditions, ncols=len(pairs), field=field)
-    basis, _ = rref(kernel) if kernel else ([], [])
-    return [QuadraticForm(field, ambient_dim, row) for row in basis]
+            conditions.append([(pt[i] * pt[j]).val for (i, j) in pairs])
+    basis, _ = rref_ints(field, nullspace_ints(field, conditions, len(pairs)))
+    return [QuadraticForm(field, ambient_dim, field.wrap(row)) for row in basis]
 
 
 def test_monomial_pairs_layout():
@@ -292,8 +291,10 @@ def test_trace_reduce_rejects_non_basis():
     tow = tower(5, 1, 2)
     top = tow.top
     form = QuadraticForm.from_pairs(top, 2, {(0, 1): 1})
-    with pytest.raises(ValueError):
-        trace_reduce(form, tow, [top.one, top(2)], top.one)
+    for basis in ([top.one, top(2)], [top(1), top(3)], [tow.normal_element()] * 2,
+                  [top.one]):
+        with pytest.raises(ValueError, match="^not a basis of the extension$"):
+            trace_reduce(form, tow, basis, top.one)
     base_form = QuadraticForm.from_pairs(tow.base, 2, {(0, 1): 1})
     with pytest.raises(ValueError):
         trace_reduce(base_form, tow, list(tow.normal_basis()), top.one)
@@ -549,12 +550,11 @@ def test_vanishing_space_dimension_oracle():
     f3 = GF.get(3, 1)
     pts = point_spans(f3, nrc_points(f3, 3))
     forms = vanishing_space(pts)
-    from pseudoarcs.linalg import rank
     conditions = []
     for p in nrc_points(f3, 3):
         v = list(p.coords)
-        conditions.append([v[i] * v[j] for (i, j) in monomial_pairs(3)])
-    assert len(forms) == 6 - rank(conditions)
+        conditions.append([(v[i] * v[j]).val for (i, j) in monomial_pairs(3)])
+    assert len(forms) == 6 - rank_ints(f3, conditions)
 
 
 ARC_PARAMS = [(2, 1, 2, 2), (2, 2, 2, 2), (3, 1, 2, 2), (5, 1, 2, 2),

@@ -127,3 +127,48 @@ def test_library_imports_only_the_standard_library():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += ["%s:%d %s" % (path.name, line, m) for m, line in _foreign_imports(tree)]
     assert found == []
+
+
+BENCH = SRC.parent.parent / "bench"
+
+
+def _references(tree):
+    """Every name a module mentions, keyed by the public top-level
+    function or class it is mentioned in (None outside them): AST names,
+    attribute names and imported names, not text."""
+    refs = {}
+    for stmt in tree.body:
+        owner = None
+        if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_")):
+            owner = stmt.name
+        found = refs.setdefault(owner, set())
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.split(".")[-1])
+    return refs
+
+
+def test_unexported_names_have_a_caller():
+    # a public function or class outside __all__ is kept only for the
+    # library or the bench; one that only the tests call is dead code
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    exported = set(pseudoarcs.__all__)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in trees[path].body:
+            if (not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    or stmt.name.startswith("_") or stmt.name in exported):
+                continue
+            if not any(stmt.name in names
+                       for other, by_owner in refs.items()
+                       for owner, names in by_owner.items()
+                       if (other, owner) != (path, stmt.name)):
+                found.append("%s %s" % (path.stem, stmt.name))
+    assert found == []
