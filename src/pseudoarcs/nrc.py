@@ -3,8 +3,7 @@
 Points of the degree-(N-1) rational curve are parametrized by the
 projective line: an affine parameter t gives (1, t, ..., t^(N-1)), and
 the point at infinity gives (0, ..., 0, 1).  The module also provides
-derivative row matrices (osculating bases), the int matrices of the
-curve's projectivities t -> (at + b)/(ct + d), the generator test for
+derivative row matrices (osculating bases), the generator test for
 extension-field elements, and canonical representatives of the
 Frobenius orbits of maximal size.
 """
@@ -114,38 +113,6 @@ def osc_ints(field: GF, t, order: int, length: int) -> List[List[int]]:
 def osc_basis_infty(field: GF, order: int, length: int) -> List[List[FieldElement]]:
     """Derivative rows at the point at infinity (see :func:`osc_ints`)."""
     return [field.wrap(row) for row in osc_ints(field, INFINITY, order, length)]
-
-
-def curve_projectivity(field: GF, a: int, b: int, c: int, d: int,
-                       length: int) -> List[List[int]]:
-    """Int matrix of the curve map t -> (at + b)/(ct + d) on row vectors
-    of the given length, for encodings with ad - bc nonzero.
-
-    Entry [j][i] is the coefficient of t^j in (at + b)^i (ct + d)^(length-1-i),
-    so the row v maps to v * M and the curve point of t to a multiple of
-    the curve point of its image.  The entries lie in ``field``, so the
-    map commutes with Frobenius when ``field`` is the base of a tower.
-    """
-    mul, add = field.mul, field.add
-    if mul(a, d) == mul(b, c):
-        raise ValueError("ad - bc is zero: not a projectivity")
-
-    def powers(const, lin):
-        """Coefficient lists of (lin*t + const)^i for i < length."""
-        out = [[1]]
-        for _ in range(length - 1):
-            prev = out[-1]
-            out.append([add(mul(const, u), mul(lin, w))
-                        for u, w in zip(prev + [0], [0] + prev)])
-        return out
-
-    num, den = powers(b, a), powers(d, c)
-    mat = [[0] * length for _ in range(length)]
-    for i in range(length):
-        for j, u in enumerate(num[i]):
-            for l, w in enumerate(den[length - 1 - i]):
-                mat[j + l][i] = add(mat[j + l][i], mul(u, w))
-    return mat
 
 
 def is_imaginary(alpha: FieldElement, tow: FieldTower) -> bool:

@@ -1,7 +1,8 @@
 """Projective subspaces over a field tower.
 
 A Subspace is the row space of a full-rank matrix in reduced row-echelon
-form, so two subspaces are equal exactly when their representations are.
+form, so two subspaces are equal exactly when their representations are;
+rows handed in are checked for that form, and only others are reduced.
 Subspaces live at one of the two levels of a tower: over the base field
 F_q, or over the extension F_{q^h}.  The module provides spans,
 intersections, field reduction of a top-level vector down to the
@@ -29,31 +30,52 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "int_rows", "pivots", "_hash", "_rows")
 
     def __init__(self, field: GF, ambient_dim: int, rows: Sequence[Sequence[FieldElement]]):
-        if ambient_dim < 1:
-            raise ValueError("ambient_dim must be at least 1, found %d" % ambient_dim)
         mat = []
         for r in rows:
             if len(r) != ambient_dim:
                 raise ValueError("row length does not match ambient dimension")
-            if any(x.field is not field for x in r):
+            vals = [x.val for x in r if x.field is field]
+            if len(vals) != ambient_dim:
                 raise FieldMismatchError("subspace rows must have entries in %r" % field)
-            mat.append([x.val for x in r])
+            mat.append(vals)
         self._reduce(field, ambient_dim, mat)
 
     @classmethod
     def from_ints(cls, field: GF, ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
         """The row space of int rows, each of ``ambient_dim`` encodings
-        of ``field``; neither is checked.  The rows are reduced here, so
-        no caller can hand in a basis that is not canonical."""
+        of ``field``; neither is checked.  The rows are checked, and
+        reduced unless already canonical, so no caller can hand in a
+        basis that is not canonical."""
         self = cls.__new__(cls)
         self._reduce(field, ambient_dim, rows)
         return self
 
     def _reduce(self, field, ambient_dim, mat):
-        red, pivots = rref_ints(field, mat)
+        """Keep int rows that are already in reduced echelon form, and
+        reduce any others with ``rref_ints``; the reduced form is unique,
+        so both give the same rows.
+
+        One pass over the columns tests the form, r the number of pivots
+        found so far: a column that is the unit vector e_r is row r's
+        pivot (its leading 1, 0 in every other row), and any other column
+        must be 0 in row r and below.  So each row is 0 before its pivot,
+        the pivots increase, and a zero row never gets its pivot."""
+        if ambient_dim < 1:
+            raise ValueError("ambient_dim must be at least 1, found %d" % ambient_dim)
+        rank, pivots = len(mat), []
+        for j, col in enumerate(zip(*mat)):
+            r = len(pivots)
+            if r == rank:
+                break
+            if col[r] == 1 and col.count(0) == rank - 1:
+                pivots.append(j)
+            elif any(col[r:]):
+                break
+        if len(pivots) < rank:
+            mat, pivots = rref_ints(field, mat)
         self.field = field
         self.ambient_dim = ambient_dim
-        self.int_rows = tuple(map(tuple, red))
+        self.int_rows = tuple(map(tuple, mat))
         self.pivots = tuple(pivots)
         self._hash = hash((field.p, field.m, ambient_dim, self.int_rows))
         self._rows = None

@@ -15,6 +15,7 @@ whole family at once: one int list per matrix entry holds that entry
 for every element, and the field's row ops update it for all of them.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter, methodcaller
@@ -24,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .gf import FieldElement, FieldTower, InvariantError
 from .linalg import (SingularMatrixError, insert_row, reduce_row, rref_ints,
                      vec_mat_ints)
-from .nrc import INFINITY, curve_projectivity, frobenius_orbit_reps, osc_ints
+from .nrc import INFINITY, frobenius_orbit_reps, osc_ints
 from .projgeo import Spread, Subspace, spread_membership
 
 
@@ -347,6 +348,19 @@ def _column_pass(fld, mat, pivots, group):
     return list(zip(*out))
 
 
+def _curve_generators(fld, n):
+    """The int matrices of t -> t + 1, t -> xi*t and t -> 1/t, xi the
+    primitive element, on row vectors of length n: entry [j][i] is the
+    coefficient of t^j in the image of t^i.  So they are the binomials
+    C(i, j) mod p, prime-field values encoded as themselves, the
+    diagonal xi^i, and the anti-identity."""
+    xi = fld.primitive_element().val
+    cols = range(n)
+    return ([[math.comb(i, j) % fld.p for i in cols] for j in cols],
+            [[fld.pow(xi, i) if i == j else 0 for i in cols] for j in cols],
+            [[int(i + j == n - 1) for i in cols] for j in cols])
+
+
 def _curve_permutations(fld, rows) -> List[List[int]]:
     """The permutations of the element indices that the curve's
     projectivities induce.  ``rows`` holds the elements' ``int_rows``,
@@ -369,12 +383,9 @@ def _curve_permutations(fld, rows) -> List[List[int]]:
         index.setdefault(el, i)
     if len(index) < size:
         return []
-    n = len(rows[0][0])
-    xi = fld.primitive_element().val
     groups = None
     perms = []
-    for a, b, c, d in ((1, 1, 0, 1), (xi, 0, 0, 1), (0, 1, 1, 0)):
-        mat = curve_projectivity(fld, a, b, c, d, n)
+    for mat in _curve_generators(fld, len(rows[0][0])):
         image = _row_map(fld, mat)
         first = index.get(image(rows[0]))
         if first is None:

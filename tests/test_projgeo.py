@@ -10,9 +10,11 @@ import random
 
 import pytest
 
+from pseudoarcs import jsonio, projgeo
 from pseudoarcs.gf import GF, FieldMismatchError, tower
 from pseudoarcs.linalg import (SingularMatrixError, det, inverse_ints,
-                               vec_mat_ints)
+                               rref_ints, vec_mat_ints)
+from pseudoarcs.pseudoarc import build_imaginary_arc, extend_with_osculating
 from pseudoarcs.projgeo import (Spread, Subspace, ambient_space, block_spread,
                                 canonical_spread, conjugate_rows,
                                 field_reduction, field_reduction_ints,
@@ -529,3 +531,157 @@ def test_subspace_refuses_an_ambient_dimension_below_one():
                                              "found %d" % n):
             ambient_space(f5, n)
     assert Subspace(f5, 1, [[f5.one]]).rank == 1
+
+
+def test_empty_vectors_and_spaces_are_refused_on_every_path():
+    # PG(-1) from an empty vector or empty int rows: field reduction
+    # used to build it
+    with pytest.raises(ValueError, match="ambient_dim must be at least 1, found 0"):
+        field_reduction(tower(2, 2, 2), [])
+    with pytest.raises(ValueError, match="ambient_dim must be at least 1, found 0"):
+        field_reduction_ints(tower(2, 2, 2), [])
+    with pytest.raises(ValueError, match="ambient_dim must be at least 1, found 0"):
+        Subspace.from_ints(GF.get(2, 2), 0, [])
+
+
+# -- the checked path: canonical rows kept, any others reduced ----------------
+
+CHECKED_FIELDS = (GF.get(2, 1), GF.get(7, 1), GF.get(2, 3), GF.get(3, 2))
+
+
+def count_reductions(monkeypatch):
+    """A list that grows by one entry per ``rref_ints`` call that
+    ``Subspace`` makes."""
+    calls = []
+
+    def counting(field, mat):
+        calls.append(len(mat))
+        return rref_ints(field, mat)
+
+    monkeypatch.setattr(projgeo, "rref_ints", counting)
+    return calls
+
+
+def assert_checked_matches_rref(fld, n, rows):
+    sub = Subspace.from_ints(fld, n, rows)
+    red, pivots = rref_ints(fld, [list(r) for r in rows])
+    assert sub.int_rows == tuple(map(tuple, red))
+    assert sub.pivots == tuple(pivots)
+    assert sub == Subspace(fld, n, [fld.wrap(r) for r in rows])
+    return sub
+
+
+def random_canonical_rows(fld, pivots, n, rng):
+    """The reduced int rows of a random subspace with the given pivot
+    columns."""
+    return [[1 if j == c else
+             rng.randrange(fld.order) if j > c and j not in pivots else 0
+             for j in range(n)] for c in pivots]
+
+
+def test_checked_path_matches_rref_on_random_rows():
+    rng = random.Random(83)
+    for fld in CHECKED_FIELDS:
+        for n in range(1, 7):
+            for nrows in range(n + 2):
+                for _ in range(4):
+                    rows = [[rng.randrange(fld.order) for _ in range(n)]
+                            for _ in range(nrows)]
+                    assert_checked_matches_rref(fld, n, rows)
+                    if rows:
+                        # the same rows with each leading entry set to 1
+                        for r in rows:
+                            lead = next((j for j, x in enumerate(r) if x), None)
+                            if lead is not None:
+                                r[lead] = 1
+                        assert_checked_matches_rref(fld, n, rows)
+
+
+def test_canonical_rows_are_kept_without_a_reduction(monkeypatch):
+    # every pivot pattern of every rank, rank 0 and full rank included,
+    # as lists and as tuples
+    calls = count_reductions(monkeypatch)
+    rng = random.Random(89)
+    for fld in CHECKED_FIELDS:
+        for n in range(1, 7):
+            for rank_ in range(n + 1):
+                for pivots in itertools.combinations(range(n), rank_):
+                    rows = random_canonical_rows(fld, pivots, n, rng)
+                    sub = assert_checked_matches_rref(fld, n, rows)
+                    assert sub.int_rows == tuple(map(tuple, rows))
+                    assert Subspace.from_ints(fld, n, tuple(map(tuple, rows))) == sub
+    assert calls == []
+
+
+def near_canonical(fld, pivots, n, rng):
+    """Rows one change away from reduced echelon form, with the change's
+    name: a non-unit pivot, a nonzero above a later pivot, a nonzero
+    before a leading 1, two rows swapped, or a zero row at the start, in
+    the middle or at the end."""
+    rows = random_canonical_rows(fld, pivots, n, rng)
+    r = rng.randrange(len(rows))
+    out = []
+    if fld.order > 2:
+        bad = [list(x) for x in rows]
+        bad[r][pivots[r]] = rng.randrange(2, fld.order)
+        out.append(("non-unit pivot", bad))
+    if r + 1 < len(rows):
+        bad = [list(x) for x in rows]
+        bad[r][pivots[rng.randrange(r + 1, len(rows))]] = rng.randrange(1, fld.order)
+        out.append(("nonzero above a later pivot", bad))
+    # a 1 there would be the row's new leading 1, canonical unless it
+    # lies in an earlier pivot column
+    if pivots[r] > 0 and fld.order > 2:
+        bad = [list(x) for x in rows]
+        bad[r][rng.randrange(pivots[r])] = rng.randrange(2, fld.order)
+        out.append(("nonzero before a leading 1", bad))
+    elif r > 0:
+        bad = [list(x) for x in rows]
+        bad[r][pivots[r - 1]] = 1
+        out.append(("nonzero before a leading 1", bad))
+    if len(rows) > 1:
+        bad = [list(x) for x in rows]
+        bad[r], bad[r - 1] = bad[r - 1], bad[r]
+        out.append(("swapped rows", bad))
+    zero = [0] * n
+    out += [("zero row at the start", [zero] + rows),
+            ("zero row in the middle", rows[:r] + [zero] + rows[r:]),
+            ("zero row at the end", rows + [zero])]
+    return out
+
+
+def test_rows_one_change_from_canonical_are_reduced(monkeypatch):
+    calls = count_reductions(monkeypatch)
+    rng = random.Random(97)
+    seen = set()
+    for fld in CHECKED_FIELDS:
+        for n in range(1, 7):
+            for rank_ in range(1, n + 1):
+                for pivots in itertools.combinations(range(n), rank_):
+                    for kind, rows in near_canonical(fld, pivots, n, rng):
+                        del calls[:]
+                        sub = assert_checked_matches_rref(fld, n, rows)
+                        assert sub.int_rows != tuple(map(tuple, rows)), kind
+                        assert len(calls) == 2, kind
+                        seen.add(kind)
+    assert len(seen) == 7
+
+
+# the arcs grid of the benchmark: (h, k, q) in (2,2,7..16), (2,3,7|8)
+# and (3,2,7), as (p, e, h, k)
+ARCS_GRID = [(7, 1, 2, 2), (3, 2, 2, 2), (11, 1, 2, 2), (13, 1, 2, 2),
+             (2, 4, 2, 2), (7, 1, 2, 3), (2, 3, 2, 3), (7, 1, 3, 2)]
+
+
+def test_imaginary_families_build_and_load_without_a_reduction(monkeypatch):
+    # the imaginary elements come out in reduced form, and a written
+    # family, extended or not, holds reduced rows
+    calls = count_reductions(monkeypatch)
+    for p, e, h, k in ARCS_GRID:
+        arc = build_imaginary_arc(tower(p, e, h), k)
+        assert calls == []
+        for family in (arc, extend_with_osculating(arc)):
+            del calls[:]
+            doc = jsonio.loads(jsonio.dumps(jsonio.arc_to_dict(family)))
+            _, _, elements = jsonio.arc_elements_from_dict(doc)
+            assert calls == [] and elements == list(family.elements)

@@ -20,8 +20,7 @@ import pytest
 from pseudoarcs import projgeo, pseudoarc
 from pseudoarcs.gf import GF, FieldTower, InvariantError, tower
 from pseudoarcs.linalg import det, rank_ints, rref_ints, vec_mat_ints
-from pseudoarcs.nrc import (INFINITY, curve_projectivity,
-                            frobenius_orbit_reps, nrc_points,
+from pseudoarcs.nrc import (INFINITY, frobenius_orbit_reps, nrc_points,
                             orbit_rep_count, osc_ints, veronese)
 from pseudoarcs.projgeo import (Subspace, ambient_space, apply_projectivity,
                                 canonical_spread, field_reduction, intersect,
@@ -72,6 +71,37 @@ def reference_verdict(elements, k):
         if not reference_det(stacked):
             return ArcVerdict(False, subset)
     return ArcVerdict(True)
+
+
+def curve_projectivity(field, a, b, c, d, length):
+    """Int matrix of the curve map t -> (at + b)/(ct + d) on row vectors
+    of the given length, for encodings with ad - bc nonzero: the oracle
+    for the generator matrices the verifier builds directly.
+
+    Entry [j][i] is the coefficient of t^j in (at + b)^i (ct + d)^(length-1-i),
+    so the row v maps to v * M and the curve point of t to a multiple of
+    the curve point of its image.
+    """
+    mul, add = field.mul, field.add
+    if mul(a, d) == mul(b, c):
+        raise ValueError("ad - bc is zero: not a projectivity")
+
+    def powers(const, lin):
+        """Coefficient lists of (lin*t + const)^i for i < length."""
+        out = [[1]]
+        for _ in range(length - 1):
+            prev = out[-1]
+            out.append([add(mul(const, u), mul(lin, w))
+                        for u, w in zip(prev + [0], [0] + prev)])
+        return out
+
+    num, den = powers(b, a), powers(d, c)
+    mat = [[0] * length for _ in range(length)]
+    for i in range(length):
+        for j, u in enumerate(num[i]):
+            for l, w in enumerate(den[length - 1 - i]):
+                mat[j + l][i] = add(mat[j + l][i], mul(u, w))
+    return mat
 
 
 def curve_generators(fld):
@@ -851,6 +881,16 @@ def test_curve_projectivities_are_invertible_and_move_the_curve():
                     assert span([image]) == span([list(target.coords)])
     with pytest.raises(ValueError):
         curve_projectivity(GF.get(5, 1), 1, 2, 2, 4, 3)
+
+
+def test_direct_generator_matrices_match_the_curve_projectivities():
+    # the base fields of the arcs and distance grids: q in 5, 7, 8, 9,
+    # 11, 13, 16
+    for p, e in [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]:
+        fld = GF.get(p, e)
+        for n in range(2, 9):
+            assert list(pseudoarc._curve_generators(fld, n)) == [
+                curve_projectivity(fld, *gen, n) for gen in curve_generators(fld)]
 
 
 def test_thas_bound_values():
