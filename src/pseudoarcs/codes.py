@@ -279,8 +279,10 @@ def min_distance(code: AdditiveCode, max_words: int = WORD_BUDGET) -> int:
     and a weight one bit count.  The budget counts all q^(hk) messages.
     """
     if code.size > max_words:
-        raise ValueError("code has %d words, over the budget %d; "
-                         "use the geometric route" % (code.size, max_words))
+        raise ValueError("code has %d words, over the budget %d; use the geometric "
+                         "route: 'code fold', then 'verify-arc --k %d' on its output, "
+                         "which verifies exactly when the code is MDS"
+                         % (code.size, max_words, code.k_msg))
     tow = code.tow
     q, top = tow.q, tow.top
     pack, add, weight = top.word_ops(code.n)

@@ -10,9 +10,10 @@ curve points.  Verification is exhaustive over k-subsets:
 the curve's projectivities that permute the family generate a group,
 and a walk along its stabilizer chain tests one k-tuple per orbit.
 
-The construction and the upper triangular projectivities work on the
-whole family at once: one int list per matrix entry holds that entry
-for every element, and the field's row ops update it for all of them.
+The construction and the images under the curve's projectivities work
+on the whole family at once: one int list per matrix entry holds that
+entry for every element, and the field's row ops update it for all of
+them.
 """
 
 import math
@@ -226,61 +227,11 @@ def extend_with_osculating(arc: PseudoArc) -> PseudoArc:
                      list(arc.tags) + tags)
 
 
-def _row_map(fld, mat):
-    """The map from a subspace's reduced int rows to the reduced rows of
-    its image under v -> v*M, as the tuple of tuples that keys an element.
-
-    The reversal (t -> 1/t) reverses each row.  Any other M sums
-    multiples c*M_j of its rows, each computed on first use.  Either way
-    the image is then fully reduced."""
-    n = len(mat)
-    if all(mat[i][j] == (1 if i + j == n - 1 else 0)
-           for i in range(n) for j in range(n)):
-        def image(rows):
-            return tuple(map(tuple, rref_ints(fld, [r[::-1] for r in rows])[0]))
-    else:
-        added, scaled = fld.added, fld.scaled
-        multiples = [{} for _ in range(n)]
-
-        def image(rows):
-            out = []
-            for r in rows:
-                w = None
-                for j, c in enumerate(r):
-                    if c:
-                        m = multiples[j].get(c)
-                        if m is None:
-                            m = multiples[j][c] = scaled(c, mat[j])
-                        w = m if w is None else added(w, m)
-                out.append(w)
-            return tuple(map(tuple, rref_ints(fld, out)[0]))
-    return image
-
-
-def _upper_triangular(mat):
-    """Whether every entry below the diagonal is 0."""
-    return all(mat[i][j] == 0 for i in range(len(mat)) for j in range(i))
-
-
-def _images(fld, mat, rows, groups=None) -> list:
-    """The images under v -> v*M of subspaces given by their reduced int
-    rows, in the form ``_row_map`` returns, in order.
-
-    An upper triangular M, as of t -> t + 1 and t -> xi*t, keeps each
-    row's pivot, so the subspaces that share a pivot pattern are imaged
-    together, one column pass each (``_column_pass``).  ``groups`` is
-    ``_pivot_groups(rows)``, computed here when not given.  Any other M
-    images the subspaces one by one through ``_row_map``."""
-    if not _upper_triangular(mat):
-        return list(map(_row_map(fld, mat), rows))
-    if groups is None:
-        groups = _pivot_groups(rows)
-    out = [None] * len(rows)
-    for pivots, members in groups.items():
-        images = _column_pass(fld, mat, pivots, [rows[i] for i in members])
-        for i, image in zip(members, images):
-            out[i] = image
-    return out
+def _image(fld, mat, rows):
+    """The image under v -> v*M of a subspace given by its reduced int
+    rows: the plain product, reduced once, as the tuple of tuples that
+    keys an element."""
+    return tuple(map(tuple, rref_ints(fld, [vec_mat_ints(fld, v, mat) for v in rows])[0]))
 
 
 def _pivot_groups(rows):
@@ -293,59 +244,89 @@ def _pivot_groups(rows):
     return groups
 
 
-def _column_pass(fld, mat, pivots, group):
-    """The images under an upper triangular M of the subspaces in
-    ``group``, whose reduced int rows all have the pivot columns
-    ``pivots``, computed entry by entry: each list below holds one entry
-    of every subspace.
+def _images(fld, mat, rows, groups) -> list:
+    """The images under v -> v*M, M nonsingular, of subspaces given by
+    their reduced int rows, in the form ``_image`` returns, in order.
+    ``groups`` is ``_pivot_groups(rows)``.
 
-    Row r, with pivot c, goes to r*M / M[c][c], which is 0 before c and
-    1 at c.  Its entry in a later column j sums x_i * M[i][j] / M[c][c]
-    over the columns i of r that may be nonzero: c and the non-pivot
-    columns up to j.  The images then only need their entries at the
-    later pivots cleared, latest row first, each by one ``sub_product``
-    per non-pivot column."""
-    size = len(group)
-    if not pivots:
-        return [()] * size
+    The first member of a group is imaged by ``_image``, and the others
+    together: each list below holds one entry of every one of them.  Row
+    r, with pivot c, goes to r*M, row c of M plus x_i times row i of M
+    over the non-pivot columns i > c.  Gauss-Jordan then runs on the
+    pivots of the first member's image, in row order, with no pivot
+    search: step s scales row s by its lead, the entry at pivot s, and
+    clears that column from the other rows, in the non-pivot columns and
+    the later pivots.  A member whose lead is 0 at some step, or whose
+    reduced row s is nonzero in a non-pivot column before pivot s, is
+    imaged by ``_image``.  Every other member's rows are 1 at their
+    pivot, 0 at the other pivots and 0 before their own pivot: the
+    reduced echelon form, which is unique, so they are its ``_image``."""
     n = len(mat)
-    mul, inv, neg = fld.mul, fld.inv, fld.neg
-    scaled, sub_scaled, sub_product = fld.scaled, fld.sub_scaled, fld.sub_product
-    zeros, ones = [0] * size, [1] * size
-    free = [j for j in range(n) if j not in pivots]
-    # entries[r][j]: entry j of row r
-    entries = [list(zip(*rows)) for rows in zip(*group)]
-    images = []
-    for r, c in enumerate(pivots):
-        s = inv(mat[c][c])
-        image = {}
-        for j in range(c + 1, n):
-            coef = mul(mat[c][j], s)
-            acc = [coef] * size if coef else None
-            for i in free:
-                if c < i <= j:
-                    coef = mul(mat[i][j], s)
-                    if coef:
-                        x = entries[r][i]
-                        if acc is None:
-                            acc = x if coef == 1 else scaled(coef, x)
-                        else:
-                            acc = sub_scaled(acc, neg(coef), x)
-            image[j] = zeros if acc is None else acc
-        images.append(image)
-    for a in range(len(pivots) - 2, -1, -1):
-        for b in range(a + 1, len(pivots)):
-            x = images[a][pivots[b]]
-            if any(x):
-                for j in free:
-                    if j > pivots[b]:
-                        images[a][j] = sub_product(images[a][j], x, images[b][j])
-    out = []
-    for r, c in enumerate(pivots):
-        columns = [ones if j == c else images[r][j] if j > c and j in free
-                   else zeros for j in range(n)]
-        out.append(zip(*columns))
-    return list(zip(*out))
+    inv, neg = fld.inv, fld.neg
+    sub_scaled, scaled, added, sub_product = (
+        fld.sub_scaled, fld.scaled, fld.added, fld.sub_product)
+    out = [None] * len(rows)
+    for pivots, (first, *rest) in groups.items():
+        out[first] = image = _image(fld, mat, rows[first])
+        if not rest:
+            continue
+        size = len(rest)
+        zeros, ones = [0] * size, [1] * size
+        free = [j for j in range(n) if j not in pivots]
+        # a[s][j]: entry j of row s, one entry per member
+        a = []
+        for r, c in enumerate(pivots):
+            x = list(zip(*[rows[i][r] for i in rest]))
+            terms = [i for i in free if i > c]
+            row = []
+            for j in range(n):
+                acc = [mat[c][j]] * size if mat[c][j] else None
+                for i in terms:
+                    coef = mat[i][j]
+                    if not coef:
+                        continue
+                    if acc is None:
+                        acc = x[i] if coef == 1 else scaled(coef, x[i])
+                    elif coef == 1:
+                        acc = added(acc, x[i])
+                    else:
+                        acc = sub_scaled(acc, neg(coef), x[i])
+                row.append(zeros if acc is None else acc)
+            a.append(row)
+        expected = [r.index(1) for r in image]
+        other = [j for j in range(n) if j not in expected]
+        fallback = set()
+        for s, q in enumerate(expected):
+            lead = a[s][q]
+            if 0 in lead:
+                fallback.update(e for e, v in enumerate(lead) if not v)
+                lead = [x or 1 for x in lead]
+            cols = other + expected[s + 1:]
+            if lead.count(lead[0]) == size:
+                if lead[0] != 1:
+                    c = inv(lead[0])
+                    for j in cols:
+                        a[s][j] = scaled(c, a[s][j])
+            else:
+                factor = [neg(inv(x)) for x in lead]
+                for j in cols:
+                    a[s][j] = sub_product(zeros, factor, a[s][j])
+            for t, row in enumerate(a):
+                f = row[q]
+                if t != s and any(f):
+                    for j in cols:
+                        row[j] = sub_product(row[j], f, a[s][j])
+        for s, q in enumerate(expected):
+            for j in other:
+                if j < q and any(a[s][j]):
+                    fallback.update(e for e, v in enumerate(a[s][j]) if v)
+        reduced = [zip(*[ones if j == q else zeros if j in expected else a[s][j]
+                         for j in range(n)])
+                   for s, q in enumerate(expected)]
+        for e, i in enumerate(rest):
+            image = tuple(map(next, reduced))
+            out[i] = _image(fld, mat, rows[i]) if e in fallback else image
+    return out
 
 
 def _curve_generators(fld, n):
@@ -370,12 +351,9 @@ def _curve_permutations(fld, rows) -> List[List[int]]:
     generator counts only when the canonical image of every element is an
     element again and the images form a permutation other than the
     identity.  Element 0 is imaged first, alone, so a generator that
-    moves the family off itself costs one image.  The upper triangular
-    generators, t -> t + 1 and t -> xi*t, then image every element in one
-    pass of ``_images``.  When M*M is scalar, as for t -> 1/t, the
-    generator is an involution on subspaces, and the image i -> j found
-    for one element gives j -> i without a second lookup.  A family with
-    a repeated element gets no permutation.
+    moves the family off itself costs one image; a generator that keeps
+    element 0 in the family images every element in one pass of
+    ``_images``.  A family with a repeated element gets no permutation.
     """
     size = len(rows)
     index = {}
@@ -386,30 +364,11 @@ def _curve_permutations(fld, rows) -> List[List[int]]:
     groups = None
     perms = []
     for mat in _curve_generators(fld, len(rows[0][0])):
-        image = _row_map(fld, mat)
-        first = index.get(image(rows[0]))
-        if first is None:
+        if _image(fld, mat, rows[0]) not in index:
             continue
-        if _upper_triangular(mat):
-            if groups is None:
-                groups = _pivot_groups(rows)
-            perm = list(map(index.get, _images(fld, mat, rows, groups)))
-        else:
-            square = [vec_mat_ints(fld, r, mat) for r in mat]
-            paired = all(x == (square[0][0] if i == j else 0)
-                         for i, row in enumerate(square) for j, x in enumerate(row))
-            perm = [None] * size
-            perm[0] = first
-            if paired:
-                perm[first] = 0
-            for i, el in enumerate(rows):
-                if perm[i] is None:
-                    j = index.get(image(el))
-                    if j is None:
-                        break
-                    perm[i] = j
-                    if paired:
-                        perm[j] = i
+        if groups is None:
+            groups = _pivot_groups(rows)
+        perm = list(map(index.get, _images(fld, mat, rows, groups)))
         if None not in perm and len(set(perm)) == size and perm != list(range(size)):
             perms.append(perm)
     return perms

@@ -398,6 +398,17 @@ def test_code_distance_output(capsys, tmp_path):
     assert code == 2
 
 
+def test_code_distance_refusal_names_the_geometric_route(capsys, tmp_path):
+    code_path = write_code(capsys, tmp_path, extend=True)
+    code, out, err = run(capsys, "code", "distance", str(code_path), "--max-words", "10")
+    assert (code, out) == (2, "")
+    assert "'code fold', then 'verify-arc --k 2'" in err
+    folded = tmp_path / "folded.json"
+    assert run(capsys, "code", "fold", str(code_path), "--out", str(folded))[0] == 0
+    code, out, _ = run(capsys, "verify-arc", str(folded), "--k", "2")
+    assert code == 0 and out.startswith("verified: 16 elements")
+
+
 def test_code_distance_enumerates_the_code_once(capsys, tmp_path, monkeypatch):
     code_path = write_code(capsys, tmp_path)
     calls = []

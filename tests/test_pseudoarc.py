@@ -640,6 +640,11 @@ def reference_image(fld, mat, rows):
     return tuple(map(tuple, rref_ints(fld, [vec_mat_ints(fld, v, mat) for v in rows])[0]))
 
 
+def images(fld, mat, rows):
+    """``_images`` over the pivot groups of ``rows``."""
+    return pseudoarc._images(fld, mat, rows, pseudoarc._pivot_groups(rows))
+
+
 def test_row_maps_match_the_reference_image():
     rng = Random(31)
     for case in ROW_MAP_CASES:
@@ -657,7 +662,7 @@ def test_row_maps_match_the_reference_image():
                 rows = [el.int_rows for el in family]
                 for gen in curve_generators(fld):
                     mat = curve_projectivity(fld, *gen, n)
-                    assert pseudoarc._images(fld, mat, rows) == [
+                    assert images(fld, mat, rows) == [
                         reference_image(fld, mat, r) for r in rows]
                 perms = pseudoarc._curve_permutations(fld, rows)
                 orbits, _ = pseudoarc._orbits(perms, list(range(len(rows))))
@@ -671,16 +676,15 @@ ARCS_GRID_CASES = [(7, 1, 2, 2), (3, 2, 2, 2), (11, 1, 2, 2), (13, 1, 2, 2),
 
 
 def test_shift_map_matches_the_full_reduction():
-    # t -> t + 1 is upper unitriangular, so its images keep their pivots
-    # and only the other pivot columns are cleared; a random nonsingular
-    # matrix takes the path that reduces its images fully
+    # t -> t + 1 on the arcs grid families, and t -> t + 1 and a random
+    # nonsingular matrix on random subspaces of every rank, each imaged
+    # alone
     for case in ARCS_GRID_CASES:
         for els in curve_families(*case):
             fld, n = els[0].field, els[0].ambient_dim
             mat = curve_projectivity(fld, 1, 1, 0, 1, n)
             rows = [el.int_rows for el in els]
-            assert pseudoarc._images(fld, mat, rows) == [
-                reference_image(fld, mat, r) for r in rows]
+            assert images(fld, mat, rows) == [reference_image(fld, mat, r) for r in rows]
     rng = Random(37)
     for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1)]:
         fld = GF.get(p, m)
@@ -694,7 +698,7 @@ def test_shift_map_matches_the_full_reduction():
                 for rank_ in range(n + 1):
                     for _ in range(3):
                         rows = random_subspace(fld, rank_, n, rng).int_rows
-                        assert pseudoarc._images(fld, mat, [rows]) == [
+                        assert images(fld, mat, [rows]) == [
                             reference_image(fld, mat, rows)]
 
 
@@ -708,74 +712,120 @@ def random_reduced_rows(fld, pivots, n, rng):
                  for c in pivots)
 
 
-def test_triangular_images_on_every_pivot_pattern():
-    # random upper triangular matrices with no 1 on the diagonal (but
-    # over GF(2), which has no other unit), beside the shift and scale
-    # maps, on families that mix every pivot pattern of every rank, in
-    # random order
+def fallback_reason(fld, mat, rows, pivots):
+    """Why ``_images`` images a subspace alone when the image of the
+    first member of its pivot group has the pivot columns ``pivots``: "lead" when
+    Gauss-Jordan on the product, in row order on those pivots, meets a 0
+    at a pivot, "before" when a row of its result is nonzero in a column
+    before its pivot, and None otherwise."""
+    a = [vec_mat_ints(fld, v, mat) for v in rows]
+    for s, c in enumerate(pivots):
+        if not a[s][c]:
+            return "lead"
+        a[s] = fld.scaled(fld.inv(a[s][c]), a[s])
+        a = [r if t == s or not r[c] else fld.sub_scaled(r, r[c], a[s])
+             for t, r in enumerate(a)]
+    return "before" if any(any(r[:c]) for r, c in zip(a, pivots)) else None
+
+
+def test_triangular_images_on_every_pivot_pattern(monkeypatch):
+    # on families that mix every pivot pattern of every rank, in random
+    # order: random upper triangular matrices with no 1 on the diagonal
+    # (but over GF(2), which has no other unit) and the shift and scale
+    # maps, which keep every pivot, so only the first member of each
+    # pivot group is imaged alone; then random dense nonsingular,
+    # monomial and anti-diagonal matrices, which image alone exactly the
+    # members that ``fallback_reason`` names, for both reasons
+    singles, _ = count_images(monkeypatch)
+    reasons = Counter()
     rng = Random(43)
     for p, m in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (7, 1)]:
         fld = GF.get(p, m)
         xi = fld.primitive_element().val
+        units = range(1, fld.order)
         for n in range(1, 7):
             rows = [random_reduced_rows(fld, pivots, n, rng)
                     for rank_ in range(n + 1)
                     for pivots in itertools.combinations(range(n), rank_)
                     for _ in range(2)]
             rng.shuffle(rows)
+            groups = pseudoarc._pivot_groups(rows)
             diagonal = range(2, fld.order) if fld.order > 2 else [1]
             upper = [[rng.choice(diagonal) if i == j else
                       rng.randrange(fld.order) if i < j else 0
                       for j in range(n)] for i in range(n)]
+            while True:
+                dense = [[rng.randrange(fld.order) for _ in range(n)] for _ in range(n)]
+                if rank_ints(fld, dense) == n:
+                    break
+            perm = rng.sample(range(n), n)
+            monomial = [[rng.choice(units) if j == perm[i] else 0 for j in range(n)]
+                        for i in range(n)]
+            anti = [[rng.choice(units) if i + j == n - 1 else 0 for j in range(n)]
+                    for i in range(n)]
             for mat in (upper, curve_projectivity(fld, 1, 1, 0, 1, n),
-                        curve_projectivity(fld, xi, 0, 0, 1, n)):
-                assert pseudoarc._upper_triangular(mat)
-                assert pseudoarc._images(fld, mat, rows) == [
+                        curve_projectivity(fld, xi, 0, 0, 1, n),
+                        dense, monomial, anti):
+                singles.clear()
+                assert pseudoarc._images(fld, mat, rows, groups) == [
                     reference_image(fld, mat, r) for r in rows], (p, m, n)
+                found = Counter(
+                    fallback_reason(fld, mat, rows[i], [r.index(1) for r in
+                                                        reference_image(fld, mat, rows[first])])
+                    for first, *rest in groups.values() for i in rest)
+                if mat in (dense, monomial, anti):
+                    reasons += found
+                else:
+                    assert found[None] == len(rows) - len(groups)
+                assert sum(singles.values()) == len(rows) - found[None], (p, m, n)
+    assert reasons["lead"] > 0 and reasons["before"] > 0
 
 
 def count_images(monkeypatch):
     """Counters, by generator matrix, of the elements imaged one by one
-    (through ``_row_map``) and of the bulk passes (``_images``)."""
+    (``_image``) and of the bulk passes (``_images``)."""
     singles, passes = Counter(), Counter()
-    row_map, images = pseudoarc._row_map, pseudoarc._images
+    image, images_ = pseudoarc._image, pseudoarc._images
 
-    def counting_row_map(fld, mat):
-        image = row_map(fld, mat)
-        key = tuple(map(tuple, mat))
+    def counting_image(fld, mat, rows):
+        singles[tuple(map(tuple, mat))] += 1
+        return image(fld, mat, rows)
 
-        def counted(rows):
-            singles[key] += 1
-            return image(rows)
-        return counted
-
-    def counting_images(fld, mat, rows, groups=None):
+    def counting_images(fld, mat, rows, groups):
         passes[tuple(map(tuple, mat))] += 1
-        return images(fld, mat, rows, groups)
+        return images_(fld, mat, rows, groups)
 
-    monkeypatch.setattr(pseudoarc, "_row_map", counting_row_map)
+    monkeypatch.setattr(pseudoarc, "_image", counting_image)
     monkeypatch.setattr(pseudoarc, "_images", counting_images)
     return singles, passes
 
 
-def test_only_involutions_are_paired(monkeypatch):
-    # every generator is accepted on these families; t -> 1/t, always an
-    # involution, images fewer elements one by one than the family has,
-    # while the triangular maps image element 0 alone and then every
-    # element in one bulk pass
+def test_image_calls_per_generator(monkeypatch):
+    # every generator is accepted on these families: each images element
+    # 0 alone, then the family in one pass, which images the first
+    # member of each pivot group alone; the shift and scale maps keep
+    # every pivot and image nothing else alone, while the reversal sends
+    # 132 of the 1,028 elements of the arcs grid families to ``_image``
     singles, passes = count_images(monkeypatch)
+
+    def reversal_fallbacks(els):
+        fld, n = els[0].field, els[0].ambient_dim
+        rows = [el.int_rows for el in els]
+        singles.clear()
+        passes.clear()
+        assert len(pseudoarc._curve_permutations(fld, rows)) == 3
+        groups = len(pseudoarc._pivot_groups(rows))
+        shift, scale, reverse = (tuple(map(tuple, curve_projectivity(fld, *gen, n)))
+                                 for gen in curve_generators(fld))
+        assert passes == {shift: 1, scale: 1, reverse: 1}
+        assert singles[shift] == singles[scale] == 1 + groups
+        return singles[reverse] - 1 - groups
+
     for case in ROW_MAP_CASES:
         for els in curve_families(*case):
-            fld, n = els[0].field, els[0].ambient_dim
-            singles.clear()
-            passes.clear()
-            perms = pseudoarc._curve_permutations(fld, [el.int_rows for el in els])
-            assert len(perms) == 3
-            shift, scale, reverse = (tuple(map(tuple, curve_projectivity(fld, *gen, n)))
-                                     for gen in curve_generators(fld))
-            assert singles[shift] == singles[scale] == 1
-            assert passes[shift] == passes[scale] == 1
-            assert passes[reverse] == 0 and singles[reverse] < len(els)
+            reversal_fallbacks(els)
+    assert sum(reversal_fallbacks(els) for case in ARCS_GRID_CASES
+               for els in curve_families(*case)) == 132
 
 
 def test_a_generator_that_moves_the_family_costs_one_image(monkeypatch):
