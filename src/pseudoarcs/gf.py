@@ -545,6 +545,8 @@ class GF:
     # -- element helpers ----------------------------------------------------
 
     def __call__(self, v):
+        if type(v) is int and 0 <= v < self.order:
+            return self.element(v)
         if isinstance(v, bool) or not isinstance(v, int):
             raise TypeError("element value must be an int encoding")
         if not 0 <= v < self.order:

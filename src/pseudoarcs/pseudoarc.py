@@ -244,10 +244,11 @@ def _pivot_groups(rows):
     return groups
 
 
-def _images(fld, mat, rows, groups) -> list:
+def _images(fld, mat, rows, groups, image0=None) -> list:
     """The images under v -> v*M, M nonsingular, of subspaces given by
     their reduced int rows, in the form ``_image`` returns, in order.
-    ``groups`` is ``_pivot_groups(rows)``.
+    ``groups`` is ``_pivot_groups(rows)``; ``image0``, when given, is
+    ``_image`` of element 0, which is then not imaged again.
 
     The first member of a group is imaged by ``_image``, and the others
     together: each list below holds one entry of every one of them.  Row
@@ -267,7 +268,11 @@ def _images(fld, mat, rows, groups) -> list:
         fld.sub_scaled, fld.scaled, fld.added, fld.sub_product)
     out = [None] * len(rows)
     for pivots, (first, *rest) in groups.items():
-        out[first] = image = _image(fld, mat, rows[first])
+        if first == 0 and image0 is not None:
+            image = image0
+        else:
+            image = _image(fld, mat, rows[first])
+        out[first] = image
         if not rest:
             continue
         size = len(rest)
@@ -352,8 +357,9 @@ def _curve_permutations(fld, rows) -> List[List[int]]:
     element again and the images form a permutation other than the
     identity.  Element 0 is imaged first, alone, so a generator that
     moves the family off itself costs one image; a generator that keeps
-    element 0 in the family images every element in one pass of
-    ``_images``.  A family with a repeated element gets no permutation.
+    element 0 in the family images every other element in one pass of
+    ``_images``, which reuses that first image.  A family with a repeated
+    element gets no permutation.
     """
     size = len(rows)
     index = {}
@@ -364,11 +370,12 @@ def _curve_permutations(fld, rows) -> List[List[int]]:
     groups = None
     perms = []
     for mat in _curve_generators(fld, len(rows[0][0])):
-        if _image(fld, mat, rows[0]) not in index:
+        image0 = _image(fld, mat, rows[0])
+        if image0 not in index:
             continue
         if groups is None:
             groups = _pivot_groups(rows)
-        perm = list(map(index.get, _images(fld, mat, rows, groups)))
+        perm = list(map(index.get, _images(fld, mat, rows, groups, image0)))
         if None not in perm and len(set(perm)) == size and perm != list(range(size)):
             perms.append(perm)
     return perms

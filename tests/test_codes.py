@@ -311,6 +311,106 @@ def test_min_distance_builds_no_rows(monkeypatch):
         assert min_distance(code) == code.n - 1
 
 
+# (p, e, h, k, n): codes over p = 2 top fields GF(2^m), m = 1, 2, 4, 6,
+# 8, 10, 12, 16, whose words are packed, and over odd p and a p = 2 top
+# above 2^16, whose rows are combined entry by entry; n None is the
+# evaluation code on every orbit representative, which over GF(4096) is
+# the benchmark's n = 2016 roundtrip code
+PACKED_CASES = [(2, 1, 1, 1, 3), (2, 1, 2, 2, 5), (2, 2, 2, 2, None),
+                (2, 2, 3, 2, None), (2, 4, 2, 3, None), (2, 5, 2, 2, None),
+                (2, 6, 2, 2, None), (2, 8, 2, 2, 12)]
+LIST_CASES = [(5, 1, 2, 2, None), (13, 1, 2, 2, None), (3, 2, 2, 2, None),
+              (2, 9, 2, 2, 6)]
+
+
+def case_code(p, e, h, k, n, rng):
+    if n is None:
+        return full_code(p, e, h, k)
+    return random_code(tower(p, e, h), k, n, rng)
+
+
+def edge_messages(tow, k, rng):
+    """The zero message, the message of all q - 1, and random ones."""
+    hk = tow.h * k
+    base = tow.base
+    return [[base.zero] * hk, [base(tow.q - 1)] * hk,
+            *([base(rng.randrange(tow.q)) for _ in range(hk)] for _ in range(4))]
+
+
+@pytest.mark.parametrize("case", PACKED_CASES + LIST_CASES)
+def test_combine_matches_the_reference_on_both_paths(case):
+    rng = Random(61)
+    code = case_code(*case, rng)
+    assert (code._bit_words is not None) == (case in PACKED_CASES)
+    for message in edge_messages(code.tow, code.k_msg, rng):
+        assert code.combine(message) == reference_combine(code, message)
+
+
+@pytest.mark.parametrize("case", [(2, 2, 2, 2, None), (2, 1, 3, 2, 5),
+                                  (5, 1, 2, 2, None), (2, 9, 2, 2, 6)])
+def test_combine_refuses_a_top_field_coefficient(case):
+    # a nonzero coefficient outside the base field cannot be lifted, on
+    # the packed path and on the list path alike
+    code = case_code(*case, Random(67))
+    top, hk = code.tow.top, code.h * code.k_msg
+    for j in (0, hk - 1):
+        message = [code.tow.base.zero] * hk
+        message[j] = top(7)
+        with pytest.raises(FieldMismatchError):
+            code.combine(message)
+
+
+def test_erasure_decode_on_packed_words():
+    rng = Random(71)
+    for case in [(2, 4, 2, 2, None), (2, 2, 3, 2, None), (2, 8, 2, 2, 12)]:
+        code = case_code(*case, rng)
+        tow = code.tow
+        assert code._bit_words is not None
+        for message in edge_messages(tow, code.k_msg, rng):
+            f = Poly(tow.base, message)
+            word = encode(f, code)
+            keep = set(rng.sample(range(code.n), code.k_msg + 1))
+            received = [x if j in keep else ERASED for j, x in enumerate(word)]
+            assert erasure_decode(received, code) == f
+            j = max(keep)
+            received[j] = received[j] + tow.top.one
+            with pytest.raises(DecodeError, match="mismatch at coordinate %d" % j):
+                erasure_decode(received, code)
+
+
+def test_distance_and_folding_build_no_words():
+    # the packed words are built on the first codeword, never before
+    tow = tower(2, 2, 2)
+    code = extend_with_derivatives(full_code(2, 2, 2, 2),
+                                   list(tow.base.elements()), True)
+    min_distance(code)
+    fold_columns(code)
+    assert is_mds(code)
+    assert "_bit_words" not in vars(code)
+    encode(random_message(tow, 2, Random(73)), code)
+    assert "_bit_words" in vars(code)
+
+
+def test_packed_words_make_no_row_update(monkeypatch):
+    # once the words exist, a codeword is XORs and one unpack
+    rng = Random(79)
+    code = full_code(2, 4, 2, 2)
+    tow = code.tow
+    messages = edge_messages(tow, 2, rng)
+    expected = [reference_combine(code, message) for message in messages]
+    # builds the words and the decoder's coordinate tables
+    erasure_decode(code.combine(messages[0]), code)
+
+    def no_rows(*args):
+        raise AssertionError("_word updated an int row")
+
+    monkeypatch.setattr(tow.top, "sub_scaled", no_rows)
+    monkeypatch.setattr(tow.top, "scaled", no_rows)
+    for message, word in zip(messages, expected):
+        assert code.combine(message) == word
+        assert erasure_decode(word, code) == Poly(tow.base, message)
+
+
 def test_is_mds_at_larger_sizes():
     # 117,649 and 262,144 messages: is_mds runs its metric cross-check
     for p, e in [(7, 1), (2, 3)]:

@@ -346,6 +346,15 @@ def test_encoding_must_be_a_plain_int():
     with pytest.raises(ValueError):
         f(5)
 
+    class Encoding(int):
+        pass
+
+    # an int subclass takes the checked path and gets the interned element
+    assert f(Encoding(3)) is f(3) is f.element(3)
+    for bad in (-1, f.order):
+        with pytest.raises(ValueError):
+            f(bad)
+
 
 def test_inverse_of_zero():
     f = GF.get(5, 1)

@@ -791,9 +791,9 @@ def count_images(monkeypatch):
         singles[tuple(map(tuple, mat))] += 1
         return image(fld, mat, rows)
 
-    def counting_images(fld, mat, rows, groups):
+    def counting_images(fld, mat, rows, groups, image0=None):
         passes[tuple(map(tuple, mat))] += 1
-        return images_(fld, mat, rows, groups)
+        return images_(fld, mat, rows, groups, image0)
 
     monkeypatch.setattr(pseudoarc, "_image", counting_image)
     monkeypatch.setattr(pseudoarc, "_images", counting_images)
@@ -802,10 +802,11 @@ def count_images(monkeypatch):
 
 def test_image_calls_per_generator(monkeypatch):
     # every generator is accepted on these families: each images element
-    # 0 alone, then the family in one pass, which images the first
-    # member of each pivot group alone; the shift and scale maps keep
-    # every pivot and image nothing else alone, while the reversal sends
-    # 132 of the 1,028 elements of the arcs grid families to ``_image``
+    # 0 alone, then the family in one pass, which reuses that image and
+    # images the first member of every other pivot group alone; the
+    # shift and scale maps keep every pivot and image nothing else
+    # alone, while the reversal sends 132 of the 1,028 elements of the
+    # arcs grid families to ``_image``
     singles, passes = count_images(monkeypatch)
 
     def reversal_fallbacks(els):
@@ -818,8 +819,8 @@ def test_image_calls_per_generator(monkeypatch):
         shift, scale, reverse = (tuple(map(tuple, curve_projectivity(fld, *gen, n)))
                                  for gen in curve_generators(fld))
         assert passes == {shift: 1, scale: 1, reverse: 1}
-        assert singles[shift] == singles[scale] == 1 + groups
-        return singles[reverse] - 1 - groups
+        assert singles[shift] == singles[scale] == groups
+        return singles[reverse] - groups
 
     for case in ROW_MAP_CASES:
         for els in curve_families(*case):
