@@ -7,7 +7,6 @@ deterministic for a fixed command line; warnings go to stderr only.
 """
 
 import argparse
-import math
 import sys
 import warnings
 
@@ -111,9 +110,6 @@ def cmd_verify_arc(args):
     if verdict.ok:
         print("verified: %d elements, every %d of them span PG(%d, %d)"
               % (len(elements), args.k, n - 1, order))
-        if args.witness:
-            print("certificate: %d subsets certified to rank %d, %d of them walked"
-                  % (math.comb(len(elements), args.k), n, verdict.walked))
         return 0
     ws = verdict.witness
     stacked = [r for i in ws for r in elements[i].int_rows]
@@ -407,8 +403,6 @@ def build_parser():
     p = sub.add_parser("verify-arc", help="check the spanning property of a family")
     p.add_argument("file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--witness", action="store_true",
-                   help="print certificates on success as well")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify_arc)
 

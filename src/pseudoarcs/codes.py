@@ -3,20 +3,18 @@ codewords.
 
 Messages are polynomials over F_q of degree below hk, and every codeword
 is the combination of the generator rows by the message coefficients:
-over a p = 2 top field of order up to 2^16 an XOR of packed per-bit
-products of the rows, built on the first codeword, over other fields
-the rows updated entry by entry.  A coordinate kind records how its
-generator column was built: evaluation at a generator of the extension
-field, a derivative bundle at a rational parameter t (all h derivative
-values folded against the conjugates of a normal element), the
-analogous bundle of leading coefficients for the parameter at infinity,
-or an external column unfolded from a given subspace.  Folding
-generator columns into rank-h subspaces recovers the matching
-pseudo-arc, which is how distance facts become geometry and back.
+over a p = 2 top field an XOR of packed per-bit products of the rows,
+built on the first codeword, over odd p the rows updated entry by
+entry.  A coordinate kind records how its generator column was built:
+evaluation at a generator of the extension field, a derivative bundle
+at a rational parameter t (all h derivative values folded against the
+conjugates of a normal element), the analogous bundle of leading
+coefficients for the parameter at infinity, or an external column
+unfolded from a given subspace.  Folding generator columns into rank-h
+subspaces recovers the matching pseudo-arc, which is how distance facts
+become geometry and back.
 """
 
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Union
@@ -51,22 +49,6 @@ COORD_KINDS = ("alpha", "deriv", "infty", "external")
 
 # the most messages min_distance enumerates unless told otherwise
 WORD_BUDGET = 2 ** 20
-
-# p = 2 top fields up to this order compute codewords as packed words:
-# entry j is 16-bit slot j of one int, laid out as array("H") lays out a
-# row in native byte order; no field qualifies where "H" is not 16 bits
-_PACKED_LIMIT = 1 << 16 if array("H").itemsize == 2 else 0
-
-
-def _pack(ints) -> int:
-    """A row of encodings below 2^16 as one packed word."""
-    return int.from_bytes(array("H", ints).tobytes(), sys.byteorder)
-
-
-def _unpack(word: int, n: int) -> List[int]:
-    """The n entries of a packed word, inverse of :func:`_pack`."""
-    return array("H", word.to_bytes(2 * n, sys.byteorder)).tolist()
-
 
 @dataclass(frozen=True, slots=True)
 class CoordSpec:
@@ -109,6 +91,8 @@ class AdditiveCode:
         return self
 
     def _init(self, tow, k_msg, rows, eval_spec):
+        if k_msg < 1:
+            raise ValueError("k must be at least 1, got %d" % k_msg)
         rows = tuple(map(tuple, rows))
         if len(rows) != tow.h * k_msg:
             raise ValueError("generator must have hk rows")
@@ -167,36 +151,34 @@ class AdditiveCode:
 
     @cached_property
     def _bit_words(self):
-        """The packed products behind :meth:`_word`, or None when the top
-        field is not of characteristic 2 and order up to
-        ``_PACKED_LIMIT``.  Entry [r][i] packs lift(2^i) * row r: a base
-        encoding c is a bit vector and lift is additive, so lift(c) * row
-        r is the XOR of the entries at the set bits i of c."""
+        """The packed word ops and products behind :meth:`_word` over a
+        p = 2 top field: ``(unpack, words)``, entry [r][i] of ``words``
+        packing lift(2^i) * row r.  A base encoding c is a bit vector and
+        lift is additive, so lift(c) * row r is the XOR of the entries
+        at the set bits i of c."""
         tow = self.tow
-        top = tow.top
-        if top.p != 2 or top.order > _PACKED_LIMIT:
-            return None
+        pack, _, _, unpack, scale = tow.top.word_ops(self.n)
         lifts = [tow.embed_table[1 << i] for i in range(tow.base.m)]
-        return tuple(tuple(_pack(top.scaled(c, row)) for c in lifts)
-                     for row in self.int_rows)
+        return unpack, tuple(tuple(scale(c, word) for c in lifts)
+                             for word in map(pack, self.int_rows))
 
-    def _word(self, message: Sequence[FieldElement]) -> List[int]:
+    def _word(self, message: Sequence[FieldElement]) -> Sequence[int]:
         """:meth:`combine` as top-field encodings.  Over a p = 2 top field
-        of order up to ``_PACKED_LIMIT`` the word is an XOR of the packed
-        ``_bit_words``, built on the first call, and one unpack; over
-        other fields the rows are combined entry by entry."""
+        the word is an XOR of the packed ``_bit_words``, built on the
+        first call, and one unpack; over odd p the rows are combined
+        entry by entry."""
         message = list(message)
         if len(message) != self.h * self.k_msg:
             raise ValueError("message must have hk coefficients")
         tow = self.tow
-        words = self._bit_words
-        if words is None:
-            top = tow.top
+        top = tow.top
+        if top.p != 2:
             out = [0] * self.n
             for c, row in zip(message, self.int_rows):
                 if c:
                     out = top.sub_scaled(out, (-tow.lift(c)).val, row)
             return out
+        unpack, words = self._bit_words
         base = tow.base
         acc = 0
         for c, bits in zip(message, words):
@@ -207,7 +189,7 @@ class AdditiveCode:
                 for i, w in enumerate(bits):
                     if v >> i & 1:
                         acc ^= w
-        return _unpack(acc, self.n)
+        return unpack(acc)
 
 
 def evaluation_code(tow: FieldTower, alphas: Sequence[FieldElement],
@@ -336,7 +318,7 @@ def min_distance(code: AdditiveCode, max_words: int = WORD_BUDGET) -> int:
                          % (code.size, max_words, code.k_msg))
     tow = code.tow
     q, top = tow.q, tow.top
-    pack, add, weight = top.word_ops(code.n)
+    pack, add, weight = top.word_ops(code.n)[:3]
     # lift(x_(a+1) - x_a) for the digit order x_a = base(a), wrapping at q
     deltas = [tow.lift(tow.base((a + 1) % q) - tow.base(a)).val
               for a in range(q)]

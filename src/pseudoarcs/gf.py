@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import struct
 
 from . import linalg
 
@@ -438,20 +439,32 @@ class GF:
         """Packed words of length n: ``pack(ints)`` holds a row of n
         encodings as one int, ``add(w, s)`` is the entry-wise field sum
         of two packed words and ``weight(w)`` counts the nonzero entries.
+        For p = 2 two more follow: ``unpack(w)``, the tuple of the n
+        encodings, and ``scale(c, w)``, the word c * w for c in this field.
 
-        Entry j takes the W-bit slot starting at bit j*W.  For p = 2 it
-        holds the m bits of the encoding, so the sum is XOR; for odd p,
-        the m base-p digits, b = (2p-1).bit_length() bits each, so a
-        digit-wise sum fits before one SWAR step takes p off each digit
-        that reached p.  Either way one zero guard bit tops the slot:
-        every entry is below 2^(W-1), so adding 2^(W-1)-1 to each slot
+        Entry j takes the little-endian W-bit slot starting at bit j*W,
+        W the first of 8, 16, 32 and 64 with room for the entry and one
+        zero guard bit above it.  For p = 2 the entry is the m bits of
+        the encoding, so the sum is XOR; for odd p, the m base-p digits,
+        b = (2p-1).bit_length() bits each, so a digit-wise sum fits
+        before one SWAR step takes p off each digit that reached p.
+        Every entry is below 2^(W-1), so adding 2^(W-1)-1 to each slot
         sets its top bit exactly when the entry is nonzero, and carries
-        into no other slot.
+        into no other slot.  A field whose entries need more than 63
+        bits raises ValueError.
         """
         p, m = self.p, self.m
         b = 1 if p == 2 else (2 * p - 1).bit_length()
-        width = m * b + 1
-        ones = sum(1 << (j * width) for j in range(n))
+        width = next((w for w in (8, 16, 32, 64) if w > m * b), None)
+        if width is None:
+            raise ValueError("GF(%d) entries need %d bits, more than a 64-bit slot holds"
+                             % (self.order, m * b + 1))
+        row = struct.Struct("<%d%s" % (n, "BHIQ"[width.bit_length() - 4]))
+
+        def pack_slots(ints):
+            return int.from_bytes(row.pack(*ints), "little")
+
+        ones = pack_slots([1] * n)
         low = (1 << (width - 1)) - 1
         fill, top = low * ones, (low + 1) * ones
 
@@ -459,13 +472,24 @@ class GF:
             return ((w + fill) & top).bit_count()
 
         if p == 2:
-            def pack(ints):
-                w = 0
-                for v in reversed(ints):
-                    w = w << width | v
-                return w
+            def unpack(w):
+                return row.unpack(w.to_bytes(row.size, "little"))
 
-            return pack, operator.xor, weight
+            # x * v is v shifted up one bit, with x^m = the modulus's low
+            # bits put back in the slots whose bit m - 1 was set
+            keep = ((1 << (m - 1)) - 1) * ones
+            low_bits = self._modulus_int ^ (1 << m)
+
+            def scale(c, w):
+                out = 0
+                while c:
+                    if c & 1:
+                        out ^= w
+                    c >>= 1
+                    w = ((w & keep) << 1) ^ ((w >> (m - 1)) & ones) * low_bits
+                return out
+
+            return pack_slots, operator.xor, weight, unpack, scale
 
         digit_ones = ones * sum(1 << (i * b) for i in range(m))
         bias = ((1 << (b - 1)) - p) * digit_ones
@@ -477,10 +501,7 @@ class GF:
             spread.append(spread[v // p] << b | v % p)
 
         def pack(ints):
-            w = 0
-            for v in reversed(ints):
-                w = w << width | spread[v]
-            return w
+            return pack_slots([spread[v] for v in ints])
 
         def add(w, s):
             s += w

@@ -85,16 +85,6 @@ def test_construct_and_verify_roundtrip(capsys, tmp_path):
     assert out.startswith("verified: 10 elements")
 
 
-def test_verify_arc_witness_certificate(capsys, tmp_path):
-    arc_path = write_arc(capsys, tmp_path)
-    code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2",
-                       "--witness")
-    assert code == 0
-    # one orbit: the pairs through element 0, one per orbit of its
-    # stabilizer on the other 9, certify all 45
-    assert "certificate: 45 subsets certified to rank 4, 2 of them walked" in out
-
-
 def test_verify_arc_json_counts_the_walk(capsys, tmp_path):
     arc_path = write_arc(capsys, tmp_path, extend=True)
     code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2")
@@ -310,6 +300,25 @@ def test_unknown_coordinate_kind_fails_on_load(capsys, tmp_path):
     msg.write_text("1\n2\n")
     code, _, err = run(capsys, "code", "encode", str(bad), str(msg))
     assert code == 2 and "unknown coordinate kind 'bogus'" in err
+
+
+def test_code_gen_refuses_k_below_1(capsys):
+    for k in ("0", "-1"):
+        code, out, err = run(capsys, "code", "gen", "--h", "2", "--k", k, "--q", "4")
+        assert code == 2 and out == ""
+        assert err == "error: k must be at least 1, got %s\n" % k
+    code, _, _ = run(capsys, "code", "gen", "--h", "2", "--k", "1", "--q", "4")
+    assert code == 0
+
+
+def test_code_distance_refuses_a_document_with_k_0(capsys, tmp_path):
+    doc = json.loads(write_code(capsys, tmp_path).read_text())
+    doc["k"], doc["gen"] = 0, []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "code", "distance", str(bad))
+    assert code == 2 and out == ""
+    assert err == "error: k must be at least 1, got 0\n"
 
 
 def test_rerun_is_byte_identical(capsys):

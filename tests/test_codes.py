@@ -20,8 +20,8 @@ from pseudoarcs.codes import (ERASED, AdditiveCode, CoordSpec, DecodeError,
                               fold_columns, is_mds, min_distance)
 from pseudoarcs.gf import FieldMismatchError, InvariantError, Poly, tower
 from pseudoarcs.linalg import rank_ints
-from pseudoarcs.nrc import (frobenius_orbit_reps, orbit_rep_count, osc_basis,
-                            osc_basis_infty)
+from pseudoarcs.nrc import (frobenius_orbit_reps, is_imaginary, orbit_rep_count,
+                            osc_basis, osc_basis_infty)
 from pseudoarcs.projgeo import canonical_spread, span
 from pseudoarcs.pseudoarc import (SmallFieldWarning, build_imaginary_arc,
                                   contained_in_spread, extend_with_osculating)
@@ -311,16 +311,26 @@ def test_min_distance_builds_no_rows(monkeypatch):
         assert min_distance(code) == code.n - 1
 
 
+def test_min_distance_with_entries_that_fill_16_bits():
+    # GF(2^16) entries take 32-bit slots: in a 16-bit slot with no guard
+    # bit, the weight count of an entry from 2^15 up carries into the
+    # next slot
+    tow = tower(2, 8, 2)
+    alphas = [a for a in map(tow.top, range(1 << 15, 1 << 16))
+              if is_imaginary(a, tow)][:20]
+    code = evaluation_code(tow, alphas, 1)
+    assert min_distance(code) == code.n == 20
+
+
 # (p, e, h, k, n): codes over p = 2 top fields GF(2^m), m = 1, 2, 4, 6,
-# 8, 10, 12, 16, whose words are packed, and over odd p and a p = 2 top
-# above 2^16, whose rows are combined entry by entry; n None is the
-# evaluation code on every orbit representative, which over GF(4096) is
-# the benchmark's n = 2016 roundtrip code
-PACKED_CASES = [(2, 1, 1, 1, 3), (2, 1, 2, 2, 5), (2, 2, 2, 2, None),
-                (2, 2, 3, 2, None), (2, 4, 2, 3, None), (2, 5, 2, 2, None),
-                (2, 6, 2, 2, None), (2, 8, 2, 2, 12)]
-LIST_CASES = [(5, 1, 2, 2, None), (13, 1, 2, 2, None), (3, 2, 2, 2, None),
-              (2, 9, 2, 2, 6)]
+# 8, 10, 12, 16 and 18, whose words are packed, and over odd p, whose
+# rows are combined entry by entry; n None is the evaluation code on
+# every orbit representative, which over GF(4096) is the benchmark's
+# n = 2016 roundtrip code
+CASES = [(2, 1, 1, 1, 3), (2, 1, 2, 2, 5), (2, 2, 2, 2, None),
+         (2, 2, 3, 2, None), (2, 4, 2, 3, None), (2, 5, 2, 2, None),
+         (2, 6, 2, 2, None), (2, 8, 2, 2, 12), (5, 1, 2, 2, None),
+         (13, 1, 2, 2, None), (3, 2, 2, 2, None), (2, 9, 2, 2, 6)]
 
 
 def case_code(p, e, h, k, n, rng):
@@ -337,13 +347,14 @@ def edge_messages(tow, k, rng):
             *([base(rng.randrange(tow.q)) for _ in range(hk)] for _ in range(4))]
 
 
-@pytest.mark.parametrize("case", PACKED_CASES + LIST_CASES)
+@pytest.mark.parametrize("case", CASES)
 def test_combine_matches_the_reference_on_both_paths(case):
     rng = Random(61)
     code = case_code(*case, rng)
-    assert (code._bit_words is not None) == (case in PACKED_CASES)
     for message in edge_messages(code.tow, code.k_msg, rng):
         assert code.combine(message) == reference_combine(code, message)
+    # the characteristic alone picks the path
+    assert ("_bit_words" in vars(code)) == (code.tow.p == 2)
 
 
 @pytest.mark.parametrize("case", [(2, 2, 2, 2, None), (2, 1, 3, 2, 5),

@@ -5,6 +5,7 @@ import ast
 import itertools
 import pathlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -282,14 +283,17 @@ def test_sub_product_matches_entry_arithmetic():
 
 
 def test_packed_words_match_entry_arithmetic():
-    # every digit width (b = 1, 3, 4, 4, 5), prime and extension fields;
-    # rows hold zeros and entries with every digit p - 1 at both ends
+    # every digit width (b = 1, 3, 4, 4, 5), prime and extension fields,
+    # and p = 2 on both sides of every slot width (8, 16, 32 bits) up to
+    # a top above 2^16; rows hold zeros and entries with every digit
+    # p - 1 at both ends
     rng = random.Random(16)
-    for p, m in [(2, 1), (2, 4), (3, 1), (3, 4), (5, 2), (7, 2), (11, 2),
-                 (13, 1)]:
+    for p, m in [(2, 1), (2, 4), (2, 7), (2, 8), (2, 15), (2, 16), (2, 18),
+                 (3, 1), (3, 4), (5, 2), (7, 2), (11, 2), (13, 1)]:
         f = GF.get(p, m)
         for n in (1, 2, 7):
-            pack, add, weight = f.word_ops(n)
+            ops = f.word_ops(n)
+            pack, add, weight = ops[:3]
             rows = [[0] * n, [f.order - 1] * n]
             rows += [[rng.choice((0, f.order - 1, rng.randrange(f.order)))
                       for _ in range(n)] for _ in range(40)]
@@ -299,6 +303,22 @@ def test_packed_words_match_entry_arithmetic():
                     s = [f.add(a, b) for a, b in zip(x, y)]
                     assert add(pack(x), pack(y)) == pack(s), (p, m, x, y)
                     assert weight(add(pack(x), pack(y))) == sum(1 for v in s if v)
+            if p == 2:
+                unpack, scale = ops[3:]
+                for x in rows:
+                    assert unpack(pack(x)) == tuple(x)
+                    for c in (0, 1, f.order - 1, rng.randrange(f.order)):
+                        product = [f.mul(c, v) for v in x]
+                        assert scale(c, pack(x)) == pack(product), (m, c, x)
+            else:
+                assert len(ops) == 3
+
+
+def test_packed_words_refuse_entries_over_63_bits():
+    # no field this large is built here; word_ops reads only p, m and order
+    for p, m in [(2, 64), (3, 22)]:
+        with pytest.raises(ValueError, match="more than a 64-bit slot"):
+            GF.word_ops(SimpleNamespace(p=p, m=m, order=p ** m), 3)
 
 
 def test_field_axioms_small_fields():

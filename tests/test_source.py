@@ -98,11 +98,8 @@ def test_randomness_is_seeded_and_local():
     assert found == []
 
 
-def _foreign_imports(tree):
-    """(module, line) of every import of a module that is neither in the
-    standard library nor the package itself; relative imports are the
-    package's own."""
-    allowed = set(sys.stdlib_module_names) | {"pseudoarcs"}
+def _absolute_imports(tree):
+    """(module, line) of every import that is not relative."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -111,8 +108,17 @@ def _foreign_imports(tree):
             modules = [node.module]
         else:
             continue
-        found += [(m, node.lineno) for m in modules if m.split(".")[0] not in allowed]
+        found += [(m, node.lineno) for m in modules]
     return found
+
+
+def _foreign_imports(tree):
+    """(module, line) of every import of a module that is neither in the
+    standard library nor the package itself; relative imports are the
+    package's own."""
+    allowed = set(sys.stdlib_module_names) | {"pseudoarcs"}
+    return [(m, line) for m, line in _absolute_imports(tree)
+            if m.split(".")[0] not in allowed]
 
 
 def test_library_imports_only_the_standard_library():
@@ -127,6 +133,17 @@ def test_library_imports_only_the_standard_library():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += ["%s:%d %s" % (path.name, line, m) for m, line in _foreign_imports(tree)]
     assert found == []
+
+
+def test_only_gf_imports_a_word_layout_module():
+    # packed words have one layout, GF.word_ops; a second module that
+    # reaches for struct or array is growing another
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, m) for m, _ in _absolute_imports(tree)
+                  if m in ("struct", "array")]
+    assert found == [("gf.py", "struct")]
 
 
 BENCH = SRC.parent.parent / "bench"
