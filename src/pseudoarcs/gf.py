@@ -171,14 +171,13 @@ def smallest_irreducible(p, n):
     """Lex-smallest monic irreducible of degree n over F_p.
 
     Coefficient tuples (c_0, ..., c_{n-1}) are compared low degree first.
-    For n >= 2 a candidate with c_0 = 0 is divisible by x, so it is
-    skipped without the Rabin test.
+    For n >= 2 a candidate with c_0 = 0 is divisible by x, so the walk
+    starts at c_0 = 1.
     """
     import itertools
 
-    for tail in itertools.product(range(p), repeat=n):
-        if n >= 2 and tail[0] == 0:
-            continue
+    for tail in itertools.product(range(1 if n >= 2 else 0, p),
+                                  *[range(p)] * (n - 1)):
         f = list(tail) + [1]
         if is_irreducible(f, p):
             return tuple(f)

@@ -19,7 +19,7 @@ them.
 import math
 import warnings
 from dataclasses import dataclass, field
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 from random import Random
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -234,21 +234,21 @@ def _image(fld, mat, rows):
     return tuple(map(tuple, rref_ints(fld, [vec_mat_ints(fld, v, mat) for v in rows])[0]))
 
 
-def _pivot_groups(rows):
-    """The indices of the subspaces, given by their reduced int rows, by
-    pivot pattern: the column of each row's leading 1."""
+def _pivot_groups(pivots, members):
+    """The indices ``members``, ascending, grouped by the pivot pattern
+    ``pivots[i]`` of their element: the column of each row's leading 1."""
     groups = {}
-    pivot = methodcaller("index", 1)
-    for i, el in enumerate(rows):
-        groups.setdefault(tuple(map(pivot, el)), []).append(i)
+    for i in members:
+        groups.setdefault(pivots[i], []).append(i)
     return groups
 
 
 def _images(fld, mat, rows, groups, image0=None) -> list:
     """The images under v -> v*M, M nonsingular, of subspaces given by
     their reduced int rows, in the form ``_image`` returns, in order.
-    ``groups`` is ``_pivot_groups(rows)``; ``image0``, when given, is
-    ``_image`` of element 0, which is then not imaged again.
+    ``groups`` is ``_pivot_groups`` of the members to image; the entries
+    of the others are None.  ``image0``, when given, is ``_image`` of
+    element 0, which is then not imaged again.
 
     The first member of a group is imaged by ``_image``, and the others
     together: each list below holds one entry of every one of them.  Row
@@ -347,19 +347,37 @@ def _curve_generators(fld, n):
             [[int(i + j == n - 1) for i in cols] for j in cols])
 
 
-def _curve_permutations(fld, rows) -> List[List[int]]:
+def _head_images(fld, mat, rows, pivots, heads, index):
+    """The indices of the images under v -> v*M of the elements
+    ``heads``, ascending and headed by element 0, or None when one of
+    them is not an element.  Element 0 is imaged first, alone, so a
+    matrix that moves the family off itself costs one image; otherwise
+    the other heads are imaged in one pass of ``_images``, which reuses
+    that first image."""
+    image0 = _image(fld, mat, rows[0])
+    if image0 not in index:
+        return None
+    images = _images(fld, mat, rows, _pivot_groups(pivots, heads), image0)
+    found = [index.get(images[i]) for i in heads]
+    return None if None in found else found
+
+
+def _curve_permutations(fld, rows, pivots) -> List[List[int]]:
     """The permutations of the element indices that the curve's
     projectivities induce.  ``rows`` holds the elements' ``int_rows``,
-    which also key the lookup of an image.
+    which also key the lookup of an image, and ``pivots`` their
+    ``pivots``.
 
-    The generators t -> t + 1, t -> xi*t and t -> 1/t are not trusted: a
-    generator counts only when the canonical image of every element is an
-    element again and the images form a permutation other than the
-    identity.  Element 0 is imaged first, alone, so a generator that
-    moves the family off itself costs one image; a generator that keeps
-    element 0 in the family images every other element in one pass of
-    ``_images``, which reuses that first image.  A family with a repeated
-    element gets no permutation.
+    The generators t -> t + 1 (A), t -> xi*t (D) and t -> 1/t (J) are not
+    trusted: a generator counts only when the canonical image of every
+    element is an element again and the images form a permutation other
+    than the identity.  A and D image every element.  Once D counts, J
+    images only the first element of each orbit of D and carries that
+    image along the orbit: J*D*J = xi^(n-1) * D^-1 for row length n, and
+    a scalar moves no subspace, so S_x*J = S_y gives S_(D^i x)*J =
+    S_(D^-i y).  When D does not count, every element is its own orbit
+    and J images them all.  A family with a repeated element gets no
+    permutation.
     """
     size = len(rows)
     index = {}
@@ -367,16 +385,29 @@ def _curve_permutations(fld, rows) -> List[List[int]]:
         index.setdefault(el, i)
     if len(index) < size:
         return []
-    groups = None
+    shift, scale, reverse = _curve_generators(fld, len(rows[0][0]))
+    identity = list(range(size))
     perms = []
-    for mat in _curve_generators(fld, len(rows[0][0])):
-        image0 = _image(fld, mat, rows[0])
-        if image0 not in index:
-            continue
-        if groups is None:
-            groups = _pivot_groups(rows)
-        perm = list(map(index.get, _images(fld, mat, rows, groups, image0)))
-        if None not in perm and len(set(perm)) == size and perm != list(range(size)):
+
+    def counts(perm):
+        return perm is not None and len(set(perm)) == size and perm != identity
+
+    orbits, back = [[i] for i in identity], identity
+    for mat in (shift, scale):
+        perm = _head_images(fld, mat, rows, pivots, identity, index)
+        if counts(perm):
+            perms.append(perm)
+            if mat is scale:
+                orbits = _orbits([perm], identity)[0]
+                back = sorted(identity, key=perm.__getitem__)
+    targets = _head_images(fld, reverse, rows, pivots, [o[0] for o in orbits], index)
+    if targets is not None:
+        perm = [0] * size
+        for orbit, y in zip(orbits, targets):
+            for x in orbit:
+                perm[x] = y
+                y = back[y]
+        if counts(perm):
             perms.append(perm)
     return perms
 
@@ -491,7 +522,9 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     space.
 
     The curve's projectivities that map the family onto itself (see
-    ``_curve_permutations``) map spanning k-subsets to spanning k-subsets,
+    ``_curve_permutations``, which takes the elements' rows and pivots,
+    and images t -> 1/t on one element per orbit of t -> xi*t) map
+    spanning k-subsets to spanning k-subsets,
     so ``_chain_walk`` tests one k-tuple per orbit of the group G they
     generate, at every depth one element per orbit of the stabilizer of
     the prefix.  Each level of the walk reduces the rows of its
@@ -556,7 +589,7 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
                                  for j in rest}, []
         return True
 
-    gens = _curve_permutations(fld, rows)
+    gens = _curve_permutations(fld, rows, [el.pivots for el in elements])
     everything = list(range(size))
     top = _orbits(gens, everything)
     witness = _chain_walk(k, gens, everything, top, step, Random(0))

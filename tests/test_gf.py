@@ -81,6 +81,28 @@ def test_smallest_irreducible_matches_unskipped_scan():
         assert smallest_irreducible(p, n) == unskipped_smallest_irreducible(p, n)
 
 
+def test_smallest_irreducible_moduli_are_unchanged():
+    # moduli the search gave while it still stepped through the p^(n-1)
+    # candidates with c_0 = 0 one by one, as {exponent: coefficient};
+    # GF(2^26) and GF(2^27) then took 3.9 and 9.7 s to find
+    pins = {(2, 20): {0: 1, 17: 1, 20: 1},
+            (2, 24): {0: 1, 20: 1, 21: 1, 23: 1, 24: 1},
+            (2, 26): {0: 1, 22: 1, 23: 1, 25: 1, 26: 1},
+            (2, 27): {0: 1, 22: 1, 25: 1, 26: 1, 27: 1},
+            (3, 10): {0: 1, 8: 2, 10: 1},
+            (3, 13): {0: 1, 12: 2, 13: 1},
+            (5, 6): {0: 1, 4: 1, 5: 1, 6: 1},
+            (7, 5): {0: 1, 4: 3, 5: 1}}
+    # and past where that search finished: x^63 + 1 is divisible by
+    # x + 1, so x^63 + x^62 + 1 is the second candidate
+    pins[2, 32] = {0: 1, 25: 1, 29: 1, 30: 1, 32: 1}
+    pins[2, 63] = {0: 1, 62: 1, 63: 1}
+    for (p, n), terms in pins.items():
+        modulus = tuple(terms.get(i, 0) for i in range(n + 1))
+        assert smallest_irreducible(p, n) == modulus, (p, n)
+        assert is_irreducible(modulus, p)
+
+
 def test_irreducible_search_matches_brute_force_factor_count():
     # number of monic irreducibles of degree n over F_p via Moebius/Gauss
     for p, n, expected in [(2, 4, 3), (2, 6, 9), (3, 3, 8), (5, 2, 10)]:
@@ -312,6 +334,31 @@ def test_packed_words_match_entry_arithmetic():
                         assert scale(c, pack(x)) == pack(product), (m, c, x)
             else:
                 assert len(ops) == 3
+
+
+def test_packed_words_at_32_and_64_bit_slots():
+    # GF(2^31) fills a 32-bit slot, GF(2^32) and GF(2^63) take 64-bit
+    # ones, the last with no bit to spare but the guard bit
+    rng = random.Random(17)
+    for m, width in [(31, 32), (32, 64), (63, 64)]:
+        f = GF.get(2, m)
+        top = f.order - 1
+        for n in (1, 2, 7):
+            pack, add, weight, unpack, scale = f.word_ops(n)
+            if n > 1:
+                assert pack([0, 1] + [0] * (n - 2)) == 1 << width
+            rows = [[0] * n, [top] * n]
+            rows += [[rng.choice((0, top, rng.randrange(f.order))) for _ in range(n)]
+                     for _ in range(20)]
+            for x in rows:
+                assert unpack(pack(x)) == tuple(x)
+                assert weight(pack(x)) == sum(1 for v in x if v)
+                for y in rng.sample(rows, 3):
+                    s = [f.add(a, b) for a, b in zip(x, y)]
+                    assert add(pack(x), pack(y)) == pack(s), (m, x, y)
+                    assert weight(add(pack(x), pack(y))) == sum(1 for v in s if v)
+                for c in (0, 1, top, rng.randrange(f.order)):
+                    assert scale(c, pack(x)) == pack([f.mul(c, v) for v in x]), (m, c, x)
 
 
 def test_packed_words_refuse_entries_over_63_bits():

@@ -6,6 +6,7 @@ contain the defining curve points, and spread containment is compared
 against per-element membership.
 """
 
+import functools
 import itertools
 import math
 import os
@@ -17,7 +18,7 @@ from random import Random
 
 import pytest
 
-from pseudoarcs import projgeo, pseudoarc
+from pseudoarcs import codes, pg54, projgeo, pseudoarc
 from pseudoarcs.gf import GF, FieldTower, InvariantError, tower
 from pseudoarcs.linalg import det, rank_ints, rref_ints, vec_mat_ints
 from pseudoarcs.nrc import (INFINITY, frobenius_orbit_reps, nrc_points,
@@ -130,6 +131,13 @@ def reference_permutations(elements):
         if set(images) == set(elements):
             accepted.append((gen, [position[img] for img in images]))
     return accepted
+
+
+def curve_permutations(elements):
+    """``_curve_permutations`` of a family of subspaces."""
+    return pseudoarc._curve_permutations(elements[0].field,
+                                         [el.int_rows for el in elements],
+                                         [el.pivots for el in elements])
 
 
 def reference_orbits(elements):
@@ -548,8 +556,7 @@ def test_orbit_walk_covers_every_subset():
     for els, k in families:
         size = len(els)
         perms = [perm for _, perm in reference_permutations(els)]
-        assert perms == pseudoarc._curve_permutations(els[0].field,
-                                                      [el.int_rows for el in els])
+        assert perms == curve_permutations(els)
         group = closed_group(perms, size)
         verdict, tested = walked_tuples(els, k)
         assert verdict.ok and len(tested) == verdict.walked < math.comb(size, k)
@@ -640,9 +647,16 @@ def reference_image(fld, mat, rows):
     return tuple(map(tuple, rref_ints(fld, [vec_mat_ints(fld, v, mat) for v in rows])[0]))
 
 
+def pivot_groups(rows):
+    """``_pivot_groups`` of every subspace, given by its reduced int
+    rows."""
+    pivots = [tuple(r.index(1) for r in el) for el in rows]
+    return pseudoarc._pivot_groups(pivots, range(len(rows)))
+
+
 def images(fld, mat, rows):
     """``_images`` over the pivot groups of ``rows``."""
-    return pseudoarc._images(fld, mat, rows, pseudoarc._pivot_groups(rows))
+    return pseudoarc._images(fld, mat, rows, pivot_groups(rows))
 
 
 def test_row_maps_match_the_reference_image():
@@ -664,7 +678,7 @@ def test_row_maps_match_the_reference_image():
                     mat = curve_projectivity(fld, *gen, n)
                     assert images(fld, mat, rows) == [
                         reference_image(fld, mat, r) for r in rows]
-                perms = pseudoarc._curve_permutations(fld, rows)
+                perms = curve_permutations(family)
                 orbits, _ = pseudoarc._orbits(perms, list(range(len(rows))))
                 assert len(orbits) == reference_orbits(family)[1]
 
@@ -749,7 +763,7 @@ def test_triangular_images_on_every_pivot_pattern(monkeypatch):
                     for pivots in itertools.combinations(range(n), rank_)
                     for _ in range(2)]
             rng.shuffle(rows)
-            groups = pseudoarc._pivot_groups(rows)
+            groups = pivot_groups(rows)
             diagonal = range(2, fld.order) if fld.order > 2 else [1]
             upper = [[rng.choice(diagonal) if i == j else
                       rng.randrange(fld.order) if i < j else 0
@@ -800,33 +814,59 @@ def count_images(monkeypatch):
     return singles, passes
 
 
-def test_image_calls_per_generator(monkeypatch):
-    # every generator is accepted on these families: each images element
-    # 0 alone, then the family in one pass, which reuses that image and
-    # images the first member of every other pivot group alone; the
-    # shift and scale maps keep every pivot and image nothing else
-    # alone, while the reversal sends 132 of the 1,028 elements of the
-    # arcs grid families to ``_image``
-    singles, passes = count_images(monkeypatch)
+def cycle_heads(perm):
+    """The smallest point of each cycle of a permutation, ascending."""
+    heads, seen = [], set()
+    for x in range(len(perm)):
+        if x not in seen:
+            heads.append(x)
+            while x not in seen:
+                seen.add(x)
+                x = perm[x]
+    return heads
 
-    def reversal_fallbacks(els):
+
+def test_image_calls_per_generator(monkeypatch):
+    # every generator is accepted on these families.  The shift and
+    # scale maps image element 0 alone, then the whole family in one
+    # pass, which reuses that image and images the first member of every
+    # other pivot group alone; they keep every pivot and image nothing
+    # else alone.  The reversal's one pass holds only the heads of the
+    # scale map's cycles, 140 of the 1,028 elements of the arcs grid
+    # families, and sends 26 of them to ``_image``
+    singles, passes = count_images(monkeypatch)
+    members = {}
+    counting_images = pseudoarc._images
+
+    def recording_images(fld, mat, rows, groups, image0=None):
+        members[tuple(map(tuple, mat))] = sorted(i for g in groups.values() for i in g)
+        return counting_images(fld, mat, rows, groups, image0)
+
+    monkeypatch.setattr(pseudoarc, "_images", recording_images)
+
+    def reversal_counts(els):
         fld, n = els[0].field, els[0].ambient_dim
         rows = [el.int_rows for el in els]
         singles.clear()
         passes.clear()
-        assert len(pseudoarc._curve_permutations(fld, rows)) == 3
-        groups = len(pseudoarc._pivot_groups(rows))
+        members.clear()
+        assert len(curve_permutations(els)) == 3
         shift, scale, reverse = (tuple(map(tuple, curve_projectivity(fld, *gen, n)))
                                  for gen in curve_generators(fld))
+        heads = cycle_heads(reference_permutations(els)[1][1])
+        everything = list(range(len(els)))
         assert passes == {shift: 1, scale: 1, reverse: 1}
-        assert singles[shift] == singles[scale] == groups
-        return singles[reverse] - groups
+        assert members == {shift: everything, scale: everything, reverse: heads}
+        assert singles[shift] == singles[scale] == len(pivot_groups(rows))
+        return len(heads), singles[reverse] - len(pivot_groups([rows[i] for i in heads]))
 
     for case in ROW_MAP_CASES:
         for els in curve_families(*case):
-            reversal_fallbacks(els)
-    assert sum(reversal_fallbacks(els) for case in ARCS_GRID_CASES
-               for els in curve_families(*case)) == 132
+            reversal_counts(els)
+    counts = [reversal_counts(els) for case in ARCS_GRID_CASES
+              for els in curve_families(*case)]
+    assert sum(len(els) for case in ARCS_GRID_CASES for els in curve_families(*case)) == 1028
+    assert tuple(map(sum, zip(*counts))) == (140, 26)
 
 
 def test_a_generator_that_moves_the_family_costs_one_image(monkeypatch):
@@ -845,7 +885,7 @@ def test_a_generator_that_moves_the_family_costs_one_image(monkeypatch):
             moved = [apply_projectivity(m, el) for el in els]
             singles.clear()
             passes.clear()
-            assert pseudoarc._curve_permutations(fld, [el.int_rows for el in moved]) == []
+            assert curve_permutations(moved) == []
             assert sorted(singles.values()) == [1, 1, 1] and not passes
 
 
@@ -881,7 +921,7 @@ def test_stabilizer_matches_the_list_map_version():
                      for t in (0, INFINITY)])
     compared = 0
     for els in families:
-        top = pseudoarc._curve_permutations(els[0].field, [el.int_rows for el in els])
+        top = curve_permutations(els)
         levels = [(top, list(range(len(els))))]
         for gens, points in levels:
             orbits, vec = pseudoarc._orbits(gens, points)
@@ -942,6 +982,111 @@ def test_direct_generator_matrices_match_the_curve_projectivities():
         for n in range(2, 9):
             assert list(pseudoarc._curve_generators(fld, n)) == [
                 curve_projectivity(fld, *gen, n) for gen in curve_generators(fld)]
+
+
+def mat_mul(fld, a, b):
+    """The product of two int matrices over fld."""
+    return [[functools.reduce(fld.add, map(fld.mul, row, col), 0) for col in zip(*b)]
+            for row in a]
+
+
+def test_reversal_conjugates_the_scale_map_to_its_inverse():
+    # J*D*J = xi^(n-1) * D^-1 for t -> 1/t (J) and t -> xi*t (D), the
+    # identity by which J images one element per cycle of D; on the
+    # direct matrices and on the oracle's
+    for p, e in [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                 (2, 4), (7, 2)]:
+        fld = GF.get(p, e)
+        xi = fld.primitive_element().val
+        for n in range(2, 10):
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            oracle = [curve_projectivity(fld, *gen, n) for gen in curve_generators(fld)]
+            for _, scale, reverse in (pseudoarc._curve_generators(fld, n), oracle):
+                inverse = [[fld.inv(scale[i][i]) if i == j else 0 for j in range(n)]
+                           for i in range(n)]
+                assert mat_mul(fld, scale, inverse) == identity
+                assert mat_mul(fld, reverse, reverse) == identity
+                assert mat_mul(fld, mat_mul(fld, reverse, scale), reverse) == [
+                    [fld.mul(fld.pow(xi, n - 1), x) for x in row] for row in inverse], (p, e, n)
+
+
+def every_image_permutations(els):
+    """The reference for ``_curve_permutations``: each curve generator
+    images every element alone, with ``reference_image``, and counts
+    when the images are the elements again, in a permutation other than
+    the identity.  A family with a repeated element gets none."""
+    size = len(els)
+    rows = [el.int_rows for el in els]
+    if len(set(rows)) < size:
+        return []
+    fld, n = els[0].field, els[0].ambient_dim
+    position = {r: i for i, r in enumerate(rows)}
+    perms = []
+    for gen in curve_generators(fld):
+        mat = curve_projectivity(fld, *gen, n)
+        perm = [position.get(reference_image(fld, mat, r)) for r in rows]
+        if None not in perm and len(set(perm)) == size and perm != list(range(size)):
+            perms.append(perm)
+    return perms
+
+
+def test_curve_permutations_match_imaging_every_element(monkeypatch):
+    # the arcs grid families, the h = 1 conics (affine points, where
+    # t -> 1/t sends 0 off the family, and the whole conic), the folded
+    # distance grid codes and the PG(5, 4) lines; each also moved by a
+    # random projectivity, with one element dropped, with one repeated,
+    # and cut to a few cycles of t -> 1/t, which t -> xi*t does not keep.
+    # The reversal's pass holds the heads of the scale map's cycles when
+    # that map is accepted, and every element otherwise
+    members = {}
+    images_ = pseudoarc._images
+
+    def recording_images(fld, mat, rows, groups, image0=None):
+        members[tuple(map(tuple, mat))] = sorted(i for g in groups.values() for i in g)
+        return images_(fld, mat, rows, groups, image0)
+
+    monkeypatch.setattr(pseudoarc, "_images", recording_images)
+    families = [els for case in ARCS_GRID_CASES for els in curve_families(*case)]
+    for p, e in [(5, 1), (7, 1), (2, 3), (3, 2)]:
+        tow = tower(p, e, 1)
+        families += [list(build_imaginary_arc(tow, 3).elements),
+                     build_osculating_family(tow, 3)]
+        tow = tower(p, e, 2)
+        code = codes.evaluation_code(tow, list(frobenius_orbit_reps(tow)), 2)
+        families.append(codes.fold_columns(codes.extend_with_derivatives(
+            code, list(tow.base.elements()), include_infty=True)))
+    families.append(pg54.fixture_lines(pg54.fixture_tower()))
+    rng = Random(47)
+    paths = Counter()
+    for els in families:
+        fld, n = els[0].field, els[0].ambient_dim
+        while True:
+            m = [[fld(rng.randrange(fld.order)) for _ in range(n)] for _ in range(n)]
+            if det(m):
+                break
+        i = rng.randrange(len(els))
+        variants = [els, [apply_projectivity(m, el) for el in els],
+                    els[:i] + els[i + 1:], els[:i + 1] + els[i:]]
+        reversal = [perm for gen, perm in reference_permutations(els)
+                    if gen == curve_generators(fld)[2]]
+        if reversal:
+            picked = set(rng.sample(range(len(els)), 3))
+            variants.append([el for j, el in enumerate(els)
+                             if j in picked or reversal[0][j] in picked])
+        _, scale, reverse = (tuple(map(tuple, mat))
+                             for mat in pseudoarc._curve_generators(fld, n))
+        for family in variants:
+            members.clear()
+            perms = curve_permutations(family)
+            assert perms == every_image_permutations(family)
+            scale_perm = next((perm for gen, perm in reference_permutations(family)
+                               if gen == curve_generators(fld)[1]), None)
+            if reverse in members:
+                heads = (cycle_heads(scale_perm) if scale_perm in perms
+                         else list(range(len(family))))
+                assert members[reverse] == heads
+                paths["heads" if len(heads) < len(family) else "full"] += 1
+    assert paths["heads"] > 0 and paths["full"] > 0
 
 
 def test_thas_bound_values():
