@@ -298,7 +298,7 @@ def cmd_code_distance(args):
     code = jsonio.code_from_dict(_read_doc(args.code))
     d = min_distance(code, max_words=args.max_words)
     singleton = code.n - code.k_msg + 1
-    mds = is_mds(code, distance=d)
+    mds = is_mds(code)
     if args.json:
         sys.stdout.write(jsonio.dumps(
             {"schema_version": jsonio.SCHEMA_VERSION, "command": "code distance",

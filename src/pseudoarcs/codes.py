@@ -125,6 +125,12 @@ class AdditiveCode:
         self.omega = tow.normal_element()
 
     @cached_property
+    def _distance(self):
+        """The minimum distance, enumerated on first use; ``min_distance``
+        checks the word budget before reading it."""
+        return _min_weight(self)
+
+    @cached_property
     def gen(self):
         element = self.tow.top.element
         return tuple(tuple(map(element, row)) for row in self.int_rows)
@@ -299,7 +305,20 @@ def encode(message: Union[Poly, Sequence[FieldElement]],
 
 def min_distance(code: AdditiveCode, max_words: int = WORD_BUDGET) -> int:
     """Minimum nonzero Hamming weight over the message space (additivity
-    makes this the minimum distance).
+    makes this the minimum distance).  A code over the budget, which
+    counts all q^(hk) messages, is refused first, even when its distance
+    is known; otherwise the distance is enumerated once per code and kept
+    on it (``AdditiveCode._distance``)."""
+    if code.size > max_words:
+        raise ValueError("code has %d words, over the budget %d; use the geometric "
+                         "route: 'code fold', then 'verify-arc --k %d' on its output, "
+                         "which verifies exactly when the code is MDS"
+                         % (code.size, max_words, code.k_msg))
+    return code._distance
+
+
+def _min_weight(code: AdditiveCode) -> int:
+    """The minimum nonzero weight of the code's words, enumerated.
 
     lift(c) * word has the weight of word for every nonzero c in F_q, so
     one message per scalar class is enough: the one whose first nonzero
@@ -309,13 +328,8 @@ def min_distance(code: AdditiveCode, max_words: int = WORD_BUDGET) -> int:
     lift(delta) * row.  Each word is one int in the top field's packed
     layout (``GF.word_ops``), and the q products lift(delta) * row of
     every row are packed before the walk, so a step is one packed add
-    and a weight one bit count.  The budget counts all q^(hk) messages.
+    and a weight one bit count.
     """
-    if code.size > max_words:
-        raise ValueError("code has %d words, over the budget %d; use the geometric "
-                         "route: 'code fold', then 'verify-arc --k %d' on its output, "
-                         "which verifies exactly when the code is MDS"
-                         % (code.size, max_words, code.k_msg))
     tow = code.tow
     q, top = tow.q, tow.top
     pack, add, weight = top.word_ops(code.n)[:3]
@@ -354,19 +368,18 @@ def fold_columns(code: AdditiveCode) -> List[Subspace]:
     return [field_reduction_ints(code.tow, col) for col in zip(*code.int_rows)]
 
 
-def is_mds(code: AdditiveCode, distance: Optional[int] = None) -> bool:
+def is_mds(code: AdditiveCode) -> bool:
     """Whether the code attains the Singleton bound, decided through
     the geometry: its folded columns must form a pseudo-arc.  The verdict
     is cross-checked against the minimum distance, which must then meet
-    the bound exactly when the code is MDS: the ``distance`` a caller has
-    enumerated already, or else the one computed here when the message
-    space fits ``WORD_BUDGET``."""
+    the bound exactly when the code is MDS: the distance already kept on
+    the code, at any budget, or else the one enumerated here when the
+    message space fits ``WORD_BUDGET``."""
     folded = fold_columns(code)
     geometric = bool(is_pseudo_arc(folded, code.k_msg))
-    if distance is None and code.size <= WORD_BUDGET:
-        distance = min_distance(code)
-    if distance is not None and geometric != (distance == code.n - code.k_msg + 1):
-        raise InvariantError("geometric and metric verdicts disagree")
+    if "_distance" in vars(code) or code.size <= WORD_BUDGET:
+        if geometric != (code._distance == code.n - code.k_msg + 1):
+            raise InvariantError("geometric and metric verdicts disagree")
     return geometric
 
 

@@ -16,6 +16,8 @@ entry for every element, and the field's row ops update it for all of
 them.
 """
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -470,7 +472,7 @@ def _stabilizer(gens, b, vec, rng):
     return out
 
 
-def _chain_walk(k, gens, points, split, step, rng):
+def _chain_walk(k, gens, points, split, step, last, rng):
     """Walk one k-tuple of ``points`` per orbit, under the group that
     ``gens`` generate, and return the first failing k-subset found, or
     None.  ``split`` is ``_orbits(gens, points)``.
@@ -487,34 +489,85 @@ def _chain_walk(k, gens, points, split, step, rng):
     generators every orbit is one point, and the walk visits the
     k-subsets in lexicographic order.
 
-    ``step(prefix, b, rest)`` tests b against the prefix, and prepares
-    the child on ``rest`` when the tuple is not yet complete.  When it
-    fails, every k-subset through the prefix and b fails; the witness is
-    the first of them, the prefix completed by the next candidates.
+    ``step(prefix, b, rest)`` tests b against a prefix of fewer than k - 1
+    points and prepares the child on ``rest``.  When it fails, every
+    k-subset through the prefix and b fails; the witness is the first of
+    them, the prefix completed by the next candidates.  At a prefix of
+    k - 1 points, ``last(prefix, heads)`` tests all the heads at once and
+    returns the position of the first that fails, or None.
     """
     def walk(prefix, gens, points, split):
         need = k - len(prefix) - 1
         orbits, vec = split
+        if not need:
+            heads = [orbit[0] for orbit in orbits]
+            i = last(prefix, heads)
+            return None if i is None else prefix + (heads[i],)
         done = set()
         for pos, orbit in enumerate(orbits):
             b = orbit[0]
-            rest = []
-            if need:
-                rest = ([x for x in points if x > b and x not in done] if gens
-                        else points[pos + 1:])
-                if len(rest) < need:
-                    break
+            rest = ([x for x in points if x > b and x not in done] if gens
+                    else points[pos + 1:])
+            if len(rest) < need:
+                break
             if not step(prefix, b, rest):
                 return prefix + (b,) + tuple(rest[:need])
-            if need:
-                done.update(orbit)
-                sub = _stabilizer(gens, b, vec, rng) if len(orbit) > 1 else gens
-                witness = walk(prefix + (b,), sub, rest, _orbits(sub, rest))
-                if witness:
-                    return witness
+            done.update(orbit)
+            sub = _stabilizer(gens, b, vec, rng) if len(orbit) > 1 else gens
+            witness = walk(prefix + (b,), sub, rest, _orbits(sub, rest))
+            if witness:
+                return witness
         return None
 
     return walk((), gens, points, split)
+
+
+@functools.lru_cache(maxsize=None)
+def _expansion(h):
+    """The plan of ``_block_dets`` for h x h matrices: for each row t
+    from 1, the columns whose entry some term adds, and the column sets S
+    of t + 1 columns, ascending, each with its terms (e, S - s_i).  The
+    term of s_i has sign (-1)^(t+i); e is s_i when that is -1, the term
+    subtracted, and h + s_i, the entry negated, when it is +1."""
+    plan = []
+    for t in range(1, h):
+        sets = [(cols, [(c + h * ((t + i) % 2 == 0), cols[:i] + cols[i + 1:])
+                        for i, c in enumerate(cols)])
+                for cols in itertools.combinations(range(h), t + 1)]
+        added = sorted({e - h for _, terms in sets for e, _ in terms if e >= h})
+        plan.append((added, sets))
+    return plan
+
+
+def _block_dets(fld, block):
+    """The determinants of h x h matrices held entry-wise: ``block[r][c]``
+    lists entry (r, c) of every matrix, and the result lists their
+    determinants.
+
+    Expansion by minors, row by row: the minor on rows 0..t and the
+    column set S is the sum over the s_i in S, ascending, of
+    (-1)^(t+i) * entry (t, s_i) * the minor on rows 0..t-1 and S - s_i.
+    Each term is one ``sub_product``, h*2^(h-1) - h in all; a term with
+    sign +1 takes its entry negated, which over characteristic 2 is the
+    entry itself."""
+    h = len(block)
+    sub_product, scaled = fld.sub_product, fld.scaled
+    minus_one = fld.neg(1)
+    zeros = [0] * len(block[0][0])
+    minors = {(c,): entry for c, entry in enumerate(block[0])}
+    for row, (added, sets) in zip(block[1:], _expansion(h)):
+        signed = row + row
+        if minus_one != 1:
+            for c in added:
+                signed[h + c] = scaled(minus_one, row[c])
+        deeper = {}
+        for cols, terms in sets:
+            acc = zeros
+            for e, rest in terms:
+                acc = sub_product(acc, signed[e], minors[rest])
+            deeper[cols] = acc
+        minors = deeper
+    return minors[tuple(range(h))]
 
 
 def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> ArcVerdict:
@@ -527,11 +580,16 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     spanning k-subsets to spanning k-subsets,
     so ``_chain_walk`` tests one k-tuple per orbit of the group G they
     generate, at every depth one element per orbit of the stabilizer of
-    the prefix.  Each level of the walk reduces the rows of its
-    candidates modulo the span of its prefix once, so a tuple costs only
-    one reduction of its last element's rows and their rank test, which
-    leaves the final row unscaled.  When an element meets the span of the
-    prefix before it, every subset through that prefix is degenerate.
+    the prefix.  Each level of the walk below the last reduces the rows
+    of its candidates modulo the span of its prefix once.  The last level
+    tests all its heads in one pass: their rows, held column by column
+    for all of them at once, are reduced modulo the echelon of the
+    prefix's last element, which leaves them zero on every pivot column
+    of the prefix, and the h x h blocks on the other h columns must be
+    nonsingular.  ``_block_dets`` gives their determinants as one list;
+    its first zero is the first failing head, and the heads up to it
+    count as walked.  When an element meets the span of the prefix
+    before it, every subset through that prefix is degenerate.
 
     The stabilizers' generators are random words sifted into them, drawn
     from a generator seeded once per call, so the walk and its counts are
@@ -564,37 +622,57 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
         return ArcVerdict(True, orbits=size)
     rows = [el.int_rows for el in elements]
     # per depth: the candidates' rows modulo the span of the prefix
-    # without its last element, and that element's reduced rows
-    levels = [(rows, [])] * k
+    # without its last element, that element's echelon rows, and the
+    # columns that are pivots of no element of the prefix
+    levels = [(rows, [], range(dim))] * k
+    sub_scaled = fld.sub_scaled
     walked = 0
 
     def step(prefix, b, rest):
         nonlocal walked
         depth = len(prefix)
-        cands, basis = levels[depth]
-        if depth + 1 == k:
-            walked += 1
-            basis = list(basis)
-            el_rows = cands[b]
-            return (all(insert_row(fld, basis, r) for r in el_rows[:-1])
-                    and any(reduce_row(fld, basis, el_rows[-1])))
+        cands, _, free = levels[depth]
         echelon = []
         if not all(insert_row(fld, echelon, r) for r in cands[b]):
             walked += 1
             return False
+        pivots = {pc for pc, _ in echelon}
+        free = [j for j in free if j not in pivots]
         if depth + 2 == k:
-            levels[depth + 1] = cands, echelon
+            levels[depth + 1] = cands, echelon, free
         else:
-            levels[depth + 1] = {j: [reduce_row(fld, echelon, r) for r in cands[j]]
-                                 for j in rest}, []
+            levels[depth + 1] = ({j: [reduce_row(fld, echelon, r) for r in cands[j]]
+                                  for j in rest}, [], free)
         return True
+
+    def last(prefix, heads):
+        nonlocal walked
+        cands, basis, free = levels[len(prefix)]
+        # cols[j]: entry j of every row of every head, rows outermost,
+        # reduced modulo the basis; then zero on every pivot of the prefix
+        cols = list(zip(*[cands[b][r] for r in range(h) for b in heads]))
+        for pc, row in basis:
+            lead = cols[pc]
+            for j, c in enumerate(row):
+                if c and j != pc:
+                    cols[j] = sub_scaled(cols[j], c, lead)
+        size = len(heads)
+        dets = _block_dets(fld, [[cols[j][r * size:(r + 1) * size] for j in free]
+                                 for r in range(h)])
+        if 0 in dets:
+            i = dets.index(0)
+            walked += i + 1
+            return i
+        walked += size
+        return None
 
     gens = _curve_permutations(fld, rows, [el.pivots for el in elements])
     everything = list(range(size))
     top = _orbits(gens, everything)
-    witness = _chain_walk(k, gens, everything, top, step, Random(0))
+    witness = _chain_walk(k, gens, everything, top, step, last, Random(0))
     if witness and gens:
-        witness = _chain_walk(k, [], everything, _orbits([], everything), step, None)
+        witness = _chain_walk(k, [], everything, _orbits([], everything), step, last,
+                              None)
         if not witness:
             raise InvariantError("the walk under the curve group failed, "
                                  "the plain walk did not")

@@ -421,17 +421,32 @@ def test_code_distance_refusal_names_the_geometric_route(capsys, tmp_path):
 def test_code_distance_enumerates_the_code_once(capsys, tmp_path, monkeypatch):
     code_path = write_code(capsys, tmp_path)
     calls = []
-    enumerate_words = codes.min_distance
+    enumerate_words = codes._min_weight
 
-    def counted(code, max_words=2 ** 20):
-        calls.append(max_words)
-        return enumerate_words(code, max_words)
+    def counted(code):
+        calls.append(code)
+        return enumerate_words(code)
 
-    monkeypatch.setattr(cli, "min_distance", counted)
-    monkeypatch.setattr(codes, "min_distance", counted)
+    monkeypatch.setattr(codes, "_min_weight", counted)
     code, out, _ = run(capsys, "code", "distance", str(code_path))
     assert code == 0 and out.splitlines()[-1] == "mds: true"
     assert len(calls) == 1
+
+
+def test_code_distance_over_the_default_budget_still_cross_checks(
+        capsys, tmp_path, monkeypatch):
+    # a default budget below the code's size stands in for a code above
+    # 2^20 words: is_mds enumerates nothing by itself there, so its
+    # cross-check is against the distance enumerated under --max-words
+    code_path = write_code(capsys, tmp_path)
+    monkeypatch.setattr(codes, "WORD_BUDGET", 10)
+    argv = ["code", "distance", str(code_path), "--max-words", str(2 ** 21)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[-2:] == ["singleton bound: 9", "mds: true"]
+    monkeypatch.setattr(codes, "_min_weight", lambda code: code.n - code.k_msg)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "InvariantError: geometric and metric verdicts disagree" in err
 
 
 def test_code_fold_feeds_verify_arc(capsys, tmp_path):

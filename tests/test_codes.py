@@ -501,17 +501,62 @@ def test_generator_rank_by_columns_matches_full_row_expansion():
     assert outcomes == {"full", "dependent"}
 
 
-def test_is_mds_takes_a_given_distance(monkeypatch):
+def counted_enumeration(monkeypatch):
+    """Patch the enumerator behind min_distance with one that counts its
+    Gray walks; returns the list of codes walked."""
+    walked = []
+    enumerate_words = codes._min_weight
+
+    def counted(code):
+        walked.append(code)
+        return enumerate_words(code)
+
+    monkeypatch.setattr(codes, "_min_weight", counted)
+    return walked
+
+
+def test_min_distance_then_is_mds_enumerate_the_code_once(monkeypatch):
+    walked = counted_enumeration(monkeypatch)
     code = full_code(5, 1, 2, 2)
-    d = min_distance(code)
+    assert min_distance(code) == min_distance(code) == code.n - code.k_msg + 1
+    assert is_mds(code)
+    assert walked == [code]
+    # a new code object is enumerated again; is_mds alone walks it once
+    other = full_code(5, 1, 2, 2)
+    assert is_mds(other) and min_distance(other) == code.n - 1
+    assert walked == [code, other]
 
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("the code was enumerated again")
 
-    monkeypatch.setattr(codes, "min_distance", no_enumeration)
-    assert is_mds(code, distance=d)
-    with pytest.raises(InvariantError):
-        is_mds(code, distance=d - 1)
+def test_a_known_distance_does_not_bypass_the_budget():
+    code = full_code(5, 1, 2, 2)
+    assert min_distance(code) == code.n - 1
+    with pytest.raises(ValueError, match="over the budget 10"):
+        min_distance(code, max_words=10)
+
+
+def test_is_mds_cross_checks_a_known_distance_over_the_budget(monkeypatch):
+    # with the budget below the code's size, is_mds enumerates nothing
+    # itself, but checks a distance that min_distance already kept
+    code = full_code(5, 1, 2, 2)
+    monkeypatch.setattr(codes, "WORD_BUDGET", code.size - 1)
+    walked = counted_enumeration(monkeypatch)
+    assert is_mds(code)
+    assert walked == []
+    monkeypatch.setattr(codes, "_min_weight", lambda code: code.n - code.k_msg)
+    assert min_distance(code, max_words=code.size) == code.n - 2
+    with pytest.raises(InvariantError, match="verdicts disagree"):
+        is_mds(code)
+
+
+def test_is_mds_raises_on_a_forced_disagreement(monkeypatch):
+    code = full_code(5, 1, 2, 2)
+    monkeypatch.setattr(codes, "_min_weight", lambda code: code.n - code.k_msg)
+    with pytest.raises(InvariantError, match="verdicts disagree"):
+        is_mds(code)
+    planted = with_column(full_code(5, 1, 2, 2), 0, code.tow.base.one)
+    monkeypatch.setattr(codes, "_min_weight", lambda code: code.n - code.k_msg + 1)
+    with pytest.raises(InvariantError, match="verdicts disagree"):
+        is_mds(planted)
 
 
 def test_is_mds_repeated_column_fails():

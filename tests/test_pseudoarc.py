@@ -165,16 +165,17 @@ def closed_group(perms, size):
 
 def walked_tuples(els, k):
     """The verdict on els and every k-tuple its walks tested, recorded
-    through the step of the chain walk."""
+    through the last level of the chain walk: the heads up to and
+    including the first that fails."""
     tested = []
     chain_walk = pseudoarc._chain_walk
 
-    def recording(k_, gens, points, split, step, rng):
-        def record(prefix, b, rest):
-            if len(prefix) + 1 == k_:
-                tested.append(prefix + (b,))
-            return step(prefix, b, rest)
-        return chain_walk(k_, gens, points, split, record, rng)
+    def recording(k_, gens, points, split, step, last, rng):
+        def record(prefix, heads):
+            i = last(prefix, heads)
+            tested.extend(prefix + (b,) for b in heads[:None if i is None else i + 1])
+            return i
+        return chain_walk(k_, gens, points, split, step, record, rng)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pseudoarc, "_chain_walk", recording)
@@ -223,6 +224,15 @@ def curve_families(p, e, h, k):
     if p >= h:
         families.append(list(extend_with_osculating(arc).elements))
     return families
+
+
+def moved_family(els, rng):
+    """The family moved by a random nonsingular matrix."""
+    fld, n = els[0].field, els[0].ambient_dim
+    while True:
+        m = [[fld(rng.randrange(fld.order)) for _ in range(n)] for _ in range(n)]
+        if det(m):
+            return [apply_projectivity(m, el) for el in els]
 
 
 def random_subspace(fld, rank_, n, rng):
@@ -573,13 +583,7 @@ def test_orbit_walk_accepts_no_generator_on_moved_families():
     rng = Random(19)
     for case in ORBIT_CASES:
         for els in curve_families(*case):
-            fld, n = els[0].field, els[0].ambient_dim
-            while True:
-                m = [[fld(rng.randrange(fld.order)) for _ in range(n)]
-                     for _ in range(n)]
-                if det(m):
-                    break
-            moved = [apply_projectivity(m, el) for el in els]
+            moved = moved_family(els, rng)
             assert reference_orbits(moved)[0] == []
             assert_orbit_walk(moved, case[3], "full")
 
@@ -938,8 +942,8 @@ def test_stabilizer_matches_the_list_map_version():
 
 def test_last_level_rank_test_on_duplicates_at_the_last_index():
     # the last index is reached only at the last level of the walk, so
-    # the unscaled final-row test is what finds these; the h = 1 conic
-    # points have that final row alone
+    # the determinant list of that level is what finds these, as the
+    # last head of a node; the h = 1 conic points have 1 x 1 blocks
     families = [(list(build_imaginary_arc(tower(7, 1, 1), 3).elements), 3)]
     for case in ORBIT_CASES:
         families += [(els, case[3]) for els in curve_families(*case)]
@@ -948,6 +952,86 @@ def test_last_level_rank_test_on_duplicates_at_the_last_index():
             bad = els[:-1] + [els[i]]
             verdict = assert_orbit_walk(bad, k, "full")
             assert verdict.witness[-1] == len(els) - 1 and i in verdict.witness
+
+
+# (p, e, h, k): GF(2^m), GF(p) and GF(p^e) at h = 1, 2 and 3
+LAST_LEVEL_CASES = [(2, 3, 1, 3), (7, 1, 1, 3), (3, 2, 1, 3),
+                    (2, 2, 2, 2), (5, 1, 2, 2), (3, 2, 2, 2), (2, 2, 2, 3),
+                    (2, 2, 3, 2), (3, 1, 3, 2), (3, 2, 3, 2)]
+
+
+def test_last_level_matches_reference_on_moved_planted_and_clean_families():
+    # at most 14 elements each, so the reference stays cheap; a moved or
+    # planted family has no curve group here, and its plain walk counts
+    # the subsets up to the witness, the k-tuples the last level tested
+    # being those subsets in order, all of them or all but the witness
+    rng = Random(37)
+    outcomes = set()
+    for p, e, h, k in LAST_LEVEL_CASES:
+        # for h = 1 the imaginary family is every affine curve point
+        for els in (curve_families(p, e, h, k) if h > 1
+                    else [list(build_imaginary_arc(tower(p, e, h), k).elements)]):
+            els = els[:14]
+            families = [els, moved_family(els, rng)]
+            for _ in range(2):
+                bad = list(els)
+                i, j, l = sorted(rng.sample(range(len(els)), 3))
+                bad[l] = bad[i]
+                if rng.random() < 0.5:
+                    bad[j] = bad[i]
+                families.append(bad)
+            for fam in families:
+                verdict, tested = walked_tuples(fam, k)
+                assert verdict == reference_verdict(fam, k)
+                if reference_orbits(fam)[1] < len(fam):
+                    assert verdict.ok
+                    outcomes.add("group")
+                    continue
+                size = len(fam)
+                subsets = list(itertools.combinations(range(size), k))
+                if verdict.ok:
+                    assert verdict.walked == len(subsets)
+                    assert tested == subsets
+                    outcomes.add("pass")
+                    continue
+                position = lex_position(verdict.witness, size)
+                assert verdict.walked == position
+                if tested and tested[-1] == verdict.witness:
+                    assert tested == subsets[:position]
+                    outcomes.add("last level")
+                else:
+                    assert tested == subsets[:position - 1]
+                    outcomes.add("prefix")
+    assert outcomes == {"group", "pass", "last level", "prefix"}
+
+
+def test_block_dets_match_rank_and_det_per_matrix():
+    # random h x h matrices, entry-wise lists, up to h = 4; a third of
+    # them made singular: a row a combination of the others, or a zero
+    # column
+    rng = Random(43)
+    for fld in (GF.get(2, 1), GF.get(2, 3), GF.get(5, 1), GF.get(3, 2), GF.get(7, 2)):
+        for h in (1, 2, 3, 4):
+            mats = []
+            for trial in range(30):
+                m = [[rng.randrange(fld.order) for _ in range(h)] for _ in range(h)]
+                if trial % 3 == 1 and h > 1:
+                    row = [0] * h
+                    for r in m[1:]:
+                        row = fld.sub_scaled(row, rng.randrange(1, fld.order), r)
+                    m[0] = row
+                elif trial % 3 == 2:
+                    c = rng.randrange(h)
+                    for r in m:
+                        r[c] = 0
+                mats.append(m)
+            block = [[[m[r][c] for m in mats] for c in range(h)] for r in range(h)]
+            dets = pseudoarc._block_dets(fld, block)
+            assert len(dets) == len(mats)
+            for m, d in zip(mats, dets):
+                assert (d == 0) == (rank_ints(fld, m) < h)
+                assert fld(d) == det([[fld(x) for x in r] for r in m])
+            assert 0 in dets and any(dets)
 
 
 def test_curve_projectivities_are_invertible_and_move_the_curve():
