@@ -10,10 +10,9 @@ from .projgeo import (Spread, Subspace, ambient_space, apply_projectivity,
                       block_spread, canonical_spread, field_reduction,
                       intersect, join, lift_subspace, span,
                       spread_membership)
-from .pseudoarc import (ArcVerdict, PseudoArc, SmallFieldWarning, Tag,
-                        build_desarguesian_arc, build_imaginary_arc,
-                        contained_in_spread, extend_with_osculating,
-                        is_pseudo_arc, thas_bound)
+from .pseudoarc import (ArcVerdict, PseudoArc, Tag, build_desarguesian_arc,
+                        build_imaginary_arc, contained_in_spread,
+                        extend_with_osculating, is_pseudo_arc, thas_bound)
 from .quadrics import (IntersectionVerdict, QuadraticForm,
                        is_complete_intersection, monomial_pairs,
                        nrc_quadric_system, trace_reduce, vanishing_space)
@@ -33,7 +32,7 @@ __all__ = [
     "Spread", "Subspace", "ambient_space", "apply_projectivity",
     "block_spread", "canonical_spread", "field_reduction", "intersect",
     "join", "lift_subspace", "span", "spread_membership",
-    "ArcVerdict", "PseudoArc", "SmallFieldWarning", "Tag",
+    "ArcVerdict", "PseudoArc", "Tag",
     "build_desarguesian_arc", "build_imaginary_arc", "contained_in_spread",
     "extend_with_osculating", "is_pseudo_arc", "thas_bound",
     "IntersectionVerdict", "QuadraticForm",

@@ -3,12 +3,12 @@
 Exit status convention: 0 means verified or constructed, 1 means a
 property was refuted (a witness is printed), 2 means a usage or input
 error, 3 means an internal error of the program.  All primary output is
-deterministic for a fixed command line; warnings go to stderr only.
+deterministic for a fixed command line; stderr carries only the error
+messages of statuses 2 and 3.
 """
 
 import argparse
 import sys
-import warnings
 
 from . import jsonio
 from .codes import (DecodeError, ERASED, WORD_BUDGET, encode, erasure_decode,
@@ -76,19 +76,11 @@ def _check_positive(value, name):
         raise ValueError("%s must be positive, got %d" % (name, value))
 
 
-def _forward_warnings(caught):
-    for w in caught:
-        print("warning: %s" % w.message, file=sys.stderr)
-
-
 def cmd_construct_arc(args):
     tow = _tower_for(args.q, args.h)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        arc = build_imaginary_arc(tow, args.k)
-        if args.extend:
-            arc = extend_with_osculating(arc)
-    _forward_warnings(caught)
+    arc = build_imaginary_arc(tow, args.k)
+    if args.extend:
+        arc = extend_with_osculating(arc)
     _emit_doc(jsonio.arc_to_dict(arc), args.out, "arc")
     return 0
 

@@ -19,7 +19,6 @@ them.
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter
 from random import Random
@@ -30,12 +29,6 @@ from .linalg import (SingularMatrixError, insert_row, reduce_row, rref_ints,
                      vec_mat_ints)
 from .nrc import INFINITY, frobenius_orbit_reps, osc_ints
 from .projgeo import Spread, Subspace, spread_membership
-
-
-class SmallFieldWarning(UserWarning):
-    """Raised when q is below hk+1, where the spanning theorems carry
-    no guarantee; the constructions still run and are verified
-    directly."""
 
 
 TAG_KINDS = ("imaginary", "osculating", "osculating-infty", "external")
@@ -123,13 +116,6 @@ def thas_bound(h: int, k: int, q: int) -> int:
     return q ** h + k - (0 if q % 2 == 0 else 1)
 
 
-def _warn_small_field(tow: FieldTower, k: int):
-    if tow.q < tow.h * k + 1:
-        warnings.warn(
-            "q = %d is below hk + 1 = %d; spanning guarantees do not apply"
-            % (tow.q, tow.h * k + 1), SmallFieldWarning, stacklevel=3)
-
-
 def build_imaginary_arc(tow: FieldTower, k: int) -> PseudoArc:
     """One element per orbit representative alpha: the field reduction
     of (1, alpha, ..., alpha^(hk-1)), the rational points of its
@@ -142,7 +128,6 @@ def build_imaginary_arc(tow: FieldTower, k: int) -> PseudoArc:
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    _warn_small_field(tow, k)
     n = tow.h * k
     reps = frobenius_orbit_reps(tow)
     elements = [Subspace.from_ints(tow.base, n, rows)
@@ -450,25 +435,33 @@ def _stabilizer(gens, b, vec, rng):
     orbit under ``gens`` with Schreier vector ``vec``.  One random walk
     through the group, ``WORD_LENGTH`` generators a step, is sifted after
     each step: followed by the inverse of the Schreier-tree word that
-    carries b to the walk's image of b.  Identities and repeats are
-    dropped.  A product s*t, s first, is the gather ``itemgetter(*s)(t)``,
-    a tuple; ``gens`` has at least two points, so it is never a bare
-    item."""
+    carries b to the walk's image of b.  When no sifted word survives, the
+    Schreier generators at b take their place: each generator sifted the
+    same way.  Identities and repeats are dropped.  A product s*t, s
+    first, is the gather ``itemgetter(*s)(t)``, a tuple; ``gens`` has at
+    least two points, so it is never a bare item."""
     inverses = [sorted(range(len(s)), key=s.__getitem__) for s in gens]
     identity = tuple(range(len(gens[0])))
-    letters = iter(rng.choices(gens, k=STABILIZER_WORDS * WORD_LENGTH))
     out = []
-    w = identity
-    for _ in range(STABILIZER_WORDS):
-        for _ in range(WORD_LENGTH):
-            w = itemgetter(*w)(next(letters))
-        g, x = w, w[b]
+
+    def sift(g):
+        x = g[b]
         while x != b:
             inv = inverses[vec[x]]
             g = itemgetter(*g)(inv)
             x = inv[x]
         if g != identity and g not in out:
             out.append(g)
+
+    letters = iter(rng.choices(gens, k=STABILIZER_WORDS * WORD_LENGTH))
+    w = identity
+    for _ in range(STABILIZER_WORDS):
+        for _ in range(WORD_LENGTH):
+            w = itemgetter(*w)(next(letters))
+        sift(w)
+    if not out:
+        for s in gens:
+            sift(tuple(s))
     return out
 
 

@@ -12,7 +12,6 @@ the gate robust on slow machines.
 
 import itertools
 import math
-import warnings
 from random import Random
 
 import pytest
@@ -25,9 +24,9 @@ from pseudoarcs.linalg import rank_ints
 from pseudoarcs.nrc import frobenius_orbit_reps, nrc_points, orbit_rep_count
 from pseudoarcs.pg54 import verify_fixture
 from pseudoarcs.projgeo import Subspace, block_spread, canonical_spread, spread_membership
-from pseudoarcs.pseudoarc import (SmallFieldWarning, build_imaginary_arc,
-                                  contained_in_spread, extend_with_osculating,
-                                  is_pseudo_arc, thas_bound)
+from pseudoarcs.pseudoarc import (build_imaginary_arc, contained_in_spread,
+                                  extend_with_osculating, is_pseudo_arc,
+                                  thas_bound)
 from pseudoarcs.quadrics import (QuadraticForm, is_complete_intersection,
                                  nrc_quadric_system, trace_reduce,
                                  vanishing_space)
@@ -127,10 +126,8 @@ NO_QUADRIC_THRESHOLDS = {(2, 2, 3): 1, (2, 3, 4): 4, (2, 4, 5): 11,
 
 
 def test_criterion_05_quadrics_through_arcs_over_small_fields():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallFieldWarning)
-        arcs = {key: build_imaginary_arc(tower_for(key[2], key[0]), key[1])
-                for key in NO_QUADRIC_THRESHOLDS}
+    arcs = {key: build_imaginary_arc(tower_for(key[2], key[0]), key[1])
+            for key in NO_QUADRIC_THRESHOLDS}
     for key, dim in NO_QUADRIC_THRESHOLDS.items():
         assert len(vanishing_space(arcs[key].elements)) == dim, key
     # the osculating spaces of (2, 4, 5) cut the 11 forms down to 5

@@ -328,11 +328,13 @@ def test_rerun_is_byte_identical(capsys):
     assert first[0] == 0
 
 
-def test_construct_arc_small_field_warning_on_stderr(capsys):
+def test_construct_arc_below_hk_plus_one_leaves_stderr_empty(capsys):
+    # q = 4 < hk + 1 = 7: the family spans all the same, and stderr
+    # carries only error messages
     code, out, err = run(capsys, "construct-arc", "--h", "2", "--k", "3",
                          "--q", "4")
     assert code == 0
-    assert "warning:" in err
+    assert err == ""
     doc = json.loads(out)
     assert len(doc["elements"]) == 6
 

@@ -8,7 +8,6 @@ geometric route through column folding.
 """
 
 import itertools
-import warnings
 from random import Random
 
 import pytest
@@ -23,8 +22,8 @@ from pseudoarcs.linalg import rank_ints
 from pseudoarcs.nrc import (frobenius_orbit_reps, is_imaginary, orbit_rep_count,
                             osc_basis, osc_basis_infty)
 from pseudoarcs.projgeo import canonical_spread, span
-from pseudoarcs.pseudoarc import (SmallFieldWarning, build_imaginary_arc,
-                                  contained_in_spread, extend_with_osculating)
+from pseudoarcs.pseudoarc import (build_imaginary_arc, contained_in_spread,
+                                  extend_with_osculating)
 
 
 def full_code(p, e, h, k):
@@ -568,15 +567,10 @@ def test_is_mds_repeated_column_fails():
 
 
 def test_fold_columns_recovers_arc():
-    for (p, e, h, k), quiet in [((5, 1, 2, 2), True), ((3, 1, 2, 2), False),
-                                ((2, 2, 2, 3), False), ((3, 1, 3, 2), False)]:
+    for p, e, h, k in [(5, 1, 2, 2), (3, 1, 2, 2), (2, 2, 2, 3), (3, 1, 3, 2)]:
         tow = tower(p, e, h)
         code = full_code(p, e, h, k)
-        if quiet:
-            arc = build_imaginary_arc(tow, k)
-        else:
-            with pytest.warns(SmallFieldWarning):
-                arc = build_imaginary_arc(tow, k)
+        arc = build_imaginary_arc(tow, k)
         assert fold_columns(code) == list(arc.elements)
 
 
@@ -798,8 +792,7 @@ def test_linear_equivalence_verdicts():
 
 
 def test_code_from_subspaces_folds_back():
-    with pytest.warns(SmallFieldWarning):
-        arc = build_imaginary_arc(tower(2, 2, 2), 3)
+    arc = build_imaginary_arc(tower(2, 2, 2), 3)
     code = code_from_subspaces(tower(2, 2, 2), list(arc.elements), 3)
     assert fold_columns(code) == list(arc.elements)
     assert all(s.kind == "external" for s in code.eval_spec)
@@ -813,8 +806,7 @@ def test_code_from_subspaces_refuses_another_ambient_dimension():
     # the extended (5,1,2) arc for k = 3 lives in PG(5, 5): k_msg = 2
     # would fold the code into PG(3, 5), and k_msg = 4 ran out of rows
     tow = tower(5, 1, 2)
-    with pytest.warns(SmallFieldWarning):
-        arc = extend_with_osculating(build_imaginary_arc(tow, 3))
+    arc = extend_with_osculating(build_imaginary_arc(tow, 3))
     assert len(arc) == 16
     for k_msg, need in ((2, 4), (4, 8)):
         with pytest.raises(ValueError, match="subspace 0 has ambient dimension 6, "
@@ -834,9 +826,7 @@ def test_generator_row_independence_enforced():
 @pytest.mark.parametrize("p,e,h", [(2, 1, 2), (2, 2, 2), (3, 2, 2), (7, 1, 3)])
 def test_from_ints_agrees_with_the_field_element_constructor(p, e, h):
     tow = tower(p, e, h)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallFieldWarning)
-        arc = extend_with_osculating(build_imaginary_arc(tow, 2))
+    arc = extend_with_osculating(build_imaginary_arc(tow, 2))
     code = code_from_subspaces(tow, list(arc.elements), 2)
     spec = list(code.eval_spec)
     a = AdditiveCode(tow, 2, code.gen, spec)

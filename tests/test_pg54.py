@@ -9,7 +9,7 @@ form.
 
 import pytest
 
-from pseudoarcs import pg54
+from pseudoarcs import pg54, pseudoarc
 from pseudoarcs.cli import main
 from pseudoarcs.codes import fold_columns
 from pseudoarcs.gf import tower
@@ -53,6 +53,25 @@ def test_full_battery():
     assert len(report) == 9
     failing = [name for name, ok, _ in report if not ok]
     assert failing == []
+
+
+def test_lines_pseudo_arc_walks_the_standard_frame(monkeypatch):
+    # in the fixture frame no curve projectivity maps the lines onto
+    # themselves, so the walk tests all 165 triples; carried to the
+    # standard frame, in the same order, they give the same verdict
+    # from one triple per orbit
+    verdicts = []
+
+    def recording(elements, k):
+        verdicts.append(pseudoarc.is_pseudo_arc(elements, k))
+        return verdicts[-1]
+
+    monkeypatch.setattr(pg54, "is_pseudo_arc", recording)
+    assert [name for name, ok, _ in verify_fixture() if not ok] == []
+    [verdict] = verdicts
+    assert verdict.ok and (verdict.walked, verdict.orbits) == (8, 2)
+    plain = pseudoarc.is_pseudo_arc(fixture_lines(fixture_tower()), 3)
+    assert plain == verdict and (plain.walked, plain.orbits) == (165, 11)
 
 
 def test_printed_conjugates_match_derivation():

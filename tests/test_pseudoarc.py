@@ -19,16 +19,15 @@ from random import Random
 import pytest
 
 from pseudoarcs import codes, pg54, projgeo, pseudoarc
-from pseudoarcs.gf import GF, FieldTower, InvariantError, tower
+from pseudoarcs.gf import GF, FieldTower, InvariantError, factor_prime_power, tower
 from pseudoarcs.linalg import det, rank_ints, rref_ints, vec_mat_ints
 from pseudoarcs.nrc import (INFINITY, frobenius_orbit_reps, nrc_points,
                             orbit_rep_count, osc_ints, veronese)
 from pseudoarcs.projgeo import (Subspace, ambient_space, apply_projectivity,
                                 canonical_spread, field_reduction, intersect,
                                 lift_subspace, span, spread_membership)
-from pseudoarcs.pseudoarc import (ArcVerdict, PseudoArc, SmallFieldWarning,
-                                  Tag, build_desarguesian_arc,
-                                  build_imaginary_arc,
+from pseudoarcs.pseudoarc import (ArcVerdict, PseudoArc, Tag,
+                                  build_desarguesian_arc, build_imaginary_arc,
                                   build_osculating_family,
                                   contained_in_spread, extend_with_osculating,
                                   is_pseudo_arc, thas_bound)
@@ -217,9 +216,7 @@ def assert_orbit_walk(els, k, path):
 
 def curve_families(p, e, h, k):
     """The imaginary family and, when p >= h, its extension."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallFieldWarning)
-        arc = build_imaginary_arc(tower(p, e, h), k)
+    arc = build_imaginary_arc(tower(p, e, h), k)
     families = [list(arc.elements)]
     if p >= h:
         families.append(list(extend_with_osculating(arc).elements))
@@ -281,13 +278,12 @@ def test_verifier_matches_reference_on_random_families():
 
 def test_verifier_matches_reference_on_planted_arcs():
     rng = Random(7)
-    with pytest.warns(SmallFieldWarning):
-        arcs = [(build_imaginary_arc(tower(2, 2, 2), 3), 3),
-                (build_imaginary_arc(tower(3, 1, 2), 2), 2)]
-    arcs += [(extend_with_osculating(build_imaginary_arc(tower(5, 1, 2), 2)), 2),
-             (build_imaginary_arc(tower(3, 2, 2), 2), 2),
-             (build_imaginary_arc(tower(7, 1, 1), 3), 3),
-             (build_imaginary_arc(tower(5, 1, 1), 4), 4)]
+    arcs = [(build_imaginary_arc(tower(2, 2, 2), 3), 3),
+            (build_imaginary_arc(tower(3, 1, 2), 2), 2),
+            (extend_with_osculating(build_imaginary_arc(tower(5, 1, 2), 2)), 2),
+            (build_imaginary_arc(tower(3, 2, 2), 2), 2),
+            (build_imaginary_arc(tower(7, 1, 1), 3), 3),
+            (build_imaginary_arc(tower(5, 1, 1), 4), 4)]
     for arc, k in arcs:
         els = list(arc.elements)
         assert is_pseudo_arc(els, k) == reference_verdict(els, k)
@@ -364,7 +360,7 @@ def test_parameter_of_degree_below_h_is_an_invariant_error(monkeypatch):
                  if top.pow(v, p * p) == v and top.pow(v, p) != v)
         monkeypatch.setattr(pseudoarc, "frobenius_orbit_reps",
                             lambda tow: (tow.top(v),))
-        with pytest.raises(InvariantError) as exc, pytest.warns(SmallFieldWarning):
+        with pytest.raises(InvariantError) as exc:
             build_imaginary_arc(tow, 2)
         assert str(exc.value) == "element of rank 2 at alpha = %d, expected 4" % v
 
@@ -394,9 +390,7 @@ def test_imaginary_elements_match_the_field_reduction():
     reduction of its curve point, the definition."""
     for (p, e, h), k in itertools.product(CLOSED_FORM_TOWERS, (2, 3, 4)):
         tow = tower(p, e, h)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SmallFieldWarning)
-            arc = build_imaginary_arc(tow, k)
+        arc = build_imaginary_arc(tow, k)
         assert len(arc) == orbit_rep_count(tow.q, h)
         for el, tag in zip(arc.elements, arc.tags):
             ref = field_reduction(tow, veronese(tow.top, 1, tag.param, h * k).coords)
@@ -423,8 +417,7 @@ def test_imaginary_arc_sizes_and_tags():
     assert [t.kind for t in arc.tags] == ["imaginary"] * 10
     assert [t.param for t in arc.tags] == list(reps)
 
-    with pytest.warns(SmallFieldWarning):
-        arc2 = build_imaginary_arc(tower(2, 2, 2), 3)
+    arc2 = build_imaginary_arc(tower(2, 2, 2), 3)
     assert len(arc2) == orbit_rep_count(4, 2) == 6
 
 
@@ -439,17 +432,16 @@ def test_imaginary_arc_lifts_contain_conjugate_curve_points():
         assert lifted.contains(conj)
 
 
-def test_small_field_warning_threshold():
-    with pytest.warns(SmallFieldWarning):
-        build_imaginary_arc(tower(2, 1, 2), 2)  # q = 2 < 5
+def test_small_fields_build_without_warnings():
+    # q = 2 is below hk + 1 = 5 and q = 5 is at it; neither is a caveat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        build_imaginary_arc(tower(5, 1, 2), 2)  # q = 5 = hk + 1, no warning
+        build_imaginary_arc(tower(2, 1, 2), 2)
+        build_imaginary_arc(tower(5, 1, 2), 2)
 
 
 def test_pairwise_disjoint_elements():
-    with pytest.warns(SmallFieldWarning):
-        arc = build_imaginary_arc(tower(2, 2, 2), 3)
+    arc = build_imaginary_arc(tower(2, 2, 2), 3)
     els = arc.elements
     for i in range(len(els)):
         for j in range(i + 1, len(els)):
@@ -474,12 +466,37 @@ def test_extended_arcs_verify():
     for subset in [(0, 1), (0, 15), (9, 10), (4, 12)]:
         assert stacked_rank(arc.elements, subset) == 4
 
-    with pytest.warns(SmallFieldWarning):
-        arc2 = extend_with_osculating(build_imaginary_arc(tower(2, 2, 2), 3))
+    arc2 = extend_with_osculating(build_imaginary_arc(tower(2, 2, 2), 3))
     assert len(arc2) == 6 + 4 + 1
     assert is_pseudo_arc(arc2, 3).ok
     for subset in [(0, 1, 2), (5, 6, 10), (0, 7, 9)]:
         assert stacked_rank(arc2.elements, subset) == 6
+
+
+# (h, k, qs) with every q below hk + 1; the spanning argument of the
+# README has no bound on q
+BELOW_HK_PLUS_ONE = [(2, 2, (2, 3)), (2, 3, (2, 3, 4, 5)), (2, 4, (2, 3, 4, 5, 7)),
+                     (3, 2, (2, 3, 4, 5)), (3, 3, (2, 3))]
+# the imaginary families there with fewer than k elements
+VACUOUS = {(2, 2, 2), (2, 3, 2), (2, 4, 2), (2, 4, 3), (3, 3, 2)}
+
+
+def test_families_span_below_hk_plus_one():
+    vacuous = set()
+    for h, k, qs in BELOW_HK_PLUS_ONE:
+        for q in qs:
+            p, e = factor_prime_power(q)
+            assert q < h * k + 1
+            families = curve_families(p, e, h, k)
+            assert len(families) == (2 if p >= h else 1)
+            if len(families[0]) < k:
+                vacuous.add((h, k, q))
+            for els in families:
+                verdict = is_pseudo_arc(els, k)
+                assert verdict.ok, (h, k, q, len(els))
+                if len(els) <= 16:
+                    assert verdict == reference_verdict(els, k)
+    assert vacuous == VACUOUS
 
 
 def test_osculating_family_needs_large_characteristic():
@@ -601,12 +618,16 @@ def test_orbit_walk_with_one_element_dropped():
 
 
 def test_orbit_walk_drops_the_generator_that_leaves_the_family():
-    # h = 1: the affine conic points; t -> 1/t sends 0 to infinity
+    # h = 1: the affine conic points; t -> 1/t sends 0 to infinity.  All
+    # six sifted random words for the stabilizer of point 0 are Schreier-
+    # tree words, so the Schreier generators at 0 stand in: t -> xi*t,
+    # the whole stabilizer, has one orbit on the other four points, and
+    # the walk tests the three triples through 0 and 1
     arc = build_imaginary_arc(tower(5, 1, 1), 3)
     els = list(arc.elements)
     accepted, orbits = reference_orbits(els)
     assert accepted == curve_generators(GF.get(5, 1))[:2] and orbits == 1
-    assert assert_orbit_walk(els, 3, "reduced").walked == 6
+    assert assert_orbit_walk(els, 3, "reduced").walked == 3
 
 
 def test_orbit_walk_refutation_is_rerun_in_full():

@@ -13,7 +13,6 @@ witnesses.
 
 import itertools
 import re
-import warnings
 from random import Random
 
 import pytest
@@ -23,8 +22,7 @@ from pseudoarcs.gf import GF, FieldMismatchError, tower
 from pseudoarcs.linalg import nullspace_ints, rank_ints, rref_ints
 from pseudoarcs.nrc import nrc_points
 from pseudoarcs.projgeo import Subspace, span
-from pseudoarcs.pseudoarc import (SmallFieldWarning, build_imaginary_arc,
-                                  extend_with_osculating)
+from pseudoarcs.pseudoarc import build_imaginary_arc, extend_with_osculating
 from pseudoarcs.quadrics import (IntersectionVerdict, QuadraticForm,
                                  is_complete_intersection, monomial_pairs,
                                  nrc_quadric_system, trace_reduce,
@@ -562,10 +560,8 @@ ARC_PARAMS = [(2, 1, 2, 2), (2, 2, 2, 2), (3, 1, 2, 2), (5, 1, 2, 2),
 
 
 def imaginary_arc(p, e, h, k):
-    """The imaginary arc, without the warning for q below hk + 1."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SmallFieldWarning)
-        return build_imaginary_arc(tower(p, e, h), k)
+    """The imaginary arc (h, k) over the field of order p^e."""
+    return build_imaginary_arc(tower(p, e, h), k)
 
 
 @pytest.mark.parametrize("p, e, h, k", ARC_PARAMS)

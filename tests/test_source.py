@@ -146,6 +146,17 @@ def test_only_gf_imports_a_word_layout_module():
     assert found == [("gf.py", "struct")]
 
 
+def test_no_module_imports_warnings():
+    # a verdict is a return value or an exit status, and stderr carries
+    # only errors; a warning would be a caveat that neither carries
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, line) for m, line in _absolute_imports(tree)
+                  if m.split(".")[0] == "warnings"]
+    assert found == []
+
+
 BENCH = SRC.parent.parent / "bench"
 
 
