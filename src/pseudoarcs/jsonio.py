@@ -5,11 +5,16 @@ Every document carries a schema version and a field header (p, e, h
 plus both canonical moduli) so that an importing process can refuse
 data written against a different field presentation instead of
 silently misreading element encodings.  Dumps are deterministic:
-sorted keys, two-space indent, trailing newline.
+sorted keys, two-space indent, trailing newline, the bytes of
+``json.dumps(obj, indent=2, sort_keys=True)``.  A family's rows are an
+array of ints of one shape, written by one ``%`` on a template of that
+shape rather than one Python call per row.
 """
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import List, Sequence, Tuple, Union
 
 from .codes import AdditiveCode, CoordSpec
@@ -101,8 +106,9 @@ def _level_name(tow: FieldTower, field) -> str:
 def _int_rows(field, rows, where: str, key: str) -> List[List[int]]:
     """Rows of int encodings of ``field``, each entry checked as calling
     the field checks it, but not wrapped.  The TypeError of an entry
-    that is not an int encoding, or of a row that is not a list, becomes
-    a FormatError naming the key."""
+    that is not an int encoding or of a row that is not a list, and the
+    ValueError of an encoding out of range, become a FormatError naming
+    the document and the key."""
     order = field.order
     out = []
     try:
@@ -112,7 +118,7 @@ def _int_rows(field, rows, where: str, key: str) -> List[List[int]]:
                 if type(v) is not int or not 0 <= v < order:
                     field(v)
             out.append(row)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError("%s: bad %r: %s" % (where, key, exc)) from None
     return out
 
@@ -299,11 +305,13 @@ def _check_envelope(d: dict, expected_kind: str):
 
 
 def document_kind(d: dict) -> str:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise FormatError("document is not a recognizable artifact")
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise FormatError("unsupported schema version %r" % d.get("schema_version"))
-    return d["kind"]
+    """The ``kind`` of a document of this schema version.  Both keys are
+    read as the field header's p, e and h are: ``"schema_version": true``
+    or ``1.0`` is refused, not read as 1."""
+    version = required(d, "schema_version", int, "document")
+    if version != SCHEMA_VERSION:
+        raise FormatError("unsupported schema version %d" % version)
+    return required(d, "kind", str, "document")
 
 
 def dumps(obj: dict) -> str:
@@ -311,11 +319,18 @@ def dumps(obj: dict) -> str:
     for byte, for objects made of dicts with str keys, lists, tuples,
     strs, ints, booleans and None; any other type is a TypeError.  The
     stdlib takes its pure-Python encoder whenever an indent is set; this
-    writer joins a list of ints in one call instead of one per entry."""
+    writer formats a regular array of ints (a list of equal-length rows
+    of rows ... of plain ints) and a list of flat records with one key
+    set by one ``%`` on a template of the array's shape, so a family
+    costs a bounded number of Python calls, not one per row."""
     return _encode(obj, "\n") + "\n"
 
 
 _ONLY_INT = frozenset((int,))
+_ONLY_DICT = frozenset((dict,))
+_SEQUENCES = frozenset((list, tuple))
+_SCALARS = frozenset((int, str, bool, type(None)))
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _encode(value, newline: str) -> str:
@@ -326,17 +341,21 @@ def _encode(value, newline: str) -> str:
         return repr(value)
     if t is str:
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if t is bool:
-        return "true" if value else "false"
+    if value is None or t is bool:
+        return _LITERALS[value]
     inner = newline + "  "
     if t is list or t is tuple:
         if not value:
             return "[]"
-        if _ONLY_INT.issuperset(map(type, value)):
+        types = set(map(type, value))
+        if types == _ONLY_INT:
             items = map(repr, value)
         else:
+            text = (_int_array(value, newline) if types <= _SEQUENCES
+                    else _records(value, newline) if types == _ONLY_DICT
+                    else None)
+            if text is not None:
+                return text
             items = [_encode(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if t is dict:
@@ -349,6 +368,60 @@ def _encode(value, newline: str) -> str:
                  for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError("cannot write %s as JSON" % t.__name__)
+
+
+def _int_array(value, newline: str):
+    """The JSON text of ``value``, a non-empty list of lists or tuples,
+    when it is a regular array: at every level the items have one
+    nonzero length, and the innermost level holds plain ints only (no
+    bool, whose ``%d`` would be ``1``).  Otherwise None."""
+    shape = [len(value)]
+    level = value
+    while True:
+        lengths = set(map(len, level))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+        types = set(map(type, level))
+        if types == _ONLY_INT:
+            break
+        if not types <= _SEQUENCES:
+            return None
+    item = "%d"
+    for depth in reversed(range(len(shape))):
+        outer = newline + "  " * depth
+        inner = outer + "  "
+        item = "[" + inner + ("," + inner).join([item] * shape[depth]) + outer + "]"
+    return item % tuple(level)
+
+
+def _records(value, newline: str):
+    """The JSON text of ``value``, a non-empty list of dicts, when every
+    dict has the same non-empty set of str keys and only int, str, bool
+    or None values.  Otherwise None."""
+    key_sets = set(map(frozenset, value))
+    if len(key_sets) != 1:
+        return None
+    keys, = key_sets
+    if not keys or set(map(type, keys)) != {str}:
+        return None
+    keys = sorted(keys)
+    columns = []
+    for key in keys:
+        column = list(map(itemgetter(key), value))
+        if not _SCALARS.issuperset(map(type, column)):
+            return None
+        columns.append([repr(v) if type(v) is int
+                        else encode_basestring_ascii(v) if type(v) is str
+                        else _LITERALS[v] for v in column])
+    inner = newline + "  "
+    field = inner + "  "
+    record = ("{" + field + ("," + field).join(
+        encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+        + inner + "}")
+    return ("[" + inner + ("," + inner).join([record] * len(value)) + newline
+            + "]") % tuple(chain.from_iterable(zip(*columns)))
 
 
 def loads(text: Union[str, bytes]) -> dict:

@@ -245,6 +245,35 @@ def test_non_integer_header_field_is_input_error(capsys, tmp_path):
         assert "'%s' must be an integer" % key in err
 
 
+@pytest.mark.parametrize("key, bad, message", [
+    ("schema_version", True, "'schema_version' must be an integer, found True"),
+    ("schema_version", 1.0, "'schema_version' must be an integer, found 1.0"),
+    ("kind", ["arc"], "'kind' must be a string, found ['arc']"),
+])
+def test_envelope_keys_must_be_plain_json_types(capsys, tmp_path, key, bad,
+                                                 message):
+    arc_path = write_arc(capsys, tmp_path)
+    doc = json.loads(arc_path.read_text())
+    doc[key] = bad
+    arc_path.write_text(json.dumps(doc))
+    for argv in (["verify-arc", str(arc_path), "--k", "2"],
+                 ["import", str(arc_path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: document: %s\n" % message
+
+
+def test_out_of_range_encoding_names_the_document_and_key(capsys, tmp_path):
+    arc_path = write_arc(capsys, tmp_path, q=3)
+    doc = json.loads(arc_path.read_text())
+    doc["elements"][1][0][2] = 99
+    arc_path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-arc", str(arc_path), "--k", "2")
+    assert code == 2 and out == ""
+    assert err == ("error: arc document: bad 'elements': encoding 99 out of "
+                   "range for GF(3)\n")
+
+
 def write_doc(capsys, tmp_path, kind):
     """A document of each kind, written by the command that makes it."""
     if kind == "arc":

@@ -6,11 +6,13 @@ headers must be refused rather than reinterpreted.
 """
 
 import json
+import re
+from enum import IntEnum
 from random import Random
 
 import pytest
 
-from pseudoarcs import jsonio
+from pseudoarcs import cli, jsonio
 from pseudoarcs.codes import (ERASED, encode, erasure_decode,
                               evaluation_code, extend_with_derivatives)
 from pseudoarcs.gf import GF, FieldElement, Poly, tower
@@ -195,6 +197,54 @@ def test_envelope_rejections():
         jsonio.loads("{not json")
 
 
+def test_envelope_keys_must_be_plain_json_types():
+    arc_doc = jsonio.arc_to_dict(small_arc())
+    for key, bad, message in [
+            ("schema_version", True, "'schema_version' must be an integer, found True"),
+            ("schema_version", 1.0, "'schema_version' must be an integer, found 1.0"),
+            ("schema_version", "1", "'schema_version' must be an integer"),
+            ("kind", ["arc"], "'kind' must be a string, found ['arc']"),
+            ("kind", None, "'kind' must be a string")]:
+        doc = dict(arc_doc, **{key: bad})
+        with pytest.raises(jsonio.FormatError, match="^document: " + re.escape(message)):
+            jsonio.arc_from_dict(doc)
+    for key in ("schema_version", "kind"):
+        doc = {k: v for k, v in arc_doc.items() if k != key}
+        with pytest.raises(jsonio.FormatError, match="^document: missing '%s'$" % key):
+            jsonio.document_kind(doc)
+
+
+def out_of_range_docs():
+    """(document, its reader, where, key) for each reader of int rows,
+    with one encoding of the document set to 99, outside its field."""
+    arc = extend_with_osculating(small_arc())
+    arc_doc = jsonio.arc_to_dict(arc)
+    arc_doc["elements"][3][1][2] = 99
+    subs_doc = jsonio.subspaces_to_dict(arc.elements, arc.tow)
+    subs_doc["elements"][0][0][0] = 99
+    tow = tower(5, 1, 2)
+    code_doc = jsonio.code_to_dict(
+        evaluation_code(tow, list(frobenius_orbit_reps(tow)), 2))
+    code_doc["gen"][1][4] = 99
+    forms_doc = jsonio.forms_to_dict(nrc_quadric_system(tower(7, 1, 1).base, 4),
+                                     tower(7, 1, 1))
+    forms_doc["forms"][-1][0] = 99
+    return [(arc_doc, jsonio.arc_from_dict, "arc document", "elements", "GF(5)"),
+            (subs_doc, jsonio.subspaces_from_dict, "subspaces document",
+             "elements", "GF(5)"),
+            (code_doc, jsonio.code_from_dict, "code document", "gen", "GF(5^2)"),
+            (forms_doc, jsonio.forms_from_dict, "forms document", "forms", "GF(7)")]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["arc", "subspaces", "code", "forms"])
+def test_out_of_range_encoding_names_the_document_and_key(case):
+    doc, reader, where, key, field = out_of_range_docs()[case]
+    with pytest.raises(jsonio.FormatError) as info:
+        reader(doc)
+    assert str(info.value) == ("%s: bad '%s': encoding 99 out of range for %s"
+                               % (where, key, field))
+
+
 def stdlib_dumps(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -210,9 +260,16 @@ def test_dumps_matches_the_stdlib_on_edge_values():
         assert jsonio.dumps(value) == stdlib_dumps(value), value
 
 
+class Colour(IntEnum):
+    RED = 1
+
+
 def test_dumps_refuses_what_it_does_not_write():
     for value in [1.5, [1, 2.0], {1: "a"}, {"a": {(1, 2): 3}}, {"a": b"x"},
-                  {1, 2}, object(), [FieldElement(GF.get(5, 1), 1)]]:
+                  {1, 2}, object(), [FieldElement(GF.get(5, 1), 1)],
+                  [[1, 2], [3, 4.0]], [[1], [Colour.RED]], [(1.5,), (2.5,)],
+                  [{"a": 1.5}], [{"a": 1}, {"a": Colour.RED}], [{"a": 1}, {1: 1}],
+                  [{"a": [1]}, {"a": [2.0]}]]:
         with pytest.raises(TypeError):
             jsonio.dumps(value)
 
@@ -225,3 +282,144 @@ def test_dumps_deterministic_and_sorted():
     keys = list(json.loads(text).keys())
     assert keys == sorted(keys)
 
+
+# values an array or record may hold besides plain ints: the stdlib
+# writes the first six and this writer refuses the last two
+ODD_LEAVES = [True, False, None, "", "50%", "%s%d", 1.5, Colour.RED]
+
+
+def refused(value):
+    """Whether ``value`` holds a float, an int subclass or another type
+    the writer refuses."""
+    t = type(value)
+    if t is list or t is tuple:
+        return any(map(refused, value))
+    if t is dict:
+        return any(map(refused, value.values()))
+    return t not in (int, str, bool, type(None))
+
+
+def random_int(rng):
+    return rng.choice([0, 1, -1, 7, 255, 2 ** 16, -10 ** 30, rng.randrange(-999, 999)])
+
+
+def random_array(rng, shape, odd):
+    """An array of ``shape``, each node a list or a tuple; with
+    probability ``odd`` a node is cut short (to empty, at most) or a leaf
+    is an odd value."""
+    if not shape:
+        return rng.choice(ODD_LEAVES) if rng.random() < odd else random_int(rng)
+    n = rng.randrange(shape[0]) if rng.random() < odd else shape[0]
+    items = [random_array(rng, shape[1:], odd) for _ in range(n)]
+    return items if rng.random() < 0.5 else tuple(items)
+
+
+def random_records(rng, odd):
+    """A list of records over one key set (possibly empty, keys with
+    ``%``); with probability ``odd`` a record loses or gains a key or
+    holds an odd or nested value."""
+    keys = rng.sample(["kind", "param", "ok", "a%", "%s", "\u00e9", ""], rng.randrange(4))
+    scalars = [None, True, False, "x", "%d%%", "t\u00e9\n"]
+    records = []
+    for _ in range(rng.randrange(1, 5)):
+        record = {key: rng.choice(scalars) if rng.random() < 0.3 else random_int(rng)
+                  for key in keys}
+        if rng.random() < odd:
+            change = rng.randrange(4)
+            if change == 0 and record:
+                del record[rng.choice(sorted(record))]
+            elif change == 1:
+                record["new"] = 1
+            elif change == 2:
+                record[rng.choice(keys or ["v"])] = rng.choice(ODD_LEAVES)
+            else:
+                record[rng.choice(keys or ["v"])] = rng.choice(
+                    [[1, 2], {"x": [3]}, [], {}, [[1], [2]]])
+        records.append(record)
+    return records
+
+
+def assert_written_as_the_stdlib_writes(value):
+    if refused(value):
+        with pytest.raises(TypeError):
+            jsonio.dumps(value)
+    else:
+        assert jsonio.dumps(value) == stdlib_dumps(value), value
+
+
+def test_dumps_matches_the_stdlib_on_random_arrays_and_records():
+    rng = Random(30)
+    for _ in range(4000):
+        if rng.random() < 0.6:
+            shape = [rng.randrange(1, 4) for _ in range(rng.randrange(1, 5))]
+            value = random_array(rng, shape, rng.choice([0, 0.05, 0.3]))
+        else:
+            value = random_records(rng, rng.choice([0, 0.2, 0.6]))
+        value = rng.choice([value, [value], {"k%s": value}, {"a": {"b": value}},
+                            [value, value]])
+        assert_written_as_the_stdlib_writes(value)
+
+
+def test_dumps_matches_the_stdlib_on_every_arcs_grid_document(capsys, tmp_path,
+                                                              monkeypatch):
+    # every document kind the CLI writes for the families of the arcs
+    # workload: the arc, its verdict, its quadrics, its code and the
+    # folded code
+    written = []
+    dumps = jsonio.dumps
+
+    def recorded(obj):
+        text = dumps(obj)
+        written.append((obj, text))
+        return text
+
+    monkeypatch.setattr(jsonio, "dumps", recorded)
+    arc, forms = tmp_path / "arc.json", tmp_path / "forms.json"
+    code, fold = tmp_path / "code.json", tmp_path / "fold.json"
+    for h, k, q in [(2, 2, 7), (2, 2, 9), (2, 2, 11), (2, 2, 13), (2, 2, 16),
+                    (2, 3, 7), (2, 3, 8), (3, 2, 7)]:
+        for extend in ([], ["--extend"]):
+            params = ["--h", str(h), "--k", str(k), "--q", str(q)] + extend
+            for argv in [["construct-arc", *params, "--out", str(arc)],
+                         ["verify-arc", str(arc), "--k", str(k), "--json"],
+                         ["quadrics", "through", str(arc), "--out", str(forms)],
+                         ["code", "gen", *params, "--out", str(code)],
+                         ["code", "fold", str(code), "--out", str(fold)]]:
+                assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(written) == 80
+    assert {obj.get("kind", obj.get("command")) for obj, _ in written} == \
+        {"arc", "verify-arc", "forms", "code", "subspaces"}
+    for obj, text in written:
+        assert text == stdlib_dumps(obj)
+
+
+def family_docs(q):
+    """An arc, subspaces, code and forms document whose families grow
+    with q."""
+    tow = tower(q, 1, 2)
+    arc = extend_with_osculating(build_imaginary_arc(tow, 2))
+    code = extend_with_derivatives(
+        evaluation_code(tow, list(frobenius_orbit_reps(tow)), 2),
+        list(tow.base.elements()), include_infty=True)
+    return [jsonio.arc_to_dict(arc), jsonio.subspaces_to_dict(arc.elements, tow),
+            jsonio.code_to_dict(code),
+            jsonio.forms_to_dict(nrc_quadric_system(tow.base, q + 1), tow)]
+
+
+def test_dumps_calls_encode_once_per_key_not_per_element(monkeypatch):
+    # a family is written by one template, however many elements, rows
+    # or records it has: one _encode call per dict value, none below
+    calls = []
+    encode = jsonio._encode
+
+    def counted(value, newline):
+        calls.append(value)
+        return encode(value, newline)
+
+    monkeypatch.setattr(jsonio, "_encode", counted)
+    for q in (3, 5, 11):
+        for doc in family_docs(q):
+            del calls[:]
+            assert jsonio.dumps(doc) == stdlib_dumps(doc)
+            assert len(calls) == 1 + len(doc) + len(doc["field"]), doc["kind"]

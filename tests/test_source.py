@@ -135,26 +135,33 @@ def test_library_imports_only_the_standard_library():
     assert found == []
 
 
-def test_only_gf_imports_a_word_layout_module():
-    # packed words have one layout, GF.word_ops; a second module that
-    # reaches for struct or array is growing another
+def _importers(*modules):
+    """(file, module) of every import in the library of one of
+    ``modules`` or of a submodule of one."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [(path.name, m) for m, _ in _absolute_imports(tree)
-                  if m in ("struct", "array")]
-    assert found == [("gf.py", "struct")]
+                  if m.split(".")[0] in modules]
+    return found
+
+
+def test_only_gf_imports_a_word_layout_module():
+    # packed words have one layout, GF.word_ops; a second module that
+    # reaches for struct or array is growing another
+    assert _importers("struct", "array") == [("gf.py", "struct")]
+
+
+def test_only_jsonio_imports_json():
+    # one reader and one writer: a second module that parses or writes
+    # JSON would skip the envelope checks or the deterministic layout
+    assert {name for name, _ in _importers("json")} == {"jsonio.py"}
 
 
 def test_no_module_imports_warnings():
     # a verdict is a return value or an exit status, and stderr carries
     # only errors; a warning would be a caveat that neither carries
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += ["%s:%d" % (path.name, line) for m, line in _absolute_imports(tree)
-                  if m.split(".")[0] == "warnings"]
-    assert found == []
+    assert _importers("warnings") == []
 
 
 BENCH = SRC.parent.parent / "bench"
