@@ -8,6 +8,7 @@ messages of statuses 2 and 3.
 """
 
 import argparse
+import math
 import sys
 
 from . import jsonio
@@ -93,6 +94,7 @@ def cmd_verify_arc(args):
     order = elements[0].field.order if elements else tow.q
     report = {"schema_version": jsonio.SCHEMA_VERSION, "command": "verify-arc",
               "elements": len(elements), "k": args.k, "ok": verdict.ok,
+              "subsets": math.comb(len(elements), args.k),
               "subsets_walked": verdict.walked, "orbits": verdict.orbits}
     if not verdict.ok:
         report["witness"] = list(verdict.witness)

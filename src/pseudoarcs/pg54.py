@@ -175,7 +175,7 @@ def verify_fixture() -> List[Tuple[str, bool, str]]:
                    "11 lines, pairwise trivial intersection"))
 
     # the walk runs on the lines carried to the standard frame, where the
-    # curve's projectivities act and one triple per orbit is tested; the
+    # curve's projectivities act and 18 of the 165 triples are tested; the
     # matrix keeps the order and is nonsingular (apply_projectivity
     # refuses it otherwise), so the verdict and witness are the lines' own
     matrix = [_base_vector(tow, row, e) for row in _MATRIX]

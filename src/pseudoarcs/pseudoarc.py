@@ -8,7 +8,8 @@ conjugates, read off the minimal polynomial of the parameter.  The
 family extends by the order-(h-1) osculating spaces at the rational
 curve points.  Verification is exhaustive over k-subsets:
 the curve's projectivities that permute the family generate a group,
-and a walk along its stabilizer chain tests one k-tuple per orbit.
+and a walk along its stabilizer chain completes one (k-1)-tuple per
+orbit by every candidate left.
 
 The construction and the images under the curve's projectivities work
 on the whole family at once: one int list per matrix entry holds that
@@ -52,9 +53,9 @@ class Tag:
 class ArcVerdict:
     """Outcome of a verification: truth value plus, on failure, the
     lexicographically first offending index subset.  ``walked`` counts
-    the k-tuples tested and ``orbits`` the orbits of the curve's group on
-    the elements; they describe the work, not the verdict, and take no
-    part in equality."""
+    the k-tuples tested, every candidate at the walk's last level, and
+    ``orbits`` the orbits of the curve's group on the elements; they
+    describe the work, not the verdict, and take no part in equality."""
 
     ok: bool
     witness: Optional[Tuple[int, ...]] = None
@@ -466,9 +467,9 @@ def _stabilizer(gens, b, vec, rng):
 
 
 def _chain_walk(k, gens, points, split, step, last, rng):
-    """Walk one k-tuple of ``points`` per orbit, under the group that
-    ``gens`` generate, and return the first failing k-subset found, or
-    None.  ``split`` is ``_orbits(gens, points)``.
+    """Walk the k-tuples of ``points`` along the stabilizer chain of the
+    group that ``gens`` generate, and return the first failing k-subset
+    found, or None.  ``split`` is ``_orbits(gens, points)``.
 
     A node holds a prefix P, generators of a subgroup H of the pointwise
     stabilizer of P, and its candidates: a union A of H-orbits, ascending.
@@ -476,18 +477,22 @@ def _chain_walk(k, gens, points, split, step, last, rng):
     child's candidates are the points of A after b outside the orbits
     before B.  Any k-subset through P with its other points in A is then
     carried by H to a tuple the walk reaches (Sims 1970; Seress,
-    "Permutation Group Algorithms", 2003, ch. 4).  The child's generators
-    are ``_stabilizer``'s; they may generate less than the stabilizer of
-    b, which splits orbits and costs walking, never soundness.  With no
-    generators every orbit is one point, and the walk visits the
+    "Permutation Group Algorithms", 2003, ch. 4).  A child with children
+    of its own gets ``_stabilizer``'s generators; they may generate less
+    than the stabilizer of b, which splits orbits and costs walking,
+    never soundness.  A child at the last level gets none: it tests every
+    candidate, a superset of the orbit heads, because one pass of
+    determinants costs less than drawing a stabilizer to prune it.  With
+    no generators every orbit is one point, and the walk visits the
     k-subsets in lexicographic order.
 
     ``step(prefix, b, rest)`` tests b against a prefix of fewer than k - 1
     points and prepares the child on ``rest``.  When it fails, every
     k-subset through the prefix and b fails; the witness is the first of
     them, the prefix completed by the next candidates.  At a prefix of
-    k - 1 points, ``last(prefix, heads)`` tests all the heads at once and
-    returns the position of the first that fails, or None.
+    k - 1 points, ``last(prefix, cands)`` tests all the candidates at once
+    (for k = 1, the orbit heads) and returns the position of the first
+    that fails, or None.  ``rng`` is used only when k > 2.
     """
     def walk(prefix, gens, points, split):
         need = k - len(prefix) - 1
@@ -506,8 +511,12 @@ def _chain_walk(k, gens, points, split, step, last, rng):
             if not step(prefix, b, rest):
                 return prefix + (b,) + tuple(rest[:need])
             done.update(orbit)
-            sub = _stabilizer(gens, b, vec, rng) if len(orbit) > 1 else gens
-            witness = walk(prefix + (b,), sub, rest, _orbits(sub, rest))
+            if need == 1:
+                i = last(prefix + (b,), rest)
+                witness = None if i is None else prefix + (b, rest[i])
+            else:
+                sub = _stabilizer(gens, b, vec, rng) if len(orbit) > 1 else gens
+                witness = walk(prefix + (b,), sub, rest, _orbits(sub, rest))
             if witness:
                 return witness
         return None
@@ -571,27 +580,29 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     ``_curve_permutations``, which takes the elements' rows and pivots,
     and images t -> 1/t on one element per orbit of t -> xi*t) map
     spanning k-subsets to spanning k-subsets,
-    so ``_chain_walk`` tests one k-tuple per orbit of the group G they
-    generate, at every depth one element per orbit of the stabilizer of
-    the prefix.  Each level of the walk below the last reduces the rows
-    of its candidates modulo the span of its prefix once.  The last level
-    tests all its heads in one pass: their rows, held column by column
-    for all of them at once, are reduced modulo the echelon of the
-    prefix's last element, which leaves them zero on every pivot column
-    of the prefix, and the h x h blocks on the other h columns must be
-    nonsingular.  ``_block_dets`` gives their determinants as one list;
-    its first zero is the first failing head, and the heads up to it
-    count as walked.  When an element meets the span of the prefix
-    before it, every subset through that prefix is degenerate.
+    so ``_chain_walk`` walks the orbits of the group G they generate: at
+    every depth below the last it takes one element per orbit of the
+    stabilizer of the prefix.  Each level of the walk below the last
+    reduces the rows of its candidates modulo the span of its prefix
+    once.  The last level tests all its candidates, not only the orbit
+    heads, in one pass: their rows, held column by column for all of
+    them at once, are reduced modulo the echelon of the prefix's last
+    element, which leaves them zero on every pivot column of the prefix,
+    and the h x h blocks on the other h columns must be nonsingular.
+    ``_block_dets`` gives their determinants as one list; its first zero
+    is the first failing candidate, and the candidates up to it count as
+    walked.  When an element meets the span of the prefix before it,
+    every subset through that prefix is degenerate.
 
-    The stabilizers' generators are random words sifted into them, drawn
-    from a generator seeded once per call, so the walk and its counts are
-    deterministic.  When the walk under G meets a failure, the walk with
-    no generators, over the k-subsets in lexicographic order, runs again
-    and supplies the lexicographically first witness.  The verdict counts
-    the k-tuples tested (both walks on such a refutation) and the
-    G-orbits on the elements.  A true verdict on more than the size bound
-    is impossible and raises InvariantError.
+    A stabilizer is drawn only for a child with children of its own, so
+    only for k > 2.  Its generators are random words sifted into it,
+    drawn from a generator seeded once per call, so the walk and its
+    counts are deterministic.  When the walk under G meets a failure,
+    the walk with no generators, over the k-subsets in lexicographic
+    order, runs again and supplies the lexicographically first witness.
+    The verdict counts the k-tuples tested (both walks on such a
+    refutation) and the G-orbits on the elements.  A true verdict on
+    more than the size bound is impossible and raises InvariantError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -662,7 +673,8 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     gens = _curve_permutations(fld, rows, [el.pivots for el in elements])
     everything = list(range(size))
     top = _orbits(gens, everything)
-    witness = _chain_walk(k, gens, everything, top, step, last, Random(0))
+    witness = _chain_walk(k, gens, everything, top, step, last,
+                          Random(0) if k > 2 else None)
     if witness and gens:
         witness = _chain_walk(k, [], everything, _orbits([], everything), step, last,
                               None)

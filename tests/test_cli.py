@@ -93,11 +93,11 @@ def test_verify_arc_json_counts_the_walk(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2", "--json")
     assert code == 0
     report = json.loads(out)
-    # imaginary and osculating orbits: one pair through element 0 per
-    # orbit of its stabilizer (two imaginary, one osculating), and one
-    # through element 10
+    # imaginary and osculating orbits: the last level tests every pair
+    # through an orbit head, element 0 with the 15 after it and element
+    # 10 with the 5 after it, of the C(16, 2) subsets
     assert report["orbits"] == 2
-    assert report["subsets_walked"] == 3 + 1
+    assert (report["subsets"], report["subsets_walked"]) == (120, 15 + 5)
 
 
 def test_verify_arc_json_is_independent_of_the_hash_seed(capsys, tmp_path):
@@ -113,7 +113,7 @@ def test_verify_arc_json_is_independent_of_the_hash_seed(capsys, tmp_path):
             for seed in ("1", "2")]
     assert outs[0] == outs[1]
     report = json.loads(outs[0])
-    assert (report["ok"], report["orbits"], report["subsets_walked"]) == (True, 2, 35)
+    assert (report["ok"], report["orbits"], report["subsets_walked"]) == (True, 2, 70)
 
 
 def test_verify_arc_names_a_k_that_does_not_fit(capsys, tmp_path):

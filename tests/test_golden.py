@@ -25,7 +25,7 @@ GOLDEN = {
     "construct-arc":
         "f6c268936020f7a3e1778e3b3a6c8421390c7be6f3c553f11f1fb528ace92e1f",
     "verify-arc":
-        "56246cf00c1a6507cc282522c39d78ea82a6f9a6648e33af92600d9a7fb2e739",
+        "675bf2afcef57ee96b720bd373c4e5e2243dd21f5f87d164822cd584ff9b3e81",
     "code-gen":
         "f32411c976281a955c8fc6539628f9ad70f1b18ceed08d09e852938dc4e7b5a1",
     "code-distance":
@@ -43,11 +43,11 @@ GOLDEN = {
     "construct-arc-q9":
         "b3d4dd4228fdffb609952f467e3eb74467930a1c5a238f4db2236dd1df0b0244",
     "verify-arc-q9":
-        "f46c2cf177b599067624d280b27b7aab728a6005990ef5e99f317a1920a3ca35",
+        "7c96371340685205cf46babea4c7e0ae414ddb6d8a3714073ff07c1413a6585a",
     "construct-arc-h3":
         "9a951467704510bf0863e796975a376c49190fd06d5d2829918ec2503b2ba166",
     "verify-arc-h3":
-        "63cb047b1defdd1012ff9cba53abe1bfbfa0fca2c32d2aa77dfe35997d382894",
+        "ba2907931739630029e0eb503cbbc45321d68253f1d194ae0fb9d177317fbd13",
     "certify-ci-curve":
         "3496411872f51b76a1d16c26608f6fb87e80b6912423700c786c767d443446e0",
     "quadrics-through-curve":

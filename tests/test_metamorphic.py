@@ -1,0 +1,64 @@
+"""Metamorphic relations: a transformation whose effect on the answer is
+known, checked on families too large for the brute-force references.
+
+A projectivity M preserves spanning, so a family F and its image M·F
+have the same verdict and the same lexicographically first witness.  No
+curve generator maps M·F onto itself, so ``is_pseudo_arc`` takes the
+plain walk over the k-subsets there, while a clean F takes the walk
+under the curve group: two algorithms for one answer.
+"""
+
+from random import Random
+
+from pseudoarcs.gf import tower
+from pseudoarcs.linalg import rank_ints
+from pseudoarcs.projgeo import Subspace, apply_projectivity
+from pseudoarcs.pseudoarc import (build_imaginary_arc, extend_with_osculating,
+                                  is_pseudo_arc)
+
+
+# (p, e, h, k) of the arcs-grid points (h, k, q) = (2,2,7), (2,2,9),
+# (2,3,7) and (3,2,7)
+GRID = [(7, 1, 2, 2), (3, 2, 2, 2), (7, 1, 2, 3), (7, 1, 3, 2)]
+
+
+def random_projectivity(fld, n, rng):
+    """A seeded random nonsingular n x n matrix over fld."""
+    while True:
+        m = [[rng.randrange(fld.order) for _ in range(n)] for _ in range(n)]
+        if rank_ints(fld, m) == n:
+            return [[fld(x) for x in row] for row in m]
+
+
+def planted(els, rng):
+    """Two broken copies of a family: a later element replaced by an
+    earlier one, and a later element replaced by a subspace that meets an
+    earlier one in a point."""
+    fld, n, h = els[0].field, els[0].ambient_dim, els[0].rank
+    i, j = sorted(rng.sample(range(len(els)), 2))
+    copied = els[:j] + [els[i]] + els[j + 1:]
+    while True:
+        rows = [list(els[i].rows[rng.randrange(h)])]
+        rows += [[fld(rng.randrange(fld.order)) for _ in range(n)] for _ in range(h - 1)]
+        meeting = Subspace(fld, n, rows)
+        if meeting.rank == h and meeting not in els:
+            break
+    return [copied, els[:j] + [meeting] + els[j + 1:]]
+
+
+def test_verdict_and_witness_are_invariant_under_projectivities():
+    rng = Random(16)
+    outcomes = set()
+    for p, e, h, k in GRID:
+        arc = build_imaginary_arc(tower(p, e, h), k)
+        for els in (list(arc.elements), list(extend_with_osculating(arc).elements)):
+            fld, n = els[0].field, els[0].ambient_dim
+            for fam in [els] + planted(els, rng):
+                verdict = is_pseudo_arc(fam, k)
+                m = random_projectivity(fld, n, rng)
+                moved = is_pseudo_arc([apply_projectivity(m, el) for el in fam], k)
+                assert (moved.ok, moved.witness) == (verdict.ok, verdict.witness)
+                assert moved.orbits == len(fam)
+                outcomes.add("group" if verdict.orbits < len(fam) else
+                             "pass" if verdict.ok else "refuted")
+    assert outcomes == {"group", "refuted"}

@@ -59,7 +59,7 @@ def test_lines_pseudo_arc_walks_the_standard_frame(monkeypatch):
     # in the fixture frame no curve projectivity maps the lines onto
     # themselves, so the walk tests all 165 triples; carried to the
     # standard frame, in the same order, they give the same verdict
-    # from one triple per orbit
+    # from 18 triples, every candidate at the last level
     verdicts = []
 
     def recording(elements, k):
@@ -69,7 +69,7 @@ def test_lines_pseudo_arc_walks_the_standard_frame(monkeypatch):
     monkeypatch.setattr(pg54, "is_pseudo_arc", recording)
     assert [name for name, ok, _ in verify_fixture() if not ok] == []
     [verdict] = verdicts
-    assert verdict.ok and (verdict.walked, verdict.orbits) == (8, 2)
+    assert verdict.ok and (verdict.walked, verdict.orbits) == (18, 2)
     plain = pseudoarc.is_pseudo_arc(fixture_lines(fixture_tower()), 3)
     assert plain == verdict and (plain.walked, plain.orbits) == (165, 11)
 

@@ -164,15 +164,15 @@ def closed_group(perms, size):
 
 def walked_tuples(els, k):
     """The verdict on els and every k-tuple its walks tested, recorded
-    through the last level of the chain walk: the heads up to and
+    through the last level of the chain walk: the candidates up to and
     including the first that fails."""
     tested = []
     chain_walk = pseudoarc._chain_walk
 
     def recording(k_, gens, points, split, step, last, rng):
-        def record(prefix, heads):
-            i = last(prefix, heads)
-            tested.extend(prefix + (b,) for b in heads[:None if i is None else i + 1])
+        def record(prefix, cands):
+            i = last(prefix, cands)
+            tested.extend(prefix + (b,) for b in cands[:None if i is None else i + 1])
             return i
         return chain_walk(k_, gens, points, split, step, record, rng)
 
@@ -548,8 +548,8 @@ ORBIT_CASES = [(5, 1, 2, 3), (2, 2, 2, 3), (3, 2, 2, 2), (3, 1, 3, 2),
 
 
 # tuples walked on the imaginary family and on its extension
-ORBIT_WALKED = {(5, 1, 2, 3): [6, 15], (2, 2, 2, 3): [2, 8], (3, 2, 2, 2): [4, 6],
-                (3, 1, 3, 2): [3, 6], (2, 2, 2, 4): [4, 26]}
+ORBIT_WALKED = {(5, 1, 2, 3): [13, 34], (2, 2, 2, 3): [4, 16], (3, 2, 2, 2): [35, 54],
+                (3, 1, 3, 2): [7, 14], (2, 2, 2, 4): [4, 26]}
 
 
 def test_orbit_walk_on_curve_families():
@@ -559,19 +559,46 @@ def test_orbit_walk_on_curve_families():
     # k = 4 over GF(8): the imaginary family alone, 20,475 reference subsets
     (els,) = curve_families(2, 3, 2, 4)[:1]
     verdict = assert_orbit_walk(els, 4, "reduced")
-    assert (verdict.orbits, verdict.walked) == (1, 257)
+    assert (verdict.orbits, verdict.walked) == (1, 275)
 
 
 def test_orbit_walk_on_large_extended_families():
     # the tuples walked, against the orbits of PGL(2, q) on ordered
     # k-tuples counted by enumerating the group: 371, 774 and 1,714
-    for case, walked, tuple_orbits in (((13, 1, 2, 3), 181, 371),
-                                       ((17, 1, 2, 3), 381, 774),
-                                       ((7, 1, 2, 4), 309, 1714)):
+    for case, walked, tuple_orbits in (((13, 1, 2, 3), 383, 371),
+                                       ((17, 1, 2, 3), 754, 774),
+                                       ((7, 1, 2, 4), 336, 1714)):
         els = curve_families(*case)[1]
         verdict = is_pseudo_arc(els, case[3])
         assert verdict.ok and verdict.orbits == 2
         assert verdict.walked == walked <= 2 * tuple_orbits
+
+
+def test_last_level_skips_the_stabilizer(monkeypatch):
+    # at k = 2 the children of the root form the last level: each tests
+    # every later element outside the earlier G-orbits, with no
+    # stabilizer drawn and no random generator built
+    def refuse(*args):
+        raise AssertionError("a stabilizer was drawn for the last level")
+
+    monkeypatch.setattr(pseudoarc, "_stabilizer", refuse)
+    monkeypatch.setattr(pseudoarc, "Random", refuse)
+    families = [els for case in ORBIT_CASES if case[3] == 2
+                for els in curve_families(*case)]
+    families.append(curve_families(5, 1, 2, 2)[1])
+    for els in families:
+        size = len(els)
+        perms = [perm for _, perm in reference_permutations(els)]
+        orbits, _ = pseudoarc._orbits(perms, list(range(size)))
+        expected = sum(len([x for x in range(orbit[0] + 1, size)
+                            if all(x not in o for o in orbits[:i])])
+                       for i, orbit in enumerate(orbits))
+        verdict = is_pseudo_arc(els, 2)
+        assert verdict.ok and verdict.orbits == len(orbits) < size
+        assert verdict.walked == expected
+    # the extended (2,2,5) family: element 0 with the 15 after it, and
+    # element 10, head of the osculating orbit, with the 5 after it
+    assert (verdict.orbits, verdict.walked) == (2, 15 + 5)
 
 
 def test_orbit_walk_covers_every_subset():
