@@ -13,8 +13,7 @@ import sys
 
 from . import jsonio
 from .codes import (DecodeError, ERASED, WORD_BUDGET, encode, erasure_decode,
-                    evaluation_code, extend_with_derivatives, fold_columns,
-                    is_mds, min_distance)
+                    fold_columns, imaginary_code, is_mds, min_distance)
 from .gf import Poly, factor_prime_power, tower
 from .linalg import rank_ints
 from .nrc import frobenius_orbit_reps, nrc_points, orbit_rep_count
@@ -219,10 +218,7 @@ def cmd_quadrics_certify(args):
 
 def cmd_code_gen(args):
     tow = _tower_for(args.q, args.h)
-    code = evaluation_code(tow, list(frobenius_orbit_reps(tow)), args.k)
-    if args.extend:
-        code = extend_with_derivatives(code, list(tow.base.elements()),
-                                       include_infty=True)
+    code = imaginary_code(tow, args.k, args.extend)
     _emit_doc(jsonio.code_to_dict(code), args.out, "code")
     return 0
 

@@ -1,14 +1,14 @@
 """Additive codes over the extension field, F_q-linear with q^(hk)
 codewords.
 
-Messages are polynomials over F_q of degree below hk, and every codeword
+Messages are polynomials over F_q of degree less than hk, and every codeword
 is the combination of the generator rows by the message coefficients:
 over a p = 2 top field an XOR of packed per-bit products of the rows,
 built on the first codeword, over odd p the rows updated entry by
 entry.  A coordinate kind records how its generator column was built:
 evaluation at a generator of the extension field, a derivative bundle
-at a rational parameter t (all h derivative values folded against the
-conjugates of a normal element), the analogous bundle of leading
+at a rational parameter t (all h Hasse derivative values folded against
+the conjugates of a normal element), the analogous bundle of leading
 coefficients for the parameter at infinity, or an external column
 unfolded from a given subspace.  Folding generator columns into rank-h
 subspaces recovers the matching pseudo-arc, which is how distance facts
@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Union
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, InvariantError, Poly
 from .linalg import insert_row, rref_ints
-from .nrc import INFINITY, is_imaginary, osc_ints
+from .nrc import INFINITY, frobenius_orbit_reps, is_imaginary, osc_ints
 from .projgeo import Subspace, field_reduction_ints
 from .pseudoarc import is_pseudo_arc
 
@@ -198,25 +198,35 @@ class AdditiveCode:
         return unpack(acc)
 
 
-def evaluation_code(tow: FieldTower, alphas: Sequence[FieldElement],
-                    k_msg: int) -> AdditiveCode:
-    """The code whose columns evaluate messages at the given generators
-    of the extension: column j carries the powers of alpha_j."""
+def _evaluation_rows(tow: FieldTower, alphas: Sequence[FieldElement], k_msg: int):
+    """The hk int rows and coordinate kinds of :func:`evaluation_code`."""
     alphas = list(alphas)
     if len(set(a.val for a in alphas)) != len(alphas):
         raise ValueError("repeated evaluation point")
     for a in alphas:
         if not is_imaginary(a, tow):
             raise ValueError("evaluation point %d does not generate the extension" % a.val)
-    top = tow.top
     vals = [a.val for a in alphas]
-    rows = []
-    power = [1] * len(vals)
-    for _ in range(tow.h * k_msg):
-        rows.append(power)
-        power = list(map(top.mul, power, vals))
-    spec = [CoordSpec("alpha", a) for a in alphas]
-    return AdditiveCode.from_ints(tow, k_msg, rows, spec)
+    rows = [[1] * len(vals)]
+    for _ in range(tow.h * k_msg - 1):
+        rows.append(list(map(tow.top.mul, rows[-1], vals)))
+    return rows, [CoordSpec("alpha", a) for a in alphas]
+
+
+def evaluation_code(tow: FieldTower, alphas: Sequence[FieldElement],
+                    k_msg: int) -> AdditiveCode:
+    """The code whose columns evaluate messages at the given generators
+    of the extension: column j carries the powers of alpha_j."""
+    return AdditiveCode.from_ints(tow, k_msg, *_evaluation_rows(tow, alphas, k_msg))
+
+
+def imaginary_code(tow: FieldTower, k_msg: int, extend: bool) -> AdditiveCode:
+    """The code of ``code gen``: evaluation at the Frobenius orbit
+    representatives and, with extend, the derivative bundles at every t
+    and at infinity, built in one step, so only the final code is checked."""
+    rows, spec = _evaluation_rows(tow, frobenius_orbit_reps(tow), k_msg)
+    ts = tow.base.elements() if extend else []
+    return _with_derivatives(tow, k_msg, rows, spec, ts, extend)
 
 
 def _unfold(tow: FieldTower, rows: Sequence[Sequence[int]]) -> List[int]:
@@ -235,32 +245,50 @@ def extend_with_derivatives(code: AdditiveCode, ts: Sequence[FieldElement],
     """Append derivative-bundle columns at the given rational
     parameters, and optionally the bundle at infinity.
 
-    The column at t unfolds the order-(h-1) derivative rows against
-    (omega, omega^q, ...).  The infinity column unfolds the infinity
-    rows in reverse, pairing the last h coefficient slots with the
-    conjugates in ascending order.
+    The column at t unfolds the order-(h-1) Hasse derivative rows
+    against (omega, omega^q, ...).  The infinity column unfolds the
+    infinity rows in reverse, pairing the last h coefficient slots with
+    the conjugates in ascending order.  As for the osculating spaces of
+    an arc, a new column whose field reduction is already a column's is
+    refused.
     """
-    tow = code.tow
-    h, hk = tow.h, tow.h * code.k_msg
-    if tow.p < h:
-        raise ValueError("characteristic %d below h = %d" % (tow.p, h))
+    return _with_derivatives(code.tow, code.k_msg, code.int_rows, code.eval_spec,
+                             ts, include_infty)
+
+
+def _with_derivatives(tow, k_msg, rows, spec, ts, include_infty):
+    """:func:`extend_with_derivatives` of int rows and coordinate kinds."""
+    h, hk = tow.h, tow.h * k_msg
     ts = list(ts)
     if len(set(t.val for t in ts)) != len(ts):
         raise ValueError("repeated derivative parameter")
-    new_cols = []
-    new_spec = []
-    for t in ts:
-        if t.field is not tow.base:
-            raise ValueError("derivative parameters live in the base field")
-        new_cols.append(_unfold(tow, osc_ints(tow.base, t.val, h - 1, hk)))
-        new_spec.append(CoordSpec("deriv", t))
+    if any(t.field is not tow.base for t in ts):
+        raise ValueError("derivative parameters live in the base field")
+    bases = [osc_ints(tow.base, t.val, h - 1, hk) for t in ts]
+    new_spec = [CoordSpec("deriv", t) for t in ts]
     if include_infty:
-        new_cols.append(_unfold(tow, osc_ints(tow.base, INFINITY, h - 1, hk)[::-1]))
+        bases.append(osc_ints(tow.base, INFINITY, h - 1, hk)[::-1])
         new_spec.append(CoordSpec("infty"))
-    rows = [row + tuple(c[r] for c in new_cols)
-            for r, row in enumerate(code.int_rows)]
-    return AdditiveCode.from_ints(tow, code.k_msg, rows,
-                                  list(code.eval_spec) + new_spec)
+    if any(_reduces_to(tow, rows, Subspace.from_ints(tow.base, hk, b)) for b in bases):
+        raise ValueError("osculating spaces collide with existing elements")
+    new_cols = [_unfold(tow, b) for b in bases]
+    rows = [[*row, *(c[r] for c in new_cols)] for r, row in enumerate(rows)]
+    return AdditiveCode.from_ints(tow, k_msg, rows, [*spec, *new_spec])
+
+
+def _reduces_to(tow, rows, sub: Subspace) -> bool:
+    """Whether a column of the int rows has field reduction sub.  Such a
+    column c is c_P * R, for the pivots P and reduced rows R of sub, so
+    all columns are tested at once at the first coordinate m outside P,
+    and only those that pass are reduced."""
+    top, embed = tow.top, tow.embed_table
+    m = next(j for j in range(len(rows)) if j not in sub.pivots)
+    word = rows[m]
+    for pc, r in zip(sub.pivots, sub.int_rows):
+        if r[m]:
+            word = top.sub_scaled(word, embed[r[m]], rows[pc])
+    return 0 in word and any(field_reduction_ints(tow, [row[j] for row in rows]) == sub
+                             for j, v in enumerate(word) if not v)
 
 
 def code_from_subspaces(tow: FieldTower, subspaces: Sequence[Subspace],
@@ -391,7 +419,7 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
     in coordinate order, and one is kept only when it raises the rank,
     until hk are kept; their unique solution is re-encoded and checked
     against every surviving coordinate.  The word is refused when all
-    the survivors together have rank below hk.  For an MDS code the
+    the survivors together have rank less than hk.  For an MDS code the
     first k_msg survivors always give the hk equations.  A survivor
     outside the top field raises FieldMismatchError before any equation
     is read, wherever it stands.

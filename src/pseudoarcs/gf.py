@@ -923,20 +923,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def derivative(self, order=1):
-        """Formal derivative, iterated ``order`` times."""
-        if order < 0:
-            raise ValueError("derivative order must be >= 0")
-        cur = self
-        field = self.field
-        for _ in range(order):
-            cs = []
-            for i in range(1, len(cur.coeffs)):
-                scalar = field(i % field.p)
-                cs.append(scalar * cur.coeffs[i])
-            cur = Poly(field, cs)
-        return cur
-
     def __add__(self, other):
         if other.field is not self.field:
             raise FieldMismatchError("polynomial field mismatch")

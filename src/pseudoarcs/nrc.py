@@ -3,7 +3,7 @@
 Points of the degree-(N-1) rational curve are parametrized by the
 projective line: an affine parameter t gives (1, t, ..., t^(N-1)), and
 the point at infinity gives (0, ..., 0, 1).  The module also provides
-derivative row matrices (osculating bases), the generator test for
+Hasse derivative row matrices (osculating bases), the generator test for
 extension-field elements, and canonical representatives of the
 Frobenius orbits of maximal size.
 """
@@ -77,11 +77,11 @@ def nrc_points(field: GF, length: int) -> List[NrcPoint]:
 
 
 def osc_basis(t: FieldElement, order: int, length: int) -> List[List[FieldElement]]:
-    """Derivative rows of the curve at affine parameter t.
+    """Hasse derivative rows of the curve at affine parameter t.
 
-    Row r holds the r-th formal derivative of the power parametrization:
-    entry (r, i) = i*(i-1)*...*(i-r+1) * t^(i-r).  Rows 0..order span the
-    order-th osculating space; this needs characteristic > order.
+    Row r is the r-th Hasse derivative of the power parametrization:
+    entry (r, i) = C(i, r) * t^(i-r), the coefficient of s^r in (t + s)^i.
+    Rows 0..order span the order-th osculating space in any characteristic.
     """
     return [t.field.wrap(row) for row in osc_ints(t.field, t.val, order, length)]
 
@@ -90,28 +90,22 @@ def osc_ints(field: GF, t, order: int, length: int) -> List[List[int]]:
     """:func:`osc_basis` on encodings, at the parameter encoded by t, or
     at the point at infinity for t = INFINITY, where row r is the unit
     vector with a 1 in column length-1-r."""
-    if field.p <= order:
-        raise ValueError("characteristic %d too small for order %d" % (field.p, order))
     if length - 1 <= order:
         raise ValueError("order must be below the curve degree")
     if t is INFINITY:
         return [[int(i == length - 1 - r) for i in range(length)]
                 for r in range(order + 1)]
     mul, p = field.mul, field.p
-    rows = []
-    for r in range(order + 1):
-        row = [0] * length
-        tpow = 1
-        for i in range(r, length):
-            # i*(i-1)*...*(i-r+1) lies in the prime field, encoded as itself
-            row[i] = mul(math.perm(i, r) % p, tpow)
-            tpow = mul(tpow, t)
-        rows.append(row)
-    return rows
+    pows = [1]
+    for _ in range(length - 1):
+        pows.append(mul(pows[-1], t))
+    # C(i, r) lies in the prime field, encoded as itself
+    return [[0] * r + [mul(math.comb(i, r) % p, pows[i - r]) for i in range(r, length)]
+            for r in range(order + 1)]
 
 
 def osc_basis_infty(field: GF, order: int, length: int) -> List[List[FieldElement]]:
-    """Derivative rows at the point at infinity (see :func:`osc_ints`)."""
+    """Hasse derivative rows at the point at infinity (see :func:`osc_ints`)."""
     return [field.wrap(row) for row in osc_ints(field, INFINITY, order, length)]
 
 

@@ -350,7 +350,7 @@ def spread_membership(w: Subspace, spread: Spread) -> bool:
     """True iff the base-level subspace is an element of the spread:
     its top-level extension must meet the director space.  The h lifted
     rows are independent, and so are the k director rows, so the two
-    spaces meet exactly when the stack of both has rank below h + k."""
+    spaces meet exactly when the stack of both has rank less than h + k."""
     tow = spread.tow
     if w.field is not tow.base:
         raise ValueError("expected a base-level subspace")

@@ -147,7 +147,7 @@ def _imaginary_rows(tow, alphas, n):
     is c_ij.  The rank, h, is checked as the number of distinct conjugates
     of a, and each coefficient of m must lie in the base field.
 
-    The work runs over the whole family at once: every list below holds
+    The work runs over the whole family at once: every list that follows holds
     one entry, conjugate or coefficient, for each a, and one row op
     ``sub_product`` (v - a*b entry by entry) updates it for all of them.
     """
@@ -192,8 +192,6 @@ def _imaginary_rows(tow, alphas, n):
 def build_osculating_family(tow: FieldTower, k: int) -> List[Subspace]:
     """The order-(h-1) osculating spaces at the q+1 rational curve
     points, affine parameters ascending, infinity last."""
-    if tow.p < tow.h:
-        raise ValueError("characteristic %d below h = %d" % (tow.p, tow.h))
     n = tow.h * k
     return [Subspace.from_ints(tow.base, n, osc_ints(tow.base, t, tow.h - 1, n))
             for t in [*range(tow.q), INFINITY]]
@@ -204,12 +202,8 @@ def extend_with_osculating(arc: PseudoArc) -> PseudoArc:
     |Λ| + q + 1 and tags record the new parameters."""
     tow = arc.tow
     oscs = build_osculating_family(tow, arc.k)
-    tags = []
-    for t in tow.base.elements():
-        tags.append(Tag("osculating", t))
-    tags.append(Tag("osculating-infty"))
-    overlap = set(arc.elements) & set(oscs)
-    if overlap:
+    tags = [Tag("osculating", t) for t in tow.base.elements()] + [Tag("osculating-infty")]
+    if set(arc.elements) & set(oscs):
         raise ValueError("osculating spaces collide with existing elements")
     return PseudoArc(tow, arc.k, list(arc.elements) + oscs,
                      list(arc.tags) + tags)
@@ -239,7 +233,7 @@ def _images(fld, mat, rows, groups, image0=None) -> list:
     element 0, which is then not imaged again.
 
     The first member of a group is imaged by ``_image``, and the others
-    together: each list below holds one entry of every one of them.  Row
+    together: each list that follows holds one entry of every one of them.  Row
     r, with pivot c, goes to r*M, row c of M plus x_i times row i of M
     over the non-pivot columns i > c.  Gauss-Jordan then runs on the
     pivots of the first member's image, in row order, with no pivot

@@ -491,6 +491,28 @@ def test_code_fold_feeds_verify_arc(capsys, tmp_path):
     assert code == 0 and out.startswith("verified: 16 elements")
 
 
+@pytest.mark.parametrize("h, k, q, n", [(2, 3, 2, 4), (2, 4, 3, 7), (3, 2, 2, 5)])
+def test_code_gen_extend_checks_only_the_final_length(capsys, tmp_path, h, k, q, n):
+    # the bare evaluation code has at most k columns here; the extended
+    # one is long enough, and MDS
+    path = tmp_path / "code.json"
+    argv = ["code", "gen", "--h", str(h), "--k", str(k), "--q", str(q), "--extend"]
+    assert run(capsys, *argv, "--out", str(path))[0] == 0
+    code, out, _ = run(capsys, "code", "distance", str(path))
+    assert code == 0
+    assert out.splitlines() == ["length: %d" % n, "distance: %d" % (n - k + 1),
+                                "singleton bound: %d" % (n - k + 1), "mds: true"]
+
+
+def test_code_gen_extend_refuses_repeated_columns_like_construct_arc(capsys):
+    # h = 1: the derivative column at t is the evaluation column at t
+    for command in (["code", "gen"], ["construct-arc"]):
+        code, out, err = run(capsys, *command, "--h", "1", "--k", "2", "--q", "5",
+                             "--extend")
+        assert (code, out) == (2, "")
+        assert err == "error: osculating spaces collide with existing elements\n"
+
+
 def test_quadrics_through_reports_dimension_zero(capsys, tmp_path):
     arc_path = write_arc(capsys, tmp_path)
     code, out, _ = run(capsys, "quadrics", "through", str(arc_path))

@@ -38,9 +38,11 @@ def random_message(tow, k, rng):
 
 def reference_word(f, code, subspaces=None):
     """The evaluation-code definition, one coordinate at a time: f(alpha)
-    at alpha, sum_i f^(i)(t) omega^(q^i) at t, the top h coefficients
-    folded against the conjugates at infinity.  External column j pairs
-    the message with the basis rows of subspaces[j] and folds."""
+    at alpha, sum_i f^[i](t) omega^(q^i) at t, where the Hasse derivative
+    f^[i](t) is the coefficient of s^i in f(t + s), the top h
+    coefficients folded against the conjugates at infinity.  External
+    column j pairs the message with the basis rows of subspaces[j] and
+    folds."""
     tow = code.tow
     h, hk = tow.h, tow.h * code.k_msg
     coeffs = [f.coefficient(i) for i in range(hk)]
@@ -58,13 +60,19 @@ def reference_word(f, code, subspaces=None):
             acc = acc + c * x
         return acc
 
+    def taylor(t):
+        acc = Poly.zero(tow.base)
+        for c in reversed(coeffs):
+            acc = acc * Poly(tow.base, [t, tow.base.one]) + Poly(tow.base, [c])
+        return acc
+
     word = []
     for j, spec in enumerate(code.eval_spec):
         if spec.kind == "alpha":
             word.append(f.evaluate(spec.param, tow))
         elif spec.kind == "deriv":
-            word.append(fold([f.derivative(i).evaluate(spec.param)
-                              for i in range(h)]))
+            shifted = taylor(spec.param)
+            word.append(fold([shifted.coefficient(i) for i in range(h)]))
         elif spec.kind == "infty":
             word.append(fold(coeffs[hk - h:]))
         else:
@@ -137,20 +145,17 @@ def test_evaluation_code_rejects_bad_points():
 
 
 def test_encode_matches_evaluation_oracle():
-    # h = 2 and h = 3, odd p and p = 2; derivative and infinity columns
-    # need p >= h, so (p, h) = (2, 3) has evaluation and external ones only
+    # h = 2 and h = 3, odd p and p = 2, including p < h
     rng = Random(17)
     for p, e, h, k in [(5, 1, 2, 2), (2, 3, 2, 2), (5, 1, 3, 2), (2, 2, 3, 2)]:
         code = full_code(p, e, h, k)
         tow = code.tow
-        if p >= h:
-            code = extend_with_derivatives(code, list(tow.base.elements()),
-                                           include_infty=True)
+        code = extend_with_derivatives(code, list(tow.base.elements()),
+                                       include_infty=True)
         folded = fold_columns(code)
         external = code_from_subspaces(tow, folded, k)
         kinds = {s.kind for s in code.eval_spec + external.eval_spec}
-        assert kinds == ({"alpha", "deriv", "infty", "external"} if p >= h
-                         else {"alpha", "external"})
+        assert kinds == {"alpha", "deriv", "infty", "external"}
         for _ in range(10):
             f = random_message(tow, k, rng)
             assert encode(f, code) == reference_word(f, code)
@@ -202,7 +207,25 @@ def test_extension_rejects():
     small = evaluation_code(tower(2, 1, 3),
                             list(frobenius_orbit_reps(tower(2, 1, 3))), 1)
     with pytest.raises(ValueError):
-        extend_with_derivatives(small, [tower(2, 1, 3).base(0)], False)  # p < h
+        # k = 1: order h - 1 is the curve degree
+        extend_with_derivatives(small, [tower(2, 1, 3).base(0)], False)
+    # h = 1: the derivative column at t is the evaluation column at t
+    line = full_code(5, 1, 1, 2)
+    with pytest.raises(ValueError, match="collide"):
+        extend_with_derivatives(line, [line.tow.base(3)], False)
+    assert extend_with_derivatives(line, [], True).n == line.n + 1
+    # a bundle that is already a column, or the fold of an external one
+    for p, e, h in [(5, 1, 2), (2, 2, 3)]:
+        code = full_code(p, e, h, 2)
+        t = code.tow.base(1)
+        once = extend_with_derivatives(code, [t], True)
+        for ts, infty in (([t], False), ([], True)):
+            with pytest.raises(ValueError, match="collide"):
+                extend_with_derivatives(once, ts, infty)
+        external = code_from_subspaces(code.tow, fold_columns(once)[-3:], 2)
+        with pytest.raises(ValueError, match="collide"):
+            extend_with_derivatives(external, [t], False)
+        assert extend_with_derivatives(external, [code.tow.base(0)], False).n == 4
 
 
 def test_min_distance_meets_singleton():

@@ -1,4 +1,4 @@
-"""Golden outputs: the sha256 of the primary output of twenty
+"""Golden outputs: the sha256 of the primary output of twenty-two
 commands.
 
 The digests were taken from the program before field elements were
@@ -9,7 +9,10 @@ were inserted element by element, and those of the last test before
 imaginary elements were read off minimal polynomials, so a change
 meant only to make the program faster that alters a single byte of
 these outputs fails here.  A change that alters output on purpose
-updates the digest and says why.
+updates the digest and says why.  The h = 3 code and the (3, 2, 4) arc
+were pinned when the osculating rows became Hasse derivatives: the
+order-2 row is half the ordinary one, so the code's columns changed,
+and the arc, with p = 2 below h, was refused before.
 """
 
 import hashlib
@@ -62,6 +65,10 @@ GOLDEN = {
         "8cb1d0bdb80942c837a06ca16606bc6d488343ad3b1ea435702cbd5361a126ac",
     "construct-arc-h5q2":
         "3c819a3ba5a14359282dd3e93fc36dce97835c5f38c0301c530477e29932cfa9",
+    "construct-arc-h3q4":
+        "39e25f7a5ce80251bff0eae79feee39a46600cdbcb891a98f1d21e0d6a7d6bfc",
+    "code-gen-h3":
+        "b677c276b0b0c611edd79934cb4a0705ae3924c0b1d57a622b7042b5b143d970",
 }
 
 
@@ -102,6 +109,9 @@ def test_primary_outputs_match_golden_digests(capsys, tmp_path):
     code_path.write_text(code)
     out["code-distance-q8"] = _stdout(capsys, "code", "distance",
                                       str(code_path), "--json")
+    # h = 3: the only golden code with a Hasse row of order 2
+    out["code-gen-h3"] = _stdout(capsys, "code", "gen", "--h", "3", "--k", "2",
+                                 "--q", "5", "--extend")
     out["verify-example"] = _stdout(capsys, "verify-example", "--json")
     out["quadrics-through"] = _stdout(capsys, "quadrics", "through",
                                       str(arc_path), "--json")
@@ -152,12 +162,13 @@ def test_refutation_and_larger_fields_match_golden_digests(capsys, tmp_path):
 
 
 def test_construct_arc_over_more_towers_matches_golden_digests(capsys):
-    # p = 2 with e = 3 and k = 3, e = 4, h = 4, and h = 5 above p
+    # p = 2 with e = 3 and k = 3, e = 4, h = 4, and h = 5 and h = 3 above p
     out = {}
     for name, h, k, q, extend in (("k3q8", "2", "3", "8", ["--extend"]),
                                   ("q16", "2", "2", "16", ["--extend"]),
                                   ("h4", "4", "2", "5", ["--extend"]),
-                                  ("h5q2", "5", "2", "2", [])):
+                                  ("h5q2", "5", "2", "2", []),
+                                  ("h3q4", "3", "2", "4", ["--extend"])):
         out["construct-arc-" + name] = _stdout(
             capsys, "construct-arc", "--h", h, "--k", k, "--q", q, *extend)
     _check(out)

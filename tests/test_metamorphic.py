@@ -6,11 +6,15 @@ have the same verdict and the same lexicographically first witness.  No
 curve generator maps M·F onto itself, so ``is_pseudo_arc`` takes the
 plain walk over the k-subsets there, while a clean F takes the walk
 under the curve group: two algorithms for one answer.
+
+The folded columns of the extended code are the extended arc: the code
+and the arc are built by separate routes from the same curve data.
 """
 
 from random import Random
 
-from pseudoarcs.gf import tower
+from pseudoarcs.codes import fold_columns, imaginary_code
+from pseudoarcs.gf import factor_prime_power, tower
 from pseudoarcs.linalg import rank_ints
 from pseudoarcs.projgeo import Subspace, apply_projectivity
 from pseudoarcs.pseudoarc import (build_imaginary_arc, extend_with_osculating,
@@ -20,6 +24,13 @@ from pseudoarcs.pseudoarc import (build_imaginary_arc, extend_with_osculating,
 # (p, e, h, k) of the arcs-grid points (h, k, q) = (2,2,7), (2,2,9),
 # (2,3,7) and (3,2,7)
 GRID = [(7, 1, 2, 2), (3, 2, 2, 2), (7, 1, 2, 3), (7, 1, 3, 2)]
+
+# (h, k, q): the arcs grid, characteristic below h, and bare evaluation
+# codes too short to stand alone
+FOLD_GRID = [(2, 2, 7), (2, 2, 9), (2, 2, 11), (2, 2, 13), (2, 2, 16),
+             (2, 3, 7), (2, 3, 8), (3, 2, 7),
+             (3, 2, 4), (4, 2, 3), (3, 3, 4),
+             (2, 3, 2), (2, 4, 3)]
 
 
 def random_projectivity(fld, n, rng):
@@ -62,3 +73,13 @@ def test_verdict_and_witness_are_invariant_under_projectivities():
                 outcomes.add("group" if verdict.orbits < len(fam) else
                              "pass" if verdict.ok else "refuted")
     assert outcomes == {"group", "refuted"}
+
+
+def test_folded_extended_code_is_the_extended_arc():
+    # code gen --extend, then code fold, against construct-arc --extend
+    for h, k, q in FOLD_GRID:
+        tow = tower(*factor_prime_power(q), h)
+        arc = extend_with_osculating(build_imaginary_arc(tow, k))
+        folded = fold_columns(imaginary_code(tow, k, extend=True))
+        assert set(folded) == set(arc.elements), (h, k, q)
+        assert len(folded) == len(arc), (h, k, q)

@@ -45,40 +45,41 @@ def test_nrc_point_count_and_arc_property():
 def test_osc_basis_at_zero_and_formula():
     f7 = GF.get(7, 1)
     rows = osc_basis(f7(0), 2, 5)
-    # at t = 0 row r is r! times the r-th unit vector
+    # at t = 0 the Hasse row r is the r-th unit vector
     assert [x.val for x in rows[0]] == [1, 0, 0, 0, 0]
     assert [x.val for x in rows[1]] == [0, 1, 0, 0, 0]
-    assert [x.val for x in rows[2]] == [0, 0, 2, 0, 0]
+    assert [x.val for x in rows[2]] == [0, 0, 1, 0, 0]
     t = f7(3)
     second = osc_basis(t, 1, 6)[1]
     expect = [0, 1, (2 * 3) % 7, (3 * 9) % 7, (4 * 27) % 7, (5 * 81) % 7]
     assert [x.val for x in second] == expect
+    third = osc_basis(t, 2, 6)[2]
+    assert [x.val for x in third] == [0, 0, 1, 3 * 3 % 7, 6 * 9 % 7, 10 * 27 % 7]
 
 
 def test_osc_basis_rows_follow_derivative_rule():
-    # column i of row r is the polynomial i(i-1)...(i-r+1) x^(i-r);
-    # the next row must be its formal derivative; over extension fields
-    # the falling factorials are prime-field elements
+    # entry (r, i) is the coefficient of s^r in (t + s)^i, the r-th
+    # Hasse derivative of x^i at t, for orders below and above p
     for fld, vals, orders in ((GF.get(7, 1), (0, 2, 6), (1, 2, 3)),
-                              (GF.get(3, 2), (0, 4, 8), (1, 2)),
-                              (GF.get(2, 3), (0, 3, 7), (1,))):
+                              (GF.get(3, 2), (0, 4, 8), (1, 2, 3)),
+                              (GF.get(2, 3), (0, 3, 7), (1, 2, 3))):
         for t in map(fld, vals):
+            shift = Poly(fld, [t, fld.one])
             for order in orders:
                 rows = osc_basis(t, order, 6)
-                for r in range(order):
-                    for i in range(6):
-                        coeffs = [fld.zero] * 6
-                        coeffs[i] = fld.one
-                        col_poly = Poly(fld, coeffs).derivative(r)
-                        assert col_poly.evaluate(t) == rows[r][i]
-                        assert col_poly.derivative().evaluate(t) == rows[r + 1][i]
+                power = Poly(fld, [fld.one])
+                for i in range(6):
+                    for r in range(order + 1):
+                        assert power.coefficient(r) == rows[r][i]
+                    power = power * shift
 
 
 def test_osc_basis_rank_exhaustive():
-    for p, m in [(5, 1), (7, 1), (3, 2)]:
+    # orders at and above p: Hasse rows keep full rank in every characteristic
+    for p, m in [(2, 1), (2, 2), (3, 1), (5, 1), (7, 1), (3, 2)]:
         f = GF.get(p, m)
         for t in f.elements():
-            for order in range(min(p - 1, 3) + 1):
+            for order in range(5):
                 rows = osc_basis(f(t.val), order, 6)
                 assert rank_ints(f, [[x.val for x in r] for r in rows]) == order + 1
 
@@ -96,16 +97,14 @@ def test_osc_basis_infty_pattern():
 
 
 def test_osc_basis_characteristic_guard():
+    # no order is too large for the characteristic; the order must stay
+    # below the curve degree
     f4 = GF.get(2, 2)
-    with pytest.raises(ValueError):
-        osc_basis(f4(1), 2, 6)
-    with pytest.raises(ValueError):
-        osc_basis_infty(f4, 2, 6)
-    # order 1 in characteristic 2 is fine
-    assert len(osc_basis(f4(1), 1, 6)) == 2
-    # order must stay below the curve degree
+    assert len(osc_basis(f4(1), 2, 6)) == len(osc_basis_infty(f4, 2, 6)) == 3
     with pytest.raises(ValueError):
         osc_basis(GF.get(7, 1)(1), 3, 4)
+    with pytest.raises(ValueError):
+        osc_basis_infty(f4, 5, 6)
 
 
 def test_flag_of_osculating_spaces():

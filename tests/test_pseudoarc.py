@@ -215,12 +215,9 @@ def assert_orbit_walk(els, k, path):
 
 
 def curve_families(p, e, h, k):
-    """The imaginary family and, when p >= h, its extension."""
+    """The imaginary family and its extension."""
     arc = build_imaginary_arc(tower(p, e, h), k)
-    families = [list(arc.elements)]
-    if p >= h:
-        families.append(list(extend_with_osculating(arc).elements))
-    return families
+    return [list(arc.elements), list(extend_with_osculating(arc).elements)]
 
 
 def moved_family(els, rng):
@@ -488,7 +485,6 @@ def test_families_span_below_hk_plus_one():
             p, e = factor_prime_power(q)
             assert q < h * k + 1
             families = curve_families(p, e, h, k)
-            assert len(families) == (2 if p >= h else 1)
             if len(families[0]) < k:
                 vacuous.add((h, k, q))
             for els in families:
@@ -499,9 +495,19 @@ def test_families_span_below_hk_plus_one():
     assert vacuous == VACUOUS
 
 
-def test_osculating_family_needs_large_characteristic():
-    with pytest.raises(ValueError):
-        build_osculating_family(tower(2, 1, 3), 2)  # p = 2 < h = 3
+@pytest.mark.parametrize("h, k, q, size", [(3, 2, 4, 25), (4, 2, 3, 22), (3, 3, 4, 25)])
+def test_extended_families_with_characteristic_below_h(h, k, q, size):
+    # the Hasse rows span the osculating spaces in every characteristic
+    p, e = factor_prime_power(q)
+    tow = tower(p, e, h)
+    arc = extend_with_osculating(build_imaginary_arc(tow, k))
+    assert len(arc) == size
+    verdict = is_pseudo_arc(arc, k)
+    assert verdict.ok and verdict == reference_verdict(list(arc.elements), k)
+    code = codes.imaginary_code(tow, k, extend=True)
+    assert codes.is_mds(code)
+    assert codes.min_distance(code) == size - k + 1
+    assert codes.fold_columns(code) == list(arc.elements)
 
 
 def test_is_pseudo_arc_witness_is_first_failure():

@@ -207,3 +207,29 @@ def test_unexported_names_have_a_caller():
                        if (other, owner) != (path, stmt.name)):
                 found.append("%s %s" % (path.stem, stmt.name))
     assert found == []
+
+
+# exports that no module of the library (outside __init__) or the bench
+# calls, each kept on purpose; a new export needs a caller or a line here
+UNCALLED_EXPORTS = {
+    # oracles the tests check the int routines against
+    "osc_basis", "osc_basis_infty", "lift_subspace", "fixture_code",
+    "fixture_matrix",
+    # the Desarguesian family and its quadric system, not yet built or
+    # verified by a command
+    "canonical_spread", "contained_in_spread", "build_desarguesian_arc",
+    "nrc_quadric_system",
+    # the coefficient layout of every QuadraticForm, which the tests read
+    "monomial_pairs",
+}
+
+
+def test_exports_have_a_caller_or_are_listed():
+    # a mention inside the name's own definition does not count
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    used = set()
+    for path in paths + sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner, names in _references(tree).items():
+            used |= names - {owner}
+    assert sorted(n for n in pseudoarcs.__all__ if n not in used) == sorted(UNCALLED_EXPORTS)
