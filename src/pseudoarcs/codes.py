@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence, Union
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, InvariantError, Poly
 from .linalg import insert_row, rref_ints
-from .nrc import INFINITY, frobenius_orbit_reps, is_imaginary, osc_ints
-from .projgeo import Subspace, field_reduction_ints
+from .nrc import INFINITY, frobenius_orbit_reps, is_imaginary, osc_entries, osc_ints
+from .projgeo import Subspace, field_reduction_family
 from .pseudoarc import is_pseudo_arc
 
 
@@ -264,12 +264,15 @@ def _with_derivatives(tow, k_msg, rows, spec, ts, include_infty):
         raise ValueError("repeated derivative parameter")
     if any(t.field is not tow.base for t in ts):
         raise ValueError("derivative parameters live in the base field")
-    bases = [osc_ints(tow.base, t.val, h - 1, hk) for t in ts]
+    bases = []
+    if ts:  # the rows of each t, from one entry list per matrix entry
+        entries = osc_entries(tow.base, [t.val for t in ts], h - 1, hk)
+        bases = list(zip(*[list(zip(*row)) for row in entries]))
     new_spec = [CoordSpec("deriv", t) for t in ts]
     if include_infty:
         bases.append(osc_ints(tow.base, INFINITY, h - 1, hk)[::-1])
         new_spec.append(CoordSpec("infty"))
-    if any(_reduces_to(tow, rows, Subspace.from_ints(tow.base, hk, b)) for b in bases):
+    if any(_reduces_to(tow, rows, sub) for sub in Subspace.family(tow.base, hk, bases)):
         raise ValueError("osculating spaces collide with existing elements")
     new_cols = [_unfold(tow, b) for b in bases]
     rows = [[*row, *(c[r] for c in new_cols)] for r, row in enumerate(rows)]
@@ -287,8 +290,9 @@ def _reduces_to(tow, rows, sub: Subspace) -> bool:
     for pc, r in zip(sub.pivots, sub.int_rows):
         if r[m]:
             word = top.sub_scaled(word, embed[r[m]], rows[pc])
-    return 0 in word and any(field_reduction_ints(tow, [row[j] for row in rows]) == sub
-                             for j, v in enumerate(word) if not v)
+    hits = [j for j, v in enumerate(word) if not v]
+    return bool(hits) and sub in field_reduction_family(
+        tow, [[row[j] for j in hits] for row in rows])
 
 
 def code_from_subspaces(tow: FieldTower, subspaces: Sequence[Subspace],
@@ -391,9 +395,10 @@ def fold_columns(code: AdditiveCode) -> List[Subspace]:
     coordinate rows.
 
     Column entries x expand as x = sum_i c_i omega^(q^i); the vectors
-    of i-th coordinates, one per conjugate, span the subspace.
+    of i-th coordinates, one per conjugate, span the subspace.  All
+    columns are reduced together (``field_reduction_family``).
     """
-    return [field_reduction_ints(code.tow, col) for col in zip(*code.int_rows)]
+    return field_reduction_family(code.tow, code.int_rows)
 
 
 def is_mds(code: AdditiveCode) -> bool:

@@ -330,10 +330,11 @@ class GF:
     def _row_ops(self):
         """Int row operations for linalg and pseudoarc:
         ``sub_scaled(v, c, b)`` is v - c*b, ``scaled(c, b)`` is c*b and
-        ``added(v, b)`` is v + b, for rows v, b of encodings and a nonzero
-        scalar c, and ``sub_product(v, a, b)`` is v - a*b entry by entry,
-        for rows v, a, b.  They branch like add/sub/mul, but once per row
-        instead of once per entry."""
+        ``added(v, b)`` is v + b, for rows v, b of encodings and a scalar
+        c, and ``sub_product(v, a, b)`` is v - a*b entry by entry, for
+        rows v, a, b.  They branch like add/sub/mul, but once per row
+        instead of once per entry; a zero c has no log, so the log
+        branches return v and the zero row for it."""
         p, exp, log, add = self.p, self._exp, self._log, self._add_table
         if p == 2:
             def added(v, b):
@@ -362,6 +363,8 @@ class GF:
             g = self._gorder
             if p == 2:
                 def sub_scaled(v, c, b):
+                    if not c:
+                        return list(v)
                     lc = log[c]
                     return [x ^ exp[lc + log[y]] if y else x
                             for x, y in zip(v, b)]
@@ -371,6 +374,8 @@ class GF:
                             for x, y, z in zip(v, a, b)]
             else:
                 def sub_scaled(v, c, b):
+                    if not c:
+                        return list(v)
                     lc = (log[c] + g // 2) % g  # log(-c): -1 is exp[g/2]
                     return [add[x][exp[lc + log[y]]] if y else x
                             for x, y in zip(v, b)]
@@ -383,6 +388,8 @@ class GF:
                             for x, y, z in zip(v, a, b)]
 
             def scaled(c, b):
+                if not c:
+                    return [0] * len(b)
                 lc = log[c]
                 return [exp[lc + log[y]] if y else 0 for y in b]
         else:

@@ -125,18 +125,18 @@ def _int_rows(field, rows, where: str, key: str) -> List[List[int]]:
 
 def _subspaces_from_ints(field, n: int, elements, where: str,
                          dim: str) -> List[Subspace]:
-    """Subspaces of PG(n-1) from lists of int rows.  A row of another
-    length is refused, naming its element and ``dim``, the key that
-    fixes n."""
-    family = []
+    """Subspaces of PG(n-1) from lists of int rows, built together by
+    ``Subspace.family``.  A row of another length is refused, naming its
+    element and ``dim``, the key that fixes n."""
+    mats = []
     for pos, rows in enumerate(elements):
         rows = _int_rows(field, rows, where, "elements")
         for row in rows:
             if len(row) != n:
                 raise FormatError("%s: element %d has a row of length %d, "
                                   "%s is %d" % (where, pos, len(row), dim, n))
-        family.append(Subspace.from_ints(field, n, rows))
-    return family
+        mats.append(rows)
+    return Subspace.family(field, n, mats)
 
 
 def _provenance_to_dict(prov: Union[Tag, CoordSpec]) -> dict:

@@ -10,7 +10,7 @@ Frobenius orbits of maximal size.
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .gf import FieldElement, FieldTower, GF, InvariantError, prime_factors
 
@@ -95,13 +95,23 @@ def osc_ints(field: GF, t, order: int, length: int) -> List[List[int]]:
     if t is INFINITY:
         return [[int(i == length - 1 - r) for i in range(length)]
                 for r in range(order + 1)]
-    mul, p = field.mul, field.p
-    pows = [1]
+    return [[col[0] for col in row] for row in osc_entries(field, [t], order, length)]
+
+
+def osc_entries(field: GF, ts: Sequence[int], order: int,
+                length: int) -> List[List[List[int]]]:
+    """:func:`osc_ints` at every affine parameter encoded in ``ts`` at
+    once, entry by entry: entry (r, i) of the rows at ts[e] is
+    [r][i][e].  One int list per power of t holds it for every t."""
+    if length - 1 <= order:
+        raise ValueError("order must be below the curve degree")
+    zeros, negs = [0] * len(ts), [field.neg(t) for t in ts]
+    pows = [[1] * len(ts)]
     for _ in range(length - 1):
-        pows.append(mul(pows[-1], t))
+        pows.append(field.sub_product(zeros, negs, pows[-1]))
     # C(i, r) lies in the prime field, encoded as itself
-    return [[0] * r + [mul(math.comb(i, r) % p, pows[i - r]) for i in range(r, length)]
-            for r in range(order + 1)]
+    return [[zeros] * r + [field.scaled(math.comb(i, r) % field.p, pows[i - r])
+                           for i in range(r, length)] for r in range(order + 1)]
 
 
 def osc_basis_infty(field: GF, order: int, length: int) -> List[List[FieldElement]]:

@@ -20,8 +20,8 @@ from .codes import (AdditiveCode, ERASED, code_from_subspaces, encode,
                     erasure_decode, fold_columns, min_distance)
 from .gf import FieldElement, FieldTower, InvariantError, Poly, tower
 from .linalg import rank_ints, vec_mat_ints
-from .nrc import INFINITY, nrc_points, osc_ints
-from .projgeo import Subspace, apply_projectivity, field_reduction, span
+from .nrc import nrc_points
+from .projgeo import Subspace, apply_projectivity_family, field_reduction, span
 from .pseudoarc import build_imaginary_arc, extend_with_osculating, is_pseudo_arc
 
 # x^4 + x + 1, low degree first; its roots in F_16 are primitive
@@ -138,14 +138,6 @@ def fixture_code(tow: FieldTower) -> AdditiveCode:
     return code_from_subspaces(tow, fixture_lines(tow), 3)
 
 
-def _tangent(tow: FieldTower, point: Sequence[int]) -> Subspace:
-    """The tangent line of the standard curve at a rational point of it,
-    given normalized on top encodings: the parameter is the second entry,
-    or infinity when the first is 0."""
-    t = tow.embed_table.index(point[1]) if point[0] else INFINITY
-    return Subspace.from_ints(tow.base, 6, osc_ints(tow.base, t, 1, 6))
-
-
 def verify_fixture() -> List[Tuple[str, bool, str]]:
     """Run every cross-check; returns (name, ok, detail) triples.
 
@@ -176,10 +168,10 @@ def verify_fixture() -> List[Tuple[str, bool, str]]:
 
     # the walk runs on the lines carried to the standard frame, where the
     # curve's projectivities act and 18 of the 165 triples are tested; the
-    # matrix keeps the order and is nonsingular (apply_projectivity
+    # matrix keeps the order and is nonsingular (apply_projectivity_family
     # refuses it otherwise), so the verdict and witness are the lines' own
     matrix = [_base_vector(tow, row, e) for row in _MATRIX]
-    mapped = [apply_projectivity(matrix, line) for line in lines]
+    mapped = apply_projectivity_family(matrix, lines)
     verdict = is_pseudo_arc(mapped, 3)
     checks.append(("lines-pseudo-arc", bool(verdict),
                    "every 3 of the 11 lines span PG(5, 4)"
@@ -205,12 +197,15 @@ def verify_fixture() -> List[Tuple[str, bool, str]]:
     checks.append(("conjugate-span-lines", derived_ok,
                    "lines 6..11 are the rational parts of their points' conjugate spans"))
 
-    tangent_ok = all(images[i] in curve and mapped[i] == _tangent(tow, images[i])
-                     for i in range(5))
+    # the standard family ends with the tangent lines, at t = 0, ..., q - 1
+    # and at infinity (first coordinate 0)
+    standard = extend_with_osculating(build_imaginary_arc(tow, 3))
+    tangents = standard.elements[-tow.q - 1:]
+    tangent_ok = all(images[i] in curve and mapped[i] == tangents[
+        tow.embed_table.index(images[i][1]) if images[i][0] else tow.q] for i in range(5))
     checks.append(("tangent-lines", tangent_ok,
                    "lines 1..5 are the pulled-back curve tangents at their points"))
 
-    standard = extend_with_osculating(build_imaginary_arc(tow, 3))
     checks.append(("standard-construction", set(mapped) == set(standard.elements),
                    "the family is the standard 11-element construction, "
                    "transported by the projectivity"))

@@ -3,12 +3,15 @@
 A Subspace is the row space of a full-rank matrix in reduced row-echelon
 form, so two subspaces are equal exactly when their representations are;
 rows handed in are checked for that form, and only others are reduced.
-Subspaces live at one of the two levels of a tower: over the base field
-F_q, or over the extension F_{q^h}.  The module provides spans,
-intersections, field reduction of a top-level vector down to the
-canonical subgeometry (the normal-basis coordinate rows of its entries
-span the rational points of its conjugate span), projectivities, and
-Desarguesian spreads with a membership test.
+A family is reduced as a whole (``Subspace.family``): one int list per
+matrix entry holds that entry for every member, and ``predicted_rref``
+runs Gauss-Jordan on the first member's pivots with one row op per
+entry for all of them.  Subspaces live at one of the two levels of a
+tower: over the base field F_q, or over the extension F_{q^h}.  The
+module provides spans, intersections, field reduction of top-level
+vectors down to the canonical subgeometry (the normal-basis coordinate
+rows of a vector's entries span the rational points of its conjugate
+span), projectivities, and Desarguesian spreads with a membership test.
 """
 
 import itertools
@@ -49,6 +52,41 @@ class Subspace:
         self = cls.__new__(cls)
         self._reduce(field, ambient_dim, rows)
         return self
+
+    @classmethod
+    def family(cls, field: GF, ambient_dim: int,
+               mats: Sequence[Sequence[Sequence[int]]]) -> List["Subspace"]:
+        """``[Subspace.from_ints(field, ambient_dim, m) for m in mats]``,
+        by :meth:`from_entries`; zero rows, which span nothing, pad every
+        member to the most rows."""
+        entries = [list(zip(*rows)) for rows in
+                   itertools.zip_longest(*mats, fillvalue=(0,) * ambient_dim)]
+        return cls.from_entries(field, ambient_dim, entries, len(mats))
+
+    @classmethod
+    def from_entries(cls, field: GF, ambient_dim: int,
+                     entries: Sequence[Sequence[Sequence[int]]], size: int) -> List["Subspace"]:
+        """The row spaces of ``size`` members given entry by entry:
+        ``entries[s][j]`` holds entry j of row s of every member.
+        :func:`predicted_rref` reduces them all at once, and ``from_ints``
+        builds each member it leaves from its nonzero rows."""
+        if not size:
+            return []
+        if ambient_dim < 1:
+            raise ValueError("ambient_dim must be at least 1, found %d" % ambient_dim)
+        pivots, reduced = predicted_rref(field, ambient_dim, entries, size)
+        new, key, out = cls.__new__, (field.p, field.m, ambient_dim), []
+        for e, rows in enumerate(reduced):
+            if rows is None:
+                rows = [[col[e] for col in row] for row in entries]
+                sub = cls.from_ints(field, ambient_dim, [r for r in rows if any(r)])
+            else:
+                sub = new(cls)
+                sub.field, sub.ambient_dim, sub.int_rows, sub.pivots, sub._rows = (
+                    field, ambient_dim, rows, pivots, None)
+                sub._hash = hash((*key, rows))
+            out.append(sub)
+        return out
 
     def _reduce(self, field, ambient_dim, mat):
         """Keep int rows that are already in reduced echelon form, and
@@ -144,6 +182,68 @@ class Subspace:
                 yield tuple(vec)
 
 
+def predicted_rref(field, n, entries, size):
+    """The reduced echelon forms of ``size`` subspaces of F^n given entry
+    by entry (``entries[s][j]`` holds entry j of row s of every member),
+    by one Gauss-Jordan on the first member's pivots: those pivots, and
+    per member its reduced rows, or None where they do not reduce it.
+
+    Row s's pivot is the first column, not yet a pivot, where the first
+    member's row s is nonzero (a zero row gets none).  Its step scales
+    row s by its lead and clears the column from the other rows, one row
+    op over all members.  A member misses on a zero lead, or a row
+    nonzero in a non-pivot column before its pivot (anywhere, with no
+    pivot).  The others' pivot rows, in pivot order, span their rows and
+    are in reduced echelon form, which is unique."""
+    inv, neg, scaled, sub_product = field.inv, field.neg, field.scaled, field.sub_product
+    zeros = [0] * size
+    a = [list(row) for row in entries]
+    free, found, missed = list(range(n)), [], set()
+    for s, lead_row in enumerate(a):
+        for q in free:
+            if lead_row[q][0]:
+                break
+        else:
+            continue
+        free.remove(q)
+        found.append((q, s))
+        lead = lead_row[q]
+        if 0 in lead:
+            missed.update([e for e, v in enumerate(lead) if not v])
+            lead = [x or 1 for x in lead]
+        if lead.count(lead[0]) == size:
+            if lead[0] != 1:
+                c = inv(lead[0])
+                for j in free:
+                    lead_row[j] = scaled(c, lead_row[j])
+        else:
+            factor = [neg(inv(x)) for x in lead]
+            for j in free:
+                lead_row[j] = sub_product(zeros, factor, lead_row[j])
+        for row in a:
+            f = row[q]
+            if row is not lead_row and any(f):
+                for j in free:
+                    row[j] = sub_product(row[j], f, lead_row[j])
+    ends = [n] * len(a)
+    for q, s in found:
+        ends[s] = q
+    for row, end in zip(a, ends):
+        for j in free:
+            if j > end:
+                break
+            if any(row[j]):
+                missed.update([e for e, v in enumerate(row[j]) if v])
+    found.sort()
+    ones = [1] * size
+    reduced = [zip(*[ones if j == q else a[s][j] if j in free else zeros
+                     for j in range(n)]) for q, s in found]
+    out = list(zip(*reduced)) if found else [()] * size
+    for e in missed:
+        out[e] = None
+    return tuple([q for q, _ in found]), out
+
+
 def span(points: Iterable[Sequence[FieldElement]]) -> Subspace:
     """Subspace spanned by the given coordinate vectors."""
     pts = [list(p) for p in points]
@@ -227,11 +327,32 @@ def field_reduction_ints(tow: FieldTower, vals: Sequence[int]) -> Subspace:
     return Subspace.from_ints(tow.base, len(coords), list(zip(*coords)))
 
 
+def field_reduction_family(tow: FieldTower, rows: Sequence[Sequence[int]]) -> List[Subspace]:
+    """:func:`field_reduction_ints` of every column of int rows of
+    top-field encodings, in order: entry (s, j) of column c's reduction
+    is the s-th normal-basis coordinate of rows[j][c], so one
+    ``normal_ints`` per entry gives all of them entry by entry."""
+    normal = tow.normal_ints
+    coords = [list(zip(*map(normal, row))) for row in rows]
+    return Subspace.from_entries(tow.base, len(rows), list(zip(*coords)),
+                                 len(rows[0]) if rows else 0)
+
+
 def apply_projectivity(matrix: Sequence[Sequence[FieldElement]], w: Subspace) -> Subspace:
     """Image of a subspace under the projectivity of an invertible
     matrix acting on column vectors from the left: each basis row r
     goes to r * M^T."""
-    fld, n = w.field, w.ambient_dim
+    return apply_projectivity_family(matrix, [w])[0]
+
+
+def apply_projectivity_family(matrix: Sequence[Sequence[FieldElement]],
+                              family: Sequence[Subspace]) -> List[Subspace]:
+    """:func:`apply_projectivity` of every member of a nonempty family of
+    one space, in order: the matrix is checked once, and the images are
+    reduced together by ``Subspace.family``."""
+    fld, n = family[0].field, family[0].ambient_dim
+    if any(w.field is not fld or w.ambient_dim != n for w in family):
+        raise ValueError("subspaces live in different spaces")
     if len(matrix) != n or any(len(r) != n for r in matrix):
         raise ValueError("projectivity of a space of dimension %d needs a %d x %d "
                          "matrix, got %d x %d"
@@ -242,7 +363,8 @@ def apply_projectivity(matrix: Sequence[Sequence[FieldElement]], w: Subspace) ->
     mt = [[x.val for x in col] for col in zip(*matrix)]
     if rank_ints(fld, mt) != n:
         raise SingularMatrixError("projectivity matrix is singular")
-    return Subspace.from_ints(fld, n, [vec_mat_ints(fld, r, mt) for r in w.int_rows])
+    return Subspace.family(fld, n, [[vec_mat_ints(fld, r, mt) for r in w.int_rows]
+                                    for w in family])
 
 
 class Spread:

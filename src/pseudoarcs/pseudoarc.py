@@ -28,8 +28,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .gf import FieldElement, FieldTower, InvariantError
 from .linalg import (SingularMatrixError, insert_row, reduce_row, rref_ints,
                      vec_mat_ints)
-from .nrc import INFINITY, frobenius_orbit_reps, osc_ints
-from .projgeo import Spread, Subspace, spread_membership
+from .nrc import INFINITY, frobenius_orbit_reps, osc_entries, osc_ints
+from .projgeo import Spread, Subspace, predicted_rref, spread_membership
 
 
 TAG_KINDS = ("imaginary", "osculating", "osculating-infty", "external")
@@ -131,16 +131,16 @@ def build_imaginary_arc(tow: FieldTower, k: int) -> PseudoArc:
         raise ValueError("k must be at least 2")
     n = tow.h * k
     reps = frobenius_orbit_reps(tow)
-    elements = [Subspace.from_ints(tow.base, n, rows)
-                for rows in _imaginary_rows(tow, [alpha.val for alpha in reps], n)]
+    elements = Subspace.from_entries(
+        tow.base, n, _imaginary_rows(tow, [alpha.val for alpha in reps], n), len(reps))
     return PseudoArc(tow, k, elements, [Tag("imaginary", alpha) for alpha in reps])
 
 
 def _imaginary_rows(tow, alphas, n):
     """The reduced rows of the field reduction of (1, a, ..., a^(n-1)),
-    for every top element a of ``alphas`` (encodings): column j of a's
-    rows holds the base encodings of the coefficients of x^j mod
-    m = prod_(i<h) (x - a^(q^i)).
+    for every top element a of ``alphas`` (encodings), entry by entry:
+    entry (r, j) of a's rows, the base encoding of the coefficient of
+    x^r in x^j mod m = prod_(i<h) (x - a^(q^i)), is at [r][j][a's index].
 
     The field reduction is {(Tr(mu a^j))_j}; for mu_i in the trace-dual
     basis of (1, a, ..., a^(h-1)) and a^j = sum_i c_ij a^i, Tr(mu_i a^j)
@@ -186,15 +186,16 @@ def _imaginary_rows(tow, alphas, n):
         else:
             col = [zeros] + col[:-1]
         cols.append(col)
-    return list(zip(*[zip(*[c[r] for c in cols]) for r in range(h)]))
+    return [[c[r] for c in cols] for r in range(h)]
 
 
 def build_osculating_family(tow: FieldTower, k: int) -> List[Subspace]:
     """The order-(h-1) osculating spaces at the q+1 rational curve
-    points, affine parameters ascending, infinity last."""
-    n = tow.h * k
-    return [Subspace.from_ints(tow.base, n, osc_ints(tow.base, t, tow.h - 1, n))
-            for t in [*range(tow.q), INFINITY]]
+    points, affine parameters ascending, infinity last; the affine ones
+    are built together from ``osc_entries``."""
+    n, base = tow.h * k, tow.base
+    return (Subspace.from_entries(base, n, osc_entries(base, range(tow.q), tow.h - 1, n), tow.q)
+            + [Subspace.from_ints(base, n, osc_ints(base, INFINITY, tow.h - 1, n))])
 
 
 def extend_with_osculating(arc: PseudoArc) -> PseudoArc:
@@ -225,45 +226,29 @@ def _pivot_groups(pivots, members):
     return groups
 
 
-def _images(fld, mat, rows, groups, image0=None) -> list:
+def _images(fld, mat, rows, groups) -> list:
     """The images under v -> v*M, M nonsingular, of subspaces given by
     their reduced int rows, in the form ``_image`` returns, in order.
     ``groups`` is ``_pivot_groups`` of the members to image; the entries
-    of the others are None.  ``image0``, when given, is ``_image`` of
-    element 0, which is then not imaged again.
+    of the others are None.
 
-    The first member of a group is imaged by ``_image``, and the others
-    together: each list that follows holds one entry of every one of them.  Row
-    r, with pivot c, goes to r*M, row c of M plus x_i times row i of M
-    over the non-pivot columns i > c.  Gauss-Jordan then runs on the
-    pivots of the first member's image, in row order, with no pivot
-    search: step s scales row s by its lead, the entry at pivot s, and
-    clears that column from the other rows, in the non-pivot columns and
-    the later pivots.  A member whose lead is 0 at some step, or whose
-    reduced row s is nonzero in a non-pivot column before pivot s, is
-    imaged by ``_image``.  Every other member's rows are 1 at their
-    pivot, 0 at the other pivots and 0 before their own pivot: the
-    reduced echelon form, which is unique, so they are its ``_image``."""
+    The members of a group are imaged together: each list that follows
+    holds one entry of every one of them.  Row r, with pivot c, goes to
+    r*M, row c of M plus x_i times row i of M over the non-pivot columns
+    i > c.  ``predicted_rref`` then reduces them all on the pivots of the
+    first member's image, and a member that misses them is imaged by
+    ``_image``."""
     n = len(mat)
-    inv, neg = fld.inv, fld.neg
-    sub_scaled, scaled, added, sub_product = (
-        fld.sub_scaled, fld.scaled, fld.added, fld.sub_product)
+    neg, scaled, added, sub_scaled = fld.neg, fld.scaled, fld.added, fld.sub_scaled
     out = [None] * len(rows)
-    for pivots, (first, *rest) in groups.items():
-        if first == 0 and image0 is not None:
-            image = image0
-        else:
-            image = _image(fld, mat, rows[first])
-        out[first] = image
-        if not rest:
-            continue
-        size = len(rest)
-        zeros, ones = [0] * size, [1] * size
+    for pivots, members in groups.items():
+        size = len(members)
+        zeros = [0] * size
         free = [j for j in range(n) if j not in pivots]
         # a[s][j]: entry j of row s, one entry per member
         a = []
         for r, c in enumerate(pivots):
-            x = list(zip(*[rows[i][r] for i in rest]))
+            x = list(zip(*[rows[i][r] for i in members]))
             terms = [i for i in free if i > c]
             row = []
             for j in range(n):
@@ -280,39 +265,8 @@ def _images(fld, mat, rows, groups, image0=None) -> list:
                         acc = sub_scaled(acc, neg(coef), x[i])
                 row.append(zeros if acc is None else acc)
             a.append(row)
-        expected = [r.index(1) for r in image]
-        other = [j for j in range(n) if j not in expected]
-        fallback = set()
-        for s, q in enumerate(expected):
-            lead = a[s][q]
-            if 0 in lead:
-                fallback.update(e for e, v in enumerate(lead) if not v)
-                lead = [x or 1 for x in lead]
-            cols = other + expected[s + 1:]
-            if lead.count(lead[0]) == size:
-                if lead[0] != 1:
-                    c = inv(lead[0])
-                    for j in cols:
-                        a[s][j] = scaled(c, a[s][j])
-            else:
-                factor = [neg(inv(x)) for x in lead]
-                for j in cols:
-                    a[s][j] = sub_product(zeros, factor, a[s][j])
-            for t, row in enumerate(a):
-                f = row[q]
-                if t != s and any(f):
-                    for j in cols:
-                        row[j] = sub_product(row[j], f, a[s][j])
-        for s, q in enumerate(expected):
-            for j in other:
-                if j < q and any(a[s][j]):
-                    fallback.update(e for e, v in enumerate(a[s][j]) if v)
-        reduced = [zip(*[ones if j == q else zeros if j in expected else a[s][j]
-                         for j in range(n)])
-                   for s, q in enumerate(expected)]
-        for e, i in enumerate(rest):
-            image = tuple(map(next, reduced))
-            out[i] = _image(fld, mat, rows[i]) if e in fallback else image
+        for i, reduced in zip(members, predicted_rref(fld, n, a, size)[1]):
+            out[i] = _image(fld, mat, rows[i]) if reduced is None else reduced
     return out
 
 
@@ -334,12 +288,10 @@ def _head_images(fld, mat, rows, pivots, heads, index):
     ``heads``, ascending and headed by element 0, or None when one of
     them is not an element.  Element 0 is imaged first, alone, so a
     matrix that moves the family off itself costs one image; otherwise
-    the other heads are imaged in one pass of ``_images``, which reuses
-    that first image."""
-    image0 = _image(fld, mat, rows[0])
-    if image0 not in index:
+    all heads are imaged in one pass of ``_images``."""
+    if _image(fld, mat, rows[0]) not in index:
         return None
-    images = _images(fld, mat, rows, _pivot_groups(pivots, heads), image0)
+    images = _images(fld, mat, rows, _pivot_groups(pivots, heads))
     found = [index.get(images[i]) for i in heads]
     return None if None in found else found
 

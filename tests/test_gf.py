@@ -304,6 +304,31 @@ def test_sub_product_matches_entry_arithmetic():
                     f.sub(x, f.mul(y, z)) for x, y, z in zip(v, a, b)], (p, m)
 
 
+def test_scaled_rows_match_entry_arithmetic_for_every_scalar():
+    # zero included, which has no log: one field per branch of the row
+    # ops, a prime field, GF(16) on its logs, GF(25) on its addition
+    # table, GF(3^7) above the addition table limit and GF(2^17) above
+    # the table limit
+    rng = random.Random(19)
+    branches = {(7, 1): (True, False), (2, 4): (True, False),
+                (5, 2): (True, True), (3, 7): (True, False),
+                (2, 17): (False, False)}
+    for (p, m), (tables, add_table) in branches.items():
+        f = GF.get(p, m)
+        assert (f._exp is not None, f._add_table is not None) == (tables, add_table)
+        vs = sample_encodings(f, rng, 20)  # 0 and 1 first
+        for c in vs:
+            for n in (1, 3):
+                v, b = ([rng.choice(vs) for _ in range(n)] for _ in range(2))
+                assert f.sub_scaled(v, c, b) == [
+                    f.sub(x, f.mul(c, y)) for x, y in zip(v, b)], (p, m, c)
+                assert f.scaled(c, b) == [f.mul(c, y) for y in b], (p, m, c)
+    for p, m in [(5, 2), (2, 4)]:
+        f = GF.get(p, m)
+        assert f.sub_scaled([1, 2, 3], 0, [4, 5, 6]) == [1, 2, 3]
+        assert f.scaled(0, [4, 5, 6]) == [0, 0, 0]
+
+
 def test_packed_words_match_entry_arithmetic():
     # every digit width (b = 1, 3, 4, 4, 5), prime and extension fields,
     # and p = 2 on both sides of every slot width (8, 16, 32 bits) up to

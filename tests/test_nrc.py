@@ -8,7 +8,7 @@ from pseudoarcs.gf import GF, Poly, tower
 from pseudoarcs.linalg import det, rank_ints
 from pseudoarcs.nrc import (INFINITY, frobenius_orbit_reps, is_imaginary,
                             mobius, nrc_points, orbit_rep_count, osc_basis,
-                            osc_basis_infty, osc_ints, veronese)
+                            osc_basis_infty, osc_entries, osc_ints, veronese)
 from pseudoarcs.projgeo import conjugate_rows
 
 
@@ -72,6 +72,20 @@ def test_osc_basis_rows_follow_derivative_rule():
                     for r in range(order + 1):
                         assert power.coefficient(r) == rows[r][i]
                     power = power * shift
+
+
+def test_osc_entries_hold_every_parameter_at_once():
+    # entry (r, i) of the rows at ts[e] is [r][i][e], for orders below
+    # and above p, and no parameter at all
+    for fld in (GF.get(7, 1), GF.get(3, 2), GF.get(2, 3), GF.get(5, 1)):
+        ts = list(range(fld.order))
+        for order in (0, 1, 2, 3):
+            entries = osc_entries(fld, ts, order, 6)
+            assert [[[col[e] for col in row] for row in entries] for e in ts] == [
+                osc_ints(fld, t, order, 6) for t in ts]
+            assert osc_entries(fld, [], order, 6) == [[[]] * 6] * (order + 1)
+    with pytest.raises(ValueError, match="order must be below the curve degree"):
+        osc_entries(GF.get(7, 1), [1], 3, 4)
 
 
 def test_osc_basis_rank_exhaustive():

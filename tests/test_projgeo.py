@@ -685,3 +685,121 @@ def test_imaginary_families_build_and_load_without_a_reduction(monkeypatch):
             doc = jsonio.loads(jsonio.dumps(jsonio.arc_to_dict(family)))
             _, _, elements = jsonio.arc_elements_from_dict(doc)
             assert calls == [] and elements == list(family.elements)
+
+
+# -- families: one Gauss-Jordan over many members ----------------------------
+
+def assert_family_matches(fld, n, mats):
+    """``Subspace.family`` against ``from_ints`` member by member: rows,
+    pivots, hash and equality."""
+    got = Subspace.family(fld, n, mats)
+    ref = [Subspace.from_ints(fld, n, m) for m in mats]
+    assert [(s.int_rows, s.pivots, hash(s)) for s in got] == [
+        (s.int_rows, s.pivots, hash(s)) for s in ref]
+    assert got == ref
+    return got
+
+
+def other_basis(fld, rows, rng):
+    """The same row space on the basis L*U*rows, for L lower and U upper
+    triangular with nonzero diagonals: every leading minor is nonzero,
+    so Gauss-Jordan on the pivots in row order needs no pivot search."""
+    r = len(rows)
+    def triangular(lower):
+        return [[rng.randrange(1, fld.order) if i == j else
+                 rng.randrange(fld.order) if (j < i) == lower else 0
+                 for j in range(r)] for i in range(r)]
+    for m in (triangular(False), triangular(True)):
+        rows = [vec_mat_ints(fld, c, rows) for c in m]
+    return rows
+
+
+def test_family_on_other_bases_reduces_without_a_member_reduction(monkeypatch):
+    # a canonical first member predicts the pivots of every other basis of
+    # a subspace with its pivots, and no member is reduced alone
+    calls = count_reductions(monkeypatch)
+    rng = random.Random(101)
+    for fld in CHECKED_FIELDS:
+        for n in range(1, 6):
+            for rank_ in range(1, n + 1):
+                for pivots in itertools.combinations(range(n), rank_):
+                    first = random_canonical_rows(fld, pivots, n, rng)
+                    mats = [first] + [other_basis(fld, random_canonical_rows(
+                        fld, pivots, n, rng), rng) for _ in range(3)]
+                    del calls[:]
+                    Subspace.family(fld, n, mats)
+                    assert calls == []
+                    assert_family_matches(fld, n, mats)
+    # canonical members of every pivot pattern, mixed ranks in one call:
+    # a member that misses the first member's pivots is kept as it is
+    for fld in CHECKED_FIELDS:
+        for n in range(1, 5):
+            mats = [random_canonical_rows(fld, pivots, n, rng) for rank_ in range(n + 1)
+                    for pivots in itertools.combinations(range(n), rank_)]
+            rng.shuffle(mats)
+            del calls[:]
+            Subspace.family(fld, n, mats)
+            assert calls == []
+            assert_family_matches(fld, n, mats)
+    # an empty row space, one member per row count
+    f7 = GF.get(7, 1)
+    assert [s.rank for s in assert_family_matches(f7, 3, [[], [[0] * 3], [[0] * 3] * 2])] == [0] * 3
+
+
+def test_family_matches_from_ints_on_every_kind_of_member():
+    # canonical, near-canonical, rank-deficient and zero rows, mixed row
+    # counts in one call, and each kind of member first
+    rng = random.Random(103)
+    for fld in CHECKED_FIELDS:
+        for n in range(1, 6):
+            for rank_ in range(1, n + 1):
+                for pivots in itertools.combinations(range(n), rank_):
+                    rows = random_canonical_rows(fld, pivots, n, rng)
+                    combo = vec_mat_ints(fld, [rng.randrange(fld.order) for _ in rows], rows)
+                    members = ([rows, other_basis(fld, rows, rng),
+                                other_basis(fld, rows, rng) + [combo],
+                                [combo] + rows, rows + [[0] * n]]
+                               + [bad for _, bad in near_canonical(fld, pivots, n, rng)])
+                    for first in range(len(members)):
+                        mats = members[first:] + members[:first]
+                        assert_family_matches(fld, n, mats)
+                        assert_family_matches(fld, n, mats[:2])
+                        assert_family_matches(fld, n, mats[:1])
+                    rng.shuffle(members)
+                    assert_family_matches(fld, n, members)
+    assert Subspace.family(GF.get(2, 1), 3, []) == []
+    with pytest.raises(ValueError, match="ambient_dim must be at least 1, found 0"):
+        Subspace.family(GF.get(2, 1), 0, [[]])
+
+
+def test_family_matches_from_ints_on_random_rows():
+    rng = random.Random(107)
+    for fld in CHECKED_FIELDS:
+        for n in range(1, 6):
+            for _ in range(20):
+                mats = [[[rng.randrange(fld.order) if rng.random() < 0.7 else 0
+                          for _ in range(n)] for _ in range(rng.randrange(n + 2))]
+                        for _ in range(rng.randrange(6))]
+                assert_family_matches(fld, n, mats)
+
+
+def test_family_forms_match_their_one_member_forms():
+    # field reduction of many vectors, and a projectivity of many
+    # subspaces, member by member
+    rng = random.Random(109)
+    for t in (tower(2, 1, 2), tower(3, 1, 2), tower(2, 1, 3), tower(2, 2, 2)):
+        for n in range(1, 6):
+            vecs = [[rng.randrange(t.top.order) for _ in range(n)] for _ in range(6)]
+            vecs.append([t.embed_table[rng.randrange(t.q)] for _ in range(n)])
+            got = projgeo.field_reduction_family(t, [list(r) for r in zip(*vecs)])
+            assert got == [field_reduction_ints(t, v) for v in vecs]
+    for fld in CHECKED_FIELDS:
+        for n in range(1, 5):
+            family = [rand_subspace(fld, n, rng.randrange(n + 1), rng) for _ in range(5)]
+            m = rand_invertible(fld, n, rng)
+            assert projgeo.apply_projectivity_family(m, family) == [
+                apply_projectivity(m, w) for w in family]
+    f5 = GF.get(5, 1)
+    with pytest.raises(ValueError, match="subspaces live in different spaces"):
+        projgeo.apply_projectivity_family(identity(f5, 2), [Subspace(f5, 2, []),
+                                                            Subspace(f5, 3, [])])

@@ -784,12 +784,27 @@ def random_reduced_rows(fld, pivots, n, rng):
                  for c in pivots)
 
 
+def row_pivots(fld, mat, rows):
+    """The pivots, row by row, that ``_images`` takes for a pivot group
+    headed by ``rows``: Gauss-Jordan on their product in row order, each
+    row's pivot its first nonzero entry."""
+    a = [vec_mat_ints(fld, v, mat) for v in rows]
+    pivots = []
+    for s in range(len(a)):
+        c = next(j for j, x in enumerate(a[s]) if x)
+        pivots.append(c)
+        a[s] = fld.scaled(fld.inv(a[s][c]), a[s])
+        a = [r if t == s or not r[c] else fld.sub_scaled(r, r[c], a[s])
+             for t, r in enumerate(a)]
+    return pivots
+
+
 def fallback_reason(fld, mat, rows, pivots):
-    """Why ``_images`` images a subspace alone when the image of the
-    first member of its pivot group has the pivot columns ``pivots``: "lead" when
-    Gauss-Jordan on the product, in row order on those pivots, meets a 0
-    at a pivot, "before" when a row of its result is nonzero in a column
-    before its pivot, and None otherwise."""
+    """Why ``_images`` images a subspace alone when the first member of
+    its pivot group takes the pivot columns ``pivots``, row by row: "lead"
+    when Gauss-Jordan on the product, in row order on those pivots, meets
+    a 0 at a pivot, "before" when a row of its result is nonzero in a
+    column before its pivot, and None otherwise."""
     a = [vec_mat_ints(fld, v, mat) for v in rows]
     for s, c in enumerate(pivots):
         if not a[s][c]:
@@ -804,8 +819,8 @@ def test_triangular_images_on_every_pivot_pattern(monkeypatch):
     # on families that mix every pivot pattern of every rank, in random
     # order: random upper triangular matrices with no 1 on the diagonal
     # (but over GF(2), which has no other unit) and the shift and scale
-    # maps, which keep every pivot, so only the first member of each
-    # pivot group is imaged alone; then random dense nonsingular,
+    # maps, which keep every pivot, so no member is imaged alone; then
+    # random dense nonsingular,
     # monomial and anti-diagonal matrices, which image alone exactly the
     # members that ``fallback_reason`` names, for both reasons
     singles, _ = count_images(monkeypatch)
@@ -842,14 +857,14 @@ def test_triangular_images_on_every_pivot_pattern(monkeypatch):
                 assert pseudoarc._images(fld, mat, rows, groups) == [
                     reference_image(fld, mat, r) for r in rows], (p, m, n)
                 found = Counter(
-                    fallback_reason(fld, mat, rows[i], [r.index(1) for r in
-                                                        reference_image(fld, mat, rows[first])])
+                    fallback_reason(fld, mat, rows[i], row_pivots(fld, mat, rows[first]))
                     for first, *rest in groups.values() for i in rest)
                 if mat in (dense, monomial, anti):
                     reasons += found
                 else:
                     assert found[None] == len(rows) - len(groups)
-                assert sum(singles.values()) == len(rows) - found[None], (p, m, n)
+                assert sum(singles.values()) == len(rows) - len(groups) - found[None], \
+                    (p, m, n)
     assert reasons["lead"] > 0 and reasons["before"] > 0
 
 
@@ -863,9 +878,9 @@ def count_images(monkeypatch):
         singles[tuple(map(tuple, mat))] += 1
         return image(fld, mat, rows)
 
-    def counting_images(fld, mat, rows, groups, image0=None):
+    def counting_images(fld, mat, rows, groups):
         passes[tuple(map(tuple, mat))] += 1
-        return images_(fld, mat, rows, groups, image0)
+        return images_(fld, mat, rows, groups)
 
     monkeypatch.setattr(pseudoarc, "_image", counting_image)
     monkeypatch.setattr(pseudoarc, "_images", counting_images)
@@ -887,18 +902,17 @@ def cycle_heads(perm):
 def test_image_calls_per_generator(monkeypatch):
     # every generator is accepted on these families.  The shift and
     # scale maps image element 0 alone, then the whole family in one
-    # pass, which reuses that image and images the first member of every
-    # other pivot group alone; they keep every pivot and image nothing
-    # else alone.  The reversal's one pass holds only the heads of the
+    # pass; they keep every pivot and image nothing else alone.  The
+    # reversal's one pass holds only the heads of the
     # scale map's cycles, 140 of the 1,028 elements of the arcs grid
     # families, and sends 26 of them to ``_image``
     singles, passes = count_images(monkeypatch)
     members = {}
     counting_images = pseudoarc._images
 
-    def recording_images(fld, mat, rows, groups, image0=None):
+    def recording_images(fld, mat, rows, groups):
         members[tuple(map(tuple, mat))] = sorted(i for g in groups.values() for i in g)
-        return counting_images(fld, mat, rows, groups, image0)
+        return counting_images(fld, mat, rows, groups)
 
     monkeypatch.setattr(pseudoarc, "_images", recording_images)
 
@@ -915,8 +929,8 @@ def test_image_calls_per_generator(monkeypatch):
         everything = list(range(len(els)))
         assert passes == {shift: 1, scale: 1, reverse: 1}
         assert members == {shift: everything, scale: everything, reverse: heads}
-        assert singles[shift] == singles[scale] == len(pivot_groups(rows))
-        return len(heads), singles[reverse] - len(pivot_groups([rows[i] for i in heads]))
+        assert singles[shift] == singles[scale] == 1
+        return len(heads), singles[reverse] - 1
 
     for case in ROW_MAP_CASES:
         for els in curve_families(*case):
@@ -1179,9 +1193,9 @@ def test_curve_permutations_match_imaging_every_element(monkeypatch):
     members = {}
     images_ = pseudoarc._images
 
-    def recording_images(fld, mat, rows, groups, image0=None):
+    def recording_images(fld, mat, rows, groups):
         members[tuple(map(tuple, mat))] = sorted(i for g in groups.values() for i in g)
-        return images_(fld, mat, rows, groups, image0)
+        return images_(fld, mat, rows, groups)
 
     monkeypatch.setattr(pseudoarc, "_images", recording_images)
     families = [els for case in ARCS_GRID_CASES for els in curve_families(*case)]

@@ -164,6 +164,60 @@ def test_no_module_imports_warnings():
     assert _importers("warnings") == []
 
 
+def _looped_from_ints(tree):
+    """(function, line) of every ``Subspace.from_ints`` call, and every
+    ``cls.from_ints`` call in class ``Subspace``, that a loop or a
+    comprehension runs more than once: anything in it but the iterable
+    it starts from."""
+    found = []
+
+    def visit(node, looped, cls, func):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            func, looped = getattr(node, "name", func), False
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "from_ints" and isinstance(node.func.value, ast.Name)
+              and looped and (node.func.value.id == "Subspace"
+                              or (node.func.value.id, cls) == ("cls", "Subspace"))):
+            found.append((func, node.lineno))
+        once = None
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            once = node.iter
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            once = node.generators[0].iter
+        for child in ast.iter_child_nodes(node):
+            visit(child, looped or (once is not None and child is not once)
+                  or isinstance(node, ast.While), cls, func)
+
+    visit(tree, False, None, None)
+    return found
+
+
+def test_no_subspace_is_built_alone_in_a_loop():
+    # a family goes through Subspace.family or from_entries, one
+    # Gauss-Jordan over all its members; the kernel's own fallback for a
+    # member that misses the predicted pivots is the one loop allowed
+    assert _looped_from_ints(ast.parse(
+        "a = [Subspace.from_ints(f, n, m) for m in mats]\n"
+        "b = Subspace.from_ints(f, n, [r for r in rows])\n"
+        "for m in [Subspace.from_ints(f, n, rows)]:\n"
+        "    g(AdditiveCode.from_ints(t, k, m, s))\n"
+        "    while m:\n"
+        "        m = Subspace.from_ints(f, n, m)\n"
+        "def h():\n"
+        "    return any(ok(Subspace.from_ints(f, n, m)) for m in mats)\n"
+        "class Subspace:\n"
+        "    def family(cls):\n"
+        "        return [cls.from_ints(f, n, m) for m in mats]\n")) == [
+            (None, 1), (None, 6), ("h", 8), ("family", 11)]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, func) for func, _ in _looped_from_ints(tree)]
+    assert found == [("projgeo.py", "from_entries")]
+
+
 BENCH = SRC.parent.parent / "bench"
 
 
@@ -221,6 +275,8 @@ UNCALLED_EXPORTS = {
     "nrc_quadric_system",
     # the coefficient layout of every QuadraticForm, which the tests read
     "monomial_pairs",
+    # the one-subspace form; the library maps whole families at once
+    "apply_projectivity",
 }
 
 
