@@ -21,7 +21,7 @@ from .codes import (AdditiveCode, ERASED, code_from_subspaces, encode,
 from .gf import FieldElement, FieldTower, InvariantError, Poly, tower
 from .linalg import rank_ints, vec_mat_ints
 from .nrc import nrc_points
-from .projgeo import Subspace, apply_projectivity_family, field_reduction, span
+from .projgeo import Subspace, apply_projectivity_family, field_reduction_family, span
 from .pseudoarc import build_imaginary_arc, extend_with_osculating, is_pseudo_arc
 
 # x^4 + x + 1, low degree first; its roots in F_16 are primitive
@@ -106,15 +106,20 @@ def _conjugates(tow: FieldTower, points: Sequence[Sequence[FieldElement]]
     return [[tow.frobenius(x, 1) for x in pt] for pt in points]
 
 
+def _reductions(tow: FieldTower, points: Sequence[Sequence[FieldElement]]
+                ) -> List[Subspace]:
+    """The field reductions of top-level points, in order, by one
+    ``field_reduction_family``."""
+    return field_reduction_family(tow, [[x.val for x in col] for col in zip(*points)])
+
+
 def _lines(tow: FieldTower, points: Sequence[Sequence[FieldElement]],
            e: FieldElement) -> List[Subspace]:
-    out = []
-    for pair, point in zip(_LINES, points):
-        if pair is None:
-            out.append(field_reduction(tow, point))
-        else:
-            out.append(span([_base_vector(tow, row, e) for row in pair]))
-    return out
+    derived = iter(_reductions(tow, [pt for pair, pt in zip(_LINES, points)
+                                     if pair is None]))
+    return [next(derived) if pair is None
+            else span([_base_vector(tow, row, e) for row in pair])
+            for pair in _LINES]
 
 
 def fixture_points(tow: FieldTower) -> List[List[FieldElement]]:
@@ -192,8 +197,7 @@ def verify_fixture() -> List[Tuple[str, bool, str]]:
     checks.append(("curve-bijection", set(images) == curve and len(all_points) == 17,
                    "projectivity maps the 17 points onto the standard curve"))
 
-    derived_ok = all(field_reduction(tow, points[i]) == lines[i]
-                     for i in range(5, 11))
+    derived_ok = _reductions(tow, points[5:]) == lines[5:]
     checks.append(("conjugate-span-lines", derived_ok,
                    "lines 6..11 are the rational parts of their points' conjugate spans"))
 

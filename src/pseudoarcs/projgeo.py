@@ -370,7 +370,8 @@ def apply_projectivity_family(matrix: Sequence[Sequence[FieldElement]],
 class Spread:
     """A Desarguesian (h-1)-spread of PG(hk-1, q), presented by a
     director frame: k ordered top-level rows whose span, together with
-    all its Frobenius conjugates, fills the whole space.
+    all its Frobenius conjugates, fills the whole space.  ``frame``
+    keeps those rows as int encodings.
 
     Every spread element is the field reduction of a point of the
     director space: the rational point set of its conjugate span.
@@ -393,41 +394,61 @@ class Spread:
         self.h = tow.h
         self.k = k
         self.q = tow.q
-        self.frame = tuple(tuple(r) for r in frame)
+        self.frame = tuple(tuple(x.val for x in r) for r in frame)
         self.director = director
 
-    def embed_point(self, coords: Sequence[FieldElement]) -> List[FieldElement]:
-        """Ambient coordinates of the director point with the given
-        frame coordinates (length k, top level, not all zero)."""
+    def _frame_ints(self, coords: Sequence[FieldElement]) -> List[int]:
+        """The encodings of k top-level frame coordinates, not all zero."""
         coords = list(coords)
         if len(coords) != self.k or not any(coords):
             raise ValueError("need k frame coordinates, not all zero")
-        n = self.h * self.k
-        out = [self.tow.top.zero] * n
-        for c, row in zip(coords, self.frame):
-            if c:
-                for i in range(n):
-                    out[i] = out[i] + c * row[i]
-        return out
+        if any(x.field is not self.tow.top for x in coords):
+            raise FieldMismatchError("frame coordinates must lie in %r" % self.tow.top)
+        return [x.val for x in coords]
+
+    def embed_point(self, coords: Sequence[FieldElement]) -> List[FieldElement]:
+        """Ambient coordinates of the director point with the given
+        frame coordinates (length k, top level, not all zero): the
+        frame rows combined by k int row operations."""
+        top = self.tow.top
+        return top.wrap(vec_mat_ints(top, self._frame_ints(coords), self.frame))
 
     def point_coordinates(self, point: Sequence[FieldElement]) -> List[FieldElement]:
         """Frame coordinates of an ambient point lying in the director
         space (inverse of embed_point up to scalars)."""
-        return solve([list(col) for col in zip(*self.frame)], list(point))
+        wrap = self.tow.top.wrap
+        return solve([wrap(col) for col in zip(*self.frame)], list(point))
 
     def element_through(self, coords: Sequence[FieldElement]) -> Subspace:
         """The spread element determined by a director point, given by
         its frame coordinates."""
-        element = field_reduction(self.tow, self.embed_point(coords))
-        if element.rank != self.h:
-            raise InvariantError("spread element of rank %d, expected %d"
-                                 % (element.rank, self.h))
-        return element
+        top = self.tow.top
+        vec = vec_mat_ints(top, self._frame_ints(coords), self.frame)
+        return self._checked([field_reduction_ints(self.tow, vec)])[0]
 
-    def elements(self):
-        """All (q^(hk) - 1)/(q^h - 1) spread elements."""
-        for pt in ambient_space(self.tow.top, self.k).points():
-            yield self.element_through(list(pt))
+    def elements_through(self, points: Sequence[Sequence[FieldElement]]) -> List[Subspace]:
+        """:meth:`element_through` of every director point, in order."""
+        return self._family([self._frame_ints(c) for c in points])
+
+    def elements(self) -> List[Subspace]:
+        """All (q^(hk) - 1)/(q^h - 1) spread elements, in the point order
+        of the director space."""
+        return self._family(ambient_space(self.tow.top, self.k)._int_points())
+
+    def _family(self, points) -> List[Subspace]:
+        """The elements through director points given as int frame
+        coordinates, by one ``field_reduction_family``."""
+        top = self.tow.top
+        vecs = [vec_mat_ints(top, c, self.frame) for c in points]
+        return self._checked(field_reduction_family(self.tow, list(zip(*vecs))))
+
+    def _checked(self, elements: List[Subspace]) -> List[Subspace]:
+        """The elements, each checked to have rank h."""
+        for element in elements:
+            if element.rank != self.h:
+                raise InvariantError("spread element of rank %d, expected %d"
+                                     % (element.rank, self.h))
+        return elements
 
 
 def canonical_spread(tow: FieldTower, k: int) -> Spread:

@@ -678,6 +678,6 @@ def build_desarguesian_arc(points: Sequence[Sequence[FieldElement]],
     if not verdict:
         raise ValueError("points are not an arc in the director space: "
                          "subset %s is degenerate" % (verdict.witness,))
-    elements = [spread.element_through(c) for c in coords]
+    elements = spread.elements_through(coords)
     tags = [Tag("external")] * len(elements)
     return PseudoArc(tow, k, elements, tags)

@@ -241,15 +241,28 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
     points (0, ..., 0, 1, pre, s, t) are P + s u + t e for the prefix
     P = (0, ..., 0, 1, pre, 0, 0), u = e_(n-2) and e = e_(n-1), where the
     first form takes the values a_s + b_s t + Q(e) t^2 with
-    a_s = Q(P) + s B(P, u) + s^2 Q(u) and b_s = B(P, e) + s B(u, e).  A
-    plane costs three evaluations, Q(P), Q(P + u) and Q(P + e), and int
-    row operations for a_s and b_s at every s; the zeros t on each line
-    come from a dict of the roots of a + b t + Q(e) t^2, filled on first
-    use of (a, b).  The line (0, ..., 0, 1, t) is walked alone, and the
-    point (0, ..., 0, 1) is checked on its own.  Only the first form's
-    zeros are checked against the configuration and the other forms; on
-    a line holding more than two of them, each other form is restricted
-    to the line in the same way, with roots memoized per form.
+    a_s = Q(P) + s B(P, u) + s^2 Q(u) and b_s = B(P, e) + s B(u, e).
+    Q(u), Q(e) and B(u, e) are computed once.  The planes come in
+    blocks, those whose pre differ only in its last two coordinates: one
+    int list per coordinate of P holds it for every plane of the block,
+    and one int row operation per term of the first form (and one per
+    first index of its terms) gives Q(P), B(P, u) and B(P, e) at every
+    plane of the block, with no evaluation.  The first form's zeros on a
+    plane depend only on that triple, so they are memoized on it: the
+    first plane with a triple computes a_s and b_s at every s by row
+    operations and takes each line's zeros from a dict of the roots of
+    a + b t + Q(e) t^2, keyed by (a, b); a later plane with the triple
+    costs one dict lookup.  The line (0, ..., 0, 1, t) is walked alone,
+    and the point (0, ..., 0, 1) is checked on its own.
+
+    Only the first form's zeros are checked against the configuration
+    and the other forms.  On a plane where the first form vanishes on
+    more than two lines, each other form is restricted to the whole
+    plane: three evaluations, its a_s and b_s by row operations, and one
+    roots lookup per line that still holds a zero.  On other planes a
+    line holding more than two zeros restricts each other form to the
+    line (two evaluations and a roots lookup), and the zeros of other
+    lines are evaluated one by one; roots are memoized per form.
     ``missed`` is the first configuration point, in sorted encoding
     order, where some form does not vanish; ``extra`` is the first
     common zero outside the configuration in the order of
@@ -281,6 +294,7 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
             raise ValueError("form %d has %d variables, the ambient dimension is %d"
                              % (pos, form.n, n))
     value, sub, neg, fsub = field.form_value, field.sub_scaled, field.neg, field.sub
+    sub_product = field.sub_product
     form_terms = [form.terms for form in forms]
     covered = set()
     for s in subspaces:
@@ -303,10 +317,30 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
             vals = sub(vals, neg(c), squares)
         return [t for t, v in enumerate(vals) if not v]
 
-    c = value(first, last)  # Q(e)
+    def line_values(a, bu, be, qu, bue):
+        """The (a_s, b_s) of every line s of a plane, for a form with
+        Q(P) = a, B(P, u) = bu, B(P, e) = be, Q(u) = qu and B(u, e) = bue."""
+        avals, bvals = [a] * q, [be] * q
+        if bu:
+            avals = sub(avals, neg(bu), ts)
+        if qu:
+            avals = sub(avals, neg(qu), squares)
+        if bue:
+            bvals = sub(bvals, neg(bue), ts)
+        return list(zip(avals, bvals))
+
+    # u = e_(n-2), the zero vector when n = 1, where no plane needs it
+    u, ue = last[1:] + (0,), last[1:] + (1,)
+
+    def fixed_values(terms):
+        """Q(e), Q(u) and B(u, e) of a form."""
+        ce, cu = value(terms, last), value(terms, u)
+        return ce, cu, fsub(fsub(value(terms, ue), cu), ce)
+
+    c, qu, bue = fixed_values(first)
     roots = {}  # (a, b) -> line_roots(a, b, c)
-    # the other forms with their Q(e) and their own roots, as sets
-    rest_lines = [(terms, value(terms, last), {}) for terms in rest]
+    # the other forms with their fixed values and their own roots, as sets
+    rest_forms = [(terms, *fixed_values(terms), {}) for terms in rest]
 
     def extra_on(line, zeros, before):
         """The verdict at the first point line + (t,), t in zeros, that
@@ -318,12 +352,12 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
         check = rest
         if len(zeros) > 2:
             x0, x1 = line + (0,), line + (1,)
-            for terms, cf, table in rest_lines:
+            for terms, ce, _, _, table in rest_forms:
                 a = value(terms, x0)
-                b = fsub(fsub(value(terms, x1), a), cf)
+                b = fsub(fsub(value(terms, x1), a), ce)
                 on_line = table.get((a, b))
                 if on_line is None:
-                    on_line = table[a, b] = frozenset(line_roots(a, b, cf))
+                    on_line = table[a, b] = frozenset(line_roots(a, b, ce))
                 zeros = [t for t in zeros if t in on_line]
                 if not zeros:
                     return None
@@ -340,34 +374,103 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
                                            scanned=before + t + 1)
         return None
 
+    def extra_in_plane(pre, lines, before):
+        """The verdict at the first common zero outside the configuration
+        among the first form's zeros ``lines``, (s, zeros) pairs, on the
+        plane of ``pre``, or None.
+
+        Each other form is restricted to the whole plane: three
+        evaluations, its a_s and b_s by row operations, and one roots
+        lookup per line that still holds a zero."""
+        x0, xu, xe = pre + (0, 0), pre + (1, 0), pre + (0, 1)
+        for terms, ce, cu, cue, table in rest_forms:
+            a = value(terms, x0)
+            on_lines = line_values(a, fsub(fsub(value(terms, xu), a), cu),
+                                   fsub(fsub(value(terms, xe), a), ce), cu, cue)
+            kept = []
+            for s, zeros in lines:
+                ab = on_lines[s]
+                on_line = table.get(ab)
+                if on_line is None:
+                    on_line = table[ab] = frozenset(line_roots(*ab, ce))
+                if on_line:
+                    zeros = [t for t in zeros if t in on_line]
+                    if zeros:
+                        kept.append((s, zeros))
+            if not kept:
+                return None
+            lines = kept
+        for s, zeros in lines:
+            for t in zeros:
+                key = pre + (s, t)
+                if key not in covered:
+                    return IntersectionVerdict(False, extra=key,
+                                               scanned=before + s * q + t + 1)
+        return None
+
+    def plane_lines(key):
+        """The (s, zeros) of the lines of a plane where the first form,
+        with (Q(P), B(P, u), B(P, e)) = key, has zeros, and whether it
+        vanishes on more than two of them."""
+        lines = []
+        for s, ab in enumerate(line_values(*key, qu, bue)):
+            zeros = roots.get(ab)
+            if zeros is None:
+                zeros = roots[ab] = line_roots(*ab, c)
+            if zeros:
+                lines.append((s, zeros))
+        return lines, sum(len(zeros) > 2 for _, zeros in lines) > 2
+
+    # the first form's terms inside P's support, grouped by their first
+    # index, and its terms x_i x_(n-2) and x_i x_(n-1) with i in it: they
+    # give Q(P), B(P, u) and B(P, e)
+    groups = {}
+    for cf, i, j in first:
+        if j < n - 2:
+            groups.setdefault(i, []).append((cf, j))
+    with_u = [(neg(cf), i) for cf, i, j in first if j == n - 2 and i < n - 2]
+    with_e = [(neg(cf), i) for cf, i, j in first if j == n - 1 and i < n - 2]
+    planes = {}  # (Q(P), B(P, u), B(P, e)) -> plane_lines of it
     scanned = 0
-    if n > 2:
-        u = (0,) * (n - 2) + (1, 0)
-        qu = value(first, u)
-        bue = fsub(fsub(value(first, u[:-1] + (1,)), qu), c)  # B(u, e)
     for lead in range(n - 2):
-        head = (0,) * lead + (1,)
-        for mid in itertools.product(ts, repeat=n - lead - 3):
-            pre = head + mid
-            a = value(first, pre + (0, 0))  # Q(P)
-            bu = fsub(fsub(value(first, pre + (1, 0)), a), qu)  # B(P, u)
-            be = fsub(fsub(value(first, pre + (0, 1)), a), c)  # B(P, e)
-            avals, bvals = [a] * q, [be] * q
-            if bu:
-                avals = sub(avals, neg(bu), ts)
-            if qu:
-                avals = sub(avals, neg(qu), squares)
-            if bue:
-                bvals = sub(bvals, neg(bue), ts)
-            for s, key in enumerate(zip(avals, bvals)):
-                zeros = roots.get(key)
-                if zeros is None:
-                    zeros = roots[key] = line_roots(*key, c)
-                if zeros:
-                    verdict = extra_on(pre + (s,), zeros, scanned + s * q)
-                    if verdict is not None:
-                        return verdict
-            scanned += q * q
+        # a block: the planes whose pre agrees but in the last two
+        # coordinates, one int list per coordinate of P
+        free = min(n - lead - 3, 2)
+        tails = list(itertools.product(ts, repeat=free))
+        size = len(tails)
+        zero = [0] * size
+        varying = [list(col) for col in zip(*tails)]
+        for fixed in itertools.product(ts, repeat=n - lead - 3 - free):
+            prefix = (0,) * lead + (1,) + fixed
+            cols = [[v] * size for v in prefix] + varying
+            qp = bu = be = zero
+            for i, row in groups.items():
+                acc = zero
+                for cf, j in row:
+                    acc = sub(acc, cf, cols[j])
+                qp = sub_product(qp, cols[i], acc)
+            for cf, i in with_u:
+                bu = sub(bu, cf, cols[i])
+            for cf, i in with_e:
+                be = sub(be, cf, cols[i])
+            for pos, key in enumerate(zip(qp, bu, be)):
+                found = planes.get(key)
+                if found is None:
+                    found = planes[key] = plane_lines(key)
+                lines, whole = found
+                if not lines:
+                    continue
+                pre, before = prefix + tails[pos], scanned + pos * q * q
+                if whole:
+                    verdict = extra_in_plane(pre, lines, before)
+                else:
+                    for s, zeros in lines:
+                        verdict = extra_on(pre + (s,), zeros, before + s * q)
+                        if verdict is not None:
+                            break
+                if verdict is not None:
+                    return verdict
+            scanned += size * q * q
     if n > 1:
         line = (0,) * (n - 2) + (1,)
         a = value(first, line + (0,))
@@ -375,7 +478,6 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
         verdict = extra_on(line, line_roots(a, b, c), scanned)
         if verdict is not None:
             return verdict
-    if last not in covered and not c and not any(value(terms, last)
-                                                 for terms in rest):
+    if last not in covered and not c and not any(ce for _, ce, _, _, _ in rest_forms):
         return IntersectionVerdict(False, extra=last, scanned=total)
     return IntersectionVerdict(True, scanned=total)

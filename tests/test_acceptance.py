@@ -181,6 +181,24 @@ def test_criterion_07_desarguesian_conic_is_complete_intersection():
     assert verdict.ok, (verdict.extra, verdict.missed)
 
 
+
+@pytest.mark.parametrize("h, k, q", [(2, 4, 5), (3, 3, 3)])
+def test_criterion_07_desarguesian_family_is_complete_intersection(h, k, q):
+    # ROADMAP item 7 at k >= 4 and at h = 3: the spread elements through
+    # the curve points of PG(k - 1, q^h) are cut out exactly by the
+    # trace-reduced standard system, every point of PG(hk - 1, q) walked
+    tow = tower_for(q, h)
+    top = tow.top
+    spread = block_spread(tow, k)
+    subs = spread.elements_through([p.coords for p in nrc_points(top, k)])
+    assert len(subs) == top.order + 1
+    basis = tow.normal_basis()
+    forms = [trace_reduce(form, tow, basis, alpha)
+             for form in nrc_quadric_system(top, k) for alpha in basis]
+    verdict = is_complete_intersection(subs, forms)
+    assert verdict.ok, (verdict.extra, verdict.missed)
+    assert verdict.scanned == (q ** (h * k) - 1) // (q - 1)
+
 def test_criterion_08_folded_code_columns_equal_the_arc():
     for h, k, q in DESK_TRIPLES:
         tow = tower_for(q, h)

@@ -406,6 +406,36 @@ def test_spread_point_coordinates_roundtrip():
         assert back == list(y)
 
 
+
+def test_spread_family_forms_match_the_per_point_form():
+    # elements() and elements_through() reduce all their director points
+    # by one field_reduction_family; each member must be the element
+    # through its point, the field reduction of the point embedded in
+    # FieldElement arithmetic
+    for p, e, h in [(5, 1, 2), (2, 2, 2), (3, 1, 3)]:
+        t = tower(p, e, h)
+        top = t.top
+        for make in (block_spread, canonical_spread):
+            for k in (2, 3):
+                s = make(t, k)
+                frame = [top.wrap(r) for r in s.frame]
+                points = [list(pt) for pt in ambient_space(top, k).points()]
+                per_point = []
+                for c in points:
+                    vec = [sum((x * r[j] for x, r in zip(c, frame)), top.zero)
+                           for j in range(h * k)]
+                    assert s.embed_point(c) == vec
+                    per_point.append(s.element_through(c))
+                    assert per_point[-1] == field_reduction(t, vec)
+                assert s.elements() == per_point
+                assert s.elements_through(points) == per_point
+                assert s.elements_through([]) == []
+    s = block_spread(tower(5, 1, 2), 2)
+    with pytest.raises(FieldMismatchError, match="frame coordinates must lie in"):
+        s.embed_point([F5(1), F5(0)])
+    with pytest.raises(ValueError, match="need k frame coordinates"):
+        s.elements_through([[s.tow.top.zero] * 2])
+
 # -- int rows against FieldElement references --------------------------------
 
 DIFF_FIELDS = (GF.get(7, 1), GF.get(2, 3), GF.get(3, 2))

@@ -316,11 +316,16 @@ def test_thas_bound_violation_is_an_invariant_error(monkeypatch):
         is_pseudo_arc(arc, 2)
 
 
-def truncated_reduction(tow, vec):
-    """field_reduction with its last row dropped: a rank-deficient
-    element."""
-    el = field_reduction(tow, vec)
-    return Subspace(el.field, el.ambient_dim, el.rows[:-1])
+def truncated(reduce):
+    """``reduce`` with the last row of every element dropped: rank-deficient
+    elements."""
+    def reduced(tow, vals):
+        out = reduce(tow, vals)
+        elements = out if isinstance(out, list) else [out]
+        cut = [Subspace.from_ints(el.field, el.ambient_dim, el.int_rows[:-1])
+               for el in elements]
+        return cut if isinstance(out, list) else cut[0]
+    return reduced
 
 
 def test_rank_deficient_element_is_an_invariant_error(monkeypatch):
@@ -330,9 +335,18 @@ def test_rank_deficient_element_is_an_invariant_error(monkeypatch):
                         lambda tow: (tow.top(2),))
     with pytest.raises(InvariantError, match="element of rank 1 at alpha"):
         build_imaginary_arc(tow, 2)
-    monkeypatch.setattr(projgeo, "field_reduction", truncated_reduction)
+    spread = canonical_spread(tow, 2)
+    monkeypatch.setattr(projgeo, "field_reduction_ints",
+                        truncated(projgeo.field_reduction_ints))
     with pytest.raises(InvariantError, match="spread element of rank 1"):
-        canonical_spread(tow, 2).element_through([tow.top.one, tow.top.zero])
+        spread.element_through([tow.top.one, tow.top.zero])
+    monkeypatch.setattr(projgeo, "field_reduction_family",
+                        truncated(projgeo.field_reduction_family))
+    with pytest.raises(InvariantError, match="spread element of rank 1"):
+        spread.elements()
+    with pytest.raises(InvariantError, match="spread element of rank 1"):
+        build_desarguesian_arc([spread.embed_point([tow.top.one, tow.top.zero])],
+                               spread)
     # the check is a raise, not an assert: it holds under python -O
     script = (
         "from pseudoarcs import InvariantError, pseudoarc, tower\n"

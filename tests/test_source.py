@@ -164,22 +164,35 @@ def test_no_module_imports_warnings():
     assert _importers("warnings") == []
 
 
-def _looped_from_ints(tree):
-    """(function, line) of every ``Subspace.from_ints`` call, and every
-    ``cls.from_ints`` call in class ``Subspace``, that a loop or a
-    comprehension runs more than once: anything in it but the iterable
-    it starts from."""
+# calls that build one subspace from one vector
+ONE_MEMBER_BUILDERS = {"field_reduction", "field_reduction_ints", "element_through"}
+
+
+def _looped_builders(tree):
+    """(function, line) of every call building one subspace that a loop
+    or a comprehension runs more than once: anything in it but the
+    iterable it starts from.  A builder is ``Subspace.from_ints`` (or
+    ``cls.from_ints`` in class ``Subspace``), or a function or method
+    named in ``ONE_MEMBER_BUILDERS``."""
     found = []
+
+    def builds_one(call, cls):
+        f = call.func
+        if isinstance(f, ast.Name):
+            return f.id in ONE_MEMBER_BUILDERS
+        if not isinstance(f, ast.Attribute):
+            return False
+        if f.attr in ONE_MEMBER_BUILDERS:
+            return True
+        return (f.attr == "from_ints" and isinstance(f.value, ast.Name)
+                and (f.value.id == "Subspace" or (f.value.id, cls) == ("cls", "Subspace")))
 
     def visit(node, looped, cls, func):
         if isinstance(node, ast.ClassDef):
             cls = node.name
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             func, looped = getattr(node, "name", func), False
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "from_ints" and isinstance(node.func.value, ast.Name)
-              and looped and (node.func.value.id == "Subspace"
-                              or (node.func.value.id, cls) == ("cls", "Subspace"))):
+        elif isinstance(node, ast.Call) and looped and builds_one(node, cls):
             found.append((func, node.lineno))
         once = None
         if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -195,10 +208,11 @@ def _looped_from_ints(tree):
 
 
 def test_no_subspace_is_built_alone_in_a_loop():
-    # a family goes through Subspace.family or from_entries, one
-    # Gauss-Jordan over all its members; the kernel's own fallback for a
-    # member that misses the predicted pivots is the one loop allowed
-    assert _looped_from_ints(ast.parse(
+    # a family goes through Subspace.family, from_entries or
+    # field_reduction_family, one Gauss-Jordan over all its members; the
+    # kernel's own fallback for a member that misses the predicted pivots
+    # is the one loop allowed
+    assert _looped_builders(ast.parse(
         "a = [Subspace.from_ints(f, n, m) for m in mats]\n"
         "b = Subspace.from_ints(f, n, [r for r in rows])\n"
         "for m in [Subspace.from_ints(f, n, rows)]:\n"
@@ -209,12 +223,19 @@ def test_no_subspace_is_built_alone_in_a_loop():
         "    return any(ok(Subspace.from_ints(f, n, m)) for m in mats)\n"
         "class Subspace:\n"
         "    def family(cls):\n"
-        "        return [cls.from_ints(f, n, m) for m in mats]\n")) == [
-            (None, 1), (None, 6), ("h", 8), ("family", 11)]
+        "        return [cls.from_ints(f, n, m) for m in mats]\n"
+        "for v in vecs:\n"
+        "    out.append(field_reduction(tow, v))\n"
+        "c = [spread.element_through(y) for y in ys]\n"
+        "d = all(projgeo.field_reduction_ints(tow, v) for v in vecs)\n"
+        "e = [field_reduction_family(tow, r) for r in blocks]\n"
+        "f = field_reduction(tow, [v for v in vec])\n")) == [
+            (None, 1), (None, 6), ("h", 8), ("family", 11), (None, 13),
+            (None, 14), (None, 15)]
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [(path.name, func) for func, _ in _looped_from_ints(tree)]
+        found += [(path.name, func) for func, _ in _looped_builders(tree)]
     assert found == [("projgeo.py", "from_entries")]
 
 
@@ -275,8 +296,9 @@ UNCALLED_EXPORTS = {
     "nrc_quadric_system",
     # the coefficient layout of every QuadraticForm, which the tests read
     "monomial_pairs",
-    # the one-subspace form; the library maps whole families at once
-    "apply_projectivity",
+    # the one-subspace forms; the library maps and reduces whole families
+    # at once
+    "apply_projectivity", "field_reduction",
 }
 
 
