@@ -239,34 +239,33 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
     The ambient space has (q^n - 1)/(q - 1) points, a count guarded by a
     budget (override via max_points).  It is walked plane by plane: the
     points (0, ..., 0, 1, pre, s, t) are P + s u + t e for the prefix
-    P = (0, ..., 0, 1, pre, 0, 0), u = e_(n-2) and e = e_(n-1), where the
-    first form takes the values a_s + b_s t + Q(e) t^2 with
+    P = (0, ..., 0, 1, pre, 0, 0), u = e_(n-2) and e = e_(n-1), where a
+    form takes the values a_s + b_s t + Q(e) t^2 with
     a_s = Q(P) + s B(P, u) + s^2 Q(u) and b_s = B(P, e) + s B(u, e).
-    Q(u), Q(e) and B(u, e) are computed once.  The planes come in
-    blocks, those whose pre differ only in its last two coordinates: one
-    int list per coordinate of P holds it for every plane of the block,
-    and one int row operation per term of the first form (and one per
-    first index of its terms) gives Q(P), B(P, u) and B(P, e) at every
-    plane of the block, with no evaluation.  The first form's zeros on a
-    plane depend only on that triple, so they are memoized on it: the
-    first plane with a triple computes a_s and b_s at every s by row
-    operations and takes each line's zeros from a dict of the roots of
-    a + b t + Q(e) t^2, keyed by (a, b); a later plane with the triple
-    costs one dict lookup.  The line (0, ..., 0, 1, t) is walked alone,
-    and the point (0, ..., 0, 1) is checked on its own.
+    Q(e), Q(u) and B(u, e) of every form are computed once.  The planes
+    come in blocks, those whose pre differ only in its last two
+    coordinates: one int list per coordinate of P holds it for every
+    plane of the block, and one int row operation per term of the first
+    form (and one per first index of its terms) gives its Q(P), B(P, u)
+    and B(P, e) at every plane of the block, with no evaluation.  The
+    first form's zeros on a plane depend only on that triple, so they
+    are memoized on it: the first plane with a triple computes a_s and
+    b_s at every s by row operations and takes each line's zeros from a
+    dict of the roots of a + b t + Q(e) t^2, keyed by (a, b); a later
+    plane with the triple costs one dict lookup.
 
     Only the first form's zeros are checked against the configuration
-    and the other forms.  On a plane where the first form vanishes on
-    more than two lines, each other form is restricted to the whole
-    plane: three evaluations, its a_s and b_s by row operations, and one
-    roots lookup per line that still holds a zero.  On other planes a
-    line holding more than two zeros restricts each other form to the
-    line (two evaluations and a roots lookup), and the zeros of other
-    lines are evaluated one by one; roots are memoized per form.
-    ``missed`` is the first configuration point, in sorted encoding
-    order, where some form does not vanish; ``extra`` is the first
-    common zero outside the configuration in the order of
-    ``ambient_space(field, n).points()``.
+    and the other forms, by one rule: on a plane where the first form
+    has a zero, each other form is restricted to the plane.  Its Q(P) is
+    one evaluation, and B(P, u) and B(P, e), linear in P, are read off
+    its terms x_i x_(n-2) and x_i x_(n-1); its a_s and b_s are memoized
+    on that triple, and each line that still holds a zero takes its
+    roots from the form's own dict.  The line (0, ..., 0, 1, t), where
+    every form is Q(u) + B(u, e) t + Q(e) t^2, and the point
+    (0, ..., 0, 1) read each form's fixed values.  ``missed`` is the
+    first configuration point, in sorted encoding order, where some form
+    does not vanish; ``extra`` is the first common zero outside the
+    configuration in the order of ``ambient_space(field, n).points()``.
     """
     subspaces = list(subspaces)
     forms = list(forms)
@@ -305,8 +304,8 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
     ts = list(range(q))
     squares = [field.mul(t, t) for t in ts]
     last = (0,) * (n - 1) + (1,)
-    # with no forms the first is the empty sum, zero at every point
-    first, rest = form_terms[0] if form_terms else (), form_terms[1:]
+    # u = e_(n-2), the zero vector when n = 1, where no plane needs it
+    u, ue = last[1:] + (0,), last[1:] + (1,)
 
     def line_roots(a, b, c):
         """The t in F_q with a + b t + c t^2 = 0, ascending."""
@@ -317,82 +316,69 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
             vals = sub(vals, neg(c), squares)
         return [t for t, v in enumerate(vals) if not v]
 
-    def line_values(a, bu, be, qu, bue):
-        """The (a_s, b_s) of every line s of a plane, for a form with
-        Q(P) = a, B(P, u) = bu, B(P, e) = be, Q(u) = qu and B(u, e) = bue."""
+    def record(terms):
+        """A form's terms, Q(e), Q(u), B(u, e), its terms x_i x_(n-2)
+        and x_i x_(n-1) with i < n - 2, its roots dict, (a, b) ->
+        line_roots(a, b, Q(e)), and its dict of line_values, keyed by
+        (Q(P), B(P, u), B(P, e))."""
+        ce, cu = value(terms, last), value(terms, u)
+        return (terms, ce, cu, fsub(fsub(value(terms, ue), cu), ce),
+                tuple(term for term in terms if term[2] == n - 2 and term[1] < n - 2),
+                tuple(term for term in terms if term[2] == n - 1 and term[1] < n - 2),
+                {}, {})
+
+    def line_values(a, bu, be, cu, cue):
+        """The a_s and the b_s of every line s of a plane, as two lists,
+        for a form with Q(P) = a, B(P, u) = bu, B(P, e) = be, Q(u) = cu
+        and B(u, e) = cue."""
         avals, bvals = [a] * q, [be] * q
         if bu:
             avals = sub(avals, neg(bu), ts)
-        if qu:
-            avals = sub(avals, neg(qu), squares)
-        if bue:
-            bvals = sub(bvals, neg(bue), ts)
-        return list(zip(avals, bvals))
+        if cu:
+            avals = sub(avals, neg(cu), squares)
+        if cue:
+            bvals = sub(bvals, neg(cue), ts)
+        return avals, bvals
 
-    # u = e_(n-2), the zero vector when n = 1, where no plane needs it
-    u, ue = last[1:] + (0,), last[1:] + (1,)
+    # with no forms the first is the empty sum, zero at every point
+    records = [record(terms) for terms in form_terms] or [record(())]
+    (first, c, qu, bue, with_u, with_e, roots, _), rest = records[0], records[1:]
 
-    def fixed_values(terms):
-        """Q(e), Q(u) and B(u, e) of a form."""
-        ce, cu = value(terms, last), value(terms, u)
-        return ce, cu, fsub(fsub(value(terms, ue), cu), ce)
+    def plane_lines(key):
+        """The (s, zeros) of the lines of a plane where the first form,
+        with (Q(P), B(P, u), B(P, e)) = key, has zeros."""
+        lines = []
+        for s, ab in enumerate(zip(*line_values(*key, qu, bue))):
+            zeros = roots.get(ab)
+            if zeros is None:
+                zeros = roots[ab] = line_roots(*ab, c)
+            if zeros:
+                lines.append((s, zeros))
+        return lines
 
-    c, qu, bue = fixed_values(first)
-    roots = {}  # (a, b) -> line_roots(a, b, c)
-    # the other forms with their fixed values and their own roots, as sets
-    rest_forms = [(terms, *fixed_values(terms), {}) for terms in rest]
-
-    def extra_on(line, zeros, before):
-        """The verdict at the first point line + (t,), t in zeros, that
-        is a common zero outside the configuration, or None.
-
-        Past two zeros, as on a line where the first form vanishes, the
-        other forms are restricted to the line too: two evaluations and
-        a roots lookup each, instead of one evaluation per zero."""
-        check = rest
-        if len(zeros) > 2:
-            x0, x1 = line + (0,), line + (1,)
-            for terms, ce, _, _, table in rest_forms:
-                a = value(terms, x0)
-                b = fsub(fsub(value(terms, x1), a), ce)
-                on_line = table.get((a, b))
-                if on_line is None:
-                    on_line = table[a, b] = frozenset(line_roots(a, b, ce))
-                zeros = [t for t in zeros if t in on_line]
-                if not zeros:
-                    return None
-            check = ()
-        for t in zeros:
-            key = line + (t,)
-            if key in covered:
-                continue
-            for terms in check:
-                if value(terms, key):
-                    break
-            else:
-                return IntersectionVerdict(False, extra=key,
-                                           scanned=before + t + 1)
-        return None
-
-    def extra_in_plane(pre, lines, before):
+    def extra_in_plane(pre, lines, before, origin=False):
         """The verdict at the first common zero outside the configuration
         among the first form's zeros ``lines``, (s, zeros) pairs, on the
-        plane of ``pre``, or None.
-
-        Each other form is restricted to the whole plane: three
-        evaluations, its a_s and b_s by row operations, and one roots
-        lookup per line that still holds a zero."""
-        x0, xu, xe = pre + (0, 0), pre + (1, 0), pre + (0, 1)
-        for terms, ce, cu, cue, table in rest_forms:
-            a = value(terms, x0)
-            on_lines = line_values(a, fsub(fsub(value(terms, xu), a), cu),
-                                   fsub(fsub(value(terms, xe), a), ce), cu, cue)
+        plane of ``pre``, or None; each other form in turn keeps only the
+        zeros it shares, line by line.  With ``origin`` the plane is that
+        of P = 0, where every Q(P), B(P, u) and B(P, e) is 0."""
+        # at P + u + e the terms c x_i x_(n-2), i < n - 2, are the c P_i
+        # that sum to B(P, u), and those with x_(n-1) sum to B(P, e)
+        x0, x1 = pre + (0, 0), pre + (1, 1)
+        key = (0, 0, 0)
+        for terms, ce, cu, cue, own_u, own_e, own_roots, own_values in rest:
+            if not origin:
+                key = value(terms, x0), value(own_u, x1), value(own_e, x1)
+            found = own_values.get(key)
+            if found is None:
+                found = own_values[key] = line_values(*key, cu, cue)
+            avals, bvals = found
             kept = []
             for s, zeros in lines:
-                ab = on_lines[s]
-                on_line = table.get(ab)
+                ab = avals[s], bvals[s]
+                on_line = own_roots.get(ab)
                 if on_line is None:
-                    on_line = table[ab] = frozenset(line_roots(*ab, ce))
+                    on_line = own_roots[ab] = line_roots(*ab, ce)
                 if on_line:
                     zeros = [t for t in zeros if t in on_line]
                     if zeros:
@@ -408,28 +394,13 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
                                                scanned=before + s * q + t + 1)
         return None
 
-    def plane_lines(key):
-        """The (s, zeros) of the lines of a plane where the first form,
-        with (Q(P), B(P, u), B(P, e)) = key, has zeros, and whether it
-        vanishes on more than two of them."""
-        lines = []
-        for s, ab in enumerate(line_values(*key, qu, bue)):
-            zeros = roots.get(ab)
-            if zeros is None:
-                zeros = roots[ab] = line_roots(*ab, c)
-            if zeros:
-                lines.append((s, zeros))
-        return lines, sum(len(zeros) > 2 for _, zeros in lines) > 2
-
     # the first form's terms inside P's support, grouped by their first
-    # index, and its terms x_i x_(n-2) and x_i x_(n-1) with i in it: they
-    # give Q(P), B(P, u) and B(P, e)
+    # index, give its Q(P); B(P, u) and B(P, e) are linear in P, the sums
+    # of c P_i over a form's terms c x_i x_(n-2) and c x_i x_(n-1)
     groups = {}
     for cf, i, j in first:
         if j < n - 2:
             groups.setdefault(i, []).append((cf, j))
-    with_u = [(neg(cf), i) for cf, i, j in first if j == n - 2 and i < n - 2]
-    with_e = [(neg(cf), i) for cf, i, j in first if j == n - 1 and i < n - 2]
     planes = {}  # (Q(P), B(P, u), B(P, e)) -> plane_lines of it
     scanned = 0
     for lead in range(n - 2):
@@ -449,35 +420,28 @@ def is_complete_intersection(subspaces: Sequence[Subspace],
                 for cf, j in row:
                     acc = sub(acc, cf, cols[j])
                 qp = sub_product(qp, cols[i], acc)
-            for cf, i in with_u:
-                bu = sub(bu, cf, cols[i])
-            for cf, i in with_e:
-                be = sub(be, cf, cols[i])
+            for cf, i, _ in with_u:
+                bu = sub(bu, neg(cf), cols[i])
+            for cf, i, _ in with_e:
+                be = sub(be, neg(cf), cols[i])
             for pos, key in enumerate(zip(qp, bu, be)):
-                found = planes.get(key)
-                if found is None:
-                    found = planes[key] = plane_lines(key)
-                lines, whole = found
+                lines = planes.get(key)
+                if lines is None:
+                    lines = planes[key] = plane_lines(key)
                 if not lines:
                     continue
-                pre, before = prefix + tails[pos], scanned + pos * q * q
-                if whole:
-                    verdict = extra_in_plane(pre, lines, before)
-                else:
-                    for s, zeros in lines:
-                        verdict = extra_on(pre + (s,), zeros, before + s * q)
-                        if verdict is not None:
-                            break
+                verdict = extra_in_plane(prefix + tails[pos], lines,
+                                         scanned + pos * q * q)
                 if verdict is not None:
                     return verdict
             scanned += size * q * q
     if n > 1:
-        line = (0,) * (n - 2) + (1,)
-        a = value(first, line + (0,))
-        b = fsub(fsub(value(first, line + (1,)), a), c)
-        verdict = extra_on(line, line_roots(a, b, c), scanned)
+        # the line (0, ..., 0, 1, t) is the line s = 1 of the plane of
+        # P = 0, where every form has Q(P) = B(P, u) = B(P, e) = 0
+        verdict = extra_in_plane((0,) * (n - 2), [(1, line_roots(qu, bue, c))],
+                                 scanned - q, origin=True)
         if verdict is not None:
             return verdict
-    if last not in covered and not c and not any(ce for _, ce, _, _, _ in rest_forms):
+    if last not in covered and not any(form[1] for form in records):
         return IntersectionVerdict(False, extra=last, scanned=total)
     return IntersectionVerdict(True, scanned=total)

@@ -199,6 +199,25 @@ def test_criterion_07_desarguesian_family_is_complete_intersection(h, k, q):
     assert verdict.ok, (verdict.extra, verdict.missed)
     assert verdict.scanned == (q ** (h * k) - 1) // (q - 1)
 
+
+def test_criterion_07_desarguesian_vanishing_dimension():
+    # ROADMAP item 7: the forms vanishing on the Desarguesian family
+    # have dimension h * C(k - 1, 2), the number of trace-reduced
+    # standard forms, except at small fields, where the family imposes
+    # too few conditions
+    def dimension(h, k, q):
+        tow = tower_for(q, h)
+        family = block_spread(tow, k).elements_through(
+            [p.coords for p in nrc_points(tow.top, k)])
+        return len(vanishing_space(family))
+
+    for h, k, q in [(2, 3, 5), (2, 3, 7), (2, 4, 5), (3, 3, 3)]:
+        assert dimension(h, k, q) == h * math.comb(k - 1, 2), (h, k, q)
+    # the observed gaps: 20, not 12, at (2, 5, 4), and 6, not 2, at (2, 3, 2)
+    assert dimension(2, 5, 4) == 20
+    assert dimension(2, 3, 2) == 6
+
+
 def test_criterion_08_folded_code_columns_equal_the_arc():
     for h, k, q in DESK_TRIPLES:
         tow = tower_for(q, h)

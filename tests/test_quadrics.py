@@ -18,10 +18,10 @@ from random import Random
 import pytest
 
 from pseudoarcs import quadrics
-from pseudoarcs.gf import GF, FieldMismatchError, tower
+from pseudoarcs.gf import GF, FieldMismatchError, factor_prime_power, tower
 from pseudoarcs.linalg import nullspace_ints, rank_ints, rref_ints
 from pseudoarcs.nrc import nrc_points
-from pseudoarcs.projgeo import Subspace, span
+from pseudoarcs.projgeo import Subspace, block_spread, span
 from pseudoarcs.pseudoarc import build_imaginary_arc, extend_with_osculating
 from pseudoarcs.quadrics import (IntersectionVerdict, QuadraticForm,
                                  is_complete_intersection, monomial_pairs,
@@ -568,6 +568,13 @@ def test_complete_intersection_matches_reference(p, m):
     inputs += edge_inputs(field, rng)
     if field.order in (4, 5, 7, 9):
         inputs += memo_inputs(field, rng)
+    assert matches_reference(inputs) == {"ok", "missed", "extra"}
+
+
+def matches_reference(inputs):
+    """Check is_complete_intersection against reference_certify on
+    each (subspaces, forms): verdict, witness and ``scanned``.  Returns
+    the kinds of verdict seen."""
     kinds = set()
     for subspaces, forms in inputs:
         verdict = is_complete_intersection(subspaces, forms)
@@ -576,7 +583,31 @@ def test_complete_intersection_matches_reference(p, m):
         assert verdict.scanned == reference.scanned
         kinds.add("ok" if verdict.ok else
                   "missed" if verdict.missed is not None else "extra")
-    assert kinds == {"ok", "missed", "extra"}
+    return kinds
+
+
+def desarguesian_family(h, k, q):
+    """The block_spread elements through the curve points of
+    PG(k - 1, q^h), the one through the point at infinity last, with
+    the trace-reduced standard system."""
+    tow = tower(*factor_prime_power(q), h)
+    top = tow.top
+    family = block_spread(tow, k).elements_through(
+        [pt.coords for pt in nrc_points(top, k)])
+    basis = tow.normal_basis()
+    forms = [trace_reduce(form, tow, basis, alpha)
+             for form in nrc_quadric_system(top, k) for alpha in basis]
+    return family, forms
+
+
+@pytest.mark.parametrize("h, k, q", [(2, 3, 3), (2, 3, 4), (3, 3, 2)])
+def test_complete_intersection_matches_reference_on_desarguesian_families(h, k, q):
+    # planes where the first form has few zeros, one per line or fewer;
+    # the last element's points are the last line and the last point of
+    # the walk, so without it they are extra
+    family, forms = desarguesian_family(h, k, q)
+    inputs = [(family, forms), (family[:-1], forms), (family, forms[1:])]
+    assert matches_reference(inputs) == {"ok", "extra"}
 
 
 def test_complete_intersection_budget():
@@ -720,34 +751,47 @@ def test_vanishing_space_walks_no_points(monkeypatch):
         assert vanishing_space(family) == forms
 
 
-@pytest.mark.parametrize("p, m, k", [(7, 1, 4), (5, 1, 5), (2, 2, 5)])
-def test_complete_intersection_takes_plane_values_from_row_ops(monkeypatch,
-                                                               p, m, k):
-    # Q(P), B(P, u) and B(P, e) of every plane come from int row ops over
-    # blocks of planes, so the first form is evaluated only for Q(e), Q(u)
-    # and Q(u + e), twice on the line (0, ..., 0, 1, t), and once per
-    # configuration point in the search for a missed point
-    field = GF.get(p, m)
-    q = field.order
-    curve = point_spans(field, nrc_points(field, k))
-    system = nrc_quadric_system(field, k)
-    # a first form with Q(u) != 0, zero at one point of most lines
-    mixed = [system[0] + system[-1]] + system
-    for forms in (system, mixed):
-        first = forms[0].terms
-        calls = []
+@pytest.mark.parametrize("family, params", [
+    ("curve", (7, 1, 4)), ("curve", (5, 1, 5)), ("curve", (2, 2, 5)),
+    ("desarguesian", (2, 3, 5))], ids=["curve-7-1-4", "curve-5-1-5",
+                                      "curve-2-2-5", "desarguesian-2-3-5"])
+def test_complete_intersection_evaluates_other_forms_once_per_plane(
+        monkeypatch, family, params):
+    # Q(P), B(P, u) and B(P, e) of the first form come from int row ops
+    # over blocks of planes, so it is evaluated only for Q(e), Q(u) and
+    # Q(u + e) and once per configuration point in the search for a
+    # missed point; every other form is restricted to each plane where
+    # the first form has a zero, with one evaluation for its Q(P), and
+    # is never evaluated zero by zero
+    if family == "curve":
+        p, m, k = params
+        field = GF.get(p, m)
+        curve = point_spans(field, nrc_points(field, k))
+        system = nrc_quadric_system(field, k)
+        # a first form with Q(u) != 0, zero at one point of most lines
+        inputs = [(curve, system), (curve, [system[0] + system[-1]] + system)]
+    else:
+        inputs = [desarguesian_family(*params)]
+    for subspaces, forms in inputs:
+        field = subspaces[0].field
+        q, n = field.order, subspaces[0].ambient_dim
+        configuration = len({pt for s in subspaces for pt in s.points()})
+        planes = (q ** (n - 2) - 1) // (q - 1)
+        position = {id(form.terms): pos for pos, form in enumerate(forms)}
+        calls = [0] * len(forms)
         value = field.form_value
 
         def counted(terms, vec):
-            if terms is first:
-                calls.append(vec)
+            if id(terms) in position:
+                calls[position[id(terms)]] += 1
             return value(terms, vec)
 
         monkeypatch.setattr(field, "form_value", counted)
-        verdict = is_complete_intersection(curve, forms)
+        verdict = is_complete_intersection(subspaces, forms)
         monkeypatch.undo()
-        assert verdict.ok and verdict.scanned == (q ** k - 1) // (q - 1)
-        assert len(calls) <= 5 + len(curve)
+        assert verdict.ok and verdict.scanned == (q ** n - 1) // (q - 1)
+        assert calls[0] <= 3 + configuration
+        assert all(count <= 3 + planes + configuration for count in calls[1:])
 
 
 def test_form_refuses_fewer_than_one_variable():
