@@ -171,10 +171,11 @@ def verify_fixture() -> List[Tuple[str, bool, str]]:
     checks.append(("lines-pairwise-disjoint", disjoint,
                    "11 lines, pairwise trivial intersection"))
 
-    # the walk runs on the lines carried to the standard frame, where the
-    # curve's projectivities act and 18 of the 165 triples are tested; the
-    # matrix keeps the order and is nonsingular (apply_projectivity_family
-    # refuses it otherwise), so the verdict and witness are the lines' own
+    # the verdict is taken on the lines carried to the standard frame,
+    # where they are the curve family and are decided by their binary
+    # forms, with no walk; the matrix keeps the order and is nonsingular
+    # (apply_projectivity_family refuses it otherwise), so the verdict and
+    # witness are the lines' own
     matrix = [_base_vector(tow, row, e) for row in _MATRIX]
     mapped = apply_projectivity_family(matrix, lines)
     verdict = is_pseudo_arc(mapped, 3)

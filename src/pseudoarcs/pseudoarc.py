@@ -6,10 +6,17 @@ generators of the extension field: the field reduction of the curve
 point with that parameter, the rational point set of the span of its
 conjugates, read off the minimal polynomial of the parameter.  The
 family extends by the order-(h-1) osculating spaces at the rational
-curve points.  Verification is exhaustive over k-subsets:
-the curve's projectivities that permute the family generate a group,
-and a walk along its stabilizer chain completes one (k-1)-tuple per
-orbit by every candidate left.
+curve points.
+
+Every such element is R_f, the row space whose column j holds x^j mod f,
+for a binary form f of degree h: the minimal polynomial, (x - t)^h at an
+osculating point, or y^h at infinity.  Verification reads the forms off
+the reduced rows, and when each is irreducible, a power of a linear form
+or y^h, the family is a pseudo-arc iff no two elements share a form.
+Any other family is walked exhaustively over its k-subsets: the curve's
+projectivities that permute the family generate a group, and a walk
+along its stabilizer chain completes one (k-1)-tuple per orbit by every
+candidate left.
 
 The construction and the images under the curve's projectivities work
 on the whole family at once: one int list per matrix entry holds that
@@ -53,14 +60,17 @@ class Tag:
 class ArcVerdict:
     """Outcome of a verification: truth value plus, on failure, the
     lexicographically first offending index subset.  ``walked`` counts
-    the k-tuples tested, every candidate at the walk's last level, and
-    ``orbits`` the orbits of the curve's group on the elements; they
-    describe the work, not the verdict, and take no part in equality."""
+    the k-tuples tested, every candidate at the walk's last level,
+    ``orbits`` the orbits of the curve's group on the elements, and
+    ``decided_by`` names the route, "forms" (binary forms, nothing walked,
+    no orbit counted) or "walk"; they describe the work, not the verdict,
+    and take no part in equality."""
 
     ok: bool
     witness: Optional[Tuple[int, ...]] = None
     walked: int = field(default=0, compare=False)
     orbits: int = field(default=0, compare=False)
+    decided_by: str = field(default="walk", compare=False)
 
     def __bool__(self):
         return self.ok
@@ -162,23 +172,40 @@ def _imaginary_rows(tow, alphas, n):
         i = next(i for i, r in enumerate(ranks) if r != h)
         raise InvariantError("element of rank %d at alpha = %d, expected %d"
                              % (ranks[i], alphas[i], h))
-    # the coefficients of m, lowest first; times x - c is x*poly - c*poly
-    poly = [ones]
-    for c in conj:
-        poly = ([top.sub_product(zeros, c, poly[0])]
-                + [top.sub_product(u, c, w) for u, w in zip(poly, poly[1:])]
-                + [ones])
     unembed = {t: b for b, t in enumerate(tow.embed_table)}
-    low = [list(map(unembed.get, coeffs)) for coeffs in poly[:h]]
+    low = [list(map(unembed.get, coeffs)) for coeffs in _from_roots(top, conj)[:h]]
     outside = [coeffs.index(None) for coeffs in low if None in coeffs]
     if outside:
         raise InvariantError("minimal polynomial at alpha = %d has a coefficient "
                              "outside the base field" % alphas[min(outside)])
-    # x * col, with x^h replaced by -(low . (1, x, ..., x^(h-1)))
-    sub_product = base.sub_product
-    col = [ones] + [zeros] * (h - 1)
+    cols = _x_columns(base, [ones] + [zeros] * (h - 1), low, n)
+    return [[c[r] for c in cols] for r in range(h)]
+
+
+def _from_roots(fld, roots):
+    """The coefficients, lowest first, of the monic forms prod_i (x - c_i),
+    for the lists ``roots``, one entry per form: times x - c is
+    x*poly - c*poly, one ``sub_product`` per coefficient."""
+    sub_product = fld.sub_product
+    zeros, ones = [0] * len(roots[0]), [1] * len(roots[0])
+    poly = [ones]
+    for c in roots:
+        poly = ([sub_product(zeros, c, poly[0])]
+                + [sub_product(u, c, w) for u, w in zip(poly, poly[1:])]
+                + [ones])
+    return poly
+
+
+def _x_columns(fld, col, low, count):
+    """``count`` columns, ``col`` first and each after it x times the one
+    before modulo the monic forms of degree h whose lower coefficients
+    are the lists ``low``.  A column holds h lists, the coefficients of
+    1, x, ..., x^(h-1), and every list one entry per form; x*col is the
+    column shifted up, with x^h replaced by -(low . (1, x, ..., x^(h-1)))."""
+    sub_product = fld.sub_product
+    zeros = [0] * len(low[0])
     cols = [col]
-    for _ in range(n - 1):
+    for _ in range(count - 1):
         lead = col[-1]
         if any(lead):
             col = ([sub_product(zeros, lead, low[0])]
@@ -186,7 +213,7 @@ def _imaginary_rows(tow, alphas, n):
         else:
             col = [zeros] + col[:-1]
         cols.append(col)
-    return [[c[r] for c in cols] for r in range(h)]
+    return cols
 
 
 def build_osculating_family(tow: FieldTower, k: int) -> List[Subspace]:
@@ -518,9 +545,108 @@ def _block_dets(fld, block):
     return minors[tuple(range(h))]
 
 
-def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> ArcVerdict:
-    """Exhaustively test that every k of the elements span the whole
-    space.
+def _square(fld, c, low):
+    """-c^2 modulo the monic forms of degree h whose lower coefficients
+    are the lists ``low``, for residues c held as in ``_x_columns``: every
+    product term is one ``sub_product``, so the square comes negated."""
+    h = len(c)
+    sub_product = fld.sub_product
+    d = [[0] * len(c[0])] * (2 * h - 1)
+    for a in range(h):
+        for b in range(h):
+            d[a + b] = sub_product(d[a + b], c[a], c[b])
+    # x^s = x^(s-h) * x^h, and x^h = -(low . (1, x, ..., x^(h-1)))
+    for s in range(2 * h - 2, h - 1, -1):
+        for i in range(h):
+            d[s - h + i] = sub_product(d[s - h + i], d[s], low[i])
+    return d[:h]
+
+
+def _irreducible(fld, low) -> bool:
+    """Whether every monic form f of degree h >= 2 whose lower
+    coefficients are the lists ``low``, one entry per form, is
+    irreducible over fld: Ben-Or's test, gcd(x^(q^i) - x, f) = 1 for every
+    i <= h/2.
+
+    x^(q^i) mod f comes from left-to-right square-and-multiply over the
+    bits of q^i, where multiplying by x is one step of ``_x_columns``.
+    The gcd is 1 iff g = x^(q^i) - x is a unit mod f, iff multiplication by
+    g, the matrix of columns g*x^j mod f, has a nonzero determinant; one
+    ``_block_dets`` pass gives them all."""
+    h, size = len(low), len(low[0])
+    zeros, ones = [0] * size, [1] * size
+    for i in range(1, h // 2 + 1):
+        acc = [zeros, ones] + [zeros] * (h - 2)
+        for bit in bin(fld.order ** i)[3:]:
+            acc = _square(fld, acc, low)
+            if bit == "1":
+                acc = _x_columns(fld, acc, low, 2)[1]
+        # acc is -x^(q^i) mod f, so acc + x is -g
+        acc[1] = fld.added(acc[1], ones)
+        cols = _x_columns(fld, acc, low, h)
+        if 0 in _block_dets(fld, [[c[r] for c in cols] for r in range(h)]):
+            return False
+    return True
+
+
+def _form_verdict(fld, k, rows, pivots) -> Optional[ArcVerdict]:
+    """The verdict from the elements' binary forms, given their reduced
+    int ``rows`` and ``pivots``, or None when an element has no form or a
+    form is neither irreducible nor the h-th power of a linear form.
+
+    For a monic form f of degree h, R_f is the row space of the h x hk
+    matrix whose column j holds x^j mod f, and R_(y^h) is spanned by the
+    last h unit vectors.  An element with pivots 0..h-1 is R_f for the f
+    whose lower coefficients are its column h negated, when every later
+    column is x times the one before modulo f (``_x_columns``, all such
+    elements at once); an element with the last h columns as pivots is
+    R_(y^h).  R_(f_1) + ... + R_(f_k) is the space of the first hk terms of
+    the linear recurring sequences with characteristic polynomial
+    lcm(f_i) (Lidl and Niederreiter, "Finite Fields", 1997, ch. 8), so k
+    elements span the whole space iff their forms are pairwise coprime.
+
+    Two distinct forms that are each irreducible, a power of a linear
+    form or y^h are coprime.  The powers of linear forms are found among
+    the q forms (x - t)^h, and every other form takes ``_irreducible``.
+    Then a k-subset fails iff it holds two elements with one form, and
+    the first failing one is the least, over the forms, of the first
+    k-subset through the form's first two elements: those two and the
+    smallest other indices."""
+    h = len(rows[0])
+    n = h * k
+    affine = [i for i, pv in enumerate(pivots) if pv == tuple(range(h))]
+    groups = {None: [i for i, pv in enumerate(pivots) if pv == tuple(range(n - h, n))]}
+    if k < 2 or len(affine) + len(groups[None]) < len(rows):
+        return None
+    if affine:
+        # entries[r][j]: entry (r, j) of every affine element
+        entries = [list(zip(*[rows[i][r] for i in affine])) for r in range(h)]
+        low = [fld.scaled(fld.neg(1), e[h]) for e in entries]
+        cols = _x_columns(fld, [e[h] for e in entries], low, n - h)
+        if any(list(e[h + j]) != col[r] for j, col in enumerate(cols[1:], 1)
+               for r, e in enumerate(entries)):
+            return None
+        for i, form in zip(affine, zip(*low)):
+            groups.setdefault(form, []).append(i)
+    if h > 1:
+        linear = set(zip(*_from_roots(fld, [list(range(fld.order))] * h)[:h]))
+        rest = [form for form in groups if form is not None and form not in linear]
+        if rest and not _irreducible(fld, [list(c) for c in zip(*rest)]):
+            return None
+
+    def first_through(a, b):
+        return tuple(sorted([x for x in range(k) if x not in (a, b)][:k - 2] + [a, b]))
+
+    pairs = [g[:2] for g in groups.values() if len(g) > 1]
+    if not pairs:
+        return ArcVerdict(True, decided_by="forms")
+    return ArcVerdict(False, min(first_through(a, b) for a, b in pairs),
+                      decided_by="forms")
+
+
+def _walk(fld, k, rows, pivots) -> ArcVerdict:
+    """The verdict of the exhaustive walk over k-subsets, given the
+    elements' reduced int ``rows`` and ``pivots``, with its counts.
 
     The curve's projectivities that map the family onto itself (see
     ``_curve_permutations``, which takes the elements' rows and pivots,
@@ -547,30 +673,9 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     the walk with no generators, over the k-subsets in lexicographic
     order, runs again and supplies the lexicographically first witness.
     The verdict counts the k-tuples tested (both walks on such a
-    refutation) and the G-orbits on the elements.  A true verdict on
-    more than the size bound is impossible and raises InvariantError.
+    refutation) and the G-orbits on the elements.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if isinstance(elements, PseudoArc):
-        elements = list(elements.elements)
-    else:
-        elements = list(elements)
-    if not elements:
-        return ArcVerdict(True)
-    h = elements[0].rank
-    dim = elements[0].ambient_dim
-    fld = elements[0].field
-    for el in elements:
-        if el.rank != h or el.ambient_dim != dim or el.field is not fld:
-            raise ValueError("elements of mixed shape")
-    if dim != h * k:
-        raise ValueError("elements of rank %d have ambient dimension %d, "
-                         "k = %d needs hk = %d" % (h, dim, k, h * k))
-    size = len(elements)
-    if size < k:
-        return ArcVerdict(True, orbits=size)
-    rows = [el.int_rows for el in elements]
+    h, dim, size = len(rows[0]), len(rows[0][0]), len(rows)
     # per depth: the candidates' rows modulo the span of the prefix
     # without its last element, that element's echelon rows, and the
     # columns that are pivots of no element of the prefix
@@ -616,7 +721,7 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
         walked += size
         return None
 
-    gens = _curve_permutations(fld, rows, [el.pivots for el in elements])
+    gens = _curve_permutations(fld, rows, pivots)
     everything = list(range(size))
     top = _orbits(gens, everything)
     witness = _chain_walk(k, gens, everything, top, step, last,
@@ -627,13 +732,52 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
         if not witness:
             raise InvariantError("the walk under the curve group failed, "
                                  "the plain walk did not")
-    if witness:
-        return ArcVerdict(False, witness, walked, len(top[0]))
+    return ArcVerdict(witness is None, witness, walked, len(top[0]))
+
+
+def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> ArcVerdict:
+    """Test that every k of the elements span the whole space.
+
+    Two routes decide it, both from the elements' reduced int rows.  The
+    forms route (``_form_verdict``) reads every element as the space R_f
+    of a binary form f and decides the family by grouping the forms; it
+    applies when every element has a form and each form is irreducible,
+    the h-th power of a linear form or y^h, as for every element the
+    curve constructions build.  Otherwise the walk (``_walk``) tests the
+    k-subsets under the curve's group.  The verdict names its route; the
+    forms route walks no tuple and counts no orbit.  A true verdict on
+    more than the size bound is impossible and raises InvariantError.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if isinstance(elements, PseudoArc):
+        elements = list(elements.elements)
+    else:
+        elements = list(elements)
+    if not elements:
+        return ArcVerdict(True)
+    h = elements[0].rank
+    dim = elements[0].ambient_dim
+    fld = elements[0].field
+    for el in elements:
+        if el.rank != h or el.ambient_dim != dim or el.field is not fld:
+            raise ValueError("elements of mixed shape")
+    if dim != h * k:
+        raise ValueError("elements of rank %d have ambient dimension %d, "
+                         "k = %d needs hk = %d" % (h, dim, k, h * k))
+    size = len(elements)
+    if size < k:
+        return ArcVerdict(True, orbits=size)
+    rows = [el.int_rows for el in elements]
+    pivots = [el.pivots for el in elements]
+    verdict = _form_verdict(fld, k, rows, pivots)
+    if verdict is None:
+        verdict = _walk(fld, k, rows, pivots)
     bound = thas_bound(h, k, fld.order)
-    if size > bound:
+    if verdict.ok and size > bound:
         raise InvariantError("%d elements verified, above the size bound %d"
                              % (size, bound))
-    return ArcVerdict(True, None, walked, len(top[0]))
+    return verdict
 
 
 def contained_in_spread(arc: Union[PseudoArc, Sequence[Subspace]],

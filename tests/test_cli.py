@@ -10,14 +10,16 @@ import json
 import os
 import subprocess
 import sys
+from random import Random
 
 import pytest
 
 from pseudoarcs import cli, codes, jsonio, pseudoarc
 from pseudoarcs.cli import main
 from pseudoarcs.gf import InvariantError, tower
+from pseudoarcs.linalg import rank_ints
 from pseudoarcs.nrc import frobenius_orbit_reps, nrc_points
-from pseudoarcs.projgeo import Subspace
+from pseudoarcs.projgeo import Subspace, apply_projectivity_family
 from pseudoarcs.quadrics import nrc_quadric_system
 
 
@@ -36,6 +38,23 @@ def write_arc(capsys, tmp_path, h=2, k=2, q=5, extend=False):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and "arc written" in out
     return path
+
+
+def write_moved(path):
+    """The family of the arc document at ``path`` moved by a seeded random
+    projectivity, in the same order, written beside it as a subspaces
+    document: verify-arc walks it, having no forms to read."""
+    tow, _, elements = jsonio.arc_elements_from_dict(json.loads(path.read_text()))
+    fld, n = tow.base, elements[0].ambient_dim
+    rng = Random(0)
+    while True:
+        m = [[rng.randrange(fld.order) for _ in range(n)] for _ in range(n)]
+        if rank_ints(fld, m) == n:
+            break
+    moved = apply_projectivity_family([[fld(x) for x in r] for r in m], elements)
+    out = path.with_name("moved-" + path.name)
+    out.write_text(jsonio.dumps(jsonio.subspaces_to_dict(moved, tow)))
+    return out
 
 
 def write_code(capsys, tmp_path, extend=False):
@@ -86,34 +105,41 @@ def test_construct_and_verify_roundtrip(capsys, tmp_path):
 
 
 def test_verify_arc_json_counts_the_walk(capsys, tmp_path):
+    # the curve-built family is decided by its forms, with nothing
+    # walked; its moved copy is walked over all C(16, 2) subsets, no
+    # curve generator being accepted on it
     arc_path = write_arc(capsys, tmp_path, extend=True)
-    code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2")
-    assert code == 0
-    assert out == "verified: 16 elements, every 2 of them span PG(3, 5)\n"
-    code, out, _ = run(capsys, "verify-arc", str(arc_path), "--k", "2", "--json")
-    assert code == 0
-    report = json.loads(out)
-    # imaginary and osculating orbits: the last level tests every pair
-    # through an orbit head, element 0 with the 15 after it and element
-    # 10 with the 5 after it, of the C(16, 2) subsets
-    assert report["orbits"] == 2
-    assert (report["subsets"], report["subsets_walked"]) == (120, 15 + 5)
+    for path, counts in ((arc_path, ("forms", 0, 0)),
+                         (write_moved(arc_path), ("walk", 16, 120))):
+        code, out, _ = run(capsys, "verify-arc", str(path), "--k", "2")
+        assert code == 0
+        assert out == "verified: 16 elements, every 2 of them span PG(3, 5)\n"
+        code, out, _ = run(capsys, "verify-arc", str(path), "--k", "2", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["subsets"] == 120
+        assert (report["decided_by"], report["orbits"], report["subsets_walked"]) == counts
 
 
 def test_verify_arc_json_is_independent_of_the_hash_seed(capsys, tmp_path):
     # the walk draws its stabilizer generators from a seeded generator of
-    # its own; two interpreters with different string hashing agree
+    # its own; two interpreters with different string hashing agree, on
+    # the curve-built family, decided by its forms, and on its moved copy,
+    # walked over all C(29, 3) subsets
     arc_path = write_arc(capsys, tmp_path, k=3, q=7, extend=True)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     script = "import sys; from pseudoarcs.cli import main; sys.exit(main(sys.argv[1:]))"
-    outs = [subprocess.run([sys.executable, "-c", script, "verify-arc", str(arc_path),
-                            "--k", "3", "--json"],
-                           env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
-                           capture_output=True, check=True).stdout
-            for seed in ("1", "2")]
-    assert outs[0] == outs[1]
-    report = json.loads(outs[0])
-    assert (report["ok"], report["orbits"], report["subsets_walked"]) == (True, 2, 70)
+    for path, counts in ((arc_path, ("forms", 0, 0)),
+                         (write_moved(arc_path), ("walk", 29, 3654))):
+        outs = [subprocess.run([sys.executable, "-c", script, "verify-arc", str(path),
+                                "--k", "3", "--json"],
+                               env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                               capture_output=True, check=True).stdout
+                for seed in ("1", "2")]
+        assert outs[0] == outs[1]
+        report = json.loads(outs[0])
+        assert report["ok"] is True
+        assert (report["decided_by"], report["orbits"], report["subsets_walked"]) == counts
 
 
 def test_verify_arc_names_a_k_that_does_not_fit(capsys, tmp_path):
@@ -140,12 +166,14 @@ def test_verify_arc_duplicate_element_pair_witness(capsys, tmp_path):
     assert "refuted: elements [0, 10]" in out
     assert "common point:" in out
 
-    code, out, _ = run(capsys, "verify-arc", str(dup), "--k", "2", "--json")
-    assert code == 1
-    report = json.loads(out)
-    assert report["ok"] is False and report["witness"] == [0, 10]
-    # a repeated element: no reduction, the full walk up to the witness
-    assert report["orbits"] == 11 and report["subsets_walked"] == 10
+    # the forms give the witness with nothing walked; on the moved copy a
+    # repeated element gets no reduction, the full walk up to the witness
+    for path, counts in ((dup, ("forms", 0, 0)), (write_moved(dup), ("walk", 11, 10))):
+        code, out, _ = run(capsys, "verify-arc", str(path), "--k", "2", "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False and report["witness"] == [0, 10]
+        assert (report["decided_by"], report["orbits"], report["subsets_walked"]) == counts
 
 
 def test_verify_example_passes(capsys):

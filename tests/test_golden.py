@@ -12,7 +12,12 @@ these outputs fails here.  A change that alters output on purpose
 updates the digest and says why.  The h = 3 code and the (3, 2, 4) arc
 were pinned when the osculating rows became Hasse derivatives: the
 order-2 row is half the ordinary one, so the code's columns changed,
-and the arc, with p = 2 below h, was refused before.
+and the arc, with p = 2 below h, was refused before.  The three
+``verify-arc --json`` reports were pinned again when curve-built
+families came to be decided by their binary forms: each report gained
+``decided_by``, "forms", and its ``subsets_walked`` and ``orbits`` are 0,
+since nothing is walked; the verdicts are unchanged, and the text output
+of the repeated-element refutation is byte-identical.
 """
 
 import hashlib
@@ -28,7 +33,7 @@ GOLDEN = {
     "construct-arc":
         "f6c268936020f7a3e1778e3b3a6c8421390c7be6f3c553f11f1fb528ace92e1f",
     "verify-arc":
-        "675bf2afcef57ee96b720bd373c4e5e2243dd21f5f87d164822cd584ff9b3e81",
+        "ce76b54d4e758d79960c0d0275d7539f94a4d47104a323e9e930e52ebc9c089b",
     "code-gen":
         "f32411c976281a955c8fc6539628f9ad70f1b18ceed08d09e852938dc4e7b5a1",
     "code-distance":
@@ -46,11 +51,11 @@ GOLDEN = {
     "construct-arc-q9":
         "b3d4dd4228fdffb609952f467e3eb74467930a1c5a238f4db2236dd1df0b0244",
     "verify-arc-q9":
-        "7c96371340685205cf46babea4c7e0ae414ddb6d8a3714073ff07c1413a6585a",
+        "90c4bdfd3bf2de0d47de69fd20f7ae5c16e0229aaf879c9d9c8a2e0137322191",
     "construct-arc-h3":
         "9a951467704510bf0863e796975a376c49190fd06d5d2829918ec2503b2ba166",
     "verify-arc-h3":
-        "ba2907931739630029e0eb503cbbc45321d68253f1d194ae0fb9d177317fbd13",
+        "f29dd8928dfcb55c084bc27bdbcea01bff71e60ecb204cd2ad57b925cdc0a8ac",
     "certify-ci-curve":
         "3496411872f51b76a1d16c26608f6fb87e80b6912423700c786c767d443446e0",
     "quadrics-through-curve":

@@ -2,10 +2,11 @@
 known, checked on families too large for the brute-force references.
 
 A projectivity M preserves spanning, so a family F and its image M·F
-have the same verdict and the same lexicographically first witness.  No
-curve generator maps M·F onto itself, so ``is_pseudo_arc`` takes the
-plain walk over the k-subsets there, while a clean F takes the walk
-under the curve group: two algorithms for one answer.
+have the same verdict and the same lexicographically first witness.  A
+curve-built F, clean or with an element copied over another, is decided
+by its binary forms.  M·F has no forms, and no curve generator maps it
+onto itself, so ``is_pseudo_arc`` takes the plain walk over its
+k-subsets: two algorithms for one answer.
 
 The folded columns of the extended code are the extended arc: the code
 and the arc are built by separate routes from the same curve data.
@@ -69,10 +70,10 @@ def test_verdict_and_witness_are_invariant_under_projectivities():
                 m = random_projectivity(fld, n, rng)
                 moved = is_pseudo_arc([apply_projectivity(m, el) for el in fam], k)
                 assert (moved.ok, moved.witness) == (verdict.ok, verdict.witness)
-                assert moved.orbits == len(fam)
-                outcomes.add("group" if verdict.orbits < len(fam) else
-                             "pass" if verdict.ok else "refuted")
-    assert outcomes == {"group", "refuted"}
+                assert moved.decided_by == "walk" and moved.orbits == len(fam)
+                outcomes.add((verdict.decided_by, verdict.ok))
+    # the subspace planted to meet an earlier element has no form
+    assert outcomes == {("forms", True), ("forms", False), ("walk", False)}
 
 
 def test_folded_extended_code_is_the_extended_arc():

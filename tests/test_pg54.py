@@ -55,23 +55,36 @@ def test_full_battery():
     assert failing == []
 
 
+def walk(elements, k):
+    """The verdict of the k-subset walk, counts included."""
+    return pseudoarc._walk(elements[0].field, k, [el.int_rows for el in elements],
+                           [el.pivots for el in elements])
+
+
 def test_lines_pseudo_arc_walks_the_standard_frame(monkeypatch):
     # in the fixture frame no curve projectivity maps the lines onto
     # themselves, so the walk tests all 165 triples; carried to the
     # standard frame, in the same order, they give the same verdict
-    # from 18 triples, every candidate at the last level
-    verdicts = []
+    # from 18 triples, every candidate at the last level.  There the
+    # lines are the curve family, and is_pseudo_arc decides them by
+    # their forms
+    families = []
 
     def recording(elements, k):
-        verdicts.append(pseudoarc.is_pseudo_arc(elements, k))
-        return verdicts[-1]
+        families.append(list(elements))
+        return pseudoarc.is_pseudo_arc(elements, k)
 
     monkeypatch.setattr(pg54, "is_pseudo_arc", recording)
     assert [name for name, ok, _ in verify_fixture() if not ok] == []
-    [verdict] = verdicts
+    [mapped] = families
+    verdict = walk(mapped, 3)
     assert verdict.ok and (verdict.walked, verdict.orbits) == (18, 2)
-    plain = pseudoarc.is_pseudo_arc(fixture_lines(fixture_tower()), 3)
+    forms = pseudoarc.is_pseudo_arc(mapped, 3)
+    assert forms == verdict and forms.decided_by == "forms"
+    lines = fixture_lines(fixture_tower())
+    plain = walk(lines, 3)
     assert plain == verdict and (plain.walked, plain.orbits) == (165, 11)
+    assert pseudoarc.is_pseudo_arc(lines, 3) == plain
 
 
 def test_printed_conjugates_match_derivation():

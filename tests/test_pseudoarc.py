@@ -162,10 +162,18 @@ def closed_group(perms, size):
     return group
 
 
+def walk(els, k):
+    """The verdict of the k-subset walk on a family, counts included,
+    whatever route ``is_pseudo_arc`` takes."""
+    return pseudoarc._walk(els[0].field, k, [el.int_rows for el in els],
+                           [el.pivots for el in els])
+
+
 def walked_tuples(els, k):
-    """The verdict on els and every k-tuple its walks tested, recorded
-    through the last level of the chain walk: the candidates up to and
-    including the first that fails."""
+    """The walk's verdict on els and every k-tuple its walks tested,
+    recorded through the last level of the chain walk: the candidates up
+    to and including the first that fails.  ``is_pseudo_arc`` gives the
+    same verdict and witness."""
     tested = []
     chain_walk = pseudoarc._chain_walk
 
@@ -178,7 +186,8 @@ def walked_tuples(els, k):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pseudoarc, "_chain_walk", recording)
-        verdict = is_pseudo_arc(els, k)
+        verdict = walk(els, k)
+    assert is_pseudo_arc(els, k) == verdict
     return verdict, tested
 
 
@@ -190,14 +199,15 @@ def lex_position(witness, size):
 
 
 def assert_orbit_walk(els, k, path):
-    """The verdict equals the reference, and the counters show the path:
+    """The walk's verdict equals the reference and that of
+    ``is_pseudo_arc``, and the walk's counters show the path:
     "reduced" (orbits fewer than elements, fewer tuples walked than the
     subsets through an orbit representative), "full" (every element its
     own orbit, the walk up to the witness or to the end) or "rerun" (the
     walk under the curve group failed, the plain walk supplied the
     witness)."""
-    verdict = is_pseudo_arc(els, k)
-    assert verdict == reference_verdict(els, k)
+    verdict = walk(els, k)
+    assert verdict == reference_verdict(els, k) == is_pseudo_arc(els, k)
     size = len(els)
     _, orbits = reference_orbits(els)
     assert verdict.orbits == orbits
@@ -310,10 +320,30 @@ def test_verifier_matches_reference_on_top_level_points():
 
 
 def test_thas_bound_violation_is_an_invariant_error(monkeypatch):
+    # on both routes: the family by its forms, its moved copy by the walk
     arc = build_imaginary_arc(tower(5, 1, 2), 2)
+    families = {"forms": list(arc.elements),
+                "walk": moved_family(list(arc.elements), Random(3))}
+    for route, fam in families.items():
+        assert is_pseudo_arc(fam, 2).decided_by == route
     monkeypatch.setattr(pseudoarc, "thas_bound", lambda h, k, q: len(arc) - 1)
-    with pytest.raises(InvariantError):
-        is_pseudo_arc(arc, 2)
+    for fam in families.values():
+        with pytest.raises(InvariantError, match="10 elements verified, above the size bound 9"):
+            is_pseudo_arc(fam, 2)
+    # the check is a raise, not an assert: it holds under python -O
+    script = (
+        "from pseudoarcs import InvariantError, pseudoarc, tower\n"
+        "arc = pseudoarc.build_imaginary_arc(tower(5, 1, 2), 2)\n"
+        "pseudoarc.thas_bound = lambda h, k, q: len(arc) - 1\n"
+        "try:\n"
+        "    pseudoarc.is_pseudo_arc(arc, 2)\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(pseudoarc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "10 elements verified, above the size bound 9\n"
 
 
 def truncated(reduce):
@@ -589,7 +619,8 @@ def test_orbit_walk_on_large_extended_families():
                                        ((17, 1, 2, 3), 754, 774),
                                        ((7, 1, 2, 4), 336, 1714)):
         els = curve_families(*case)[1]
-        verdict = is_pseudo_arc(els, case[3])
+        verdict = walk(els, case[3])
+        assert verdict == is_pseudo_arc(els, case[3])
         assert verdict.ok and verdict.orbits == 2
         assert verdict.walked == walked <= 2 * tuple_orbits
 
@@ -613,7 +644,8 @@ def test_last_level_skips_the_stabilizer(monkeypatch):
         expected = sum(len([x for x in range(orbit[0] + 1, size)
                             if all(x not in o for o in orbits[:i])])
                        for i, orbit in enumerate(orbits))
-        verdict = is_pseudo_arc(els, 2)
+        verdict = walk(els, 2)
+        assert verdict == is_pseudo_arc(els, 2)
         assert verdict.ok and verdict.orbits == len(orbits) < size
         assert verdict.walked == expected
     # the extended (2,2,5) family: element 0 with the 15 after it, and
@@ -1085,6 +1117,205 @@ def test_last_level_matches_reference_on_moved_planted_and_clean_families():
                     assert tested == subsets[:position - 1]
                     outcomes.add("prefix")
     assert outcomes == {"group", "pass", "last level", "prefix"}
+
+
+def poly_mul(a, b):
+    """The product of two FieldElement coefficient lists, lowest first."""
+    out = [a[0].field.zero] * (len(a) + len(b) - 1)
+    for s, x in enumerate(a):
+        for t, y in enumerate(b):
+            out[s + t] = out[s + t] + x * y
+    return out
+
+
+def poly_divmod(a, f):
+    """Quotient and remainder of a by a nonzero f, FieldElement
+    coefficient lists, lowest first, remainder trimmed."""
+    a, f = list(a), list(f)
+    while f and not f[-1]:
+        f.pop()
+    quot = [f[0].field.zero] * max(len(a) - len(f) + 1, 1)
+    inv = f[-1].inverse()
+    while len(a) >= len(f):
+        c = a[-1] * inv
+        shift = len(a) - len(f)
+        quot[shift] = c
+        a = [x - c * f[i - shift] if i >= shift else x for i, x in enumerate(a)][:-1]
+        while a and not a[-1]:
+            a.pop()
+    while a and not a[-1]:
+        a.pop()
+    return quot, a
+
+
+def poly_gcd(a, b):
+    """The monic gcd of two FieldElement coefficient lists, not both
+    zero, by Euclid's algorithm."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    inv = a[-1].inverse()
+    return [x * inv for x in a]
+
+
+def form_rows(fld, f, n):
+    """The rows of R_f for a monic FieldElement coefficient list f of
+    degree h: column j holds the coefficients of x^j mod f."""
+    h = len(f) - 1
+    cols = []
+    for j in range(n):
+        rem = poly_divmod([fld.zero] * j + [fld.one], f)[1]
+        cols.append(rem + [fld.zero] * (h - len(rem)))
+    return [list(r) for r in zip(*cols)]
+
+
+def read_form(el):
+    """An element's form as a monic coefficient list, "infinity" for
+    R_(y^h), or None, read from its FieldElement rows alone."""
+    fld, n, h = el.field, el.ambient_dim, el.rank
+    if el.pivots == tuple(range(n - h, n)):
+        return "infinity"
+    f = [-row[h] for row in el.rows] + [fld.one]
+    return f if Subspace(fld, n, form_rows(fld, f, n)) == el else None
+
+
+def coprime(f, g):
+    """Whether two forms read by ``read_form`` are coprime."""
+    if "infinity" in (f, g):
+        return f != g
+    return poly_gcd(f, g) == [f[0].field.one]
+
+
+def assert_certificate(els, verdict):
+    """A forms verdict re-checked by polynomial gcds: every element has a
+    form, and the forms are pairwise coprime when the family is accepted,
+    while a refuted witness holds two elements whose forms are not."""
+    assert verdict.decided_by == "forms" and (verdict.walked, verdict.orbits) == (0, 0)
+    forms = [read_form(el) for el in els]
+    assert None not in forms
+    pairs = itertools.combinations(verdict.witness or range(len(els)), 2)
+    assert all(coprime(forms[i], forms[j]) for i, j in pairs) == verdict.ok
+
+
+# (p, e, h, k): the arcs grid, the points with characteristic below h,
+# (h, k, q) = (3,2,4), (4,2,3) and (3,3,4), and h = 1
+FORM_CASES = ARCS_GRID_CASES + [(2, 2, 3, 2), (3, 1, 4, 2), (2, 2, 3, 3),
+                                (7, 1, 1, 3), (2, 3, 1, 2), (5, 1, 1, 4)]
+
+
+def expected_verdict(els, k):
+    """The reference verdict where the k-subsets are few, else the walk's,
+    itself checked against the reference above."""
+    return reference_verdict(els, k) if math.comb(len(els), k) <= 2000 else walk(els, k)
+
+
+def form_families(p, e, h, k):
+    """The imaginary family and its extension, or at h = 1, where the two
+    collide, the affine curve points and the whole curve."""
+    if h > 1:
+        return curve_families(p, e, h, k)
+    tow = tower(p, e, h)
+    return [list(build_imaginary_arc(tow, k).elements), build_osculating_family(tow, k)]
+
+
+def test_forms_decide_curve_families_as_the_reference_does():
+    # clean families, and planted duplicates: an earlier element copied
+    # over a later one and a later over an earlier one
+    rng = Random(53)
+    for p, e, h, k in FORM_CASES:
+        for els in form_families(p, e, h, k):
+            verdict = is_pseudo_arc(els, k)
+            assert verdict.ok and verdict == expected_verdict(els, k)
+            assert_certificate(els, verdict)
+            i, j = sorted(rng.sample(range(len(els)), 2))
+            for bad in (els[:j] + [els[i]] + els[j + 1:], els[:i] + [els[j]] + els[i + 1:]):
+                verdict = is_pseudo_arc(bad, k)
+                assert not verdict.ok and verdict == expected_verdict(bad, k)
+                assert_certificate(bad, verdict)
+
+
+def test_a_reducible_form_falls_back_to_the_walk():
+    # R_f for f = (x - 1)(x - 2) at h = 2, and (x - 1)(x^2 + 1), x^2 + 1
+    # irreducible over GF(3), at h = 3, inserted into extended families:
+    # with the osculating elements at the roots of f kept, the pairs with
+    # them fail; with them dropped, the family is a pseudo-arc
+    outcomes = set()
+    for p, e, h, k in [(5, 1, 2, 2), (3, 1, 2, 3), (7, 1, 2, 2), (3, 1, 3, 2)]:
+        fld = GF.get(p, e)
+        n = h * k
+        one = fld.one
+        f = poly_mul([-one, one], [-(one + one), one] if h == 2 else [one, fld.zero, one])
+        reducible = Subspace(fld, n, form_rows(fld, f, n))
+        els = curve_families(p, e, h, k)[1]
+        roots = [Subspace(fld, n, [fld.wrap(r) for r in osc_ints(fld, t, h - 1, n)])
+                 for t in (1, 2)[:4 - h]]
+        for fam in (els[:3] + [reducible] + els[3:],
+                    [el for el in els if el not in roots] + [reducible]):
+            verdict = is_pseudo_arc(fam, k)
+            assert verdict.decided_by == "walk" and verdict == reference_verdict(fam, k)
+            outcomes.add(verdict.ok)
+    assert outcomes == {True, False}
+
+
+def test_an_edited_column_is_not_read_as_a_form():
+    # one entry after column h of one element changed: the element is
+    # still reduced with pivots 0..h-1, but it is no R_f, so the family
+    # is walked
+    rng = Random(59)
+    for p, e, h, k in FORM_CASES:
+        if h * k - 1 == h:
+            continue
+        for els in form_families(p, e, h, k):
+            fld, n = els[0].field, els[0].ambient_dim
+            i = rng.randrange(len(els) - 1)
+            rows = [list(r) for r in els[i].int_rows]
+            r, j = rng.randrange(h), rng.randrange(h + 1, n)
+            rows[r][j] = (rows[r][j] + rng.randrange(1, fld.order)) % fld.order
+            edited = Subspace.from_ints(fld, n, rows)
+            assert read_form(edited) is None
+            fam = els[:i] + [edited] + els[i + 1:]
+            verdict = is_pseudo_arc(fam, k)
+            assert verdict.decided_by == "walk" and verdict == walk(fam, k)
+            if len(fam) <= 30:
+                assert verdict == reference_verdict(fam, k)
+
+
+def test_moved_copies_are_walked():
+    # a projectivity keeps the verdict and witness but leaves no form;
+    # at (h, k) = (1, 2) every point of the line is a curve point
+    rng = Random(61)
+    for p, e, h, k in FORM_CASES[:6] + FORM_CASES[8:]:
+        if (h, k) == (1, 2):
+            continue
+        for els in form_families(p, e, h, k):
+            j = rng.randrange(1, len(els))
+            for fam in (els, els[:j] + [els[0]] + els[j + 1:]):
+                moved = moved_family(fam, rng)
+                verdict = is_pseudo_arc(moved, k)
+                assert verdict.decided_by == "walk"
+                assert verdict == is_pseudo_arc(fam, k)
+
+
+def test_irreducible_matches_the_products_of_smaller_forms():
+    # every monic form of degree h against the set of products of two
+    # monic forms of positive degree, one at a time and as one family
+    for p, e, h in [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 1, 3), (3, 1, 3), (2, 1, 4),
+                    (5, 1, 2), (3, 1, 4)]:
+        fld = GF.get(p, e)
+        q = fld.order
+
+        def monic(d):
+            return [list(map(fld, low)) + [fld.one]
+                    for low in itertools.product(range(q), repeat=d)]
+
+        reducible = {tuple(c.val for c in poly_mul(a, b)[:-1]) for d in range(1, h // 2 + 1)
+                     for a in monic(d) for b in monic(h - d)}
+        forms = list(itertools.product(range(q), repeat=h))
+        found = [pseudoarc._irreducible(fld, [[c] for c in low]) for low in forms]
+        assert found == [low not in reducible for low in forms], (p, e, h)
+        assert pseudoarc._irreducible(fld, [list(c) for c in zip(*forms)]) is False
+        irreducible = [low for low in forms if low not in reducible]
+        assert pseudoarc._irreducible(fld, [list(c) for c in zip(*irreducible)])
 
 
 def test_block_dets_match_rank_and_det_per_matrix():
