@@ -1128,32 +1128,28 @@ def poly_mul(a, b):
     return out
 
 
-def poly_divmod(a, f):
-    """Quotient and remainder of a by a nonzero f, FieldElement
-    coefficient lists, lowest first, remainder trimmed."""
-    a, f = list(a), list(f)
-    while f and not f[-1]:
-        f.pop()
-    quot = [f[0].field.zero] * max(len(a) - len(f) + 1, 1)
+def poly_rem(a, f):
+    """a mod f, FieldElement coefficient lists, lowest first, for an f
+    whose last coefficient is nonzero; the remainder has none that is
+    zero."""
     inv = f[-1].inverse()
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
     while len(a) >= len(f):
         c = a[-1] * inv
         shift = len(a) - len(f)
-        quot[shift] = c
         a = [x - c * f[i - shift] if i >= shift else x for i, x in enumerate(a)][:-1]
         while a and not a[-1]:
             a.pop()
-    while a and not a[-1]:
-        a.pop()
-    return quot, a
+    return a
 
 
 def poly_gcd(a, b):
-    """The monic gcd of two FieldElement coefficient lists, not both
-    zero, by Euclid's algorithm."""
-    a, b = list(a), list(b)
+    """The monic gcd of two monic FieldElement coefficient lists, by
+    Euclid's algorithm."""
     while b:
-        a, b = b, poly_divmod(a, b)[1]
+        a, b = b, poly_rem(a, b)
     inv = a[-1].inverse()
     return [x * inv for x in a]
 
@@ -1164,7 +1160,7 @@ def form_rows(fld, f, n):
     h = len(f) - 1
     cols = []
     for j in range(n):
-        rem = poly_divmod([fld.zero] * j + [fld.one], f)[1]
+        rem = poly_rem([fld.zero] * j + [fld.one], f)
         cols.append(rem + [fld.zero] * (h - len(rem)))
     return [list(r) for r in zip(*cols)]
 
