@@ -614,8 +614,9 @@ def _form_verdict(fld, k, rows, pivots) -> Optional[ArcVerdict]:
     smallest other indices."""
     h = len(rows[0])
     n = h * k
-    affine = [i for i, pv in enumerate(pivots) if pv == tuple(range(h))]
-    groups = {None: [i for i, pv in enumerate(pivots) if pv == tuple(range(n - h, n))]}
+    first, last = tuple(range(h)), tuple(range(n - h, n))
+    affine = [i for i, pv in enumerate(pivots) if pv == first]
+    groups = {None: [i for i, pv in enumerate(pivots) if pv == last]}
     if k < 2 or len(affine) + len(groups[None]) < len(rows):
         return None
     if affine:
