@@ -24,8 +24,8 @@ from pseudoarcs.linalg import det, rank_ints, rref_ints, vec_mat_ints
 from pseudoarcs.nrc import (INFINITY, frobenius_orbit_reps, nrc_points,
                             orbit_rep_count, osc_ints, veronese)
 from pseudoarcs.projgeo import (Subspace, ambient_space, apply_projectivity,
-                                canonical_spread, field_reduction, intersect,
-                                lift_subspace, span, spread_membership)
+                                block_spread, canonical_spread, field_reduction,
+                                intersect, lift_subspace, span, spread_membership)
 from pseudoarcs.pseudoarc import (ArcVerdict, PseudoArc, Tag,
                                   build_desarguesian_arc, build_imaginary_arc,
                                   build_osculating_family,
@@ -1052,6 +1052,28 @@ def test_stabilizer_matches_the_list_map_version():
                 if sub and len(levels) < 3:
                     levels.append((sub, [x for x in points if x != b]))
     assert top == [[1, 0]] and compared > 100
+
+
+# (h, k, q) of the Desarguesian families: the spread elements through the
+# curve points of PG(k - 1, q^h), which have no binary forms
+DESARGUESIAN_CASES = [(2, 3, 4), (2, 3, 5), (3, 3, 2)]
+
+
+def test_walk_matches_reference_on_desarguesian_families():
+    # each family as built, with one element dropped, with a later
+    # element replaced by an earlier one, and moved by a projectivity
+    rng = Random(67)
+    for h, k, q in DESARGUESIAN_CASES:
+        tow = tower(*factor_prime_power(q), h)
+        els = block_spread(tow, k).elements_through(
+            [pt.coords for pt in nrc_points(tow.top, k)])
+        drop = rng.randrange(len(els))
+        i, j = sorted(rng.sample(range(len(els)), 2))
+        for fam in (els, els[:drop] + els[drop + 1:], els[:j] + [els[i]] + els[j + 1:],
+                    moved_family(els, rng)):
+            verdict = is_pseudo_arc(fam, k)
+            assert verdict.decided_by == "walk"
+            assert verdict == reference_verdict(fam, k), (h, k, q)
 
 
 def test_last_level_rank_test_on_duplicates_at_the_last_index():
