@@ -94,8 +94,7 @@ def cmd_verify_arc(args):
     report = {"schema_version": jsonio.SCHEMA_VERSION, "command": "verify-arc",
               "elements": len(elements), "k": args.k, "ok": verdict.ok,
               "subsets": math.comb(len(elements), args.k),
-              "subsets_walked": verdict.walked, "orbits": verdict.orbits,
-              "decided_by": verdict.decided_by}
+              "subsets_walked": verdict.walked, "decided_by": verdict.decided_by}
     if not verdict.ok:
         report["witness"] = list(verdict.witness)
     if args.json:

@@ -13,30 +13,24 @@ for a binary form f of degree h: the minimal polynomial, (x - t)^h at an
 osculating point, or y^h at infinity.  Verification reads the forms off
 the reduced rows, and when each is irreducible, a power of a linear form
 or y^h, the family is a pseudo-arc iff no two elements share a form.
-Any other family is walked exhaustively over its k-subsets: the curve's
-projectivities that permute the family generate a group, and a walk
-along its stabilizer chain completes one (k-1)-tuple per orbit by every
-candidate left.
+Any other family is walked exhaustively over its k-subsets in
+lexicographic order, each (k-1)-subset completed by every candidate
+after it in one pass of determinants.
 
-The construction and the images under the curve's projectivities work
-on the whole family at once: one int list per matrix entry holds that
-entry for every element, and the field's row ops update it for all of
-them.
+The construction and the form reading work on the whole family at once:
+one int list per matrix entry holds that entry for every element, and
+the field's row ops update it for all of them.
 """
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
-from operator import itemgetter
-from random import Random
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .gf import FieldElement, FieldTower, InvariantError
-from .linalg import (SingularMatrixError, insert_row, reduce_row, rref_ints,
-                     vec_mat_ints)
+from .linalg import SingularMatrixError, insert_row, reduce_row
 from .nrc import INFINITY, frobenius_orbit_reps, osc_entries, osc_ints
-from .projgeo import Spread, Subspace, predicted_rref, spread_membership
+from .projgeo import Spread, Subspace, spread_membership
 
 
 TAG_KINDS = ("imaginary", "osculating", "osculating-infty", "external")
@@ -60,16 +54,14 @@ class Tag:
 class ArcVerdict:
     """Outcome of a verification: truth value plus, on failure, the
     lexicographically first offending index subset.  ``walked`` counts
-    the k-tuples tested, every candidate at the walk's last level,
-    ``orbits`` the orbits of the curve's group on the elements, and
-    ``decided_by`` names the route, "forms" (binary forms, nothing walked,
-    no orbit counted) or "walk"; they describe the work, not the verdict,
-    and take no part in equality."""
+    the k-tuples tested, every candidate at the walk's last level, and
+    ``decided_by`` names the route, "forms" (binary forms, nothing
+    walked) or "walk"; they describe the work, not the verdict, and take
+    no part in equality."""
 
     ok: bool
     witness: Optional[Tuple[int, ...]] = None
     walked: int = field(default=0, compare=False)
-    orbits: int = field(default=0, compare=False)
     decided_by: str = field(default="walk", compare=False)
 
     def __bool__(self):
@@ -237,264 +229,37 @@ def extend_with_osculating(arc: PseudoArc) -> PseudoArc:
                      list(arc.tags) + tags)
 
 
-def _image(fld, mat, rows):
-    """The image under v -> v*M of a subspace given by its reduced int
-    rows: the plain product, reduced once, as the tuple of tuples that
-    keys an element."""
-    return tuple(map(tuple, rref_ints(fld, [vec_mat_ints(fld, v, mat) for v in rows])[0]))
-
-
-def _pivot_groups(pivots, members):
-    """The indices ``members``, ascending, grouped by the pivot pattern
-    ``pivots[i]`` of their element: the column of each row's leading 1."""
-    groups = {}
-    for i in members:
-        groups.setdefault(pivots[i], []).append(i)
-    return groups
-
-
-def _images(fld, mat, rows, groups) -> list:
-    """The images under v -> v*M, M nonsingular, of subspaces given by
-    their reduced int rows, in the form ``_image`` returns, in order.
-    ``groups`` is ``_pivot_groups`` of the members to image; the entries
-    of the others are None.
-
-    The members of a group are imaged together: each list that follows
-    holds one entry of every one of them.  Row r, with pivot c, goes to
-    r*M, row c of M plus x_i times row i of M over the non-pivot columns
-    i > c.  ``predicted_rref`` then reduces them all on the pivots of the
-    first member's image, and a member that misses them is imaged by
-    ``_image``."""
-    n = len(mat)
-    neg, scaled, added, sub_scaled = fld.neg, fld.scaled, fld.added, fld.sub_scaled
-    out = [None] * len(rows)
-    for pivots, members in groups.items():
-        size = len(members)
-        zeros = [0] * size
-        free = [j for j in range(n) if j not in pivots]
-        # a[s][j]: entry j of row s, one entry per member
-        a = []
-        for r, c in enumerate(pivots):
-            x = list(zip(*[rows[i][r] for i in members]))
-            terms = [i for i in free if i > c]
-            row = []
-            for j in range(n):
-                acc = [mat[c][j]] * size if mat[c][j] else None
-                for i in terms:
-                    coef = mat[i][j]
-                    if not coef:
-                        continue
-                    if acc is None:
-                        acc = x[i] if coef == 1 else scaled(coef, x[i])
-                    elif coef == 1:
-                        acc = added(acc, x[i])
-                    else:
-                        acc = sub_scaled(acc, neg(coef), x[i])
-                row.append(zeros if acc is None else acc)
-            a.append(row)
-        for i, reduced in zip(members, predicted_rref(fld, n, a, size)[1]):
-            out[i] = _image(fld, mat, rows[i]) if reduced is None else reduced
-    return out
-
-
-def _curve_generators(fld, n):
-    """The int matrices of t -> t + 1, t -> xi*t and t -> 1/t, xi the
-    primitive element, on row vectors of length n: entry [j][i] is the
-    coefficient of t^j in the image of t^i.  So they are the binomials
-    C(i, j) mod p, prime-field values encoded as themselves, the
-    diagonal xi^i, and the anti-identity."""
-    xi = fld.primitive_element().val
-    cols = range(n)
-    return ([[math.comb(i, j) % fld.p for i in cols] for j in cols],
-            [[fld.pow(xi, i) if i == j else 0 for i in cols] for j in cols],
-            [[int(i + j == n - 1) for i in cols] for j in cols])
-
-
-def _head_images(fld, mat, rows, pivots, heads, index):
-    """The indices of the images under v -> v*M of the elements
-    ``heads``, ascending and headed by element 0, or None when one of
-    them is not an element.  Element 0 is imaged first, alone, so a
-    matrix that moves the family off itself costs one image; otherwise
-    all heads are imaged in one pass of ``_images``."""
-    if _image(fld, mat, rows[0]) not in index:
-        return None
-    images = _images(fld, mat, rows, _pivot_groups(pivots, heads))
-    found = [index.get(images[i]) for i in heads]
-    return None if None in found else found
-
-
-def _curve_permutations(fld, rows, pivots) -> List[List[int]]:
-    """The permutations of the element indices that the curve's
-    projectivities induce.  ``rows`` holds the elements' ``int_rows``,
-    which also key the lookup of an image, and ``pivots`` their
-    ``pivots``.
-
-    The generators t -> t + 1 (A), t -> xi*t (D) and t -> 1/t (J) are not
-    trusted: a generator counts only when the canonical image of every
-    element is an element again and the images form a permutation other
-    than the identity.  A and D image every element.  Once D counts, J
-    images only the first element of each orbit of D and carries that
-    image along the orbit: J*D*J = xi^(n-1) * D^-1 for row length n, and
-    a scalar moves no subspace, so S_x*J = S_y gives S_(D^i x)*J =
-    S_(D^-i y).  When D does not count, every element is its own orbit
-    and J images them all.  A family with a repeated element gets no
-    permutation.
-    """
-    size = len(rows)
-    index = {}
-    for i, el in enumerate(rows):
-        index.setdefault(el, i)
-    if len(index) < size:
-        return []
-    shift, scale, reverse = _curve_generators(fld, len(rows[0][0]))
-    identity = list(range(size))
-    perms = []
-
-    def counts(perm):
-        return perm is not None and len(set(perm)) == size and perm != identity
-
-    orbits, back = [[i] for i in identity], identity
-    for mat in (shift, scale):
-        perm = _head_images(fld, mat, rows, pivots, identity, index)
-        if counts(perm):
-            perms.append(perm)
-            if mat is scale:
-                orbits = _orbits([perm], identity)[0]
-                back = sorted(identity, key=perm.__getitem__)
-    targets = _head_images(fld, reverse, rows, pivots, [o[0] for o in orbits], index)
-    if targets is not None:
-        perm = [0] * size
-        for orbit, y in zip(orbits, targets):
-            for x in orbit:
-                perm[x] = y
-                y = back[y]
-        if counts(perm):
-            perms.append(perm)
-    return perms
-
-
-def _orbits(gens, points):
-    """The orbits of the group generated by ``gens`` on ``points``, an
-    ascending list that is a union of orbits.  Each orbit is a list headed
-    by its smallest point, and the orbits come in the order of their
-    heads.  The Schreier vector maps every point off a head to the index
-    of the generator that first reached it."""
-    if not gens:
-        return [[x] for x in points], {}
-    vec = {}
-    orbits = []
-    for x in points:
-        if x in vec:
-            continue
-        vec[x] = None
-        orbit = [x]
-        for y in orbit:
-            for t, s in enumerate(gens):
-                z = s[y]
-                if z not in vec:
-                    vec[z] = t
-                    orbit.append(z)
-        orbits.append(orbit)
-    return orbits, vec
-
-
-# the steps of the random walk whose sifted images generate a point
-# stabilizer, and the generators per step
-STABILIZER_WORDS = 6
-WORD_LENGTH = 8
-
-
-def _stabilizer(gens, b, vec, rng):
-    """Generators of a subgroup of the stabilizer of b, the head of its
-    orbit under ``gens`` with Schreier vector ``vec``.  One random walk
-    through the group, ``WORD_LENGTH`` generators a step, is sifted after
-    each step: followed by the inverse of the Schreier-tree word that
-    carries b to the walk's image of b.  When no sifted word survives, the
-    Schreier generators at b take their place: each generator sifted the
-    same way.  Identities and repeats are dropped.  A product s*t, s
-    first, is the gather ``itemgetter(*s)(t)``, a tuple; ``gens`` has at
-    least two points, so it is never a bare item."""
-    inverses = [sorted(range(len(s)), key=s.__getitem__) for s in gens]
-    identity = tuple(range(len(gens[0])))
-    out = []
-
-    def sift(g):
-        x = g[b]
-        while x != b:
-            inv = inverses[vec[x]]
-            g = itemgetter(*g)(inv)
-            x = inv[x]
-        if g != identity and g not in out:
-            out.append(g)
-
-    letters = iter(rng.choices(gens, k=STABILIZER_WORDS * WORD_LENGTH))
-    w = identity
-    for _ in range(STABILIZER_WORDS):
-        for _ in range(WORD_LENGTH):
-            w = itemgetter(*w)(next(letters))
-        sift(w)
-    if not out:
-        for s in gens:
-            sift(tuple(s))
-    return out
-
-
-def _chain_walk(k, gens, points, split, step, last, rng):
-    """Walk the k-tuples of ``points`` along the stabilizer chain of the
-    group that ``gens`` generate, and return the first failing k-subset
-    found, or None.  ``split`` is ``_orbits(gens, points)``.
-
-    A node holds a prefix P, generators of a subgroup H of the pointwise
-    stabilizer of P, and its candidates: a union A of H-orbits, ascending.
-    It extends P by the head b of each H-orbit B on A in turn, and the
-    child's candidates are the points of A after b outside the orbits
-    before B.  Any k-subset through P with its other points in A is then
-    carried by H to a tuple the walk reaches (Sims 1970; Seress,
-    "Permutation Group Algorithms", 2003, ch. 4).  A child with children
-    of its own gets ``_stabilizer``'s generators; they may generate less
-    than the stabilizer of b, which splits orbits and costs walking,
-    never soundness.  A child at the last level gets none: it tests every
-    candidate, a superset of the orbit heads, because one pass of
-    determinants costs less than drawing a stabilizer to prune it.  With
-    no generators every orbit is one point, and the walk visits the
-    k-subsets in lexicographic order.
+def _chain_walk(k, points, step, last):
+    """Walk the k-subsets of ``points``, an ascending list, in
+    lexicographic order, and return the first that fails, or None.  The
+    subsets through a prefix share it: a node holds a prefix and its
+    candidates, the points after its last one.
 
     ``step(prefix, b, rest)`` tests b against a prefix of fewer than k - 1
-    points and prepares the child on ``rest``.  When it fails, every
-    k-subset through the prefix and b fails; the witness is the first of
-    them, the prefix completed by the next candidates.  At a prefix of
-    k - 1 points, ``last(prefix, cands)`` tests all the candidates at once
-    (for k = 1, the orbit heads) and returns the position of the first
-    that fails, or None.  ``rng`` is used only when k > 2.
+    points and prepares the child on ``rest``, the candidates after b.
+    When it fails, every k-subset through the prefix and b fails; the
+    witness is the first of them, the prefix completed by the next
+    candidates.  At a prefix of k - 1 points, ``last(prefix, cands)``
+    tests all the candidates at once and returns the position of the
+    first that fails, or None.
     """
-    def walk(prefix, gens, points, split):
+    def walk(prefix, points):
         need = k - len(prefix) - 1
-        orbits, vec = split
         if not need:
-            heads = [orbit[0] for orbit in orbits]
-            i = last(prefix, heads)
-            return None if i is None else prefix + (heads[i],)
-        done = set()
-        for pos, orbit in enumerate(orbits):
-            b = orbit[0]
-            rest = ([x for x in points if x > b and x not in done] if gens
-                    else points[pos + 1:])
+            i = last(prefix, points)
+            return None if i is None else prefix + (points[i],)
+        for pos, b in enumerate(points):
+            rest = points[pos + 1:]
             if len(rest) < need:
                 break
             if not step(prefix, b, rest):
                 return prefix + (b,) + tuple(rest[:need])
-            done.update(orbit)
-            if need == 1:
-                i = last(prefix + (b,), rest)
-                witness = None if i is None else prefix + (b, rest[i])
-            else:
-                sub = _stabilizer(gens, b, vec, rng) if len(orbit) > 1 else gens
-                witness = walk(prefix + (b,), sub, rest, _orbits(sub, rest))
+            witness = walk(prefix + (b,), rest)
             if witness:
                 return witness
         return None
 
-    return walk((), gens, points, split)
+    return walk((), points)
 
 
 @functools.lru_cache(maxsize=None)
@@ -645,38 +410,24 @@ def _form_verdict(fld, k, rows, pivots) -> Optional[ArcVerdict]:
                       decided_by="forms")
 
 
-def _walk(fld, k, rows, pivots) -> ArcVerdict:
+def _walk(fld, k, rows) -> ArcVerdict:
     """The verdict of the exhaustive walk over k-subsets, given the
-    elements' reduced int ``rows`` and ``pivots``, with its counts.
+    elements' reduced int ``rows``, with the k-tuples it tested.
 
-    The curve's projectivities that map the family onto itself (see
-    ``_curve_permutations``, which takes the elements' rows and pivots,
-    and images t -> 1/t on one element per orbit of t -> xi*t) map
-    spanning k-subsets to spanning k-subsets,
-    so ``_chain_walk`` walks the orbits of the group G they generate: at
-    every depth below the last it takes one element per orbit of the
-    stabilizer of the prefix.  Each level of the walk below the last
-    reduces the rows of its candidates modulo the span of its prefix
-    once.  The last level tests all its candidates, not only the orbit
-    heads, in one pass: their rows, held column by column for all of
-    them at once, are reduced modulo the echelon of the prefix's last
-    element, which leaves them zero on every pivot column of the prefix,
-    and the h x h blocks on the other h columns must be nonsingular.
-    ``_block_dets`` gives their determinants as one list; its first zero
-    is the first failing candidate, and the candidates up to it count as
-    walked.  When an element meets the span of the prefix before it,
-    every subset through that prefix is degenerate.
-
-    A stabilizer is drawn only for a child with children of its own, so
-    only for k > 2.  Its generators are random words sifted into it,
-    drawn from a generator seeded once per call, so the walk and its
-    counts are deterministic.  When the walk under G meets a failure,
-    the walk with no generators, over the k-subsets in lexicographic
-    order, runs again and supplies the lexicographically first witness.
-    The verdict counts the k-tuples tested (both walks on such a
-    refutation) and the G-orbits on the elements.
+    ``_chain_walk`` visits the k-subsets in lexicographic order, so its
+    first failure is the lexicographically first witness.  Each level of
+    the walk below the last reduces the rows of its candidates modulo the
+    span of its prefix once.  The last level tests all its candidates in
+    one pass: their rows, held column by column for all of them at once,
+    are reduced modulo the echelon of the prefix's last element, which
+    leaves them zero on every pivot column of the prefix, and the h x h
+    blocks on the other h columns must be nonsingular.  ``_block_dets``
+    gives their determinants as one list; its first zero is the first
+    failing candidate, and the candidates up to it count as walked.  When
+    an element meets the span of the prefix before it, every subset
+    through that prefix is degenerate, and the walk counts one tuple.
     """
-    h, dim, size = len(rows[0]), len(rows[0][0]), len(rows)
+    h, dim = len(rows[0]), len(rows[0][0])
     # per depth: the candidates' rows modulo the span of the prefix
     # without its last element, that element's echelon rows, and the
     # columns that are pivots of no element of the prefix
@@ -701,18 +452,18 @@ def _walk(fld, k, rows, pivots) -> ArcVerdict:
                                   for j in rest}, [], free)
         return True
 
-    def last(prefix, heads):
+    def last(prefix, ends):
         nonlocal walked
         cands, basis, free = levels[len(prefix)]
-        # cols[j]: entry j of every row of every head, rows outermost,
+        # cols[j]: entry j of every row of every end, rows outermost,
         # reduced modulo the basis; then zero on every pivot of the prefix
-        cols = list(zip(*[cands[b][r] for r in range(h) for b in heads]))
+        cols = list(zip(*[cands[b][r] for r in range(h) for b in ends]))
         for pc, row in basis:
             lead = cols[pc]
             for j, c in enumerate(row):
                 if c and j != pc:
                     cols[j] = sub_scaled(cols[j], c, lead)
-        size = len(heads)
+        size = len(ends)
         dets = _block_dets(fld, [[cols[j][r * size:(r + 1) * size] for j in free]
                                  for r in range(h)])
         if 0 in dets:
@@ -722,18 +473,8 @@ def _walk(fld, k, rows, pivots) -> ArcVerdict:
         walked += size
         return None
 
-    gens = _curve_permutations(fld, rows, pivots)
-    everything = list(range(size))
-    top = _orbits(gens, everything)
-    witness = _chain_walk(k, gens, everything, top, step, last,
-                          Random(0) if k > 2 else None)
-    if witness and gens:
-        witness = _chain_walk(k, [], everything, _orbits([], everything), step, last,
-                              None)
-        if not witness:
-            raise InvariantError("the walk under the curve group failed, "
-                                 "the plain walk did not")
-    return ArcVerdict(witness is None, witness, walked, len(top[0]))
+    witness = _chain_walk(k, list(range(len(rows))), step, last)
+    return ArcVerdict(witness is None, witness, walked)
 
 
 def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> ArcVerdict:
@@ -745,8 +486,8 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     applies when every element has a form and each form is irreducible,
     the h-th power of a linear form or y^h, as for every element the
     curve constructions build.  Otherwise the walk (``_walk``) tests the
-    k-subsets under the curve's group.  The verdict names its route; the
-    forms route walks no tuple and counts no orbit.  A true verdict on
+    k-subsets in lexicographic order.  The verdict names its route; the
+    forms route walks no tuple.  A true verdict on
     more than the size bound is impossible and raises InvariantError.
     """
     if k < 1:
@@ -768,12 +509,12 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
                          "k = %d needs hk = %d" % (h, dim, k, h * k))
     size = len(elements)
     if size < k:
-        return ArcVerdict(True, orbits=size)
+        return ArcVerdict(True)
     rows = [el.int_rows for el in elements]
     pivots = [el.pivots for el in elements]
     verdict = _form_verdict(fld, k, rows, pivots)
     if verdict is None:
-        verdict = _walk(fld, k, rows, pivots)
+        verdict = _walk(fld, k, rows)
     bound = thas_bound(h, k, fld.order)
     if verdict.ok and size > bound:
         raise InvariantError("%d elements verified, above the size bound %d"
