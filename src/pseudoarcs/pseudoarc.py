@@ -487,8 +487,8 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     the h-th power of a linear form or y^h, as for every element the
     curve constructions build.  Otherwise the walk (``_walk``) tests the
     k-subsets in lexicographic order.  The verdict names its route; the
-    forms route walks no tuple.  A true verdict on
-    more than the size bound is impossible and raises InvariantError.
+    forms route walks no tuple.  A true verdict on more than the size
+    bound is impossible and raises InvariantError.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
