@@ -521,24 +521,42 @@ def test_walk_matches_reference_on_desarguesian_families():
             assert verdict == reference_verdict(fam, k), (h, k, q)
 
 
-def test_plain_walk_counts_the_subsets_up_to_the_witness():
-    # moved curve families, as moved, with one element dropped and with a
-    # later element replaced by an earlier one: all walked, each counting
-    # C(n, k) subsets when it is a pseudo-arc and the position of the
-    # witness among them when it is not
+# moved curve families, as moved, with one element dropped and with a
+# later element replaced by an earlier one, are all walked; each counts
+# C(n, k) subsets when it is a pseudo-arc and the position of the witness
+# among them when it is not
+
+
+def test_orbit_walk_accepts_no_generator_on_moved_families():
     rng = Random(19)
-    outcomes = set()
     for case in WALK_CASES:
-        k = case[3]
+        for els in curve_families(*case):
+            moved = moved_family(els, rng)
+            assert is_pseudo_arc(moved, case[3]).decided_by == "walk"
+            assert assert_plain_walk(moved, case[3]).ok
+
+
+def test_orbit_walk_with_one_element_dropped():
+    rng = Random(23)
+    for case in WALK_CASES:
         for els in curve_families(*case):
             moved = moved_family(els, rng)
             drop = rng.randrange(len(moved))
-            i, j = sorted(rng.sample(range(len(moved)), 2))
-            for fam in (moved, moved[:drop] + moved[drop + 1:],
-                        moved[:j] + [moved[i]] + moved[j + 1:]):
-                assert is_pseudo_arc(fam, k).decided_by == "walk"
-                outcomes.add(assert_plain_walk(fam, k).ok)
-    assert outcomes == {True, False}
+            rest = moved[:drop] + moved[drop + 1:]
+            assert is_pseudo_arc(rest, case[3]).decided_by == "walk"
+            assert assert_plain_walk(rest, case[3]).ok
+
+
+def test_orbit_walk_on_planted_duplicates():
+    rng = Random(29)
+    for case in WALK_CASES:
+        for els in curve_families(*case):
+            moved = moved_family(els, rng)
+            for _ in range(2):
+                i, j = sorted(rng.sample(range(len(moved)), 2))
+                bad = moved[:j] + [moved[i]] + moved[j + 1:]
+                assert is_pseudo_arc(bad, case[3]).decided_by == "walk"
+                assert not assert_plain_walk(bad, case[3]).ok
 
 
 def test_last_level_rank_test_on_duplicates_at_the_last_index():
