@@ -225,6 +225,56 @@ def test_import_summaries(capsys, tmp_path):
     assert code == 0 and out.strip() == "code: n=10 k=2 over GF(25)"
 
 
+def write_documents(capsys, tmp_path):
+    """The subspaces, forms, lambda and word documents of (h, k, q) =
+    (2, 2, 5), each written by the command that makes it."""
+    arc_path, code_path = write_arc(capsys, tmp_path), write_code(capsys, tmp_path)
+    msg = tmp_path / "msg.txt"
+    msg.write_text("1\n2\n0\n3\n")
+    paths = {}
+    for kind, argv in (("subspaces", ["code", "fold", str(code_path)]),
+                       ("forms", ["quadrics", "through", str(arc_path)]),
+                       ("lambda", ["lambda", "--h", "2", "--q", "5"]),
+                       ("word", ["code", "encode", str(code_path), str(msg),
+                                 "--json"])):
+        paths[kind] = tmp_path / ("%s.json" % kind)
+        assert run(capsys, *argv, "--out", str(paths[kind]))[0] == 0
+        assert json.loads(paths[kind].read_text())["kind"] == kind
+    return paths
+
+
+def test_import_summaries_of_the_other_kinds(capsys, tmp_path):
+    paths = write_documents(capsys, tmp_path)
+    for kind, summary in (
+            ("subspaces", "subspaces: 10 elements of rank [2] in dimension 4"),
+            ("forms", "forms: 0 forms in 4 variables"),
+            ("lambda", "lambda: 10 representatives for h=2 q=5")):
+        assert run(capsys, "import", str(paths[kind])) == (0, summary + "\n", "")
+    code, out, err = run(capsys, "import", str(paths["word"]))
+    assert (code, out, err) == (2, "", "error: unknown document kind 'word'\n")
+
+
+def test_import_refuses_a_reordered_lambda_document(capsys, tmp_path):
+    path = write_documents(capsys, tmp_path)["lambda"]
+    doc = json.loads(path.read_text())
+    doc["reps"].reverse()
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "import", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: representative list is not the canonical one\n"
+
+
+def test_export_of_each_document_kind(capsys, tmp_path):
+    paths = write_documents(capsys, tmp_path)
+    again = tmp_path / "again.json"
+    code, _, _ = run(capsys, "export", str(paths["subspaces"]), "--out", str(again))
+    assert code == 0 and again.read_bytes() == paths["subspaces"].read_bytes()
+    for kind in ("lambda", "word"):
+        code, out, err = run(capsys, "export", str(paths[kind]))
+        assert (code, out) == (2, "")
+        assert err == "error: cannot re-export a %r document\n" % kind
+
+
 def test_import_rejects_repeated_element(capsys, tmp_path):
     arc_path = write_arc(capsys, tmp_path)
     doc = json.loads(arc_path.read_text())
@@ -613,6 +663,21 @@ def test_quadrics_certify_ci_refutes_empty_system(capsys, tmp_path):
     assert code == 1
     report = json.loads(out)
     assert report["ok"] is False and report["extra"] is not None
+
+
+def test_quadrics_certify_ci_names_a_missed_point(capsys, tmp_path):
+    # the PG(2, 7) conic and one point off it, against the conic's form
+    tow = tower(7, 1, 1)
+    f7 = tow.base
+    pts = [Subspace(f7, 3, [list(p.coords)]) for p in nrc_points(f7, 3)]
+    pts.append(Subspace(f7, 3, [[f7(1), f7(1), f7(3)]]))
+    family, forms = tmp_path / "family.json", tmp_path / "forms.json"
+    family.write_text(jsonio.dumps(jsonio.subspaces_to_dict(pts, tow)))
+    forms.write_text(jsonio.dumps(
+        jsonio.forms_to_dict(nrc_quadric_system(f7, 3), tow)))
+    code, out, err = run(capsys, "quadrics", "certify-ci", str(family), str(forms))
+    assert (code, out, err) == (
+        1, "refuted: configuration point missed by a form: 1 1 3\n", "")
 
 
 def test_quadrics_certify_ci_forms_over_another_field(capsys, tmp_path):
