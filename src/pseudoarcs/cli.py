@@ -10,6 +10,7 @@ messages of statuses 2 and 3.
 import argparse
 import math
 import sys
+from functools import partial
 
 from . import jsonio
 from .codes import (DecodeError, ERASED, WORD_BUDGET, encode, erasure_decode,
@@ -52,12 +53,48 @@ def _read_doc(path):
     return jsonio.loads(text)
 
 
-def _read_lines(path):
+def _read_lines(path, field, size, word):
+    """The non-blank lines of a word file (exactly ``size`` of them, an
+    ``E`` line for an erased position) or of a message file (at most
+    ``size``) as elements of ``field``, ERASED for an ``E``.  A
+    FormatError names the file, and the line it is about."""
     try:
         with open(path) as fh:
-            return [ln.strip() for ln in fh if ln.strip()]
+            lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
     except OSError as exc:
         raise jsonio.FormatError("cannot read %s: %s" % (path, exc))
+    where = "%s file %s" % ("word" if word else "message", path)
+    if len(lines) > size or (word and len(lines) < size):
+        raise jsonio.FormatError("%s: %d lines, expected %s%d"
+                                 % (where, len(lines), "" if word else "at most ", size))
+    out = []
+    for no, ln in lines:
+        if word and ln == "E":
+            out.append(ERASED)
+            continue
+        try:
+            v = int(ln)
+        except ValueError:
+            raise jsonio.FormatError("%s, line %d: one integer%s per line, got %r"
+                                     % (where, no, " or E" if word else "", ln))
+        if not 0 <= v < field.order:
+            raise jsonio.FormatError(
+                "%s, line %d: %r is out of range, GF(%d) encodings are 0..%d"
+                % (where, no, ln, field.order, field.order - 1))
+        out.append(field.element(v))
+    return out
+
+
+def _report(args, command, report, lines):
+    """Write a verdict: under ``--json`` the ``report`` with its
+    schema_version and command, else its text ``lines``.  The exit
+    status is 1 when the report's ``ok`` is false, else 0."""
+    if args.json:
+        sys.stdout.write(jsonio.dumps(dict(report, command=command,
+                                           schema_version=jsonio.SCHEMA_VERSION)))
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
+    return 0 if report.get("ok", True) else 1
 
 
 def _elements_from_doc(doc):
@@ -86,62 +123,51 @@ def cmd_construct_arc(args):
 
 
 def cmd_verify_arc(args):
-    doc = _read_doc(args.file)
-    tow, elements = _elements_from_doc(doc)
+    tow, elements = _elements_from_doc(_read_doc(args.file))
     verdict = is_pseudo_arc(elements, args.k)
     n = elements[0].ambient_dim if elements else tow.h * args.k
     order = elements[0].field.order if elements else tow.q
-    report = {"schema_version": jsonio.SCHEMA_VERSION, "command": "verify-arc",
-              "elements": len(elements), "k": args.k, "ok": verdict.ok,
+    report = {"elements": len(elements), "k": args.k, "ok": verdict.ok,
               "subsets": math.comb(len(elements), args.k),
               "subsets_walked": verdict.walked, "decided_by": verdict.decided_by}
-    if not verdict.ok:
-        report["witness"] = list(verdict.witness)
-    if args.json:
-        sys.stdout.write(jsonio.dumps(report))
-        return 0 if verdict.ok else 1
     if verdict.ok:
-        print("verified: %d elements, every %d of them span PG(%d, %d)"
-              % (len(elements), args.k, n - 1, order))
-        return 0
-    ws = verdict.witness
-    stacked = [r for i in ws for r in elements[i].int_rows]
-    print("refuted: elements %s span only rank %d of %d"
-          % (list(ws), rank_ints(elements[0].field, stacked), n))
-    if len(ws) == 2:
-        meet = intersect(elements[ws[0]], elements[ws[1]])
-        for row in meet.int_rows:
-            print("common point: %s" % " ".join(map(str, row)))
-    return 1
+        return _report(args, "verify-arc", report, [
+            "verified: %d elements, every %d of them span PG(%d, %d)"
+            % (len(elements), args.k, n - 1, order)])
+    ws = report["witness"] = list(verdict.witness)
+
+    def refutation():
+        stacked = [r for i in ws for r in elements[i].int_rows]
+        yield ("refuted: elements %s span only rank %d of %d"
+               % (ws, rank_ints(elements[0].field, stacked), n))
+        if len(ws) == 2:
+            for row in intersect(elements[ws[0]], elements[ws[1]]).int_rows:
+                yield "common point: %s" % " ".join(map(str, row))
+    return _report(args, "verify-arc", report, refutation())
 
 
 def cmd_verify_example(args):
     checks = verify_fixture()
     ok = all(c[1] for c in checks)
-    if args.json:
-        report = {"schema_version": jsonio.SCHEMA_VERSION, "command": "verify-example",
-                  "ok": ok,
-                  "checks": [{"name": name, "ok": good, "detail": detail}
-                             for name, good, detail in checks]}
-        sys.stdout.write(jsonio.dumps(report))
-        return 0 if ok else 1
-    for name, good, detail in checks:
-        print("%-4s %-24s %s" % ("ok" if good else "FAIL", name, detail))
+    lines = ["%-4s %-24s %s" % ("ok" if good else "FAIL", name, detail)
+             for name, good, detail in checks]
     if ok:
-        print("fixture verified: %d checks" % len(checks))
-        return 0
-    first = next(name for name, good, _ in checks if not good)
-    print("fixture refuted: first failing check is %r" % first)
-    return 1
+        lines.append("fixture verified: %d checks" % len(checks))
+    else:
+        lines.append("fixture refuted: first failing check is %r"
+                     % next(name for name, good, _ in checks if not good))
+    return _report(args, "verify-example", {
+        "ok": ok, "checks": [{"name": name, "ok": good, "detail": detail}
+                             for name, good, detail in checks]}, lines)
 
 
 def cmd_lambda(args):
     if args.k < 2:
         raise ValueError("k must be at least 2")
     tow = _tower_for(args.q, args.h)
+    # frobenius_orbit_reps checks its count against the Moebius count
     reps = frobenius_orbit_reps(tow)
     expected = orbit_rep_count(args.q, args.h)
-    agree = len(reps) == expected
     if args.json or args.out:
         doc = {"schema_version": jsonio.SCHEMA_VERSION, "kind": "lambda",
                "field": jsonio.field_header(tow),
@@ -151,25 +177,23 @@ def cmd_lambda(args):
                "nrc_points": [[c.val for c in pt.coords]
                               for pt in nrc_points(tow.top, tow.h * args.k)]}
         _emit_doc(doc, args.out, "lambda")
-        return 0 if agree else 1
+        return 0
     print("representatives (%d): %s"
           % (len(reps), " ".join(str(r.val) for r in reps)))
     print("mobius count: %d" % expected)
-    print("agreement: %s" % ("ok" if agree else "MISMATCH"))
-    return 0 if agree else 1
+    print("agreement: ok")
+    return 0
 
 
 def cmd_quadrics_through(args):
-    doc = _read_doc(args.file)
-    tow, elements = _elements_from_doc(doc)
+    tow, elements = _elements_from_doc(_read_doc(args.file))
     if not elements:
         raise jsonio.FormatError("no subspaces in %s" % args.file)
     forms = vanishing_space(elements)
     level = "base" if elements[0].field is tow.base else "top"
     if args.json or args.out:
-        doc_out = jsonio.forms_to_dict(forms, tow, level=level,
-                                       n=elements[0].ambient_dim)
-        _emit_doc(doc_out, args.out, "forms")
+        _emit_doc(jsonio.forms_to_dict(forms, tow, level=level,
+                                       n=elements[0].ambient_dim), args.out, "forms")
         return 0
     print("dimension: %d" % len(forms))
     for i, f in enumerate(forms):
@@ -195,25 +219,20 @@ def cmd_quadrics_certify(args):
             % (forms_doc["level"], field, elements[0].field))
     forms = jsonio.forms_from_dict(forms_doc)
     verdict = is_complete_intersection(elements, forms, max_points=args.max_points)
-    if args.json:
-        report = {"schema_version": jsonio.SCHEMA_VERSION,
-                  "command": "quadrics certify-ci", "ok": verdict.ok,
-                  "extra": None if verdict.extra is None else list(verdict.extra),
-                  "missed": None if verdict.missed is None else list(verdict.missed),
-                  "points_scanned": verdict.scanned}
-        sys.stdout.write(jsonio.dumps(report))
-        return 0 if verdict.ok else 1
     if verdict.ok:
-        print("certified: the zero set of %d forms is exactly the union of "
-              "%d subspaces" % (len(forms), len(elements)))
-        return 0
-    if verdict.extra is not None:
-        print("refuted: extra zero outside the configuration: %s"
-              % " ".join(str(v) for v in verdict.extra))
+        line = ("certified: the zero set of %d forms is exactly the union of "
+                "%d subspaces" % (len(forms), len(elements)))
+    elif verdict.extra is not None:
+        line = ("refuted: extra zero outside the configuration: %s"
+                % " ".join(map(str, verdict.extra)))
     else:
-        print("refuted: configuration point missed by a form: %s"
-              % " ".join(str(v) for v in verdict.missed))
-    return 1
+        line = ("refuted: configuration point missed by a form: %s"
+                % " ".join(map(str, verdict.missed)))
+    return _report(args, "quadrics certify-ci", {
+        "ok": verdict.ok,
+        "extra": None if verdict.extra is None else list(verdict.extra),
+        "missed": None if verdict.missed is None else list(verdict.missed),
+        "points_scanned": verdict.scanned}, [line])
 
 
 def cmd_code_gen(args):
@@ -223,64 +242,36 @@ def cmd_code_gen(args):
     return 0
 
 
+def _emit_values(args, code, kind, key, values):
+    """A word or message: a document under ``--json``, else the encodings
+    one per line, as ``_read_lines`` reads them."""
+    if args.json:
+        _emit_doc({"schema_version": jsonio.SCHEMA_VERSION, "kind": kind,
+                   "field": jsonio.field_header(code.tow), key: values},
+                  args.out, kind)
+    else:
+        _emit("".join("%d\n" % v for v in values), args.out, kind)
+    return 0
+
+
 def cmd_code_encode(args):
     code = jsonio.code_from_dict(_read_doc(args.code))
-    hk = code.h * code.k_msg
-    try:
-        coeffs = [int(ln) for ln in _read_lines(args.message)]
-    except ValueError:
-        raise jsonio.FormatError("message file: one integer per line")
-    if len(coeffs) > hk:
-        raise jsonio.FormatError("message has %d coefficients, at most %d allowed"
-                                 % (len(coeffs), hk))
-    word = encode(Poly.from_ints(code.tow.base, coeffs), code)
-    if args.json:
-        doc = {"schema_version": jsonio.SCHEMA_VERSION, "kind": "word",
-               "field": jsonio.field_header(code.tow),
-               "coords": [x.val for x in word]}
-        _emit_doc(doc, args.out, "word")
-    else:
-        _emit("".join("%d\n" % x.val for x in word), args.out, "word")
-    return 0
+    base = code.tow.base
+    message = _read_lines(args.message, base, code.h * code.k_msg, word=False)
+    word = encode(Poly(base, message), code)
+    return _emit_values(args, code, "word", "coords", [x.val for x in word])
 
 
 def cmd_code_decode(args):
     code = jsonio.code_from_dict(_read_doc(args.code))
-    top = code.tow.top
-    word = []
-    for ln in _read_lines(args.word):
-        if ln == "E":
-            word.append(ERASED)
-        else:
-            try:
-                v = int(ln)
-            except ValueError:
-                raise jsonio.FormatError(
-                    "word file: one integer or E per line, got %r" % ln)
-            if not 0 <= v < top.order:
-                raise jsonio.FormatError(
-                    "word file: line %r is out of range, GF(%d) encodings are "
-                    "0..%d" % (ln, top.order, top.order - 1))
-            word.append(top.element(v))
+    word = _read_lines(args.word, code.tow.top, code.n, word=True)
     try:
         f = erasure_decode(word, code)
     except DecodeError as exc:
-        if args.json:
-            sys.stdout.write(jsonio.dumps(
-                {"schema_version": jsonio.SCHEMA_VERSION, "command": "code decode",
-                 "ok": False, "error": str(exc)}))
-        else:
-            print("decode failed: %s" % exc)
-        return 1
-    hk = code.h * code.k_msg
-    coeffs = [f.coefficient(i).val for i in range(hk)]
-    if args.json:
-        doc = {"schema_version": jsonio.SCHEMA_VERSION, "kind": "message",
-               "field": jsonio.field_header(code.tow), "coeffs": coeffs}
-        _emit_doc(doc, args.out, "message")
-    else:
-        _emit("".join("%d\n" % c for c in coeffs), args.out, "message")
-    return 0
+        return _report(args, "code decode", {"ok": False, "error": str(exc)},
+                       ["decode failed: %s" % exc])
+    return _emit_values(args, code, "message", "coeffs",
+                        [f.coefficient(i).val for i in range(code.h * code.k_msg)])
 
 
 def cmd_code_distance(args):
@@ -289,17 +280,11 @@ def cmd_code_distance(args):
     d = min_distance(code, max_words=args.max_words)
     singleton = code.n - code.k_msg + 1
     mds = is_mds(code)
-    if args.json:
-        sys.stdout.write(jsonio.dumps(
-            {"schema_version": jsonio.SCHEMA_VERSION, "command": "code distance",
-             "n": code.n, "k": code.k_msg, "distance": d,
-             "singleton": singleton, "mds": mds}))
-        return 0
-    print("length: %d" % code.n)
-    print("distance: %d" % d)
-    print("singleton bound: %d" % singleton)
-    print("mds: %s" % ("true" if mds else "false"))
-    return 0
+    return _report(args, "code distance", {
+        "n": code.n, "k": code.k_msg, "distance": d, "singleton": singleton,
+        "mds": mds}, ["length: %d" % code.n, "distance: %d" % d,
+                      "singleton bound: %d" % singleton,
+                      "mds: %s" % ("true" if mds else "false")])
 
 
 def cmd_code_fold(args):
@@ -309,52 +294,36 @@ def cmd_code_fold(args):
     return 0
 
 
-def _reexport(doc):
-    """Rebuild the in-memory object behind a document and re-serialize
-    it; proves the file imports cleanly and normalizes it."""
+def _load(doc):
+    """(kind, summary, rewrite) of a document: the line ``import``
+    prints, and a call giving the normalized document ``export`` writes,
+    None for a lambda document, which is checked but not rewritten.
+    Both are None for a kind neither command reads."""
     kind = jsonio.document_kind(doc)
-    if kind == "arc":
-        return jsonio.arc_to_dict(jsonio.arc_from_dict(doc))
-    if kind == "subspaces":
-        elements = jsonio.subspaces_from_dict(doc)
-        return jsonio.subspaces_to_dict(elements, jsonio.document_tower(doc, kind))
-    if kind == "code":
-        return jsonio.code_to_dict(jsonio.code_from_dict(doc))
-    if kind == "forms":
-        forms = jsonio.forms_from_dict(doc)
-        # forms_from_dict has checked the level and n
-        return jsonio.forms_to_dict(forms, jsonio.document_tower(doc, kind),
-                                    level=doc["level"], n=doc["n"])
-    raise jsonio.FormatError("cannot re-export a %r document" % kind)
-
-
-def cmd_export(args):
-    doc = _read_doc(args.file)
-    out_doc = _reexport(doc)
-    _emit_doc(out_doc, args.out, out_doc["kind"])
-    return 0
-
-
-def cmd_import(args):
-    doc = _read_doc(args.file)
-    kind = jsonio.document_kind(doc)
+    summary = rewrite = None
     if kind == "arc":
         arc = jsonio.arc_from_dict(doc)
         summary = ("arc: %d elements, h=%d k=%d q=%d"
                    % (len(arc.elements), arc.h, arc.k, arc.q))
+        rewrite = partial(jsonio.arc_to_dict, arc)
     elif kind == "subspaces":
         elements = jsonio.subspaces_from_dict(doc)
         summary = ("subspaces: %d elements of rank %s in dimension %d"
-                   % (len(elements),
-                      sorted(set(el.rank for el in elements)),
+                   % (len(elements), sorted(set(el.rank for el in elements)),
                       doc["ambient_dim"]))
+        rewrite = partial(jsonio.subspaces_to_dict, elements,
+                          jsonio.document_tower(doc, kind))
     elif kind == "code":
         code = jsonio.code_from_dict(doc)
         summary = ("code: n=%d k=%d over GF(%d)"
                    % (code.n, code.k_msg, code.tow.top.order))
+        rewrite = partial(jsonio.code_to_dict, code)
     elif kind == "forms":
+        # forms_from_dict checks the level and n
         forms = jsonio.forms_from_dict(doc)
         summary = "forms: %d forms in %d variables" % (len(forms), doc["n"])
+        rewrite = partial(jsonio.forms_to_dict, forms, jsonio.document_tower(doc, kind),
+                          level=doc["level"], n=doc["n"])
     elif kind == "lambda":
         tow = jsonio.document_tower(doc, kind)
         reps = frobenius_orbit_reps(tow)
@@ -363,15 +332,25 @@ def cmd_import(args):
             raise jsonio.FormatError("representative list is not the canonical one")
         summary = ("lambda: %d representatives for h=%d q=%d"
                    % (len(reps), tow.h, tow.q))
-    else:
-        raise jsonio.FormatError("unknown document kind %r" % kind)
-    if args.json:
-        sys.stdout.write(jsonio.dumps(
-            {"schema_version": jsonio.SCHEMA_VERSION, "command": "import",
-             "kind": kind, "ok": True, "summary": summary}))
-    else:
-        print(summary)
+    return kind, summary, rewrite
+
+
+def cmd_export(args):
+    """Rebuild the in-memory object behind a document and re-serialize
+    it; proves the file imports cleanly and normalizes it."""
+    kind, _, rewrite = _load(_read_doc(args.file))
+    if rewrite is None:
+        raise jsonio.FormatError("cannot re-export a %r document" % kind)
+    _emit_doc(rewrite(), args.out, kind)
     return 0
+
+
+def cmd_import(args):
+    kind, summary, _ = _load(_read_doc(args.file))
+    if summary is None:
+        raise jsonio.FormatError("unknown document kind %r" % kind)
+    return _report(args, "import", {"kind": kind, "ok": True, "summary": summary},
+                   [summary])
 
 
 def build_parser():

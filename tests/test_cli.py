@@ -496,6 +496,34 @@ def test_code_decode_names_an_out_of_range_line(capsys, tmp_path):
     assert "one integer or E" not in err
 
 
+def test_code_decode_refuses_a_word_of_the_wrong_length(capsys, tmp_path):
+    # a short file is bad input, not an undetermined word: only a word
+    # of length n with too few survivors is a failed decode
+    code_path = write_code(capsys, tmp_path)
+    word = tmp_path / "word.txt"
+    word.write_text("E\n0\n1\n")
+    code, out, err = run(capsys, "code", "decode", str(code_path), str(word))
+    assert (code, out) == (2, "")
+    assert err == "error: word file %s: 3 lines, expected 10\n" % word
+    word.write_text("E\n" * 9 + "0\n")
+    code, out, err = run(capsys, "code", "decode", str(code_path), str(word))
+    assert code == 1 and out.startswith("decode failed:") and err == ""
+
+
+def test_code_encode_names_the_message_file_and_line(capsys, tmp_path):
+    code_path = write_code(capsys, tmp_path)
+    msg = tmp_path / "msg.txt"
+    code, out, err = run(capsys, "code", "encode", str(code_path), str(msg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read %s" % msg)
+    for bad, message in (("-1", "'-1' is out of range, GF(5) encodings are 0..4"),
+                         ("x", "one integer per line, got 'x'")):
+        msg.write_text("1\n\n%s\n3\n" % bad)
+        code, out, err = run(capsys, "code", "encode", str(code_path), str(msg))
+        assert (code, out) == (2, "")
+        assert err == "error: message file %s, line 3: %s\n" % (msg, message)
+
+
 def test_code_encode_rejects_long_message(capsys, tmp_path):
     code_path = write_code(capsys, tmp_path)
     msg = tmp_path / "msg.txt"
