@@ -264,6 +264,11 @@ def test_field_above_the_table_limit():
         assert (a * b).val == oracle_mul(a.val, b.val, 2, f.modulus)
         assert (a * b) / b == a and (a + b) - b == a and a + a == f.zero
         assert b * b.inverse() == f.one
+        # a negative power above the table limit inverts, then powers
+        assert f.pow(b.val, -2) == f.inv(oracle_mul(b.val, b.val, 2, f.modulus))
+    assert f.pow(0, 0) == 1
+    with pytest.raises(ZeroDivisionError):
+        f.pow(0, -1)
 
 
 def oracle_neg(a, p, m):
@@ -286,9 +291,10 @@ def test_neg_and_sub_match_digit_reference():
 
 
 def test_sub_product_matches_entry_arithmetic():
-    # one field per branch of the row ops: a prime field, GF(16) on its
-    # tables, GF(9) on its addition table, GF(625) above the addition
-    # table limit, GF(2^17) and GF(257^2) above the table limit
+    # sub_product and added, one field per branch of the row ops: a prime
+    # field, GF(16) on its tables, GF(9) on its addition table, GF(625)
+    # above the addition table limit, GF(2^17) and GF(257^2) above the
+    # table limit
     rng = random.Random(18)
     branches = {(7, 1): (True, False), (2, 4): (True, False),
                 (3, 2): (True, True), (5, 4): (True, False),
@@ -302,6 +308,7 @@ def test_sub_product_matches_entry_arithmetic():
                 v, a, b = ([rng.choice(vs) for _ in range(n)] for _ in range(3))
                 assert f.sub_product(v, a, b) == [
                     f.sub(x, f.mul(y, z)) for x, y, z in zip(v, a, b)], (p, m)
+                assert f.added(v, b) == [f.add(x, y) for x, y in zip(v, b)], (p, m)
 
 
 def test_scaled_rows_match_entry_arithmetic_for_every_scalar():
