@@ -239,6 +239,46 @@ def test_no_subspace_is_built_alone_in_a_loop():
     assert found == [("projgeo.py", "from_entries")]
 
 
+def _opened_in(tree):
+    """(function, line) of every call of ``open`` or of an ``open``
+    method, the function being the innermost one around it (None at
+    module level)."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            func = getattr(node, "name", func)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if ((isinstance(f, ast.Name) and f.id == "open")
+                    or (isinstance(f, ast.Attribute) and f.attr == "open")):
+                found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_cli_reads_and_writes_files_in_one_place_each():
+    # documents are read by _read_doc, word and message files by
+    # _read_lines, and primary output is written by _emit: a command
+    # that opens a file itself has grown a second reader
+    assert _opened_in(ast.parse(
+        "open(p)\n"
+        "def f(p):\n"
+        "    with open(p) as fh:\n"
+        "        return [g(x) for x in pathlib.Path(p).open()]\n"
+        "def h(p):\n"
+        "    def inner():\n"
+        "        return io.open(p)\n"
+        "    return fh.read(), opener(p)\n")) == [
+            (None, 1), ("f", 3), ("f", 4), ("inner", 7)]
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert sorted(set(func for func, _ in _opened_in(tree))) == [
+        "_emit", "_read_doc", "_read_lines"]
+
+
 BENCH = SRC.parent.parent / "bench"
 
 
