@@ -497,17 +497,14 @@ def test_code_decode_names_an_out_of_range_line(capsys, tmp_path):
 
 
 def test_code_decode_refuses_a_word_of_the_wrong_length(capsys, tmp_path):
-    # a short file is bad input, not an undetermined word: only a word
-    # of length n with too few survivors is a failed decode
+    # a short file is bad input, not a failed decode, which needs a word
+    # of length n (test_code_decode_too_many_erasures)
     code_path = write_code(capsys, tmp_path)
     word = tmp_path / "word.txt"
     word.write_text("E\n0\n1\n")
     code, out, err = run(capsys, "code", "decode", str(code_path), str(word))
     assert (code, out) == (2, "")
     assert err == "error: word file %s: 3 lines, expected 10\n" % word
-    word.write_text("E\n" * 9 + "0\n")
-    code, out, err = run(capsys, "code", "decode", str(code_path), str(word))
-    assert code == 1 and out.startswith("decode failed:") and err == ""
 
 
 def test_code_encode_names_the_message_file_and_line(capsys, tmp_path):
