@@ -123,10 +123,9 @@ def cmd_construct_arc(args):
 
 
 def cmd_verify_arc(args):
-    tow, elements = _elements_from_doc(_read_doc(args.file))
+    _, elements = _elements_from_doc(_read_doc(args.file))
     verdict = is_pseudo_arc(elements, args.k)
-    n = elements[0].ambient_dim if elements else tow.h * args.k
-    order = elements[0].field.order if elements else tow.q
+    n, order = elements[0].ambient_dim, elements[0].field.order
     report = {"elements": len(elements), "k": args.k, "ok": verdict.ok,
               "subsets": math.comb(len(elements), args.k),
               "subsets_walked": verdict.walked, "decided_by": verdict.decided_by}
@@ -187,8 +186,6 @@ def cmd_lambda(args):
 
 def cmd_quadrics_through(args):
     tow, elements = _elements_from_doc(_read_doc(args.file))
-    if not elements:
-        raise jsonio.FormatError("no subspaces in %s" % args.file)
     forms = vanishing_space(elements)
     level = "base" if elements[0].field is tow.base else "top"
     if args.json or args.out:
@@ -204,8 +201,6 @@ def cmd_quadrics_through(args):
 def cmd_quadrics_certify(args):
     _check_positive(args.max_points, "point budget")
     tow, elements = _elements_from_doc(_read_doc(args.file))
-    if not elements:
-        raise jsonio.FormatError("no subspaces in %s" % args.file)
     forms_doc = _read_doc(args.forms)
     # the document names its space even when it holds no forms
     field, n = jsonio.forms_space(forms_doc)

@@ -221,8 +221,7 @@ class GF:
             self.element = functools.partial(FieldElement, self)
         if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
             self._build_add_table()
-        (self.sub_scaled, self.scaled, self.added,
-         self.sub_product) = self._row_ops()
+        self.sub_scaled, self.scaled, self.sub_product = self._row_ops()
         self.form_value = self._form_op()
         self.zero = self.element(0)
         self.one = self.element(1)
@@ -329,27 +328,12 @@ class GF:
 
     def _row_ops(self):
         """Int row operations for linalg and pseudoarc:
-        ``sub_scaled(v, c, b)`` is v - c*b, ``scaled(c, b)`` is c*b and
-        ``added(v, b)`` is v + b, for rows v, b of encodings and a scalar
-        c, and ``sub_product(v, a, b)`` is v - a*b entry by entry, for
-        rows v, a, b.  They branch like add/sub/mul, but once per row
-        instead of once per entry; a zero c has no log, so the log
-        branches return v and the zero row for it."""
+        ``sub_scaled(v, c, b)`` is v - c*b and ``scaled(c, b)`` is c*b, for
+        rows v, b of encodings and a scalar c, and ``sub_product(v, a, b)``
+        is v - a*b entry by entry, for rows v, a, b.  They branch like
+        add/sub/mul, but once per row instead of once per entry; a zero c
+        has no log, so the log branches return v and the zero row for it."""
         p, exp, log, add = self.p, self._exp, self._log, self._add_table
-        if p == 2:
-            def added(v, b):
-                return [x ^ y for x, y in zip(v, b)]
-        elif self.m == 1:
-            def added(v, b):
-                return [(x + y) % p for x, y in zip(v, b)]
-        elif add is not None:
-            def added(v, b):
-                return [add[x][y] for x, y in zip(v, b)]
-        else:
-            fadd = self.add
-
-            def added(v, b):
-                return [fadd(x, y) for x, y in zip(v, b)]
         if self.m == 1:
             def sub_scaled(v, c, b):
                 return [(x - c * y) % p for x, y in zip(v, b)]
@@ -403,7 +387,7 @@ class GF:
 
             def sub_product(v, a, b):
                 return [sub(x, mul(y, z)) for x, y, z in zip(v, a, b)]
-        return sub_scaled, scaled, added, sub_product
+        return sub_scaled, scaled, sub_product
 
     def _form_op(self):
         """Int quadratic form evaluation: ``form_value(terms, v)`` is the

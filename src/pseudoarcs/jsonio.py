@@ -127,7 +127,11 @@ def _subspaces_from_ints(field, n: int, elements, where: str,
                          dim: str) -> List[Subspace]:
     """Subspaces of PG(n-1) from lists of int rows, built together by
     ``Subspace.family``.  A row of another length is refused, naming its
-    element and ``dim``, the key that fixes n."""
+    element and ``dim``, the key that fixes n, and so is an empty list:
+    every command that reads a family needs one element at least."""
+    if not elements:
+        raise FormatError("%s: 'elements' is empty, a family needs at least "
+                          "one element" % where)
     mats = []
     for pos, rows in enumerate(elements):
         rows = _int_rows(field, rows, where, "elements")

@@ -14,8 +14,9 @@ osculating point, or y^h at infinity.  Verification reads the forms off
 the reduced rows, and when each is irreducible, a power of a linear form
 or y^h, the family is a pseudo-arc iff no two elements share a form.
 Any other family is walked exhaustively over its k-subsets in
-lexicographic order, each (k-1)-subset completed by every candidate
-after it in one pass of determinants.
+lexicographic order by one recursive function, each node a prefix and
+the candidates after it, and each (k-1)-subset completed by every
+candidate in one pass of determinants.
 
 The construction and the form reading work on the whole family at once:
 one int list per matrix entry holds that entry for every element, and
@@ -229,39 +230,6 @@ def extend_with_osculating(arc: PseudoArc) -> PseudoArc:
                      list(arc.tags) + tags)
 
 
-def _chain_walk(k, points, step, last):
-    """Walk the k-subsets of ``points``, an ascending list, in
-    lexicographic order, and return the first that fails, or None.  The
-    subsets through a prefix share it: a node holds a prefix and its
-    candidates, the points after its last one.
-
-    ``step(prefix, b, rest)`` tests b against a prefix of fewer than k - 1
-    points and prepares the child on ``rest``, the candidates after b.
-    When it fails, every k-subset through the prefix and b fails; the
-    witness is the first of them, the prefix completed by the next
-    candidates.  At a prefix of k - 1 points, ``last(prefix, cands)``
-    tests all the candidates at once and returns the position of the
-    first that fails, or None.
-    """
-    def walk(prefix, points):
-        need = k - len(prefix) - 1
-        if not need:
-            i = last(prefix, points)
-            return None if i is None else prefix + (points[i],)
-        for pos, b in enumerate(points):
-            rest = points[pos + 1:]
-            if len(rest) < need:
-                break
-            if not step(prefix, b, rest):
-                return prefix + (b,) + tuple(rest[:need])
-            witness = walk(prefix + (b,), rest)
-            if witness:
-                return witness
-        return None
-
-    return walk((), points)
-
-
 @functools.lru_cache(maxsize=None)
 def _expansion(h):
     """The plan of ``_block_dets`` for h x h matrices: for each row t
@@ -347,7 +315,7 @@ def _irreducible(fld, low) -> bool:
             if bit == "1":
                 acc = _x_columns(fld, acc, low, 2)[1]
         # acc is -x^(q^i) mod f, so acc + x is -g
-        acc[1] = fld.added(acc[1], ones)
+        acc[1] = fld.sub_scaled(acc[1], fld.neg(1), ones)
         cols = _x_columns(fld, acc, low, h)
         if 0 in _block_dets(fld, [[c[r] for c in cols] for r in range(h)]):
             return False
@@ -414,67 +382,71 @@ def _walk(fld, k, rows) -> ArcVerdict:
     """The verdict of the exhaustive walk over k-subsets, given the
     elements' reduced int ``rows``, with the k-tuples it tested.
 
-    ``_chain_walk`` visits the k-subsets in lexicographic order, so its
-    first failure is the lexicographically first witness.  Each level of
-    the walk below the last reduces the rows of its candidates modulo the
-    span of its prefix once.  The last level tests all its candidates in
-    one pass: their rows, held column by column for all of them at once,
-    are reduced modulo the echelon of the prefix's last element, which
-    leaves them zero on every pivot column of the prefix, and the h x h
-    blocks on the other h columns must be nonsingular.  ``_block_dets``
-    gives their determinants as one list; its first zero is the first
-    failing candidate, and the candidates up to it count as walked.  When
-    an element meets the span of the prefix before it, every subset
-    through that prefix is degenerate, and the walk counts one tuple.
+    The walk visits the k-subsets in lexicographic order, so its first
+    failure is the lexicographically first witness.  The subsets through
+    a prefix share it: a node holds the prefix, its candidates, the
+    elements after its last one, with their rows modulo the span of the
+    prefix without its last element, the echelon rows of that element
+    and the columns that are pivots of no element of the prefix.  A node
+    below the last level reduces its candidates' rows modulo the echelon
+    once; then each candidate b, with enough candidates after it, extends
+    the prefix.  When b meets the span of the prefix, every subset
+    through the prefix and b is degenerate: the witness is the first of
+    them, the prefix completed by the next candidates, and the walk
+    counts one tuple.  ``_last_level`` tests a prefix of k - 1 elements
+    against all its candidates at once.  A node returns the first failing
+    subset through its prefix, or None, and the tuples it tested.
     """
-    h, dim = len(rows[0]), len(rows[0][0])
-    # per depth: the candidates' rows modulo the span of the prefix
-    # without its last element, that element's echelon rows, and the
-    # columns that are pivots of no element of the prefix
-    levels = [(rows, [], range(dim))] * k
-    sub_scaled = fld.sub_scaled
-    walked = 0
+    def descend(prefix, cands, echelon, free):
+        need = k - len(prefix) - 1
+        if not need:
+            return _last_level(fld, prefix, cands, echelon, free)
+        cands = [(j, [reduce_row(fld, echelon, r) for r in rs]) for j, rs in cands]
+        walked = 0
+        for pos, (b, rs) in enumerate(cands):
+            rest = cands[pos + 1:]
+            if len(rest) < need:
+                break
+            child = []
+            if not all(insert_row(fld, child, r) for r in rs):
+                return prefix + (b,) + tuple(j for j, _ in rest[:need]), walked + 1
+            pivots = {pc for pc, _ in child}
+            witness, count = descend(prefix + (b,), rest, child,
+                                     [j for j in free if j not in pivots])
+            walked += count
+            if witness:
+                return witness, walked
+        return None, walked
 
-    def step(prefix, b, rest):
-        nonlocal walked
-        depth = len(prefix)
-        cands, _, free = levels[depth]
-        echelon = []
-        if not all(insert_row(fld, echelon, r) for r in cands[b]):
-            walked += 1
-            return False
-        pivots = {pc for pc, _ in echelon}
-        free = [j for j in free if j not in pivots]
-        if depth + 2 == k:
-            levels[depth + 1] = cands, echelon, free
-        else:
-            levels[depth + 1] = ({j: [reduce_row(fld, echelon, r) for r in cands[j]]
-                                  for j in rest}, [], free)
-        return True
-
-    def last(prefix, ends):
-        nonlocal walked
-        cands, basis, free = levels[len(prefix)]
-        # cols[j]: entry j of every row of every end, rows outermost,
-        # reduced modulo the basis; then zero on every pivot of the prefix
-        cols = list(zip(*[cands[b][r] for r in range(h) for b in ends]))
-        for pc, row in basis:
-            lead = cols[pc]
-            for j, c in enumerate(row):
-                if c and j != pc:
-                    cols[j] = sub_scaled(cols[j], c, lead)
-        size = len(ends)
-        dets = _block_dets(fld, [[cols[j][r * size:(r + 1) * size] for j in free]
-                                 for r in range(h)])
-        if 0 in dets:
-            i = dets.index(0)
-            walked += i + 1
-            return i
-        walked += size
-        return None
-
-    witness = _chain_walk(k, list(range(len(rows))), step, last)
+    witness, walked = descend((), list(enumerate(rows)), [], range(len(rows[0][0])))
     return ArcVerdict(witness is None, witness, walked)
+
+
+def _last_level(fld, prefix, cands, basis, free):
+    """The first failing k-subset through a prefix of k - 1 elements, or
+    None, and the number of candidates tested, in one pass over all of
+    them: their rows, held column by column for all of them at once, are
+    reduced modulo ``basis``, the echelon of the prefix's last element,
+    which leaves them zero on every pivot column of the prefix, and the
+    h x h blocks on the h ``free`` columns must be nonsingular.
+    ``_block_dets`` gives their determinants as one list; its first zero
+    is the first failing candidate, and the candidates up to it count as
+    tested."""
+    h, size = len(free), len(cands)
+    sub_scaled = fld.sub_scaled
+    # cols[j]: entry j of every row of every candidate, rows outermost
+    cols = list(zip(*[rs[r] for r in range(h) for _, rs in cands]))
+    for pc, row in basis:
+        lead = cols[pc]
+        for j, c in enumerate(row):
+            if c and j != pc:
+                cols[j] = sub_scaled(cols[j], c, lead)
+    dets = _block_dets(fld, [[cols[j][r * size:(r + 1) * size] for j in free]
+                             for r in range(h)])
+    if 0 in dets:
+        i = dets.index(0)
+        return prefix + (cands[i][0],), i + 1
+    return None, size
 
 
 def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> ArcVerdict:
@@ -492,10 +464,7 @@ def is_pseudo_arc(elements: Union[PseudoArc, Sequence[Subspace]], k: int) -> Arc
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if isinstance(elements, PseudoArc):
-        elements = list(elements.elements)
-    else:
-        elements = list(elements)
+    elements = list(elements)
     if not elements:
         return ArcVerdict(True)
     h = elements[0].rank
@@ -526,8 +495,7 @@ def contained_in_spread(arc: Union[PseudoArc, Sequence[Subspace]],
                         spread: Spread) -> ArcVerdict:
     """Test every element for spread membership; the first failure is
     the witness.  An empty family is vacuously contained."""
-    elements = list(arc.elements) if isinstance(arc, PseudoArc) else list(arc)
-    for i, el in enumerate(elements):
+    for i, el in enumerate(arc):
         if el.rank != spread.h or el.ambient_dim != spread.h * spread.k:
             raise ValueError("element %d has the wrong shape for the spread" % i)
         if not spread_membership(el, spread):

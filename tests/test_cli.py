@@ -778,6 +778,29 @@ def test_short_row_in_an_arc_document_is_named(capsys, tmp_path):
                    "h*k is 4\n")
 
 
+@pytest.mark.parametrize("kind", ["arc", "subspaces"])
+def test_empty_family_is_refused_by_every_reader(capsys, tmp_path, kind):
+    # a family with no element fixes no verdict: every reader refuses it
+    # alike, so no command passes a file that another refuses
+    arc_path = write_arc(capsys, tmp_path)
+    forms = tmp_path / "forms.json"
+    assert run(capsys, "quadrics", "through", str(arc_path), "--out", str(forms))[0] == 0
+    doc = json.loads((arc_path if kind == "arc" else write_moved(arc_path)).read_text())
+    doc["elements"] = []
+    if kind == "arc":
+        doc["tags"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["import", str(path)], ["import", str(path), "--json"],
+                 ["export", str(path)], ["verify-arc", str(path), "--k", "2"],
+                 ["quadrics", "through", str(path)],
+                 ["quadrics", "certify-ci", str(path), str(forms)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == ("error: %s document: 'elements' is empty, a family "
+                       "needs at least one element\n" % kind), argv
+
+
 def test_wrong_coefficient_count_in_a_forms_document_is_named(capsys, tmp_path):
     _, forms = conic_files(tmp_path)
     doc = json.loads(forms.read_text())

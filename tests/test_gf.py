@@ -291,7 +291,7 @@ def test_neg_and_sub_match_digit_reference():
 
 
 def test_sub_product_matches_entry_arithmetic():
-    # sub_product and added, one field per branch of the row ops: a prime
+    # sub_product, one field per branch of the row ops: a prime
     # field, GF(16) on its tables, GF(9) on its addition table, GF(625)
     # above the addition table limit, GF(2^17) and GF(257^2) above the
     # table limit
@@ -308,7 +308,6 @@ def test_sub_product_matches_entry_arithmetic():
                 v, a, b = ([rng.choice(vs) for _ in range(n)] for _ in range(3))
                 assert f.sub_product(v, a, b) == [
                     f.sub(x, f.mul(y, z)) for x, y, z in zip(v, a, b)], (p, m)
-                assert f.added(v, b) == [f.add(x, y) for x, y in zip(v, b)], (p, m)
 
 
 def test_scaled_rows_match_entry_arithmetic_for_every_scalar():

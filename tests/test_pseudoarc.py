@@ -79,21 +79,19 @@ def walk(els, k):
 
 def walked_tuples(els, k):
     """The walk's verdict on els and every k-tuple it tested, recorded
-    through the last level of the chain walk: the candidates up to and
-    including the first that fails.  ``is_pseudo_arc`` gives the same
-    verdict and witness."""
+    through the walk's last level: the candidates up to and including the
+    first that fails.  ``is_pseudo_arc`` gives the same verdict and
+    witness."""
     tested = []
-    chain_walk = pseudoarc._chain_walk
+    last_level = pseudoarc._last_level
 
-    def recording(k_, points, step, last):
-        def record(prefix, cands):
-            i = last(prefix, cands)
-            tested.extend(prefix + (b,) for b in cands[:None if i is None else i + 1])
-            return i
-        return chain_walk(k_, points, step, record)
+    def recording(fld, prefix, cands, basis, free):
+        witness, count = last_level(fld, prefix, cands, basis, free)
+        tested.extend(prefix + (b,) for b, _ in cands[:count])
+        return witness, count
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pseudoarc, "_chain_walk", recording)
+        mp.setattr(pseudoarc, "_last_level", recording)
         verdict = walk(els, k)
     assert is_pseudo_arc(els, k) == verdict
     return verdict, tested

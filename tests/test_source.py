@@ -1,6 +1,7 @@
 """Checks on the library source itself."""
 
 import ast
+import collections
 import pathlib
 import sys
 
@@ -351,3 +352,52 @@ def test_exports_have_a_caller_or_are_listed():
         for owner, names in _references(tree).items():
             used |= names - {owner}
     assert sorted(n for n in pseudoarcs.__all__ if n not in used) == sorted(UNCALLED_EXPORTS)
+
+
+def _private_definitions(tree):
+    """Each single-underscore module-level function, class or assigned
+    name, and each such method of a module-level class, with the node
+    that defines it."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if private(stmt.name):
+                yield stmt.name, stmt
+            if isinstance(stmt, ast.ClassDef):
+                yield from ((m.name, m) for m in stmt.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and private(m.name))
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            yield from ((t.id, stmt) for target in targets for t in ast.walk(target)
+                        if isinstance(t, ast.Name) and private(t.id))
+
+
+def _mentions(node):
+    """The names a node mentions: loaded names, attributes and imports."""
+    found = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name.split(".")[-1]] += 1
+    return found
+
+
+def test_private_names_have_a_caller():
+    # a private helper, constant or method kept only for the tests is
+    # dead code; a mention inside the name's own definition does not count
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+    used = sum((_mentions(tree) for tree in trees.values()), collections.Counter())
+    checked, found = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for name, node in _private_definitions(trees[path]):
+            checked += 1
+            if used[name] <= _mentions(node)[name]:
+                found.append("%s %s" % (path.stem, name))
+    assert checked and found == []
