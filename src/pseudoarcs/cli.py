@@ -109,7 +109,7 @@ def _elements_from_doc(doc):
 
 
 def _check_positive(value, name):
-    if value is not None and value < 1:
+    if value < 1:
         raise ValueError("%s must be positive, got %d" % (name, value))
 
 

@@ -2,10 +2,10 @@
 codewords.
 
 Messages are polynomials over F_q of degree less than hk, and every codeword
-is the combination of the generator rows by the message coefficients:
-over a p = 2 top field an XOR of packed per-bit products of the rows,
-built on the first codeword, over odd p the rows updated entry by
-entry.  A coordinate kind records how its generator column was built:
+is the combination of the generator rows by the message coefficients: a
+sum of packed products lift(p^i) * row, one per base-p digit of each
+coefficient, from one table per code that the minimum distance walks
+too.  A coordinate kind records how its generator column was built:
 evaluation at a generator of the extension field, a derivative bundle
 at a rational parameter t (all h Hasse derivative values folded against
 the conjugates of a normal element), the analogous bundle of leading
@@ -17,7 +17,7 @@ become geometry and back.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from .gf import FieldElement, FieldMismatchError, FieldTower, InvariantError, Poly
 from .linalg import insert_row, rref_ints
@@ -156,45 +156,48 @@ class AdditiveCode:
         return self.tow.top.wrap(self._word(message))
 
     @cached_property
-    def _bit_words(self):
-        """The packed word ops and products behind :meth:`_word` over a
-        p = 2 top field: ``(unpack, words)``, entry [r][i] of ``words``
-        packing lift(2^i) * row r.  A base encoding c is a bit vector and
-        lift is additive, so lift(c) * row r is the XOR of the entries
-        at the set bits i of c."""
+    def _basis_words(self):
+        """The packed word ops and products behind :meth:`_word` and
+        :func:`_min_weight`, built on first use: ``(ops, words)``, ops the
+        top field's ``word_ops(n)`` and entry [r][i] of ``words`` packing
+        lift(p^i) * row r.  The p^i are the F_p-basis of the base field
+        and lift is F_p-linear, so lift(c) * row r is the sum of d_i
+        times entry [r][i] over the base-p digits d_i of c."""
         tow = self.tow
-        pack, _, _, unpack, scale = tow.top.word_ops(self.n)
-        lifts = [tow.embed_table[1 << i] for i in range(tow.base.m)]
-        return unpack, tuple(tuple(scale(c, word) for c in lifts)
-                             for word in map(pack, self.int_rows))
+        ops = tow.top.word_ops(self.n)
+        pack, scale = ops[0], ops[4]
+        lifts = [tow.embed_table[tow.p ** i] for i in range(tow.e)]
+        return ops, tuple(tuple(scale(c, word) for c in lifts)
+                          for word in map(pack, self.int_rows))
 
     def _word(self, message: Sequence[FieldElement]) -> Sequence[int]:
-        """:meth:`combine` as top-field encodings.  Over a p = 2 top field
-        the word is an XOR of the packed ``_bit_words``, built on the
-        first call, and one unpack; over odd p the rows are combined
-        entry by entry."""
+        """:meth:`combine` as top-field encodings: a sum of the packed
+        ``_basis_words`` and one unpack.  A base-p digit d costs one
+        packed add when it is 1, and otherwise at most 2 log2(d) adds by
+        its binary expansion."""
         message = list(message)
         if len(message) != self.h * self.k_msg:
             raise ValueError("message must have hk coefficients")
-        tow = self.tow
-        top = tow.top
-        if top.p != 2:
-            out = [0] * self.n
-            for c, row in zip(message, self.int_rows):
-                if c:
-                    out = top.sub_scaled(out, (-tow.lift(c)).val, row)
-            return out
-        unpack, words = self._bit_words
-        base = tow.base
+        (_, add, _, unpack, _), words = self._basis_words
+        base = self.tow.base
+        p = base.p
         acc = 0
-        for c, bits in zip(message, words):
+        for c, row in zip(message, words):
             if c:
                 if c.field is not base:
                     raise FieldMismatchError("lift expects a base-level element")
                 v = c.val
-                for i, w in enumerate(bits):
-                    if v >> i & 1:
-                        acc ^= w
+                for w in row:
+                    d = v % p
+                    v //= p
+                    if d:
+                        # d * w by the bits of d, doubling w between them
+                        while d > 1:
+                            if d & 1:
+                                acc = add(acc, w)
+                            d >>= 1
+                            w = add(w, w)
+                        acc = add(acc, w)
         return unpack(acc)
 
 
@@ -314,25 +317,16 @@ def code_from_subspaces(tow: FieldTower, subspaces: Sequence[Subspace],
     return AdditiveCode.from_ints(tow, k_msg, rows, spec)
 
 
-def encode(message: Union[Poly, Sequence[FieldElement]],
-           code: AdditiveCode) -> List[FieldElement]:
-    """Codeword of a message polynomial: the combination of the
-    generator rows by its coefficients.
-
-    Accepts the polynomial or its base-field coefficient vector (low
-    degree first, length up to hk).
-    """
-    tow = code.tow
-    hk = tow.h * code.k_msg
-    if isinstance(message, Poly):
-        f = message
-    else:
-        f = Poly(tow.base, list(message))
-    if f.field is not tow.base:
+def encode(message: Poly, code: AdditiveCode) -> List[FieldElement]:
+    """Codeword of a message polynomial over the base field, of degree
+    less than hk: the combination of the generator rows by its
+    coefficients."""
+    hk = code.h * code.k_msg
+    if message.field is not code.tow.base:
         raise ValueError("message coefficients must lie in the base field")
-    if f.degree >= hk:
-        raise ValueError("message degree %d too large" % f.degree)
-    return code.combine([f.coefficient(i) for i in range(hk)])
+    if message.degree >= hk:
+        raise ValueError("message degree %d too large" % message.degree)
+    return code.combine([message.coefficient(i) for i in range(hk)])
 
 
 def min_distance(code: AdditiveCode, max_words: int = WORD_BUDGET) -> int:
@@ -354,35 +348,26 @@ def _min_weight(code: AdditiveCode) -> int:
 
     lift(c) * word has the weight of word for every nonzero c in F_q, so
     one message per scalar class is enough: the one whose first nonzero
-    coefficient is 1.  The free tail after each lead position is walked
-    in modular q-ary Gray order (Knuth, TAOCP 4A, 7.2.1.1): step t adds 1
-    to tail digit v_q(t), so the next word is the previous one plus
-    lift(delta) * row.  Each word is one int in the top field's packed
-    layout (``GF.word_ops``), and the q products lift(delta) * row of
-    every row are packed before the walk, so a step is one packed add
-    and a weight one bit count.
+    coefficient is 1.  The tail after each lead position is read as the
+    base-p digits of its coefficients and walked in modular p-ary Gray
+    order (Knuth, TAOCP 4A, 7.2.1.1): step t adds 1 to digit v_p(t), so
+    the next word is the previous one plus that digit's word of
+    ``AdditiveCode._basis_words``.  A step is one packed add and a
+    weight one bit count.
     """
-    tow = code.tow
-    q, top = tow.q, tow.top
-    pack, add, weight = top.word_ops(code.n)[:3]
-    # lift(x_(a+1) - x_a) for the digit order x_a = base(a), wrapping at q
-    deltas = [tow.lift(tow.base((a + 1) % q) - tow.base(a)).val
-              for a in range(q)]
-    steps = [[pack(top.scaled(c, row)) for c in deltas] for row in code.int_rows]
+    (_, add, weight, _, _), words = code._basis_words
+    p = code.tow.p
     best = code.n
-    for lead, row in enumerate(code.int_rows):
-        tail = steps[lead + 1:]
-        digits = [0] * len(tail)
-        word = pack(row)
+    for lead, row in enumerate(words):
+        tail = [w for ws in words[lead + 1:] for w in ws]
+        word = row[0]
         best = min(best, weight(word))
-        for t in range(1, q ** len(tail)):
+        for t in range(1, p ** len(tail)):
             j = 0
-            while t % q == 0:
-                t //= q
+            while t % p == 0:
+                t //= p
                 j += 1
-            a = digits[j]
-            digits[j] = (a + 1) % q
-            word = add(word, tail[j][a])
+            word = add(word, tail[j])
             w = weight(word)
             if w < best:
                 best = w

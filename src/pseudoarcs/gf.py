@@ -221,8 +221,7 @@ class GF:
             self.element = functools.partial(FieldElement, self)
         if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
             self._build_add_table()
-        self.sub_scaled, self.scaled, self.sub_product = self._row_ops()
-        self.form_value = self._form_op()
+        self.sub_scaled, self.scaled, self.sub_product, self.form_value = self._row_ops()
         self.zero = self.element(0)
         self.one = self.element(1)
 
@@ -330,7 +329,9 @@ class GF:
         """Int row operations for linalg and pseudoarc:
         ``sub_scaled(v, c, b)`` is v - c*b and ``scaled(c, b)`` is c*b, for
         rows v, b of encodings and a scalar c, and ``sub_product(v, a, b)``
-        is v - a*b entry by entry, for rows v, a, b.  They branch like
+        is v - a*b entry by entry, for rows v, a, b.  ``form_value(terms,
+        v)`` is the sum of c*v[i]*v[j] over the terms (c, i, j), each c
+        nonzero, for a vector v of encodings.  They branch like
         add/sub/mul, but once per row instead of once per entry; a zero c
         has no log, so the log branches return v and the zero row for it."""
         p, exp, log, add = self.p, self._exp, self._log, self._add_table
@@ -343,6 +344,9 @@ class GF:
 
             def sub_product(v, a, b):
                 return [(x - y * z) % p for x, y, z in zip(v, a, b)]
+
+            def form_value(terms, v):
+                return sum(c * v[i] * v[j] for c, i, j in terms) % p
         elif exp is not None and (p == 2 or add is not None):
             g = self._gorder
             if p == 2:
@@ -356,6 +360,14 @@ class GF:
                 def sub_product(v, a, b):
                     return [x ^ exp[log[y] + log[z]] if y and z else x
                             for x, y, z in zip(v, a, b)]
+
+                def form_value(terms, v):
+                    acc = 0
+                    for c, i, j in terms:
+                        x, y = v[i], v[j]
+                        if x and y:
+                            acc ^= exp[(log[c] + log[x] + log[y]) % g]
+                    return acc
             else:
                 def sub_scaled(v, c, b):
                     if not c:
@@ -371,13 +383,21 @@ class GF:
                     return [add[x][nexp[log[y] + log[z]]] if y and z else x
                             for x, y, z in zip(v, a, b)]
 
+                def form_value(terms, v):
+                    acc = 0
+                    for c, i, j in terms:
+                        x, y = v[i], v[j]
+                        if x and y:
+                            acc = add[acc][exp[(log[c] + log[x] + log[y]) % g]]
+                    return acc
+
             def scaled(c, b):
                 if not c:
                     return [0] * len(b)
                 lc = log[c]
                 return [exp[lc + log[y]] if y else 0 for y in b]
         else:
-            sub, mul = self.sub, self.mul
+            fadd, sub, mul = self.add, self.sub, self.mul
 
             def sub_scaled(v, c, b):
                 return [sub(x, mul(c, y)) for x, y in zip(v, b)]
@@ -387,57 +407,29 @@ class GF:
 
             def sub_product(v, a, b):
                 return [sub(x, mul(y, z)) for x, y, z in zip(v, a, b)]
-        return sub_scaled, scaled, sub_product
-
-    def _form_op(self):
-        """Int quadratic form evaluation: ``form_value(terms, v)`` is the
-        sum of c*v[i]*v[j] over the terms (c, i, j), each c nonzero, for
-        a vector v of encodings.  It branches like ``_row_ops``."""
-        p, exp, log, add = self.p, self._exp, self._log, self._add_table
-        if self.m == 1:
-            def form_value(terms, v):
-                return sum(c * v[i] * v[j] for c, i, j in terms) % p
-        elif exp is not None and (p == 2 or add is not None):
-            g = self._gorder
-            if p == 2:
-                def form_value(terms, v):
-                    acc = 0
-                    for c, i, j in terms:
-                        x, y = v[i], v[j]
-                        if x and y:
-                            acc ^= exp[(log[c] + log[x] + log[y]) % g]
-                    return acc
-            else:
-                def form_value(terms, v):
-                    acc = 0
-                    for c, i, j in terms:
-                        x, y = v[i], v[j]
-                        if x and y:
-                            acc = add[acc][exp[(log[c] + log[x] + log[y]) % g]]
-                    return acc
-        else:
-            fadd, mul = self.add, self.mul
 
             def form_value(terms, v):
                 acc = 0
                 for c, i, j in terms:
                     acc = fadd(acc, mul(c, mul(v[i], v[j])))
                 return acc
-        return form_value
+        return sub_scaled, scaled, sub_product, form_value
 
     def word_ops(self, n):
-        """Packed words of length n: ``pack(ints)`` holds a row of n
-        encodings as one int, ``add(w, s)`` is the entry-wise field sum
-        of two packed words and ``weight(w)`` counts the nonzero entries.
-        For p = 2 two more follow: ``unpack(w)``, the tuple of the n
-        encodings, and ``scale(c, w)``, the word c * w for c in this field.
+        """Packed words of length n, the same five ops for every p:
+        ``pack(ints)`` holds a row of n encodings as one int, ``add(w, s)``
+        is the entry-wise field sum of two packed words, ``weight(w)``
+        counts the nonzero entries, ``unpack(w)`` is the tuple of the n
+        encodings and ``scale(c, w)`` is the word c * w for c in this field.
 
         Entry j takes the little-endian W-bit slot starting at bit j*W,
         W the first of 8, 16, 32 and 64 with room for the entry and one
         zero guard bit above it.  For p = 2 the entry is the m bits of
-        the encoding, so the sum is XOR; for odd p, the m base-p digits,
-        b = (2p-1).bit_length() bits each, so a digit-wise sum fits
-        before one SWAR step takes p off each digit that reached p.
+        the encoding, so the sum is XOR and ``scale`` shifts the whole
+        word by x, needing no field table; for odd p, the m base-p
+        digits, b = (2p-1).bit_length() bits each, so a digit-wise sum
+        fits before one SWAR step takes p off each digit that reached p,
+        and ``scale`` unpacks, scales the row and packs it again.
         Every entry is below 2^(W-1), so adding 2^(W-1)-1 to each slot
         sets its top bit exactly when the entry is nonzero, and carries
         into no other slot.  A field whose entries need more than 63
@@ -454,6 +446,9 @@ class GF:
         def pack_slots(ints):
             return int.from_bytes(row.pack(*ints), "little")
 
+        def unpack_slots(w):
+            return row.unpack(w.to_bytes(row.size, "little"))
+
         ones = pack_slots([1] * n)
         low = (1 << (width - 1)) - 1
         fill, top = low * ones, (low + 1) * ones
@@ -462,9 +457,6 @@ class GF:
             return ((w + fill) & top).bit_count()
 
         if p == 2:
-            def unpack(w):
-                return row.unpack(w.to_bytes(row.size, "little"))
-
             # x * v is v shifted up one bit, with x^m = the modulus's low
             # bits put back in the slots whose bit m - 1 was set
             keep = ((1 << (m - 1)) - 1) * ones
@@ -479,16 +471,17 @@ class GF:
                     w = ((w & keep) << 1) ^ ((w >> (m - 1)) & ones) * low_bits
                 return out
 
-            return pack_slots, operator.xor, weight, unpack, scale
+            return pack_slots, operator.xor, weight, unpack_slots, scale
 
         digit_ones = ones * sum(1 << (i * b) for i in range(m))
         bias = ((1 << (b - 1)) - p) * digit_ones
         shift = b - 1
 
-        # spread[v]: the digits of v, b bits apart
+        # spread[v]: the digits of v, b bits apart; unspread its inverse
         spread = list(range(p))
         for v in range(p, self.order):
             spread.append(spread[v // p] << b | v % p)
+        unspread = {s: v for v, s in enumerate(spread)}.__getitem__
 
         def pack(ints):
             return pack_slots([spread[v] for v in ints])
@@ -497,7 +490,13 @@ class GF:
             s += w
             return s - (((s + bias) >> shift) & digit_ones) * p
 
-        return pack, add, weight
+        def unpack(w):
+            return tuple(map(unspread, unpack_slots(w)))
+
+        def scale(c, w):
+            return pack(self.scaled(c, unpack(w)))
+
+        return pack, add, weight, unpack, scale
 
     def add(self, a, b):
         if self.p == 2:

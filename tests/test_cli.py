@@ -741,6 +741,27 @@ def test_quadrics_certify_ci_checks_the_space_of_an_empty_system(capsys, tmp_pat
         assert err == "error: forms document: %s\n" % message
 
 
+@pytest.mark.parametrize("kind", ["code", "forms"])
+def test_family_commands_refuse_a_code_or_forms_document(capsys, tmp_path, kind):
+    _, forms = conic_files(tmp_path)
+    path = write_code(capsys, tmp_path) if kind == "code" else forms
+    for argv in (["verify-arc", str(path), "--k", "2"],
+                 ["quadrics", "through", str(path)],
+                 ["quadrics", "certify-ci", str(path), str(forms)]):
+        assert run(capsys, *argv) == (
+            2, "", "error: expected an arc or subspaces document, found %r\n" % kind)
+
+
+def test_budgets_must_be_positive(capsys, tmp_path):
+    conic, forms = conic_files(tmp_path)
+    assert run(capsys, "quadrics", "certify-ci", str(conic), str(forms),
+               "--max-points", "0") == (
+        2, "", "error: point budget must be positive, got 0\n")
+    code_path = write_code(capsys, tmp_path)
+    assert run(capsys, "code", "distance", str(code_path), "--max-words", "-3") == (
+        2, "", "error: word budget must be positive, got -3\n")
+
+
 def test_quadrics_certify_ci_json_counts_points_scanned(capsys, tmp_path):
     conic, forms = conic_files(tmp_path)
     code, out, _ = run(capsys, "quadrics", "certify-ci", str(conic), str(forms),

@@ -23,7 +23,7 @@ from pseudoarcs.nrc import (frobenius_orbit_reps, is_imaginary, orbit_rep_count,
                             osc_basis, osc_basis_infty)
 from pseudoarcs.projgeo import canonical_spread, span
 from pseudoarcs.pseudoarc import (build_imaginary_arc, contained_in_spread,
-                                  extend_with_osculating)
+                                  extend_with_osculating, is_pseudo_arc)
 
 
 def full_code(p, e, h, k):
@@ -345,10 +345,10 @@ def test_min_distance_with_entries_that_fill_16_bits():
 
 
 # (p, e, h, k, n): codes over p = 2 top fields GF(2^m), m = 1, 2, 4, 6,
-# 8, 10, 12, 16 and 18, whose words are packed, and over odd p, whose
-# rows are combined entry by entry; n None is the evaluation code on
-# every orbit representative, which over GF(4096) is the benchmark's
-# n = 2016 roundtrip code
+# 8, 10, 12, 16 and 18, and over odd p, GF(25), GF(169) and GF(81), whose
+# base digits run up to p - 1; n None is the evaluation code on every
+# orbit representative, which over GF(4096) is the benchmark's n = 2016
+# roundtrip code
 CASES = [(2, 1, 1, 1, 3), (2, 1, 2, 2, 5), (2, 2, 2, 2, None),
          (2, 2, 3, 2, None), (2, 4, 2, 3, None), (2, 5, 2, 2, None),
          (2, 6, 2, 2, None), (2, 8, 2, 2, 12), (5, 1, 2, 2, None),
@@ -375,15 +375,15 @@ def test_combine_matches_the_reference_on_both_paths(case):
     code = case_code(*case, rng)
     for message in edge_messages(code.tow, code.k_msg, rng):
         assert code.combine(message) == reference_combine(code, message)
-    # the characteristic alone picks the path
-    assert ("_bit_words" in vars(code)) == (code.tow.p == 2)
+    # every characteristic combines the packed basis words
+    assert "_basis_words" in vars(code)
 
 
 @pytest.mark.parametrize("case", [(2, 2, 2, 2, None), (2, 1, 3, 2, 5),
                                   (5, 1, 2, 2, None), (2, 9, 2, 2, 6)])
 def test_combine_refuses_a_top_field_coefficient(case):
-    # a nonzero coefficient outside the base field cannot be lifted, on
-    # the packed path and on the list path alike
+    # a nonzero coefficient outside the base field cannot be lifted, in
+    # every characteristic and on both sides of the table limit
     code = case_code(*case, Random(67))
     top, hk = code.tow.top, code.h * code.k_msg
     for j in (0, hk - 1):
@@ -398,7 +398,7 @@ def test_erasure_decode_on_packed_words():
     for case in [(2, 4, 2, 2, None), (2, 2, 3, 2, None), (2, 8, 2, 2, 12)]:
         code = case_code(*case, rng)
         tow = code.tow
-        assert code._bit_words is not None
+        assert code._basis_words is not None
         for message in edge_messages(tow, code.k_msg, rng):
             f = Poly(tow.base, message)
             word = encode(f, code)
@@ -411,37 +411,42 @@ def test_erasure_decode_on_packed_words():
                 erasure_decode(received, code)
 
 
-def test_distance_and_folding_build_no_words():
-    # the packed words are built on the first codeword, never before
-    tow = tower(2, 2, 2)
-    code = extend_with_derivatives(full_code(2, 2, 2, 2),
-                                   list(tow.base.elements()), True)
-    min_distance(code)
-    fold_columns(code)
-    assert is_mds(code)
-    assert "_bit_words" not in vars(code)
-    encode(random_message(tow, 2, Random(73)), code)
-    assert "_bit_words" in vars(code)
+def test_distance_builds_the_words_that_encode_reuses():
+    # folding and the geometric verdict build no words; the distance
+    # builds the one table, and a codeword reads the same object
+    for p, e in [(2, 2), (3, 1)]:
+        tow = tower(p, e, 2)
+        code = extend_with_derivatives(full_code(p, e, 2, 2),
+                                       list(tow.base.elements()), True)
+        assert is_pseudo_arc(fold_columns(code), code.k_msg)
+        assert "_basis_words" not in vars(code)
+        assert min_distance(code) == code.n - 1
+        words = vars(code)["_basis_words"]
+        encode(random_message(tow, 2, Random(73)), code)
+        assert vars(code)["_basis_words"] is words
 
 
 def test_packed_words_make_no_row_update(monkeypatch):
-    # once the words exist, a codeword is XORs and one unpack
+    # once the words exist, a codeword is packed adds and one unpack, in
+    # every characteristic
     rng = Random(79)
-    code = full_code(2, 4, 2, 2)
-    tow = code.tow
-    messages = edge_messages(tow, 2, rng)
-    expected = [reference_combine(code, message) for message in messages]
-    # builds the words and the decoder's coordinate tables
-    erasure_decode(code.combine(messages[0]), code)
 
     def no_rows(*args):
         raise AssertionError("_word updated an int row")
 
-    monkeypatch.setattr(tow.top, "sub_scaled", no_rows)
-    monkeypatch.setattr(tow.top, "scaled", no_rows)
-    for message, word in zip(messages, expected):
-        assert code.combine(message) == word
-        assert erasure_decode(word, code) == Poly(tow.base, message)
+    for p, e in [(2, 4), (3, 2), (5, 1), (13, 1)]:
+        code = full_code(p, e, 2, 2)
+        tow = code.tow
+        messages = edge_messages(tow, 2, rng)
+        expected = [reference_combine(code, message) for message in messages]
+        # builds the words and the decoder's coordinate tables
+        erasure_decode(code.combine(messages[0]), code)
+        with monkeypatch.context() as patch:
+            patch.setattr(tow.top, "sub_scaled", no_rows)
+            patch.setattr(tow.top, "scaled", no_rows)
+            for message, word in zip(messages, expected):
+                assert code.combine(message) == word
+                assert erasure_decode(word, code) == Poly(tow.base, message)
 
 
 def test_is_mds_at_larger_sizes():

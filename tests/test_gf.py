@@ -337,34 +337,30 @@ def test_scaled_rows_match_entry_arithmetic_for_every_scalar():
 
 def test_packed_words_match_entry_arithmetic():
     # every digit width (b = 1, 3, 4, 4, 5), prime and extension fields,
-    # and p = 2 on both sides of every slot width (8, 16, 32 bits) up to
-    # a top above 2^16; rows hold zeros and entries with every digit
-    # p - 1 at both ends
+    # p = 2 on both sides of every slot width (8, 16, 32 bits) up to a
+    # top above 2^16, and odd p above it too; rows hold zeros and entries
+    # with every digit p - 1 at both ends; unpack and scale are checked
+    # in every characteristic, on packed rows and on their packed sums
     rng = random.Random(16)
     for p, m in [(2, 1), (2, 4), (2, 7), (2, 8), (2, 15), (2, 16), (2, 18),
-                 (3, 1), (3, 4), (5, 2), (7, 2), (11, 2), (13, 1)]:
+                 (3, 1), (3, 4), (5, 2), (7, 2), (11, 2), (13, 1), (3, 11)]:
         f = GF.get(p, m)
         for n in (1, 2, 7):
-            ops = f.word_ops(n)
-            pack, add, weight = ops[:3]
+            pack, add, weight, unpack, scale = f.word_ops(n)
             rows = [[0] * n, [f.order - 1] * n]
             rows += [[rng.choice((0, f.order - 1, rng.randrange(f.order)))
                       for _ in range(n)] for _ in range(40)]
             for x in rows:
                 assert weight(pack(x)) == sum(1 for v in x if v)
+                assert unpack(pack(x)) == tuple(x)
                 for y in rng.sample(rows, 5):
                     s = [f.add(a, b) for a, b in zip(x, y)]
                     assert add(pack(x), pack(y)) == pack(s), (p, m, x, y)
+                    assert unpack(add(pack(x), pack(y))) == tuple(s), (p, m, x, y)
                     assert weight(add(pack(x), pack(y))) == sum(1 for v in s if v)
-            if p == 2:
-                unpack, scale = ops[3:]
-                for x in rows:
-                    assert unpack(pack(x)) == tuple(x)
-                    for c in (0, 1, f.order - 1, rng.randrange(f.order)):
-                        product = [f.mul(c, v) for v in x]
-                        assert scale(c, pack(x)) == pack(product), (m, c, x)
-            else:
-                assert len(ops) == 3
+                for c in (0, 1, f.order - 1, rng.randrange(f.order)):
+                    product = [f.mul(c, v) for v in x]
+                    assert scale(c, pack(x)) == pack(product), (p, m, c, x)
 
 
 def test_packed_words_at_32_and_64_bit_slots():

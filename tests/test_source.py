@@ -153,6 +153,24 @@ def test_only_gf_imports_a_word_layout_module():
     assert _importers("struct", "array") == [("gf.py", "struct")]
 
 
+def _characteristic_comparisons(tree):
+    """Line of every comparison that reads a ``.p`` attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+            and any(isinstance(n, ast.Attribute) and n.attr == "p"
+                    for n in ast.walk(node))]
+
+
+def test_codes_has_no_characteristic_fork():
+    # codewords and the distance walk run one packed kernel in every
+    # characteristic; a comparison on a .p in codes.py is a second path
+    assert _characteristic_comparisons(ast.parse(
+        "if top.p != 2:\n"
+        "    x = f.p\n"
+        "y = p < 3\n"
+        "z = [w for w in ws if tow.base.p == w]\n")) == [1, 4]
+    assert _characteristic_comparisons(ast.parse((SRC / "codes.py").read_text())) == []
+
+
 def test_only_jsonio_imports_json():
     # one reader and one writer: a second module that parses or writes
     # JSON would skip the envelope checks or the deterministic layout
