@@ -429,7 +429,10 @@ class GF:
         word by x, needing no field table; for odd p, the m base-p
         digits, b = (2p-1).bit_length() bits each, so a digit-wise sum
         fits before one SWAR step takes p off each digit that reached p,
-        and ``scale`` unpacks, scales the row and packs it again.
+        and ``scale`` unpacks, scales the row and packs it again.  Odd
+        ``pack`` lays out k digits at a time from a table of p^k entries,
+        within ``_TABLE_LIMIT`` (none at all for k = 1), and ``unpack``
+        reads the digits back by Horner's rule on whole words.
         Every entry is below 2^(W-1), so adding 2^(W-1)-1 to each slot
         sets its top bit exactly when the entry is nonzero, and carries
         into no other slot.  A field whose entries need more than 63
@@ -477,21 +480,30 @@ class GF:
         bias = ((1 << (b - 1)) - p) * digit_ones
         shift = b - 1
 
-        # spread[v]: the digits of v, b bits apart; unspread its inverse
-        spread = list(range(p))
-        for v in range(p, self.order):
-            spread.append(spread[v // p] << b | v % p)
-        unspread = {s: v for v, s in enumerate(spread)}.__getitem__
+        # spread[u]: the k digits of u < p^k, b bits apart, for k = m when
+        # p^m fits the table limit, else for the fewest chunks of k digits
+        # that fit, or k = 1, where spread is range(p) and builds nothing
+        k = next(-(-m // c) for c in range(1, m + 1)
+                 if p ** -(-m // c) <= _TABLE_LIMIT or c == m)
+        size, spread = p ** k, range(p)
+        for _ in range(k - 1):
+            spread = [s << b | d for s in spread for d in range(p)]
+        chunks = [(j * b, p ** j) for j in range(0, m, k)]
+        digit = ((1 << b) - 1) * ones
 
         def pack(ints):
-            return pack_slots([spread[v] for v in ints])
+            return sum(pack_slots([spread[v // low % size] for v in ints]) << at
+                       for at, low in chunks)
 
         def add(w, s):
             s += w
             return s - (((s + bias) >> shift) & digit_ones) * p
 
         def unpack(w):
-            return tuple(map(unspread, unpack_slots(w)))
+            v = 0  # Horner, high digit first: below p^m in every slot
+            for at in range((m - 1) * b, -1, -b):
+                v = v * p + (w >> at & digit)
+            return unpack_slots(v)
 
         def scale(c, w):
             return pack(self.scaled(c, unpack(w)))

@@ -8,6 +8,7 @@ geometric route through column folding.
 """
 
 import itertools
+import tracemalloc
 from random import Random
 
 import pytest
@@ -409,6 +410,31 @@ def test_erasure_decode_on_packed_words():
             received[j] = received[j] + tow.top.one
             with pytest.raises(DecodeError, match="mismatch at coordinate %d" % j):
                 erasure_decode(received, code)
+
+
+def test_codewords_over_a_large_odd_top_use_bounded_digit_tables():
+    # encode and decode pack the digits in chunks through tables of at
+    # most 2^16 entries, never one of all q^h layouts: GF(3^11), where a
+    # full table would already take several MB, comes first, so such a
+    # table fails there before GF(3^16) and GF(3^21), the largest odd top
+    # a 64-bit slot holds for p = 3, would need 3.7 GB and 900 GB
+    rng = Random(79)
+    for h in (11, 16, 21):
+        tow = tower(3, 1, h)
+        alphas = [a for a in (tow.top(rng.randrange(tow.top.order)) for _ in range(20))
+                  if is_imaginary(a, tow)][:3]
+        code = evaluation_code(tow, alphas, 1)
+        tracemalloc.start()
+        try:
+            for message in edge_messages(tow, 1, rng):
+                f = Poly(tow.base, message)
+                word = encode(f, code)
+                assert word == reference_combine(code, message)
+                assert erasure_decode([ERASED, *word[1:]], code) == f
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 22, peak
 
 
 def test_distance_builds_the_words_that_encode_reuses():

@@ -5,6 +5,7 @@ import ast
 import itertools
 import pathlib
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -336,14 +337,20 @@ def test_scaled_rows_match_entry_arithmetic_for_every_scalar():
 
 
 def test_packed_words_match_entry_arithmetic():
-    # every digit width (b = 1, 3, 4, 4, 5), prime and extension fields,
-    # p = 2 on both sides of every slot width (8, 16, 32 bits) up to a
-    # top above 2^16, and odd p above it too; rows hold zeros and entries
-    # with every digit p - 1 at both ends; unpack and scale are checked
-    # in every characteristic, on packed rows and on their packed sums
+    # every digit width (b = 1, 3, 4, 4, 5, 6, 10, 18), prime and extension
+    # fields, p = 2 on both sides of every slot width (8, 16, 32 bits) up
+    # to a top above 2^16, and odd p above it too, where the digits are
+    # packed in chunks through tables within the limit: two chunks of 6,
+    # 8 and 1 digits, 4 and 3 digits, three chunks of 7 for GF(3^21), the
+    # largest odd top a 64-bit slot holds for p = 3, and for GF(17^10)
+    # chunks of 3, 3, 3 and 1 digits, and one digit above the limit; rows
+    # hold zeros and entries with every digit p - 1 at both ends; unpack
+    # and scale are checked in every characteristic, on packed rows and
+    # on their packed sums
     rng = random.Random(16)
     for p, m in [(2, 1), (2, 4), (2, 7), (2, 8), (2, 15), (2, 16), (2, 18),
-                 (3, 1), (3, 4), (5, 2), (7, 2), (11, 2), (13, 1), (3, 11)]:
+                 (3, 1), (3, 4), (5, 2), (7, 2), (11, 2), (13, 1), (3, 11),
+                 (3, 16), (257, 2), (5, 7), (3, 21), (17, 10), (65537, 2)]:
         f = GF.get(p, m)
         for n in (1, 2, 7):
             pack, add, weight, unpack, scale = f.word_ops(n)
@@ -361,6 +368,24 @@ def test_packed_words_match_entry_arithmetic():
                 for c in (0, 1, f.order - 1, rng.randrange(f.order)):
                     product = [f.mul(c, v) for v in x]
                     assert scale(c, pack(x)) == pack(product), (p, m, c, x)
+
+
+def test_odd_packed_words_build_no_table_of_every_entry():
+    # pack reads a table of at most 2^16 chunk layouts, and none for a
+    # single digit; a table of every entry, about 9 MB at GF(262139) and
+    # 6 MB at GF(3^11), fails there before GF(1048573) and GF(3^21),
+    # where it would take about 40 MB and 900 GB
+    for p, m in [(262139, 1), (3, 11), (1048573, 1), (3, 21)]:
+        f = GF.get(p, m)
+        tracemalloc.start()
+        try:
+            pack, add, weight, unpack, scale = f.word_ops(3)
+            row = [0, 1, f.order - 1]
+            assert unpack(add(pack(row), pack(row))) == tuple(f.add(v, v) for v in row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (p, m, peak)
 
 
 def test_packed_words_at_32_and_64_bit_slots():
