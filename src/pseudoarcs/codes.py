@@ -109,9 +109,9 @@ class AdditiveCode:
         # rank over the base field, by columns: each top column gives h
         # base columns of length hk, its rows' normal-basis coordinates,
         # and the rank is full as soon as hk of them are independent
-        basis = []
-        for j in range(n):
-            for col in zip(*[tow.normal_ints(row[j]) for row in rows]):
+        basis, normal = [], tow.normal_lookup()
+        for column in zip(*rows):
+            for col in zip(*map(normal, column)):
                 insert_row(tow.base, basis, col)
             if len(basis) == len(rows):
                 break
@@ -162,12 +162,13 @@ class AdditiveCode:
         top field's ``word_ops(n)`` and entry [r][i] of ``words`` packing
         lift(p^i) * row r.  The p^i are the F_p-basis of the base field
         and lift is F_p-linear, so lift(c) * row r is the sum of d_i
-        times entry [r][i] over the base-p digits d_i of c."""
+        times entry [r][i] over the base-p digits d_i of c.  Entry [r][0]
+        is row r packed, lift(1) being 1, so only digits i >= 1 scale."""
         tow = self.tow
         ops = tow.top.word_ops(self.n)
         pack, scale = ops[0], ops[4]
-        lifts = [tow.embed_table[tow.p ** i] for i in range(tow.e)]
-        return ops, tuple(tuple(scale(c, word) for c in lifts)
+        lifts = [tow.embed_table[tow.p ** i] for i in range(1, tow.e)]
+        return ops, tuple((word, *(scale(c, word) for c in lifts))
                           for word in map(pack, self.int_rows))
 
     def _word(self, message: Sequence[FieldElement]) -> Sequence[int]:
@@ -204,12 +205,12 @@ class AdditiveCode:
 def _evaluation_rows(tow: FieldTower, alphas: Sequence[FieldElement], k_msg: int):
     """The hk int rows and coordinate kinds of :func:`evaluation_code`."""
     alphas = list(alphas)
-    if len(set(a.val for a in alphas)) != len(alphas):
+    vals = [a.val for a in alphas]
+    if len(set(vals)) != len(vals):
         raise ValueError("repeated evaluation point")
     for a in alphas:
         if not is_imaginary(a, tow):
             raise ValueError("evaluation point %d does not generate the extension" % a.val)
-    vals = [a.val for a in alphas]
     rows = [[1] * len(vals)]
     for _ in range(tow.h * k_msg - 1):
         rows.append(list(map(tow.top.mul, rows[-1], vals)))
@@ -348,30 +349,14 @@ def _min_weight(code: AdditiveCode) -> int:
 
     lift(c) * word has the weight of word for every nonzero c in F_q, so
     one message per scalar class is enough: the one whose first nonzero
-    coefficient is 1.  The tail after each lead position is read as the
-    base-p digits of its coefficients and walked in modular p-ary Gray
-    order (Knuth, TAOCP 4A, 7.2.1.1): step t adds 1 to digit v_p(t), so
-    the next word is the previous one plus that digit's word of
-    ``AdditiveCode._basis_words``.  A step is one packed add and a
-    weight one bit count.
+    coefficient is 1.  The coefficients after each lead position are
+    read as base-p digits, whose words in ``AdditiveCode._basis_words``
+    the packed ``weight`` walks in Gray order from the lead's row: one
+    call per lead, one packed add and one bit count per word.
     """
-    (_, add, weight, _, _), words = code._basis_words
-    p = code.tow.p
-    best = code.n
-    for lead, row in enumerate(words):
-        tail = [w for ws in words[lead + 1:] for w in ws]
-        word = row[0]
-        best = min(best, weight(word))
-        for t in range(1, p ** len(tail)):
-            j = 0
-            while t % p == 0:
-                t //= p
-                j += 1
-            word = add(word, tail[j])
-            w = weight(word)
-            if w < best:
-                best = w
-    return best
+    (_, _, weight, _, _), words = code._basis_words
+    return min(weight(row[0], [w for ws in words[lead + 1:] for w in ws])
+               for lead, row in enumerate(words))
 
 
 def fold_columns(code: AdditiveCode) -> List[Subspace]:
@@ -429,12 +414,12 @@ def erasure_decode(received: Sequence[object], code: AdditiveCode) -> Poly:
             raise FieldMismatchError("received symbol %d is not in the top field" % j)
     # int rows (equation | right-hand side) in echelon form; a row whose
     # equation part lies in the span reduces to pivot hk or vanishes
-    basis = []
+    basis, normal = [], tow.normal_lookup()
     for j in survivors:
         if len(basis) == hk:
             break
-        coords = zip(*(tow.normal_ints(row[j]) for row in code.int_rows))
-        for r, b in zip(coords, tow.normal_ints(received[j].val)):
+        coords = zip(*map(normal, [row[j] for row in code.int_rows]))
+        for r, b in zip(coords, normal(received[j].val)):
             if insert_row(base, basis, [*r, b]) and basis[-1][0] == hk:
                 basis.pop()
     if len(basis) < hk:

@@ -171,14 +171,19 @@ def smallest_irreducible(p, n):
     """Lex-smallest monic irreducible of degree n over F_p.
 
     Coefficient tuples (c_0, ..., c_{n-1}) are compared low degree first.
-    For n >= 2 a candidate with c_0 = 0 is divisible by x, so the walk
-    starts at c_0 = 1.
+    For n = 1 the answer is x.  For n >= 2 a candidate with c_0 = 0 is
+    divisible by x, so the walk starts at c_0 = 1; candidate i is read
+    off the base-p digits of i, c_0 the most significant, so the walk
+    holds one candidate at a time, whatever the size of p.
     """
-    import itertools
-
-    for tail in itertools.product(range(1 if n >= 2 else 0, p),
-                                  *[range(p)] * (n - 1)):
-        f = list(tail) + [1]
+    if n == 1:
+        return (0, 1)
+    for i in range(p ** (n - 1), p ** n):
+        f = [1]
+        for _ in range(n):
+            i, d = divmod(i, p)
+            f.append(d)
+        f.reverse()
         if is_irreducible(f, p):
             return tuple(f)
     raise InvariantError("no irreducible of degree %d over F_%d" % (n, p))
@@ -418,9 +423,11 @@ class GF:
     def word_ops(self, n):
         """Packed words of length n, the same five ops for every p:
         ``pack(ints)`` holds a row of n encodings as one int, ``add(w, s)``
-        is the entry-wise field sum of two packed words, ``weight(w)``
-        counts the nonzero entries, ``unpack(w)`` is the tuple of the n
-        encodings and ``scale(c, w)`` is the word c * w for c in this field.
+        is the entry-wise field sum of two packed words, ``weight(w,
+        tail=())`` is the least number of nonzero entries of w and of the
+        words of its Gray walk over ``tail``, ``unpack(w)`` is the tuple
+        of the n encodings and ``scale(c, w)`` is the word c * w for c in
+        this field.
 
         Entry j takes the little-endian W-bit slot starting at bit j*W,
         W the first of 8, 16, 32 and 64 with room for the entry and one
@@ -435,8 +442,19 @@ class GF:
         reads the digits back by Horner's rule on whole words.
         Every entry is below 2^(W-1), so adding 2^(W-1)-1 to each slot
         sets its top bit exactly when the entry is nonzero, and carries
-        into no other slot.  A field whose entries need more than 63
-        bits raises ValueError.
+        into no other slot: a weight is one ``bit_count()``.
+
+        The walk reads ``tail`` as the words of L base-p digits and runs
+        through all p^L of their combinations added to w, in modular
+        p-ary Gray order (Knuth, TAOCP 4A, 7.2.1.1): step t adds word
+        v_p(t) once, so each next word is one packed add away.  The
+        words to add are listed first, by the rule that the steps over
+        L + 1 digits are p copies of those over L joined by digit L's
+        word: p^L - 1 references, 4 MB for the 2^19 words of the longest
+        walk that ``codes.WORD_BUDGET`` lets a code run.  Then one loop
+        per characteristic adds and weighs them inline, with no call per
+        step.  A field whose entries need more than 63 bits raises
+        ValueError.
         """
         p, m = self.p, self.m
         b = 1 if p == 2 else (2 * p - 1).bit_length()
@@ -456,14 +474,27 @@ class GF:
         low = (1 << (width - 1)) - 1
         fill, top = low * ones, (low + 1) * ones
 
-        def weight(w):
-            return ((w + fill) & top).bit_count()
+        def gray_steps(tail):
+            # the word each step of the walk adds: word v_p(t) at step t
+            steps = []
+            for word in tail:
+                steps = [*steps, word] * (p - 1) + steps
+            return steps
 
         if p == 2:
             # x * v is v shifted up one bit, with x^m = the modulus's low
             # bits put back in the slots whose bit m - 1 was set
             keep = ((1 << (m - 1)) - 1) * ones
             low_bits = self._modulus_int ^ (1 << m)
+
+            def weight(w, tail=()):
+                best = ((w + fill) & top).bit_count()
+                for s in gray_steps(tail):
+                    w ^= s
+                    c = ((w + fill) & top).bit_count()
+                    if c < best:
+                        best = c
+                return best
 
             def scale(c, w):
                 out = 0
@@ -498,6 +529,16 @@ class GF:
         def add(w, s):
             s += w
             return s - (((s + bias) >> shift) & digit_ones) * p
+
+        def weight(w, tail=()):
+            best = ((w + fill) & top).bit_count()
+            for s in gray_steps(tail):
+                w += s  # add(w, s), inline
+                w -= (((w + bias) >> shift) & digit_ones) * p
+                c = ((w + fill) & top).bit_count()
+                if c < best:
+                    best = c
+            return best
 
         def unpack(w):
             v = 0  # Horner, high digit first: below p^m in every slot
@@ -682,6 +723,9 @@ class FieldTower:
         self._unembed = {t: b for b, t in enumerate(self.embed_table)}
         self._omega = None
         self._coord_lookup = None
+        # q^d for the proper divisors d of h: GF(q^d) is the subfield
+        # that x^(q^d) = x cuts out
+        self._subfield_exponents = [self.q ** d for d in range(1, h) if h % d == 0]
 
     @classmethod
     def get(cls, p, e, h):
@@ -762,10 +806,17 @@ class FieldTower:
         """True iff x lies in GF(q^d) for some proper divisor d of h."""
         if x.field is not self.top:
             raise FieldMismatchError("in_proper_subfield expects a top-level element")
-        for d in range(1, self.h):
-            if self.h % d == 0 and x ** (self.q ** d) == x:
-                return True
-        return False
+        return not self.generates(x.val)
+
+    def generates(self, v):
+        """Whether the top element encoded by v generates the top field
+        over the base: v^(q^d) != v, on encodings, for every proper
+        divisor d of h."""
+        pow_ = self.top.pow
+        for n in self._subfield_exponents:
+            if pow_(v, n) == v:
+                return False
+        return True
 
     def normal_element(self):
         """Smallest-encoded omega whose conjugates form a base-field basis.
@@ -815,6 +866,14 @@ class FieldTower:
             part = table[u]
             coords = part if coords is None else tuple(map(add, coords, part))
         return coords
+
+    def normal_lookup(self):
+        """:meth:`normal_ints` as one callable for many entries: the
+        lookup of the one chunk table when the top field fits in one
+        chunk (every top of at most 256 elements), else
+        :meth:`normal_ints` itself."""
+        tables = self._coord_tables()
+        return tables[0].__getitem__ if len(tables) == 1 else self.normal_ints
 
     def _coord_tables(self):
         """The chunk tables of :meth:`normal_ints`, built on first use.

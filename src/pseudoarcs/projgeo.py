@@ -331,8 +331,8 @@ def field_reduction_family(tow: FieldTower, rows: Sequence[Sequence[int]]) -> Li
     """:func:`field_reduction_ints` of every column of int rows of
     top-field encodings, in order: entry (s, j) of column c's reduction
     is the s-th normal-basis coordinate of rows[j][c], so one
-    ``normal_ints`` per entry gives all of them entry by entry."""
-    normal = tow.normal_ints
+    ``normal_lookup`` per entry gives all of them entry by entry."""
+    normal = tow.normal_lookup()
     coords = [list(zip(*map(normal, row))) for row in rows]
     return Subspace.from_entries(tow.base, len(rows), list(zip(*coords)),
                                  len(rows[0]) if rows else 0)

@@ -307,6 +307,82 @@ def plant_weight_one(tow, k, n, rng, at):
         return code, message
 
 
+def lead_walk(code, lead):
+    """The least weight of the Gray walk of one lead, as _min_weight
+    runs it: the packed weight from the lead's row over the later
+    rows' basis words."""
+    (_, _, weight, _, _), words = code._basis_words
+    return weight(words[lead][0], [w for ws in words[lead + 1:] for w in ws])
+
+
+def reference_lead_weight(code, lead):
+    """The least weight of the words whose message is 0 before lead, 1
+    at lead and anything after it, combined one by one."""
+    base = code.tow.base
+    head = [base.zero] * lead + [base.one]
+    rests = itertools.product(list(base.elements()), repeat=code.h * code.k_msg - lead - 1)
+    return min(sum(1 for x in reference_combine(code, head + list(rest)) if x)
+               for rest in rests)
+
+
+def plant_at_step(tow, k, n, rng, lead, last):
+    """A random code whose word at the first Gray step of a lead (t = 1:
+    1 at lead and at lead + 1) or at its last (t = p^L - 1: 1 at lead,
+    every later coefficient q - 1, all its digits p - 1) has weight 1,
+    and that message; the lead's row is solved for.  The last lead walks
+    one word, t = 0."""
+    hk = tow.h * k
+    base, top = tow.base, tow.top
+    message = [base.zero] * hk
+    message[lead] = base.one
+    if last:
+        message[lead + 1:] = [base(tow.q - 1)] * (hk - lead - 1)
+    elif lead + 1 < hk:
+        message[lead + 1] = base.one
+    while True:
+        gen = [[top(rng.randrange(top.order)) for _ in range(n)] for _ in range(hk)]
+        row = [top.zero] * n
+        row[rng.randrange(n)] = top(rng.randrange(1, top.order))
+        for j, (c, r) in enumerate(zip(message, gen)):
+            if j != lead:
+                row = [a - tow.lift(c) * x for a, x in zip(row, r)]
+        gen[lead] = row
+        try:
+            return AdditiveCode(tow, k, gen, [CoordSpec("external")] * n), message
+        except ValueError:
+            continue  # rows dependent over the base field
+
+
+# every branch of the walk: p = 2 with one and two digits per
+# coefficient, p = 3 with two, p = 5 and p = 7 with one
+WALK_TOWERS = [(2, 1, 2), (2, 2, 2), (3, 2, 2), (5, 1, 2), (7, 1, 2)]
+
+
+def test_gray_walk_of_every_lead_matches_brute_force():
+    rng = Random(83)
+    for pe in WALK_TOWERS:
+        tow = tower(*pe)
+        for n in (4, 6):
+            code = random_code(tow, 2, n, rng)
+            leads = [lead_walk(code, lead) for lead in range(4)]
+            assert leads == [reference_lead_weight(code, lead) for lead in range(4)], pe
+            assert min_distance(code) == min(leads) == reference_min_distance(code)
+
+
+def test_gray_walk_finds_a_word_planted_at_its_first_and_last_step():
+    # a walk that stops a step early, or starts a step late, misses the
+    # weight-1 word of a lead; the code's distance is then 1 exactly
+    rng = Random(89)
+    for pe in WALK_TOWERS:
+        tow = tower(*pe)
+        for lead, last in itertools.product(range(4), (False, True)):
+            code, message = plant_at_step(tow, 2, 5, rng, lead, last)
+            assert sum(1 for x in reference_combine(code, message) if x) == 1
+            assert lead_walk(code, lead) == reference_lead_weight(code, lead) == 1, (
+                pe, lead, last)
+            assert min_distance(code) == 1
+
+
 def test_min_distance_finds_a_planted_weight_one_word():
     # a weight-1 word planted at a random message: a walk that skips part
     # of a tail is likely to miss it; coordinates 0 and n - 1 are the
@@ -473,6 +549,26 @@ def test_packed_words_make_no_row_update(monkeypatch):
             for message, word in zip(messages, expected):
                 assert code.combine(message) == word
                 assert erasure_decode(word, code) == Poly(tow.base, message)
+
+
+def test_the_walk_calls_word_ops_once_per_lead():
+    # the Gray walk runs inside the packed weight, so an enumeration
+    # calls the word ops once per lead, not once per word: 585 words of
+    # the (2,3,2) code and 820 of the (3,2,2) code, four leads each
+    for pe in [(2, 3, 2), (3, 2, 2), (7, 1, 2)]:
+        code = full_code(*pe, 2)
+        ops, words = code._basis_words
+        calls = []
+
+        def counted(op):
+            def call(*args):
+                calls.append(op.__name__)
+                return op(*args)
+            return call
+
+        vars(code)["_basis_words"] = tuple(map(counted, ops)), words
+        assert min_distance(code) == code.n - 1
+        assert calls == ["weight"] * len(words) == ["weight"] * 4
 
 
 def test_is_mds_at_larger_sizes():

@@ -3,8 +3,11 @@ Galois structure, normal elements, polynomial calculus."""
 
 import ast
 import itertools
+import os
 import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -63,6 +66,23 @@ def test_smallest_irreducibles_are_pinned():
     assert smallest_irreducible(3, 2) == (1, 0, 1)
     assert smallest_irreducible(5, 1) == (0, 1)
     assert smallest_irreducible(5, 2) == (1, 1, 1)
+
+
+def test_smallest_irreducible_holds_one_candidate_at_a_time():
+    # GF(2^31 - 1) is answered as x, and degree 2 over it walks its
+    # candidates lazily (x^2 + 1, as p = 3 mod 4): a product over
+    # range(p) stores the range's 2^31 values first, far beyond the
+    # address space of 1 GB this child process may map
+    script = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from pseudoarcs.gf import GF, smallest_irreducible\n"
+              "f = GF.get(2**31 - 1, 1)\n"
+              "print(f.modulus, f.mul(2**30, 4), smallest_irreducible(2**31 - 1, 2))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gf.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "(0, 1) 2 (1, 0, 1)\n"
 
 
 def unskipped_smallest_irreducible(p, n):
@@ -659,6 +679,29 @@ def test_coord_tables_match_normal_basis_solve():
         assert shift == t.top.order
         for v in range(t.top.order):
             assert t.normal_ints(v) == coords[v], (pe, v)
+
+
+def test_normal_lookup_reads_one_table_on_a_one_chunk_tower(monkeypatch):
+    # GF(16) and GF(81) fit one chunk table, GF(343) and GF(4096) need
+    # two: the lookup of a one-chunk tower reads its table with no call
+    # of normal_ints, and any other tower's lookup is normal_ints itself
+    towers = [tower(2, 2, 2), tower(3, 2, 2), tower(7, 1, 3), tower(2, 6, 2)]
+    solved = [solve_in_normal_basis(t) for t in towers]
+    lookups = [t.normal_lookup() for t in towers]
+    assert [len(t._coord_tables()) for t in towers] == [1, 1, 2, 2]
+
+    def refused(self, v):
+        raise AssertionError("normal_ints called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gf.FieldTower, "normal_ints", refused)
+        for t, coords, lookup in zip(towers[:2], solved, lookups):
+            assert [lookup(v) for v in range(t.top.order)] == [
+                coords[v] for v in range(t.top.order)]
+    for t, coords, lookup in zip(towers, solved, lookups):
+        assert lookup == t.normal_lookup()
+        for v in range(t.top.order):
+            assert lookup(v) == t.normal_ints(v) == coords[v], (t, v)
 
 
 def test_primitive_element_is_primitive():

@@ -813,6 +813,20 @@ def test_family_matches_from_ints_on_random_rows():
                 assert_family_matches(fld, n, mats)
 
 
+def test_field_reduction_family_matches_per_column_reductions():
+    # the family reads coordinates through the tower's normal_lookup: one
+    # table on GF(16) and GF(81), normal_ints on GF(343) and GF(4096),
+    # whose coordinates come from two chunk tables; columns of top
+    # encodings, of embedded base encodings and of zeros
+    rng = random.Random(113)
+    for t in (tower(2, 2, 2), tower(3, 2, 2), tower(7, 1, 3), tower(2, 6, 2)):
+        for n in (1, 3, 6):
+            cols = [[rng.randrange(t.top.order) for _ in range(n)] for _ in range(8)]
+            cols += [[t.embed_table[rng.randrange(t.q)] for _ in range(n)], [0] * n]
+            assert projgeo.field_reduction_family(t, [list(r) for r in zip(*cols)]) == [
+                field_reduction_ints(t, c) for c in cols]
+
+
 def test_family_forms_match_their_one_member_forms():
     # field reduction of many vectors, and a projectivity of many
     # subspaces, member by member

@@ -332,12 +332,15 @@ def test_imaginary_elements_match_the_field_reduction():
 
 
 def test_imaginary_arc_needs_no_normal_coordinates(monkeypatch):
-    def refused(self, v):
-        raise RuntimeError("normal_ints called")
+    # on the class, so that towers built before the patch see it too;
+    # normal_lookup is the other way to the coordinate tables
+    def refused(self, *args):
+        raise RuntimeError("normal coordinates read")
 
     expected = {pe: build_imaginary_arc(tower(*pe), 2).elements
                 for pe in ((3, 2, 2), (7, 1, 3))}
     monkeypatch.setattr(FieldTower, "normal_ints", refused)
+    monkeypatch.setattr(FieldTower, "normal_lookup", refused)
     for pe, elements in expected.items():
         assert build_imaginary_arc(tower(*pe), 2).elements == elements
 

@@ -153,21 +153,60 @@ def test_only_gf_imports_a_word_layout_module():
     assert _importers("struct", "array") == [("gf.py", "struct")]
 
 
+def _characteristic_names(tree):
+    """Every name an assignment binds to a ``.p`` attribute, alone or
+    at its place in a tuple."""
+    def is_p(node):
+        return isinstance(node, ast.Attribute) and node.attr == "p"
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            pairs = [(t, node.value) for t in node.targets]
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and node.value is not None:
+            pairs = [(node.target, node.value)]
+        else:
+            continue
+        while pairs:
+            target, value = pairs.pop()
+            if isinstance(target, ast.Name) and is_p(value):
+                names.add(target.id)
+            elif (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                  and len(target.elts) == len(value.elts)):
+                pairs += zip(target.elts, value.elts)
+    return names
+
+
 def _characteristic_comparisons(tree):
-    """Line of every comparison that reads a ``.p`` attribute."""
-    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
-            and any(isinstance(n, ast.Attribute) and n.attr == "p"
-                    for n in ast.walk(node))]
+    """Line of every comparison that reads a ``.p`` attribute or a name
+    that the module binds to one anywhere, in line order."""
+    names = _characteristic_names(tree)
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                  and any((isinstance(n, ast.Attribute) and n.attr == "p")
+                          or (isinstance(n, ast.Name) and n.id in names)
+                          for n in ast.walk(node)))
 
 
 def test_codes_has_no_characteristic_fork():
     # codewords and the distance walk run one packed kernel in every
-    # characteristic; a comparison on a .p in codes.py is a second path
+    # characteristic; a comparison on a .p in codes.py, or on a name
+    # bound to one, is a second path
     assert _characteristic_comparisons(ast.parse(
         "if top.p != 2:\n"
         "    x = f.p\n"
         "y = p < 3\n"
         "z = [w for w in ws if tow.base.p == w]\n")) == [1, 4]
+    assert _characteristic_comparisons(ast.parse(
+        "p = code.tow.p\n"
+        "if p == 2:\n"
+        "    pass\n"
+        "q, (r, e) = tow.q, (tow.base.p, tow.e)\n"
+        "s = 2 < r and e > 1\n"
+        "x = (c := f.p) + 1\n"
+        "w = c >= 3\n"
+        "b: int = t.p\n"
+        "u = b is None\n"
+        "v = q > 2 and e < 2\n")) == [2, 5, 7, 9]
     assert _characteristic_comparisons(ast.parse((SRC / "codes.py").read_text())) == []
 
 
