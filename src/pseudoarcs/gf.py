@@ -22,7 +22,6 @@ import struct
 from . import linalg
 
 _TABLE_LIMIT = 1 << 16      # exp/log and element tables up to this field order
-_ADD_TABLE_LIMIT = 512      # full addition tables (odd p) up to this order
 
 
 class FieldMismatchError(ValueError):
@@ -203,7 +202,7 @@ class GF:
     FieldElements once, in a tuple indexed by encoding: ``element(v)`` is
     then a lookup, and every wrap of an encoding in the package goes
     through it or through ``wrap``.  Above the limit ``element`` is the
-    constructor.
+    constructor.  Below the limit an odd extension field adds by Zech logs.
     """
 
     _cache = {}
@@ -217,15 +216,13 @@ class GF:
         self._gorder = self.order - 1
         self._exp = None
         self._log = None
-        self._add_table = None
+        self._zech = None
         if self.order <= _TABLE_LIMIT:
             self._build_mul_tables()
             self.element = tuple(FieldElement(self, v)
                                  for v in range(self.order)).__getitem__
         else:
             self.element = functools.partial(FieldElement, self)
-        if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
-            self._build_add_table()
         self.sub_scaled, self.scaled, self.sub_product, self.form_value = self._row_ops()
         self.zero = self.element(0)
         self.one = self.element(1)
@@ -292,17 +289,33 @@ class GF:
         return r
 
     def _build_mul_tables(self):
+        """exp/log tables of a primitive element a, and for odd p, m > 1,
+        Zech logs (K. Huber, IEEE Trans. Inf. Theory 36, 1990): zech[d] is
+        log(1 + a^d), one pass over exp, as adding 1 changes only the
+        constant digit.  With g = order - 1, x + w is exp[lw + zech[log[x]
+        - lw]] for w != 0 and lw = log(w) + kg below 3g, and no branch on
+        x: log[0] = 4g = zech[g/2] (1 + a^(g/2) = 0) reads the 3g zeros
+        after four turns of exp, and zech holds zeros at (g, 4g], read
+        for x = 0, and three copies of itself after them for d < 0."""
         gen = self._find_primitive()
-        exp = [0] * max(self._gorder, 1)
-        log = [0] * self.order
+        g, p = self._gorder, self.p
+        # one int object per value, shared by the tables: less memory to read
+        ints = list(range(self.order))
+        exp, log = [0] * g, [0] * self.order
         v = 1
-        for i in range(self._gorder):
-            exp[i] = v
+        for i in ints[:g]:
+            exp[i] = ints[v]
             log[v] = i
             v = self._raw_mul(v, gen)
-        # doubled, so a sum of two logs indexes it without reduction
-        self._exp = exp + exp
         self._log = log
+        if p > 2 and self.m > 1:
+            log[0] = 4 * g
+            zech = [log[v + 1 - p if v % p == p - 1 else v + 1] for v in exp]
+            self._zech = zech + [0] * (3 * g + 1) + zech * 3
+            self._exp = exp * 4 + [0] * (3 * g)
+        else:
+            # doubled, so a sum of two logs indexes it without reduction
+            self._exp = exp + exp
 
     def _find_primitive(self):
         primes = prime_factors(self._gorder) if self._gorder > 1 else []
@@ -319,27 +332,16 @@ class GF:
             self._find_primitive()
         return self.element(self._primitive)
 
-    def _build_add_table(self):
-        # addition is digit-wise: row a0 + p*a' on j + 1 digits is row a'
-        # on j digits shifted up a digit, the low digit cycled by row a0
-        p = self.p
-        low = [[(a + b) % p for b in range(p)] for a in range(p)]
-        table = low
-        for _ in range(self.m - 1):
-            table = [[x + p * y for y in hi for x in lo]
-                     for hi in table for lo in low]
-        self._add_table = table
-
     def _row_ops(self):
         """Int row operations for linalg and pseudoarc:
         ``sub_scaled(v, c, b)`` is v - c*b and ``scaled(c, b)`` is c*b, for
         rows v, b of encodings and a scalar c, and ``sub_product(v, a, b)``
         is v - a*b entry by entry, for rows v, a, b.  ``form_value(terms,
         v)`` is the sum of c*v[i]*v[j] over the terms (c, i, j), each c
-        nonzero, for a vector v of encodings.  They branch like
-        add/sub/mul, but once per row instead of once per entry; a zero c
+        nonzero, for a vector v of encodings.  They branch like add/sub/mul
+        (odd p through Zech logs), once per row, not per entry; a zero c
         has no log, so the log branches return v and the zero row for it."""
-        p, exp, log, add = self.p, self._exp, self._log, self._add_table
+        p, exp, log, zech = self.p, self._exp, self._log, self._zech
         if self.m == 1:
             def sub_scaled(v, c, b):
                 return [(x - c * y) % p for x, y in zip(v, b)]
@@ -352,7 +354,7 @@ class GF:
 
             def form_value(terms, v):
                 return sum(c * v[i] * v[j] for c, i, j in terms) % p
-        elif exp is not None and (p == 2 or add is not None):
+        elif exp is not None:
             g = self._gorder
             if p == 2:
                 def sub_scaled(v, c, b):
@@ -374,26 +376,26 @@ class GF:
                             acc ^= exp[(log[c] + log[x] + log[y]) % g]
                     return acc
             else:
+                half = g // 2  # -1 is exp[g/2]; lw, a sum of three logs, is below 3g
+
                 def sub_scaled(v, c, b):
                     if not c:
                         return list(v)
-                    lc = (log[c] + g // 2) % g  # log(-c): -1 is exp[g/2]
-                    return [add[x][exp[lc + log[y]]] if y else x
+                    lc = log[c] + half  # log(-c)
+                    return [exp[(lw := lc + log[y]) + zech[log[x] - lw]] if y else x
                             for x, y in zip(v, b)]
 
-                # nexp[i] is -exp[i], the doubled table shifted by g/2
-                nexp = exp[g // 2:] + exp[:g // 2]
-
                 def sub_product(v, a, b):
-                    return [add[x][nexp[log[y] + log[z]]] if y and z else x
-                            for x, y, z in zip(v, a, b)]
+                    return [exp[(lw := log[y] + log[z] + half) + zech[log[x] - lw]]
+                            if y and z else x for x, y, z in zip(v, a, b)]
 
                 def form_value(terms, v):
                     acc = 0
                     for c, i, j in terms:
                         x, y = v[i], v[j]
                         if x and y:
-                            acc = add[acc][exp[(log[c] + log[x] + log[y]) % g]]
+                            lw = log[c] + log[x] + log[y]
+                            acc = exp[lw + zech[log[acc] - lw]]
                     return acc
 
             def scaled(c, b):
@@ -556,8 +558,9 @@ class GF:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
+        if self._zech is not None:
+            lb = self._log[b]
+            return self._exp[lb + self._zech[self._log[a] - lb]] if b else a
         p = self.p
         return self.encode(tuple((x + y) % p
                                  for x, y in zip(self.digits(a), self.digits(b))))
@@ -721,8 +724,7 @@ class FieldTower:
         self.embedding_image = self._find_embedding_image()
         self.embed_table = self._build_embed_table()
         self._unembed = {t: b for b, t in enumerate(self.embed_table)}
-        self._omega = None
-        self._coord_lookup = None
+        self._normal_basis = self._coord_lookup = None
         # q^d for the proper divisors d of h: GF(q^d) is the subfield
         # that x^(q^d) = x cuts out
         self._subfield_exponents = [self.q ** d for d in range(1, h) if h % d == 0]
@@ -825,22 +827,22 @@ class FieldTower:
         tested through the h x h matrix of conjugates [omega^(q^(i+j mod h))],
         of rank h exactly in the normal case.
         """
-        if self._omega is not None:
-            return self._omega
-        h, q, top = self.h, self.q, self.top
-        for v in range(1, top.order):
-            w = top.element(v)
-            conj = [(w ** (q ** i)).val for i in range(h)]
-            mat = [[conj[(i + j) % h] for j in range(h)] for i in range(h)]
-            if linalg.rank_ints(top, mat) == h:
-                self._omega = w
-                return w
-        raise InvariantError("no normal element found")
+        return self.normal_basis()[0]
 
     def normal_basis(self):
-        """(omega, omega^q, ..., omega^(q^(h-1))) for the canonical omega."""
-        w = self.normal_element()
-        return tuple(w ** (self.q ** i) for i in range(self.h))
+        """(omega, omega^q, ..., omega^(q^(h-1))) for the canonical omega,
+        found on first use."""
+        if self._normal_basis is None:
+            h, q, top = self.h, self.q, self.top
+            for v in range(1, top.order):
+                conj = [top.pow(v, q ** i) for i in range(h)]
+                mat = [[conj[(i + j) % h] for j in range(h)] for i in range(h)]
+                if linalg.rank_ints(top, mat) == h:
+                    self._normal_basis = tuple(map(top.element, conj))
+                    break
+            else:
+                raise InvariantError("no normal element found")
+        return self._normal_basis
 
     def normal_coords(self, x):
         """Coordinates of a top element in the normal basis, as base elements.

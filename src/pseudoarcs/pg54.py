@@ -82,23 +82,20 @@ def w_element(tow: FieldTower) -> FieldElement:
     raise InvariantError("no root of the defining polynomial")
 
 
-def e_element(tow: FieldTower) -> FieldElement:
-    """The cube root of unity w^5 spanning the embedded F_4."""
-    return w_element(tow) ** 5
+def _powers(tow: FieldTower) -> Tuple[List[FieldElement], List[FieldElement]]:
+    """The 15 powers of w, top level, and the 3 powers of e = w^5, base
+    level: every nonzero fixture entry is one of them."""
+    w = w_element(tow)
+    w_pows = [w ** a for a in range(15)]
+    return w_pows, [tow.to_base(x) for x in w_pows[::5]]
 
 
-def _top_vector(tow: FieldTower, exps: Sequence[Optional[int]],
-                w: FieldElement) -> List[FieldElement]:
-    return [tow.top.zero if a is None else w ** a for a in exps]
+def _vector(exps: Sequence[Optional[int]], pows: List[FieldElement]) -> List[FieldElement]:
+    return [pows[0].field.zero if a is None else pows[a] for a in exps]
 
 
-def _base_vector(tow: FieldTower, exps: Sequence[Optional[int]],
-                 e: FieldElement) -> List[FieldElement]:
-    return [tow.base.zero if a is None else tow.to_base(e ** a) for a in exps]
-
-
-def _points(tow: FieldTower, w: FieldElement) -> List[List[FieldElement]]:
-    return [_top_vector(tow, exps, w) for exps in _POINTS]
+def _points(w_pows: Sequence[FieldElement]) -> List[List[FieldElement]]:
+    return [_vector(exps, w_pows) for exps in _POINTS]
 
 
 def _conjugates(tow: FieldTower, points: Sequence[Sequence[FieldElement]]
@@ -114,28 +111,28 @@ def _reductions(tow: FieldTower, points: Sequence[Sequence[FieldElement]]
 
 
 def _lines(tow: FieldTower, points: Sequence[Sequence[FieldElement]],
-           e: FieldElement) -> List[Subspace]:
+           e_pows: Sequence[FieldElement]) -> List[Subspace]:
     derived = iter(_reductions(tow, [pt for pair, pt in zip(_LINES, points)
                                      if pair is None]))
     return [next(derived) if pair is None
-            else span([_base_vector(tow, row, e) for row in pair])
+            else span([_vector(row, e_pows) for row in pair])
             for pair in _LINES]
 
 
 def fixture_points(tow: FieldTower) -> List[List[FieldElement]]:
     """The eleven defining curve points, top level; the first five are
     rational, the last six imaginary."""
-    return _points(tow, w_element(tow))
+    return _points(_powers(tow)[0])
 
 
 def fixture_matrix(tow: FieldTower) -> List[List[FieldElement]]:
-    e = e_element(tow)
-    return [_base_vector(tow, row, e) for row in _MATRIX]
+    e_pows = _powers(tow)[1]
+    return [_vector(row, e_pows) for row in _MATRIX]
 
 
 def fixture_lines(tow: FieldTower) -> List[Subspace]:
     """The eleven lines of PG(5, 4), in order."""
-    return _lines(tow, fixture_points(tow), e_element(tow))
+    return _lines(tow, fixture_points(tow), _powers(tow)[1])
 
 
 def fixture_code(tow: FieldTower) -> AdditiveCode:
@@ -151,10 +148,11 @@ def verify_fixture() -> List[Tuple[str, bool, str]]:
     """
     tow = fixture_tower()
     checks: List[Tuple[str, bool, str]] = []
-    # w, e, the points and the lines are built once and shared by the checks
-    w = w_element(tow)
-    e = w ** 5
-    points = _points(tow, w)
+    # the powers of w and e, the points and the lines are built once and
+    # shared by the checks
+    w_pows, e_pows = _powers(tow)
+    w, e = w_pows[1], w_pows[5]
+    points = _points(w_pows)
 
     ok = (w ** 4 == w + tow.top.one and e == w ** 5
           and e * e == e + tow.top.one)
@@ -163,7 +161,7 @@ def verify_fixture() -> List[Tuple[str, bool, str]]:
     checks.append(("defining-constants", ok,
                    "w^4 = w + 1, multiplicative order %d, e = w^5" % order))
 
-    lines = _lines(tow, points, e)
+    lines = _lines(tow, points, e_pows)
     # two lines meet trivially exactly when their four rows have rank 4,
     # which also makes them distinct
     disjoint = all(rank_ints(tow.base, lines[i].int_rows + lines[j].int_rows) == 4
@@ -176,7 +174,7 @@ def verify_fixture() -> List[Tuple[str, bool, str]]:
     # forms, with no walk; the matrix keeps the order and is nonsingular
     # (apply_projectivity_family refuses it otherwise), so the verdict and
     # witness are the lines' own
-    matrix = [_base_vector(tow, row, e) for row in _MATRIX]
+    matrix = [_vector(row, e_pows) for row in _MATRIX]
     mapped = apply_projectivity_family(matrix, lines)
     verdict = is_pseudo_arc(mapped, 3)
     checks.append(("lines-pseudo-arc", bool(verdict),

@@ -152,53 +152,67 @@ def test_arithmetic_against_polynomial_oracle():
                 assert f.add(a, b) == oracle_add(a, b, p, m)
 
 
-def test_add_tables_match_digit_oracle():
-    # every odd p^m, m > 1, with a table: every row up to order 125,
-    # seeded sampled rows above
+def test_zech_addition_matches_digit_oracle():
+    # every odd p^m, m > 1, adds through its Zech table up to the table
+    # limit: every pair up to order 125, seeded sampled rows above, each
+    # row with b = 0 and b = -a planted, the sum that reads the sentinel
     rng = random.Random(17)
     fields = [(p, m) for p in (3, 5, 7, 11, 13, 17, 19, 23) for m in range(2, 6)
-              if p ** m <= gf._ADD_TABLE_LIMIT]
-    assert len(fields) == 12
+              if p ** m <= 529] + [(3, 7), (3, 10), (251, 2)]
+    assert len(fields) == 16
     for p, m in fields:
         f = GF.get(p, m)
-        table = f._add_table
-        assert len(table) == f.order and {len(row) for row in table} == {f.order}
-        rows = (range(f.order) if f.order <= 125 else
-                [0, 1, p, f.order - 1] + rng.sample(range(f.order), 12))
-        for a in rows:
-            assert table[a] == [oracle_add(a, b, p, m) for b in range(f.order)], \
-                (p, m, a)
-    assert GF.get(23, 2)._add_table is None  # 529 is above the limit
+        assert f._zech is not None
+        if f.order <= 125:
+            pairs = itertools.product(range(f.order), repeat=2)
+        else:
+            rows = [0, 1, p - 1, p, f.order - 1] + rng.sample(range(f.order), 8)
+            pairs = [(a, b) for a in rows
+                     for b in [0, oracle_neg(a, p, m)] + rng.sample(range(f.order), 60)]
+        for a, b in pairs:
+            assert f.add(a, b) == oracle_add(a, b, p, m), (p, m, a, b)
+        for a in rng.sample(range(1, f.order), min(f.order - 1, 50)):
+            assert f.add(a, oracle_neg(a, p, m)) == 0
+    assert GF.get(3, 11)._zech is None  # 177147 is above the table limit
 
 
 def test_field_set_up_builds_no_table_entry_by_digits(monkeypatch):
-    # the addition table comes from digit blocks, not one digit tuple and
-    # encode per entry; the exp/log build, which multiplies once per
-    # element through _raw_mul, is the one per-element construction left
-    calls = []
-    encode, digits, build_mul = GF.encode, GF.digits, GF._build_mul_tables
-    in_mul_tables = []
+    # the exp/log build multiplies once per element through _raw_mul, the
+    # one per-element construction left; the Zech pass reads exp and log
+    # and calls neither digits nor encode, on both sides of order 512
+    calls, inside = [], []
+    encode, digits = GF.encode, GF.digits
+    build_mul, raw_mul = GF._build_mul_tables, GF._raw_mul
 
     def counted_encode(self, digs):
-        calls.append("encode")
+        calls.append(("encode", tuple(inside)))
         return encode(self, digs)
 
     def counted_digits(self, v):
-        calls.append("digits")
+        calls.append(("digits", tuple(inside)))
         return digits(self, v)
 
-    def counted_build_mul(self):
-        before = len(calls)
-        build_mul(self)
-        in_mul_tables.append(len(calls) - before)
+    def marked(name, method):
+        def call(self, *args):
+            inside.append(name)
+            try:
+                return method(self, *args)
+            finally:
+                inside.pop()
+        return call
 
     monkeypatch.setattr(GF, "encode", counted_encode)
     monkeypatch.setattr(GF, "digits", counted_digits)
-    monkeypatch.setattr(GF, "_build_mul_tables", counted_build_mul)
-    f = GF(7, 3)  # fresh, not the interned field
-    assert f._add_table is not None and len(in_mul_tables) == 1
-    assert len(calls) - in_mul_tables[0] < f.order
-    assert in_mul_tables[0] < 5 * f.order
+    monkeypatch.setattr(GF, "_build_mul_tables", marked("tables", build_mul))
+    monkeypatch.setattr(GF, "_raw_mul", marked("raw_mul", raw_mul))
+    for p, m in [(7, 3), (23, 2)]:
+        f = GF(p, m)  # fresh, not the interned field
+        assert f._zech is not None
+        in_tables = [stack for _, stack in calls if stack[:1] == ("tables",)]
+        assert len(in_tables) < 5 * f.order
+        assert [stack for stack in in_tables if "raw_mul" not in stack] == []
+        assert [c for c in calls if not c[1]] == [("encode", ())]  # the modulus
+        del calls[:]
 
     # a fresh tower's coordinate tables: a few calls per digit, none per entry
     t = gf.FieldTower(7, 1, 3)
@@ -312,48 +326,85 @@ def test_neg_and_sub_match_digit_reference():
 
 
 def test_sub_product_matches_entry_arithmetic():
-    # sub_product, one field per branch of the row ops: a prime
-    # field, GF(16) on its tables, GF(9) on its addition table, GF(625)
-    # above the addition table limit, GF(2^17) and GF(257^2) above the
-    # table limit
+    # sub_product, one field per branch of the row ops: a prime field,
+    # GF(16) on its tables, GF(9) and GF(625) through Zech logs, GF(2^17)
+    # and GF(257^2) above the table limit; entries x = y*z planted, and
+    # the difference taken digit by digit
     rng = random.Random(18)
     branches = {(7, 1): (True, False), (2, 4): (True, False),
-                (3, 2): (True, True), (5, 4): (True, False),
+                (3, 2): (True, True), (5, 4): (True, True),
                 (2, 17): (False, False), (257, 2): (False, False)}
-    for (p, m), (tables, add_table) in branches.items():
+    for (p, m), (tables, zech) in branches.items():
         f = GF.get(p, m)
-        assert (f._exp is not None, f._add_table is not None) == (tables, add_table)
+        assert (f._exp is not None, f._zech is not None) == (tables, zech)
         vs = sample_encodings(f, rng, 20)
         for n in (1, 2, 7):
             for _ in range(30):
                 v, a, b = ([rng.choice(vs) for _ in range(n)] for _ in range(3))
+                v[0] = f.mul(a[0], b[0])
                 assert f.sub_product(v, a, b) == [
-                    f.sub(x, f.mul(y, z)) for x, y, z in zip(v, a, b)], (p, m)
+                    oracle_add(x, oracle_neg(f.mul(y, z), p, m), p, m)
+                    for x, y, z in zip(v, a, b)], (p, m)
 
 
 def test_scaled_rows_match_entry_arithmetic_for_every_scalar():
     # zero included, which has no log: one field per branch of the row
-    # ops, a prime field, GF(16) on its logs, GF(25) on its addition
-    # table, GF(3^7) above the addition table limit and GF(2^17) above
-    # the table limit
+    # ops, a prime field, GF(16) on its logs, GF(25) and GF(3^7) through
+    # Zech logs and GF(2^17) above the table limit; entries x = c*y
+    # planted, and the difference taken digit by digit
     rng = random.Random(19)
     branches = {(7, 1): (True, False), (2, 4): (True, False),
-                (5, 2): (True, True), (3, 7): (True, False),
+                (5, 2): (True, True), (3, 7): (True, True),
                 (2, 17): (False, False)}
-    for (p, m), (tables, add_table) in branches.items():
+    for (p, m), (tables, zech) in branches.items():
         f = GF.get(p, m)
-        assert (f._exp is not None, f._add_table is not None) == (tables, add_table)
+        assert (f._exp is not None, f._zech is not None) == (tables, zech)
         vs = sample_encodings(f, rng, 20)  # 0 and 1 first
         for c in vs:
             for n in (1, 3):
                 v, b = ([rng.choice(vs) for _ in range(n)] for _ in range(2))
+                v[-1] = f.mul(c, b[-1])
                 assert f.sub_scaled(v, c, b) == [
-                    f.sub(x, f.mul(c, y)) for x, y in zip(v, b)], (p, m, c)
+                    oracle_add(x, oracle_neg(f.mul(c, y), p, m), p, m)
+                    for x, y in zip(v, b)], (p, m, c)
                 assert f.scaled(c, b) == [f.mul(c, y) for y in b], (p, m, c)
     for p, m in [(5, 2), (2, 4)]:
         f = GF.get(p, m)
         assert f.sub_scaled([1, 2, 3], 0, [4, 5, 6]) == [1, 2, 3]
         assert f.scaled(0, [4, 5, 6]) == [0, 0, 0]
+
+
+def sum_ops(f, v, a, b, terms):
+    """Every op of f that adds, subtracts or negates, on fixed rows."""
+    return [lambda: [f.add(x, y) for x, y in zip(v, b)],
+            lambda: [f.sub(x, y) for x, y in zip(v, b)],
+            lambda: [f.neg(x) for x in v],
+            lambda: f.sub_scaled(v, a[1], b),
+            lambda: f.sub_product(v, a, b),
+            lambda: f.form_value(terms, v)]
+
+
+def test_odd_fields_with_tables_add_without_digits(monkeypatch):
+    # up to the table limit no odd extension field reaches a digit tuple
+    # from a sum, a difference, a negation or a row op: they all read the
+    # log and Zech tables
+    rng = random.Random(21)
+    cases = []
+    for p, m in [(3, 2), (7, 3), (23, 2), (3, 7), (3, 10), (251, 2)]:
+        f = GF.get(p, m)
+        vs = sample_encodings(f, rng, 30)
+        v, a, b = ([rng.choice(vs) for _ in range(8)] for _ in range(3))
+        v[0], v[1] = 0, f.mul(a[1], b[1])
+        terms = [(c, i, j) for c, (i, j) in zip(vs[1:], itertools.combinations(range(4), 2))]
+        cases += [(f, op, op()) for op in sum_ops(f, v, a, b, terms)]
+
+    def refused(self, *args):
+        raise AssertionError("%r went by digits" % self)
+
+    monkeypatch.setattr(GF, "digits", refused)
+    monkeypatch.setattr(GF, "encode", refused)
+    for f, op, expected in cases:
+        assert op() == expected, f
 
 
 def test_packed_words_match_entry_arithmetic():

@@ -12,7 +12,7 @@ from pseudoarcs.linalg import (SingularMatrixError, det, inverse_ints,
 
 F5 = GF.get(5, 1)
 F4 = GF.get(2, 2)
-F9 = GF.get(3, 2)   # odd extension: addition table
+F9 = GF.get(3, 2)   # odd extension: sums through Zech logs
 F8 = GF.get(2, 3)
 
 

@@ -110,8 +110,8 @@ def test_conic_form_evaluation():
 
 
 def test_form_algebra_matches_direct_sum():
-    # prime field, p = 2 and odd tables, odd without an addition table,
-    # and a field above the table limits
+    # prime field, p = 2 on its tables, GF(9) and GF(3^7) through Zech
+    # logs, and a field above the table limit
     rng = Random(3)
     pairs = monomial_pairs(4)
     for p, m in [(7, 1), (2, 2), (3, 2), (3, 7), (2, 17)]:

@@ -210,6 +210,34 @@ def test_codes_has_no_characteristic_fork():
     assert _characteristic_comparisons(ast.parse((SRC / "codes.py").read_text())) == []
 
 
+FIELD_TABLES = {"_exp", "_log", "_zech"}
+
+
+def _field_table_reads(tree):
+    """Line of every read of a field table: an attribute named like one,
+    or the name as a string, as getattr or vars would take it."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr in FIELD_TABLES)
+                  or (isinstance(node, ast.Constant) and node.value in FIELD_TABLES))
+
+
+def test_only_gf_reads_a_field_table():
+    # the layout of the exp, log and Zech tables (sentinels, copies and
+    # zero runs) is gf.py's decision; a module that indexes them itself
+    # would break when it changes
+    assert _field_table_reads(ast.parse(
+        "x = f._exp[f._log[a] + 1]\n"
+        "z = getattr(top, '_zech')\n"
+        "y = f.exp\n"
+        "w = vars(f)['_log']\n")) == [1, 1, 2, 4]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "gf.py":
+            found += ["%s:%d" % (path.name, line) for line in
+                      _field_table_reads(ast.parse(path.read_text(), filename=str(path)))]
+    assert found == []
+
+
 def test_only_jsonio_imports_json():
     # one reader and one writer: a second module that parses or writes
     # JSON would skip the envelope checks or the deterministic layout
